@@ -69,7 +69,8 @@ func (h *HTTPAlerts) Alerts(cursor uint64, max int) ([]monitord.SeqAlert, uint64
 	alerts := make([]monitord.SeqAlert, 0, len(body.Alerts))
 	for _, a := range body.Alerts {
 		pfx, err := netip.ParsePrefix(a.Prefix)
-		if err != nil {
+		kind, known := ParseAlertKind(a.Kind)
+		if err != nil || !known {
 			h.Errs.Add(1)
 			continue
 		}
@@ -79,7 +80,7 @@ func (h *HTTPAlerts) Alerts(cursor uint64, max int) ([]monitord.SeqAlert, uint64
 				Time:     a.Time,
 				Session:  a.Session,
 				Prefix:   pfx,
-				Kind:     ParseAlertKind(a.Kind),
+				Kind:     kind,
 				Observed: bgp.ASN(a.ObservedAS),
 			},
 		})
@@ -87,14 +88,13 @@ func (h *HTTPAlerts) Alerts(cursor uint64, max int) ([]monitord.SeqAlert, uint64
 	return alerts, body.Next, body.Dropped
 }
 
-// ParseAlertKind inverts defense.AlertKind.String; unknown strings map
-// to origin-change, the kind every tracer hijack raises.
-func ParseAlertKind(s string) defense.AlertKind {
-	switch s {
-	case "more-specific":
-		return defense.AlertMoreSpecific
-	case "new-upstream":
-		return defense.AlertNewUpstream
+// ParseAlertKind inverts defense.AlertKind.String; an unknown string is
+// reported, never mapped to a default kind.
+func ParseAlertKind(s string) (defense.AlertKind, bool) {
+	for k := defense.AlertOriginChange; k <= defense.AlertNewUpstream; k++ {
+		if k.String() == s {
+			return k, true
+		}
 	}
-	return defense.AlertOriginChange
+	return 0, false
 }

@@ -1,15 +1,9 @@
 package loadgen
 
-import (
-	"quicksand/internal/defense"
-	"quicksand/internal/fleet"
-)
+import "quicksand/internal/fleet"
 
 // HTTPAlerts is the /alerts polling client, now shared with the fleet
 // router (which polls remote shards over the same wire shape); the
 // harness keeps the name as an alias so existing callers and tests are
 // untouched. See fleet.HTTPAlerts.
 type HTTPAlerts = fleet.HTTPAlerts
-
-// parseAlertKind delegates to the shared decoder in internal/fleet.
-func parseAlertKind(s string) defense.AlertKind { return fleet.ParseAlertKind(s) }

@@ -13,6 +13,7 @@ import (
 
 	"quicksand/internal/bgp"
 	"quicksand/internal/bgpd"
+	"quicksand/internal/defense"
 	"quicksand/internal/monitord"
 )
 
@@ -222,11 +223,75 @@ func TestTracerPrefixesRoundRobin(t *testing.T) {
 	}
 }
 
+// TestParseAlertKindRoundTrip pins the /alerts wire format end to end:
+// every defense.AlertKind a daemon can raise is encoded by its /alerts
+// handler and decoded by HTTPAlerts back to the identical alert, and a
+// kind string the decoder does not know is an error — never silently
+// another kind.
 func TestParseAlertKindRoundTrip(t *testing.T) {
-	for _, s := range []string{"origin-change", "more-specific", "new-upstream"} {
-		if got := parseAlertKind(s).String(); got != s {
-			t.Errorf("parseAlertKind(%q).String() = %q", s, got)
+	d, err := monitord.New(monitord.Config{
+		Watched:        map[netip.Prefix]bgp.ASN{watched: 64496},
+		ListenHTTP:     "127.0.0.1:0",
+		UpstreamAlarms: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Shutdown(context.Background())
+	src := d.RegisterSource("wire", 64601)
+	t0 := time.Unix(1000, 0)
+	for i, u := range []struct {
+		prefix netip.Prefix
+		path   []bgp.ASN
+	}{
+		{watched, []bgp.ASN{64601, 666}},                               // origin-change
+		{netip.MustParsePrefix("10.99.1.0/24"), []bgp.ASN{64601, 667}}, // more-specific
+		{watched, []bgp.ASN{64601, 65001, 64496}},                      // new-upstream
+	} {
+		if err := d.Ingest(src, t0.Add(time.Duration(i)*time.Second), u.prefix, u.path); err != nil {
+			t.Fatal(err)
 		}
+	}
+	if !d.WaitQuiesce(5 * time.Second) {
+		t.Fatal("pipeline did not quiesce")
+	}
+	want, wantNext, _ := d.Alerts(0, 0)
+	poller := &HTTPAlerts{Base: "http://" + d.HTTPAddr()}
+	got, next, dropped := poller.Alerts(0, 0)
+	if poller.Errs.Load() != 0 || next != wantNext || dropped != 0 || len(got) != len(want) {
+		t.Fatalf("decoded %d alerts (next %d, dropped %d, errs %d); daemon holds %d (next %d)",
+			len(got), next, dropped, poller.Errs.Load(), len(want), wantNext)
+	}
+	seen := map[defense.AlertKind]bool{}
+	for i := range want {
+		w, g := want[i], got[i]
+		if g.Seq != w.Seq || !g.Time.Equal(w.Time) || g.Session != w.Session ||
+			g.Prefix != w.Prefix || g.Kind != w.Kind || g.Observed != w.Observed {
+			t.Errorf("alert %d decoded as %+v, daemon raised %+v", i, g, w)
+		}
+		seen[g.Kind] = true
+	}
+	for k := defense.AlertKind(0); !strings.HasPrefix(k.String(), "AlertKind("); k++ {
+		if !seen[k] {
+			t.Errorf("kind %v never crossed the wire; the workload must raise every kind", k)
+		}
+	}
+
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Write([]byte(`{"alerts":[
+			{"seq":0,"prefix":"10.99.0.0/16","kind":"bogus","observed_as":666},
+			{"seq":1,"prefix":"10.99.0.0/16","kind":"new-upstream","observed_as":667}
+		],"next":2,"dropped":0}`))
+	}))
+	defer srv.Close()
+	poller = &HTTPAlerts{Base: srv.URL}
+	got, next, _ = poller.Alerts(0, 0)
+	if len(got) != 1 || next != 2 || poller.Errs.Load() != 1 {
+		t.Fatalf("unknown kind: got %d alerts, next %d, errs %d; want it skipped and counted",
+			len(got), next, poller.Errs.Load())
+	}
+	if got[0].Kind != defense.AlertNewUpstream || got[0].Observed != 667 {
+		t.Errorf("surviving alert = %+v", got[0])
 	}
 }
 

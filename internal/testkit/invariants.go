@@ -2,7 +2,6 @@ package testkit
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"io"
 	"math/rand"
@@ -12,9 +11,7 @@ import (
 
 	"quicksand/internal/bgp"
 	"quicksand/internal/bgpsim"
-	"quicksand/internal/defense"
 	"quicksand/internal/iptrie"
-	"quicksand/internal/monitord"
 	"quicksand/internal/mrt"
 	"quicksand/internal/pcap"
 	"quicksand/internal/stats"
@@ -416,136 +413,4 @@ func CheckSelectionWeights(cons *torconsensus.Consensus, seed int64, draws int, 
 			stat, df, p, minP)
 	}
 	return nil
-}
-
-// CheckMonitordEquivalence differentially tests the streaming monitord
-// pipeline against the batch monitor it was grown from: feeding a
-// stream's updates through a live daemon (concurrent readers, sharded
-// dispatch) must yield exactly the alert multiset of defense.RunMonitor
-// with learnFraction 0 over the same stream, and a final live RIB equal
-// to the order-insensitive per-(session, prefix) fold of the updates.
-//
-// With learnFraction 0 the monitor's learned state stays empty, so
-// Observe is pure and alert generation is order-independent — which is
-// what makes the comparison sound despite the daemon's concurrency. The
-// per-prefix RIB fold is likewise sound because the dispatcher hashes
-// every update for a prefix to the same shard, preserving arrival order
-// per (session, prefix).
-func CheckMonitordEquivalence(st *bgpsim.Stream, watched map[netip.Prefix]bgp.ASN, shards int) error {
-	// Batch side: the reference alert stream.
-	bm, err := defense.NewMonitor(watched)
-	if err != nil {
-		return err
-	}
-	rep, err := defense.RunMonitor(bm, st, 0)
-	if err != nil {
-		return err
-	}
-
-	// Live side: same stream through the daemon's pipeline.
-	d, err := monitord.New(monitord.Config{
-		Watched:        watched,
-		Shards:         shards,
-		UpstreamAlarms: true, // matches RunMonitor's EnableUpstream at split 0
-		AlertBuffer:    len(st.Updates) + len(rep.Alerts) + 16,
-	})
-	if err != nil {
-		return err
-	}
-	defer d.Shutdown(context.Background())
-	for si := range st.Sessions {
-		s := &st.Sessions[si]
-		if id := d.RegisterSource(s.Collector, s.PeerAS); id != si {
-			return fmt.Errorf("source %d registered as session %d", si, id)
-		}
-	}
-	for i := range st.Updates {
-		u := &st.Updates[i]
-		if err := d.Ingest(u.Session, u.Time, u.Prefix, u.Path); err != nil {
-			return fmt.Errorf("ingest update %d: %w", i, err)
-		}
-	}
-	if !d.WaitQuiesce(time.Minute) {
-		return fmt.Errorf("monitord pipeline did not quiesce")
-	}
-
-	// Alert multisets must be identical.
-	key := func(a defense.Alert) string {
-		return fmt.Sprintf("%d|%v|%v|%v|%d", a.Session, a.Prefix, a.Kind, a.Observed, a.Time.UnixNano())
-	}
-	counts := make(map[string]int, len(rep.Alerts))
-	for _, a := range rep.Alerts {
-		counts[key(a)]++
-	}
-	live, _, dropped := d.Alerts(0, 0)
-	if dropped != 0 {
-		return fmt.Errorf("alert ring evicted %d alerts despite sized buffer", dropped)
-	}
-	for _, a := range live {
-		counts[key(a.Alert)]--
-		if counts[key(a.Alert)] < 0 {
-			return fmt.Errorf("live monitor raised alert absent from batch run: %+v", a.Alert)
-		}
-	}
-	for k, n := range counts {
-		if n != 0 {
-			return fmt.Errorf("batch alert missing from live run (%d×): %s", n, k)
-		}
-	}
-
-	// The live RIB must equal the last-write fold of the update stream.
-	want := make(map[netip.Prefix]map[int][]bgp.ASN)
-	for i := range st.Updates {
-		u := &st.Updates[i]
-		if u.Withdraw() {
-			if m := want[u.Prefix]; m != nil {
-				delete(m, u.Session)
-				if len(m) == 0 {
-					delete(want, u.Prefix)
-				}
-			}
-			continue
-		}
-		m := want[u.Prefix]
-		if m == nil {
-			m = make(map[int][]bgp.ASN)
-			want[u.Prefix] = m
-		}
-		m[u.Session] = u.Path
-	}
-	rib := d.RIB()
-	if got := rib.Size(); got != len(want) {
-		return fmt.Errorf("live RIB holds %d prefixes, fold expects %d", got, len(want))
-	}
-	var walkErr error
-	rib.Walk(func(e *monitord.RIBEntry) bool {
-		wantRoutes, ok := want[e.Prefix]
-		if !ok {
-			walkErr = fmt.Errorf("live RIB holds %v, absent from fold", e.Prefix)
-			return false
-		}
-		if len(e.Routes) != len(wantRoutes) {
-			walkErr = fmt.Errorf("live RIB %v: %d routes, fold expects %d", e.Prefix, len(e.Routes), len(wantRoutes))
-			return false
-		}
-		for _, rt := range e.Routes {
-			wp, ok := wantRoutes[rt.Session]
-			if !ok {
-				walkErr = fmt.Errorf("live RIB %v session %d absent from fold", e.Prefix, rt.Session)
-				return false
-			}
-			if len(rt.Path) != len(wp) {
-				walkErr = fmt.Errorf("live RIB %v session %d path %v, fold expects %v", e.Prefix, rt.Session, rt.Path, wp)
-				return false
-			}
-			for i := range wp {
-				if rt.Path[i] != wp[i] {
-					walkErr = fmt.Errorf("live RIB %v session %d path %v, fold expects %v", e.Prefix, rt.Session, rt.Path, wp)
-					return false
-				}
-			}
-		}
-		return true
-	})
-	return walkErr
 }
