@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"quicksand/internal/testkit"
-	"quicksand/internal/topology"
 )
 
 // goldenNames are the steps pinned under results/golden/: the paper's
@@ -117,38 +116,5 @@ func TestGoldenWorkerInvariance(t *testing.T) {
 				}
 			})
 		}
-	}
-}
-
-// TestGoldenEngineInvariance rebuilds the entire pipeline — world,
-// stream, every pinned step — under the legacy map-based route engine
-// and requires byte-identical output to the compiled-engine run. The
-// compiled engine is an allocation-lean recompilation of the same
-// decision process, so no downstream byte may move when it is disabled.
-func TestGoldenEngineInvariance(t *testing.T) {
-	if testing.Short() {
-		t.Skip("golden suite builds the small world; skipped in -short")
-	}
-	_, out := runGoldenSteps(t) // compiled baseline first
-	topology.SetEngine(topology.EngineLegacy)
-	defer topology.SetEngine(topology.EngineCompiled)
-	a := &app{scale: "small", seed: 1, workers: 2}
-	if _, err := a.getStream(); err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range a.steps() {
-		if !goldenNames[s.name] {
-			continue
-		}
-		name, fn := s.name, s.fn
-		t.Run(name, func(t *testing.T) {
-			var buf bytes.Buffer
-			if err := fn(&buf); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(buf.Bytes(), out[name]) {
-				t.Errorf("%s output differs between compiled and legacy route engines", name)
-			}
-		})
 	}
 }

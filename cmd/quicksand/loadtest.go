@@ -125,71 +125,109 @@ func loadtestCmd(args []string, out io.Writer) error {
 	return nil
 }
 
-// runLoadtest boots the fleet, drives the load, and aggregates metrics.
-// The returned snapshot is the merged exposition of every instance (for
-// the smoke test's lint pass).
+// runLoadtest boots the targets — -instances daemons, or one fleet
+// router over -fleet in-process shards — drives the load, and
+// aggregates metrics. Either kind of target is one BGP listener, one
+// /alerts stream and one /metrics endpoint to the harness. The returned
+// snapshot is the merged exposition of every target (for the smoke
+// test's lint pass).
 func runLoadtest(o *loadtestOpts, logw io.Writer) (*loadtestReport, *obs.Snapshot, error) {
-	if o.fleetShards > 0 {
-		return runFleetLoadtest(o, logw)
-	}
-	watched := netip.MustParsePrefix("10.99.0.0/16")
-	var daemons []*monitord.Daemon
+	var targets []service
 	defer func() {
-		for _, d := range daemons {
+		for _, t := range targets {
 			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-			d.Shutdown(ctx)
+			t.Shutdown(ctx)
 			cancel()
 		}
 	}()
-	var targets []loadgen.Target
-	var metricURLs []string
-	for i := 0; i < o.instances; i++ {
-		d, err := monitord.New(monitord.Config{
-			Watched: map[netip.Prefix]bgp.ASN{watched: 64496},
-			Speaker: bgpd.Config{
-				ASN:   64500,
-				BGPID: netip.AddrFrom4([4]byte{198, 51, 100, byte(1 + i)}),
-			},
-			ListenBGP:  "127.0.0.1:0",
-			ListenHTTP: "127.0.0.1:0",
-			Shards:     o.shards,
-			ReadBatch:  o.readBatch,
-		})
-		if err != nil {
-			return nil, nil, fmt.Errorf("instance %d: %w", i, err)
-		}
-		daemons = append(daemons, d)
-		targets = append(targets, loadgen.Target{
-			Name:    fmt.Sprintf("monitord-%d", i),
-			BGPAddr: d.BGPAddr(),
-			Alerts:  &loadgen.HTTPAlerts{Base: "http://" + d.HTTPAddr()},
-		})
-		metricURLs = append(metricURLs, "http://"+d.HTTPAddr()+"/metrics")
-	}
-
-	fmt.Fprintf(logw, "# loadtest: %d instance(s) x %d session(s), %v, rate cap %v/s/session\n",
-		o.instances, o.sessions, o.duration, o.rate)
-	res, err := loadgen.Run(context.Background(), loadgen.Config{
-		Targets:        targets,
+	lc := loadgen.Config{
 		Sessions:       o.sessions,
 		Rate:           o.rate,
 		Duration:       o.duration,
 		TracerInterval: o.tracerInterval,
 		Seed:           o.seed,
-		WatchedPrefix:  watched,
-	})
+	}
+	speaker := func(i int) bgpd.Config {
+		// AS4: tracer origins cross 65535, and loadgen refuses 2-octet targets.
+		return bgpd.Config{ASN: 64500, AS4: true, BGPID: netip.AddrFrom4([4]byte{198, 51, 100, byte(1 + i)})}
+	}
+	var router *fleet.Router
+	if o.fleetShards > 0 {
+		// The router owns the watchlist dispatch, so the unwatched
+		// background load never reaches a shard — the property the
+		// BENCH_fleet.json throughput gate measures.
+		watched, tracerPrefixes, err := fleetWatchlist(o.fleetShards)
+		if err != nil {
+			return nil, nil, err
+		}
+		router, err = fleet.New(fleet.Config{
+			Watched:     watched,
+			Shards:      o.fleetShards,
+			ShardConfig: monitord.Config{Shards: o.shards},
+			Speaker:     speaker(0),
+			ListenBGP:   "127.0.0.1:0",
+			ListenHTTP:  "127.0.0.1:0",
+			ReadBatch:   o.readBatch,
+			Seed:        o.seed,
+		})
+		if err != nil {
+			return nil, nil, err
+		}
+		targets = append(targets, router)
+		lc.TracerPrefixes = tracerPrefixes
+		fmt.Fprintf(logw, "# loadtest: fleet router over %d shard(s), %d session(s), %v, rate cap %v/s/session\n",
+			o.fleetShards, o.sessions, o.duration, o.rate)
+	} else {
+		lc.WatchedPrefix = netip.MustParsePrefix("10.99.0.0/16")
+		for i := 0; i < o.instances; i++ {
+			d, err := monitord.New(monitord.Config{
+				Watched:    map[netip.Prefix]bgp.ASN{lc.WatchedPrefix: 64496},
+				Speaker:    speaker(i),
+				ListenBGP:  "127.0.0.1:0",
+				ListenHTTP: "127.0.0.1:0",
+				Shards:     o.shards,
+				ReadBatch:  o.readBatch,
+			})
+			if err != nil {
+				return nil, nil, fmt.Errorf("instance %d: %w", i, err)
+			}
+			targets = append(targets, d)
+		}
+		fmt.Fprintf(logw, "# loadtest: %d instance(s) x %d session(s), %v, rate cap %v/s/session\n",
+			o.instances, o.sessions, o.duration, o.rate)
+	}
+	var metricURLs []string
+	for i, t := range targets {
+		lc.Targets = append(lc.Targets, loadgen.Target{
+			Name:    fmt.Sprintf("target-%d", i),
+			BGPAddr: t.BGPAddr(),
+			Alerts:  &loadgen.HTTPAlerts{Base: "http://" + t.HTTPAddr()},
+		})
+		metricURLs = append(metricURLs, "http://"+t.HTTPAddr()+"/metrics")
+	}
+	res, err := loadgen.Run(context.Background(), lc)
 	if err != nil {
 		return nil, nil, err
 	}
 
-	// Aggregate the fleet's expositions before shutdown: the merged
-	// snapshot is what a fleet dashboard would see.
+	// Aggregate the expositions before shutdown: the merged snapshot is
+	// what a fleet dashboard would see. (A router's /metrics already
+	// merges its own fleet_* families with every shard's monitord_*.)
 	snap, err := obs.ScrapeAll(metricURLs...)
 	if err != nil {
 		return nil, nil, fmt.Errorf("aggregate metrics: %w", err)
 	}
-
-	return newLoadtestReport(o, res, snap), snap, nil
+	rep := newLoadtestReport(o, res, snap)
+	if router != nil {
+		rep.FleetShards = o.fleetShards
+		_, observed, escalated := router.Anomalies()
+		rep.AnomaliesObserved = observed
+		rep.AnomaliesEscalated = make(map[string]uint64, len(escalated))
+		for kind, n := range escalated {
+			rep.AnomaliesEscalated[kind.String()] = n
+		}
+	}
+	return rep, snap, nil
 }
 
 // newLoadtestReport assembles the common report fields from a load run
@@ -237,77 +275,6 @@ func fleetWatchlist(n int) (map[netip.Prefix]bgp.ASN, []netip.Prefix, error) {
 		return nil, nil, fmt.Errorf("could not populate %d shards from 10.0.0.0/8", n)
 	}
 	return watched, tracers, nil
-}
-
-// runFleetLoadtest drives the same load harness against a single fleet
-// router fronting -fleet in-process monitord shards: one BGP listener,
-// one merged /alerts stream, one aggregated /metrics endpoint. The
-// router owns the watchlist dispatch, so the unwatched background load
-// never reaches a shard — the property the BENCH_fleet.json throughput
-// gate measures.
-func runFleetLoadtest(o *loadtestOpts, logw io.Writer) (*loadtestReport, *obs.Snapshot, error) {
-	watched, tracerPrefixes, err := fleetWatchlist(o.fleetShards)
-	if err != nil {
-		return nil, nil, err
-	}
-	r, err := fleet.New(fleet.Config{
-		Watched: watched,
-		Shards:  o.fleetShards,
-		ShardConfig: monitord.Config{
-			Shards: o.shards,
-		},
-		Speaker: bgpd.Config{
-			ASN:   64500,
-			BGPID: netip.AddrFrom4([4]byte{198, 51, 100, 1}),
-		},
-		ListenBGP:  "127.0.0.1:0",
-		ListenHTTP: "127.0.0.1:0",
-		ReadBatch:  o.readBatch,
-		Seed:       o.seed,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		r.Shutdown(ctx)
-		cancel()
-	}()
-
-	fmt.Fprintf(logw, "# loadtest: fleet router over %d shard(s), %d session(s), %v, rate cap %v/s/session\n",
-		o.fleetShards, o.sessions, o.duration, o.rate)
-	res, err := loadgen.Run(context.Background(), loadgen.Config{
-		Targets: []loadgen.Target{{
-			Name:    "fleet",
-			BGPAddr: r.BGPAddr(),
-			Alerts:  &loadgen.HTTPAlerts{Base: "http://" + r.HTTPAddr()},
-		}},
-		Sessions:       o.sessions,
-		Rate:           o.rate,
-		Duration:       o.duration,
-		TracerInterval: o.tracerInterval,
-		Seed:           o.seed,
-		TracerPrefixes: tracerPrefixes,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-
-	// The router's /metrics already merges its own fleet_* families with
-	// every shard's monitord_* exposition.
-	snap, err := obs.ScrapeAll("http://" + r.HTTPAddr() + "/metrics")
-	if err != nil {
-		return nil, nil, fmt.Errorf("aggregate metrics: %w", err)
-	}
-	rep := newLoadtestReport(o, res, snap)
-	rep.FleetShards = o.fleetShards
-	_, observed, escalated := r.Anomalies()
-	rep.AnomaliesObserved = observed
-	rep.AnomaliesEscalated = make(map[string]uint64, len(escalated))
-	for kind, n := range escalated {
-		rep.AnomaliesEscalated[kind.String()] = n
-	}
-	return rep, snap, nil
 }
 
 // histQuantile estimates a quantile from an aggregated histogram,

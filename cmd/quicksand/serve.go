@@ -228,36 +228,30 @@ func (o *serveOpts) fleetConfig(logf func(string, ...any)) (fleet.Config, error)
 	}, nil
 }
 
-// serveFleet runs the fleet router until SIGINT/SIGTERM — the -fleet
-// arm of the serve subcommand.
-func serveFleet(o *serveOpts, rt *obs.Runtime, logf func(string, ...any)) error {
-	cfg, err := o.fleetConfig(logf)
-	if err != nil {
-		return err
-	}
-	cfg.Registry = rt.Reg
-	cfg.Speaker.Metrics = bgpd.NewMetrics(rt.Reg)
-	r, err := fleet.New(cfg)
-	if err != nil {
-		return err
-	}
-	logf("serve: fleet router over %d shards, watching %d prefixes; BGP %s, HTTP %s",
-		o.fleet, len(cfg.Watched), orDisabled(r.BGPAddr()), orDisabled(r.HTTPAddr()))
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	s := <-sig
-	logf("serve: %v received, shutting down...", s)
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := r.Shutdown(ctx); err != nil {
-		return err
-	}
-	return rt.Close()
+// service is what serve and loadtest boot and stop: a single daemon or
+// a fleet router behind the same BGP and HTTP surface.
+type service interface {
+	BGPAddr() string
+	HTTPAddr() string
+	Shutdown(ctx context.Context) error
 }
 
-// serveCmd runs the monitord daemon until SIGINT/SIGTERM.
+// serveCmd runs the monitord daemon (or, with -fleet, the fleet router)
+// until SIGINT/SIGTERM.
 func serveCmd(args []string) error {
+	// The handler goes in before anything else: building the watchlist
+	// world, booting and ingesting archives can take seconds, and a
+	// SIGTERM landing meanwhile must still end in an orderly Shutdown and
+	// a written snapshot instead of killing the process.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sig)
+	return serve(args, sig, os.Stderr)
+}
+
+// serve boots the service the flags describe, waits for a signal on sig
+// (which may already be pending), and shuts down in order.
+func serve(args []string, sig <-chan os.Signal, logw io.Writer) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	fs.Usage = func() {
 		fmt.Fprintf(os.Stderr, `usage: quicksand serve [flags]
@@ -281,36 +275,90 @@ the single-daemon ingest flags (-collectors, -mrt, -rib-snapshot,
 		return fmt.Errorf("serve takes no positional arguments")
 	}
 
-	rt, err := o.obs.Start("monitord", os.Stderr)
+	rt, err := o.obs.Start("monitord", logw)
 	if err != nil {
 		return err
 	}
 	defer rt.Close()
 	logf := func(format string, args ...any) { rt.Log.Info(fmt.Sprintf(format, args...)) }
-	if o.fleet > 0 {
-		return serveFleet(o, rt, logf)
-	}
-	cfg, err := o.serveConfig(logf)
+	svc, persist, err := o.boot(rt, logf)
 	if err != nil {
 		return err
 	}
-	// The daemon and its BGP speaker share the runtime's registry, so
-	// monitord_* and bgpd_* families appear on both the daemon's own
-	// /metrics endpoint and the optional -metrics-addr server.
+
+	s := <-sig
+	logf("serve: %v received, shutting down...", s)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := svc.Shutdown(ctx); err != nil {
+		return err
+	}
+	if err := persist(); err != nil {
+		return err
+	}
+	return rt.Close()
+}
+
+// boot starts the fleet router or the single daemon (restoring its
+// snapshot and ingesting its archives). Either shares the runtime's
+// registry, so its own families and the bgpd_* families appear on both
+// its /metrics endpoint and the optional -metrics-addr server. persist
+// runs after Shutdown: it writes the daemon's -snapshot.
+func (o *serveOpts) boot(rt *obs.Runtime, logf func(string, ...any)) (svc service, persist func() error, err error) {
+	persist = func() error { return nil }
+	if o.fleet > 0 {
+		cfg, err := o.fleetConfig(logf)
+		if err != nil {
+			return nil, nil, err
+		}
+		cfg.Registry = rt.Reg
+		cfg.Speaker.Metrics = bgpd.NewMetrics(rt.Reg)
+		r, err := fleet.New(cfg)
+		if err != nil {
+			return nil, nil, err
+		}
+		logf("serve: fleet router over %d shards, watching %d prefixes; BGP %s, HTTP %s",
+			o.fleet, len(cfg.Watched), orDisabled(r.BGPAddr()), orDisabled(r.HTTPAddr()))
+		return r, persist, nil
+	}
+	cfg, err := o.serveConfig(logf)
+	if err != nil {
+		return nil, nil, err
+	}
 	cfg.Registry = rt.Reg
 	cfg.Speaker.Metrics = bgpd.NewMetrics(rt.Reg)
 	d, err := monitord.New(cfg)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
 	logf("serve: watching %d prefixes; BGP %s, HTTP %s",
 		len(cfg.Watched), orDisabled(d.BGPAddr()), orDisabled(d.HTTPAddr()))
+	if err := o.preload(d, logf); err != nil {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		d.Shutdown(ctx)
+		return nil, nil, err
+	}
+	if o.snapshot != "" {
+		persist = func() error {
+			stats, err := d.SaveSnapshotFile(o.snapshot)
+			if err != nil {
+				return fmt.Errorf("-snapshot %s: %w", o.snapshot, err)
+			}
+			logf("serve: wrote snapshot %s: %d sessions, %d prefixes, %d routes",
+				o.snapshot, stats.Sessions, stats.Prefixes, stats.Routes)
+			return nil
+		}
+	}
+	return d, persist, nil
+}
 
+// preload seeds a fresh daemon from -snapshot, -rib-snapshot and -mrt.
+func (o *serveOpts) preload(d *monitord.Daemon, logf func(string, ...any)) error {
 	if o.snapshot != "" {
 		if _, err := os.Stat(o.snapshot); err == nil {
 			stats, err := d.LoadSnapshotFile(o.snapshot)
 			if err != nil {
-				shutdownQuiet(d)
 				return fmt.Errorf("-snapshot %s: %w", o.snapshot, err)
 			}
 			d.WaitQuiesce(time.Minute)
@@ -322,35 +370,15 @@ the single-daemon ingest flags (-collectors, -mrt, -rib-snapshot,
 	}
 	for _, path := range splitList(o.ribFile) {
 		if err := ingestFile(d, path, true, logf); err != nil {
-			shutdownQuiet(d)
 			return err
 		}
 	}
 	for _, path := range splitList(o.mrtFiles) {
 		if err := ingestFile(d, path, false, logf); err != nil {
-			shutdownQuiet(d)
 			return err
 		}
 	}
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	s := <-sig
-	logf("serve: %v received, shutting down...", s)
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := d.Shutdown(ctx); err != nil {
-		return err
-	}
-	if o.snapshot != "" {
-		stats, err := d.SaveSnapshotFile(o.snapshot)
-		if err != nil {
-			return fmt.Errorf("-snapshot %s: %w", o.snapshot, err)
-		}
-		logf("serve: wrote snapshot %s: %d sessions, %d prefixes, %d routes",
-			o.snapshot, stats.Sessions, stats.Prefixes, stats.Routes)
-	}
-	return rt.Close()
+	return nil
 }
 
 func ingestFile(d *monitord.Daemon, path string, snapshot bool, logf func(string, ...any)) error {
@@ -379,10 +407,4 @@ func orDisabled(addr string) string {
 		return "disabled"
 	}
 	return addr
-}
-
-func shutdownQuiet(d *monitord.Daemon) {
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	d.Shutdown(ctx)
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
@@ -8,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -162,6 +164,42 @@ func TestServeFleetSmoke(t *testing.T) {
 	}
 	if h.Status != "ok" || h.Shards != 2 {
 		t.Errorf("/healthz = %+v", h)
+	}
+}
+
+// TestServeSignalBeforeBoot is the regression test for the early-
+// SIGTERM race: serve used to install its signal handler only after the
+// world build, boot and ingest, so a signal landing meanwhile killed the
+// process without Shutdown or a snapshot. With the signal already
+// pending when serve starts, both arms must still boot, shut down in
+// order, persist, and return nil.
+func TestServeSignalBeforeBoot(t *testing.T) {
+	watch := filepath.Join(t.TempDir(), "watch.txt")
+	if err := os.WriteFile(watch, []byte("10.0.0.0/16 64496\n10.1.0.0/16 64497\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	snapshot := filepath.Join(t.TempDir(), "rib.snapshot")
+	for name, extra := range map[string][]string{
+		"daemon": {"-snapshot", snapshot},
+		"fleet":  {"-fleet", "2"},
+	} {
+		t.Run(name, func(t *testing.T) {
+			sig := make(chan os.Signal, 1)
+			sig <- syscall.SIGTERM
+			var logs bytes.Buffer
+			args := append([]string{"-watch", watch, "-listen-bgp", "127.0.0.1:0", "-listen-http", "127.0.0.1:0"}, extra...)
+			if err := serve(args, sig, &logs); err != nil {
+				t.Fatalf("serve with a pending SIGTERM: %v\n%s", err, logs.String())
+			}
+			for _, want := range []string{"terminated received, shutting down", "shutdown complete"} {
+				if !strings.Contains(logs.String(), want) {
+					t.Errorf("log lacks %q:\n%s", want, logs.String())
+				}
+			}
+		})
+	}
+	if _, err := os.Stat(snapshot); err != nil {
+		t.Errorf("daemon arm wrote no snapshot at shutdown: %v", err)
 	}
 }
 

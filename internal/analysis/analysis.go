@@ -159,6 +159,9 @@ func Dataset(cons *torconsensus.Consensus, rib *RIB, stream *bgpsim.Stream) (Dat
 		perPrefix = append(perPrefix, float64(tp.guardExit))
 	}
 	ds.OriginASes = len(origins)
+	// torPrefixes is a map: sort what was gathered in its iteration order
+	// so the float sums below come out bit-identical run to run.
+	sort.Float64s(perPrefix)
 	if ds.RelaysPerPrefix, err = stats.Summarize(perPrefix); err != nil {
 		return DatasetStats{}, err
 	}
@@ -185,6 +188,7 @@ func Dataset(cons *torconsensus.Consensus, rib *RIB, stream *bgpsim.Stream) (Dat
 			visFracs = append(visFracs, float64(n)/float64(len(stream.Sessions)))
 		}
 		if len(visFracs) > 0 {
+			sort.Float64s(visFracs)
 			mean, _ := stats.Mean(visFracs)
 			max, _ := stats.Max(visFracs)
 			ds.MeanPrefixVisibility = mean

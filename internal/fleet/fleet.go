@@ -11,7 +11,9 @@
 // single daemon spending its saturation budget dispatching exactly that
 // traffic.
 //
-// The router exposes the same HTTP surface as a single daemon: /alerts
+// The router is a second user of the service front a single daemon runs
+// on — bgpd.Server for the session lifecycle, monitord's alert log and
+// HTTP surface — so it exposes the same API: /alerts
 // serves a merged stream with one monotonic cursor backed by a vector of
 // per-shard cursors, /healthz aggregates shard health, /metrics merges
 // the fleet_* families with every shard's monitord_* families via the
@@ -32,11 +34,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net"
-	"net/http"
 	"net/netip"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"quicksand/internal/bgp"
@@ -108,8 +107,8 @@ type Config struct {
 	// EstablishTimeout bounds every session handshake (default 10s).
 	EstablishTimeout time.Duration
 	// DialBackoffBase/Max/HealthyAfter parameterise the forwarder
-	// redial schedule exactly like monitord's collector dialers
-	// (defaults 500ms / 30s / 30s).
+	// redial schedule — the bgpd.Server dial loop monitord's collector
+	// sessions run on too (defaults 500ms / 30s / 30s).
 	DialBackoffBase  time.Duration
 	DialBackoffMax   time.Duration
 	DialHealthyAfter time.Duration
@@ -163,31 +162,12 @@ func (c *Config) withDefaults() Config {
 	return out
 }
 
-// routerSession is the registry row for one update source feeding the
-// router (an inbound BGP peer or an in-process Ingest source).
-type routerSession struct {
-	id      int
-	peerAS  bgp.ASN
-	remote  string
-	source  string // "bgp", "local"
-	sess    *bgpd.Session
-	started time.Time
-	updates atomic.Uint64
-	closed  atomic.Bool
-	// shardIDs maps shard index -> that shard daemon's session id for
-	// this source (in-process mode). The router registers sources in
-	// every shard in one critical section, so shardIDs[i] == id on all
-	// shards — which is what makes fleet alerts carry the same Session
-	// as a single daemon's would.
-	shardIDs []int
-}
-
 // sink is one shard's forwarding endpoint.
 type sink interface {
-	// register mirrors a router session into the shard (in-process).
-	register(rs *routerSession, name string, peer bgp.ASN)
+	// register mirrors a router source into the shard (in-process).
+	register(p *bgpd.Peer)
 	// forward delivers one prefix-level update.
-	forward(rs *routerSession, t time.Time, prefix netip.Prefix, path []bgp.ASN)
+	forward(p *bgpd.Peer, t time.Time, prefix netip.Prefix, path []bgp.ASN)
 	// quiesce waits (until deadline) for delivered work to be visible.
 	quiesce(deadline time.Time) bool
 }
@@ -200,6 +180,7 @@ type Router struct {
 	met   *metrics
 
 	sinks   []sink
+	watched []int              // watched prefixes per shard, for /healthz
 	shards  []*monitord.Daemon // in-process mode; nil entries otherwise
 	regs    []*obs.Registry    // in-process shard registries
 	remotes []*remoteSink      // remote mode; nil entries otherwise
@@ -210,20 +191,8 @@ type Router struct {
 
 	mrg *merger
 
-	bgpLn   net.Listener
-	httpLn  net.Listener
-	httpSrv *http.Server
-	httpErr chan error
-
-	dialCtx    context.Context
-	dialCancel context.CancelFunc
-	sessWG     sync.WaitGroup
-	fwdWG      sync.WaitGroup
-
-	mu       sync.Mutex
-	rawConns map[net.Conn]struct{}
-	sessions map[int]*routerSession
-	nextSess int
+	srv *bgpd.Server // session front: listener, forwarder dialers, source registry
+	api *monitord.HTTPServer
 
 	shutOnce sync.Once
 	shutErr  error
@@ -246,17 +215,42 @@ func New(cfg Config) (*Router, error) {
 		return nil, err
 	}
 	r := &Router{
-		cfg:      cfg,
-		table:    table,
-		met:      newFleetMetrics(cfg.Registry, n),
-		det:      defense.NewAnomalyDetector(cfg.Anomaly),
-		rawConns: make(map[net.Conn]struct{}),
-		sessions: make(map[int]*routerSession),
+		cfg:   cfg,
+		table: table,
+		met:   newFleetMetrics(cfg.Registry, n),
+		det:   defense.NewAnomalyDetector(cfg.Anomaly),
 	}
-	r.dialCtx, r.dialCancel = context.WithCancel(context.Background())
+	r.srv, err = bgpd.NewServer(bgpd.ServerConfig{
+		Name: "fleet", Speaker: cfg.Speaker, Listen: cfg.ListenBGP,
+		EstablishTimeout: cfg.EstablishTimeout, ReadBatch: cfg.ReadBatch,
+		DialBackoffBase: cfg.DialBackoffBase, DialBackoffMax: cfg.DialBackoffMax,
+		DialHealthyAfter: cfg.DialHealthyAfter, Seed: cfg.Seed, Logf: cfg.Logf,
+		SessionsAccepted: r.met.sessionsAccepted, SessionsActive: r.met.sessionsActive,
+		DroppedNoASPath: r.met.droppedNoPath,
+		// Mirror every source into every shard inside the registry's
+		// critical section — concurrent handshakes must not interleave
+		// their per-shard registrations, or shard-local session ids would
+		// diverge from router ids.
+		OnRegister: func(p *bgpd.Peer) {
+			for _, s := range r.sinks {
+				s.register(p)
+			}
+		},
+		NewSink: func(p *bgpd.Peer) bgpd.UpdateSink { return routeSink{r, p} },
+	})
+	if err != nil {
+		return nil, fmt.Errorf("fleet: BGP listener: %w", err)
+	}
+	if r.api, err = monitord.ListenHTTP(cfg.ListenHTTP); err != nil {
+		r.srv.Shutdown()
+		return nil, fmt.Errorf("fleet: HTTP listener: %w", err)
+	}
 
 	parts := Partition(cfg.Watched, n)
-	srcs := make([]AlertSource, n)
+	for _, part := range parts {
+		r.watched = append(r.watched, len(part))
+	}
+	srcs := make([]monitord.AlertSource, n)
 	if len(cfg.Remotes) > 0 {
 		r.remotes = make([]*remoteSink, n)
 		for i, rem := range cfg.Remotes {
@@ -267,9 +261,8 @@ func New(cfg Config) (*Router, error) {
 			rs := newRemoteSink(r, i, rem)
 			r.remotes[i] = rs
 			r.sinks = append(r.sinks, rs)
-			srcs[i] = &HTTPAlerts{Base: "http://" + rem.HTTPAddr}
-			r.fwdWG.Add(1)
-			go rs.run()
+			srcs[i] = &monitord.HTTPAlerts{Base: "http://" + rem.HTTPAddr}
+			r.srv.Dial(rem.BGPAddr, "fleet-fwd-"+rs.shard.Name, r.met.redials[i], rs.run)
 		}
 	} else {
 		r.shards = make([]*monitord.Daemon, n)
@@ -298,7 +291,7 @@ func New(cfg Config) (*Router, error) {
 			}
 			r.shards[i] = d
 			r.regs[i] = sc.Registry
-			r.sinks = append(r.sinks, &inprocSink{idx: i, d: d})
+			r.sinks = append(r.sinks, inprocSink{d})
 			srcs[i] = d
 			r.met.shardUp[i].Set(1)
 		}
@@ -307,60 +300,33 @@ func New(cfg Config) (*Router, error) {
 	r.mrg = newMerger(r, srcs, cfg.AlertBuffer)
 	go r.mrg.loop(cfg.MergeInterval)
 
-	if cfg.ListenBGP != "" {
-		if r.bgpLn, err = net.Listen("tcp", cfg.ListenBGP); err != nil {
-			r.shutdownPartial()
-			return nil, fmt.Errorf("fleet: BGP listener: %w", err)
-		}
-		r.sessWG.Add(1)
-		go r.acceptLoop()
-		cfg.Logf("fleet: BGP listening on %s (%d shards)", r.bgpLn.Addr(), n)
+	r.srv.Start()
+	r.api.Serve(r.handler())
+	if addr := r.BGPAddr(); addr != "" {
+		cfg.Logf("fleet: BGP listening on %s (%d shards)", addr, n)
 	}
-	if cfg.ListenHTTP != "" {
-		if r.httpLn, err = net.Listen("tcp", cfg.ListenHTTP); err != nil {
-			r.shutdownPartial()
-			return nil, fmt.Errorf("fleet: HTTP listener: %w", err)
-		}
-		r.httpSrv = &http.Server{Handler: r.handler()}
-		r.httpErr = make(chan error, 1)
-		go func() { r.httpErr <- r.httpSrv.Serve(r.httpLn) }()
-		cfg.Logf("fleet: HTTP listening on %s", r.httpLn.Addr())
+	if addr := r.HTTPAddr(); addr != "" {
+		cfg.Logf("fleet: HTTP listening on %s", addr)
 	}
 	return r, nil
 }
 
 // shutdownPartial tears down whatever New built before failing.
 func (r *Router) shutdownPartial() {
-	r.dialCancel()
-	if r.mrg != nil {
-		r.mrg.shutdown()
-	}
-	r.fwdWG.Wait()
+	r.srv.Shutdown()
 	for _, d := range r.shards {
 		if d != nil {
 			d.Shutdown(context.Background())
 		}
 	}
-	if r.bgpLn != nil {
-		r.bgpLn.Close()
-	}
+	r.api.Shutdown(context.Background())
 }
 
 // BGPAddr returns the bound BGP listener address ("" when disabled).
-func (r *Router) BGPAddr() string {
-	if r.bgpLn == nil {
-		return ""
-	}
-	return r.bgpLn.Addr().String()
-}
+func (r *Router) BGPAddr() string { return r.srv.Addr() }
 
 // HTTPAddr returns the bound HTTP listener address ("" when disabled).
-func (r *Router) HTTPAddr() string {
-	if r.httpLn == nil {
-		return ""
-	}
-	return r.httpLn.Addr().String()
-}
+func (r *Router) HTTPAddr() string { return r.api.Addr() }
 
 // Shards returns how many shards sit behind the router.
 func (r *Router) Shards() int { return len(r.sinks) }
@@ -401,58 +367,24 @@ func (r *Router) recordAnomaly(an defense.Anomaly) {
 // (tests, simulation streams), mirroring it into every in-process shard
 // so shard-local session ids match the router's.
 func (r *Router) RegisterSource(name string, peer bgp.ASN) int {
-	rs := r.registerSession(nil, name, "local", peer)
-	return rs.id
-}
-
-// registerSession allocates the router session id and mirrors the
-// source into every shard inside one critical section — concurrent
-// handshakes must not interleave their per-shard registrations, or
-// shard-local ids would diverge from router ids.
-func (r *Router) registerSession(sess *bgpd.Session, remote, source string, peer bgp.ASN) *routerSession {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	rs := &routerSession{
-		id: r.nextSess, sess: sess, remote: remote, source: source,
-		peerAS: peer, started: time.Now(),
-		shardIDs: make([]int, len(r.sinks)),
-	}
-	r.nextSess++
-	r.sessions[rs.id] = rs
-	for _, s := range r.sinks {
-		s.register(rs, remote, peer)
-	}
-	r.met.sessionsAccepted.Add(1)
-	r.met.sessionsActive.Add(1)
-	return rs
-}
-
-func (r *Router) closeSession(rs *routerSession) {
-	if rs.closed.CompareAndSwap(false, true) {
-		r.met.sessionsActive.Add(-1)
-	}
-	if rs.sess != nil {
-		rs.sess.Close()
-	}
+	return r.srv.Register(name, peer, "local").ID
 }
 
 // Ingest feeds one update through the router as if received on the
 // given source session: route to the owning shard or reject as
 // unwatched. A nil path is a withdrawal.
 func (r *Router) Ingest(session int, t time.Time, prefix netip.Prefix, path []bgp.ASN) error {
-	r.mu.Lock()
-	rs, ok := r.sessions[session]
-	r.mu.Unlock()
+	p, ok := r.srv.Peer(session)
 	if !ok {
 		return fmt.Errorf("fleet: unknown session %d", session)
 	}
-	r.route(rs, t, prefix, path)
+	r.route(p, t, prefix, path)
 	return nil
 }
 
 // route is the per-update hot path: validate, consult the watch table,
 // and forward to the owning shard or count the rejection.
-func (r *Router) route(rs *routerSession, t time.Time, prefix netip.Prefix, path []bgp.ASN) {
+func (r *Router) route(p *bgpd.Peer, t time.Time, prefix netip.Prefix, path []bgp.ASN) {
 	if !prefix.IsValid() || !prefix.Addr().Is4() {
 		r.met.droppedNonIPv4.Inc()
 		return
@@ -462,108 +394,23 @@ func (r *Router) route(rs *routerSession, t time.Time, prefix netip.Prefix, path
 		r.met.unwatched.Inc()
 		return
 	}
-	rs.updates.Add(1)
+	p.Updates.Add(1)
 	r.met.forwarded[shard].Inc()
-	r.sinks[shard].forward(rs, t, prefix, path)
+	r.sinks[shard].forward(p, t, prefix, path)
 }
 
-// acceptLoop accepts inbound BGP connections until the listener closes.
-func (r *Router) acceptLoop() {
-	defer r.sessWG.Done()
-	for {
-		conn, err := r.bgpLn.Accept()
-		if err != nil {
-			return
-		}
-		if !r.trackConn(conn) {
-			conn.Close()
-			return
-		}
-		r.sessWG.Add(1)
-		go r.handleConn(conn)
-	}
+// routeSink routes one BGP session's updates as they are read; the
+// router keeps no per-batch state.
+type routeSink struct {
+	r *Router
+	p *bgpd.Peer
 }
 
-func (r *Router) trackConn(conn net.Conn) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.rawConns == nil {
-		return false
-	}
-	r.rawConns[conn] = struct{}{}
-	return true
+func (s routeSink) Update(t time.Time, prefix netip.Prefix, path []bgp.ASN) {
+	s.r.route(s.p, t, prefix, path)
 }
 
-func (r *Router) untrackConn(conn net.Conn) {
-	r.mu.Lock()
-	if r.rawConns != nil {
-		delete(r.rawConns, conn)
-	}
-	r.mu.Unlock()
-}
-
-// handleConn runs the OPEN handshake, registers the session in every
-// shard, then routes its updates until the session drops.
-func (r *Router) handleConn(conn net.Conn) {
-	defer r.sessWG.Done()
-	conn.SetDeadline(time.Now().Add(r.cfg.EstablishTimeout))
-	sess, err := bgpd.Establish(conn, r.cfg.Speaker)
-	r.untrackConn(conn)
-	if err != nil {
-		conn.Close()
-		r.cfg.Logf("fleet: handshake from %v failed: %v", conn.RemoteAddr(), err)
-		return
-	}
-	conn.SetDeadline(time.Time{})
-	rs := r.registerSession(sess, conn.RemoteAddr().String(), "bgp", sess.PeerAS())
-	r.cfg.Logf("fleet: session %d established with AS%d (%s)", rs.id, uint32(rs.peerAS), rs.remote)
-	r.readLoop(sess, rs)
-}
-
-// readLoop decodes update batches and routes each prefix-level update.
-// The semantic timestamp is the batch receive stamp, like monitord's.
-func (r *Router) readLoop(sess *bgpd.Session, rs *routerSession) {
-	defer r.closeSession(rs)
-	batch := make([]bgp.Update, r.cfg.ReadBatch)
-	for {
-		n, start, err := sess.RecvUpdateBatchStamped(batch)
-		for i := range batch[:n] {
-			u := &batch[i]
-			for _, p := range u.Withdrawn {
-				r.route(rs, start, p, nil)
-			}
-			if len(u.NLRI) == 0 {
-				continue
-			}
-			if !u.Attrs.HasASPath {
-				r.met.droppedNoPath.Add(uint64(len(u.NLRI)))
-				continue
-			}
-			path := flattenPath(u.Attrs.ASPath)
-			for _, p := range u.NLRI {
-				r.route(rs, start, p, path)
-			}
-		}
-		if err != nil {
-			if !errors.Is(err, bgpd.ErrClosed) {
-				r.cfg.Logf("fleet: session %d down: %v", rs.id, err)
-			}
-			return
-		}
-	}
-}
-
-// emptyPath keeps a present-but-empty AS_PATH distinguishable from a
-// withdrawal through flattening (see monitord's item contract).
-var emptyPath = []bgp.ASN{}
-
-func flattenPath(p bgp.ASPath) []bgp.ASN {
-	out := emptyPath
-	for _, s := range p.Segments {
-		out = append(out, s.ASes...)
-	}
-	return out
-}
+func (routeSink) Flush(time.Time, int) {}
 
 // WaitQuiesce blocks until every forwarded update is visible in shard
 // state and the merged stream, or the timeout elapses.
@@ -580,56 +427,25 @@ func (r *Router) WaitQuiesce(timeout time.Duration) bool {
 	return ok
 }
 
-// Shutdown gracefully stops the router: no new sessions, every live
-// session closed, forwarders drained, in-process shards shut down, the
-// merger stopped after a final sweep, and the HTTP server stopped. It
-// is idempotent; ctx bounds only the HTTP drain.
+// Shutdown gracefully stops the router: the session front stopped (no
+// new sessions, every live session closed, forwarders drained),
+// in-process shards shut down, the merger stopped after a final sweep,
+// and the HTTP server stopped. It is idempotent; ctx bounds only the
+// HTTP drain.
 func (r *Router) Shutdown(ctx context.Context) error {
 	r.shutOnce.Do(func() {
-		r.dialCancel()
-		if r.bgpLn != nil {
-			r.bgpLn.Close()
-		}
-		r.mu.Lock()
-		raw := make([]net.Conn, 0, len(r.rawConns))
-		for c := range r.rawConns {
-			raw = append(raw, c)
-		}
-		r.rawConns = nil
-		sess := make([]*routerSession, 0, len(r.sessions))
-		for _, rs := range r.sessions {
-			sess = append(sess, rs)
-		}
-		r.mu.Unlock()
-		for _, c := range raw {
-			c.Close()
-		}
-		for _, rs := range sess {
-			r.closeSession(rs)
-		}
-		r.sessWG.Wait()
-		// No producers remain: stop the forwarders, then the shards.
-		r.fwdWG.Wait()
+		r.srv.Shutdown()
 		for _, d := range r.shards {
 			if d != nil {
-				if err := d.Shutdown(ctx); err != nil && r.shutErr == nil {
-					r.shutErr = err
-				}
+				r.shutErr = errors.Join(r.shutErr, d.Shutdown(ctx))
 			}
 		}
 		// Final merge sweep happens inside mrg.shutdown — but only
 		// in-process sources still answer; remote polls may fail (their
 		// daemons are not ours to stop) and that is fine.
 		r.mrg.shutdown()
-		if r.httpSrv != nil {
-			if err := r.httpSrv.Shutdown(ctx); err != nil && r.shutErr == nil {
-				r.shutErr = err
-			}
-			if err := <-r.httpErr; err != nil && !errors.Is(err, http.ErrServerClosed) && r.shutErr == nil {
-				r.shutErr = err
-			}
-		}
-		r.cfg.Logf("fleet: shutdown complete (%d alerts merged)", r.mrg.ring.total())
+		r.shutErr = errors.Join(r.shutErr, r.api.Shutdown(ctx))
+		r.cfg.Logf("fleet: shutdown complete (%d alerts merged)", r.mrg.log.Total())
 	})
 	return r.shutErr
 }

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net"
@@ -249,20 +250,92 @@ func TestRouterInprocAlerts(t *testing.T) {
 	}
 }
 
+// TestMergedRingEviction overflows the router's merged alert log: the
+// oldest merged alerts are evicted, reported as dropped to a client
+// polling from 0, and counted in fleet_alerts_dropped_total.
 func TestMergedRingEviction(t *testing.T) {
-	ring := newMergedRing(4, nil)
+	r, err := New(Config{Watched: fleetWatched, Shards: 2, AlertBuffer: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Shutdown(context.Background())
+	src := r.RegisterSource("feed", 64601)
+	hijacked := netip.MustParsePrefix("10.10.0.0/16")
 	for i := 0; i < 6; i++ {
-		ring.append(defense.Alert{Session: i})
+		if err := r.Ingest(src, time.Unix(int64(i), 0), hijacked, []bgp.ASN{64601, bgp.ASN(666 + i)}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	alerts, next, dropped := ring.since(0, 0)
+	if !r.WaitQuiesce(5 * time.Second) {
+		t.Fatal("quiesce timed out")
+	}
+	alerts, next, dropped := r.Alerts(0, 0)
 	if dropped != 2 || len(alerts) != 4 || next != 6 {
-		t.Fatalf("since(0) = %d alerts, next %d, dropped %d; want 4, 6, 2", len(alerts), next, dropped)
+		t.Fatalf("Alerts(0) = %d alerts, next %d, dropped %d; want 4, 6, 2", len(alerts), next, dropped)
 	}
-	if alerts[0].Seq != 2 || alerts[0].Session != 2 {
-		t.Fatalf("oldest surviving alert is seq %d session %d, want 2/2", alerts[0].Seq, alerts[0].Session)
+	if alerts[0].Seq != 2 || alerts[0].Observed != 668 {
+		t.Fatalf("oldest surviving alert is seq %d origin %d, want 2/668", alerts[0].Seq, alerts[0].Observed)
 	}
-	if got, _, _ := ring.since(0, 2); len(got) != 2 {
+	if got, _, _ := r.Alerts(0, 2); len(got) != 2 {
 		t.Fatalf("max=2 returned %d alerts", len(got))
+	}
+	if v := r.met.alertsDropped.Value(); v != 2 {
+		t.Fatalf("fleet_alerts_dropped_total = %d, want 2", v)
+	}
+}
+
+// TestRejectPathAllocFree pins the router's fast path as the session
+// front drives it: an update matching no watched prefix is counted and
+// dropped without allocating.
+func TestRejectPathAllocFree(t *testing.T) {
+	r, err := New(Config{Watched: fleetWatched, Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Shutdown(context.Background())
+	p, _ := r.srv.Peer(r.RegisterSource("feed", 64601))
+	var sink bgpd.UpdateSink = routeSink{r, p}
+	now := time.Now()
+	unwatched := netip.MustParsePrefix("198.18.0.0/15")
+	nearMiss := netip.MustParsePrefix("10.99.0.0/16") // shares a first octet: reaches the trie
+	path := []bgp.ASN{64601, 64700}
+	if n := testing.AllocsPerRun(100, func() {
+		sink.Update(now, unwatched, path)
+		sink.Update(now, nearMiss, nil)
+	}); n != 0 {
+		t.Errorf("reject path allocates %v times per update pair", n)
+	}
+	if got := r.met.unwatched.Value(); got < 200 {
+		t.Errorf("unwatched counter = %d, want every rejected update counted", got)
+	}
+}
+
+// TestHealthzWatchedCounts pins the per-shard watched_prefixes rows of
+// /healthz to the hash partition (the counts are computed once in New,
+// not by re-partitioning the watchlist on every request).
+func TestHealthzWatchedCounts(t *testing.T) {
+	const n = 3
+	r, err := New(Config{Watched: fleetWatched, Shards: n, ListenHTTP: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Shutdown(context.Background())
+	resp, err := httpGet("http://" + r.HTTPAddr() + "/healthz")
+	if err != nil || resp.status != 200 {
+		t.Fatalf("/healthz: %v %+v", err, resp)
+	}
+	var h fleetHealthResponse
+	if err := json.Unmarshal([]byte(resp.body), &h); err != nil {
+		t.Fatal(err)
+	}
+	parts := Partition(fleetWatched, n)
+	if len(h.ShardRows) != n || h.Watched != len(fleetWatched) {
+		t.Fatalf("/healthz = %+v", h)
+	}
+	for i, row := range h.ShardRows {
+		if row.Watched != len(parts[i]) {
+			t.Errorf("shard %d: watched_prefixes = %d, partition holds %d", i, row.Watched, len(parts[i]))
+		}
 	}
 }
 
@@ -319,7 +392,7 @@ func TestRouterBGPAndHTTP(t *testing.T) {
 	}
 
 	base := "http://" + r.HTTPAddr()
-	poller := &HTTPAlerts{Base: base}
+	poller := &monitord.HTTPAlerts{Base: base}
 	var alerts []monitord.SeqAlert
 	waitFor(t, 5*time.Second, "2 alerts over HTTP", func() bool {
 		alerts, _, _ = poller.Alerts(0, 0)

@@ -1,7 +1,7 @@
 package fleet
 
 import (
-	"net"
+	"context"
 	"net/netip"
 	"strconv"
 	"sync/atomic"
@@ -20,19 +20,24 @@ const forwardBatch = 128
 // no sockets, no encoding, backpressure handled by the daemon's own
 // bounded shard queues.
 type inprocSink struct {
-	idx int
-	d   *monitord.Daemon
+	d *monitord.Daemon
 }
 
-func (s *inprocSink) register(rs *routerSession, name string, peer bgp.ASN) {
-	rs.shardIDs[s.idx] = s.d.RegisterSource(name, peer)
+// register mirrors the source into the shard. The router registers
+// every source in every shard in id order and nothing else registers
+// with a shard, so the shard hands out the router's id — which is what
+// makes fleet alerts carry the same Session as a single daemon's would.
+func (s inprocSink) register(p *bgpd.Peer) {
+	if id := s.d.RegisterSource(p.Remote, p.PeerAS); id != p.ID {
+		panic("fleet: shard session id " + strconv.Itoa(id) + " diverged from router id " + strconv.Itoa(p.ID))
+	}
 }
 
-func (s *inprocSink) forward(rs *routerSession, t time.Time, prefix netip.Prefix, path []bgp.ASN) {
-	s.d.Ingest(rs.shardIDs[s.idx], t, prefix, path)
+func (s inprocSink) forward(p *bgpd.Peer, t time.Time, prefix netip.Prefix, path []bgp.ASN) {
+	s.d.Ingest(p.ID, t, prefix, path)
 }
 
-func (s *inprocSink) quiesce(deadline time.Time) bool {
+func (s inprocSink) quiesce(deadline time.Time) bool {
 	return s.d.WaitQuiesce(time.Until(deadline))
 }
 
@@ -64,17 +69,19 @@ func (it fwdItem) append(raw []byte, as4 bool) ([]byte, error) {
 }
 
 // remoteSink forwards updates to a remote monitord over a real BGP
-// session. Updates queue in a bounded channel; a dead shard triggers
-// redial on the collector backoff schedule while the queue absorbs the
-// outage, and undelivered items carry over to the next session — replay
-// after redial. Queue overflow while the shard is down is dropped and
+// session kept up by the session front's dial loop (bgpd.Server.Dial).
+// Updates queue in a bounded channel; a dead shard triggers redial on
+// the backoff schedule while the queue absorbs the outage, and
+// undelivered items carry over to the next session — replay after
+// redial. Queue overflow while the shard is down is dropped and
 // counted rather than blocking the router's read loops.
 type remoteSink struct {
-	r      *Router
-	idx    int
-	shard  RemoteShard
-	ch     chan fwdItem
-	queued atomic.Int64
+	r       *Router
+	idx     int
+	shard   RemoteShard
+	ch      chan fwdItem
+	queued  atomic.Int64
+	pending []fwdItem // undelivered carry-over; owned by the dial loop goroutine
 }
 
 func newRemoteSink(r *Router, idx int, shard RemoteShard) *remoteSink {
@@ -92,9 +99,9 @@ func newRemoteSink(r *Router, idx int, shard RemoteShard) *remoteSink {
 // register is a no-op: the remote daemon registers its own session when
 // the forwarder's handshake completes, so remote-mode alerts carry the
 // remote daemon's session ids (a documented fidelity trade).
-func (rs *remoteSink) register(*routerSession, string, bgp.ASN) {}
+func (rs *remoteSink) register(*bgpd.Peer) {}
 
-func (rs *remoteSink) forward(_ *routerSession, _ time.Time, prefix netip.Prefix, path []bgp.ASN) {
+func (rs *remoteSink) forward(_ *bgpd.Peer, _ time.Time, prefix netip.Prefix, path []bgp.ASN) {
 	rs.queued.Add(1)
 	select {
 	case rs.ch <- fwdItem{prefix: prefix, path: path}:
@@ -118,84 +125,39 @@ func (rs *remoteSink) quiesce(deadline time.Time) bool {
 	return true
 }
 
-// run is the forwarder goroutine: dial, establish, pump until the
-// session drops, back off, repeat. Exits when the router shuts down.
-func (rs *remoteSink) run() {
-	defer rs.r.fwdWG.Done()
-	bo := bgpd.NewBackoff(rs.r.cfg.DialBackoffBase, rs.r.cfg.DialBackoffMax,
-		rs.r.cfg.DialHealthyAfter, rs.r.cfg.Seed, "fleet-fwd-"+rs.shard.Name)
-	var pending []fwdItem
-	var dialer net.Dialer
-	for {
-		if rs.r.dialCtx.Err() != nil {
-			return
-		}
-		conn, err := dialer.DialContext(rs.r.dialCtx, "tcp", rs.shard.BGPAddr)
-		if err != nil {
-			rs.r.met.redials[rs.idx].Inc()
-			rs.r.cfg.Logf("fleet: forwarder %s: dial %s failed: %v (retry in %v)",
-				rs.shard.Name, rs.shard.BGPAddr, err, bo.Current())
-			if !bo.Sleep(rs.r.dialCtx) {
+// run owns one established forwarding session until it drops,
+// reporting whether anything was delivered on it.
+func (rs *remoteSink) run(ctx context.Context, sess *bgpd.Session) bool {
+	// The forwarder only writes, so a dead shard would otherwise go
+	// unnoticed until a send fails. A dedicated reader turns the
+	// shard's NOTIFICATION (or a torn connection) into a prompt
+	// session close, which unblocks the pump for redial.
+	go func() {
+		for {
+			if _, err := sess.RecvUpdate(); err != nil {
+				sess.Close()
 				return
 			}
-			bo.Fail()
-			continue
 		}
-		conn.SetDeadline(time.Now().Add(rs.r.cfg.EstablishTimeout))
-		sess, err := bgpd.Establish(conn, rs.r.cfg.Speaker)
-		if err != nil {
-			conn.Close()
-			rs.r.met.redials[rs.idx].Inc()
-			rs.r.cfg.Logf("fleet: forwarder %s: handshake failed: %v (retry in %v)",
-				rs.shard.Name, err, bo.Current())
-			if !bo.Sleep(rs.r.dialCtx) {
-				return
-			}
-			bo.Fail()
-			continue
-		}
-		conn.SetDeadline(time.Time{})
-		// The forwarder only writes, so a dead shard would otherwise go
-		// unnoticed until a send fails. A dedicated reader turns the
-		// shard's NOTIFICATION (or a torn connection) into a prompt
-		// session close, which unblocks the pump for redial.
-		go func() {
-			for {
-				if _, err := sess.RecvUpdate(); err != nil {
-					sess.Close()
-					return
-				}
-			}
-		}()
-		established := time.Now()
-		rs.r.met.shardUp[rs.idx].Set(1)
-		rs.r.cfg.Logf("fleet: forwarder %s up (AS%d, %d pending for replay)",
-			rs.shard.Name, uint32(sess.PeerAS()), len(pending))
-		sent := rs.pump(sess, &pending)
-		sess.Close()
-		rs.r.met.shardUp[rs.idx].Set(0)
-		if rs.r.dialCtx.Err() != nil {
-			return
-		}
-		bo.SessionEnded(established, sent)
-		rs.r.cfg.Logf("fleet: forwarder %s down, %d pending (retry in %v)",
-			rs.shard.Name, len(pending), bo.Current())
-		if !bo.Sleep(rs.r.dialCtx) {
-			return
-		}
-	}
+	}()
+	rs.r.met.shardUp[rs.idx].Set(1)
+	rs.r.cfg.Logf("fleet: forwarder %s up (AS%d, %d pending for replay)",
+		rs.shard.Name, uint32(sess.PeerAS()), len(rs.pending))
+	sent := rs.pump(ctx, sess)
+	rs.r.met.shardUp[rs.idx].Set(0)
+	return sent
 }
 
 // gather collects the next batch: carried-over pending items first, then
 // whatever is queued, up to forwardBatch. Returns alive=false when the
 // session died underneath us.
-func (rs *remoteSink) gather(sess *bgpd.Session, pending []fwdItem) (batch []fwdItem, alive bool) {
+func (rs *remoteSink) gather(ctx context.Context, sess *bgpd.Session, pending []fwdItem) (batch []fwdItem, alive bool) {
 	batch = pending
 	if len(batch) == 0 {
 		select {
 		case it := <-rs.ch:
 			batch = append(batch, it)
-		case <-rs.r.dialCtx.Done():
+		case <-ctx.Done():
 			// Shutdown: fall through and drain whatever is immediately
 			// available for a final flush.
 		case <-sess.Done():
@@ -214,21 +176,21 @@ func (rs *remoteSink) gather(sess *bgpd.Session, pending []fwdItem) (batch []fwd
 }
 
 // pump encodes queued updates into raw message batches and writes them
-// until the session fails; undelivered items stay in *pending for the
+// until the session fails; undelivered items stay in rs.pending for the
 // next session. Reports whether anything was delivered (feeds the
 // backoff healthy-session heuristic).
-func (rs *remoteSink) pump(sess *bgpd.Session, pending *[]fwdItem) bool {
+func (rs *remoteSink) pump(ctx context.Context, sess *bgpd.Session) bool {
 	sent := false
 	var raw []byte
 	for {
-		batch, alive := rs.gather(sess, *pending)
-		*pending = nil
+		batch, alive := rs.gather(ctx, sess, rs.pending)
+		rs.pending = nil
 		if !alive {
-			*pending = batch
+			rs.pending = batch
 			return sent
 		}
 		if len(batch) == 0 {
-			if rs.r.dialCtx.Err() != nil {
+			if ctx.Err() != nil {
 				return sent
 			}
 			continue
@@ -250,12 +212,12 @@ func (rs *remoteSink) pump(sess *bgpd.Session, pending *[]fwdItem) bool {
 			continue
 		}
 		if err := sess.SendRaw(raw, len(kept)); err != nil {
-			*pending = append([]fwdItem(nil), kept...)
+			rs.pending = append([]fwdItem(nil), kept...)
 			return sent
 		}
 		rs.queued.Add(-int64(len(kept)))
 		sent = true
-		if rs.r.dialCtx.Err() != nil && len(rs.ch) == 0 && rs.queued.Load() <= 0 {
+		if ctx.Err() != nil && len(rs.ch) == 0 && rs.queued.Load() <= 0 {
 			return sent
 		}
 	}

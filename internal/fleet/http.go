@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"encoding/json"
 	"io"
 	"net/http"
 	"net/netip"
@@ -13,26 +12,12 @@ import (
 )
 
 // The fleet router serves the same read-only HTTP API as a single
-// monitord — identical wire shapes on /alerts and /rib, so single-daemon
-// clients (pollers, the loadgen harness, curl muscle memory) work
-// against a fleet unchanged — plus the fleet-only /anomalies endpoint
-// and a /healthz that aggregates per-shard rows.
-
-// alertJSON / alertsResponse mirror monitord's /alerts wire shape.
-type alertJSON struct {
-	Seq        uint64    `json:"seq"`
-	Time       time.Time `json:"time"`
-	Session    int       `json:"session"`
-	Prefix     string    `json:"prefix"`
-	Kind       string    `json:"kind"`
-	ObservedAS uint32    `json:"observed_as"`
-}
-
-type alertsResponse struct {
-	Alerts  []alertJSON `json:"alerts"`
-	Next    uint64      `json:"next"`
-	Dropped uint64      `json:"dropped"`
-}
+// monitord, from the same code: monitord's /alerts handler over the
+// merged stream and, for /rib, the owning shard's own handler — so
+// single-daemon clients (pollers, the loadgen harness, curl muscle
+// memory) work against a fleet unchanged. The router adds the
+// fleet-only /anomalies endpoint, a /healthz that aggregates per-shard
+// rows, and a /metrics that merges every shard's exposition.
 
 // anomalyJSON is the wire shape of one escalated anomaly.
 type anomalyJSON struct {
@@ -74,69 +59,12 @@ type fleetHealthResponse struct {
 
 func (r *Router) handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/alerts", getOnly(r.handleAlerts))
-	mux.HandleFunc("/anomalies", getOnly(r.handleAnomalies))
-	mux.HandleFunc("/rib", getOnly(r.handleRIB))
-	mux.HandleFunc("/healthz", getOnly(r.handleHealthz))
-	mux.HandleFunc("/metrics", getOnly(r.handleMetrics))
+	mux.HandleFunc("/alerts", monitord.GetOnly(monitord.AlertsHandler(r)))
+	mux.HandleFunc("/anomalies", monitord.GetOnly(r.handleAnomalies))
+	mux.HandleFunc("/rib", monitord.GetOnly(r.handleRIB))
+	mux.HandleFunc("/healthz", monitord.GetOnly(r.handleHealthz))
+	mux.HandleFunc("/metrics", monitord.GetOnly(r.handleMetrics))
 	return mux
-}
-
-// getOnly and writeJSON mirror monitord's: read-only API, and encode
-// failures become 500s instead of truncated 200s.
-func getOnly(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet && r.Method != http.MethodHead {
-			w.Header().Set("Allow", http.MethodGet)
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-			return
-		}
-		h(w, r)
-	}
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	buf, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		http.Error(w, "encode: "+err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(append(buf, '\n'))
-}
-
-// handleAlerts serves GET /alerts?since=N&max=M over the merged stream,
-// with the same parameter validation and server-side max ceiling as a
-// single daemon.
-func (r *Router) handleAlerts(w http.ResponseWriter, req *http.Request) {
-	var cursor uint64
-	if s := req.URL.Query().Get("since"); s != "" {
-		v, err := strconv.ParseUint(s, 10, 64)
-		if err != nil {
-			http.Error(w, "bad since cursor: "+err.Error(), http.StatusBadRequest)
-			return
-		}
-		cursor = v
-	}
-	max := 1000
-	if s := req.URL.Query().Get("max"); s != "" {
-		v, err := strconv.Atoi(s)
-		if err != nil || v < 1 {
-			http.Error(w, "bad max", http.StatusBadRequest)
-			return
-		}
-		max = min(v, monitord.MaxAlertsPerRequest)
-	}
-	alerts, next, dropped := r.Alerts(cursor, max)
-	resp := alertsResponse{Alerts: make([]alertJSON, 0, len(alerts)), Next: next, Dropped: dropped}
-	for _, a := range alerts {
-		resp.Alerts = append(resp.Alerts, alertJSON{
-			Seq: a.Seq, Time: a.Time, Session: a.Session,
-			Prefix: a.Prefix.String(), Kind: a.Kind.String(),
-			ObservedAS: uint32(a.Observed),
-		})
-	}
-	writeJSON(w, resp)
 }
 
 // handleAnomalies serves GET /anomalies: the recent escalations plus
@@ -161,13 +89,15 @@ func (r *Router) handleAnomalies(w http.ResponseWriter, req *http.Request) {
 	for k, v := range escalated {
 		resp.Escalated[k.String()] = v
 	}
-	writeJSON(w, resp)
+	monitord.WriteJSON(w, resp)
 }
 
 // handleRIB serves GET /rib?prefix=… or ?addr=… by routing the query to
 // the shard owning the covering watched prefix — the shard whose RIB
-// holds every route for it. Queries outside the watchlist are 404: no
-// shard ever saw those updates, by design.
+// holds every route for it — and letting that shard's own API answer:
+// an in-process shard's handler directly, a remote shard's over HTTP.
+// Queries outside the watchlist are 404: no shard ever saw those
+// updates, by design.
 func (r *Router) handleRIB(w http.ResponseWriter, req *http.Request) {
 	q := req.URL.Query()
 	var shard int
@@ -201,51 +131,7 @@ func (r *Router) handleRIB(w http.ResponseWriter, req *http.Request) {
 		r.proxyRIB(w, r.remotes[shard].shard.HTTPAddr, req.URL.RawQuery)
 		return
 	}
-	r.localRIB(w, shard, q.Get("prefix"), q.Get("addr"))
-}
-
-// localRIB answers a routed /rib query from an in-process shard's live
-// table, in monitord's wire shape.
-func (r *Router) localRIB(w http.ResponseWriter, shard int, prefixQ, addrQ string) {
-	rib := r.shards[shard].RIB()
-	var entry *monitord.RIBEntry
-	var ok bool
-	if prefixQ != "" {
-		p, _ := netip.ParsePrefix(prefixQ) // validated by caller
-		entry, ok = rib.Lookup(p)
-	} else {
-		a, _ := netip.ParseAddr(addrQ)
-		entry, ok = rib.LookupAddr(a)
-	}
-	if !ok {
-		http.Error(w, "no route", http.StatusNotFound)
-		return
-	}
-	type routeJSON struct {
-		Session int       `json:"session"`
-		Path    []uint32  `json:"path"`
-		Updated time.Time `json:"updated"`
-	}
-	toJSON := func(rt monitord.Route) routeJSON {
-		path := make([]uint32, len(rt.Path))
-		for i, asn := range rt.Path {
-			path[i] = uint32(asn)
-		}
-		return routeJSON{Session: rt.Session, Path: path, Updated: rt.Updated}
-	}
-	resp := struct {
-		Prefix string      `json:"prefix"`
-		Routes []routeJSON `json:"routes"`
-		Best   *routeJSON  `json:"best,omitempty"`
-	}{Prefix: entry.Prefix.String()}
-	for _, rt := range entry.Routes {
-		resp.Routes = append(resp.Routes, toJSON(rt))
-	}
-	if best, ok := entry.Best(); ok {
-		bj := toJSON(best)
-		resp.Best = &bj
-	}
-	writeJSON(w, resp)
+	r.shards[shard].Handler().ServeHTTP(w, req)
 }
 
 // proxyRIB forwards a routed /rib query to a remote shard's own API and
@@ -277,13 +163,12 @@ func (r *Router) handleHealthz(w http.ResponseWriter, req *http.Request) {
 		AlertsMerged:   r.met.alertsMerged.Value(),
 		Watched:        len(r.cfg.Watched),
 	}
-	parts := Partition(r.cfg.Watched, len(r.sinks))
 	for i := range r.sinks {
 		row := shardHealth{
 			Shard:     i,
 			Name:      "shard" + strconv.Itoa(i),
 			Up:        r.met.shardUp[i].Value() > 0,
-			Watched:   len(parts[i]),
+			Watched:   r.watched[i],
 			Forwarded: r.met.forwarded[i].Value(),
 			Dropped:   r.met.forwardDropped[i].Value(),
 			Cursor:    cursors[i],
@@ -297,7 +182,7 @@ func (r *Router) handleHealthz(w http.ResponseWriter, req *http.Request) {
 		}
 		resp.ShardRows = append(resp.ShardRows, row)
 	}
-	writeJSON(w, resp)
+	monitord.WriteJSON(w, resp)
 }
 
 // handleMetrics serves GET /metrics: the router's fleet_* families

@@ -4,79 +4,14 @@ import (
 	"sync"
 	"time"
 
-	"quicksand/internal/defense"
 	"quicksand/internal/monitord"
-	"quicksand/internal/obs"
 )
 
-// AlertSource is anything that serves the monitord alert-cursor
-// contract: a shard daemon in process, or its /alerts endpoint over
-// HTTP. See monitord.Daemon.Alerts for the cursor semantics the merger
-// depends on (notably the ahead-cursor clamp after a shard restart).
-type AlertSource interface {
-	Alerts(cursor uint64, max int) (alerts []monitord.SeqAlert, next uint64, dropped uint64)
-}
-
-// mergedRing is the router-level alert ring: the merger appends alerts
-// pulled off the shard rings, re-sequencing them into a single
-// monotonic stream so fleet clients poll exactly like single-daemon
-// clients. Same semantics as the monitord ring, including the
-// ahead-cursor resync clamp.
-type mergedRing struct {
-	mu      sync.Mutex
-	buf     []monitord.SeqAlert
-	next    uint64
-	n       int
-	evicted *obs.Counter
-}
-
-func newMergedRing(capacity int, evicted *obs.Counter) *mergedRing {
-	return &mergedRing{buf: make([]monitord.SeqAlert, capacity), evicted: evicted}
-}
-
-func (r *mergedRing) append(a defense.Alert) uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	seq := r.next
-	r.buf[seq%uint64(len(r.buf))] = monitord.SeqAlert{Seq: seq, Alert: a}
-	r.next++
-	if r.n < len(r.buf) {
-		r.n++
-	} else if r.evicted != nil {
-		r.evicted.Inc()
-	}
-	return seq
-}
-
-func (r *mergedRing) since(cursor uint64, max int) (alerts []monitord.SeqAlert, next uint64, dropped uint64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	oldest := r.next - uint64(r.n)
-	if cursor > r.next {
-		cursor = r.next
-	}
-	start := cursor
-	if start < oldest {
-		dropped = oldest - start
-		start = oldest
-	}
-	for seq := start; seq < r.next; seq++ {
-		if max > 0 && len(alerts) >= max {
-			break
-		}
-		alerts = append(alerts, r.buf[seq%uint64(len(r.buf))])
-	}
-	return alerts, start + uint64(len(alerts)), dropped
-}
-
-func (r *mergedRing) total() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.next
-}
-
-// merger drains every shard's alert ring into the merged ring, holding
-// one cursor per shard — the fleet's vector cursor. Alerts from one
+// merger drains every shard's alert ring into the merged log — a
+// monitord.AlertLog, so the alerts are re-sequenced into one monotonic
+// stream that fleet clients poll exactly like single-daemon clients,
+// ahead-cursor resync included — holding one cursor per shard: the
+// fleet's vector cursor. Alerts from one
 // shard stay in shard order (which is per-prefix order, since a prefix
 // is owned by exactly one shard); interleaving across shards follows
 // poll order. Each merged alert also feeds the Counter-RAPTOR anomaly
@@ -90,19 +25,19 @@ func (r *mergedRing) total() uint64 {
 type merger struct {
 	r       *Router
 	mu      sync.Mutex
-	srcs    []AlertSource
+	srcs    []monitord.AlertSource
 	cursors []uint64
-	ring    *mergedRing
+	log     *monitord.AlertLog
 	stop    chan struct{}
 	done    chan struct{}
 }
 
-func newMerger(r *Router, srcs []AlertSource, capacity int) *merger {
+func newMerger(r *Router, srcs []monitord.AlertSource, capacity int) *merger {
 	return &merger{
 		r:       r,
 		srcs:    srcs,
 		cursors: make([]uint64, len(srcs)),
-		ring:    newMergedRing(capacity, r.met.alertsDropped),
+		log:     monitord.NewAlertLog(capacity, r.met.alertsDropped),
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
 	}
@@ -125,7 +60,7 @@ func (m *merger) loop(interval time.Duration) {
 }
 
 // pollLocked advances every shard cursor, appending new alerts to the
-// merged ring and running the anomaly analytics. Callers hold m.mu.
+// merged log and running the anomaly analytics. Callers hold m.mu.
 func (m *merger) pollLocked() {
 	for i, src := range m.srcs {
 		alerts, next, dropped := src.Alerts(m.cursors[i], 0)
@@ -134,7 +69,7 @@ func (m *merger) pollLocked() {
 			m.r.met.shardAlertsDropped.Add(dropped)
 		}
 		for _, a := range alerts {
-			m.ring.append(a.Alert)
+			m.log.Append(a.Alert)
 			m.r.met.alertsMerged.Inc()
 			for _, an := range m.r.det.Observe(a.Alert) {
 				m.r.recordAnomaly(an)
@@ -143,14 +78,14 @@ func (m *merger) pollLocked() {
 	}
 }
 
-// since polls every shard once, then reads the merged ring — so a
+// since polls every shard once, then reads the merged log — so a
 // client that arrives after the shards quiesced sees everything without
 // waiting out a merge tick.
 func (m *merger) since(cursor uint64, max int) (alerts []monitord.SeqAlert, next uint64, dropped uint64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.pollLocked()
-	return m.ring.since(cursor, max)
+	return m.log.Since(cursor, max)
 }
 
 // shardCursors snapshots the vector cursor (for /healthz and tests).

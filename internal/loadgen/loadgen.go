@@ -33,20 +33,19 @@ import (
 	"quicksand/internal/stats"
 )
 
-// AlertSource is where a target's alerts are polled from. It is the
-// cursor API of monitord's alert ring: *monitord.Daemon satisfies it
-// directly for in-process targets, and HTTPAlerts adapts the /alerts
-// endpoint for remote ones.
-type AlertSource interface {
-	Alerts(cursor uint64, max int) (alerts []monitord.SeqAlert, next uint64, dropped uint64)
-}
-
 // Target is one monitord instance under load.
 type Target struct {
 	Name    string // label in results (defaults to BGPAddr)
 	BGPAddr string // host:port of the instance's BGP listener
-	Alerts  AlertSource
+	// Alerts is where the target's alerts are polled from: the daemon or
+	// router itself for in-process targets, an HTTPAlerts on its /alerts
+	// endpoint for remote ones.
+	Alerts monitord.AlertSource
 }
+
+// HTTPAlerts is the /alerts polling client under the name the harness's
+// callers know it by.
+type HTTPAlerts = monitord.HTTPAlerts
 
 // Config parameterises a load run.
 type Config struct {
@@ -358,12 +357,19 @@ func dialSession(addr string, asn bgp.ASN) (*bgpd.Session, error) {
 	sess, err := bgpd.Establish(conn, bgpd.Config{
 		ASN:   asn,
 		BGPID: netip.AddrFrom4([4]byte{203, 0, 113, byte(1 + asn%250)}),
+		// Tracer origins climb past 65535; on a 2-octet session they would
+		// all collapse to AS_TRANS and be indistinguishable.
+		AS4: true,
 		// HoldTime 0: the harness saturates the write side and must not
 		// be torn down for not reading keepalives fast enough.
 	})
 	if err != nil {
 		conn.Close()
 		return nil, err
+	}
+	if !sess.AS4() {
+		sess.Close()
+		return nil, fmt.Errorf("target AS%d did not negotiate 4-octet AS numbers (set AS4 on its speaker)", uint32(sess.PeerAS()))
 	}
 	return sess, nil
 }

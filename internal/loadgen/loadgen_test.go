@@ -18,7 +18,7 @@ import (
 )
 
 func monitordSpeaker() bgpd.Config {
-	return bgpd.Config{ASN: 64500, BGPID: netip.MustParseAddr("198.51.100.1")}
+	return bgpd.Config{ASN: 64500, BGPID: netip.MustParseAddr("198.51.100.1"), AS4: true}
 }
 
 var watched = netip.MustParsePrefix("10.99.0.0/16")
@@ -170,6 +170,50 @@ func TestHTTPAlertsPollFailures(t *testing.T) {
 			t.Errorf("surviving alert = %+v", alerts[0])
 		}
 	})
+}
+
+// TestTracerOriginsAbove16Bits is the regression test for the AS_TRANS
+// collapse: tracer origins that cross 65535 must each surface with their
+// own 4-octet origin, and a target that will not negotiate 4-octet AS
+// numbers must fail the run up front instead of losing tracers quietly.
+func TestTracerOriginsAbove16Bits(t *testing.T) {
+	d := newDaemon(t)
+	cfg := baseConfig(Target{BGPAddr: d.BGPAddr(), Alerts: d})
+	cfg.Sessions = 1
+	cfg.Rate = 2000
+	cfg.TracerInterval = 10 * time.Millisecond
+	cfg.TracerBase = 65530
+	res, err := Run(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.TracersInjected < 10 || res.TracersLost != 0 {
+		t.Fatalf("injected %d tracers, lost %d; want >= 10 and none lost", res.TracersInjected, res.TracersLost)
+	}
+	alerts, _, _ := d.Alerts(0, 0)
+	origins := map[bgp.ASN]bool{}
+	for _, a := range alerts {
+		origins[a.Observed] = true
+	}
+	for i := 0; i < res.TracersInjected; i++ {
+		if asn := cfg.TracerBase + bgp.ASN(i); !origins[asn] {
+			t.Errorf("tracer %d: no alert with origin AS%d (AS_TRANS seen: %v)", i, uint32(asn), origins[23456])
+		}
+	}
+
+	twoOctet, err := monitord.New(monitord.Config{
+		Watched:   map[netip.Prefix]bgp.ASN{watched: 64496},
+		Speaker:   bgpd.Config{ASN: 64500, BGPID: netip.MustParseAddr("198.51.100.1")},
+		ListenBGP: "127.0.0.1:0",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer twoOctet.Shutdown(context.Background())
+	_, err = Run(context.Background(), baseConfig(Target{BGPAddr: twoOctet.BGPAddr(), Alerts: twoOctet}))
+	if err == nil || !strings.Contains(err.Error(), "4-octet") {
+		t.Errorf("run against a 2-octet target: err = %v, want a 4-octet negotiation failure", err)
+	}
 }
 
 // TestTracerPrefixesRoundRobin spreads tracers across several watched

@@ -17,10 +17,12 @@ type SeqAlert struct {
 	defense.Alert
 }
 
-// ring is a fixed-capacity circular buffer of alerts. Appends never
-// block and never fail: when full, the oldest alert is evicted and
-// accounted as dropped.
-type ring struct {
+// AlertLog is the alert-cursor contract in one place: a fixed-capacity
+// circular log of sequenced alerts, shared by the daemon (its alert
+// ring) and the fleet router (its merged stream). Appends never block
+// and never fail: when full, the oldest alert is evicted and accounted
+// as dropped.
+type AlertLog struct {
 	mu      sync.Mutex
 	buf     []SeqAlert
 	next    uint64       // sequence number of the next append
@@ -28,13 +30,15 @@ type ring struct {
 	evicted *obs.Counter // bumped when a full ring overwrites its oldest alert
 }
 
-func newRing(capacity int, evicted *obs.Counter) *ring {
-	return &ring{buf: make([]SeqAlert, capacity), evicted: evicted}
+// NewAlertLog returns an empty log holding up to capacity alerts;
+// evicted (optional) counts alerts overwritten before being read.
+func NewAlertLog(capacity int, evicted *obs.Counter) *AlertLog {
+	return &AlertLog{buf: make([]SeqAlert, capacity), evicted: evicted}
 }
 
-// append stores a and returns its sequence number, counting the
+// Append stores a and returns its sequence number, counting the
 // eviction when a full ring overwrites its oldest entry.
-func (r *ring) append(a defense.Alert) uint64 {
+func (r *AlertLog) Append(a defense.Alert) uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	seq := r.next
@@ -48,11 +52,11 @@ func (r *ring) append(a defense.Alert) uint64 {
 	return seq
 }
 
-// since returns up to max alerts with sequence >= cursor, the cursor to
+// Since returns up to max alerts with sequence >= cursor, the cursor to
 // pass next time, and how many alerts in the requested range were
 // evicted before they could be read. max <= 0 means no limit.
 //
-// A cursor *ahead* of the ring's next sequence — a stale client polling
+// A cursor *ahead* of the log's next sequence — a stale client polling
 // a daemon that restarted (sequences restart at 0), or a fleet router
 // polling a shard that came back empty — is clamped to next: the call
 // returns no alerts, next as the new cursor, and dropped == 0. The
@@ -61,7 +65,7 @@ func (r *ring) append(a defense.Alert) uint64 {
 // again after ~cursor more alerts. This is a contract (the fleet
 // router's merged vector cursor depends on it), pinned by
 // TestRingCursorAheadResync.
-func (r *ring) since(cursor uint64, max int) (alerts []SeqAlert, next uint64, dropped uint64) {
+func (r *AlertLog) Since(cursor uint64, max int) (alerts []SeqAlert, next uint64, dropped uint64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	oldest := r.next - uint64(r.n)
@@ -82,8 +86,8 @@ func (r *ring) since(cursor uint64, max int) (alerts []SeqAlert, next uint64, dr
 	return alerts, start + uint64(len(alerts)), dropped
 }
 
-// total returns how many alerts have ever been appended.
-func (r *ring) total() uint64 {
+// Total returns how many alerts have ever been appended.
+func (r *AlertLog) Total() uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.next

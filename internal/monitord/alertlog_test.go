@@ -20,20 +20,20 @@ func mkAlert(i int) defense.Alert {
 
 func TestRingSequencesAndEviction(t *testing.T) {
 	evicted := obs.NewRegistry().Counter("monitord_test_evicted_total", "evictions")
-	r := newRing(4, evicted)
+	r := NewAlertLog(4, evicted)
 	for i := 0; i < 6; i++ {
-		if seq := r.append(mkAlert(i)); seq != uint64(i) {
+		if seq := r.Append(mkAlert(i)); seq != uint64(i) {
 			t.Fatalf("append %d: seq = %d", i, seq)
 		}
 	}
-	if got := r.total(); got != 6 {
+	if got := r.Total(); got != 6 {
 		t.Fatalf("total = %d, want 6", got)
 	}
 	if got := evicted.Value(); got != 2 {
 		t.Fatalf("eviction counter = %d, want 2 (capacity 4, 6 appended)", got)
 	}
 
-	alerts, next, dropped := r.since(0, 0)
+	alerts, next, dropped := r.Since(0, 0)
 	if dropped != 2 {
 		t.Errorf("dropped = %d, want 2 (capacity 4, 6 appended)", dropped)
 	}
@@ -54,33 +54,33 @@ func TestRingSequencesAndEviction(t *testing.T) {
 }
 
 func TestRingSinceCursorSemantics(t *testing.T) {
-	r := newRing(8, nil) // nil eviction counter: accounting is optional
+	r := NewAlertLog(8, nil) // nil eviction counter: accounting is optional
 	for i := 0; i < 5; i++ {
-		r.append(mkAlert(i))
+		r.Append(mkAlert(i))
 	}
 
 	// Resuming from a cursor returns only newer alerts.
-	alerts, next, dropped := r.since(3, 0)
+	alerts, next, dropped := r.Since(3, 0)
 	if dropped != 0 || len(alerts) != 2 || alerts[0].Seq != 3 || next != 5 {
 		t.Errorf("since(3) = %d alerts (first seq %v), next %d, dropped %d; want 2, 3, 5, 0",
 			len(alerts), alerts, next, dropped)
 	}
 
 	// max caps the page; next points at the first unreturned alert.
-	alerts, next, _ = r.since(0, 2)
+	alerts, next, _ = r.Since(0, 2)
 	if len(alerts) != 2 || next != 2 {
 		t.Errorf("since(0, max=2) = %d alerts, next %d; want 2, 2", len(alerts), next)
 	}
 
 	// A cursor from the future clamps to the present.
-	alerts, next, dropped = r.since(100, 0)
+	alerts, next, dropped = r.Since(100, 0)
 	if len(alerts) != 0 || next != 5 || dropped != 0 {
 		t.Errorf("since(100) = %d alerts, next %d, dropped %d; want 0, 5, 0", len(alerts), next, dropped)
 	}
 
 	// Polling with the returned cursor never re-reads.
-	r.append(mkAlert(5))
-	alerts, _, _ = r.since(next, 0)
+	r.Append(mkAlert(5))
+	alerts, _, _ = r.Since(next, 0)
 	if len(alerts) != 1 || alerts[0].Seq != 5 {
 		t.Errorf("poll after append = %v, want exactly seq 5", alerts)
 	}
@@ -94,18 +94,18 @@ func TestRingSinceCursorSemantics(t *testing.T) {
 // to survive a shard restart without wedging or double-reading.
 func TestRingCursorAheadResync(t *testing.T) {
 	// A client reads up to seq 42 on the old incarnation...
-	old := newRing(8, nil)
+	old := NewAlertLog(8, nil)
 	for i := 0; i < 42; i++ {
-		old.append(mkAlert(i))
+		old.Append(mkAlert(i))
 	}
-	_, cursor, _ := old.since(0, 0)
+	_, cursor, _ := old.Since(0, 0)
 	if cursor != 42 {
 		t.Fatalf("old-incarnation cursor = %d, want 42", cursor)
 	}
 
 	// ...then the daemon restarts: a fresh, empty ring.
-	fresh := newRing(8, nil)
-	alerts, next, dropped := fresh.since(cursor, 0)
+	fresh := NewAlertLog(8, nil)
+	alerts, next, dropped := fresh.Since(cursor, 0)
 	if len(alerts) != 0 || next != 0 || dropped != 0 {
 		t.Fatalf("ahead cursor on empty ring: %d alerts, next %d, dropped %d; want 0, 0, 0",
 			len(alerts), next, dropped)
@@ -114,17 +114,17 @@ func TestRingCursorAheadResync(t *testing.T) {
 	// The new incarnation has produced a few alerts of its own: an ahead
 	// cursor must clamp to the head, not replay them.
 	for i := 0; i < 3; i++ {
-		fresh.append(mkAlert(i))
+		fresh.Append(mkAlert(i))
 	}
-	alerts, next, dropped = fresh.since(cursor, 0)
+	alerts, next, dropped = fresh.Since(cursor, 0)
 	if len(alerts) != 0 || next != 3 || dropped != 0 {
 		t.Fatalf("ahead cursor on live ring: %d alerts, next %d, dropped %d; want 0, 3, 0",
 			len(alerts), next, dropped)
 	}
 
 	// Adopting the returned cursor resynchronizes the stream.
-	fresh.append(mkAlert(3))
-	alerts, next, dropped = fresh.since(next, 0)
+	fresh.Append(mkAlert(3))
+	alerts, next, dropped = fresh.Since(next, 0)
 	if len(alerts) != 1 || alerts[0].Seq != 3 || next != 4 || dropped != 0 {
 		t.Fatalf("resumed poll = %v (next %d, dropped %d), want exactly seq 3", alerts, next, dropped)
 	}

@@ -240,7 +240,7 @@ func TestCollectorReconnect(t *testing.T) {
 			time.Sleep(5 * time.Millisecond)
 		}
 	}
-	for d.rng.total() < 1 {
+	for d.rng.Total() < 1 {
 		if time.Now().After(deadline) {
 			t.Fatal("hijack from first collector session never alerted")
 		}

@@ -124,14 +124,14 @@ func TestHTTPMethodNotAllowed(t *testing.T) {
 // written the status line before discovering the error).
 func TestWriteJSONEncodeFailure(t *testing.T) {
 	rec := httptest.NewRecorder()
-	writeJSON(rec, math.NaN()) // NaN is not representable in JSON
+	WriteJSON(rec, math.NaN()) // NaN is not representable in JSON
 	if rec.Code != http.StatusInternalServerError {
-		t.Errorf("writeJSON(NaN) status = %d, want 500", rec.Code)
+		t.Errorf("WriteJSON(NaN) status = %d, want 500", rec.Code)
 	}
 	rec = httptest.NewRecorder()
-	writeJSON(rec, map[string]int{"ok": 1})
+	WriteJSON(rec, map[string]int{"ok": 1})
 	if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), `"ok": 1`) {
-		t.Errorf("writeJSON(valid) = %d %q", rec.Code, rec.Body.String())
+		t.Errorf("WriteJSON(valid) = %d %q", rec.Code, rec.Body.String())
 	}
 }
 

@@ -2,7 +2,6 @@ package monitord
 
 import (
 	"io"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -122,11 +121,13 @@ func (m *metrics) registerCollectors(d *Daemon) {
 		})
 	m.reg.Collect("monitord_session_updates_total", "Updates ingested per session.",
 		obs.KindCounter, []string{"session", "peer_as", "source", "state"}, func(emit obs.Emit) {
-			sessions := d.sessionMetrics()
-			sort.Slice(sessions, func(i, j int) bool { return sessions[i].ID < sessions[j].ID })
-			for _, s := range sessions {
-				emit([]string{strconv.Itoa(s.ID), strconv.FormatUint(uint64(s.PeerAS), 10), s.Source, s.State},
-					float64(s.Updates))
+			for _, p := range d.srv.Peers() { // id order
+				state := "established"
+				if p.Closed() {
+					state = "closed"
+				}
+				emit([]string{strconv.Itoa(p.ID), strconv.FormatUint(uint64(p.PeerAS), 10), p.Source, state},
+					float64(p.Updates.Load()))
 			}
 		})
 }
@@ -153,16 +154,6 @@ func (m *metrics) updatesPerSec() float64 {
 		m.rateLastSeen = cur
 	}
 	return m.rateValue
-}
-
-// sessionMetric is one session's row in the exposition, snapshotted by
-// the daemon under its registry lock.
-type sessionMetric struct {
-	ID      int
-	PeerAS  uint32
-	Source  string // "bgp", "collector", "mrt", "local"
-	State   string // "established", "closed"
-	Updates uint64
 }
 
 // writePrometheus renders the Prometheus text exposition format

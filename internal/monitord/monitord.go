@@ -15,24 +15,24 @@
 //
 // Concurrency model:
 //
-//   - one reader goroutine per BGP session decodes updates and enqueues
-//     one item per prefix onto a dispatcher shard chosen by hashing the
+//   - the session front (bgpd.Server, shared with the fleet router) runs
+//     one reader goroutine per BGP session; the daemon's sink stages one
+//     item per prefix for the dispatcher shard chosen by hashing the
 //     prefix, so each prefix's updates are processed in arrival order;
 //   - shard channels are bounded: a flooding peer backpressures its own
 //     TCP session instead of growing memory;
 //   - each shard worker folds items into its slice of the live RIB and
 //     runs the (concurrency-safe) monitor, appending alerts to a ring
 //     buffer with monotonically increasing sequence numbers;
-//   - shutdown cancels the dialers, closes the listener and every
-//     session, waits for the readers, then closes the shard channels and
-//     drains them — no goroutine outlives Shutdown.
+//   - shutdown stops the session front (dialers, listener, sessions,
+//     readers), then closes the shard channels and drains them — no
+//     goroutine outlives Shutdown.
 package monitord
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"net"
 	"net/http"
 	"net/netip"
 	"sync"
@@ -164,7 +164,7 @@ func (c *Config) withDefaults() Config {
 // (one channel send amortised across a session reader's decode batch;
 // the single-item form keeps the in-process Ingest path allocation-free).
 type item struct {
-	si *sessionInfo
+	si *bgpd.Peer
 	t  time.Time
 	// rt is the internal receive stamp — time.Now() taken when the item's
 	// batch came off the socket (or when Ingest enqueued it), so it
@@ -183,29 +183,13 @@ type item struct {
 	batch []item
 }
 
-// emptyPath marks an announcement with a present-but-empty AS_PATH; it
-// keeps the nil-vs-empty distinction stable through flattening.
-var emptyPath = []bgp.ASN{}
-
-// sessionInfo is the registry row for one update source.
-type sessionInfo struct {
-	id      int
-	peerAS  bgp.ASN
-	remote  string
-	source  string // "bgp", "collector", "mrt", "local"
-	sess    *bgpd.Session
-	started time.Time
-	updates atomic.Uint64
-	closed  atomic.Bool
-}
-
 // Daemon is a running monitord instance. Create with New, stop with
 // Shutdown.
 type Daemon struct {
 	cfg Config
 	mon *defense.Monitor
 	rib *liveRIB
-	rng *ring
+	rng *AlertLog
 	met *metrics
 	// stageOn gates every latency observation (and the clock reads that
 	// feed them) so the disabled path costs nothing.
@@ -214,19 +198,9 @@ type Daemon struct {
 	shards  []chan item
 	shardWG sync.WaitGroup
 
-	bgpLn   net.Listener
-	httpLn  net.Listener
-	httpSrv *http.Server
-	httpErr chan error
-
-	dialCtx    context.Context
-	dialCancel context.CancelFunc
-	sessWG     sync.WaitGroup // acceptor + per-session handlers + dialers
-
-	mu       sync.Mutex
-	rawConns map[net.Conn]struct{}
-	sessions map[int]*sessionInfo
-	nextSess int
+	srv *bgpd.Server // session front: listener, collectors, peer registry
+	api *HTTPServer
+	mux http.Handler
 
 	enqueued  atomic.Uint64
 	processed atomic.Uint64
@@ -256,28 +230,30 @@ func New(cfg Config) (*Daemon, error) {
 	met := newMetrics(cfg.Registry)
 	d := &Daemon{
 		cfg: cfg, mon: mon,
-		rib:      newLiveRIB(cfg.Shards),
-		rng:      newRing(cfg.AlertBuffer, met.alertsDropped),
-		met:      met,
-		stageOn:  !cfg.DisableLatencyMetrics,
-		shards:   make([]chan item, cfg.Shards),
-		rawConns: make(map[net.Conn]struct{}),
-		sessions: make(map[int]*sessionInfo),
+		rib:     newLiveRIB(cfg.Shards),
+		rng:     NewAlertLog(cfg.AlertBuffer, met.alertsDropped),
+		met:     met,
+		stageOn: !cfg.DisableLatencyMetrics,
+		shards:  make([]chan item, cfg.Shards),
 	}
-	d.dialCtx, d.dialCancel = context.WithCancel(context.Background())
-
-	if cfg.ListenBGP != "" {
-		if d.bgpLn, err = net.Listen("tcp", cfg.ListenBGP); err != nil {
-			return nil, fmt.Errorf("monitord: BGP listener: %w", err)
-		}
+	d.mux = d.handler()
+	d.srv, err = bgpd.NewServer(bgpd.ServerConfig{
+		Name: "monitord", Speaker: cfg.Speaker, Listen: cfg.ListenBGP,
+		EstablishTimeout: cfg.EstablishTimeout, ReadBatch: cfg.ReadBatch,
+		DialBackoffBase: cfg.DialBackoffBase, DialBackoffMax: cfg.DialBackoffMax,
+		DialHealthyAfter: cfg.DialHealthyAfter, Seed: cfg.Seed, Logf: cfg.Logf,
+		SessionsAccepted: met.sessionsAccepted, SessionsActive: met.sessionsActive,
+		DroppedNoASPath: met.droppedNoASPath,
+		NewSink: func(p *bgpd.Peer) bgpd.UpdateSink {
+			return &sessionSink{d: d, si: p, bufs: make([][]item, len(d.shards))}
+		},
+	})
+	if err != nil {
+		return nil, fmt.Errorf("monitord: BGP listener: %w", err)
 	}
-	if cfg.ListenHTTP != "" {
-		if d.httpLn, err = net.Listen("tcp", cfg.ListenHTTP); err != nil {
-			if d.bgpLn != nil {
-				d.bgpLn.Close()
-			}
-			return nil, fmt.Errorf("monitord: HTTP listener: %w", err)
-		}
+	if d.api, err = ListenHTTP(cfg.ListenHTTP); err != nil {
+		d.srv.Shutdown()
+		return nil, fmt.Errorf("monitord: HTTP listener: %w", err)
 	}
 
 	for i := range d.shards {
@@ -286,39 +262,30 @@ func New(cfg Config) (*Daemon, error) {
 		go d.worker(d.shards[i])
 	}
 	d.met.registerCollectors(d)
-	if d.bgpLn != nil {
-		d.sessWG.Add(1)
-		go d.acceptLoop()
-		cfg.Logf("monitord: BGP listening on %s", d.bgpLn.Addr())
-	}
+	d.srv.Start()
 	for _, addr := range cfg.Collectors {
-		d.sessWG.Add(1)
-		go d.dialLoop(addr)
+		d.srv.Collect(addr, met.dialRetries)
 	}
-	if d.httpLn != nil {
-		d.httpSrv = &http.Server{Handler: d.handler()}
-		d.httpErr = make(chan error, 1)
-		go func() { d.httpErr <- d.httpSrv.Serve(d.httpLn) }()
-		cfg.Logf("monitord: HTTP listening on %s", d.httpLn.Addr())
+	d.api.Serve(d.mux)
+	if addr := d.BGPAddr(); addr != "" {
+		cfg.Logf("monitord: BGP listening on %s", addr)
+	}
+	if addr := d.HTTPAddr(); addr != "" {
+		cfg.Logf("monitord: HTTP listening on %s", addr)
 	}
 	return d, nil
 }
 
 // BGPAddr returns the bound BGP listener address ("" when disabled).
-func (d *Daemon) BGPAddr() string {
-	if d.bgpLn == nil {
-		return ""
-	}
-	return d.bgpLn.Addr().String()
-}
+func (d *Daemon) BGPAddr() string { return d.srv.Addr() }
 
 // HTTPAddr returns the bound HTTP listener address ("" when disabled).
-func (d *Daemon) HTTPAddr() string {
-	if d.httpLn == nil {
-		return ""
-	}
-	return d.httpLn.Addr().String()
-}
+func (d *Daemon) HTTPAddr() string { return d.api.Addr() }
+
+// Handler returns the daemon's HTTP API (/alerts, /rib, /healthz,
+// /metrics) for callers that front it themselves, such as the fleet
+// router answering /rib from an in-process shard.
+func (d *Daemon) Handler() http.Handler { return d.mux }
 
 // RIB exposes the live routing table for in-process consumers.
 func (d *Daemon) RIB() interface {
@@ -335,157 +302,38 @@ func (d *Daemon) RIB() interface {
 // were evicted unseen; max <= 0 means no limit. A cursor ahead of the
 // live sequence (stale client after a daemon restart) is clamped to the
 // current head: empty result, next == head, dropped == 0 — callers
-// resynchronize by adopting the returned cursor. See ring.since.
+// resynchronize by adopting the returned cursor. See AlertLog.Since.
 func (d *Daemon) Alerts(cursor uint64, max int) (alerts []SeqAlert, next uint64, dropped uint64) {
-	return d.rng.since(cursor, max)
+	return d.rng.Since(cursor, max)
 }
 
-// acceptLoop accepts inbound BGP connections until the listener closes.
-func (d *Daemon) acceptLoop() {
-	defer d.sessWG.Done()
-	for {
-		conn, err := d.bgpLn.Accept()
-		if err != nil {
-			return
-		}
-		if !d.trackConn(conn) {
-			conn.Close()
-			return
-		}
-		d.sessWG.Add(1)
-		go d.handleConn(conn, "bgp")
-	}
+// sessionSink is one BGP session's path into the dispatcher: it stages
+// the session's prefix-level updates in per-shard runs and hands each
+// run over at the end of the read batch — one channel send per (shard,
+// batch) instead of per prefix. Every item carries the batch-start
+// stamp, so per-update latency skew is bounded by the batch decode time,
+// and the read-stage histogram measures batch-start to dispatcher
+// handoff, including any backpressure stall.
+type sessionSink struct {
+	d    *Daemon
+	si   *bgpd.Peer
+	bufs [][]item // pending run per shard
 }
 
-// trackConn registers a not-yet-established conn so Shutdown can
-// unblock its handshake. It reports false when the daemon is already
-// shutting down.
-func (d *Daemon) trackConn(conn net.Conn) bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.rawConns == nil {
-		return false
+func (s *sessionSink) Update(t time.Time, prefix netip.Prefix, path []bgp.ASN) {
+	it := item{si: s.si, t: t, prefix: prefix, path: path}
+	if s.d.stageOn {
+		it.rt = t
 	}
-	d.rawConns[conn] = struct{}{}
-	return true
+	s.d.stageItem(s.bufs, it)
 }
 
-func (d *Daemon) untrackConn(conn net.Conn) {
-	d.mu.Lock()
-	if d.rawConns != nil {
-		delete(d.rawConns, conn)
+func (s *sessionSink) Flush(start time.Time, n int) {
+	s.d.flushShardBufs(s.bufs)
+	if s.d.stageOn {
+		s.d.met.readBatchSize.Observe(float64(n))
+		s.d.met.stageRead.Observe(time.Since(start).Seconds())
 	}
-	d.mu.Unlock()
-}
-
-// handleConn runs the OPEN handshake and then the session's read loop.
-func (d *Daemon) handleConn(conn net.Conn, source string) {
-	defer d.sessWG.Done()
-	conn.SetDeadline(time.Now().Add(d.cfg.EstablishTimeout))
-	spk := d.cfg.Speaker
-	sess, err := bgpd.Establish(conn, spk)
-	d.untrackConn(conn)
-	if err != nil {
-		conn.Close()
-		d.cfg.Logf("monitord: %s handshake from %v failed: %v", source, conn.RemoteAddr(), err)
-		return
-	}
-	conn.SetDeadline(time.Time{})
-	si := d.registerSession(sess, conn.RemoteAddr().String(), source)
-	d.cfg.Logf("monitord: session %d established with AS%d (%s)", si.id, uint32(si.peerAS), si.remote)
-	d.readLoop(sess, si)
-}
-
-// registerSession adds an established session to the registry.
-func (d *Daemon) registerSession(sess *bgpd.Session, remote, source string) *sessionInfo {
-	d.mu.Lock()
-	si := &sessionInfo{
-		id: d.nextSess, sess: sess, remote: remote, source: source,
-		started: time.Now(),
-	}
-	if sess != nil {
-		si.peerAS = sess.PeerAS()
-	}
-	d.nextSess++
-	d.sessions[si.id] = si
-	d.mu.Unlock()
-	d.met.sessionsAccepted.Add(1)
-	d.met.sessionsActive.Add(1)
-	return si
-}
-
-func (d *Daemon) closeSession(si *sessionInfo) {
-	if si.closed.CompareAndSwap(false, true) {
-		d.met.sessionsActive.Add(-1)
-	}
-	if si.sess != nil {
-		si.sess.Close()
-	}
-}
-
-// readLoop decodes update batches from an established session until it
-// fails (peer NOTIFICATION, hold-timer expiry, or Shutdown closing it)
-// and hands them to the dispatcher in per-shard runs: one channel send
-// per (shard, batch) instead of per prefix. Every item carries the
-// batch-start stamp (taken as the first UPDATE came off the socket), so
-// per-update latency skew is bounded by the batch decode time — never
-// under-reported — and the read-stage histogram measures batch-start to
-// dispatcher handoff, including any backpressure stall.
-func (d *Daemon) readLoop(sess *bgpd.Session, si *sessionInfo) {
-	defer d.closeSession(si)
-	batch := make([]bgp.Update, d.cfg.ReadBatch)
-	shardBufs := make([][]item, len(d.shards))
-	for {
-		n, start, err := sess.RecvUpdateBatchStamped(batch)
-		if n > 0 {
-			var rt time.Time
-			if d.stageOn {
-				rt = start
-			}
-			for i := range batch[:n] {
-				u := &batch[i]
-				for _, p := range u.Withdrawn {
-					d.stageItem(shardBufs, item{si: si, t: start, rt: rt, prefix: p})
-				}
-				if len(u.NLRI) == 0 {
-					continue
-				}
-				if !u.Attrs.HasASPath {
-					// NLRI with no AS_PATH carries no usable route; count
-					// the drop instead of discarding silently.
-					d.met.droppedNoASPath.Add(uint64(len(u.NLRI)))
-					continue
-				}
-				path := flattenPath(u.Attrs.ASPath)
-				for _, p := range u.NLRI {
-					d.stageItem(shardBufs, item{si: si, t: start, rt: rt, prefix: p, path: path})
-				}
-			}
-			d.flushShardBufs(shardBufs)
-			if d.stageOn {
-				d.met.readBatchSize.Observe(float64(n))
-				d.met.stageRead.Observe(time.Since(start).Seconds())
-			}
-		}
-		if err != nil {
-			if !errors.Is(err, bgpd.ErrClosed) {
-				d.cfg.Logf("monitord: session %d down: %v", si.id, err)
-			}
-			return
-		}
-	}
-}
-
-// flattenPath flattens an AS_PATH into the dispatcher's path form. A
-// present-but-empty path (zero segments, or only empty segments)
-// flattens to a non-nil empty slice so it stays an announcement; only a
-// genuinely absent path is nil.
-func flattenPath(p bgp.ASPath) []bgp.ASN {
-	out := emptyPath
-	for _, s := range p.Segments {
-		out = append(out, s.ASes...)
-	}
-	return out
 }
 
 // stageItem validates one item and appends it to its shard's pending
@@ -569,16 +417,16 @@ func (d *Daemon) process(it *item, observe bool) {
 	if observe {
 		t0 = time.Now()
 	}
-	d.rib.apply(it.t, it.si.id, it.prefix, it.path)
+	d.rib.apply(it.t, it.si.ID, it.prefix, it.path)
 	if observe {
 		d.met.stageApply.Observe(time.Since(t0).Seconds())
 	}
-	it.si.updates.Add(1)
+	it.si.Updates.Add(1)
 	d.met.updates.Add(1)
 	if it.path == nil {
 		d.met.withdrawals.Add(1)
 	}
-	ev := bgpsim.UpdateEvent{Time: it.t, Session: it.si.id, Prefix: it.prefix, Path: it.path}
+	ev := bgpsim.UpdateEvent{Time: it.t, Session: it.si.ID, Prefix: it.prefix, Path: it.path}
 	n := d.learnSeen.Add(1)
 	if learn := uint64(d.cfg.LearnUpdates); n <= learn {
 		d.mon.Learn(&ev)
@@ -595,7 +443,7 @@ func (d *Daemon) process(it *item, observe bool) {
 			d.met.stageMonitor.Observe(time.Since(t0).Seconds())
 		}
 		for _, a := range alerts {
-			d.rng.append(a)
+			d.rng.Append(a)
 			if d.stageOn && !it.rt.IsZero() {
 				d.met.detection.Observe(time.Since(it.rt).Seconds())
 			}
@@ -611,24 +459,14 @@ func (d *Daemon) process(it *item, observe bool) {
 // (MRT replay, simulation streams, tests) so its updates are tracked
 // like any BGP peer's.
 func (d *Daemon) RegisterSource(name string, peer bgp.ASN) int {
-	return d.registerSourceAs(name, peer, "local")
-}
-
-// registerSourceAs is RegisterSource with an explicit source tag, used
-// by snapshot restore to label replayed sessions "snapshot".
-func (d *Daemon) registerSourceAs(name string, peer bgp.ASN, source string) int {
-	si := d.registerSession(nil, name, source)
-	si.peerAS = peer
-	return si.id
+	return d.srv.Register(name, peer, "local").ID
 }
 
 // Ingest feeds one update into the pipeline as if received on the given
 // source session, preserving the caller's timestamp. It must not be
 // called after Shutdown. A nil path is a withdrawal.
 func (d *Daemon) Ingest(session int, t time.Time, prefix netip.Prefix, path []bgp.ASN) error {
-	d.mu.Lock()
-	si, ok := d.sessions[session]
-	d.mu.Unlock()
+	si, ok := d.srv.Peer(session)
 	if !ok {
 		return fmt.Errorf("monitord: unknown session %d", session)
 	}
@@ -652,67 +490,20 @@ func (d *Daemon) WaitQuiesce(timeout time.Duration) bool {
 	}
 }
 
-// sessionMetrics snapshots the registry for /metrics.
-func (d *Daemon) sessionMetrics() []sessionMetric {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	out := make([]sessionMetric, 0, len(d.sessions))
-	for _, si := range d.sessions {
-		state := "established"
-		if si.closed.Load() {
-			state = "closed"
-		}
-		out = append(out, sessionMetric{
-			ID: si.id, PeerAS: uint32(si.peerAS), Source: si.source,
-			State: state, Updates: si.updates.Load(),
-		})
-	}
-	return out
-}
-
 // Shutdown gracefully stops the daemon: no new sessions, every live
 // session closed, the pipeline drained, and the HTTP server stopped.
 // It is idempotent; ctx bounds only the HTTP drain.
 func (d *Daemon) Shutdown(ctx context.Context) error {
 	d.shutOnce.Do(func() {
-		d.dialCancel()
-		if d.bgpLn != nil {
-			d.bgpLn.Close()
-		}
-		// Unblock pending handshakes and close established sessions.
-		d.mu.Lock()
-		raw := make([]net.Conn, 0, len(d.rawConns))
-		for c := range d.rawConns {
-			raw = append(raw, c)
-		}
-		d.rawConns = nil // refuse late acceptors
-		sess := make([]*sessionInfo, 0, len(d.sessions))
-		for _, si := range d.sessions {
-			sess = append(sess, si)
-		}
-		d.mu.Unlock()
-		for _, c := range raw {
-			c.Close()
-		}
-		for _, si := range sess {
-			d.closeSession(si)
-		}
-		d.sessWG.Wait()
+		d.srv.Shutdown()
 		// All producers are gone: close the shards and drain them.
 		for _, ch := range d.shards {
 			close(ch)
 		}
 		d.shardWG.Wait()
-		if d.httpSrv != nil {
-			if err := d.httpSrv.Shutdown(ctx); err != nil {
-				d.shutErr = err
-			}
-			if err := <-d.httpErr; err != nil && !errors.Is(err, http.ErrServerClosed) && d.shutErr == nil {
-				d.shutErr = err
-			}
-		}
+		d.shutErr = d.api.Shutdown(ctx)
 		d.cfg.Logf("monitord: shutdown complete (%d updates ingested, %d alerts)",
-			d.met.updates.Value(), d.rng.total())
+			d.met.updates.Value(), d.rng.Total())
 	})
 	return d.shutErr
 }

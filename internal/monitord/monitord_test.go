@@ -114,7 +114,7 @@ func TestDaemonLearningWindow(t *testing.T) {
 	if !d.WaitQuiesce(5 * time.Second) {
 		t.Fatal("pipeline did not quiesce")
 	}
-	if n := d.rng.total(); n != 0 {
+	if n := d.rng.Total(); n != 0 {
 		t.Fatalf("learning window raised %d alerts", n)
 	}
 

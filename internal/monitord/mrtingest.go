@@ -6,9 +6,28 @@ import (
 	"io"
 	"net/netip"
 	"os"
+	"time"
 
+	"quicksand/internal/bgp"
+	"quicksand/internal/bgpd"
 	"quicksand/internal/mrt"
 )
+
+// ingestSink feeds one archived peer's prefix-level updates into the
+// pipeline under its source session, counting what was enqueued.
+type ingestSink struct {
+	d       *Daemon
+	session int
+	stats   *MRTStats
+}
+
+func (s ingestSink) Update(t time.Time, prefix netip.Prefix, path []bgp.ASN) {
+	if err := s.d.Ingest(s.session, t, prefix, path); err == nil {
+		s.stats.Updates++
+	}
+}
+
+func (ingestSink) Flush(time.Time, int) {} // archives have no read batches
 
 // MRTStats reports what one archive ingest fed into the pipeline.
 type MRTStats struct {
@@ -57,19 +76,8 @@ func (d *Daemon) IngestMRT(r io.Reader, label string) (*MRTStats, error) {
 				stats.Skipped++
 				continue
 			}
-			for _, p := range u.Withdrawn {
-				if err := d.Ingest(si, rec.Header.Timestamp, p, nil); err == nil {
-					stats.Updates++
-				}
-			}
-			if len(u.NLRI) > 0 && u.Attrs.HasASPath {
-				path := flattenPath(u.Attrs.ASPath)
-				for _, p := range u.NLRI {
-					if err := d.Ingest(si, rec.Header.Timestamp, p, path); err == nil {
-						stats.Updates++
-					}
-				}
-			}
+			dropped := bgpd.PrefixUpdates(u, rec.Header.Timestamp, ingestSink{d, si, stats})
+			d.met.droppedNoASPath.Add(uint64(dropped))
 		case rec.StateChange != nil:
 			// Session resets carry no routes; they are visible in the
 			// archive for completeness but the live RIB only tracks
@@ -130,7 +138,7 @@ func (d *Daemon) IngestRIBSnapshot(r io.Reader, label string) (*MRTStats, error)
 					peerSessions[e.PeerIndex] = si
 					stats.Sessions++
 				}
-				path := flattenPath(e.Attrs.ASPath)
+				path := bgpd.FlattenPath(e.Attrs.ASPath)
 				if err := d.Ingest(si, rec.Header.Timestamp, rec.RIB.Prefix, path); err == nil {
 					stats.Updates++
 				}

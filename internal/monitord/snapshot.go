@@ -52,27 +52,6 @@ type SnapshotStats struct {
 	Routes   int // (session, prefix) routes written / replayed
 }
 
-// sessionRow is one registry row as persisted in a snapshot.
-type sessionRow struct {
-	id     int
-	peerAS bgp.ASN
-	remote string
-	source string
-}
-
-// sessionRows snapshots the registry sorted by id, so the dump (and the
-// restored id mapping) is deterministic.
-func (d *Daemon) sessionRows() []sessionRow {
-	d.mu.Lock()
-	rows := make([]sessionRow, 0, len(d.sessions))
-	for _, si := range d.sessions {
-		rows = append(rows, sessionRow{id: si.id, peerAS: si.peerAS, remote: si.remote, source: si.source})
-	}
-	d.mu.Unlock()
-	sort.Slice(rows, func(i, j int) bool { return rows[i].id < rows[j].id })
-	return rows
-}
-
 // SaveSnapshot writes the live RIB and the session registry to w in the
 // versioned binary snapshot format. It is safe to call on a running
 // daemon (it reads shard-consistent copies) and after Shutdown (the
@@ -83,7 +62,7 @@ func (d *Daemon) SaveSnapshot(w io.Writer) (*SnapshotStats, error) {
 	bw.WriteString(snapshotMagic)
 	bw.WriteByte(snapshotVersion)
 
-	rows := d.sessionRows()
+	rows := d.srv.Peers() // id order, so the dump and the restored id mapping are deterministic
 	writeU32 := func(v uint32) {
 		var b [4]byte
 		binary.BigEndian.PutUint32(b[:], v)
@@ -104,12 +83,12 @@ func (d *Daemon) SaveSnapshot(w io.Writer) (*SnapshotStats, error) {
 	}
 	writeU32(uint32(len(rows)))
 	for _, r := range rows {
-		writeU32(uint32(r.id))
-		writeU32(uint32(r.peerAS))
-		if err := writeStr(r.remote); err != nil {
+		writeU32(uint32(r.ID))
+		writeU32(uint32(r.PeerAS))
+		if err := writeStr(r.Remote); err != nil {
 			return stats, err
 		}
-		if err := writeStr(r.source); err != nil {
+		if err := writeStr(r.Source); err != nil {
 			return stats, err
 		}
 	}
@@ -250,7 +229,7 @@ func (d *Daemon) LoadSnapshot(r io.Reader) (*SnapshotStats, error) {
 		if _, err := readStr(); err != nil { // original source, informational
 			return stats, fmt.Errorf("%w: session %d source: %v", ErrSnapshotFormat, i, err)
 		}
-		idMap[int(savedID)] = d.registerSourceAs(remote, bgp.ASN(peerAS), "snapshot")
+		idMap[int(savedID)] = d.srv.Register(remote, bgp.ASN(peerAS), "snapshot").ID
 		stats.Sessions++
 	}
 

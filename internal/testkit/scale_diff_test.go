@@ -38,8 +38,8 @@ func TestScaledDifferential(t *testing.T) {
 
 // TestScaledDifferentialDeltaRecompile extends the differential across
 // churn: after every mutation a RouteSet applies, its delta-maintained
-// tables must match both production engines computed from scratch —
-// the compiled engine and, via the process-wide toggle, the legacy one.
+// tables must match both engines computed from scratch — the compiled
+// engine and the map-based reference, ComputeRoutesFiltered.
 func TestScaledDifferentialDeltaRecompile(t *testing.T) {
 	cfg := topology.DefaultPowerLawConfig(2000)
 	cfg.Seed = 4
@@ -68,16 +68,18 @@ func TestScaledDifferentialDeltaRecompile(t *testing.T) {
 		}
 		for i, d := range dests {
 			got := rs.TableAt(i).Table()
-			for _, engine := range []topology.Engine{topology.EngineCompiled, topology.EngineLegacy} {
-				topology.SetEngine(engine)
-				fresh, err := g.Routes(nil, topology.Origin{ASN: d})
-				topology.SetEngine(topology.EngineCompiled)
-				if err != nil {
-					t.Fatalf("engine %v dest %v: %v", engine, d, err)
-				}
-				if diffs := DiffRoutes(got, fresh.Table()); len(diffs) > 0 {
-					t.Errorf("after %v %v-%v, dest %v vs engine %v: %d diffs, first %v",
-						m.Op, m.A, m.B, d, engine, len(diffs), diffs[0])
+			compiled, err := g.Routes(nil, topology.Origin{ASN: d})
+			if err != nil {
+				t.Fatalf("compiled engine, dest %v: %v", d, err)
+			}
+			reference, err := g.ComputeRoutesFiltered(nil, topology.Origin{ASN: d})
+			if err != nil {
+				t.Fatalf("reference engine, dest %v: %v", d, err)
+			}
+			for name, fresh := range map[string]topology.RouteTable{"compiled": compiled.Table(), "reference": reference} {
+				if diffs := DiffRoutes(got, fresh); len(diffs) > 0 {
+					t.Errorf("after %v %v-%v, dest %v vs %s engine: %d diffs, first %v",
+						m.Op, m.A, m.B, d, name, len(diffs), diffs[0])
 				}
 			}
 		}

@@ -262,48 +262,6 @@ func TestCompiledErrors(t *testing.T) {
 	}
 }
 
-// TestEngineToggle checks the legacy dispatch path fills the identical
-// array shape, so goldens are engine-invariant by construction.
-func TestEngineToggle(t *testing.T) {
-	g, err := Generate(GenConfig{
-		Tier1: 2, Tier2: 12, Tier3: 60,
-		Tier2PeerProb: 0.1, MaxT2Providers: 2, MaxT3Providers: 2, Seed: 11,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dst := g.TierASNs(3)[0]
-	compiled, err := g.Routes(nil, Origin{ASN: dst})
-	if err != nil {
-		t.Fatal(err)
-	}
-	SetEngine(EngineLegacy)
-	defer SetEngine(EngineCompiled)
-	if CurrentEngine() != EngineLegacy {
-		t.Fatal("SetEngine(EngineLegacy) not observed")
-	}
-	legacy, err := g.Routes(nil, Origin{ASN: dst})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if legacy.Len() != compiled.Len() {
-		t.Fatalf("engine lengths differ: %d vs %d", legacy.Len(), compiled.Len())
-	}
-	for i := 0; i < legacy.Len(); i++ {
-		if legacy.At(i) != compiled.At(i) {
-			t.Fatalf("AS %v differs across engines: %+v vs %+v",
-				legacy.ASN(i), legacy.At(i), compiled.At(i))
-		}
-	}
-	// Reuse under the legacy engine, including the error path.
-	if _, err := g.RoutesInto(legacy, nil, nil, Origin{ASN: dst}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := g.RoutesInto(legacy, nil, nil); err == nil {
-		t.Fatal("legacy RoutesInto with no origins: want error")
-	}
-}
-
 // TestRouteCache covers sharing, invalidation on mutation, and the
 // PathFrom convenience.
 func TestRouteCache(t *testing.T) {

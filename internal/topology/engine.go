@@ -1,45 +1,10 @@
 package topology
 
-import (
-	"os"
-	"sync"
-	"sync/atomic"
-)
-
-// Engine selects the route-computation implementation behind
-// Graph.Routes. The compiled engine is the default; the legacy map-based
-// ComputeRoutes stays available as the reference implementation (and the
-// two are pinned equal by the differential tests in internal/testkit).
-type Engine int32
-
-const (
-	// EngineCompiled runs Compiled.ComputeRoutesInto over the interned
-	// CSR snapshot.
-	EngineCompiled Engine = iota
-	// EngineLegacy runs the map-based ComputeRoutesFiltered and converts
-	// the result into the array shape, so callers are single-pathed.
-	EngineLegacy
-)
-
-var engine atomic.Int32
-
-func init() {
-	if os.Getenv("QUICKSAND_ROUTE_ENGINE") == "legacy" {
-		engine.Store(int32(EngineLegacy))
-	}
-}
-
-// SetEngine switches the process-wide route engine (also settable via
-// QUICKSAND_ROUTE_ENGINE=legacy). Both engines produce bit-identical
-// tables; the switch exists for differential testing and benchmarking.
-func SetEngine(e Engine) { engine.Store(int32(e)) }
-
-// CurrentEngine returns the active route engine.
-func CurrentEngine() Engine { return Engine(engine.Load()) }
+import "sync"
 
 var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
 
-// Routes computes a route table with the active engine, allocating a
+// Routes computes a route table with the compiled engine, allocating a
 // fresh result. Callers computing many tables should hold a Scratch and
 // a previous result and use RoutesInto instead.
 func (g *Graph) Routes(filter ImportFilter, origins ...Origin) (*CompiledRoutes, error) {
@@ -57,24 +22,6 @@ func (g *Graph) RoutesInto(prev *CompiledRoutes, s *Scratch, filter ImportFilter
 	c := g.Compiled()
 	if prev == nil {
 		prev = &CompiledRoutes{}
-	}
-	if CurrentEngine() == EngineLegacy {
-		rt, err := g.ComputeRoutesFiltered(filter, origins...)
-		if err != nil {
-			return nil, err
-		}
-		n := len(c.asns)
-		if cap(prev.routes) < n {
-			prev.routes = make([]Route, n)
-		} else {
-			prev.routes = prev.routes[:n]
-			clear(prev.routes)
-		}
-		for asn, r := range rt {
-			prev.routes[c.idOf[asn]] = r
-		}
-		prev.c = c
-		return prev, nil
 	}
 	if s == nil {
 		s = scratchPool.Get().(*Scratch)

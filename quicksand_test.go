@@ -227,6 +227,27 @@ func TestRunInterceptStudy(t *testing.T) {
 	}
 }
 
+// TestDatasetBitIdentical pins that the dataset statistics do not depend
+// on map iteration order: the per-prefix samples are sorted before they
+// are summed, so repeated runs agree to the last bit.
+func TestDatasetBitIdentical(t *testing.T) {
+	w := smallWorld(t)
+	st := smallStream(t)
+	first, err := w.RunDataset(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for run := 1; run < 20; run++ {
+		ds, err := w.RunDataset(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ds != first {
+			t.Fatalf("run %d differs from run 0:\n%+v\n%+v", run, ds, first)
+		}
+	}
+}
+
 // TestMonthPipeline runs the full measurement pipeline end to end on the
 // small world: simulate a (shortened) month, then produce E1, F3L, F3R
 // and E5.

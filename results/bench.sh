@@ -60,36 +60,32 @@ echo "== observability overhead smoke (baselines: results/BENCH_obs.json) =="
 go test -run '^$' -bench 'BenchmarkRunObserved|BenchmarkMapObserver' -benchtime 1x \
     ./internal/bgpsim/ ./internal/par/
 
-echo "== route engine: compiled vs legacy (-> results/BENCH_routes.json) =="
-# Microbenchmark both engines on the paper-scale generated topology
-# (~1028 ASes), then time E3 (the hijack study) end to end under each:
-# QUICKSAND_ROUTE_ENGINE=legacy flips the whole pipeline back onto the
-# map-based reference implementation.
+echo "== route engine: compiled vs reference (-> results/BENCH_routes.json) =="
+# Microbenchmark the compiled engine against the map-based reference
+# (ComputeRoutes, kept for the differential tests) on the paper-scale
+# generated topology (~1028 ASes), then time E3 (the hijack study) end
+# to end.
 bench_out=$(mktemp)
 go test -run '^$' -bench 'BenchmarkComputeRoutes(Legacy|Compiled)$' \
     -benchtime 2s -benchmem ./internal/topology/ | tee "$bench_out"
 
 e3_bin=$(mktemp)
 go build -o "$e3_bin" ./cmd/quicksand
-e3_secs() { # usage: e3_secs [ENV=val...]
-    s=$(date +%s%N)
-    env "$@" "$e3_bin" -scale small -seed 1 hijack >/dev/null
-    e=$(date +%s%N)
-    echo "$s $e" | awk '{ printf "%.3f", ($2 - $1) / 1e9 }'
-}
-e3_legacy=$(e3_secs QUICKSAND_ROUTE_ENGINE=legacy)
-e3_compiled=$(e3_secs)
+s=$(date +%s%N)
+"$e3_bin" -scale small -seed 1 hijack >/dev/null
+e=$(date +%s%N)
+e3_compiled=$(echo "$s $e" | awk '{ printf "%.3f", ($2 - $1) / 1e9 }')
 rm -f "$e3_bin"
-echo "E3 hijack study: legacy ${e3_legacy}s, compiled ${e3_compiled}s"
+echo "E3 hijack study: ${e3_compiled}s"
 
-awk -v e3l="$e3_legacy" -v e3c="$e3_compiled" -v date="$(date +%Y-%m-%d)" '
+awk -v e3c="$e3_compiled" -v date="$(date +%Y-%m-%d)" '
 $1 ~ /^BenchmarkComputeRoutesLegacy/   { lns = $3; lal = $7 }
 $1 ~ /^BenchmarkComputeRoutesCompiled/ { cns = $3; cal = $7 }
 END {
     if (lns == "" || cns == "") { print "missing benchmark output" > "/dev/stderr"; exit 1 }
     speedup = lns / cns
     printf "{\n"
-    printf "  \"description\": \"Compiled route engine vs the legacy map-based ComputeRoutes, single destination on the paper-scale generated topology (~1028 ASes), plus the E3 hijack study end to end under each engine (QUICKSAND_ROUTE_ENGINE=legacy selects the reference path). Reproduce with: results/bench.sh\",\n"
+    printf "  \"description\": \"Compiled route engine vs the map-based reference ComputeRoutes, single destination on the paper-scale generated topology (~1028 ASes), plus the E3 hijack study end to end. Reproduce with: results/bench.sh\",\n"
     printf "  \"date\": \"%s\",\n", date
     printf "  \"required_speedup\": 3.0,\n"
     printf "  \"compute_routes\": {\n"
@@ -100,7 +96,6 @@ END {
     printf "    \"speedup\": %.1f\n", speedup
     printf "  },\n"
     printf "  \"e3_small_scale\": {\n"
-    printf "    \"legacy_seconds\": %s,\n", e3l
     printf "    \"compiled_seconds\": %s\n", e3c
     printf "  }\n"
     printf "}\n"

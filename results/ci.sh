@@ -8,8 +8,8 @@
 #   4. go test ./...                  (tier-1; includes the testkit
 #      invariant/differential layers and the golden regression suite)
 #   5. go test -race ./...
-#   6. route-engine differential: compiled vs legacy vs naive oracle,
-#      including delta recompilation, the golden engine toggle, and the
+#   6. route-engine differential: compiled vs the map-based reference
+#      vs the naive oracle, including delta recompilation and the
 #      subsampled power-law differential at 2K-8K ASes
 #  6b. resilience differential under -race: the sharded Counter-RAPTOR
 #      engine vs the brute-force oracle, the sampled estimator vs the
@@ -29,7 +29,11 @@
 #  9c. fleet router smoke under -race: the sharded watchlist router end
 #      to end (BGP + HTTP + merged alerts), the shard-death failover
 #      test, the fleet-vs-batch alert-multiset equivalence at widths 1
-#      and 4, and the -fleet arms of the serve and loadtest subcommands
+#      and 4, the daemon/router HTTP conformance table, the fleet
+#      metrics golden, and the -fleet arms of the serve and loadtest
+#      subcommands
+#  9d. bench module: bench/ is its own Go module (root ./... does not
+#      cover it) compiled against monitord, fleet, bgpd and obs
 #  10. 73K topology smoke: generate the full-Internet-scale power-law
 #      graph, compute a destination shard, and delta-recompile one flap
 #      through `quicksand topo`
@@ -66,14 +70,14 @@ go test -count=1 -cover ./... | tee "$cover_out"
 echo "== go test -race ./... =="
 go test -race ./...
 
-echo "== route-engine differential (compiled vs legacy vs naive oracle) =="
-# The compiled engine must agree bit for bit with the legacy map-based
-# implementation and the testkit fixpoint oracle — on random topologies
-# (single origin, multi-origin hijack, announcement scoping, ROV
-# filters), across delta recompilations after graph mutations, and in
-# the end-to-end golden pipeline with the engine toggled off.
-go test -count=1 -run 'TestOracleAgrees|TestCompiledEngineAfterMutations|TestCompiledMatchesLegacy|TestCompiledDeltaRecompile|TestGoldenEngineInvariance|TestScaledDifferential|TestDeltaRecompileRandomChurn' \
-    ./internal/testkit/ ./internal/topology/ ./cmd/quicksand/
+echo "== route-engine differential (compiled vs reference vs naive oracle) =="
+# The compiled engine must agree bit for bit with the map-based
+# reference (ComputeRoutesFiltered) and the testkit fixpoint oracle — on
+# random topologies (single origin, multi-origin hijack, announcement
+# scoping, ROV filters) and across delta recompilations after graph
+# mutations.
+go test -count=1 -run 'TestOracleAgrees|TestCompiledEngineAfterMutations|TestCompiledMatchesLegacy|TestCompiledDeltaRecompile|TestScaledDifferential|TestDeltaRecompileRandomChurn' \
+    ./internal/testkit/ ./internal/topology/
 
 echo "== resilience differential (sharded engine vs brute-force oracle, -race) =="
 # The Counter-RAPTOR matrix must agree with the independent brute-force
@@ -88,7 +92,7 @@ echo "== serve smoke (loopback daemon end-to-end, -race) =="
 # The monitord acceptance path: boot `quicksand serve` wiring and the
 # daemon on loopback, replay an interception over a real BGP session,
 # and read alerts/metrics back over HTTP with the race detector on.
-go test -race -count=1 -run 'TestServeSmoke|TestServeObsSmoke|TestServeEndToEnd|TestCollectorReconnect|TestBatchSizeEquivalence' \
+go test -race -count=1 -run 'TestServeSmoke|TestServeObsSmoke|TestServeSignalBeforeBoot|TestServeEndToEnd|TestCollectorReconnect|TestBatchSizeEquivalence' \
     ./cmd/quicksand/ ./internal/monitord/
 
 echo "== RIB snapshot round trip =="
@@ -121,10 +125,17 @@ echo "== fleet router smoke (sharded watchlist + failover + equivalence, -race) 
 # surface, the shard-death failover guarantees (survivor continuity,
 # bounded redial, post-restart replay), the fleet-vs-batch alert
 # multiset equivalence at widths 1 and 4 (including more-specific
-# hijacks that must cross shard-hash boundaries), and the -fleet arms
-# of serve and loadtest.
-go test -race -count=1 -run 'TestRouterInprocAlerts|TestRouterBGPAndHTTP|TestFleetShardDeathFailover|TestFleetMatchesBatchMonitor|TestServeFleetSmoke|TestLoadtestFleetSmoke' \
+# hijacks that must cross shard-hash boundaries), the HTTP conformance
+# table both fronts must pass, the fleet /metrics golden, and the -fleet
+# arms of serve and loadtest.
+go test -race -count=1 -run 'TestRouterInprocAlerts|TestRouterBGPAndHTTP|TestFleetShardDeathFailover|TestFleetMatchesBatchMonitor|TestHTTPConformance|TestFleetMetricsGolden|TestServeFleetSmoke|TestLoadtestFleetSmoke' \
     ./internal/fleet/ ./internal/testkit/ ./cmd/quicksand/
+
+echo "== bench module (own go.mod; root ./... does not cover it) =="
+# bench/ compiles against monitord.SeqAlert, MaxAlertsPerRequest,
+# monitord.New, fleet.New and obs.ParseExposition: vet and smoke-test it
+# so an internals change cannot break the benchmark unnoticed.
+(cd bench && go vet ./... && go test ./...)
 
 echo "== 73K topology smoke (generate + shard + delta recompile) =="
 # The full-Internet-scale path end to end: generate 73,000 ASes, compute
