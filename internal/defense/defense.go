@@ -212,7 +212,7 @@ func PickGuardsPreferShort(sel *torpath.Selector, oracle *StaticOracle, relayAS 
 		if !ok || r.Type == topology.RouteNone {
 			continue
 		}
-		lengths[g.Identity] = r.PathLen
+		lengths[g.Identity] = int(r.PathLen)
 	}
 	for bound := maxLen; ; bound++ {
 		var eligible []*torconsensus.Relay

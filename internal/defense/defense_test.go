@@ -202,7 +202,7 @@ func TestPickGuardsPreferShort(t *testing.T) {
 			t.Fatal(err)
 		}
 		r, _ := rt.Route(clientAS)
-		return r.PathLen
+		return int(r.PathLen)
 	}
 	shortSum := 0
 	for _, g := range gs.Guards {

@@ -15,11 +15,14 @@
 // route table for the pair (g, a) yields the outcome for every client
 // simultaneously, so a full matrix over G guards costs G×|attackers|
 // table computations — not clients×G×|attackers|. Compute shards the
-// work by guard destination over internal/par with pooled scratch (the
-// same ScratchPool/memory-accounting discipline as topology.RouteSet),
-// enumerating every attacker exactly at small scale and sampling a
-// per-guard attacker budget with a reported confidence bound at
-// Internet scale. Engine caches finished matrices keyed by the graph's
+// work by guard destination over internal/par; each worker keeps one
+// set of buffers (engine scratch, table, tallies) for every guard it
+// takes, so the run's working memory is workers × one table however
+// many pairs it produces. Every attacker is enumerated exactly at small
+// scale; at Internet scale a per-guard attacker budget is sampled with
+// a reported confidence bound. The cost of a matrix is the route
+// engine's: about four fifths of it is ComputeRoutesInto, the rest the
+// per-client tally. Engine caches finished matrices keyed by the graph's
 // mutation version, mirroring topology.RouteCache.
 package resilience
 
@@ -27,7 +30,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -206,68 +209,67 @@ func Compute(g *topology.Graph, cfg Config, met *Metrics) (*Matrix, error) {
 	}
 
 	workers := par.Workers(cfg.Workers)
-	pool := topology.NewScratchPool(workers)
+	// One shardBuf per worker, handed from guard to guard: the pool's
+	// size, not allocation, bounds the run's working memory.
+	bufs := make(chan *shardBuf, workers)
+	for i := 0; i < workers; i++ {
+		bufs <- &shardBuf{counts: make([]int32, n), inSample: make([]bool, n), swap: make(map[int]int)}
+	}
 	tableCounts := make([]int, len(cfg.Guards))
-	err := par.ForEachChunk(workers, len(cfg.Guards), 1, func(lo, hi int) error {
-		s := pool.Get()
-		defer pool.Put(s)
-		var routes []topology.Route
-		counts := make([]int32, n)
-		inSample := make([]bool, n)
-		var attackers []int32
-		for gi := lo; gi < hi; gi++ {
-			start := time.Now()
-			gID, gASN := guardIDs[gi], m.guards[gi]
-			clear(counts)
-			clear(inSample)
-			attackers = attackers[:0]
-			if exact {
-				for id := int32(0); id < int32(n); id++ {
-					if id != gID {
-						attackers = append(attackers, id)
-					}
-				}
-			} else {
-				rng := rand.New(rand.NewSource(par.TrialSeed(cfg.Seed, gi)))
-				attackers = sampleIDs(attackers, rng, n, gID, budget)
-			}
-			for _, aid := range attackers {
-				inSample[aid] = true
-			}
-			for _, aid := range attackers {
-				aASN := c.ASN(int(aid))
-				var err error
-				routes, err = c.ComputeRoutesInto(routes, s, nil,
-					topology.Origin{ASN: gASN}, topology.Origin{ASN: aASN})
-				if err != nil {
-					return err
-				}
-				for id := range routes {
-					if routes[id].Origin == aASN {
-						counts[id]++
-					}
+	err := par.ForEach(workers, len(cfg.Guards), func(gi int) error {
+		b := <-bufs
+		defer func() { bufs <- b }()
+		start := time.Now()
+		gID, gASN := guardIDs[gi], m.guards[gi]
+		clear(b.counts)
+		clear(b.inSample)
+		b.attackers = b.attackers[:0]
+		if exact {
+			for id := int32(0); id < int32(n); id++ {
+				if id != gID {
+					b.attackers = append(b.attackers, id)
 				}
 			}
-			r := make([]float64, n)
-			for id := 0; id < n; id++ {
-				den, captured := len(attackers), int(counts[id])
-				if inSample[id] {
-					// The table where this client itself attacks counted
-					// its own origin route as a capture; the client is
-					// not its own adversary, so drop that draw.
-					den--
-					captured--
-				}
-				if den <= 0 {
-					r[id] = 1
-				} else {
-					r[id] = 1 - float64(captured)/float64(den)
-				}
-			}
-			m.res[gi] = r
-			tableCounts[gi] = len(attackers)
-			met.observeShard(time.Since(start), len(attackers), n)
+		} else {
+			rng := rand.New(rand.NewSource(par.TrialSeed(cfg.Seed, gi)))
+			b.attackers = sampleIDs(b.attackers, b.swap, rng, n, gID, budget)
 		}
+		for _, aid := range b.attackers {
+			b.inSample[aid] = true
+		}
+		for _, aid := range b.attackers {
+			aASN := c.ASN(int(aid))
+			var err error
+			b.routes, err = c.ComputeRoutesInto(b.routes, &b.scratch, nil,
+				topology.Origin{ASN: gASN}, topology.Origin{ASN: aASN})
+			if err != nil {
+				return err
+			}
+			for id := range b.routes {
+				if b.routes[id].Origin == aASN {
+					b.counts[id]++
+				}
+			}
+		}
+		r := make([]float64, n)
+		for id := 0; id < n; id++ {
+			den, captured := len(b.attackers), int(b.counts[id])
+			if b.inSample[id] {
+				// The table where this client itself attacks counted
+				// its own origin route as a capture; the client is
+				// not its own adversary, so drop that draw.
+				den--
+				captured--
+			}
+			if den <= 0 {
+				r[id] = 1
+			} else {
+				r[id] = 1 - float64(captured)/float64(den)
+			}
+		}
+		m.res[gi] = r
+		tableCounts[gi] = len(b.attackers)
+		met.observeShard(time.Since(start), len(b.attackers), n)
 		return nil
 	})
 	if err != nil {
@@ -279,12 +281,25 @@ func Compute(g *topology.Graph, cfg Config, met *Metrics) (*Matrix, error) {
 	return m, nil
 }
 
+// shardBuf is one worker's working memory, reused for every guard the
+// worker takes: the route engine's scratch, the table it fills, and the
+// per-guard tallies.
+type shardBuf struct {
+	scratch   topology.Scratch
+	routes    []topology.Route
+	counts    []int32 // captures per client id
+	inSample  []bool  // client id is one of this guard's attackers
+	attackers []int32
+	swap      map[int]int // sampleIDs' sparse permutation
+}
+
 // sampleIDs appends m distinct ids drawn uniformly from [0, n) \ {skip}
-// to dst, via a sparse partial Fisher-Yates over the n-1 remaining ids.
-// The result is sorted for deterministic iteration order.
-func sampleIDs(dst []int32, rng *rand.Rand, n int, skip int32, m int) []int32 {
+// to dst, via a sparse partial Fisher-Yates over the n-1 remaining ids
+// held in swap (cleared first). The result is sorted for deterministic
+// iteration order.
+func sampleIDs(dst []int32, swap map[int]int, rng *rand.Rand, n int, skip int32, m int) []int32 {
 	pop := n - 1
-	swap := make(map[int]int, m)
+	clear(swap)
 	for i := 0; i < m; i++ {
 		j := i + rng.Intn(pop-i)
 		vj, ok := swap[j]
@@ -302,7 +317,7 @@ func sampleIDs(dst []int32, rng *rand.Rand, n int, skip int32, m int) []int32 {
 		}
 		dst = append(dst, id)
 	}
-	sort.Slice(dst, func(i, j int) bool { return dst[i] < dst[j] })
+	slices.Sort(dst)
 	return dst
 }
 

@@ -172,7 +172,7 @@ func NaiveRoutes(g *topology.Graph, filter topology.ImportFilter, origins ...top
 			continue
 		}
 		route := topology.Route{
-			PathLen: len(r.path) - 1,
+			PathLen: int32(len(r.path) - 1),
 			Origin:  r.path[len(r.path)-1],
 		}
 		switch r.class {

@@ -92,25 +92,53 @@ func compileFull(g *Graph) *Compiled {
 // ASes).
 func recompileDelta(g *Graph, old *Compiled) *Compiled {
 	c := &Compiled{version: g.version, asns: old.asns, idOf: old.idOf}
-	rebuild := func(oldOff, oldAdj []int32, pick rowsOf) (off, adj []int32) {
-		off = make([]int32, len(c.asns)+1)
-		adj = make([]int32, 0, len(oldAdj)+2*len(g.dirty))
-		for i, asn := range c.asns {
-			if g.dirty[asn] {
-				for _, nb := range pick(g.ases[asn]) {
-					adj = append(adj, c.idOf[nb])
-				}
-			} else {
-				adj = append(adj, oldAdj[oldOff[i]:oldOff[i+1]]...)
-			}
-			off[i+1] = int32(len(adj))
-		}
-		return off, adj
+	dirty := make([]int32, 0, len(g.dirty))
+	for asn := range g.dirty {
+		dirty = append(dirty, c.idOf[asn])
 	}
-	c.custOff, c.cust = rebuild(old.custOff, old.cust, func(a *AS) []bgp.ASN { return a.customers })
-	c.peerOff, c.peer = rebuild(old.peerOff, old.peer, func(a *AS) []bgp.ASN { return a.peers })
-	c.provOff, c.prov = rebuild(old.provOff, old.prov, func(a *AS) []bgp.ASN { return a.providers })
+	slices.Sort(dirty)
+	c.custOff, c.cust = c.patchCSR(g, dirty, old.custOff, old.cust, func(a *AS) []bgp.ASN { return a.customers })
+	c.peerOff, c.peer = c.patchCSR(g, dirty, old.peerOff, old.peer, func(a *AS) []bgp.ASN { return a.peers })
+	c.provOff, c.prov = c.patchCSR(g, dirty, old.provOff, old.prov, func(a *AS) []bgp.ASN { return a.providers })
 	return c
+}
+
+// patchCSR returns one adjacency class of the old snapshot with the
+// dirty rows (ascending ids) taken from g instead. A link mutation
+// changes two of the three classes at most, and snapshots are immutable,
+// so a class none of whose dirty rows changed is shared with the old
+// snapshot as is. A changed class costs one copy per clean span and one
+// pass shifting the offsets — not one append per row.
+func (c *Compiled) patchCSR(g *Graph, dirty []int32, oldOff, oldAdj []int32, pick rowsOf) (off, adj []int32) {
+	total, changed := len(oldAdj), false
+	for _, id := range dirty {
+		row, oldRow := pick(g.ases[c.asns[id]]), oldAdj[oldOff[id]:oldOff[id+1]]
+		total += len(row) - len(oldRow)
+		changed = changed || !slices.EqualFunc(row, oldRow, func(nb bgp.ASN, nid int32) bool { return c.asns[nid] == nb })
+	}
+	if !changed {
+		return oldOff, oldAdj
+	}
+	off = make([]int32, len(oldOff))
+	adj = make([]int32, 0, total)
+	from := int32(0) // first row not yet written
+	span := func(to int32) {
+		shift := int32(len(adj)) - oldOff[from]
+		adj = append(adj, oldAdj[oldOff[from]:oldOff[to]]...)
+		for i := from; i <= to; i++ {
+			off[i] = oldOff[i] + shift
+		}
+	}
+	for _, id := range dirty {
+		span(id)
+		for _, nb := range pick(g.ases[c.asns[id]]) {
+			adj = append(adj, c.idOf[nb])
+		}
+		from = id + 1
+		off[from] = int32(len(adj))
+	}
+	span(int32(len(c.asns)))
+	return off, adj
 }
 
 // Compiled returns a route-engine snapshot of the current graph,
@@ -142,21 +170,17 @@ func (g *Graph) Version() uint64 { return g.version }
 
 // Scratch holds the reusable working memory of ComputeRoutesInto so a
 // caller computing many tables (one per churn event, one per trial)
-// allocates essentially nothing after the first call. The zero value is
+// allocates nothing after the first call. The zero value is
 // ready to use. A Scratch must not be used concurrently.
 type Scratch struct {
+	origIDs        []int32 // the call's origins, interned
 	frontier, next []int32
 
 	// Per-id phase-1 candidate state, epoch-stamped so rounds reset in
 	// O(1) instead of clearing arrays.
 	candSeen []uint32
 	candNext []int32
-	candOrig []bgp.ASN
 	epoch    uint32
-
-	// Phase-2 buffered peer adoptions.
-	peerIDs    []int32
-	peerRoutes []Route
 
 	// Phase-3 shortest-first queue: one bucket of ids per path length,
 	// replacing container/heap. Buckets keep their capacity across runs.
@@ -173,14 +197,12 @@ func (s *Scratch) reset(n int) {
 	if len(s.candSeen) < n {
 		s.candSeen = make([]uint32, n)
 		s.candNext = make([]int32, n)
-		s.candOrig = make([]bgp.ASN, n)
 		s.epoch = 0
 	}
 	if s.epoch >= math.MaxUint32-1 {
 		clear(s.candSeen)
 		s.epoch = 0
 	}
-	s.peerIDs, s.peerRoutes = s.peerIDs[:0], s.peerRoutes[:0]
 	for i := 0; i < s.used && i < len(s.buckets); i++ {
 		s.buckets[i] = s.buckets[i][:0]
 	}
@@ -290,32 +312,49 @@ func (c *Compiled) Routes(s *Scratch, filter ImportFilter, origins ...Origin) (*
 // Graph.ComputeRoutesFiltered: it fills dst (grown as needed) with every
 // AS's best policy-compliant route toward the given origins and returns
 // it. The decision process, export rules, and every deterministic
-// tiebreak match the legacy implementation bit for bit — ids are
-// ASN-ordered, so id comparisons reproduce the lowest-next-hop-ASN rule,
-// and the bucketed phase-3 queue pops in the same (pathLen, ASN) order
-// as the heap it replaces.
+// tiebreak match the reference implementation bit for bit — ids are
+// ASN-ordered, so id comparisons reproduce the lowest-next-hop-ASN rule.
+//
+// The reference walks its frontiers and pops its phase-3 heap in
+// (pathLen, ASN) order; this engine walks them in whatever order they
+// were filled, because no phase's outcome depends on it:
+//
+//   - Phase 1: a provider's route for the round is the minimum next hop
+//     over the frontier customers that export to it, and routes are only
+//     written once the whole frontier has been walked, so the round
+//     computes a set-minimum and the next frontier is only ever a set.
+//   - Phase 2 reads only customer and origin routes and writes only peer
+//     routes, so an AS's pick cannot see another's.
+//   - Phase 3 drains buckets in increasing path length. While bucket l
+//     drains, only routes of length l+1 are written, so every entry of
+//     bucket l already holds its final route; and a customer's route is
+//     replaced only by a strictly lower next hop at the same length, so
+//     it ends as the minimum over its providers in bucket l. Which
+//     provider reached it first only decides who appended it to bucket
+//     l+1, and it is appended once.
 func (c *Compiled) ComputeRoutesInto(dst []Route, s *Scratch, filter ImportFilter, origins ...Origin) ([]Route, error) {
 	if len(origins) == 0 {
 		return dst, fmt.Errorf("topology: no origins")
 	}
 	n := len(c.asns)
-	origIDs := make([]int32, len(origins))
+	origIDs := s.origIDs[:0]
 	scoped := false
-	for i, o := range origins {
+	for _, o := range origins {
 		id, ok := c.idOf[o.ASN]
 		if !ok {
 			return dst, fmt.Errorf("topology: origin %v not in graph", o.ASN)
 		}
-		for j := 0; j < i; j++ {
-			if origIDs[j] == id {
+		for _, prev := range origIDs {
+			if prev == id {
 				return dst, fmt.Errorf("topology: duplicate origin %v", o.ASN)
 			}
 		}
-		origIDs[i] = id
+		origIDs = append(origIDs, id)
 		if len(o.WithholdFrom) > 0 || len(o.AnnounceOnly) > 0 {
 			scoped = true
 		}
 	}
+	s.origIDs = origIDs
 
 	if cap(dst) < n {
 		dst = make([]Route, n)
@@ -337,22 +376,18 @@ func (c *Compiled) ComputeRoutesInto(dst []Route, s *Scratch, filter ImportFilte
 	}
 
 	// Phase 1 — customer routes, propagated upward in rounds of
-	// increasing path length. The per-round candidate map becomes three
-	// epoch-stamped arrays; the minimum by (next-hop, origin) is taken
-	// in id space, which equals ASN space by construction.
+	// increasing path length. The per-round candidate map becomes two
+	// epoch-stamped arrays; the minimum next hop is taken in id space,
+	// which equals ASN space by construction.
 	for _, id := range origIDs {
 		dst[id] = Route{Type: RouteOrigin, Origin: c.asns[id]}
 	}
 	s.frontier = append(s.frontier, origIDs...)
-	sortInt32(s.frontier)
-	for length := 1; len(s.frontier) > 0; length++ {
+	for length := int32(1); len(s.frontier) > 0; length++ {
 		s.epoch++
 		s.next = s.next[:0]
 		for _, u := range s.frontier {
-			ru := &dst[u]
-			if ru.Type != RouteOrigin && ru.Type != RouteCustomer {
-				continue
-			}
+			origin := dst[u].Origin
 			for _, p := range c.providers(u) {
 				if dst[p].Type != RouteNone {
 					continue // settled in an earlier round
@@ -360,30 +395,31 @@ func (c *Compiled) ComputeRoutesInto(dst []Route, s *Scratch, filter ImportFilte
 				if scoped && !exports(u, c.asns[p]) {
 					continue
 				}
-				if filter != nil && !filter(c.asns[p], ru.Origin) {
+				if filter != nil && !filter(c.asns[p], origin) {
 					continue
 				}
 				if s.candSeen[p] != s.epoch {
 					s.candSeen[p] = s.epoch
-					s.candNext[p], s.candOrig[p] = u, ru.Origin
+					s.candNext[p] = u
 					s.next = append(s.next, p)
-				} else if u < s.candNext[p] || (u == s.candNext[p] && ru.Origin < s.candOrig[p]) {
-					s.candNext[p], s.candOrig[p] = u, ru.Origin
+				} else if u < s.candNext[p] {
+					s.candNext[p] = u
 				}
 			}
 		}
-		sortInt32(s.next)
 		for _, p := range s.next {
-			dst[p] = Route{Type: RouteCustomer, NextHop: c.asns[s.candNext[p]], PathLen: length, Origin: s.candOrig[p]}
+			u := s.candNext[p]
+			dst[p] = Route{Type: RouteCustomer, NextHop: c.asns[u], PathLen: length, Origin: dst[u].Origin}
 		}
 		s.frontier, s.next = s.next, s.frontier
 	}
 
-	// Phase 2 — single-hop peer routes for unsettled ASes, buffered so
-	// peer routes never chain off each other.
-	s.peerIDs, s.peerRoutes = s.peerIDs[:0], s.peerRoutes[:0]
+	// Phase 2 — single-hop peer routes for unsettled ASes. Only customer
+	// and origin routes are offered, so peer routes never chain off each
+	// other. An AS without peers (most of a 73K graph) is skipped on its
+	// CSR offsets alone, before its route is loaded.
 	for id := int32(0); id < int32(n); id++ {
-		if dst[id].Type != RouteNone {
+		if c.peerOff[id] == c.peerOff[id+1] || dst[id].Type != RouteNone {
 			continue
 		}
 		best := Route{Type: RouteNone}
@@ -404,56 +440,42 @@ func (c *Compiled) ComputeRoutesInto(dst []Route, s *Scratch, filter ImportFilte
 				best = r
 			}
 		}
-		if best.Type != RouteNone {
-			s.peerIDs = append(s.peerIDs, id)
-			s.peerRoutes = append(s.peerRoutes, best)
-		}
-	}
-	for i, id := range s.peerIDs {
-		dst[id] = s.peerRoutes[i]
+		dst[id] = best
 	}
 
-	// Phase 3 — provider routes, shortest-first. Every routed AS enters
-	// the bucket of its path length; buckets are processed in length
-	// order and id-ascending within a bucket, which is exactly the pop
-	// order of the legacy (pathLen, asn) heap.
+	// Phase 3 — provider routes, shortest-first: one bucket of ids per
+	// path length, drained in length order. Only an AS with customers
+	// has anyone to export to, so only those are queued — at 73K ASes,
+	// one in twenty.
 	for id := int32(0); id < int32(n); id++ {
-		if dst[id].Type != RouteNone {
-			b := s.bucket(dst[id].PathLen)
+		if c.custOff[id] != c.custOff[id+1] && dst[id].Type != RouteNone {
+			b := s.bucket(int(dst[id].PathLen))
 			*b = append(*b, id)
 		}
 	}
 	for l := 0; l < s.used; l++ {
-		q := s.buckets[l]
-		sortInt32(q)
-		for _, u := range q {
-			ru := dst[u]
-			if ru.PathLen != l {
-				continue // stale entry (defensive; cannot occur)
-			}
-			nl := l + 1
+		nl := int32(l + 1)
+		for _, u := range s.buckets[l] {
+			asn, origin := c.asns[u], dst[u].Origin
 			for _, ch := range c.customers(u) {
+				rc := &dst[ch]
+				if rc.Type != RouteNone && (rc.Type != RouteProvider || rc.PathLen < nl ||
+					(rc.PathLen == nl && rc.NextHop <= asn)) {
+					continue
+				}
 				if scoped && !exports(u, c.asns[ch]) {
 					continue
 				}
-				if filter != nil && !filter(c.asns[ch], ru.Origin) {
+				if filter != nil && !filter(c.asns[ch], origin) {
 					continue
 				}
-				rc := &dst[ch]
-				if rc.Type != RouteNone && (rc.Type != RouteProvider || rc.PathLen < nl ||
-					(rc.PathLen == nl && rc.NextHop <= c.asns[u])) {
-					continue
-				}
-				wasNone := rc.Type == RouteNone
-				*rc = Route{Type: RouteProvider, NextHop: c.asns[u], PathLen: nl, Origin: ru.Origin}
-				if wasNone {
-					b := s.bucket(nl)
+				if rc.Type == RouteNone && c.custOff[ch] != c.custOff[ch+1] {
+					b := s.bucket(l + 1)
 					*b = append(*b, ch)
 				}
+				*rc = Route{Type: RouteProvider, NextHop: asn, PathLen: nl, Origin: origin}
 			}
 		}
 	}
 	return dst, nil
 }
-
-func sortInt32(s []int32) { slices.Sort(s) }

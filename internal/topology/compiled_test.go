@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"quicksand/internal/bgp"
 )
@@ -189,6 +190,52 @@ func TestCompiledScratchReuse(t *testing.T) {
 			t.Fatal(err)
 		}
 		diffTables(t, cr, rt)
+	}
+}
+
+// TestComputeRoutesIntoZeroAlloc pins the reuse path: with the result
+// array and the Scratch kept from a previous call, an unscoped table —
+// single-origin (RouteSet, RouteCache) or two-origin (the resilience
+// matrix) — allocates nothing.
+func TestComputeRoutesIntoZeroAlloc(t *testing.T) {
+	g, err := Generate(GenConfig{
+		Tier1: 3, Tier2: 15, Tier3: 80,
+		Tier2PeerProb: 0.08, MaxT2Providers: 2, MaxT3Providers: 2, Seed: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := g.Compiled()
+	all := g.ASNs()
+	victim, attacker := Origin{ASN: all[len(all)-1]}, Origin{ASN: all[len(all)/2]}
+	var s Scratch
+	var routes []Route
+	for _, tc := range []struct {
+		name string
+		run  func() ([]Route, error)
+	}{
+		{"single-origin", func() ([]Route, error) { return c.ComputeRoutesInto(routes, &s, nil, victim) }},
+		{"two-origin", func() ([]Route, error) { return c.ComputeRoutesInto(routes, &s, nil, victim, attacker) }},
+	} {
+		if routes, err = tc.run(); err != nil { // warm the buffers
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			if routes, err = tc.run(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: %v allocs per reused-buffer call, want 0", tc.name, allocs)
+		}
+	}
+}
+
+// TestRouteLayout is the tripwire for the table layout the engine's
+// speed rests on: four routes per cache line.
+func TestRouteLayout(t *testing.T) {
+	if got := unsafe.Sizeof(Route{}); got != 16 {
+		t.Errorf("unsafe.Sizeof(Route{}) = %d, want 16", got)
 	}
 }
 

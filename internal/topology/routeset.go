@@ -15,10 +15,8 @@ const routeBytes = int(unsafe.Sizeof(Route{}))
 // buffers. Together with a bounded ScratchPool this makes the working
 // memory of a sharded computation an explicit, measurable budget.
 func (s *Scratch) SizeBytes() int {
-	b := (cap(s.frontier) + cap(s.next) + cap(s.candNext) + cap(s.peerIDs)) * 4
+	b := (cap(s.origIDs) + cap(s.frontier) + cap(s.next) + cap(s.candNext)) * 4
 	b += len(s.candSeen) * 4
-	b += len(s.candOrig) * 4 // bgp.ASN is uint32
-	b += cap(s.peerRoutes) * routeBytes
 	for i := range s.buckets {
 		b += cap(s.buckets[i]) * 4
 	}
@@ -197,7 +195,8 @@ func (rs *RouteSet) Dests() []bgp.ASN { return rs.dests }
 func (rs *RouteSet) Graph() *Graph { return rs.g }
 
 // Table returns the current route table toward dst, with ok=false for
-// an untracked destination.
+// an untracked destination. It scans the destinations: callers on a hot
+// path index with TableAt, and no profile has shown this one.
 func (rs *RouteSet) Table(dst bgp.ASN) (*CompiledRoutes, bool) {
 	for i, d := range rs.dests {
 		if d == dst {
@@ -258,9 +257,9 @@ func (rs *RouteSet) MemoryBytes() int {
 	return b
 }
 
-// rankOf orders route types by preference (origin best). RouteType's
-// declaration order matches the decision process, so the enum value is
-// the rank.
+// better reports whether cand beats cur under the decision process:
+// route type (RouteType's declaration order is the preference order, so
+// the enum value is the rank), then path length, then lowest next hop.
 func better(cand Route, cur Route) bool {
 	if cur.Type == RouteNone {
 		return true

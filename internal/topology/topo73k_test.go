@@ -10,11 +10,12 @@ import (
 
 // budgetBytesPerASTable is the pinned memory ceiling for route storage
 // at Internet scale: heap growth per (AS, destination) pair when
-// building a RouteSet over the 73K-AS topology. A Route is 32 bytes
-// (int32/CSR layout); the ceiling leaves headroom for the scratch pool
-// and allocator slack but fails loudly if the layout regresses (e.g. a
-// field grows Route past 32 bytes or tables fall back to maps).
-const budgetBytesPerASTable = 64
+// building a RouteSet over the 73K-AS topology. A Route is 16 bytes
+// (TestRouteLayout); the growth measured here is 16-18 with the scratch
+// pool and allocator slack. The ceiling leaves headroom for those but
+// fails loudly if the layout regresses (e.g. a field grows Route back
+// to 32 bytes or tables fall back to maps).
+const budgetBytesPerASTable = 24
 
 var topo73k struct {
 	once sync.Once
@@ -96,7 +97,7 @@ func TestTopo73KSmoke(t *testing.T) {
 // scale: building an 8-destination RouteSet over 73K ASes must grow the
 // heap by less than budgetBytesPerASTable per (AS, destination) pair.
 // This is the regression tripwire for the int32/CSR layout — a Route
-// growing past 32 bytes, or tables regressing to maps, blows the
+// growing past 16 bytes, or tables regressing to maps, blows the
 // ceiling immediately.
 func TestTopo73KMemoryBudget(t *testing.T) {
 	g := graph73K(t)

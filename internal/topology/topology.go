@@ -272,8 +272,8 @@ func (g *Graph) Clone() *Graph {
 }
 
 // RouteType classifies how an AS learned its best route, in decreasing
-// order of preference.
-type RouteType int
+// order of preference. One byte, so a Route packs into 16.
+type RouteType uint8
 
 const (
 	// RouteNone means the AS has no policy-compliant route.
@@ -306,11 +306,16 @@ func (t RouteType) String() string {
 }
 
 // Route is one AS's best route toward the computed destination.
+// Sixteen bytes, so four routes share a cache line: the compiled engine's
+// cost is random probes into a table of these.
 type Route struct {
-	Type    RouteType
 	NextHop bgp.ASN // meaningless for RouteOrigin
-	PathLen int     // number of AS hops to the origin (0 at the origin)
 	Origin  bgp.ASN // which origin this AS ends up routing to
+	// PathLen is the number of AS hops to the origin (0 at the origin).
+	// int32, not uint16: a customer chain can be as long as the graph,
+	// and 73K ASes overflow 16 bits.
+	PathLen int32
+	Type    RouteType
 }
 
 // RouteTable maps each AS to its best route for one destination prefix.
@@ -409,7 +414,7 @@ func (g *Graph) ComputeRoutesFiltered(filter ImportFilter, origins ...Origin) (R
 		frontier = append(frontier, asn)
 	}
 	sort.Slice(frontier, func(i, j int) bool { return frontier[i] < frontier[j] })
-	for length := 1; len(frontier) > 0; length++ {
+	for length := int32(1); len(frontier) > 0; length++ {
 		cands := make(map[bgp.ASN]cand)
 		for _, u := range frontier {
 			ru := rt[u]
@@ -517,7 +522,7 @@ func (g *Graph) ComputeRoutesFiltered(filter ImportFilter, origins ...Origin) (R
 }
 
 type heapItem struct {
-	pathLen int
+	pathLen int32
 	asn     bgp.ASN
 }
 

@@ -470,7 +470,7 @@ func TestRoutesValleyFreeProperty(t *testing.T) {
 			if !ok {
 				t.Fatalf("no path %v -> %v", src, dest)
 			}
-			if len(path)-1 != rt[src].PathLen {
+			if len(path)-1 != int(rt[src].PathLen) {
 				t.Fatalf("path length mismatch at %v: %v vs %d", src, path, rt[src].PathLen)
 			}
 			if !g.ValleyFree(path) {

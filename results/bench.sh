@@ -14,7 +14,7 @@
 #      baseline)
 #   7. 73K topology benchmark: `quicksand topo -json` at the full
 #      measured-Internet scale, recorded in results/BENCH_topo73k.json
-#      (every AS routed, <= 64 bytes/AS/table, delta recompilation
+#      (every AS routed, <= 24 bytes/AS/table, delta recompilation
 #      >= 10x faster than full recomputation for single-link churn)
 #   8. Counter-RAPTOR resilience benchmark: `quicksand resilience -json`
 #      at paper scale plus the 73K sampled-estimator validation,
@@ -166,7 +166,7 @@ NR == 1 && $0 == "{" {
     printf "  \"description\": \"Internet-scale topology benchmark: 73000-AS power-law graph generated, compiled, routed for a 64-destination shard, stressed with hijack trials and single-link churn through delta recompilation. Reproduce with: results/bench.sh or `quicksand topo -json`\",\n"
     printf "  \"date\": \"%s\",\n", date
     printf "  \"required_delta_speedup\": 10.0,\n"
-    printf "  \"budget_bytes_per_as_table\": 64,\n"
+    printf "  \"budget_bytes_per_as_table\": 24,\n"
     next
 }
 { print }
@@ -181,7 +181,7 @@ awk -F'[:,]' '
 END {
     if (rf == "" || bp == "" || sp == "") { print "missing topo benchmark fields" > "/dev/stderr"; exit 1 }
     if (rf + 0 != 1)  { print "FAIL: routed fraction " rf " != 1 (unreachable ASes)" > "/dev/stderr"; exit 1 }
-    if (bp + 0 > 64)  { print "FAIL: " bp " bytes/AS/table above the 64-byte budget" > "/dev/stderr"; exit 1 }
+    if (bp + 0 > 24)  { print "FAIL: " bp " bytes/AS/table above the 24-byte budget" > "/dev/stderr"; exit 1 }
     if (sp + 0 < 10)  { print "FAIL: delta recompile speedup " sp "x below 10x" > "/dev/stderr"; exit 1 }
 }' results/BENCH_topo73k.json
 
