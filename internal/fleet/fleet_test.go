@@ -235,6 +235,10 @@ func TestRouterInprocAlerts(t *testing.T) {
 	if v := r.met.unwatched.Value(); v != 1 {
 		t.Fatalf("unwatched counter = %v, want 1", v)
 	}
+	// The anomaly detectors see every merged alert, no more and no less.
+	if _, observed, _ := r.Anomalies(); observed != 2 {
+		t.Fatalf("detectors observed %d alerts, want the 2 merged", observed)
+	}
 
 	// Cursor paging and ahead-cursor clamp on the merged stream.
 	page, next2, _ := r.Alerts(next, 10)

@@ -11,6 +11,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"quicksand/internal/bgp"
+	"quicksand/internal/defense"
 )
 
 // newHTTPDaemon starts a daemon serving HTTP on loopback with two
@@ -96,6 +99,122 @@ func TestHTTPAlertsMaxClamp(t *testing.T) {
 	getJSON(t, base+fmt.Sprintf("/alerts?max=%d", 1<<40), &resp)
 	if len(resp.Alerts) != 1 || resp.Next != 1 {
 		t.Errorf("/alerts with huge max = %+v, want the one real alert", resp)
+	}
+}
+
+// TestHTTPAlertsPollFailures pins the HTTPAlerts client's failure
+// contract: a failed poll returns no alerts with the cursor held and is
+// counted in Errs; an undecodable alert is skipped and counted while the
+// rest of the page still advances the cursor.
+func TestHTTPAlertsPollFailures(t *testing.T) {
+	serving := func(t *testing.T, h http.HandlerFunc) *HTTPAlerts {
+		srv := httptest.NewServer(h)
+		t.Cleanup(srv.Close)
+		return &HTTPAlerts{Base: srv.URL}
+	}
+	t.Run("unreachable", func(t *testing.T) {
+		src := &HTTPAlerts{Base: "http://127.0.0.1:1"}
+		alerts, next, _ := src.Alerts(7, 10)
+		if len(alerts) != 0 || next != 7 || src.Errs.Load() != 1 {
+			t.Errorf("got %d alerts, next %d, errs %d; want cursor held at 7 with one error",
+				len(alerts), next, src.Errs.Load())
+		}
+	})
+	t.Run("http-error", func(t *testing.T) {
+		src := serving(t, func(w http.ResponseWriter, r *http.Request) {
+			http.Error(w, "down", http.StatusServiceUnavailable)
+		})
+		if _, next, _ := src.Alerts(3, 0); next != 3 || src.Errs.Load() != 1 {
+			t.Errorf("next=%d errs=%d after 503, want cursor held with one error", next, src.Errs.Load())
+		}
+	})
+	t.Run("bad-json", func(t *testing.T) {
+		src := serving(t, func(w http.ResponseWriter, r *http.Request) {
+			w.Write([]byte("{not json"))
+		})
+		if _, next, _ := src.Alerts(3, 0); next != 3 || src.Errs.Load() != 1 {
+			t.Errorf("next=%d errs=%d after bad JSON, want cursor held with one error", next, src.Errs.Load())
+		}
+	})
+	t.Run("bad-prefix-skipped", func(t *testing.T) {
+		src := serving(t, func(w http.ResponseWriter, r *http.Request) {
+			w.Write([]byte(`{"alerts":[
+				{"seq":0,"prefix":"not-a-prefix","kind":"origin-change","observed_as":666},
+				{"seq":1,"prefix":"10.0.0.0/16","kind":"more-specific","observed_as":667}
+			],"next":2,"dropped":0}`))
+		})
+		alerts, next, _ := src.Alerts(0, 0)
+		if len(alerts) != 1 || next != 2 || src.Errs.Load() != 1 {
+			t.Fatalf("got %d alerts, next %d, errs %d; want the malformed alert dropped, cursor advanced",
+				len(alerts), next, src.Errs.Load())
+		}
+		if alerts[0].Prefix != watchedPrefix || alerts[0].Observed != 667 {
+			t.Errorf("surviving alert = %+v", alerts[0])
+		}
+	})
+}
+
+// TestParseAlertKindRoundTrip pins the /alerts wire format end to end:
+// every defense.AlertKind a daemon can raise is encoded by its /alerts
+// handler and decoded by HTTPAlerts back to the identical alert, and a
+// kind string the decoder does not know is an error — never silently
+// another kind.
+func TestParseAlertKindRoundTrip(t *testing.T) {
+	d := newTestDaemon(t, Config{ListenHTTP: "127.0.0.1:0", UpstreamAlarms: true})
+	src := d.RegisterSource("wire", 64601)
+	t0 := time.Unix(1000, 0)
+	for i, u := range []struct {
+		prefix netip.Prefix
+		path   []bgp.ASN
+	}{
+		{watchedPrefix, asns(64601, 666)},                          // origin-change
+		{netip.MustParsePrefix("10.0.1.0/24"), asns(64601, 667)},   // more-specific
+		{watchedPrefix, asns(64601, 65001, uint32(watchedOrigin))}, // new-upstream
+	} {
+		if err := d.Ingest(src, t0.Add(time.Duration(i)*time.Second), u.prefix, u.path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !d.WaitQuiesce(5 * time.Second) {
+		t.Fatal("pipeline did not quiesce")
+	}
+	want, wantNext, _ := d.Alerts(0, 0)
+	poller := &HTTPAlerts{Base: "http://" + d.HTTPAddr()}
+	got, next, dropped := poller.Alerts(0, 0)
+	if poller.Errs.Load() != 0 || next != wantNext || dropped != 0 || len(got) != len(want) {
+		t.Fatalf("decoded %d alerts (next %d, dropped %d, errs %d); daemon holds %d (next %d)",
+			len(got), next, dropped, poller.Errs.Load(), len(want), wantNext)
+	}
+	seen := map[defense.AlertKind]bool{}
+	for i := range want {
+		w, g := want[i], got[i]
+		if g.Seq != w.Seq || !g.Time.Equal(w.Time) || g.Session != w.Session ||
+			g.Prefix != w.Prefix || g.Kind != w.Kind || g.Observed != w.Observed {
+			t.Errorf("alert %d decoded as %+v, daemon raised %+v", i, g, w)
+		}
+		seen[g.Kind] = true
+	}
+	for k := defense.AlertKind(0); !strings.HasPrefix(k.String(), "AlertKind("); k++ {
+		if !seen[k] {
+			t.Errorf("kind %v never crossed the wire; the workload must raise every kind", k)
+		}
+	}
+
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Write([]byte(`{"alerts":[
+			{"seq":0,"prefix":"10.0.0.0/16","kind":"bogus","observed_as":666},
+			{"seq":1,"prefix":"10.0.0.0/16","kind":"new-upstream","observed_as":667}
+		],"next":2,"dropped":0}`))
+	}))
+	defer srv.Close()
+	poller = &HTTPAlerts{Base: srv.URL}
+	got, next, _ = poller.Alerts(0, 0)
+	if len(got) != 1 || next != 2 || poller.Errs.Load() != 1 {
+		t.Fatalf("unknown kind: got %d alerts, next %d, errs %d; want it skipped and counted",
+			len(got), next, poller.Errs.Load())
+	}
+	if got[0].Kind != defense.AlertNewUpstream || got[0].Observed != 667 {
+		t.Errorf("surviving alert = %+v", got[0])
 	}
 }
 

@@ -131,7 +131,15 @@ func TestScrapeAllMergesInstances(t *testing.T) {
 	srv2 := httptest.NewServer(obs.Handler(reg2, false))
 	defer srv2.Close()
 
-	merged, err := obs.ScrapeAll(srv1.URL+"/metrics", srv2.URL+"/metrics")
+	var snaps []*obs.Snapshot
+	for _, srv := range []*httptest.Server{srv1, srv2} {
+		sn, err := obs.ScrapeTarget(srv.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		snaps = append(snaps, sn)
+	}
+	merged, err := obs.MergeSnapshots(snaps...)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -51,7 +51,7 @@ func TestLintPromURLErrors(t *testing.T) {
 // the snapshots must itself be lint-clean, i.e. the aggregator's output
 // is a valid scrape target in its own right.
 func TestLintPromURLAggregated(t *testing.T) {
-	var urls []string
+	var snaps []*obs.Snapshot
 	for i := 0; i < 3; i++ {
 		reg := obs.NewRegistry()
 		reg.Counter("fleet_updates_total", "Updates ingested.").Add(uint64(100 * (i + 1)))
@@ -63,10 +63,14 @@ func TestLintPromURLAggregated(t *testing.T) {
 		}
 		srv := httptest.NewServer(obs.Handler(reg, false))
 		t.Cleanup(srv.Close)
-		urls = append(urls, srv.URL+"/metrics")
+		sn, err := obs.ScrapeTarget(srv.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		snaps = append(snaps, sn)
 	}
 
-	merged, err := obs.ScrapeAll(urls...)
+	merged, err := obs.MergeSnapshots(snaps...)
 	if err != nil {
 		t.Fatal(err)
 	}
