@@ -31,16 +31,6 @@
 // estimator's error bound at Internet scale (see resilience.go and
 // `quicksand resilience -h`).
 //
-// The loadtest subcommand is the fleet load harness: it boots N
-// in-process monitord instances, saturates them over real TCP BGP
-// sessions while injecting uniquely-identifiable tracer hijacks,
-// aggregates every instance's /metrics, and reports sustained
-// throughput plus the injection-to-alert latency distribution
-// (see loadtest.go, internal/loadgen, and `quicksand loadtest -h`).
-// With -fleet N the same load is driven at a single fleet router
-// fronting N shards, the configuration the BENCH_fleet.json gate
-// measures.
-//
 // Experiments:
 //
 //	dataset    E1  — §4 methodology statistics
@@ -128,13 +118,6 @@ func main() {
 		}
 		return
 	}
-	if len(os.Args) > 1 && os.Args[1] == "loadtest" {
-		if err := loadtestCmd(os.Args[2:], os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "quicksand loadtest:", err)
-			os.Exit(1)
-		}
-		return
-	}
 	scale := flag.String("scale", "small", "world scale: small or paper")
 	seed := flag.Int64("seed", 1, "root seed")
 	workers := flag.Int("workers", 0, "worker goroutines per study (<1 = one per CPU)")
@@ -159,7 +142,6 @@ func usage() {
        quicksand serve [flags]   (long-running route monitor; see serve -h)
        quicksand topo [flags]    (Internet-scale topology benchmark; see topo -h)
        quicksand resilience [flags]  (E10 Counter-RAPTOR guard study; see resilience -h)
-       quicksand loadtest [flags]    (fleet load + detection-latency harness; see loadtest -h)
 
 experiments: dataset fig2left fig2right fig3left fig3right
              anonymity hijack intercept defend

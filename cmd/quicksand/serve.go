@@ -172,6 +172,12 @@ func (o *serveOpts) serveConfig(logf func(string, ...any)) (monitord.Config, err
 		Watched: watched,
 		Speaker: bgpd.Config{
 			ASN: bgp.ASN(o.asn), BGPID: bgpID, HoldTime: o.hold,
+			// Always offered, not only above 65535: on a 2-octet session
+			// every 4-octet origin reaches the monitor as AS_TRANS, so a
+			// hijack by one is reported as AS23456 and a watched prefix
+			// with a 4-octet origin alarms on its own announcements. A
+			// peer that does not offer the capability still negotiates down.
+			AS4: true,
 		},
 		ListenBGP:      o.listenBGP,
 		ListenHTTP:     o.listenHTTP,
@@ -228,11 +234,9 @@ func (o *serveOpts) fleetConfig(logf func(string, ...any)) (fleet.Config, error)
 	}, nil
 }
 
-// service is what serve and loadtest boot and stop: a single daemon or
-// a fleet router behind the same BGP and HTTP surface.
+// service is what serve boots and stops: a single daemon or a fleet
+// router.
 type service interface {
-	BGPAddr() string
-	HTTPAddr() string
 	Shutdown(ctx context.Context) error
 }
 

@@ -5,14 +5,20 @@ import (
 	"context"
 	"encoding/json"
 	"flag"
+	"io"
+	"net"
 	"net/http"
+	"net/netip"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"syscall"
 	"testing"
 	"time"
 
+	"quicksand/internal/bgp"
+	"quicksand/internal/bgpd"
 	"quicksand/internal/fleet"
 	"quicksand/internal/monitord"
 )
@@ -200,6 +206,114 @@ func TestServeSignalBeforeBoot(t *testing.T) {
 	}
 	if _, err := os.Stat(snapshot); err != nil {
 		t.Errorf("daemon arm wrote no snapshot at shutdown: %v", err)
+	}
+}
+
+// TestServeFourOctetOrigins is the regression test for the AS_TRANS
+// collapse: serve at its default 2-octet -asn used not to offer the
+// 4-octet-AS capability, so every 4-octet origin reached the monitor as
+// AS23456 — two hijackers looked like one, and a watched prefix whose
+// legitimate origin is 4-octet alarmed on its own announcements. Both
+// arms must negotiate AS4 with a peer that offers it, report each
+// hijacker's own ASN, stay quiet on the legitimate 4-octet origin, and
+// still negotiate down for a peer that does not offer the capability.
+func TestServeFourOctetOrigins(t *testing.T) {
+	watch := filepath.Join(t.TempDir(), "watch.txt")
+	if err := os.WriteFile(watch, []byte("10.0.0.0/16 64496\n10.1.0.0/16 4200000001\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for name, extra := range map[string][]string{"daemon": nil, "fleet": {"-fleet", "2"}} {
+		t.Run(name, func(t *testing.T) {
+			fs := flag.NewFlagSet("serve", flag.ContinueOnError)
+			o := serveFlags(fs)
+			args := append([]string{"-watch", watch, "-listen-bgp", "127.0.0.1:0", "-listen-http", "127.0.0.1:0"}, extra...)
+			if err := fs.Parse(args); err != nil {
+				t.Fatal(err)
+			}
+			rt, err := o.obs.Start("monitord", io.Discard)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rt.Close()
+			svc, _, err := o.boot(rt, t.Logf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() {
+				ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+				defer cancel()
+				if err := svc.Shutdown(ctx); err != nil {
+					t.Errorf("Shutdown: %v", err)
+				}
+			}()
+			addrs := svc.(interface {
+				BGPAddr() string
+				HTTPAddr() string
+			})
+
+			dial := func(asn bgp.ASN, as4 bool) *bgpd.Session {
+				t.Helper()
+				conn, err := net.Dial("tcp", addrs.BGPAddr())
+				if err != nil {
+					t.Fatal(err)
+				}
+				sess, err := bgpd.Establish(conn, bgpd.Config{
+					ASN: asn, BGPID: netip.MustParseAddr("203.0.113.9"), AS4: as4,
+				})
+				if err != nil {
+					conn.Close()
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { sess.Close() })
+				if sess.AS4() != as4 {
+					t.Fatalf("peer AS%d offering AS4=%v negotiated AS4=%v", asn, as4, sess.AS4())
+				}
+				return sess
+			}
+			announce := func(sess *bgpd.Session, prefix string, path ...bgp.ASN) {
+				t.Helper()
+				err := sess.SendUpdate(&bgp.Update{
+					NLRI: []netip.Prefix{netip.MustParsePrefix(prefix)},
+					Attrs: bgp.PathAttributes{
+						HasOrigin: true, Origin: bgp.OriginIGP,
+						HasASPath: true, ASPath: bgp.Sequence(path...),
+						NextHop: netip.AddrFrom4([4]byte{203, 0, 113, 9}),
+					},
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			poller := &monitord.HTTPAlerts{Base: "http://" + addrs.HTTPAddr()}
+			waitOrigins := func(want ...bgp.ASN) {
+				t.Helper()
+				var got []bgp.ASN
+				for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
+					alerts, _, _ := poller.Alerts(0, 0)
+					got = got[:0]
+					for _, a := range alerts {
+						got = append(got, a.Observed)
+					}
+					if len(got) >= len(want) {
+						break
+					}
+				}
+				slices.Sort(got)
+				if !slices.Equal(got, want) {
+					t.Fatalf("alert origins = %v, want %v", got, want)
+				}
+			}
+
+			wide := dial(64601, true)
+			announce(wide, "10.1.0.0/16", 64601, 4200000001) // legitimate 4-octet origin
+			announce(wide, "10.0.0.0/16", 64601, 400000)
+			announce(wide, "10.0.0.0/16", 64601, 400001)
+			waitOrigins(400000, 400001)
+
+			narrow := dial(64602, false)
+			announce(narrow, "10.0.0.0/16", 64602, 666)
+			waitOrigins(666, 400000, 400001)
+		})
 	}
 }
 

@@ -14,7 +14,7 @@ import (
 // The fleet router serves the same read-only HTTP API as a single
 // monitord, from the same code: monitord's /alerts handler over the
 // merged stream and, for /rib, the owning shard's own handler — so
-// single-daemon clients (pollers, the loadgen harness, curl muscle
+// single-daemon clients (pollers, the bench/ load driver, curl muscle
 // memory) work against a fleet unchanged. The router adds the
 // fleet-only /anomalies endpoint, a /healthz that aggregates per-shard
 // rows, and a /metrics that merges every shard's exposition.

@@ -199,7 +199,9 @@ func ParseExposition(r io.Reader) (*Snapshot, error) {
 			return nil, fmt.Errorf("obs: exposition line %d: %v", ln, err)
 		}
 		fam := s.family(familyFor(s, name))
-		fam.addSample(ScrapedSample{Name: name, Labels: labels, Value: value})
+		if !fam.addSample(ScrapedSample{Name: name, Labels: labels, Value: value}) {
+			return nil, fmt.Errorf("obs: exposition line %d: duplicate series %s%s", ln, name, labelKeyOf(labels))
+		}
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
@@ -223,14 +225,18 @@ func familyFor(s *Snapshot, sample string) string {
 	return sample
 }
 
-func (f *ScrapedFamily) addSample(sm ScrapedSample) {
+// addSample appends sm as a new series, or sums it into the series of
+// the same name and labels and reports false. Summing is what merging
+// snapshots means; inside one exposition a repeat is a defect.
+func (f *ScrapedFamily) addSample(sm ScrapedSample) (added bool) {
 	key := sm.Name + labelKeyOf(sm.Labels)
 	if i, ok := f.index[key]; ok {
 		f.Samples[i].Value += sm.Value
-		return
+		return false
 	}
 	f.index[key] = len(f.Samples)
 	f.Samples = append(f.Samples, sm)
+	return true
 }
 
 // labelKeyOf renders labels as a canonical sorted {a="x",b="y"} key.
@@ -355,20 +361,6 @@ func SnapshotRegistry(reg *Registry) (*Snapshot, error) {
 		return nil, err
 	}
 	return ParseExposition(&buf)
-}
-
-// ScrapeAll scrapes every URL and merges the snapshots into one
-// fleet-wide view.
-func ScrapeAll(urls ...string) (*Snapshot, error) {
-	snaps := make([]*Snapshot, 0, len(urls))
-	for _, u := range urls {
-		sn, err := ScrapeTarget(u)
-		if err != nil {
-			return nil, err
-		}
-		snaps = append(snaps, sn)
-	}
-	return MergeSnapshots(snaps...)
 }
 
 // MergeSnapshots sums same-name same-label samples across snapshots:

@@ -116,6 +116,9 @@ func TestParseExpositionErrors(t *testing.T) {
 		"metric{a=\"b\"} nope\n", // bad value
 		"metric{a=\"b\" 1\n",     // unterminated block
 		"justaname\n",            // no value
+		// The same series twice in one exposition is a defect of the
+		// target, not two instances to sum (that is MergeSnapshots).
+		"# TYPE x_total counter\nx_total{a=\"1\",b=\"2\"} 3\nx_total{b=\"2\",a=\"1\"} 4\n",
 	}
 	for _, text := range bad {
 		if _, err := obs.ParseExposition(strings.NewReader(text)); err == nil {

@@ -5,36 +5,27 @@
 #   2. go test ./...                  (tier-1)
 #   3. go vet ./...
 #   4. go test -race over the worker pool and every parallel study path
-#   5. route-engine benchmark: compiled vs legacy ComputeRoutes at paper
+#   5. observability overhead smoke: one iteration of each instrumented-
+#      vs-plain benchmark pair; the full numbers are the hand-recorded
+#      baselines in results/BENCH_obs.json
+#   6. route-engine benchmark: compiled vs legacy ComputeRoutes at paper
 #      scale plus an end-to-end E3 run under each engine, recorded in
 #      results/BENCH_routes.json (compiled must hold a >= 3x speedup)
-#   6. monitord ingest benchmark: in-process and loopback-TCP pipeline
+#   7. monitord ingest benchmark: in-process and loopback-TCP pipeline
 #      throughput, recorded in results/BENCH_monitord.json (the batched
 #      TCP path must hold >= 3x the 238707 updates/s pre-batching
 #      baseline)
-#   7. 73K topology benchmark: `quicksand topo -json` at the full
+#   8. 73K topology benchmark: `quicksand topo -json` at the full
 #      measured-Internet scale, recorded in results/BENCH_topo73k.json
 #      (every AS routed, <= 24 bytes/AS/table, delta recompilation
 #      >= 10x faster than full recomputation for single-link churn)
-#   8. Counter-RAPTOR resilience benchmark: `quicksand resilience -json`
+#   9. Counter-RAPTOR resilience benchmark: `quicksand resilience -json`
 #      at paper scale plus the 73K sampled-estimator validation,
 #      recorded in results/BENCH_resilience.json (resilience weighting
 #      must strictly lower capture probability; 73K agreement >= 0.9)
-#   9. fleet load harness: `quicksand loadtest -json` — 4 concurrent
-#      collector sessions saturating one instrumented instance while
-#      tracer hijacks measure end-to-end detection latency, recorded in
-#      results/BENCH_loadtest.json (sustained throughput must hold
-#      >= 3x the 238707 updates/s pre-batching baseline with the stage
-#      histograms live, and the injection-to-alert p99 must stay a
-#      finite <= 1s)
-#  10. fleet router benchmark: `quicksand loadtest -fleet 4 -json` — the
-#      same load against one router sharding the watchlist across 4
-#      in-process monitord instances, recorded in
-#      results/BENCH_fleet.json (aggregate ingest must hold >= 2x the
-#      single saturated daemon of step 9, and the shards' dispatch-stage
-#      p99 must stay below the single daemon's saturated dispatch p99 —
-#      the router's watchlist fast-path shields them from unwatched
-#      background load)
+#
+# Load and detection latency on the live service are not measured here:
+# that is `bash bench/run.sh` over the workloads of BENCHMARK.json.
 #
 # Run from anywhere; operates on the repository root. Pass extra
 # arguments (e.g. -count=2) through to the race run.
@@ -225,98 +216,5 @@ END {
     if (tp + 0 <= 0)   { print "FAIL: no table throughput recorded" > "/dev/stderr"; exit 1 }
     if (ag + 0 < 0.9)  { print "FAIL: 73K estimator agreement " ag " below 0.9" > "/dev/stderr"; exit 1 }
 }' results/BENCH_resilience.json
-
-echo "== fleet load harness: throughput + detection latency (-> results/BENCH_loadtest.json) =="
-# The loadtest subcommand boots one fully instrumented monitord
-# instance (stage/detection histograms live) and saturates it over 4
-# concurrent loopback BGP sessions while a tracer session injects
-# uniquely-identifiable hijacks of the watched prefix; a fleet client
-# polls /alerts over HTTP and measures injection-to-alert latency. The
-# subcommand emits the benchmark record itself; the description/date
-# header and the gates are added here. Throughput is gated against the
-# same 238707 updates/s pre-batching baseline as the monitord ingest
-# bench (the instrumented pipeline sustains ~1M updates/s on the
-# reference 1-CPU box), and the client-visible p99 must stay a finite
-# <= 1s.
-lt_bin=$(mktemp)
-go build -o "$lt_bin" ./cmd/quicksand
-lt_out=$(mktemp)
-"$lt_bin" loadtest -instances 1 -sessions 4 -duration 3s -min-detected 1 -json > "$lt_out"
-rm -f "$lt_bin"
-
-awk -v date="$(date +%Y-%m-%d)" '
-NR == 1 && $0 == "{" {
-    print "{"
-    printf "  \"description\": \"Fleet load harness: one instrumented monitord instance saturated by 4 concurrent loopback BGP collector sessions for 3s while tracer hijacks of the watched prefix measure end-to-end detection latency (TCP inject -> HTTP /alerts poll). Stage and detection histograms are live and aggregated via the obs scraper. Reproduce with: results/bench.sh or `quicksand loadtest -instances 1 -sessions 4 -duration 3s -json`\",\n"
-    printf "  \"date\": \"%s\",\n", date
-    printf "  \"baseline_updates_per_sec\": 238707,\n"
-    printf "  \"required_throughput_speedup\": 3.0,\n"
-    printf "  \"required_p99_ceiling_seconds\": 1.0,\n"
-    next
-}
-{ print }
-' "$lt_out" > results/BENCH_loadtest.json
-rm -f "$lt_out"
-cat results/BENCH_loadtest.json
-
-awk -F'[:,]' '
-/^  "updates_per_sec"/               { ups = $2 }
-/^  "inject_to_alert_p99_seconds"/   { p99 = $2 }
-/^  "tracers_detected"/              { det = $2 }
-END {
-    if (ups == "" || p99 == "" || det == "") { print "missing loadtest benchmark fields" > "/dev/stderr"; exit 1 }
-    speedup = ups / 238707
-    if (speedup < 3.0) { print "FAIL: loadtest throughput " ups " updates/s only " speedup "x the 238707/s baseline (need 3x)" > "/dev/stderr"; exit 1 }
-    if (det + 0 < 1)   { print "FAIL: no tracer hijack detected under load" > "/dev/stderr"; exit 1 }
-    if (p99 + 0 <= 0 || p99 + 0 > 1.0) { print "FAIL: injection-to-alert p99 " p99 "s outside (0, 1.0]" > "/dev/stderr"; exit 1 }
-}' results/BENCH_loadtest.json
-
-echo "== fleet router: 4 shards behind one router (-> results/BENCH_fleet.json) =="
-# The same harness pointed at a fleet router fronting 4 in-process
-# monitord shards: one BGP listener, hash-sharded watchlist dispatch,
-# merged /alerts, aggregated /metrics. One tracer prefix lands on each
-# shard; the background load (198.18.0.0/15, unwatched) dies at the
-# router's longest-prefix fast path instead of swamping a daemon
-# pipeline. Gated against the single-daemon record of the previous
-# step: aggregate ingest >= 2x, and the shards' dispatch-stage p99
-# strictly below the saturated single daemon's.
-base_ups=$(awk -F'[:,]' '/^  "updates_per_sec"/ { print $2 + 0 }' results/BENCH_loadtest.json)
-base_dp99=$(awk -F'[:,]' '/^    "dispatch"/ { print $2 + 0 }' results/BENCH_loadtest.json)
-
-flt_bin=$(mktemp)
-go build -o "$flt_bin" ./cmd/quicksand
-flt_out=$(mktemp)
-"$flt_bin" loadtest -fleet 4 -sessions 4 -duration 3s -min-detected 1 -json > "$flt_out"
-rm -f "$flt_bin"
-
-awk -v date="$(date +%Y-%m-%d)" -v bu="$base_ups" -v bd="$base_dp99" '
-NR == 1 && $0 == "{" {
-    print "{"
-    printf "  \"description\": \"Fleet router benchmark: the loadtest harness driving one fleet router that hash-shards the Tor-prefix watchlist across 4 in-process monitord instances — 4 concurrent loopback BGP sessions of unwatched background load plus one tracer session hijacking a watched prefix on every shard, alerts read from the merged /alerts stream and metrics from the aggregated /metrics endpoint. Gated against the single saturated daemon in BENCH_loadtest.json. Reproduce with: results/bench.sh or `quicksand loadtest -fleet 4 -sessions 4 -duration 3s -json`\",\n"
-    printf "  \"date\": \"%s\",\n", date
-    printf "  \"single_daemon_updates_per_sec\": %s,\n", bu
-    printf "  \"single_daemon_dispatch_p99_seconds\": %s,\n", bd
-    printf "  \"required_ingest_speedup\": 2.0,\n"
-    next
-}
-{ print }
-' "$flt_out" > results/BENCH_fleet.json
-rm -f "$flt_out"
-cat results/BENCH_fleet.json
-
-awk -v bu="$base_ups" -v bd="$base_dp99" -F'[:,]' '
-/^  "updates_per_sec"/  { ups = $2 }
-/^    "dispatch"/       { dp = $2 }
-/^  "tracers_detected"/ { det = $2 }
-/^  "fleet_shards"/     { shards = $2 }
-END {
-    if (ups == "" || dp == "" || det == "" || shards == "") { print "missing fleet benchmark fields" > "/dev/stderr"; exit 1 }
-    if (shards + 0 != 4) { print "FAIL: fleet_shards " shards " != 4" > "/dev/stderr"; exit 1 }
-    if (det + 0 < 1)     { print "FAIL: no tracer hijack detected through the fleet" > "/dev/stderr"; exit 1 }
-    speedup = (ups + 0) / (bu + 0)
-    if (speedup < 2.0)   { print "FAIL: fleet ingest " ups " updates/s only " speedup "x the single-daemon " bu "/s (need 2x)" > "/dev/stderr"; exit 1 }
-    if (dp + 0 <= 0)     { print "FAIL: fleet dispatch p99 " dp " has no observations (tracers should flow through shards)" > "/dev/stderr"; exit 1 }
-    if (dp + 0 >= bd + 0) { print "FAIL: fleet dispatch p99 " dp "s not below the saturated single-daemon " bd "s" > "/dev/stderr"; exit 1 }
-}' results/BENCH_fleet.json
 
 echo "OK"

@@ -11,35 +11,36 @@
 #   6. route-engine differential: compiled vs the map-based reference
 #      vs the naive oracle, including delta recompilation and the
 #      subsampled power-law differential at 2K-8K ASes
-#  6b. resilience differential under -race: the sharded Counter-RAPTOR
+#   7. resilience differential under -race: the sharded Counter-RAPTOR
 #      engine vs the brute-force oracle, the sampled estimator vs the
 #      exact matrix, and worker-count invariance
-#   7. serve smoke: the loopback monitord end-to-end tests under -race
-#      (including ingest-batch-size alert equivalence), plus the
-#      observability wiring (-metrics-addr/-pprof) smoke test
-#   8. RIB snapshot round trip: save/restore through the versioned
+#   8. serve smoke: the loopback monitord end-to-end tests under -race
+#      (including ingest-batch-size alert equivalence and 4-octet
+#      origins at the default -asn), plus the observability wiring
+#      (-metrics-addr/-pprof) smoke test
+#   9. RIB snapshot round trip: save/restore through the versioned
 #      binary snapshot must reproduce the RIB exactly and replay
 #      restored routes through the monitor
-#   9. metrics lint: every Prometheus exposition (monitord, obs, serve)
+#  10. metrics lint: every Prometheus exposition (monitord, obs, serve)
 #      through the internal/testkit linter, including live-scraped and
 #      fleet-aggregated expositions (LintPromURL)
-#  9b. loadtest smoke: the fleet load harness against two in-process
-#      instances under -race — at least one tracer hijack detected and
-#      the aggregated exposition lint-clean
-#  9c. fleet router smoke under -race: the sharded watchlist router end
+#  11. fleet router smoke under -race: the sharded watchlist router end
 #      to end (BGP + HTTP + merged alerts), the shard-death failover
 #      test, the fleet-vs-batch alert-multiset equivalence at widths 1
 #      and 4, the daemon/router HTTP conformance table, the fleet
-#      metrics golden, and the -fleet arms of the serve and loadtest
-#      subcommands
-#  9d. bench module: bench/ is its own Go module (root ./... does not
+#      metrics golden, and the -fleet arm of the serve subcommand
+#  12. bench module: bench/ is its own Go module (root ./... does not
 #      cover it) compiled against monitord, fleet, bgpd and obs
-#  10. 73K topology smoke: generate the full-Internet-scale power-law
+#  13. record hygiene: every results/BENCH_*.json belongs to a section
+#      of bench.sh and every record bench.sh names exists; the retired
+#      in-tree load harness (replaced by bench/, see CHANGES.md PR 14)
+#      is named nowhere outside the history files
+#  14. 73K topology smoke: generate the full-Internet-scale power-law
 #      graph, compute a destination shard, and delta-recompile one flap
 #      through `quicksand topo`
-#  11. fuzz smoke: every Fuzz* target for FUZZTIME (default 10s),
+#  15. fuzz smoke: every Fuzz* target for FUZZTIME (default 10s),
 #      including FuzzDeltaRecompile (delta ≡ full after every mutation)
-#  12. per-package coverage floors (see floor() below)
+#  16. per-package coverage floors (see floor() below)
 #
 # Run from anywhere; operates on the repository root. Set FUZZTIME=0 to
 # skip the fuzz smoke (e.g. on very slow machines).
@@ -92,7 +93,7 @@ echo "== serve smoke (loopback daemon end-to-end, -race) =="
 # The monitord acceptance path: boot `quicksand serve` wiring and the
 # daemon on loopback, replay an interception over a real BGP session,
 # and read alerts/metrics back over HTTP with the race detector on.
-go test -race -count=1 -run 'TestServeSmoke|TestServeObsSmoke|TestServeSignalBeforeBoot|TestServeEndToEnd|TestCollectorReconnect|TestBatchSizeEquivalence' \
+go test -race -count=1 -run 'TestServeSmoke|TestServeObsSmoke|TestServeSignalBeforeBoot|TestServeFourOctetOrigins|TestServeEndToEnd|TestCollectorReconnect|TestBatchSizeEquivalence' \
     ./cmd/quicksand/ ./internal/monitord/
 
 echo "== RIB snapshot round trip =="
@@ -111,14 +112,6 @@ echo "== metrics lint (Prometheus exposition format) =="
 go test -count=1 -run 'TestMetricsLint|TestMetricsGolden|TestExpositionPassesLint|TestServeObsSmoke|TestLintPromURL' \
     ./internal/monitord/ ./internal/obs/ ./cmd/quicksand/ ./internal/testkit/
 
-echo "== loadtest smoke (fleet harness + aggregated metrics, -race) =="
-# The fleet load harness end to end under the race detector: two
-# in-process monitord instances, real TCP load sessions, tracer hijacks
-# detected through the HTTP /alerts API, and the merged two-instance
-# exposition lint-clean.
-go test -race -count=1 -run 'TestLoadtestSmoke|TestLoadtestCmdJSON' \
-    ./cmd/quicksand/
-
 echo "== fleet router smoke (sharded watchlist + failover + equivalence, -race) =="
 # The fleet tentpole under the race detector: the router's longest-
 # prefix-aware dispatch over real BGP sessions and the merged HTTP
@@ -127,8 +120,8 @@ echo "== fleet router smoke (sharded watchlist + failover + equivalence, -race) 
 # multiset equivalence at widths 1 and 4 (including more-specific
 # hijacks that must cross shard-hash boundaries), the HTTP conformance
 # table both fronts must pass, the fleet /metrics golden, and the -fleet
-# arms of serve and loadtest.
-go test -race -count=1 -run 'TestRouterInprocAlerts|TestRouterBGPAndHTTP|TestFleetShardDeathFailover|TestFleetMatchesBatchMonitor|TestHTTPConformance|TestFleetMetricsGolden|TestServeFleetSmoke|TestLoadtestFleetSmoke' \
+# arm of serve.
+go test -race -count=1 -run 'TestRouterInprocAlerts|TestRouterBGPAndHTTP|TestFleetShardDeathFailover|TestFleetMatchesBatchMonitor|TestHTTPConformance|TestFleetMetricsGolden|TestServeFleetSmoke' \
     ./internal/fleet/ ./internal/testkit/ ./cmd/quicksand/
 
 echo "== bench module (own go.mod; root ./... does not cover it) =="
@@ -136,6 +129,33 @@ echo "== bench module (own go.mod; root ./... does not cover it) =="
 # monitord.New, fleet.New and obs.ParseExposition: vet and smoke-test it
 # so an internals change cannot break the benchmark unnoticed.
 (cd bench && go vet ./... && go test ./...)
+
+echo "== record hygiene (BENCH_*.json <-> bench.sh sections, retired names) =="
+# A record nobody regenerates goes stale silently, and a section whose
+# record was deleted by hand fails only on the next full bench run: both
+# directions are checked here. BENCH_obs.json is hand-recorded; its
+# section is the overhead smoke that names it as the baseline.
+for f in results/BENCH_*.json; do
+    if ! grep -q "^echo \"== .*$f" results/bench.sh; then
+        echo "FAIL: $f belongs to no section of results/bench.sh" >&2
+        exit 1
+    fi
+done
+for f in $(grep -o 'results/BENCH_[A-Za-z0-9_]*\.json' results/bench.sh | sort -u); do
+    if [ ! -f "$f" ]; then
+        echo "FAIL: results/bench.sh names $f, which does not exist" >&2
+        exit 1
+    fi
+done
+# The in-tree load harness and its two records were retired for bench/
+# (bash bench/run.sh). The pattern is spelled so this file does not
+# match itself.
+if stale=$(git grep -nE 'load(gen|test)|BENCH_(load|fleet)' -- . \
+    ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!bench'); then
+    echo "FAIL: retired load-harness names still referenced:" >&2
+    echo "$stale" >&2
+    exit 1
+fi
 
 echo "== 73K topology smoke (generate + shard + delta recompile) =="
 # The full-Internet-scale path end to end: generate 73,000 ASes, compute
