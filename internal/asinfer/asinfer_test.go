@@ -92,7 +92,7 @@ func TestInferRecoversGroundTruth(t *testing.T) {
 	var paths [][]bgp.ASN
 	for d := 0; d < 60; d++ {
 		dest := asns[rng.Intn(len(asns))]
-		rt, err := g.ComputeRoutes(topology.Origin{ASN: dest})
+		rt, err := g.Routes(nil, topology.Origin{ASN: dest})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -95,6 +95,11 @@ func decodeASPathInto(p *ASPath, data []byte, as4 bool) error {
 		if segType != SegmentSet && segType != SegmentSequence {
 			return fmt.Errorf("%w: AS_PATH segment type %d", ErrBadAttribute, segType)
 		}
+		if count == 0 {
+			// RFC 4271 §6.3: a zero-length segment is a malformed
+			// AS_PATH; the encoder refuses to write one.
+			return fmt.Errorf("%w: AS_PATH segment with 0 ASes", ErrBadAttribute)
+		}
 		need := 2 + count*asLen
 		if len(data) < need {
 			return fmt.Errorf("%w: AS_PATH segment needs %d bytes, have %d", ErrBadAttribute, need, len(data))

@@ -27,6 +27,10 @@ func FuzzParseUpdate(f *testing.F) {
 		f.Add(raw, as4)
 	}
 	f.Add([]byte{}, true)
+	// An AS_PATH whose one segment holds no AS: found by this fuzzer when
+	// the decoder still accepted what Marshal refuses.
+	emptySeg := []byte{0, 0, 0, 5, 0x40, AttrASPath, 2, SegmentSequence, 0}
+	f.Add(append(appendHeader(nil, TypeUpdate, len(emptySeg)), emptySeg...), true)
 	f.Fuzz(func(t *testing.T, data []byte, as4 bool) {
 		u, err := ParseUpdate(data, as4)
 		if err != nil {

@@ -19,7 +19,7 @@ import (
 // ProbePath returns the AS-level forward path from src toward the
 // destination whose route table is rt — the simulator's stand-in for a
 // traceroute run (each AS hop answers).
-func ProbePath(rt topology.RouteTable, src bgp.ASN) ([]bgp.ASN, bool) {
+func ProbePath(rt *topology.CompiledRoutes, src bgp.ASN) ([]bgp.ASN, bool) {
 	return rt.PathFrom(src)
 }
 

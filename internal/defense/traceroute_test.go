@@ -63,7 +63,7 @@ func TestProberDetectsInterception(t *testing.T) {
 	t3 := g.TierASNs(3)
 	victim := t3[0] // guard's AS
 
-	pre, err := g.ComputeRoutes(topology.Origin{ASN: victim})
+	pre, err := g.Routes(nil, topology.Origin{ASN: victim})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package monitord_test
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -13,6 +14,7 @@ import (
 	"quicksand/internal/bgp"
 	"quicksand/internal/bgpd"
 	"quicksand/internal/monitord"
+	"quicksand/internal/obs"
 	"quicksand/internal/testkit"
 )
 
@@ -71,7 +73,7 @@ func announce(pfx string, path ...bgp.ASN) *bgp.Update {
 }
 
 // scrapeFams fetches, lints, and parses the daemon's /metrics.
-func scrapeFams(t *testing.T, d *monitord.Daemon) []testkit.PromFamily {
+func scrapeFams(t *testing.T, d *monitord.Daemon) *obs.Snapshot {
 	t.Helper()
 	resp, err := http.Get("http://" + d.HTTPAddr() + "/metrics")
 	if err != nil {
@@ -85,41 +87,21 @@ func scrapeFams(t *testing.T, d *monitord.Daemon) []testkit.PromFamily {
 	if errs := testkit.LintProm(string(body)); errs != nil {
 		t.Fatalf("/metrics fails lint: %v", errs)
 	}
-	fams, err := testkit.ParseProm(string(body))
+	snap, err := obs.ParseExposition(bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return fams
+	return snap
 }
 
 // sampleValue returns the value of the named sample whose labels include
 // match, or -1 when absent.
-func sampleValue(fams []testkit.PromFamily, sample string, match map[string]string) float64 {
-	for _, f := range fams {
-		for _, s := range f.Samples {
-			if s.Name != sample {
-				continue
-			}
-			ok := true
-			for k, v := range match {
-				found := false
-				for _, l := range s.Labels {
-					if l.Name == k && l.Value == v {
-						found = true
-						break
-					}
-				}
-				if !found {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				return s.Value
-			}
-		}
+func sampleValue(snap *obs.Snapshot, sample string, match map[string]string) float64 {
+	v, n := snap.Sum(sample, match)
+	if n == 0 {
+		return -1
 	}
-	return -1
+	return v
 }
 
 // waitAlerts polls until the daemon has raised at least n alerts

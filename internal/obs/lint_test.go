@@ -37,11 +37,11 @@ func TestExpositionPassesLint(t *testing.T) {
 		t.Fatalf("obs exposition fails lint:\n%v\n\n%s", errs, b.String())
 	}
 	// The linter must see exactly the families registered.
-	fams, err := testkit.ParseProm(b.String())
+	snap, err := obs.ParseExposition(strings.NewReader(b.String()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(fams) != 7 {
-		t.Fatalf("parsed %d families, want 7", len(fams))
+	if len(snap.Families) != 7 {
+		t.Fatalf("parsed %d families, want 7", len(snap.Families))
 	}
 }

@@ -68,11 +68,11 @@ func NewRegistry() *Registry {
 // re-registrations agree on help, kind, and label schema.
 func (r *Registry) lookup(name, help string, kind Kind, labels []string) *family {
 	if err := checkMetricName(name); err != nil {
-		panic(err)
+		panic("obs: " + err.Error())
 	}
 	for _, l := range labels {
 		if err := checkLabelName(l); err != nil {
-			panic(err)
+			panic("obs: " + err.Error())
 		}
 	}
 	r.mu.Lock()
@@ -388,28 +388,28 @@ func escapeHelp(v string) string {
 
 func checkMetricName(name string) error {
 	if name == "" {
-		return fmt.Errorf("obs: empty metric name")
+		return fmt.Errorf("empty metric name")
 	}
 	for i, r := range name {
 		if r == '_' || r == ':' || (r >= 'a' && r <= 'z') || (r >= 'A' && r <= 'Z') ||
 			(i > 0 && r >= '0' && r <= '9') {
 			continue
 		}
-		return fmt.Errorf("obs: invalid metric name %q", name)
+		return fmt.Errorf("invalid metric name %q", name)
 	}
 	return nil
 }
 
 func checkLabelName(name string) error {
 	if name == "" || strings.HasPrefix(name, "__") {
-		return fmt.Errorf("obs: invalid label name %q", name)
+		return fmt.Errorf("invalid label name %q", name)
 	}
 	for i, r := range name {
 		if r == '_' || (r >= 'a' && r <= 'z') || (r >= 'A' && r <= 'Z') ||
 			(i > 0 && r >= '0' && r <= '9') {
 			continue
 		}
-		return fmt.Errorf("obs: invalid label name %q", name)
+		return fmt.Errorf("invalid label name %q", name)
 	}
 	return nil
 }

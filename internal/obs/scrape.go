@@ -1,10 +1,11 @@
 package obs
 
-// Multi-target /metrics scraping and aggregation. The fleet load
-// harness scrapes N monitord instances and needs one merged exposition
-// to report on; obs may not import any other quicksand package (see the
-// package doc), so the text-format parser here is self-contained rather
-// than borrowing testkit's.
+// Multi-target /metrics scraping and aggregation: the fleet router
+// merges the expositions of its shards (in process and remote) into the
+// one it serves. ParseExposition is the repository's one parser of the
+// Prometheus text format — testkit's linter and every test read
+// expositions through it too — so it is strict: what it accepts, a
+// Prometheus server accepts.
 
 import (
 	"bufio"
@@ -17,6 +18,7 @@ import (
 	"strconv"
 	"strings"
 	"time"
+	"unicode/utf8"
 )
 
 // ScrapedSample is one exposition sample line: the full sample name
@@ -25,13 +27,16 @@ type ScrapedSample struct {
 	Name   string
 	Labels map[string]string
 	Value  float64
+	Line   int // 1-based line in the parsed exposition; 0 in a merged snapshot
 }
 
-// ScrapedFamily groups the samples of one metric family as scraped.
+// ScrapedFamily groups the samples of one metric family as scraped, in
+// exposition order.
 type ScrapedFamily struct {
 	Name    string
 	Help    string
-	Type    string // counter | gauge | histogram | untyped
+	HasHelp bool   // a HELP line named the family
+	Type    string // counter | gauge | histogram | summary | untyped; "" when no TYPE line
 	Samples []ScrapedSample
 
 	index map[string]int // sample name + label key -> Samples offset
@@ -162,45 +167,33 @@ func labelsMatchExcept(labels, match map[string]string, except string) bool {
 	return true
 }
 
-// ParseExposition parses Prometheus text format 0.0.4. Unknown comment
-// lines are skipped; HELP/TYPE lines bind metadata to their family;
-// histogram _bucket/_sum/_count samples attach to the declaring family.
+// ParseExposition parses Prometheus text format 0.0.4, strictly. HELP
+// and TYPE lines bind metadata to their family and TYPE must name a
+// known type; other comment lines are skipped. A sample is a valid
+// metric name, an optional label block (valid label names, none
+// repeated, values quoted with \\ \" \n as the only escapes), a value and
+// at most one integer timestamp; the same series twice is an error.
+// _bucket/_sum/_count samples attach to the family their base names.
 func ParseExposition(r io.Reader) (*Snapshot, error) {
 	s := &Snapshot{byName: make(map[string]*ScrapedFamily)}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<22)
-	ln := 0
-	for sc.Scan() {
-		ln++
+	for ln := 1; sc.Scan(); ln++ {
 		line := strings.TrimSpace(sc.Text())
 		if line == "" {
 			continue
 		}
-		if strings.HasPrefix(line, "#") {
-			fields := strings.SplitN(line, " ", 4)
-			if len(fields) < 3 {
-				continue
-			}
-			switch fields[1] {
-			case "HELP":
-				f := s.family(fields[2])
-				if len(fields) == 4 {
-					f.Help = unescapeHelp(fields[3])
-				}
-			case "TYPE":
-				if len(fields) >= 4 {
-					s.family(fields[2]).Type = strings.TrimSpace(fields[3])
-				}
-			}
-			continue
+		var err error
+		switch {
+		case !utf8.ValidString(line):
+			err = fmt.Errorf("invalid UTF-8")
+		case line[0] == '#':
+			err = s.parseComment(line)
+		default:
+			err = s.parseSample(line, ln)
 		}
-		name, labels, value, err := parseSampleLine(line)
 		if err != nil {
 			return nil, fmt.Errorf("obs: exposition line %d: %v", ln, err)
-		}
-		fam := s.family(familyFor(s, name))
-		if !fam.addSample(ScrapedSample{Name: name, Labels: labels, Value: value}) {
-			return nil, fmt.Errorf("obs: exposition line %d: duplicate series %s%s", ln, name, labelKeyOf(labels))
 		}
 	}
 	if err := sc.Err(); err != nil {
@@ -209,17 +202,84 @@ func ParseExposition(r io.Reader) (*Snapshot, error) {
 	return s, nil
 }
 
-// familyFor maps a sample name to its family: _bucket/_sum/_count
-// suffixes fold into an already-declared histogram family, everything
-// else is its own family.
-func familyFor(s *Snapshot, sample string) string {
-	for _, suffix := range []string{"_bucket", "_sum", "_count"} {
-		base, ok := strings.CutSuffix(sample, suffix)
-		if !ok {
-			continue
+var knownTypes = map[string]bool{
+	"counter": true, "gauge": true, "histogram": true, "summary": true, "untyped": true,
+}
+
+// parseComment binds a "# HELP name text" or "# TYPE name type" line to
+// its family; any other comment is legal and ignored.
+func (s *Snapshot) parseComment(line string) error {
+	fields := strings.SplitN(line, " ", 4)
+	if len(fields) < 3 || (fields[1] != "HELP" && fields[1] != "TYPE") {
+		return nil
+	}
+	if err := checkMetricName(fields[2]); err != nil {
+		return err
+	}
+	rest := ""
+	if len(fields) == 4 {
+		rest = fields[3]
+	}
+	f := s.family(fields[2])
+	if fields[1] == "HELP" {
+		f.Help, f.HasHelp = unescapeHelp(rest), true
+		return nil
+	}
+	if !knownTypes[rest] {
+		return fmt.Errorf("family %s: unknown TYPE %q", f.Name, rest)
+	}
+	f.Type = rest
+	return nil
+}
+
+// parseSample parses "name{labels} value [timestamp]" into its family.
+func (s *Snapshot) parseSample(line string, ln int) error {
+	i := strings.IndexAny(line, "{ \t")
+	if i < 0 {
+		return fmt.Errorf("sample %q has no value", line)
+	}
+	sm := ScrapedSample{Name: line[:i], Line: ln}
+	if err := checkMetricName(sm.Name); err != nil {
+		return err
+	}
+	rest := line[i:]
+	var err error
+	if rest[0] == '{' {
+		if sm.Labels, rest, err = parseLabels(rest[1:]); err != nil {
+			return fmt.Errorf("sample %q: %v", line, err)
 		}
-		if f, ok := s.byName[base]; ok && f.Type == "histogram" {
-			return base
+	}
+	fields := strings.Fields(rest)
+	if len(fields) < 1 || len(fields) > 2 {
+		return fmt.Errorf("sample %q: want value [timestamp] after name", line)
+	}
+	if sm.Value, err = strconv.ParseFloat(fields[0], 64); err != nil {
+		return fmt.Errorf("sample %q: bad value: %v", line, err)
+	}
+	if len(fields) == 2 {
+		if _, err := strconv.ParseInt(fields[1], 10, 64); err != nil {
+			return fmt.Errorf("sample %q: bad timestamp", line)
+		}
+	}
+	if !s.family(s.familyFor(sm.Name)).addSample(sm) {
+		return fmt.Errorf("duplicate series %s%s", sm.Name, labelKeyOf(sm.Labels))
+	}
+	return nil
+}
+
+// familyFor maps a sample name to its family: a family of that exact
+// name wins; otherwise a _bucket/_sum/_count suffix folds into the
+// family its base names, if one is known; otherwise the sample starts
+// its own family.
+func (s *Snapshot) familyFor(sample string) string {
+	if _, ok := s.byName[sample]; ok {
+		return sample
+	}
+	for _, suffix := range []string{"_bucket", "_sum", "_count"} {
+		if base, ok := strings.CutSuffix(sample, suffix); ok {
+			if _, known := s.byName[base]; known {
+				return base
+			}
 		}
 	}
 	return sample
@@ -256,85 +316,99 @@ func labelKeyOf(labels map[string]string) string {
 	return labelKey(names, values)
 }
 
-func parseSampleLine(line string) (name string, labels map[string]string, value float64, err error) {
-	i := strings.IndexAny(line, "{ \t")
-	if i < 0 {
-		return "", nil, 0, fmt.Errorf("malformed sample %q", line)
-	}
-	name = line[:i]
-	rest := line[i:]
-	if rest[0] == '{' {
-		labels = make(map[string]string)
-		rest = rest[1:]
-		for {
-			rest = strings.TrimLeft(rest, ", \t")
-			if rest == "" {
-				return "", nil, 0, fmt.Errorf("unterminated label block in %q", line)
-			}
-			if rest[0] == '}' {
-				rest = rest[1:]
-				break
-			}
-			eq := strings.Index(rest, "=")
-			if eq < 0 || len(rest) < eq+2 || rest[eq+1] != '"' {
-				return "", nil, 0, fmt.Errorf("malformed label in %q", line)
-			}
-			lname := strings.TrimSpace(rest[:eq])
-			lval, remain, lerr := parseQuoted(rest[eq+1:])
-			if lerr != nil {
-				return "", nil, 0, fmt.Errorf("%v in %q", lerr, line)
-			}
-			labels[lname] = lval
-			rest = remain
+// parseLabels parses the inside of a label block — a="b",c="d"} with an
+// optional trailing comma — returning the labels and the rest of the
+// line after the closing brace.
+func parseLabels(rest string) (map[string]string, string, error) {
+	labels := make(map[string]string)
+	for {
+		rest = strings.TrimLeft(rest, " \t")
+		if rest == "" {
+			return nil, "", fmt.Errorf("unterminated label block")
+		}
+		if rest[0] == '}' {
+			return labels, rest[1:], nil
+		}
+		eq := strings.IndexByte(rest, '=')
+		if eq < 0 {
+			return nil, "", fmt.Errorf("label without '='")
+		}
+		name := strings.TrimSpace(rest[:eq])
+		if err := checkLabelName(name); err != nil {
+			return nil, "", err
+		}
+		if _, dup := labels[name]; dup {
+			return nil, "", fmt.Errorf("label %s repeated", name)
+		}
+		val, tail, err := parseQuoted(rest[eq+1:])
+		if err != nil {
+			return nil, "", fmt.Errorf("label %s: %v", name, err)
+		}
+		labels[name] = val
+		switch {
+		case strings.HasPrefix(tail, ","):
+			rest = tail[1:]
+		case strings.HasPrefix(tail, "}"):
+			return labels, tail[1:], nil
+		default:
+			return nil, "", fmt.Errorf("label %s: want ',' or '}' after its value", name)
 		}
 	}
-	fields := strings.Fields(rest)
-	if len(fields) == 0 {
-		return "", nil, 0, fmt.Errorf("missing value in %q", line)
-	}
-	value, err = strconv.ParseFloat(fields[0], 64)
-	if err != nil {
-		return "", nil, 0, fmt.Errorf("bad value %q: %v", fields[0], err)
-	}
-	return name, labels, value, nil
 }
 
-// parseQuoted consumes a double-quoted, backslash-escaped label value
-// starting at s[0] == '"', returning the decoded value and the rest.
+// parseQuoted consumes a double-quoted label value starting at s[0] ==
+// '"', returning the decoded value and the rest. \\, \" and \n are the
+// only escapes.
 func parseQuoted(s string) (string, string, error) {
 	if s == "" || s[0] != '"' {
-		return "", "", fmt.Errorf("expected quoted value")
+		return "", "", fmt.Errorf("unquoted value")
 	}
 	var b strings.Builder
-	i := 1
-	for i < len(s) {
+	for i := 1; i < len(s); i++ {
 		switch s[i] {
 		case '"':
 			return b.String(), s[i+1:], nil
 		case '\\':
-			if i+1 >= len(s) {
+			i++
+			switch {
+			case i == len(s):
 				return "", "", fmt.Errorf("dangling escape")
-			}
-			switch s[i+1] {
-			case 'n':
+			case s[i] == 'n':
 				b.WriteByte('\n')
-			case '\\', '"':
-				b.WriteByte(s[i+1])
+			case s[i] == '\\' || s[i] == '"':
+				b.WriteByte(s[i])
 			default:
-				b.WriteByte(s[i+1])
+				return "", "", fmt.Errorf("bad escape \\%c", s[i])
 			}
-			i += 2
 		default:
 			b.WriteByte(s[i])
-			i++
 		}
 	}
 	return "", "", fmt.Errorf("unterminated quoted value")
 }
 
+// unescapeHelp decodes HELP text: \\ is a backslash and \n a newline; a
+// backslash before anything else stands for itself. One pass, so that
+// the escaped backslash of `C:\\new` is not read as the start of a \n.
 func unescapeHelp(s string) string {
-	s = strings.ReplaceAll(s, `\n`, "\n")
-	return strings.ReplaceAll(s, `\\`, `\`)
+	if !strings.Contains(s, `\`) {
+		return s
+	}
+	var b strings.Builder
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if c == '\\' && i+1 < len(s) {
+			switch s[i+1] {
+			case '\\':
+				i++
+			case 'n':
+				i++
+				c = '\n'
+			}
+		}
+		b.WriteByte(c)
+	}
+	return b.String()
 }
 
 // ScrapeTarget fetches and parses one /metrics endpoint.
@@ -384,6 +458,7 @@ func MergeSnapshots(snaps ...*Snapshot) (*Snapshot, error) {
 			if of.Help == "" {
 				of.Help = f.Help
 			}
+			of.HasHelp = of.HasHelp || f.HasHelp
 			for _, sm := range f.Samples {
 				labels := make(map[string]string, len(sm.Labels))
 				for k, v := range sm.Labels {
@@ -399,8 +474,9 @@ func MergeSnapshots(snaps ...*Snapshot) (*Snapshot, error) {
 // WritePrometheus renders the snapshot back to exposition text:
 // families in sorted name order, histogram buckets in bound order with
 // sum and count after them, other samples in sorted label order. The
-// output round-trips through ParseExposition and passes the testkit
-// linter, so aggregated fleet metrics can be linted and re-served.
+// output round-trips through ParseExposition (FuzzPromParse) and passes
+// the testkit linter, so aggregated fleet metrics can be linted and
+// re-served.
 func (s *Snapshot) WritePrometheus(w io.Writer) error {
 	if s == nil {
 		return nil

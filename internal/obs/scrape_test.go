@@ -78,6 +78,47 @@ func TestParseExpositionRoundTrip(t *testing.T) {
 	}
 }
 
+// TestParseExpositionClean pins what the linter reads off a snapshot:
+// families and samples in exposition order with their line numbers,
+// HELP/TYPE metadata, histogram samples grouped under their family, and
+// a plain comment and a timestamp accepted and dropped.
+func TestParseExpositionClean(t *testing.T) {
+	text := `# scraped by hand
+# HELP demo_updates_total Updates ingested.
+# TYPE demo_updates_total counter
+demo_updates_total 42 1712000000
+# TYPE demo_depth gauge
+demo_depth{shard="0"} 3
+demo_depth{shard="1",} 0
+# HELP demo_latency_seconds Latency.
+# TYPE demo_latency_seconds histogram
+demo_latency_seconds_bucket{le="0.1"} 1
+demo_latency_seconds_bucket{le="+Inf"} 5
+demo_latency_seconds_sum 6.5
+demo_latency_seconds_count 5
+`
+	snap, err := obs.ParseExposition(strings.NewReader(text))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(snap.Families) != 3 {
+		t.Fatalf("got %d families, want 3", len(snap.Families))
+	}
+	c, g, h := snap.Families[0], snap.Families[1], snap.Families[2]
+	if c.Name != "demo_updates_total" || c.Type != "counter" || !c.HasHelp ||
+		c.Help != "Updates ingested." || len(c.Samples) != 1 ||
+		c.Samples[0].Value != 42 || c.Samples[0].Line != 4 {
+		t.Errorf("counter family = %+v", c)
+	}
+	if g.HasHelp || g.Type != "gauge" || len(g.Samples) != 2 ||
+		g.Samples[1].Labels["shard"] != "1" || g.Samples[1].Line != 7 {
+		t.Errorf("gauge family = %+v", g)
+	}
+	if h.Name != "demo_latency_seconds" || len(h.Samples) != 4 || h.Samples[3].Name != "demo_latency_seconds_count" {
+		t.Errorf("histogram family = %+v", h)
+	}
+}
+
 func TestParseExpositionEscapes(t *testing.T) {
 	text := "# HELP weird_total A \\\\ help \\n line\n" +
 		"# TYPE weird_total counter\n" +
@@ -108,21 +149,61 @@ func TestParseExpositionEscapes(t *testing.T) {
 	if got := again.Family("weird_total").Samples[0].Labels["path"]; got != "a\\b\"c\nd" {
 		t.Errorf("round-tripped label = %q", got)
 	}
+
+	// HELP text survives the path the fleet's /metrics takes — registry,
+	// snapshot, merge, write, parse — even where a literal backslash sits
+	// in front of an n.
+	const help = "Files under C:\\new, one per\nline."
+	reg := obs.NewRegistry()
+	reg.Counter("pathy_total", help).Inc()
+	sn, err := obs.SnapshotRegistry(reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	merged, err := obs.MergeSnapshots(sn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.Reset()
+	if err := merged.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	if again, err = obs.ParseExposition(strings.NewReader(b.String())); err != nil {
+		t.Fatal(err)
+	}
+	if got := again.Family("pathy_total").Help; got != help {
+		t.Errorf("round-tripped HELP = %q, want %q", got, help)
+	}
 }
 
 func TestParseExpositionErrors(t *testing.T) {
-	bad := []string{
-		"metric{foo} 1\n",        // label without =
-		"metric{a=\"b\"} nope\n", // bad value
-		"metric{a=\"b\" 1\n",     // unterminated block
-		"justaname\n",            // no value
+	for name, text := range map[string]string{
+		"label without =":    "metric{foo} 1\n",
+		"bad value":          "metric{a=\"b\"} nope\n",
+		"unterminated block": "metric{a=\"b\" 1\n",
+		"no value":           "justaname\n",
 		// The same series twice in one exposition is a defect of the
 		// target, not two instances to sum (that is MergeSnapshots).
-		"# TYPE x_total counter\nx_total{a=\"1\",b=\"2\"} 3\nx_total{b=\"2\",a=\"1\"} 4\n",
-	}
-	for _, text := range bad {
+		"duplicate series": "# TYPE x_total counter\nx_total{a=\"1\",b=\"2\"} 3\nx_total{b=\"2\",a=\"1\"} 4\n",
+
+		"repeated label":      "a{x=\"1\",x=\"2\"} 1\n",
+		"empty label slots":   "a{,,x=\"1\"} 1\n",
+		"empty label name":    "a{=\"v\"} 1\n",
+		"reserved label name": "a{__x=\"v\"} 1\n",
+		"bad metric name":     "9a 1\n",
+		"bad family name":     "# HELP 9a x\n",
+		"unknown escape":      "a{x=\"\\q\"} 1\n",
+		"dangling escape":     "a{x=\"\\\n",
+		"unquoted label":      "a{x=1} 1\n",
+		"junk after value":    "a{x=\"1\" y=\"2\"} 1\n",
+		"two timestamps":      "a 1 2 3\n",
+		"bad timestamp":       "a 1 nope\n",
+		"type without type":   "# TYPE a\n",
+		"unknown type":        "# TYPE a bogus\n",
+		"invalid utf-8":       "a{x=\"\xff\"} 1\n",
+	} {
 		if _, err := obs.ParseExposition(strings.NewReader(text)); err == nil {
-			t.Errorf("no error for %q", text)
+			t.Errorf("%s: no error for %q", name, text)
 		}
 	}
 }

@@ -23,7 +23,9 @@
 // a reported confidence bound. The cost of a matrix is the route
 // engine's: about four fifths of it is ComputeRoutesInto, the rest the
 // per-client tally. Engine caches finished matrices keyed by the graph's
-// mutation version, mirroring topology.RouteCache.
+// mutation version (topology.VersionMemo). The brute-force reference the
+// matrix is proven against is testkit.CheckResilienceExact, on the
+// testkit route oracle.
 package resilience
 
 import (
@@ -32,7 +34,6 @@ import (
 	"math/rand"
 	"slices"
 	"strings"
-	"sync"
 	"time"
 
 	"quicksand/internal/bgp"
@@ -322,59 +323,40 @@ func sampleIDs(dst []int32, swap map[int]int, rng *rand.Rand, n int, skip int32,
 }
 
 // Engine caches resilience matrices behind the graph's mutation
-// version, mirroring topology.RouteCache: concurrent callers asking for
-// the same configuration share one computation, and any graph mutation
-// invalidates every cached matrix. Safe for concurrent use.
+// version in a topology.VersionMemo, as topology.RouteCache does route
+// tables: concurrent callers asking for the same configuration share one
+// computation, and any graph mutation invalidates every cached matrix.
+// Safe for concurrent use.
 type Engine struct {
-	g *topology.Graph
 	// Met, when set before use, instruments computations and cache
 	// traffic. Nil disables all recording.
 	Met *Metrics
 
-	mu      sync.Mutex
-	version uint64
-	entries map[string]*engineEntry
-}
-
-type engineEntry struct {
-	once sync.Once
-	m    *Matrix
-	err  error
+	memo *topology.VersionMemo[string, *Matrix]
 }
 
 // NewEngine returns an empty engine over g.
 func NewEngine(g *topology.Graph) *Engine {
-	return &Engine{g: g, entries: make(map[string]*engineEntry)}
+	return &Engine{memo: topology.NewVersionMemo[string, *Matrix](g)}
 }
 
 // Graph returns the graph the engine computes over.
-func (e *Engine) Graph() *topology.Graph { return e.g }
+func (e *Engine) Graph() *topology.Graph { return e.memo.Graph() }
 
 // Matrix returns the cached matrix for cfg, computing it on first use
-// per graph version. Stale entries from earlier versions are discarded
-// wholesale, exactly like RouteCache's per-destination tables.
+// per graph version.
 func (e *Engine) Matrix(cfg Config) (*Matrix, error) {
-	key := cfg.key(e.g.Compiled().Len())
-	e.mu.Lock()
-	if v := e.g.Version(); v != e.version {
-		e.entries = make(map[string]*engineEntry)
-		e.version = v
-	}
-	en, hit := e.entries[key]
-	if !hit {
-		en = &engineEntry{}
-		e.entries[key] = en
-	}
-	e.mu.Unlock()
+	g, miss := e.memo.Graph(), false
+	m, err := e.memo.Get(cfg.key(g.Compiled().Len()), func() (*Matrix, error) {
+		miss = true
+		return Compute(g, cfg, e.Met)
+	})
 	if e.Met != nil {
-		if hit {
-			e.Met.CacheHits.Inc()
-		} else {
+		if miss {
 			e.Met.CacheMisses.Inc()
+		} else {
+			e.Met.CacheHits.Inc()
 		}
 	}
-	en.once.Do(func() {
-		en.m, en.err = Compute(e.g, cfg, e.Met)
-	})
-	return en.m, en.err
+	return m, err
 }

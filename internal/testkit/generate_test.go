@@ -38,12 +38,12 @@ func TestRandomTopologyConnected(t *testing.T) {
 		t.Fatal(err)
 	}
 	origin := g.TierASNs(1)[0]
-	rt, err := g.ComputeRoutes(topology.Origin{ASN: origin})
+	rt, err := g.Routes(nil, topology.Origin{ASN: origin})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, asn := range g.ASNs() {
-		if _, ok := rt[asn]; !ok {
+		if _, ok := rt.Route(asn); !ok {
 			t.Errorf("AS %v has no route to tier-1 origin %v", asn, origin)
 		}
 	}

@@ -8,11 +8,12 @@ import (
 	"quicksand/internal/topology"
 )
 
-// NaiveRoutes is an independent reference implementation of
-// policy-compliant route selection, used as a differential oracle
-// against topology.ComputeRoutes. Where ComputeRoutes is a three-phase
-// propagation tuned for speed, this is a plain synchronous fixpoint
-// iteration over full AS paths — the textbook Gao-Rexford model:
+// NaiveRoutes is the reference implementation of policy-compliant
+// route selection: the one oracle every differential test diffs the
+// compiled engine (topology.ComputeRoutesInto) against. Where the engine
+// is a three-phase propagation over interned ids tuned for speed, this
+// is a plain synchronous fixpoint iteration over full AS paths — the
+// textbook Gao-Rexford model:
 //
 //   - every AS repeatedly examines all routes its neighbors exported
 //     last round and keeps the best by (customer > peer > provider,
@@ -228,29 +229,18 @@ func DiffRoutes(got, want topology.RouteTable) []RouteDiff {
 }
 
 // CheckRoutesAgainstOracle computes routes for the given origins with
-// both production engines — the legacy map-based ComputeRoutesFiltered
-// and the compiled array-backed engine — and the naive oracle, failing
-// on any disagreement, reporting the first few diffs.
+// the compiled engine and the naive oracle, failing on any disagreement
+// and reporting the first few diffs.
 func CheckRoutesAgainstOracle(g *topology.Graph, filter topology.ImportFilter, origins ...topology.Origin) error {
 	want, err := NaiveRoutes(g, filter, origins...)
 	if err != nil {
 		return fmt.Errorf("oracle: %w", err)
 	}
-	legacy, err := g.ComputeRoutesFiltered(filter, origins...)
-	if err != nil {
-		return fmt.Errorf("ComputeRoutes: %w", err)
-	}
-	if err := reportDiffs("legacy", DiffRoutes(legacy, want)); err != nil {
-		return err
-	}
-	compiled, err := g.Compiled().Routes(nil, filter, origins...)
+	got, err := g.Compiled().Routes(nil, filter, origins...)
 	if err != nil {
 		return fmt.Errorf("compiled Routes: %w", err)
 	}
-	return reportDiffs("compiled", DiffRoutes(compiled.Table(), want))
-}
-
-func reportDiffs(engine string, diffs []RouteDiff) error {
+	diffs := DiffRoutes(got.Table(), want)
 	if len(diffs) == 0 {
 		return nil
 	}
@@ -262,5 +252,5 @@ func reportDiffs(engine string, diffs []RouteDiff) error {
 	for _, d := range show {
 		msg += "\n  " + d.String()
 	}
-	return fmt.Errorf("%s route tables disagree with oracle at %d ASes:%s", engine, len(diffs), msg)
+	return fmt.Errorf("compiled route tables disagree with oracle at %d ASes:%s", len(diffs), msg)
 }

@@ -117,10 +117,11 @@ func TestDiffRoutesReportsDisagreements(t *testing.T) {
 		t.Fatal(err)
 	}
 	origin := g.ASNs()[0]
-	rt, err := g.ComputeRoutes(topology.Origin{ASN: origin})
+	cr, err := g.Routes(nil, topology.Origin{ASN: origin})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rt := cr.Table()
 	if diffs := DiffRoutes(rt, rt); len(diffs) != 0 {
 		t.Fatalf("identical tables diff: %v", diffs)
 	}
@@ -172,11 +173,11 @@ func TestNaiveRoutesValidation(t *testing.T) {
 }
 
 // FuzzComputeRoutes builds a small graph from the input and checks the
-// compiled engine against the map-based reference and the naive oracle,
-// route for route, under 1-3 origins, announcement scoping and an
-// import filter. It is the proof the compiled engine's order-free
-// frontiers lean on: the engine walks its queues in fill order, the
-// reference in (pathLen, ASN) order, and every table must still agree.
+// compiled engine against the naive oracle, route for route, under 1-3
+// origins, announcement scoping and an import filter. It is the proof
+// the compiled engine's order-free frontiers lean on: the engine walks
+// its queues in fill order, the oracle has no queues at all, and every
+// table must still agree.
 //
 // The first six bytes choose the origins, the scoping and the filter;
 // each following 3-byte chunk adds one link (kind, endpoint, endpoint).

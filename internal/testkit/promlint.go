@@ -6,264 +6,29 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"quicksand/internal/obs"
 )
 
-// Prometheus text-exposition (version 0.0.4) parser and linter. Every
-// /metrics endpoint in the repository — monitord's and the shared
+// Prometheus text-exposition (version 0.0.4) linter, on top of the
+// repository's one parser, obs.ParseExposition. Every /metrics endpoint
+// in the repository — monitord's, the fleet's and the shared
 // internal/obs handler — is checked against these rules in tests, so an
 // exposition that a real Prometheus server would reject (or silently
 // misread) fails CI instead of a scrape.
-
-// PromLabel is one name="value" pair, in declaration order.
-type PromLabel struct {
-	Name, Value string
-}
-
-// PromSample is one rendered sample line.
-type PromSample struct {
-	Name   string // full sample name, including _bucket/_sum/_count suffixes
-	Labels []PromLabel
-	Value  float64
-	Line   int // 1-based line number in the input
-}
-
-// PromFamily is one metric family: its HELP/TYPE headers plus samples.
-type PromFamily struct {
-	Name    string
-	Help    string
-	HasHelp bool
-	Type    string
-	Samples []PromSample
-}
-
-// ParseProm parses a text-format exposition into families, in input
-// order. Samples with no preceding HELP/TYPE are grouped under their
-// base name (suffixes stripped for histogram samples) with empty
-// headers; lint rules flag the missing metadata.
-func ParseProm(text string) ([]PromFamily, error) {
-	var fams []PromFamily
-	idx := make(map[string]int)
-	get := func(name string) *PromFamily {
-		if i, ok := idx[name]; ok {
-			return &fams[i]
-		}
-		idx[name] = len(fams)
-		fams = append(fams, PromFamily{Name: name})
-		return &fams[len(fams)-1]
-	}
-
-	for lineNo, line := range strings.Split(text, "\n") {
-		n := lineNo + 1
-		if strings.TrimSpace(line) == "" {
-			continue
-		}
-		if strings.HasPrefix(line, "#") {
-			fields := strings.SplitN(line, " ", 4)
-			if len(fields) >= 3 && (fields[1] == "HELP" || fields[1] == "TYPE") {
-				fam := get(fields[2])
-				rest := ""
-				if len(fields) == 4 {
-					rest = fields[3]
-				}
-				if fields[1] == "HELP" {
-					fam.Help = rest
-					fam.HasHelp = true
-				} else {
-					if rest == "" {
-						return nil, fmt.Errorf("line %d: TYPE without a type", n)
-					}
-					fam.Type = rest
-				}
-			}
-			continue // other comments are legal and ignored
-		}
-		s, err := parsePromSample(line)
-		if err != nil {
-			return nil, fmt.Errorf("line %d: %w", n, err)
-		}
-		s.Line = n
-		fam := get(promBaseName(s.Name, fams, idx))
-		fam.Samples = append(fam.Samples, s)
-	}
-	return fams, nil
-}
-
-// promBaseName maps a sample name to its family name: exact family
-// matches win; otherwise histogram/summary suffixes are stripped when
-// the stripped name names a known family; otherwise the name itself.
-func promBaseName(name string, fams []PromFamily, idx map[string]int) string {
-	if _, ok := idx[name]; ok {
-		return name
-	}
-	for _, suffix := range []string{"_bucket", "_sum", "_count"} {
-		if base, ok := strings.CutSuffix(name, suffix); ok {
-			if _, known := idx[base]; known {
-				return base
-			}
-		}
-	}
-	return name
-}
-
-// parsePromSample parses `name{labels} value [timestamp]`.
-func parsePromSample(line string) (PromSample, error) {
-	var s PromSample
-	rest := line
-	i := strings.IndexAny(rest, "{ ")
-	if i < 0 {
-		return s, fmt.Errorf("sample %q has no value", line)
-	}
-	s.Name = rest[:i]
-	if err := checkPromName(s.Name, false); err != nil {
-		return s, err
-	}
-	if rest[i] == '{' {
-		labels, tail, err := parsePromLabels(rest[i:])
-		if err != nil {
-			return s, err
-		}
-		s.Labels = labels
-		rest = tail
-	} else {
-		rest = rest[i:]
-	}
-	fields := strings.Fields(rest)
-	if len(fields) < 1 || len(fields) > 2 {
-		return s, fmt.Errorf("sample %q: want value [timestamp] after name", line)
-	}
-	v, err := parsePromValue(fields[0])
-	if err != nil {
-		return s, fmt.Errorf("sample %q: bad value: %w", line, err)
-	}
-	s.Value = v
-	if len(fields) == 2 {
-		if _, err := strconv.ParseInt(fields[1], 10, 64); err != nil {
-			return s, fmt.Errorf("sample %q: bad timestamp", line)
-		}
-	}
-	return s, nil
-}
-
-// parsePromValue accepts the exposition value grammar: Go float syntax
-// plus +Inf/-Inf/NaN.
-func parsePromValue(s string) (float64, error) {
-	switch s {
-	case "+Inf":
-		return math.Inf(1), nil
-	case "-Inf":
-		return math.Inf(-1), nil
-	case "NaN":
-		return math.NaN(), nil
-	}
-	return strconv.ParseFloat(s, 64)
-}
-
-// parsePromLabels parses a `{a="b",c="d"}` block (possibly empty),
-// returning the labels and the remainder of the line.
-func parsePromLabels(in string) ([]PromLabel, string, error) {
-	var out []PromLabel
-	rest := in[1:] // past '{'
-	for {
-		rest = strings.TrimLeft(rest, " ")
-		if rest == "" {
-			return nil, "", fmt.Errorf("unterminated label block")
-		}
-		if rest[0] == '}' {
-			return out, rest[1:], nil
-		}
-		eq := strings.IndexByte(rest, '=')
-		if eq < 0 {
-			return nil, "", fmt.Errorf("label without '='")
-		}
-		name := strings.TrimSpace(rest[:eq])
-		if err := checkPromName(name, true); err != nil {
-			return nil, "", err
-		}
-		rest = rest[eq+1:]
-		if rest == "" || rest[0] != '"' {
-			return nil, "", fmt.Errorf("label %s: unquoted value", name)
-		}
-		val, tail, err := unescapePromLabel(rest[1:])
-		if err != nil {
-			return nil, "", fmt.Errorf("label %s: %w", name, err)
-		}
-		out = append(out, PromLabel{Name: name, Value: val})
-		rest = tail
-		if rest == "" {
-			return nil, "", fmt.Errorf("unterminated label block")
-		}
-		switch rest[0] {
-		case ',':
-			rest = rest[1:]
-		case '}':
-			return out, rest[1:], nil
-		default:
-			return nil, "", fmt.Errorf("unexpected %q after label value", rest[0])
-		}
-	}
-}
-
-// unescapePromLabel consumes a quoted label value body (opening quote
-// already eaten), handling \\, \" and \n escapes.
-func unescapePromLabel(in string) (string, string, error) {
-	var b strings.Builder
-	for i := 0; i < len(in); i++ {
-		switch in[i] {
-		case '"':
-			return b.String(), in[i+1:], nil
-		case '\\':
-			if i+1 >= len(in) {
-				return "", "", fmt.Errorf("dangling escape")
-			}
-			i++
-			switch in[i] {
-			case '\\':
-				b.WriteByte('\\')
-			case '"':
-				b.WriteByte('"')
-			case 'n':
-				b.WriteByte('\n')
-			default:
-				return "", "", fmt.Errorf("bad escape \\%c", in[i])
-			}
-		case '\n':
-			return "", "", fmt.Errorf("newline inside label value")
-		default:
-			b.WriteByte(in[i])
-		}
-	}
-	return "", "", fmt.Errorf("unterminated label value")
-}
-
-func checkPromName(name string, label bool) error {
-	if name == "" {
-		return fmt.Errorf("empty name")
-	}
-	for i, r := range name {
-		if r == '_' || (!label && r == ':') || (r >= 'a' && r <= 'z') || (r >= 'A' && r <= 'Z') ||
-			(i > 0 && r >= '0' && r <= '9') {
-			continue
-		}
-		return fmt.Errorf("invalid name %q", name)
-	}
-	return nil
-}
-
-var promTypes = map[string]bool{
-	"counter": true, "gauge": true, "histogram": true, "summary": true, "untyped": true,
-}
 
 // LintProm parses text and checks the exposition rules Prometheus
 // enforces (plus the repository's own conventions), returning every
 // violation found. A nil slice means the exposition is clean.
 //
-// Checks: parseability; HELP and TYPE present and preceding samples;
-// known TYPE values; families contiguous (no interleaved reappearance);
-// no duplicate series; counters named *_total with non-negative values;
-// histograms with in-order le buckets, a +Inf bucket, non-decreasing
-// cumulative counts, and _count matching the +Inf bucket.
+// Checks: parseability, which with obs.ParseExposition includes known
+// TYPE values and no duplicate series; HELP and TYPE present; families
+// contiguous (no interleaved reappearance); counters named *_total with
+// non-negative values; histograms with in-order le buckets, a +Inf
+// bucket, non-decreasing cumulative counts, and _count matching the
+// +Inf bucket.
 func LintProm(text string) []error {
-	fams, err := ParseProm(text)
+	snap, err := obs.ParseExposition(strings.NewReader(text))
 	if err != nil {
 		return []error{err}
 	}
@@ -273,14 +38,12 @@ func LintProm(text string) []error {
 	}
 
 	lastLine := 0
-	for _, fam := range fams {
+	for _, fam := range snap.Families {
 		if !fam.HasHelp {
 			lintf("family %s: no HELP", fam.Name)
 		}
 		if fam.Type == "" {
 			lintf("family %s: no TYPE", fam.Name)
-		} else if !promTypes[fam.Type] {
-			lintf("family %s: unknown TYPE %q", fam.Name, fam.Type)
 		}
 
 		// Contiguity: every sample of this family must come after the
@@ -292,15 +55,6 @@ func LintProm(text string) []error {
 			if s.Line > lastLine {
 				lastLine = s.Line
 			}
-		}
-
-		seen := make(map[string]bool)
-		for _, s := range fam.Samples {
-			key := seriesKey(s)
-			if seen[key] {
-				lintf("family %s: duplicate series %s", fam.Name, key)
-			}
-			seen[key] = true
 		}
 
 		switch fam.Type {
@@ -329,27 +83,9 @@ func LintProm(text string) []error {
 	return errs
 }
 
-// seriesKey identifies a series: sample name plus its label set in
-// sorted order (declaration order is not identity).
-func seriesKey(s PromSample) string {
-	labels := append([]PromLabel(nil), s.Labels...)
-	sort.Slice(labels, func(i, j int) bool { return labels[i].Name < labels[j].Name })
-	var b strings.Builder
-	b.WriteString(s.Name)
-	b.WriteByte('{')
-	for i, l := range labels {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, "%s=%q", l.Name, l.Value)
-	}
-	b.WriteByte('}')
-	return b.String()
-}
-
 // lintHistogram checks one histogram family: per-series bucket order,
 // +Inf presence, cumulative monotonicity, and _count consistency.
-func lintHistogram(fam PromFamily, lintf func(string, ...any)) {
+func lintHistogram(fam *obs.ScrapedFamily, lintf func(string, ...any)) {
 	type hist struct {
 		bounds []float64
 		counts []float64
@@ -359,13 +95,17 @@ func lintHistogram(fam PromFamily, lintf func(string, ...any)) {
 	}
 	series := make(map[string]*hist)
 	order := []string{}
-	get := func(labels []PromLabel) *hist {
-		var b strings.Builder
-		for _, l := range labels {
-			if l.Name == "le" {
-				continue
+	get := func(labels map[string]string) *hist {
+		names := make([]string, 0, len(labels))
+		for n := range labels {
+			if n != "le" {
+				names = append(names, n)
 			}
-			fmt.Fprintf(&b, "%s=%q,", l.Name, l.Value)
+		}
+		sort.Strings(names)
+		var b strings.Builder
+		for _, n := range names {
+			fmt.Fprintf(&b, "%s=%q,", n, labels[n])
 		}
 		k := b.String()
 		h, ok := series[k]
@@ -380,17 +120,12 @@ func lintHistogram(fam PromFamily, lintf func(string, ...any)) {
 	for _, s := range fam.Samples {
 		switch s.Name {
 		case fam.Name + "_bucket":
-			le := ""
-			for _, l := range s.Labels {
-				if l.Name == "le" {
-					le = l.Value
-				}
-			}
+			le := s.Labels["le"]
 			if le == "" {
 				lintf("family %s: bucket without le label (line %d)", fam.Name, s.Line)
 				continue
 			}
-			bound, err := parsePromValue(le)
+			bound, err := strconv.ParseFloat(le, 64)
 			if err != nil {
 				lintf("family %s: unparseable le %q", fam.Name, le)
 				continue

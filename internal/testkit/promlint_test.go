@@ -3,6 +3,8 @@ package testkit
 import (
 	"strings"
 	"testing"
+
+	"quicksand/internal/obs"
 )
 
 const cleanExposition = `# HELP demo_updates_total Updates ingested.
@@ -21,47 +23,9 @@ demo_latency_seconds_sum 6.5
 demo_latency_seconds_count 5
 `
 
-func TestParsePromClean(t *testing.T) {
-	fams, err := ParseProm(cleanExposition)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fams) != 3 {
-		t.Fatalf("got %d families, want 3", len(fams))
-	}
-	if fams[0].Name != "demo_updates_total" || fams[0].Type != "counter" ||
-		fams[0].Help != "Updates ingested." || len(fams[0].Samples) != 1 ||
-		fams[0].Samples[0].Value != 42 {
-		t.Errorf("counter family = %+v", fams[0])
-	}
-	if got := len(fams[2].Samples); got != 5 {
-		t.Errorf("histogram has %d samples, want 5", got)
-	}
-	if l := fams[1].Samples[0].Labels; len(l) != 1 || l[0] != (PromLabel{"shard", "0"}) {
-		t.Errorf("labels = %v", l)
-	}
-}
-
 func TestLintPromClean(t *testing.T) {
 	if errs := LintProm(cleanExposition); len(errs) != 0 {
 		t.Fatalf("clean exposition flagged: %v", errs)
-	}
-}
-
-func TestParsePromEscapes(t *testing.T) {
-	in := `# HELP esc_total x
-# TYPE esc_total counter
-esc_total{path="a\"b\\c\nd"} 1
-`
-	fams, err := ParseProm(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := fams[0].Samples[0].Labels[0].Value; got != "a\"b\\c\nd" {
-		t.Errorf("unescaped value = %q", got)
-	}
-	if errs := LintProm(in); len(errs) != 0 {
-		t.Errorf("escaped labels flagged: %v", errs)
 	}
 }
 
@@ -83,7 +47,7 @@ func TestLintPromViolations(t *testing.T) {
 		"duplicate series": {
 			"# HELP g x\n# TYPE g gauge\ng{a=\"1\"} 1\ng{a=\"1\"} 2\n", "duplicate series"},
 		"interleaved families": {
-			"# HELP a x\n# TYPE a gauge\n# HELP b x\n# TYPE b gauge\na 1\nb 1\na 2\n", "interleaved"},
+			"# HELP a x\n# TYPE a gauge\n# HELP b x\n# TYPE b gauge\na{s=\"0\"} 1\nb 1\na{s=\"1\"} 2\n", "interleaved"},
 		"bucket order": {
 			"# HELP h x\n# TYPE h histogram\nh_bucket{le=\"1\"} 1\nh_bucket{le=\"0.5\"} 2\nh_bucket{le=\"+Inf\"} 3\nh_sum 1\nh_count 3\n",
 			"out of order"},
@@ -111,53 +75,39 @@ func TestLintPromViolations(t *testing.T) {
 	}
 }
 
-func TestParsePromErrors(t *testing.T) {
-	for name, in := range map[string]string{
-		"no value":          "x_total\n",
-		"bad value":         "x_total abc\n",
-		"bad name":          "9bad 1\n",
-		"unterminated":      "x{a=\"1\" 1\n",
-		"unquoted label":    "x{a=1} 1\n",
-		"bad escape":        "x{a=\"\\t\"} 1\n",
-		"dangling escape":   "x{a=\"\\\n",
-		"label without eq":  "x{a} 1\n",
-		"bad timestamp":     "x 1 nope\n",
-		"type without type": "# TYPE x\nx 1\n",
-	} {
-		if _, err := ParseProm(in); err == nil {
-			t.Errorf("%s: parsed without error", name)
-		}
-	}
-}
-
-func TestParsePromTimestampAndUntypedComment(t *testing.T) {
-	in := "# just a comment\n# HELP x_total x\n# TYPE x_total counter\nx_total 1 1712000000\n"
-	fams, err := ParseProm(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fams) != 1 || fams[0].Samples[0].Value != 1 {
-		t.Fatalf("families = %+v", fams)
-	}
-}
-
+// FuzzPromParse fuzzes the one exposition parser, obs.ParseExposition
+// (the fleet's /metrics merge and ScrapeTarget feed it outside input):
+// it never panics, nor does the linter on what it accepts, and an
+// accepted exposition written back by Snapshot.WritePrometheus parses
+// to an equal snapshot.
 func FuzzPromParse(f *testing.F) {
 	f.Add(cleanExposition)
 	f.Add("x_total{a=\"b\\\"c\"} 1\n")
 	f.Add("# HELP h x\n# TYPE h histogram\nh_bucket{le=\"+Inf\"} NaN\nh_sum -Inf\nh_count 0\n")
 	f.Add("x 1 123\n{} 1\n")
 	f.Fuzz(func(t *testing.T, text string) {
-		fams, err := ParseProm(text)
+		snap, err := obs.ParseExposition(strings.NewReader(text))
 		if err != nil {
 			return
 		}
-		// Whatever parses must also survive the linter, and every parsed
-		// label must round-trip through the series key without panicking.
 		LintProm(text)
-		for _, fam := range fams {
-			for _, s := range fam.Samples {
-				_ = seriesKey(s)
-			}
+		var b strings.Builder
+		if err := snap.WritePrometheus(&b); err != nil {
+			t.Fatal(err)
+		}
+		again, err := obs.ParseExposition(strings.NewReader(b.String()))
+		if err != nil {
+			t.Fatalf("re-parse: %v\nwritten: %q", err, b.String())
+		}
+		// Equal as WritePrometheus renders them: families, HELP, TYPE
+		// (absent reads back as the "untyped" written for it), series
+		// and values.
+		var b2 strings.Builder
+		if err := again.WritePrometheus(&b2); err != nil {
+			t.Fatal(err)
+		}
+		if b.String() != b2.String() {
+			t.Fatalf("snapshot changed across write and parse:\nwritten: %q\nread back: %q", b.String(), b2.String())
 		}
 	})
 }

@@ -84,17 +84,11 @@ func TestLintPromURLAggregated(t *testing.T) {
 	}
 
 	// The merge must also have summed across instances: 100+200+300.
-	fams, err := ParseProm(buf.String())
+	served, err := obs.ParseExposition(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range fams {
-		if f.Name == "fleet_updates_total" {
-			if len(f.Samples) != 1 || f.Samples[0].Value != 600 {
-				t.Fatalf("merged counter = %+v, want single sample 600", f.Samples)
-			}
-			return
-		}
+	if v, n := served.Sum("fleet_updates_total", nil); n != 1 || v != 600 {
+		t.Fatalf("merged counter = %v over %d samples, want 600 over 1", v, n)
 	}
-	t.Fatal("fleet_updates_total missing from aggregated exposition")
 }

@@ -10,9 +10,9 @@ import (
 
 // TestScaledDifferential is the subsampled stand-in for an oracle at
 // 73K, where none can run: on power-law topologies of 2K-8K ASes —
-// the same generator, scaled down — the compiled CSR engine, the legacy
-// map engine, and the naive fixpoint oracle must agree bit for bit on
-// every route. It runs under -race in CI.
+// the same generator, scaled down — the compiled CSR engine and the
+// naive fixpoint oracle must agree bit for bit on every route. It runs
+// under -race in CI.
 func TestScaledDifferential(t *testing.T) {
 	sizes := []int{2000, 5000, 8000}
 	if testing.Short() {
@@ -38,8 +38,8 @@ func TestScaledDifferential(t *testing.T) {
 
 // TestScaledDifferentialDeltaRecompile extends the differential across
 // churn: after every mutation a RouteSet applies, its delta-maintained
-// tables must match both engines computed from scratch — the compiled
-// engine and the map-based reference, ComputeRoutesFiltered.
+// tables must match the compiled engine and the naive oracle, each
+// computed from scratch.
 func TestScaledDifferentialDeltaRecompile(t *testing.T) {
 	cfg := topology.DefaultPowerLawConfig(2000)
 	cfg.Seed = 4
@@ -72,13 +72,13 @@ func TestScaledDifferentialDeltaRecompile(t *testing.T) {
 			if err != nil {
 				t.Fatalf("compiled engine, dest %v: %v", d, err)
 			}
-			reference, err := g.ComputeRoutesFiltered(nil, topology.Origin{ASN: d})
+			oracle, err := NaiveRoutes(g, nil, topology.Origin{ASN: d})
 			if err != nil {
-				t.Fatalf("reference engine, dest %v: %v", d, err)
+				t.Fatalf("oracle, dest %v: %v", d, err)
 			}
-			for name, fresh := range map[string]topology.RouteTable{"compiled": compiled.Table(), "reference": reference} {
+			for name, fresh := range map[string]topology.RouteTable{"compiled engine": compiled.Table(), "oracle": oracle} {
 				if diffs := DiffRoutes(got, fresh); len(diffs) > 0 {
-					t.Errorf("after %v %v-%v, dest %v vs %s engine: %d diffs, first %v",
+					t.Errorf("after %v %v-%v, dest %v vs %s: %d diffs, first %v",
 						m.Op, m.A, m.B, d, name, len(diffs), diffs[0])
 				}
 			}

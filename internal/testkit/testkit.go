@@ -19,8 +19,8 @@
 //     weights.
 //   - A differential routing oracle (oracle.go): an independent, naive
 //     message-passing implementation of policy routing whose fixpoint is
-//     diffed AS-by-AS against topology.ComputeRoutes, the engine under
-//     every bgpsim stream and attack study.
+//     diffed AS-by-AS against topology's compiled engine, the one route
+//     computation under every bgpsim stream and attack study.
 //   - Golden-file helpers (golden.go): byte-exact pinning of seeded
 //     experiment outputs under results/golden/ with a -update refresh
 //     flag.

@@ -182,8 +182,8 @@ type Scratch struct {
 	candNext []int32
 	epoch    uint32
 
-	// Phase-3 shortest-first queue: one bucket of ids per path length,
-	// replacing container/heap. Buckets keep their capacity across runs.
+	// Phase-3 shortest-first queue: one bucket of ids per path length.
+	// Buckets keep their capacity across runs.
 	buckets [][]int32
 	used    int // buckets touched by the previous run
 }
@@ -223,8 +223,8 @@ func (s *Scratch) bucket(l int) *[]int32 {
 
 // CompiledRoutes is an array-backed route table over a Compiled
 // snapshot: routes[id] is the best route of the AS interned at id, with
-// Type RouteNone for unrouted ASes. It is the allocation-lean
-// counterpart of RouteTable and converts back via Table.
+// Type RouteNone for unrouted ASes. Table converts it to the plain
+// RouteTable map.
 type CompiledRoutes struct {
 	c      *Compiled
 	routes []Route
@@ -241,7 +241,7 @@ func (r *CompiledRoutes) ASN(i int) bgp.ASN { return r.c.asns[i] }
 func (r *CompiledRoutes) At(i int) Route { return r.routes[i] }
 
 // Route returns asn's best route, with ok=false when asn is unknown or
-// unrouted — exactly the two-value map access on the legacy RouteTable.
+// unrouted — the two-value map access on a RouteTable.
 func (r *CompiledRoutes) Route(asn bgp.ASN) (Route, bool) {
 	id, ok := r.c.idOf[asn]
 	if !ok || r.routes[id].Type == RouteNone {
@@ -251,7 +251,8 @@ func (r *CompiledRoutes) Route(asn bgp.ASN) (Route, bool) {
 }
 
 // PathFrom reconstructs the AS path from src to its origin, inclusive on
-// both ends, mirroring RouteTable.PathFrom.
+// both ends: it always starts with src and ends with the origin AS. ok
+// is false when src has no route.
 func (r *CompiledRoutes) PathFrom(src bgp.ASN) (path []bgp.ASN, ok bool) {
 	id, ok := r.c.idOf[src]
 	if !ok || r.routes[id].Type == RouteNone {
@@ -274,7 +275,9 @@ func (r *CompiledRoutes) PathFrom(src bgp.ASN) (path []bgp.ASN, ok bool) {
 	return path, true
 }
 
-// ASPathFrom is PathFrom rendered as a bgp.ASPath.
+// ASPathFrom is PathFrom rendered as a bgp.ASPath (src first, origin
+// last), matching what src's BGP neighbors upstream would see minus their
+// own prepending.
 func (r *CompiledRoutes) ASPathFrom(src bgp.ASN) (bgp.ASPath, bool) {
 	p, ok := r.PathFrom(src)
 	if !ok {
@@ -283,8 +286,7 @@ func (r *CompiledRoutes) ASPathFrom(src bgp.ASN) (bgp.ASPath, bool) {
 	return bgp.Sequence(p...), true
 }
 
-// Table converts to the legacy map representation (unrouted ASes
-// absent).
+// Table converts to the map representation (unrouted ASes absent).
 func (r *CompiledRoutes) Table() RouteTable {
 	rt := make(RouteTable, len(r.routes))
 	for i := range r.routes {
@@ -308,15 +310,19 @@ func (c *Compiled) Routes(s *Scratch, filter ImportFilter, origins ...Origin) (*
 	return &CompiledRoutes{c: c, routes: routes}, nil
 }
 
-// ComputeRoutesInto is the compiled counterpart of
-// Graph.ComputeRoutesFiltered: it fills dst (grown as needed) with every
-// AS's best policy-compliant route toward the given origins and returns
-// it. The decision process, export rules, and every deterministic
-// tiebreak match the reference implementation bit for bit — ids are
-// ASN-ordered, so id comparisons reproduce the lowest-next-hop-ASN rule.
+// ComputeRoutesInto is the route engine: it fills dst (grown as needed)
+// with every AS's best policy-compliant route toward the given origins
+// and returns it, applying the Gao-Rexford export rules and the BGP
+// decision process (customer > peer > provider, then shortest AS path,
+// then lowest next-hop ASN — ids are ASN-ordered, so id comparisons are
+// ASN comparisons). The result is the unique stable routing outcome
+// under these preferences; filter (nil accepts everything) is consulted
+// before an AS imports a route. testkit.NaiveRoutes, a fixpoint over
+// full AS paths that shares no code with this, is the reference every
+// differential test compares against.
 //
-// The reference walks its frontiers and pops its phase-3 heap in
-// (pathLen, ASN) order; this engine walks them in whatever order they
+// Three phases — customer routes upward, one peer hop, provider routes
+// downward. Frontiers and buckets are walked in whatever order they
 // were filled, because no phase's outcome depends on it:
 //
 //   - Phase 1: a provider's route for the round is the minimum next hop
@@ -376,7 +382,7 @@ func (c *Compiled) ComputeRoutesInto(dst []Route, s *Scratch, filter ImportFilte
 	}
 
 	// Phase 1 — customer routes, propagated upward in rounds of
-	// increasing path length. The per-round candidate map becomes two
+	// increasing path length. A round's candidates live in two
 	// epoch-stamped arrays; the minimum next hop is taken in id space,
 	// which equals ASN space by construction.
 	for _, id := range origIDs {

@@ -117,20 +117,28 @@ func TestRemoveLinkAllRelationships(t *testing.T) {
 	}
 }
 
+// TestPathFromDefendsAgainstBadTables hands CompiledRoutes.PathFrom
+// tables the engine never produces; it must refuse, not loop.
 func TestPathFromDefendsAgainstBadTables(t *testing.T) {
-	if _, ok := (RouteTable{}).PathFrom(1); ok {
+	g := NewGraph()
+	g.AddAS(1)
+	g.AddAS(2)
+	c := g.Compiled()
+	bad := func(routes ...Route) *CompiledRoutes { return &CompiledRoutes{c: c, routes: routes} }
+	if _, ok := bad(Route{}, Route{}).PathFrom(1); ok {
 		t.Error("path from an AS with no route")
 	}
-	// NextHop pointing at an AS missing from the table.
-	dangling := RouteTable{1: {Type: RouteProvider, NextHop: 2, Origin: 9}}
-	if _, ok := dangling.PathFrom(1); ok {
+	// NextHop pointing at an AS outside the graph, then at an unrouted one.
+	if _, ok := bad(Route{Type: RouteProvider, NextHop: 9, Origin: 9}, Route{}).PathFrom(1); ok {
+		t.Error("path through an unknown next hop")
+	}
+	if _, ok := bad(Route{Type: RouteProvider, NextHop: 2, Origin: 9}, Route{}).PathFrom(1); ok {
 		t.Error("path through a dangling next hop")
 	}
 	// Two non-origin routes pointing at each other: the cycle guard.
-	cyclic := RouteTable{
-		1: {Type: RouteProvider, NextHop: 2, Origin: 9},
-		2: {Type: RouteProvider, NextHop: 1, Origin: 9},
-	}
+	cyclic := bad(
+		Route{Type: RouteProvider, NextHop: 2, Origin: 9},
+		Route{Type: RouteProvider, NextHop: 1, Origin: 9})
 	if _, ok := cyclic.PathFrom(1); ok {
 		t.Error("path through a routing cycle")
 	}
@@ -232,12 +240,9 @@ func TestGenerateSingleTier1(t *testing.T) {
 	if g.Len() != 14 {
 		t.Fatalf("generated %d ASes, want 14", g.Len())
 	}
-	rt, err := g.ComputeRoutes(Origin{ASN: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cr := mustRoutes(t, g, Origin{ASN: 1})
 	for _, asn := range g.ASNs() {
-		if _, ok := rt[asn]; !ok {
+		if _, ok := cr.Route(asn); !ok {
 			t.Errorf("AS%d unreachable from the tier-1 core", asn)
 		}
 	}

@@ -14,7 +14,6 @@
 package topology
 
 import (
-	"container/heap"
 	"fmt"
 	"sort"
 	"sync"
@@ -319,7 +318,8 @@ type Route struct {
 }
 
 // RouteTable maps each AS to its best route for one destination prefix.
-// ASes with no route are absent.
+// ASes with no route are absent. It is the plain form CompiledRoutes.Table
+// and the testkit oracle exchange; the engine itself works on arrays.
 type RouteTable map[bgp.ASN]Route
 
 // Origin describes one AS originating the destination prefix. WithholdFrom
@@ -350,229 +350,6 @@ func (o Origin) announces(n bgp.ASN) bool {
 // match the prefix's ROA. Returning false means "at" drops routes toward
 // "origin" (and therefore never propagates them either).
 type ImportFilter func(at, origin bgp.ASN) bool
-
-// ComputeRoutes computes every AS's best policy-compliant route to a
-// prefix originated by the given origins, applying the Gao-Rexford export
-// rules and the BGP decision process (customer > peer > provider, then
-// shortest AS path, then lowest next-hop ASN). The result is a stable
-// routing outcome — the unique one under these preferences.
-func (g *Graph) ComputeRoutes(origins ...Origin) (RouteTable, error) {
-	return g.ComputeRoutesFiltered(nil, origins...)
-}
-
-// ComputeRoutesFiltered is ComputeRoutes with a per-AS import filter
-// (nil means accept everything).
-func (g *Graph) ComputeRoutesFiltered(filter ImportFilter, origins ...Origin) (RouteTable, error) {
-	if len(origins) == 0 {
-		return nil, fmt.Errorf("topology: no origins")
-	}
-	originSpec := make(map[bgp.ASN]Origin, len(origins))
-	for _, o := range origins {
-		if g.ases[o.ASN] == nil {
-			return nil, fmt.Errorf("topology: origin %v not in graph", o.ASN)
-		}
-		if _, dup := originSpec[o.ASN]; dup {
-			return nil, fmt.Errorf("topology: duplicate origin %v", o.ASN)
-		}
-		originSpec[o.ASN] = o
-	}
-
-	rt := make(RouteTable, len(g.ases))
-	for asn := range originSpec {
-		rt[asn] = Route{Type: RouteOrigin, Origin: asn}
-	}
-
-	// exports reports whether 'from' announces its current route to
-	// neighbor 'to'; origins apply their announcement scoping.
-	exports := func(from, to bgp.ASN) bool {
-		if o, isOrigin := originSpec[from]; isOrigin {
-			return o.announces(to)
-		}
-		return true
-	}
-	// accepts reports whether 'at' imports routes toward 'origin'.
-	accepts := func(at, origin bgp.ASN) bool {
-		return filter == nil || filter(at, origin)
-	}
-
-	// Phase 1 — customer routes. Propagate upward from the origins along
-	// customer→provider edges in rounds of increasing path length. An AS
-	// reached here gets a customer route (or keeps its origin route).
-	type cand struct {
-		nextHop bgp.ASN
-		origin  bgp.ASN
-	}
-	better := func(a, b cand) bool {
-		if a.nextHop != b.nextHop {
-			return a.nextHop < b.nextHop
-		}
-		return a.origin < b.origin
-	}
-
-	frontier := make([]bgp.ASN, 0, len(originSpec))
-	for asn := range originSpec {
-		frontier = append(frontier, asn)
-	}
-	sort.Slice(frontier, func(i, j int) bool { return frontier[i] < frontier[j] })
-	for length := int32(1); len(frontier) > 0; length++ {
-		cands := make(map[bgp.ASN]cand)
-		for _, u := range frontier {
-			ru := rt[u]
-			// Customer (and origin) routes are exported to providers.
-			if ru.Type != RouteOrigin && ru.Type != RouteCustomer {
-				continue
-			}
-			for _, p := range g.ases[u].providers {
-				if !exports(u, p) {
-					continue
-				}
-				if !accepts(p, ru.Origin) {
-					continue
-				}
-				if _, settled := rt[p]; settled {
-					continue
-				}
-				c := cand{nextHop: u, origin: ru.Origin}
-				if prev, ok := cands[p]; !ok || better(c, prev) {
-					cands[p] = c
-				}
-			}
-		}
-		next := make([]bgp.ASN, 0, len(cands))
-		for p, c := range cands {
-			rt[p] = Route{Type: RouteCustomer, NextHop: c.nextHop, PathLen: length, Origin: c.origin}
-			next = append(next, p)
-		}
-		sort.Slice(next, func(i, j int) bool { return next[i] < next[j] })
-		frontier = next
-	}
-
-	// Phase 2 — peer routes. An AS without a customer/origin route takes
-	// the best single-peer-hop route to a neighbor holding a
-	// customer/origin route. Peer routes are not re-exported to peers.
-	type peerRoute struct {
-		r  Route
-		to bgp.ASN
-	}
-	peerAdds := make([]peerRoute, 0)
-	for asn, a := range g.ases {
-		if _, settled := rt[asn]; settled {
-			continue
-		}
-		best := Route{Type: RouteNone}
-		for _, p := range a.peers {
-			rp, ok := rt[p]
-			if !ok || (rp.Type != RouteCustomer && rp.Type != RouteOrigin) {
-				continue
-			}
-			if !exports(p, asn) {
-				continue
-			}
-			if !accepts(asn, rp.Origin) {
-				continue
-			}
-			r := Route{Type: RoutePeer, NextHop: p, PathLen: rp.PathLen + 1, Origin: rp.Origin}
-			if best.Type == RouteNone || r.PathLen < best.PathLen ||
-				(r.PathLen == best.PathLen && r.NextHop < best.NextHop) {
-				best = r
-			}
-		}
-		if best.Type != RouteNone {
-			peerAdds = append(peerAdds, peerRoute{best, asn})
-		}
-	}
-	for _, pa := range peerAdds {
-		rt[pa.to] = pa.r
-	}
-
-	// Phase 3 — provider routes. Any routed AS exports to its customers;
-	// unrouted customers adopt, preferring shorter paths. Sources enter a
-	// priority queue at their current path length so mixed-length
-	// frontiers settle shortest-first.
-	pq := &routeHeap{}
-	heap.Init(pq)
-	for asn, r := range rt {
-		heap.Push(pq, heapItem{pathLen: r.PathLen, asn: asn})
-	}
-	for pq.Len() > 0 {
-		it := heap.Pop(pq).(heapItem)
-		u := it.asn
-		ru := rt[u]
-		if ru.PathLen != it.pathLen {
-			continue // stale entry
-		}
-		for _, c := range g.ases[u].customers {
-			if !exports(u, c) {
-				continue
-			}
-			if !accepts(c, ru.Origin) {
-				continue
-			}
-			rc, settled := rt[c]
-			nl := ru.PathLen + 1
-			if settled && (rc.Type != RouteProvider || rc.PathLen < nl ||
-				(rc.PathLen == nl && rc.NextHop <= u)) {
-				continue
-			}
-			rt[c] = Route{Type: RouteProvider, NextHop: u, PathLen: nl, Origin: ru.Origin}
-			heap.Push(pq, heapItem{pathLen: nl, asn: c})
-		}
-	}
-	return rt, nil
-}
-
-type heapItem struct {
-	pathLen int32
-	asn     bgp.ASN
-}
-
-type routeHeap []heapItem
-
-func (h routeHeap) Len() int { return len(h) }
-func (h routeHeap) Less(i, j int) bool {
-	if h[i].pathLen != h[j].pathLen {
-		return h[i].pathLen < h[j].pathLen
-	}
-	return h[i].asn < h[j].asn
-}
-func (h routeHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *routeHeap) Push(x any)   { *h = append(*h, x.(heapItem)) }
-func (h *routeHeap) Pop() any     { old := *h; n := len(old); it := old[n-1]; *h = old[:n-1]; return it }
-
-// PathFrom reconstructs the AS path from src to its origin according to
-// rt, inclusive on both ends. ok is false when src has no route. The
-// returned path always starts with src and ends with the origin AS.
-func (rt RouteTable) PathFrom(src bgp.ASN) (path []bgp.ASN, ok bool) {
-	r, ok := rt[src]
-	if !ok {
-		return nil, false
-	}
-	path = append(path, src)
-	cur := src
-	for r.Type != RouteOrigin {
-		cur = r.NextHop
-		path = append(path, cur)
-		r, ok = rt[cur]
-		if !ok {
-			return nil, false // inconsistent table; should not happen
-		}
-		if len(path) > len(rt)+1 {
-			return nil, false // cycle guard
-		}
-	}
-	return path, true
-}
-
-// ASPathFrom is PathFrom rendered as a bgp.ASPath (src first, origin
-// last), matching what src's BGP neighbors upstream would see minus their
-// own prepending.
-func (rt RouteTable) ASPathFrom(src bgp.ASN) (bgp.ASPath, bool) {
-	p, ok := rt.PathFrom(src)
-	if !ok {
-		return bgp.ASPath{}, false
-	}
-	return bgp.Sequence(p...), true
-}
 
 // ValleyFree reports whether the hop sequence path (src..origin) is
 // valley-free in g: once the path goes down (provider→customer) or

@@ -25,6 +25,16 @@ func diamond(t *testing.T) *Graph {
 	return g
 }
 
+// mustRoutes computes the table toward origins with the shipped engine.
+func mustRoutes(t *testing.T, g *Graph, origins ...Origin) *CompiledRoutes {
+	t.Helper()
+	cr, err := g.Routes(nil, origins...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cr
+}
+
 func TestAddLinkAndRelBetween(t *testing.T) {
 	g := diamond(t)
 	if r, ok := g.RelBetween(1, 2); !ok || r != RelCustomer {
@@ -76,11 +86,8 @@ func TestRemoveLink(t *testing.T) {
 		t.Fatal("double remove returned true")
 	}
 	// 4 must now route via 3 only.
-	rt, err := g.ComputeRoutes(Origin{ASN: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	path, ok := rt.PathFrom(2)
+	cr := mustRoutes(t, g, Origin{ASN: 4})
+	path, ok := cr.PathFrom(2)
 	if !ok {
 		t.Fatal("no path from 2")
 	}
@@ -108,10 +115,7 @@ func TestNeighborsSorted(t *testing.T) {
 
 func TestComputeRoutesDiamond(t *testing.T) {
 	g := diamond(t)
-	rt, err := g.ComputeRoutes(Origin{ASN: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rt := mustRoutes(t, g, Origin{ASN: 4}).Table()
 	if rt[4].Type != RouteOrigin {
 		t.Fatalf("origin route = %+v", rt[4])
 	}
@@ -156,10 +160,7 @@ func TestCustomerPreferredOverPeerAndProvider(t *testing.T) {
 	if err := g.AddLink(40, 99); err != nil {
 		t.Fatal(err)
 	}
-	rt, err := g.ComputeRoutes(Origin{ASN: 99})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rt := mustRoutes(t, g, Origin{ASN: 99}).Table()
 	if rt[10].Type != RouteCustomer || rt[10].NextHop != 20 || rt[10].PathLen != 3 {
 		t.Fatalf("rt[10] = %+v, want customer route via 20", rt[10])
 	}
@@ -181,10 +182,7 @@ func TestPeerPreferredOverProvider(t *testing.T) {
 	if err := g.AddLink(40, 99); err != nil {
 		t.Fatal(err)
 	}
-	rt, err := g.ComputeRoutes(Origin{ASN: 99})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rt := mustRoutes(t, g, Origin{ASN: 99}).Table()
 	if rt[10].Type != RoutePeer || rt[10].NextHop != 30 {
 		t.Fatalf("rt[10] = %+v, want peer route via 30", rt[10])
 	}
@@ -201,10 +199,7 @@ func TestNoValleyTransit(t *testing.T) {
 	if err := g.AddLink(11, 30); err != nil {
 		t.Fatal(err)
 	}
-	rt, err := g.ComputeRoutes(Origin{ASN: 30})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rt := mustRoutes(t, g, Origin{ASN: 30}).Table()
 	if _, ok := rt[20]; ok {
 		t.Fatalf("20 should have no route to 30, got %+v", rt[20])
 	}
@@ -226,28 +221,12 @@ func TestPeerRoutesNotTransitive(t *testing.T) {
 	if err := g.AddLink(3, 99); err != nil {
 		t.Fatal(err)
 	}
-	rt, err := g.ComputeRoutes(Origin{ASN: 99})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rt := mustRoutes(t, g, Origin{ASN: 99}).Table()
 	if _, ok := rt[1]; ok {
 		t.Fatalf("1 should have no route (valley), got %+v", rt[1])
 	}
 	if rt[2].Type != RoutePeer {
 		t.Fatalf("rt[2] = %+v", rt[2])
-	}
-}
-
-func TestComputeRoutesErrors(t *testing.T) {
-	g := diamond(t)
-	if _, err := g.ComputeRoutes(); err == nil {
-		t.Fatal("no origins accepted")
-	}
-	if _, err := g.ComputeRoutes(Origin{ASN: 1234}); err == nil {
-		t.Fatal("unknown origin accepted")
-	}
-	if _, err := g.ComputeRoutes(Origin{ASN: 4}, Origin{ASN: 4}); err == nil {
-		t.Fatal("duplicate origin accepted")
 	}
 }
 
@@ -258,10 +237,7 @@ func TestMultiOriginHijackSplitsInternet(t *testing.T) {
 	if err := g.AddLink(3, 5); err != nil {
 		t.Fatal(err)
 	}
-	rt, err := g.ComputeRoutes(Origin{ASN: 4}, Origin{ASN: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rt := mustRoutes(t, g, Origin{ASN: 4}, Origin{ASN: 5}).Table()
 	// 3 hears 4 and 5 both as customers at length 1; tiebreak lowest
 	// next hop -> 4.
 	if rt[3].Origin != 4 {
@@ -280,11 +256,8 @@ func TestMultiOriginHijackSplitsInternet(t *testing.T) {
 func TestWithholdFrom(t *testing.T) {
 	g := diamond(t)
 	// Origin 4 withholds from 2: 2 must route via 1 -> 3 -> 4.
-	rt, err := g.ComputeRoutes(Origin{ASN: 4, WithholdFrom: map[bgp.ASN]bool{2: true}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	path, ok := rt.PathFrom(2)
+	cr := mustRoutes(t, g, Origin{ASN: 4, WithholdFrom: map[bgp.ASN]bool{2: true}})
+	path, ok := cr.PathFrom(2)
 	if !ok {
 		t.Fatal("2 unreachable")
 	}
@@ -299,15 +272,13 @@ func TestWithholdFrom(t *testing.T) {
 func TestAnnounceOnly(t *testing.T) {
 	g := diamond(t)
 	// Origin 4 announces only to 3.
-	rt, err := g.ComputeRoutes(Origin{ASN: 4, AnnounceOnly: map[bgp.ASN]bool{3: true}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cr := mustRoutes(t, g, Origin{ASN: 4, AnnounceOnly: map[bgp.ASN]bool{3: true}})
+	rt := cr.Table()
 	if rt[3].NextHop != 4 {
 		t.Fatalf("rt[3] = %+v", rt[3])
 	}
 	// 2 must reach 4 the long way around.
-	path, ok := rt.PathFrom(2)
+	path, ok := cr.PathFrom(2)
 	if !ok {
 		t.Fatal("2 unreachable")
 	}
@@ -319,22 +290,16 @@ func TestAnnounceOnly(t *testing.T) {
 func TestPathFromNoRoute(t *testing.T) {
 	g := diamond(t)
 	g.AddAS(77) // isolated
-	rt, err := g.ComputeRoutes(Origin{ASN: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := rt.PathFrom(77); ok {
+	cr := mustRoutes(t, g, Origin{ASN: 4})
+	if _, ok := cr.PathFrom(77); ok {
 		t.Fatal("isolated AS has a path")
 	}
 }
 
 func TestASPathFrom(t *testing.T) {
 	g := diamond(t)
-	rt, err := g.ComputeRoutes(Origin{ASN: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, ok := rt.ASPathFrom(1)
+	cr := mustRoutes(t, g, Origin{ASN: 4})
+	p, ok := cr.ASPathFrom(1)
 	if !ok {
 		t.Fatal("no path")
 	}
@@ -458,15 +423,13 @@ func TestRoutesValleyFreeProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 10; trial++ {
 		dest := asns[rng.Intn(len(asns))]
-		rt, err := g.ComputeRoutes(Origin{ASN: dest})
-		if err != nil {
-			t.Fatal(err)
-		}
+		cr := mustRoutes(t, g, Origin{ASN: dest})
+		rt := cr.Table()
 		if len(rt) != g.Len() {
 			t.Fatalf("dest %v: only %d/%d ASes routed", dest, len(rt), g.Len())
 		}
 		for _, src := range asns {
-			path, ok := rt.PathFrom(src)
+			path, ok := cr.PathFrom(src)
 			if !ok {
 				t.Fatalf("no path %v -> %v", src, dest)
 			}
@@ -494,10 +457,7 @@ func TestRouteShortestWithinClass(t *testing.T) {
 		t.Fatal(err)
 	}
 	dest := g.TierASNs(3)[0]
-	rt, err := g.ComputeRoutes(Origin{ASN: dest})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rt := mustRoutes(t, g, Origin{ASN: dest}).Table()
 	for asn, r := range rt {
 		if r.Type != RouteCustomer {
 			continue
@@ -537,10 +497,8 @@ func TestMultiOriginValleyFreeProperty(t *testing.T) {
 		if v == a {
 			continue
 		}
-		rt, err := g.ComputeRoutes(Origin{ASN: v}, Origin{ASN: a})
-		if err != nil {
-			t.Fatal(err)
-		}
+		cr := mustRoutes(t, g, Origin{ASN: v}, Origin{ASN: a})
+		rt := cr.Table()
 		for _, src := range asns {
 			r, ok := rt[src]
 			if !ok {
@@ -549,7 +507,7 @@ func TestMultiOriginValleyFreeProperty(t *testing.T) {
 			if r.Origin != v && r.Origin != a {
 				t.Fatalf("trial %d: %v routes to unknown origin %v", trial, src, r.Origin)
 			}
-			path, ok := rt.PathFrom(src)
+			path, ok := cr.PathFrom(src)
 			if !ok {
 				t.Fatalf("trial %d: no path from %v", trial, src)
 			}
@@ -563,20 +521,6 @@ func TestMultiOriginValleyFreeProperty(t *testing.T) {
 		// Origins always keep themselves.
 		if rt[v].Origin != v || rt[a].Origin != a {
 			t.Fatalf("trial %d: an origin lost its own prefix", trial)
-		}
-	}
-}
-
-func BenchmarkComputeRoutes1kASes(b *testing.B) {
-	g, err := Generate(DefaultGenConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	dest := g.TierASNs(3)[0]
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := g.ComputeRoutes(Origin{ASN: dest}); err != nil {
-			b.Fatal(err)
 		}
 	}
 }

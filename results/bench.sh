@@ -8,24 +8,24 @@
 #   5. observability overhead smoke: one iteration of each instrumented-
 #      vs-plain benchmark pair; the full numbers are the hand-recorded
 #      baselines in results/BENCH_obs.json
-#   6. route-engine benchmark: compiled vs legacy ComputeRoutes at paper
-#      scale plus an end-to-end E3 run under each engine, recorded in
-#      results/BENCH_routes.json (compiled must hold a >= 3x speedup)
-#   7. monitord ingest benchmark: in-process and loopback-TCP pipeline
+#   6. monitord ingest benchmark: in-process and loopback-TCP pipeline
 #      throughput, recorded in results/BENCH_monitord.json (the batched
 #      TCP path must hold >= 3x the 238707 updates/s pre-batching
 #      baseline)
-#   8. 73K topology benchmark: `quicksand topo -json` at the full
+#   7. 73K topology benchmark: `quicksand topo -json` at the full
 #      measured-Internet scale, recorded in results/BENCH_topo73k.json
 #      (every AS routed, <= 24 bytes/AS/table, delta recompilation
 #      >= 10x faster than full recomputation for single-link churn)
-#   9. Counter-RAPTOR resilience benchmark: `quicksand resilience -json`
+#   8. Counter-RAPTOR resilience benchmark: `quicksand resilience -json`
 #      at paper scale plus the 73K sampled-estimator validation,
 #      recorded in results/BENCH_resilience.json (resilience weighting
 #      must strictly lower capture probability; 73K agreement >= 0.9)
 #
-# Load and detection latency on the live service are not measured here:
-# that is `bash bench/run.sh` over the workloads of BENCHMARK.json.
+# Load and detection latency on the live service are not measured here,
+# nor is route-kernel speed: that is `bash bench/run.sh` over the
+# workloads of BENCHMARK.json (serve-*/fleet-*, and routes-73k/study for
+# the kernel). The kernel's allocation figure is pinned by
+# TestComputeRoutesIntoZeroAlloc.
 #
 # Run from anywhere; operates on the repository root. Pass extra
 # arguments (e.g. -count=2) through to the race run.
@@ -50,50 +50,6 @@ echo "== observability overhead smoke (baselines: results/BENCH_obs.json) =="
 # results/BENCH_obs.json (see its description field to reproduce).
 go test -run '^$' -bench 'BenchmarkRunObserved|BenchmarkMapObserver' -benchtime 1x \
     ./internal/bgpsim/ ./internal/par/
-
-echo "== route engine: compiled vs reference (-> results/BENCH_routes.json) =="
-# Microbenchmark the compiled engine against the map-based reference
-# (ComputeRoutes, kept for the differential tests) on the paper-scale
-# generated topology (~1028 ASes), then time E3 (the hijack study) end
-# to end.
-bench_out=$(mktemp)
-go test -run '^$' -bench 'BenchmarkComputeRoutes(Legacy|Compiled)$' \
-    -benchtime 2s -benchmem ./internal/topology/ | tee "$bench_out"
-
-e3_bin=$(mktemp)
-go build -o "$e3_bin" ./cmd/quicksand
-s=$(date +%s%N)
-"$e3_bin" -scale small -seed 1 hijack >/dev/null
-e=$(date +%s%N)
-e3_compiled=$(echo "$s $e" | awk '{ printf "%.3f", ($2 - $1) / 1e9 }')
-rm -f "$e3_bin"
-echo "E3 hijack study: ${e3_compiled}s"
-
-awk -v e3c="$e3_compiled" -v date="$(date +%Y-%m-%d)" '
-$1 ~ /^BenchmarkComputeRoutesLegacy/   { lns = $3; lal = $7 }
-$1 ~ /^BenchmarkComputeRoutesCompiled/ { cns = $3; cal = $7 }
-END {
-    if (lns == "" || cns == "") { print "missing benchmark output" > "/dev/stderr"; exit 1 }
-    speedup = lns / cns
-    printf "{\n"
-    printf "  \"description\": \"Compiled route engine vs the map-based reference ComputeRoutes, single destination on the paper-scale generated topology (~1028 ASes), plus the E3 hijack study end to end. Reproduce with: results/bench.sh\",\n"
-    printf "  \"date\": \"%s\",\n", date
-    printf "  \"required_speedup\": 3.0,\n"
-    printf "  \"compute_routes\": {\n"
-    printf "    \"legacy_ns_per_op\": %s,\n", lns
-    printf "    \"legacy_allocs_per_op\": %s,\n", lal
-    printf "    \"compiled_ns_per_op\": %s,\n", cns
-    printf "    \"compiled_allocs_per_op\": %s,\n", cal
-    printf "    \"speedup\": %.1f\n", speedup
-    printf "  },\n"
-    printf "  \"e3_small_scale\": {\n"
-    printf "    \"compiled_seconds\": %s\n", e3c
-    printf "  }\n"
-    printf "}\n"
-    if (speedup < 3.0) { print "FAIL: compiled engine speedup " speedup "x below 3x" > "/dev/stderr"; exit 1 }
-}' "$bench_out" > results/BENCH_routes.json
-rm -f "$bench_out"
-cat results/BENCH_routes.json
 
 echo "== monitord ingest: in-process + loopback TCP (-> results/BENCH_monitord.json) =="
 # The TCP number covers the whole serve-mode session path — batched wire

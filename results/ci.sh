@@ -8,9 +8,10 @@
 #   4. go test ./...                  (tier-1; includes the testkit
 #      invariant/differential layers and the golden regression suite)
 #   5. go test -race ./...
-#   6. route-engine differential: compiled vs the map-based reference
-#      vs the naive oracle, including delta recompilation and the
-#      subsampled power-law differential at 2K-8K ASes
+#   6. route-engine differential: the compiled engine vs the naive
+#      oracle (internal/testkit), the one reference, including delta
+#      recompilation and the subsampled power-law differential at 2K-8K
+#      ASes
 #   7. resilience differential under -race: the sharded Counter-RAPTOR
 #      engine vs the brute-force oracle, the sampled estimator vs the
 #      exact matrix, and worker-count invariance
@@ -22,7 +23,8 @@
 #      binary snapshot must reproduce the RIB exactly and replay
 #      restored routes through the monitor
 #  10. metrics lint: every Prometheus exposition (monitord, obs, serve)
-#      through the internal/testkit linter, including live-scraped and
+#      through the internal/testkit linter, which reads them with the
+#      one parser, obs.ParseExposition, including live-scraped and
 #      fleet-aggregated expositions (LintPromURL)
 #  11. fleet router smoke under -race: the sharded watchlist router end
 #      to end (BGP + HTTP + merged alerts), the shard-death failover
@@ -34,7 +36,8 @@
 #  13. record hygiene: every results/BENCH_*.json belongs to a section
 #      of bench.sh and every record bench.sh names exists; the retired
 #      in-tree load harness (replaced by bench/, see CHANGES.md PR 14)
-#      is named nowhere outside the history files
+#      and the retired map route engine and second exposition parser
+#      (CHANGES.md PR 15) are named nowhere outside the history files
 #  14. 73K topology smoke: generate the full-Internet-scale power-law
 #      graph, compute a destination shard, and delta-recompile one flap
 #      through `quicksand topo`
@@ -71,13 +74,14 @@ go test -count=1 -cover ./... | tee "$cover_out"
 echo "== go test -race ./... =="
 go test -race ./...
 
-echo "== route-engine differential (compiled vs reference vs naive oracle) =="
-# The compiled engine must agree bit for bit with the map-based
-# reference (ComputeRoutesFiltered) and the testkit fixpoint oracle — on
-# random topologies (single origin, multi-origin hijack, announcement
-# scoping, ROV filters) and across delta recompilations after graph
-# mutations.
-go test -count=1 -run 'TestOracleAgrees|TestCompiledEngineAfterMutations|TestCompiledMatchesLegacy|TestCompiledDeltaRecompile|TestScaledDifferential|TestDeltaRecompileRandomChurn' \
+echo "== route-engine differential (compiled vs naive oracle) =="
+# The compiled engine must agree bit for bit with the testkit fixpoint
+# oracle, the only other route computation in the repository — on random
+# topologies (single origin, multi-origin hijack, announcement scoping,
+# ROV filters), across delta recompilations after graph mutations, and
+# through a reused Scratch and the route cache. TestCompiledMatchesLegacy
+# keeps its name (and its 32 subtest ids); its reference is the oracle.
+go test -count=1 -run 'TestOracleAgrees|TestCompiledEngineAfterMutations|TestCompiledMatchesLegacy|TestCompiledDeltaRecompile|TestCompiledScratchReuse|TestCompiledRoutesAccessors|TestRouteCache|TestScaledDifferential|TestDeltaRecompileRandomChurn' \
     ./internal/testkit/ ./internal/topology/
 
 echo "== resilience differential (sharded engine vs brute-force oracle, -race) =="
@@ -107,8 +111,9 @@ go test -count=1 -run 'TestSnapshotRoundTrip|TestSnapshotFileRoundTrip|TestSnaps
 echo "== metrics lint (Prometheus exposition format) =="
 # Every text exposition the repository serves — the monitord daemon's
 # /metrics, the obs registry writer, the serve wiring, and the
-# fleet-aggregated output of the obs scraper — must pass the shared
-# parser/linter in internal/testkit (in-process and over HTTP).
+# fleet-aggregated output of the obs scraper — must pass the linter in
+# internal/testkit, which parses with obs.ParseExposition, the one
+# exposition parser (in-process and over HTTP).
 go test -count=1 -run 'TestMetricsLint|TestMetricsGolden|TestExpositionPassesLint|TestServeObsSmoke|TestLintPromURL' \
     ./internal/monitord/ ./internal/obs/ ./cmd/quicksand/ ./internal/testkit/
 
@@ -153,6 +158,14 @@ done
 if stale=$(git grep -nE 'load(gen|test)|BENCH_(load|fleet)' -- . \
     ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!bench'); then
     echo "FAIL: retired load-harness names still referenced:" >&2
+    echo "$stale" >&2
+    exit 1
+fi
+# Likewise the map route engine and testkit's exposition parser, retired
+# for the compiled engine + oracle and obs.ParseExposition (PR 15).
+if stale=$(git grep -nE 'ComputeRoutes(Filtered)|route(Heap)|Parse(Prom)|Prom(Family)|BENCH_(routes)' -- . \
+    ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!bench'); then
+    echo "FAIL: retired route-engine / exposition-parser names still referenced:" >&2
     echo "$stale" >&2
     exit 1
 fi
