@@ -6,7 +6,7 @@
 //
 //	quicksand [flags] <experiment>
 //	quicksand serve [flags]
-//	quicksand topo [flags]
+//	quicksand resilience [flags]
 //
 // The serve subcommand runs the long-lived monitord daemon instead of a
 // batch experiment: a live BGP listener, MRT ingest, a streaming §5
@@ -15,13 +15,6 @@
 // watchlist across N in-process monitord instances behind the same BGP
 // and HTTP surface, escalating merged alerts through Counter-RAPTOR
 // anomaly detectors (see internal/fleet).
-//
-// The topo subcommand benchmarks Internet-scale route computation: it
-// generates a CAIDA-shaped power-law topology (73K ASes by default),
-// computes a destination shard of route tables, runs E3-style hijack
-// resilience trials, and measures delta recompilation against full
-// recomputation under single-link churn (see topo.go and
-// `quicksand topo -h`).
 //
 // The resilience subcommand runs E10, the Counter-RAPTOR extension: it
 // computes the all-pairs hijack-resilience matrix R(client, guard),
@@ -94,29 +87,22 @@ import (
 	"quicksand/internal/tcpsim"
 )
 
+// subcommands have their own flag sets; main dispatches to them before
+// the experiment flags are parsed.
+var subcommands = map[string]func(args []string, out io.Writer) error{
+	"serve":      func(args []string, _ io.Writer) error { return serveCmd(args) },
+	"resilience": resilCmd,
+}
+
 func main() {
-	// The serve and topo subcommands have their own flag sets; dispatch
-	// before the experiment flags are parsed.
-	if len(os.Args) > 1 && os.Args[1] == "serve" {
-		if err := serveCmd(os.Args[2:]); err != nil {
-			fmt.Fprintln(os.Stderr, "quicksand serve:", err)
-			os.Exit(1)
+	if len(os.Args) > 1 {
+		if cmd, ok := subcommands[os.Args[1]]; ok {
+			if err := cmd(os.Args[2:], os.Stdout); err != nil {
+				fmt.Fprintf(os.Stderr, "quicksand %s: %v\n", os.Args[1], err)
+				os.Exit(1)
+			}
+			return
 		}
-		return
-	}
-	if len(os.Args) > 1 && os.Args[1] == "topo" {
-		if err := topoCmd(os.Args[2:], os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "quicksand topo:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if len(os.Args) > 1 && os.Args[1] == "resilience" {
-		if err := resilCmd(os.Args[2:], os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "quicksand resilience:", err)
-			os.Exit(1)
-		}
-		return
 	}
 	scale := flag.String("scale", "small", "world scale: small or paper")
 	seed := flag.Int64("seed", 1, "root seed")
@@ -137,10 +123,8 @@ func main() {
 	}
 }
 
-func usage() {
-	fmt.Fprintf(os.Stderr, `usage: quicksand [-scale small|paper] [-seed N] [-workers N] <experiment>
+const usageText = `usage: quicksand [-scale small|paper] [-seed N] [-workers N] <experiment>
        quicksand serve [flags]   (long-running route monitor; see serve -h)
-       quicksand topo [flags]    (Internet-scale topology benchmark; see topo -h)
        quicksand resilience [flags]  (E10 Counter-RAPTOR guard study; see resilience -h)
 
 experiments: dataset fig2left fig2right fig3left fig3right
@@ -148,8 +132,9 @@ experiments: dataset fig2left fig2right fig3left fig3right
              convergence rotation rov detect ablation all
 
 observability: -v -metrics-addr ADDR -log-level L -log-json -trace FILE -pprof
-`)
-}
+`
+
+func usage() { fmt.Fprint(os.Stderr, usageText) }
 
 // app carries lazily built shared state: the world and the simulated
 // update stream (several experiments need both; "all" builds them once

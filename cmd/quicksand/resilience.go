@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -31,8 +30,6 @@ type resilOpts struct {
 	big          int
 	bigGuards    int
 	bigAttackers int
-
-	json bool
 }
 
 func resilFlags(fs *flag.FlagSet) *resilOpts {
@@ -47,7 +44,6 @@ func resilFlags(fs *flag.FlagSet) *resilOpts {
 	fs.IntVar(&o.big, "big", 73000, "AS count of the sampled-estimator phase (0 = skip)")
 	fs.IntVar(&o.bigGuards, "big-guards", 12, "guard destinations in the sampled-estimator phase")
 	fs.IntVar(&o.bigAttackers, "big-attackers", 96, "per-guard attacker sample in the sampled-estimator phase")
-	fs.BoolVar(&o.json, "json", false, "emit the BENCH_resilience.json record instead of the report")
 	return o
 }
 
@@ -70,48 +66,37 @@ func (o *resilOpts) alphaList() ([]float64, error) {
 	return out, nil
 }
 
-// resilArm is one strategy row of the machine-readable record.
-type resilArm struct {
-	Name                 string  `json:"name"`
-	Alpha                float64 `json:"alpha"`
-	MeanCapture          float64 `json:"mean_capture"`
-	EmpiricalCapture     float64 `json:"empirical_capture"`
-	AnonymitySetFraction float64 `json:"anonymity_set_fraction"`
-}
-
-// resilReport is the machine-readable result of one resilience run;
-// bench.sh writes it to results/BENCH_resilience.json and gates on its
-// fields.
+// resilReport is the result of one resilience run.
 type resilReport struct {
-	Scale string `json:"scale"`
-	Seed  int64  `json:"seed"`
+	Scale string
+	Seed  int64
 
-	ASes         int     `json:"ases"`
-	GuardASes    int     `json:"guard_ases"`
-	MatrixPairs  int     `json:"matrix_pairs"`
-	MatrixTables int     `json:"matrix_tables"`
-	MatrixMS     float64 `json:"matrix_ms"`
-	TablesPerSec float64 `json:"tables_per_sec"`
-	PairsPerSec  float64 `json:"pairs_per_sec"`
-	ErrorBound   float64 `json:"error_bound"`
+	ASes         int
+	GuardASes    int
+	MatrixPairs  int
+	MatrixTables int
+	MatrixMS     float64
+	TablesPerSec float64
+	PairsPerSec  float64
+	ErrorBound   float64
 
-	Arms []resilArm `json:"arms"`
+	// Arms are vanilla, short-path, then one per alpha in sweep order.
+	Arms []quicksand.ResilienceArm
 	// CaptureMargin is min over the a-sweep of (vanilla mean capture −
 	// resilience-weighted mean capture); > 0 means resilience weighting
 	// strictly lowered capture probability at every setting.
-	CaptureMargin float64 `json:"capture_margin"`
+	CaptureMargin float64
 
 	// Sampled-estimator phase at Internet scale: two independent
 	// attacker samples per guard must agree within their combined 95%
-	// bounds on (almost) every (client, guard) pair.
-	BigASes         int     `json:"big_ases,omitempty"`
-	BigGuards       int     `json:"big_guards,omitempty"`
-	BigAttackers    int     `json:"big_attackers,omitempty"`
-	BigBound        float64 `json:"big_bound,omitempty"`
-	BigMS           float64 `json:"big_ms,omitempty"`
-	BigWithinBound  float64 `json:"big_within_bound,omitempty"`
-	BigMaxDeviation float64 `json:"big_max_deviation,omitempty"`
-	BigMeanAbsDelta float64 `json:"big_mean_abs_delta,omitempty"`
+	// bounds on (almost) every (client, guard) pair. Zero when skipped.
+	BigASes         int
+	BigGuards       int
+	BigAttackers    int
+	BigBound        float64
+	BigMS           float64
+	BigWithinBound  float64
+	BigMaxDeviation float64
 }
 
 func resilCmd(args []string, out io.Writer) error {
@@ -130,14 +115,19 @@ func resilCmd(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
+	// The big phase's AS count is -big itself: check its sample sizes
+	// before any world is built.
+	if o.big > 0 {
+		if o.bigGuards < 1 || o.bigGuards > o.big {
+			return fmt.Errorf("-big-guards %d out of range", o.bigGuards)
+		}
+		if o.bigAttackers < 1 || o.bigAttackers >= o.big-1 {
+			return fmt.Errorf("-big-attackers %d must be in [1, %d) for a sampled estimate", o.bigAttackers, o.big-1)
+		}
+	}
 	rep, err := runResil(o, alphas)
 	if err != nil {
 		return err
-	}
-	if o.json {
-		enc := json.NewEncoder(out)
-		enc.SetIndent("", "  ")
-		return enc.Encode(rep)
 	}
 	printResilReport(out, rep)
 	return nil
@@ -190,14 +180,10 @@ func runResil(o *resilOpts, alphas []float64) (*resilReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	toArm := func(a quicksand.ResilienceArm) resilArm {
-		return resilArm{Name: a.Name, Alpha: a.Alpha, MeanCapture: a.MeanCapture,
-			EmpiricalCapture: a.EmpiricalCapture, AnonymitySetFraction: a.AnonymitySetFraction}
-	}
-	rep.Arms = append(rep.Arms, toArm(res.Vanilla), toArm(res.ShortPath))
+	rep.Arms = append(rep.Arms, res.Vanilla, res.ShortPath)
 	rep.CaptureMargin = 1
 	for _, a := range res.Resilience {
-		rep.Arms = append(rep.Arms, toArm(a))
+		rep.Arms = append(rep.Arms, a)
 		if m := res.Vanilla.MeanCapture - a.MeanCapture; m < rep.CaptureMargin {
 			rep.CaptureMargin = m
 		}
@@ -225,16 +211,10 @@ func resilBigPhase(o *resilOpts, rep *resilReport) error {
 	if err != nil {
 		return err
 	}
-	if o.bigAttackers < 1 || o.bigAttackers >= g.Len()-1 {
-		return fmt.Errorf("-big-attackers %d must be in [1, %d) for a sampled estimate", o.bigAttackers, g.Len()-1)
-	}
 
-	// Guard destinations: a deterministic uniform sample, like the topo
-	// subcommand's tracked shard.
+	// Guard destinations: a deterministic uniform sample (resilCmd has
+	// range-checked the sample sizes against -big).
 	asns := g.ASNs()
-	if o.bigGuards < 1 || o.bigGuards > len(asns) {
-		return fmt.Errorf("-big-guards %d out of range", o.bigGuards)
-	}
 	rng := rand.New(rand.NewSource(par.TrialSeed(o.seed, 3<<20)))
 	seen := make(map[bgp.ASN]bool, o.bigGuards)
 	var guards []bgp.ASN
@@ -265,7 +245,7 @@ func resilBigPhase(o *resilOpts, rep *resilReport) error {
 
 	combined := a.ErrorBound95() + b.ErrorBound95()
 	within, total := 0, 0
-	var maxDev, sumDev float64
+	var maxDev float64
 	for gi := range guards {
 		for id := int32(0); id < int32(g.Len()); id++ {
 			d := a.RAt(id, gi) - b.RAt(id, gi)
@@ -278,13 +258,11 @@ func resilBigPhase(o *resilOpts, rep *resilReport) error {
 			if d > maxDev {
 				maxDev = d
 			}
-			sumDev += d
 			total++
 		}
 	}
 	rep.BigWithinBound = float64(within) / float64(total)
 	rep.BigMaxDeviation = maxDev
-	rep.BigMeanAbsDelta = sumDev / float64(total)
 	return nil
 }
 
@@ -314,3 +292,5 @@ func printResilReport(out io.Writer, r *resilReport) {
 	fmt.Fprintln(out, "(Counter-RAPTOR: W(i) = a*R(i) + (1-a)*B(i); higher a trades bandwidth")
 	fmt.Fprintln(out, " balance for hijack resilience, lowering the capture probability)")
 }
+
+func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }

@@ -74,9 +74,12 @@ func serveFlags(fs *flag.FlagSet) *serveOpts {
 }
 
 // parseWatchFile reads a watchlist: one "prefix origin-AS" pair per
-// line, blank lines and #-comments ignored.
+// line, blank lines and #-comments ignored. The file says which origin
+// is legitimate, so a prefix listed with two different origins is an
+// error, not last-wins; an identical repeat is accepted.
 func parseWatchFile(r io.Reader) (map[netip.Prefix]bgp.ASN, error) {
 	watched := make(map[netip.Prefix]bgp.ASN)
+	firstLine := make(map[netip.Prefix]int)
 	sc := bufio.NewScanner(r)
 	line := 0
 	for sc.Scan() {
@@ -97,7 +100,13 @@ func parseWatchFile(r io.Reader) (map[netip.Prefix]bgp.ASN, error) {
 		if err != nil {
 			return nil, fmt.Errorf("line %d: origin %q: %v", line, fields[1], err)
 		}
-		watched[p.Masked()] = bgp.ASN(asn)
+		p = p.Masked()
+		if prev, ok := watched[p]; !ok {
+			watched[p], firstLine[p] = bgp.ASN(asn), line
+		} else if prev != bgp.ASN(asn) {
+			return nil, fmt.Errorf("line %d: %v origin %v conflicts with %v on line %d",
+				line, p, bgp.ASN(asn), prev, firstLine[p])
+		}
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err

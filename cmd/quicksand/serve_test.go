@@ -43,6 +43,22 @@ func TestParseWatchFile(t *testing.T) {
 			t.Errorf("parseWatchFile(%q) succeeded", bad)
 		}
 	}
+
+	// One prefix, two origins: an error naming both lines, also when the
+	// spellings differ only in host bits. An identical repeat is fine.
+	for _, dup := range []string{
+		"10.0.0.0/16 64496\n# c\n10.0.0.0/16 64497\n",
+		"10.0.0.0/16 64496\n10.9.0.0/16 1\n10.0.3.7/16 64497\n",
+	} {
+		_, err := parseWatchFile(strings.NewReader(dup))
+		if err == nil || !strings.Contains(err.Error(), "line 3") || !strings.Contains(err.Error(), "line 1") {
+			t.Errorf("parseWatchFile(%q) = %v, want a conflict naming lines 3 and 1", dup, err)
+		}
+	}
+	watched, err = parseWatchFile(strings.NewReader("10.0.0.0/16 64496\n10.0.0.0/16 64496\n"))
+	if err != nil || len(watched) != 1 {
+		t.Errorf("identical repeat: %v, %v; want one entry", watched, err)
+	}
 }
 
 // TestServeSmoke starts the serve subcommand's daemon from its flag

@@ -255,7 +255,7 @@ func TestWriteJSONEncodeFailure(t *testing.T) {
 }
 
 func TestHTTPRIB(t *testing.T) {
-	_, base := newHTTPDaemon(t)
+	d, base := newHTTPDaemon(t)
 
 	var resp ribResponse
 	getJSON(t, base+"/rib?prefix=10.0.0.0/16", &resp)
@@ -274,6 +274,18 @@ func TestHTTPRIB(t *testing.T) {
 	getJSON(t, base+"/rib?addr=10.0.1.7", &resp)
 	if resp.Prefix != "10.0.1.0/24" {
 		t.Errorf("/rib?addr LPM = %q, want the /24", resp.Prefix)
+	}
+
+	// An announcement whose AS_PATH is present but empty is the prefix's
+	// only — hence best — route, not a withdrawal.
+	d.Ingest(0, time.Unix(2000, 0), netip.MustParsePrefix("192.0.2.0/24"), asns())
+	if !d.WaitQuiesce(5 * time.Second) {
+		t.Fatal("pipeline did not quiesce")
+	}
+	resp = ribResponse{}
+	getJSON(t, base+"/rib?prefix=192.0.2.0/24", &resp)
+	if len(resp.Routes) != 1 || resp.Best == nil || len(resp.Best.Path) != 0 {
+		t.Errorf("empty-path route: routes = %+v, best = %+v; want it served as best", resp.Routes, resp.Best)
 	}
 
 	if code, _ := httpGet(t, base+"/rib?prefix=172.16.0.0/12"); code != http.StatusNotFound {

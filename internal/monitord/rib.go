@@ -24,20 +24,19 @@ type RIBEntry struct {
 }
 
 // Best returns the entry's best path under the collector's simple rule:
-// shortest AS path, ties broken by lowest session id. ok is false when
-// every session has withdrawn the prefix.
+// shortest AS path, ties broken by lowest session id. Every route in an
+// entry is live (apply deletes a withdrawn session's), so a present but
+// empty AS_PATH is the shortest there is. ok is false only for an entry
+// with no routes.
 func (e *RIBEntry) Best() (Route, bool) {
-	best := -1
+	if len(e.Routes) == 0 {
+		return Route{}, false
+	}
+	best := 0
 	for i, r := range e.Routes {
-		if len(r.Path) == 0 {
-			continue
-		}
-		if best < 0 || len(r.Path) < len(e.Routes[best].Path) {
+		if len(r.Path) < len(e.Routes[best].Path) {
 			best = i
 		}
-	}
-	if best < 0 {
-		return Route{}, false
 	}
 	return e.Routes[best], true
 }

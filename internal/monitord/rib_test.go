@@ -47,6 +47,17 @@ func TestLiveRIBApplyLookupWithdraw(t *testing.T) {
 		t.Errorf("after longer re-announce, Best.Session = %d, want 1", best.Session)
 	}
 
+	// A present-but-empty AS_PATH is a live route and the shortest one.
+	rib.apply(t0, 2, p, asns())
+	e, _ = rib.Lookup(p)
+	if best, ok := e.Best(); !ok || best.Session != 2 {
+		t.Errorf("with an empty-path route, Best = %+v, %v; want session 2", best, ok)
+	}
+	rib.apply(t0, 2, p, nil)
+	if _, ok := (&RIBEntry{Prefix: p}).Best(); ok {
+		t.Error("Best ok on an entry with no routes")
+	}
+
 	// Snapshots are copies: mutating one must not touch the RIB.
 	e.Routes[0].Path[0] = 9999
 	e2, _ := rib.Lookup(p)

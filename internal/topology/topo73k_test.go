@@ -43,10 +43,10 @@ func graph73K(t *testing.T) *Graph {
 	return topo73k.g
 }
 
-// TestTopo73KSmoke is the scaled-down version of the bench gate: the
-// full-Internet topology generates, a destination shard computes with
-// every AS routed (the graph is connected), and a single-link flap
-// delta-recompiles to tables identical to a full recomputation.
+// TestTopo73KSmoke is the 73K correctness gate: the full-Internet
+// topology generates, a destination shard computes with every AS routed
+// (the graph is connected), and a single-link flap delta-recompiles to
+// tables identical to a full recomputation.
 func TestTopo73KSmoke(t *testing.T) {
 	g := graph73K(t)
 	if g.Len() != 73000 {
