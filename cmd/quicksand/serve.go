@@ -34,7 +34,6 @@ type serveOpts struct {
 	collectors string
 	mrtFiles   string
 	ribFile    string
-	snapshot   string
 
 	asn   uint
 	bgpID string
@@ -42,9 +41,6 @@ type serveOpts struct {
 
 	learn          int
 	upstreamAlarms bool
-	shards         int
-	queueDepth     int
-	alertBuffer    int
 
 	obs obs.Options
 }
@@ -58,17 +54,13 @@ func serveFlags(fs *flag.FlagSet) *serveOpts {
 	fs.StringVar(&o.listenBGP, "listen-bgp", "127.0.0.1:1790", "TCP address accepting inbound BGP sessions (empty disables)")
 	fs.StringVar(&o.listenHTTP, "listen-http", "127.0.0.1:8790", "TCP address serving the HTTP API (empty disables)")
 	fs.StringVar(&o.collectors, "collectors", "", "comma-separated BGP speakers to dial and keep sessions with")
-	fs.StringVar(&o.mrtFiles, "mrt", "", "comma-separated BGP4MP update archives to ingest at startup")
-	fs.StringVar(&o.ribFile, "rib-snapshot", "", "TABLE_DUMP_V2 snapshot to seed the live RIB from at startup")
-	fs.StringVar(&o.snapshot, "snapshot", "", "binary RIB snapshot file: restored at startup if present, written at shutdown")
+	fs.StringVar(&o.mrtFiles, "mrt", "", "comma-separated BGP4MP update archives to ingest at startup, after -rib-snapshot")
+	fs.StringVar(&o.ribFile, "rib-snapshot", "", "comma-separated TABLE_DUMP_V2 snapshots to seed the live RIB from at startup")
 	fs.UintVar(&o.asn, "asn", 64512, "local AS number")
 	fs.StringVar(&o.bgpID, "bgp-id", "198.51.100.1", "local BGP identifier (IPv4)")
 	fs.DurationVar(&o.hold, "hold", 90*time.Second, "proposed BGP hold time (0 disables keepalives)")
 	fs.IntVar(&o.learn, "learn", 0, "treat the first N updates as a clean learning window before arming upstream alarms")
 	fs.BoolVar(&o.upstreamAlarms, "upstream-alarms", false, "arm new-upstream alarms immediately (no learning window)")
-	fs.IntVar(&o.shards, "shards", 0, "dispatcher shards (0 = default)")
-	fs.IntVar(&o.queueDepth, "queue-depth", 0, "per-shard ingest queue bound (0 = default)")
-	fs.IntVar(&o.alertBuffer, "alert-buffer", 0, "alert ring capacity (0 = default)")
 	o.obs.RegisterFlags(fs)
 	return o
 }
@@ -191,9 +183,6 @@ func (o *serveOpts) serveConfig(logf func(string, ...any)) (monitord.Config, err
 		ListenBGP:      o.listenBGP,
 		ListenHTTP:     o.listenHTTP,
 		Collectors:     splitList(o.collectors),
-		Shards:         o.shards,
-		QueueDepth:     o.queueDepth,
-		AlertBuffer:    o.alertBuffer,
 		LearnUpdates:   o.learn,
 		UpstreamAlarms: o.upstreamAlarms,
 		Seed:           o.seed,
@@ -201,52 +190,27 @@ func (o *serveOpts) serveConfig(logf func(string, ...any)) (monitord.Config, err
 	}, nil
 }
 
-// fleetConfig turns parsed flags into a fleet router config. The
-// single-daemon ingest and persistence flags are rejected up front: the
-// router dials no collectors, has no MRT reader, and keeps no RIB
-// snapshot — its shards are rebuilt from the live stream.
-func (o *serveOpts) fleetConfig(logf func(string, ...any)) (fleet.Config, error) {
-	for _, f := range []struct{ name, value string }{
-		{"-collectors", o.collectors},
-		{"-mrt", o.mrtFiles},
-		{"-rib-snapshot", o.ribFile},
-		{"-snapshot", o.snapshot},
-	} {
-		if f.value != "" {
-			return fleet.Config{}, fmt.Errorf(
-				"%s is a single-daemon flag: the fleet router has no collector dialers, MRT ingest, or snapshot persistence", f.name)
-		}
-	}
-	mc, err := o.serveConfig(logf)
-	if err != nil {
-		return fleet.Config{}, err
-	}
+// fleetConfig spreads a daemon config over -fleet shards behind a router:
+// the router takes the daemon's place on the network and the registry,
+// the shards keep the monitor settings.
+func (o *serveOpts) fleetConfig(mc monitord.Config) fleet.Config {
 	return fleet.Config{
 		Watched: mc.Watched,
 		Shards:  o.fleet,
 		ShardConfig: monitord.Config{
-			Shards:     o.shards,
-			QueueDepth: o.queueDepth,
 			// -learn applies per shard: each shard's learning window spans
 			// the first N updates routed to its own partition.
-			LearnUpdates:   o.learn,
-			UpstreamAlarms: o.upstreamAlarms,
-			AlertBuffer:    o.alertBuffer,
-			Seed:           o.seed,
+			LearnUpdates:   mc.LearnUpdates,
+			UpstreamAlarms: mc.UpstreamAlarms,
 		},
-		Speaker:     mc.Speaker,
-		ListenBGP:   mc.ListenBGP,
-		ListenHTTP:  mc.ListenHTTP,
-		AlertBuffer: o.alertBuffer,
-		Seed:        o.seed,
-		Logf:        logf,
-	}, nil
-}
-
-// service is what serve boots and stops: a single daemon or a fleet
-// router.
-type service interface {
-	Shutdown(ctx context.Context) error
+		Speaker:    mc.Speaker,
+		ListenBGP:  mc.ListenBGP,
+		ListenHTTP: mc.ListenHTTP,
+		Collectors: mc.Collectors,
+		Seed:       mc.Seed,
+		Logf:       mc.Logf,
+		Registry:   mc.Registry,
+	}
 }
 
 // serveCmd runs the monitord daemon (or, with -fleet, the fleet router)
@@ -254,8 +218,8 @@ type service interface {
 func serveCmd(args []string) error {
 	// The handler goes in before anything else: building the watchlist
 	// world, booting and ingesting archives can take seconds, and a
-	// SIGTERM landing meanwhile must still end in an orderly Shutdown and
-	// a written snapshot instead of killing the process.
+	// SIGTERM landing meanwhile must still end in an orderly Shutdown
+	// instead of killing the process.
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	defer signal.Stop(sig)
@@ -269,15 +233,17 @@ func serve(args []string, sig <-chan os.Signal, logw io.Writer) error {
 	fs.Usage = func() {
 		fmt.Fprintf(os.Stderr, `usage: quicksand serve [flags]
 
-Long-running Tor-prefix route monitor: accepts BGP sessions, ingests
-MRT archives, maintains a live RIB, and serves alerts and metrics over
-HTTP (GET /alerts, /rib, /healthz, /metrics).
+Long-running Tor-prefix route monitor: accepts BGP sessions, dials
+route collectors, ingests MRT archives (BGP4MP updates and TABLE_DUMP_V2
+tables), maintains a live RIB, and serves alerts and metrics over HTTP
+(GET /alerts, /rib, /healthz, /metrics). It keeps no state across
+restarts: peers resend their tables when their sessions re-establish,
+and -rib-snapshot/-mrt preload the rest.
 
 With -fleet N the watchlist is hash-sharded across N in-process
 monitord instances behind one router that presents the same BGP and
-HTTP surface (plus GET /anomalies from the Counter-RAPTOR detectors);
-the single-daemon ingest flags (-collectors, -mrt, -rib-snapshot,
--snapshot) are rejected in fleet mode.
+HTTP surface (plus GET /anomalies from the Counter-RAPTOR detectors)
+and takes every flag the single daemon does.
 
 `)
 		fs.PrintDefaults()
@@ -294,7 +260,7 @@ the single-daemon ingest flags (-collectors, -mrt, -rib-snapshot,
 	}
 	defer rt.Close()
 	logf := func(format string, args ...any) { rt.Log.Info(fmt.Sprintf(format, args...)) }
-	svc, persist, err := o.boot(rt, logf)
+	svc, err := o.boot(rt, logf)
 	if err != nil {
 		return err
 	}
@@ -306,112 +272,70 @@ the single-daemon ingest flags (-collectors, -mrt, -rib-snapshot,
 	if err := svc.Shutdown(ctx); err != nil {
 		return err
 	}
-	if err := persist(); err != nil {
-		return err
-	}
 	return rt.Close()
 }
 
-// boot starts the fleet router or the single daemon (restoring its
-// snapshot and ingesting its archives). Either shares the runtime's
-// registry, so its own families and the bgpd_* families appear on both
-// its /metrics endpoint and the optional -metrics-addr server. persist
-// runs after Shutdown: it writes the daemon's -snapshot.
-func (o *serveOpts) boot(rt *obs.Runtime, logf func(string, ...any)) (svc service, persist func() error, err error) {
-	persist = func() error { return nil }
-	if o.fleet > 0 {
-		cfg, err := o.fleetConfig(logf)
-		if err != nil {
-			return nil, nil, err
-		}
-		cfg.Registry = rt.Reg
-		cfg.Speaker.Metrics = bgpd.NewMetrics(rt.Reg)
-		r, err := fleet.New(cfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		logf("serve: fleet router over %d shards, watching %d prefixes; BGP %s, HTTP %s",
-			o.fleet, len(cfg.Watched), orDisabled(r.BGPAddr()), orDisabled(r.HTTPAddr()))
-		return r, persist, nil
-	}
+// boot starts the single daemon or, with -fleet, the fleet router, then
+// preloads its archives. Either shares the runtime's registry, so its
+// own families and the bgpd_* families appear on both its /metrics
+// endpoint and the optional -metrics-addr server.
+func (o *serveOpts) boot(rt *obs.Runtime, logf func(string, ...any)) (monitord.Front, error) {
 	cfg, err := o.serveConfig(logf)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	cfg.Registry = rt.Reg
 	cfg.Speaker.Metrics = bgpd.NewMetrics(rt.Reg)
-	d, err := monitord.New(cfg)
-	if err != nil {
-		return nil, nil, err
+	var svc monitord.Front
+	what := "one daemon"
+	if o.fleet > 0 {
+		what = fmt.Sprintf("fleet router over %d shards", o.fleet)
+		svc, err = fleet.New(o.fleetConfig(cfg))
+	} else {
+		svc, err = monitord.New(cfg)
 	}
-	logf("serve: watching %d prefixes; BGP %s, HTTP %s",
-		len(cfg.Watched), orDisabled(d.BGPAddr()), orDisabled(d.HTTPAddr()))
-	if err := o.preload(d, logf); err != nil {
+	if err != nil {
+		return nil, err
+	}
+	logf("serve: %s, watching %d prefixes; BGP %s, HTTP %s",
+		what, len(cfg.Watched), orDisabled(svc.BGPAddr()), orDisabled(svc.HTTPAddr()))
+	if err := o.preload(svc, logf); err != nil {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
-		d.Shutdown(ctx)
-		return nil, nil, err
+		svc.Shutdown(ctx)
+		return nil, err
 	}
-	if o.snapshot != "" {
-		persist = func() error {
-			stats, err := d.SaveSnapshotFile(o.snapshot)
-			if err != nil {
-				return fmt.Errorf("-snapshot %s: %w", o.snapshot, err)
-			}
-			logf("serve: wrote snapshot %s: %d sessions, %d prefixes, %d routes",
-				o.snapshot, stats.Sessions, stats.Prefixes, stats.Routes)
-			return nil
-		}
-	}
-	return d, persist, nil
+	return svc, nil
 }
 
-// preload seeds a fresh daemon from -snapshot, -rib-snapshot and -mrt.
-func (o *serveOpts) preload(d *monitord.Daemon, logf func(string, ...any)) error {
-	if o.snapshot != "" {
-		if _, err := os.Stat(o.snapshot); err == nil {
-			stats, err := d.LoadSnapshotFile(o.snapshot)
-			if err != nil {
-				return fmt.Errorf("-snapshot %s: %w", o.snapshot, err)
-			}
-			d.WaitQuiesce(time.Minute)
-			logf("serve: restored snapshot %s: %d sessions, %d prefixes, %d routes",
-				o.snapshot, stats.Sessions, stats.Prefixes, stats.Routes)
-		} else {
-			logf("serve: no snapshot at %s yet; will write one at shutdown", o.snapshot)
-		}
-	}
-	for _, path := range splitList(o.ribFile) {
-		if err := ingestFile(d, path, true, logf); err != nil {
-			return err
-		}
-	}
-	for _, path := range splitList(o.mrtFiles) {
-		if err := ingestFile(d, path, false, logf); err != nil {
+// preload seeds a fresh service from -rib-snapshot, then -mrt.
+func (o *serveOpts) preload(svc monitord.Front, logf func(string, ...any)) error {
+	for _, path := range append(splitList(o.ribFile), splitList(o.mrtFiles)...) {
+		if err := ingestFile(svc, path, logf); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func ingestFile(d *monitord.Daemon, path string, snapshot bool, logf func(string, ...any)) error {
+// ingestFile replays one archive and waits for the pipeline to absorb
+// it: a service that went live before then would answer /rib and /alerts
+// from a partial table.
+func ingestFile(svc monitord.Front, path string, logf func(string, ...any)) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	var stats *monitord.MRTStats
-	if snapshot {
-		stats, err = d.IngestRIBSnapshot(f, path)
-	} else {
-		stats, err = d.IngestMRT(f, path)
-	}
+	stats, err := svc.IngestMRT(f, path)
 	if err != nil {
 		return err
 	}
-	d.WaitQuiesce(time.Minute)
-	logf("serve: ingested %s: %d records, %d updates, %d peers (%d skipped)",
-		path, stats.Records, stats.Updates, stats.Sessions, stats.Skipped)
+	if !svc.WaitQuiesce(time.Minute) {
+		return fmt.Errorf("%s: pipeline has not absorbed its %d updates after a minute", path, stats.Updates)
+	}
+	logf("serve: ingested %s: %d records, %d updates, %d peers (%d skipped, %d without AS_PATH)",
+		path, stats.Records, stats.Updates, stats.Sessions, stats.Skipped, stats.NoASPath)
 	return nil
 }
 

@@ -121,8 +121,8 @@ func TestServeSmoke(t *testing.T) {
 }
 
 // TestServeFleetSmoke exercises the -fleet arm of the serve wiring:
-// flag parsing into a fleet config, single-daemon flag rejection, and a
-// live router answering the fleet /healthz.
+// flag parsing into a fleet config and a live router answering the fleet
+// /healthz.
 func TestServeFleetSmoke(t *testing.T) {
 	watch := filepath.Join(t.TempDir(), "watch.txt")
 	if err := os.WriteFile(watch, []byte("10.0.0.0/16 64496\n10.1.0.0/16 64497\n"), 0o644); err != nil {
@@ -137,25 +137,13 @@ func TestServeFleetSmoke(t *testing.T) {
 		return o
 	}
 
-	// Every single-daemon ingest/persistence flag must be rejected.
-	for _, bad := range [][]string{
-		{"-fleet", "2", "-watch", watch, "-collectors", "127.0.0.1:1790"},
-		{"-fleet", "2", "-watch", watch, "-mrt", "updates.mrt"},
-		{"-fleet", "2", "-watch", watch, "-rib-snapshot", "rib.mrt"},
-		{"-fleet", "2", "-watch", watch, "-snapshot", "state.bin"},
-	} {
-		if _, err := parse(bad...).fleetConfig(t.Logf); err == nil ||
-			!strings.Contains(err.Error(), "single-daemon flag") {
-			t.Errorf("fleetConfig(%v): err = %v", bad, err)
-		}
-	}
-
 	o := parse("-fleet", "2", "-watch", watch,
 		"-listen-bgp", "127.0.0.1:0", "-listen-http", "127.0.0.1:0", "-hold", "3s")
-	cfg, err := o.fleetConfig(t.Logf)
+	mc, err := o.serveConfig(t.Logf)
 	if err != nil {
-		t.Fatalf("fleetConfig: %v", err)
+		t.Fatalf("serveConfig: %v", err)
 	}
+	cfg := o.fleetConfig(mc)
 	if cfg.Shards != 2 || len(cfg.Watched) != 2 {
 		t.Fatalf("config = %+v", cfg)
 	}
@@ -192,19 +180,14 @@ func TestServeFleetSmoke(t *testing.T) {
 // TestServeSignalBeforeBoot is the regression test for the early-
 // SIGTERM race: serve used to install its signal handler only after the
 // world build, boot and ingest, so a signal landing meanwhile killed the
-// process without Shutdown or a snapshot. With the signal already
-// pending when serve starts, both arms must still boot, shut down in
-// order, persist, and return nil.
+// process without Shutdown. With the signal already pending when serve
+// starts, both arms must still boot, shut down in order, and return nil.
 func TestServeSignalBeforeBoot(t *testing.T) {
 	watch := filepath.Join(t.TempDir(), "watch.txt")
 	if err := os.WriteFile(watch, []byte("10.0.0.0/16 64496\n10.1.0.0/16 64497\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	snapshot := filepath.Join(t.TempDir(), "rib.snapshot")
-	for name, extra := range map[string][]string{
-		"daemon": {"-snapshot", snapshot},
-		"fleet":  {"-fleet", "2"},
-	} {
+	for name, extra := range map[string][]string{"daemon": nil, "fleet": {"-fleet", "2"}} {
 		t.Run(name, func(t *testing.T) {
 			sig := make(chan os.Signal, 1)
 			sig <- syscall.SIGTERM
@@ -219,9 +202,6 @@ func TestServeSignalBeforeBoot(t *testing.T) {
 				}
 			}
 		})
-	}
-	if _, err := os.Stat(snapshot); err != nil {
-		t.Errorf("daemon arm wrote no snapshot at shutdown: %v", err)
 	}
 }
 
@@ -251,7 +231,7 @@ func TestServeFourOctetOrigins(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer rt.Close()
-			svc, _, err := o.boot(rt, t.Logf)
+			svc, err := o.boot(rt, t.Logf)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -262,14 +242,10 @@ func TestServeFourOctetOrigins(t *testing.T) {
 					t.Errorf("Shutdown: %v", err)
 				}
 			}()
-			addrs := svc.(interface {
-				BGPAddr() string
-				HTTPAddr() string
-			})
 
 			dial := func(asn bgp.ASN, as4 bool) *bgpd.Session {
 				t.Helper()
-				conn, err := net.Dial("tcp", addrs.BGPAddr())
+				conn, err := net.Dial("tcp", svc.BGPAddr())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -300,7 +276,7 @@ func TestServeFourOctetOrigins(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			poller := &monitord.HTTPAlerts{Base: "http://" + addrs.HTTPAddr()}
+			poller := &monitord.HTTPAlerts{Base: "http://" + svc.HTTPAddr()}
 			waitOrigins := func(want ...bgp.ASN) {
 				t.Helper()
 				var got []bgp.ASN

@@ -9,9 +9,8 @@ import (
 	"quicksand/internal/par"
 )
 
-// Backoff is the redial schedule shared by every component that
-// maintains an outbound BGP session (the monitord collector dialer, the
-// fleet router's remote-shard forwarders): jittered exponential backoff
+// Backoff is the redial schedule of every outbound BGP session (the
+// collector dialers of Server.Collect): jittered exponential backoff
 // with a "proved healthy" reset rule. It is not safe for concurrent use;
 // each dial loop owns its own instance.
 //

@@ -83,7 +83,6 @@ func TestCloseConcurrentWithSend(t *testing.T) {
 		sp.Close()
 	}()
 	wg.Wait()
-	col.Close()
 	select {
 	case <-sp.Done():
 	default:
@@ -99,6 +98,7 @@ func TestOnCloseHookFiresOnce(t *testing.T) {
 	cfg := speakerCfg
 	cfg.OnClose = func(s *Session) { fired.Add(1) }
 	sp, col := pair(t, cfg, collectorCfg)
+	discard(col)
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
 		wg.Add(1)
@@ -116,5 +116,4 @@ func TestOnCloseHookFiresOnce(t *testing.T) {
 	default:
 		t.Fatal("Done() not closed")
 	}
-	col.Close()
 }

@@ -129,8 +129,6 @@ func TestEstablishUnexpectedMessageAfterOpen(t *testing.T) {
 
 func TestRecvUnexpectedOpenMidSession(t *testing.T) {
 	sp, col := pair(t, speakerCfg, collectorCfg)
-	defer sp.Close()
-	defer col.Close()
 	open := &bgp.Open{Version: 4, ASN: 1, HoldTime: 90, BGPID: mustAddr("10.1.1.1")}
 	raw, _ := open.Marshal()
 	go func() {

@@ -53,9 +53,7 @@ func TestReadMessageTruncatedBody(t *testing.T) {
 }
 
 func TestRecvUpdateHoldExpiry(t *testing.T) {
-	sp, col := pair(t, speakerCfg, collectorCfg)
-	defer sp.Close()
-	defer col.Close()
+	_, col := pair(t, speakerCfg, collectorCfg)
 	// Shrink the negotiated hold time after the fact so expiry is fast;
 	// the speaker's 10s keepalive cadence cannot beat 100ms.
 	col.holdTime = 100 * time.Millisecond
@@ -72,9 +70,7 @@ func TestRecvUpdateHoldExpiry(t *testing.T) {
 }
 
 func TestSendUpdateMarshalError(t *testing.T) {
-	sp, col := pair(t, speakerCfg, collectorCfg)
-	defer sp.Close()
-	defer col.Close()
+	sp, _ := pair(t, speakerCfg, collectorCfg)
 	u := &bgp.Update{
 		Attrs: bgp.PathAttributes{HasOrigin: true, Origin: 9}, // out of range
 		NLRI:  []netip.Prefix{netip.MustParsePrefix("10.0.0.0/8")},
@@ -120,8 +116,6 @@ func TestNoHoldTimerNegotiated(t *testing.T) {
 	zeroCfgA := Config{ASN: 64500, BGPID: netip.MustParseAddr("10.0.0.1"), AS4: true}
 	zeroCfgB := Config{ASN: 12654, BGPID: netip.MustParseAddr("10.0.0.2"), AS4: true}
 	sp, col := pair(t, zeroCfgA, zeroCfgB)
-	defer sp.Close()
-	defer col.Close()
 	if sp.HoldTime() != 0 || col.HoldTime() != 0 {
 		t.Fatalf("hold times = %v, %v, want 0, 0", sp.HoldTime(), col.HoldTime())
 	}
@@ -159,8 +153,6 @@ func TestReplayRejectsBadSessionIndex(t *testing.T) {
 
 func TestCollectStopsAtMax(t *testing.T) {
 	sp, col := pair(t, speakerCfg, collectorCfg)
-	defer sp.Close()
-	defer col.Close()
 	u := &bgp.Update{
 		Attrs: bgp.PathAttributes{
 			HasOrigin: true, Origin: bgp.OriginIGP,
@@ -197,7 +189,6 @@ func TestCollectStopsAtMax(t *testing.T) {
 
 func TestCollectPropagatesReceiveError(t *testing.T) {
 	sp, col := pair(t, speakerCfg, collectorCfg)
-	defer col.Close()
 	sp.closeConn() // hard hangup, no NOTIFICATION
 	if _, err := Collect(col, 0); err == nil {
 		t.Fatal("collect on a dead session returned nil error")

@@ -3,6 +3,7 @@ package bgpd
 import (
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/netip"
 	"testing"
@@ -24,7 +25,10 @@ var (
 	}
 )
 
-// pair establishes two session halves over an in-memory pipe.
+// pair establishes two session halves over an in-memory pipe and closes
+// both when the test ends. By then nobody reads either end, and a Close
+// whose Cease goes into an unread net.Pipe sits out teardown's one-second
+// write deadline, so the cleanup drains both raw ends first.
 func pair(t *testing.T, a, b Config) (*Session, *Session) {
 	t.Helper()
 	ca, cb := net.Pipe()
@@ -48,12 +52,22 @@ func pair(t *testing.T, a, b Config) (*Session, *Session) {
 	if r2.err != nil {
 		t.Fatalf("establish: %v", r2.err)
 	}
+	t.Cleanup(func() {
+		go io.Copy(io.Discard, ca)
+		go io.Copy(io.Discard, cb)
+		r1.s.Close()
+		r2.s.Close()
+	})
 	// Order by local AS for deterministic returns.
 	if r1.s.localAS == a.ASN {
 		return r1.s, r2.s
 	}
 	return r2.s, r1.s
 }
+
+// discard drops whatever s's peer writes from here on, for a test body
+// that closes the peer while nothing else reads s.
+func discard(s *Session) { go io.Copy(io.Discard, s.conn) }
 
 func TestConfigValidation(t *testing.T) {
 	bad := speakerCfg
@@ -75,8 +89,6 @@ func TestConfigValidation(t *testing.T) {
 
 func TestEstablishNegotiation(t *testing.T) {
 	sp, col := pair(t, speakerCfg, collectorCfg)
-	defer sp.Close()
-	defer col.Close()
 	if sp.PeerAS() != 12654 || col.PeerAS() != 64500 {
 		t.Fatalf("peer ASes: %v / %v", sp.PeerAS(), col.PeerAS())
 	}
@@ -96,8 +108,6 @@ func TestEstablishWideASN(t *testing.T) {
 	wide.ASN = 400000
 	wide.AS4 = false // must be forced on automatically
 	sp, col := pair(t, wide, collectorCfg)
-	defer sp.Close()
-	defer col.Close()
 	if col.PeerAS() != 400000 {
 		t.Fatalf("collector saw AS %v, want 400000", col.PeerAS())
 	}
@@ -110,8 +120,6 @@ func TestAS4FallsBackWhenPeerLacksIt(t *testing.T) {
 	no4 := collectorCfg
 	no4.AS4 = false
 	sp, col := pair(t, speakerCfg, no4)
-	defer sp.Close()
-	defer col.Close()
 	if sp.AS4() || col.AS4() {
 		t.Fatal("AS4 negotiated although one side lacks the capability")
 	}
@@ -119,8 +127,6 @@ func TestAS4FallsBackWhenPeerLacksIt(t *testing.T) {
 
 func TestUpdateExchange(t *testing.T) {
 	sp, col := pair(t, speakerCfg, collectorCfg)
-	defer sp.Close()
-	defer col.Close()
 	u := &bgp.Update{
 		Attrs: bgp.PathAttributes{
 			HasOrigin: true, Origin: bgp.OriginIGP,
@@ -148,8 +154,6 @@ func TestUpdateExchange(t *testing.T) {
 
 func TestRecvSkipsKeepalives(t *testing.T) {
 	sp, col := pair(t, speakerCfg, collectorCfg)
-	defer sp.Close()
-	defer col.Close()
 	// Manually inject a keepalive before an update.
 	ka, _ := (&bgp.Keepalive{}).Marshal()
 	go func() {
@@ -179,7 +183,6 @@ func TestCloseSendsCease(t *testing.T) {
 	if err := sp.SendUpdate(&bgp.Update{}); err == nil {
 		t.Fatal("send after close succeeded")
 	}
-	col.Close()
 }
 
 func TestHoldTimerExpires(t *testing.T) {

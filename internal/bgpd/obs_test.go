@@ -92,7 +92,5 @@ func TestMetricsNilRegistry(t *testing.T) {
 	}
 	a := speakerCfg
 	a.Metrics = m
-	sp, col := pair(t, a, collectorCfg)
-	sp.Close()
-	col.Close()
+	pair(t, a, collectorCfg) // closed by its cleanup
 }

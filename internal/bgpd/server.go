@@ -19,7 +19,7 @@ type Peer struct {
 	ID     int
 	PeerAS bgp.ASN
 	Remote string
-	Source string // "bgp", "collector", or the tag an in-process source registered under
+	Source string // "bgp", "collector", or "local" for an in-process source
 	// Updates counts the peer's updates the owner accepted; the owner
 	// bumps it wherever it considers an update taken.
 	Updates atomic.Uint64
@@ -44,24 +44,29 @@ type UpdateSink interface {
 	Flush(start time.Time, n int)
 }
 
-// ServerConfig parameterises a Server. The owner applies its own
-// defaults: every duration and ReadBatch must be positive.
+// ServerConfig parameterises a Server. NewServer fills a zero
+// EstablishTimeout, ReadBatch, DialBackoff*, DialHealthyAfter or Seed
+// with its default, so the fronts built on it share one knob table.
 type ServerConfig struct {
 	// Name prefixes log lines ("monitord", "fleet").
 	Name    string
 	Speaker Config
 	// Listen is the TCP address accepting inbound sessions ("" disables).
-	Listen           string
+	Listen string
+	// EstablishTimeout bounds every OPEN/KEEPALIVE handshake (default 10s).
 	EstablishTimeout time.Duration
-	// ReadBatch bounds the UPDATEs decoded per RecvUpdateBatchStamped.
+	// ReadBatch bounds the UPDATEs decoded per RecvUpdateBatchStamped
+	// (default 64).
 	ReadBatch int
 	// DialBackoffBase, DialBackoffMax, DialHealthyAfter and Seed
-	// parameterise the redial schedule of Dial and Collect (see Backoff).
+	// parameterise Collect's redial schedule (see Backoff; defaults
+	// 500ms, 30s, 30s and 1).
 	DialBackoffBase  time.Duration
 	DialBackoffMax   time.Duration
 	DialHealthyAfter time.Duration
 	Seed             int64
-	Logf             func(format string, args ...any)
+	// Logf receives progress lines (required).
+	Logf func(format string, args ...any)
 
 	// SessionsAccepted, SessionsActive and DroppedNoASPath are the
 	// owner's metric handles; the server registers no family itself.
@@ -97,6 +102,24 @@ type Server struct {
 
 // NewServer binds cfg.Listen (when set). Nothing runs until Start.
 func NewServer(cfg ServerConfig) (*Server, error) {
+	if cfg.EstablishTimeout <= 0 {
+		cfg.EstablishTimeout = 10 * time.Second
+	}
+	if cfg.ReadBatch <= 0 {
+		cfg.ReadBatch = 64
+	}
+	if cfg.DialBackoffBase <= 0 {
+		cfg.DialBackoffBase = 500 * time.Millisecond
+	}
+	if cfg.DialBackoffMax <= 0 {
+		cfg.DialBackoffMax = 30 * time.Second
+	}
+	if cfg.DialHealthyAfter <= 0 {
+		cfg.DialHealthyAfter = 30 * time.Second
+	}
+	if cfg.Seed == 0 {
+		cfg.Seed = 1
+	}
 	s := &Server{cfg: cfg, rawConns: make(map[net.Conn]struct{})}
 	if cfg.Listen != "" {
 		ln, err := net.Listen("tcp", cfg.Listen)
@@ -173,8 +196,8 @@ func (s *Server) establish(conn net.Conn) (*Session, error) {
 
 // Register adds an in-process update source (MRT replay, simulation
 // streams, tests) to the registry so it is tracked like a BGP peer.
-func (s *Server) Register(name string, peerAS bgp.ASN, source string) *Peer {
-	return s.register(nil, name, source, peerAS)
+func (s *Server) Register(name string, peerAS bgp.ASN) *Peer {
+	return s.register(nil, name, "local", peerAS)
 }
 
 func (s *Server) register(sess *Session, remote, source string, peerAS bgp.ASN) *Peer {
@@ -282,19 +305,18 @@ func FlattenPath(p bgp.ASPath) []bgp.ASN {
 	return out
 }
 
-// Dial maintains one outbound session to addr on its own goroutine:
-// dial, handshake, hand the session to run until run returns, then
-// redial on the jittered exponential Backoff schedule until Shutdown.
-// run reports whether the session delivered anything, which (like
-// surviving DialHealthyAfter) resets the schedule; a peer that
-// handshakes and hangs up keeps backing off. key decorrelates the
-// jitter of several dialers, failures counts every failed attempt, and
-// ctx is cancelled by Shutdown.
-func (s *Server) Dial(addr, key string, failures *obs.Counter, run func(ctx context.Context, sess *Session) bool) {
+// Collect maintains one outbound session to the route collector at addr
+// on its own goroutine: dial, handshake, feed the session's updates to
+// the sink exactly like an inbound peer's until it drops, then redial on
+// the jittered exponential Backoff schedule until Shutdown. A session
+// that delivered an update or survived DialHealthyAfter resets the
+// schedule; a collector that handshakes and hangs up keeps backing off.
+// failures counts every failed attempt.
+func (s *Server) Collect(addr string, failures *obs.Counter) {
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
-		bo := NewBackoff(s.cfg.DialBackoffBase, s.cfg.DialBackoffMax, s.cfg.DialHealthyAfter, s.cfg.Seed, key)
+		bo := NewBackoff(s.cfg.DialBackoffBase, s.cfg.DialBackoffMax, s.cfg.DialHealthyAfter, s.cfg.Seed, addr)
 		dialer := &net.Dialer{Timeout: s.cfg.EstablishTimeout}
 		for s.ctx.Err() == nil {
 			var sess *Session
@@ -312,8 +334,7 @@ func (s *Server) Dial(addr, key string, failures *obs.Counter, run func(ctx cont
 				continue
 			}
 			established := time.Now()
-			delivered := run(s.ctx, sess)
-			sess.Close()
+			delivered := s.serve(sess, addr, "collector").Updates.Load() > 0
 			if s.ctx.Err() != nil {
 				return
 			}
@@ -324,14 +345,6 @@ func (s *Server) Dial(addr, key string, failures *obs.Counter, run func(ctx cont
 			}
 		}
 	}()
-}
-
-// Collect dials addr as a route collector: its updates reach the sink
-// exactly like an inbound peer's.
-func (s *Server) Collect(addr string, failures *obs.Counter) {
-	s.Dial(addr, addr, failures, func(_ context.Context, sess *Session) bool {
-		return s.serve(sess, addr, "collector").Updates.Load() > 0
-	})
 }
 
 // Shutdown stops the front in order: dial loops cancelled, listener

@@ -1,12 +1,10 @@
 package bgpd
 
 import (
-	"context"
 	"net"
 	"net/netip"
 	"reflect"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -228,7 +226,7 @@ func TestServerRegisterOrder(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			f.srv.Register("src", 64601, "local")
+			f.srv.Register("src", 64601)
 		}()
 	}
 	wg.Wait()
@@ -244,6 +242,26 @@ func TestServerRegisterOrder(t *testing.T) {
 	f.srv.Shutdown()
 	if !peers[0].Closed() || f.active.Value() != 0 {
 		t.Errorf("Shutdown left row 0 open (active %v)", f.active.Value())
+	}
+}
+
+// TestServerDefaults pins the one knob table both fronts run on: what
+// NewServer fills in for the fields its owner left zero.
+func TestServerDefaults(t *testing.T) {
+	srv, err := NewServer(ServerConfig{Name: "test", Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Shutdown()
+	want := ServerConfig{
+		Name: "test", EstablishTimeout: 10 * time.Second, ReadBatch: 64,
+		DialBackoffBase: 500 * time.Millisecond, DialBackoffMax: 30 * time.Second,
+		DialHealthyAfter: 30 * time.Second, Seed: 1,
+	}
+	got := srv.cfg
+	got.Logf = nil
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("defaults = %+v, want %+v", got, want)
 	}
 }
 
@@ -326,35 +344,5 @@ func TestServerDialBacksOffAndCollects(t *testing.T) {
 	peers := f.srv.Peers()
 	if len(peers) != 2 || peers[1].Source != "collector" || peers[1].Remote != addr || !peers[0].Closed() {
 		t.Fatalf("registry after a flap and a live session: %+v", peers)
-	}
-}
-
-// TestServerDialRunOwnsSession checks Dial hands run the established
-// session and the server's context, closes the session once run returns,
-// and stops redialing at Shutdown.
-func TestServerDialRunOwnsSession(t *testing.T) {
-	peer := newServerFixture(t, nil) // the far end: a plain accepting server
-	peer.srv.Start()
-	f := newServerFixture(t, func(cfg *ServerConfig) { cfg.Listen = "" })
-	var runs atomic.Int64
-	sessions := make(chan *Session, 1)
-	f.srv.Dial(peer.srv.Addr(), "key", f.dialFail, func(ctx context.Context, sess *Session) bool {
-		if runs.Add(1) == 1 {
-			sessions <- sess
-			return false // first session: hand back immediately
-		}
-		<-ctx.Done() // later sessions: hold until Shutdown
-		return true
-	})
-	first := <-sessions
-	select {
-	case <-first.Done():
-	case <-time.After(5 * time.Second):
-		t.Fatal("Dial did not close the session run handed back")
-	}
-	waitUntil(t, "a redial", func() bool { return runs.Load() >= 2 })
-	f.srv.Shutdown() // must return: run unblocks on ctx, the loop exits
-	if f.dialFail.Value() != 0 {
-		t.Errorf("%d dial failures against a healthy peer", f.dialFail.Value())
 	}
 }

@@ -63,8 +63,6 @@ func TestRecvUpdateBatchStamped(t *testing.T) {
 // the per-message accounting must match SendUpdates'.
 func TestSendRaw(t *testing.T) {
 	a, b := pair(t, speakerCfg, collectorCfg)
-	defer a.Close()
-	defer b.Close()
 
 	_, want := testWire(t, a.AS4())
 	var raw []byte
@@ -101,6 +99,7 @@ func TestSendRaw(t *testing.T) {
 		t.Fatalf("empty SendRaw: %v", err)
 	}
 
+	discard(b)
 	a.Close()
 	if err := a.SendRaw(raw, len(want)); !errors.Is(err, ErrClosed) {
 		t.Fatalf("SendRaw on closed session = %v, want ErrClosed", err)

@@ -1,30 +1,26 @@
 package fleet_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/netip"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"quicksand/internal/bgp"
+	"quicksand/internal/bgpd"
 	"quicksand/internal/fleet"
 	"quicksand/internal/monitord"
+	"quicksand/internal/mrt"
+	"quicksand/internal/obs"
 )
-
-// service is the surface a single daemon and a fleet router share; the
-// conformance table below drives both through it.
-type service interface {
-	RegisterSource(name string, peer bgp.ASN) int
-	Ingest(session int, t time.Time, prefix netip.Prefix, path []bgp.ASN) error
-	WaitQuiesce(timeout time.Duration) bool
-	HTTPAddr() string
-	Shutdown(ctx context.Context) error
-}
 
 var conformanceWatched = map[netip.Prefix]bgp.ASN{
 	netip.MustParsePrefix("10.10.0.0/16"): 65010,
@@ -32,42 +28,53 @@ var conformanceWatched = map[netip.Prefix]bgp.ASN{
 }
 
 // conformanceAlerts is how many alerts each service holds before the
-// table runs: one more than the /alerts page ceiling, so the clamp is
-// observable.
+// HTTP table runs: one more than the /alerts page ceiling, so the clamp
+// is observable.
 const conformanceAlerts = monitord.MaxAlertsPerRequest + 1
 
-func bootServices(t *testing.T) map[string]service {
+// bootFront starts the named front — "daemon", or "router" over two
+// shards — on loopback listeners, dialing the given collectors. The
+// conformance tables drive both through monitord.Front.
+func bootFront(t *testing.T, name string, collectors ...string) monitord.Front {
 	t.Helper()
-	d, err := monitord.New(monitord.Config{
-		Watched:     conformanceWatched,
-		ListenHTTP:  "127.0.0.1:0",
-		AlertBuffer: 2 * conformanceAlerts,
-	})
-	if err != nil {
-		t.Fatal(err)
+	speaker := bgpd.Config{ASN: 64500, BGPID: netip.MustParseAddr("198.51.100.1"), AS4: true}
+	var svc monitord.Front
+	var err error
+	if name == "daemon" {
+		svc, err = monitord.New(monitord.Config{
+			Watched: conformanceWatched, Speaker: speaker,
+			ListenBGP: "127.0.0.1:0", ListenHTTP: "127.0.0.1:0", Collectors: collectors,
+			AlertBuffer: 2 * conformanceAlerts,
+		})
+	} else {
+		svc, err = fleet.New(fleet.Config{
+			Watched: conformanceWatched, Shards: 2, Speaker: speaker,
+			ListenBGP: "127.0.0.1:0", ListenHTTP: "127.0.0.1:0", Collectors: collectors,
+			ShardConfig: monitord.Config{AlertBuffer: 2 * conformanceAlerts},
+			AlertBuffer: 2 * conformanceAlerts,
+		})
 	}
-	r, err := fleet.New(fleet.Config{
-		Watched:     conformanceWatched,
-		Shards:      2,
-		ShardConfig: monitord.Config{AlertBuffer: 2 * conformanceAlerts},
-		AlertBuffer: 2 * conformanceAlerts,
-		ListenHTTP:  "127.0.0.1:0",
-	})
 	if err != nil {
-		d.Shutdown(context.Background())
-		t.Fatal(err)
+		t.Fatalf("%s: %v", name, err)
 	}
-	services := map[string]service{"daemon": d, "router": r}
 	t.Cleanup(func() {
-		for _, s := range services {
-			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-			s.Shutdown(ctx)
-			cancel()
-		}
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		svc.Shutdown(ctx)
 		http.DefaultClient.CloseIdleConnections()
 	})
+	return svc
+}
+
+var fronts = []string{"daemon", "router"}
+
+func bootServices(t *testing.T) map[string]monitord.Front {
+	t.Helper()
+	services := make(map[string]monitord.Front)
 	hijacked := netip.MustParsePrefix("10.10.0.0/16")
-	for name, s := range services {
+	for _, name := range fronts {
+		s := bootFront(t, name)
+		services[name] = s
 		src := s.RegisterSource("conformance", 64601)
 		for i := 0; i < conformanceAlerts; i++ {
 			if err := s.Ingest(src, time.Unix(1000, 0), hijacked, []bgp.ASN{64601, 666}); err != nil {
@@ -177,6 +184,204 @@ func TestHTTPConformance(t *testing.T) {
 				}
 				if err := tc.check(page); err != nil {
 					t.Errorf("%s %s: %v", tc.method, tc.path, err)
+				}
+			})
+		}
+	}
+}
+
+// ingestStream is the labelled feed of TestIngestConformance: one peer's
+// view, one update per prefix (so a table dump can carry it too), each
+// labelled with the alert it must raise.
+var ingestStream = []struct {
+	prefix string
+	path   []bgp.ASN
+	alert  string // "" raises nothing
+}{
+	{"10.10.0.0/16", []bgp.ASN{64601, 65010}, ""},            // legitimate
+	{"10.20.0.0/16", []bgp.ASN{64601, 666}, "origin-change"}, // same-prefix hijack
+	{"10.10.7.0/24", []bgp.ASN{64601, 667}, "more-specific"}, // more-specific hijack
+	{"198.18.0.0/15", []bgp.ASN{64601, 64700}, ""},           // unwatched background
+	{"10.20.0.0/16", nil, ""},                                // no AS_PATH: dropped, counted
+}
+
+// archiveTime stamps both archives: old enough that a path mistaking it
+// for a receive time would observe weeks of "latency".
+var archiveTime = time.Unix(1400000000, 0)
+
+var (
+	ingestPeerAS = bgp.ASN(64601)
+	ingestPeerIP = netip.MustParseAddr("192.0.2.1")
+)
+
+// ingestUpdate is one ingestStream row as the UPDATE announcing it; a
+// nil path leaves the AS_PATH attribute out.
+func ingestUpdate(prefix string, path []bgp.ASN) *bgp.Update {
+	u := &bgp.Update{
+		NLRI:  []netip.Prefix{netip.MustParsePrefix(prefix)},
+		Attrs: bgp.PathAttributes{HasOrigin: true, Origin: bgp.OriginIGP, NextHop: ingestPeerIP},
+	}
+	if path != nil {
+		u.Attrs.HasASPath, u.Attrs.ASPath = true, bgp.Sequence(path...)
+	}
+	return u
+}
+
+// sendStream announces ingestStream over an established session.
+func sendStream(t *testing.T, sess *bgpd.Session) {
+	t.Helper()
+	t.Cleanup(func() { sess.Close() })
+	for _, u := range ingestStream {
+		if err := sess.SendUpdate(ingestUpdate(u.prefix, u.path)); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// ingestArchive renders ingestStream as BGP4MP update messages or as one
+// TABLE_DUMP_V2 table, stamped archiveTime.
+func ingestArchive(t *testing.T, tableDump bool) *bytes.Reader {
+	t.Helper()
+	var buf bytes.Buffer
+	w := mrt.NewWriter(&buf)
+	if tableDump {
+		err := w.WritePeerIndexTable(archiveTime, &mrt.PeerIndexTable{
+			CollectorBGPID: netip.MustParseAddr("203.0.113.9"), ViewName: "conformance",
+			Peers: []mrt.Peer{{BGPID: ingestPeerIP, IP: ingestPeerIP, AS: ingestPeerAS}},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, row := range ingestStream {
+		u := ingestUpdate(row.prefix, row.path)
+		var err error
+		if tableDump {
+			err = w.WriteRIB(archiveTime, &mrt.RIBIPv4Unicast{
+				Sequence: uint32(i), Prefix: u.NLRI[0],
+				Entries: []mrt.RIBEntry{{PeerIndex: 0, OriginatedTime: archiveTime, Attrs: u.Attrs}},
+			})
+		} else {
+			var raw []byte
+			if raw, err = u.Marshal(true); err == nil {
+				err = w.WriteMessage(archiveTime, &mrt.BGP4MPMessage{
+					PeerAS: ingestPeerAS, LocalAS: 64500, AS4: true,
+					PeerIP: ingestPeerIP, LocalIP: netip.MustParseAddr("198.51.100.1"), Data: raw,
+				})
+			}
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return bytes.NewReader(buf.Bytes())
+}
+
+// TestIngestConformance delivers one labelled stream by every input a
+// front has — an inbound session, a dialed collector, a BGP4MP archive, a
+// TABLE_DUMP_V2 seed — to a daemon and to a router: every cell must raise
+// exactly the labelled alerts, count the path-less announcement as
+// dropped, keep the archive's timestamps as the alerts' semantic time,
+// and keep them out of the latency histograms.
+func TestIngestConformance(t *testing.T) {
+	peer := bgpd.Config{ASN: ingestPeerAS, BGPID: netip.MustParseAddr("203.0.113.9"), AS4: true}
+	establish := func(t *testing.T, conn net.Conn, err error) *bgpd.Session {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess, err := bgpd.Establish(conn, peer)
+		if err != nil {
+			conn.Close()
+			t.Fatal(err)
+		}
+		return sess
+	}
+	fromArchive := func(tableDump bool) func(*testing.T, string) monitord.Front {
+		return func(t *testing.T, front string) monitord.Front {
+			svc := bootFront(t, front)
+			if _, err := svc.IngestMRT(ingestArchive(t, tableDump), "conformance.mrt"); err != nil {
+				t.Fatal(err)
+			}
+			return svc
+		}
+	}
+	paths := []struct {
+		name    string
+		archive bool // alerts carry archiveTime, not the receive time
+		deliver func(t *testing.T, front string) monitord.Front
+	}{
+		{name: "inbound", deliver: func(t *testing.T, front string) monitord.Front {
+			svc := bootFront(t, front)
+			conn, err := net.Dial("tcp", svc.BGPAddr())
+			sendStream(t, establish(t, conn, err))
+			return svc
+		}},
+		{name: "collector", deliver: func(t *testing.T, front string) monitord.Front {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ln.Close()
+			svc := bootFront(t, front, ln.Addr().String())
+			conn, err := ln.Accept()
+			sendStream(t, establish(t, conn, err))
+			return svc
+		}},
+		{name: "bgp4mp", archive: true, deliver: fromArchive(false)},
+		{name: "table-dump", archive: true, deliver: fromArchive(true)},
+	}
+
+	want := map[string]int{}
+	for _, u := range ingestStream {
+		if u.alert != "" {
+			want[fmt.Sprintf("0|%s|%s|%v", u.prefix, u.alert, u.path[len(u.path)-1])]++
+		}
+	}
+	for _, path := range paths {
+		for _, front := range fronts {
+			t.Run(path.name+"/"+front, func(t *testing.T) {
+				svc := path.deliver(t, front)
+				var alerts []monitord.SeqAlert
+				for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+					if alerts, _, _ = svc.Alerts(0, 0); len(alerts) >= len(want) {
+						break
+					}
+				}
+				if !svc.WaitQuiesce(5 * time.Second) {
+					t.Fatal("pipeline did not quiesce")
+				}
+				alerts, _, _ = svc.Alerts(0, 0)
+				got := map[string]int{}
+				for _, a := range alerts {
+					got[fmt.Sprintf("%d|%v|%v|%v", a.Session, a.Prefix, a.Kind, a.Observed)]++
+					if path.archive && !a.Time.Equal(archiveTime) {
+						t.Errorf("alert %+v: semantic time %v, want the archive's %v", a.Alert, a.Time, archiveTime)
+					}
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("alerts = %v, want %v", got, want)
+				}
+
+				resp, err := http.Get("http://" + svc.HTTPAddr() + "/metrics")
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer resp.Body.Close()
+				snap, err := obs.ParseExposition(resp.Body)
+				if err != nil {
+					t.Fatal(err)
+				}
+				dropped, _ := snap.Sum("monitord_updates_dropped_total", map[string]string{"reason": "no-as-path"})
+				routerDropped, _ := snap.Sum("fleet_updates_dropped_total", map[string]string{"reason": "no-as-path"})
+				if dropped+routerDropped != 1 {
+					t.Errorf("no-as-path drops = %v (shards) + %v (router), want 1 in all", dropped, routerDropped)
+				}
+				for _, family := range []string{"monitord_stage_seconds", "monitord_detection_seconds"} {
+					// Quantile 1 is the upper bound of the highest occupied bucket.
+					if max, err := snap.Quantile(family, 1, nil); err != nil || max > 1.001 {
+						t.Errorf("%s: largest observation in the bucket up to %v s (err %v), want none above 1 s", family, max, err)
+					}
 				}
 			})
 		}

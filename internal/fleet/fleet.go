@@ -1,40 +1,34 @@
 // Package fleet shards the monitord watchlist horizontally: a router
-// hash-partitions the Tor-prefix watchlist across N monitord instances
-// (in-process shards or remote daemons) and forwards each UPDATE only to
-// the shard owning a matching watched prefix. Routing is
-// longest-prefix-aware — a *more-specific* hijack of a watched prefix
-// reaches the shard owning the covering prefix, the case naive
-// prefix-hashing misroutes — and everything else is rejected at the
-// router without ever touching a shard pipeline, which is where the
-// fleet's throughput win comes from: under real load almost all traffic
-// is unwatched background churn, and the PR 9 stage histograms show the
-// single daemon spending its saturation budget dispatching exactly that
-// traffic.
+// hash-partitions the Tor-prefix watchlist across N in-process monitord
+// instances and forwards each UPDATE only to the shard owning a matching
+// watched prefix. Routing is longest-prefix-aware — a *more-specific*
+// hijack of a watched prefix reaches the shard owning the covering
+// prefix, the case naive prefix-hashing misroutes — and everything else
+// is rejected at the router without ever touching a shard pipeline, which
+// is where the fleet's throughput win comes from: under real load almost
+// all traffic is unwatched background churn, and the PR 9 stage
+// histograms show the single daemon spending its saturation budget
+// dispatching exactly that traffic.
 //
 // The router is a second user of the service front a single daemon runs
-// on — bgpd.Server for the session lifecycle, monitord's alert log and
-// HTTP surface — so it exposes the same API: /alerts
-// serves a merged stream with one monotonic cursor backed by a vector of
-// per-shard cursors, /healthz aggregates shard health, /metrics merges
-// the fleet_* families with every shard's monitord_* families via the
-// obs scraper/merger, and /rib proxies to the owning shard. On the
-// merged stream, Counter-RAPTOR-style detectors (defense.AnomalyDetector)
+// on — bgpd.Server for the session lifecycle (inbound peers and dialed
+// collectors), monitord's alert log, archive reader and HTTP surface — so
+// it is a monitord.Front like the daemon and exposes the same API:
+// /alerts serves a merged stream with one monotonic cursor backed by a
+// vector of per-shard cursors, /healthz aggregates shard health, /metrics
+// merges the fleet_* families with every shard's monitord_* families via
+// the obs merger, and /rib is answered by the owning shard. On the merged
+// stream, Counter-RAPTOR-style detectors (defense.AnomalyDetector)
 // escalate raw alerts to scored anomalies served on /anomalies.
-//
-// Remote shards are forwarded over real BGP sessions with buffered
-// redial + replay on the collector backoff schedule (bgpd.Backoff): a
-// dead shard's updates queue in a bounded buffer and replay when the
-// forwarder re-establishes, so a shard restart loses nothing that fits
-// the buffer. Remote mode trades two fidelities for isolation: alert
-// Session ids are the remote daemon's, and semantic timestamps are
-// re-stamped at the remote's socket (BGP carries no timestamps).
 package fleet
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net/netip"
+	"strconv"
 	"sync"
 	"time"
 
@@ -45,17 +39,6 @@ import (
 	"quicksand/internal/obs"
 )
 
-// RemoteShard names one remote monitord instance behind the router.
-type RemoteShard struct {
-	// Name labels the shard in health output (default "shard<i>").
-	Name string
-	// BGPAddr is the daemon's BGP listener, the forwarding target.
-	BGPAddr string
-	// HTTPAddr is the daemon's HTTP root ("host:port"), polled for
-	// alerts and scraped for metrics.
-	HTTPAddr string
-}
-
 // Config parameterises the router.
 type Config struct {
 	// Watched maps each monitored prefix to its legitimate origin AS
@@ -64,55 +47,37 @@ type Config struct {
 	Watched map[netip.Prefix]bgp.ASN
 
 	// Shards is the number of in-process monitord shards to run
-	// (default 2). Ignored when Remotes is non-empty.
+	// (default 2).
 	Shards int
-	// Remotes switches the router to remote mode: one forwarder per
-	// listed daemon, no in-process shards.
-	Remotes []RemoteShard
 
-	// ShardConfig is the template for in-process shard daemons. The
-	// router overrides Watched (the shard's partition), the listeners
-	// (in-process shards serve no BGP or HTTP), Collectors (none) and
-	// Registry (one private registry per shard, aggregated by the
-	// router's /metrics); every other knob — pipeline widths, alert
-	// buffer, learning window, latency instrumentation, seed — passes
-	// through to each shard.
+	// ShardConfig is the template for the shard daemons. The router
+	// overrides Watched (the shard's partition), the listeners and
+	// Collectors (shards serve no BGP or HTTP and dial nobody: sessions
+	// are the router's) and Registry (one private registry per shard,
+	// aggregated by the router's /metrics); every other knob — pipeline
+	// width, alert buffer, learning window, latency instrumentation —
+	// passes through to each shard.
 	ShardConfig monitord.Config
 
-	// Speaker is the router's BGP identity for inbound sessions and
-	// outbound forwarding sessions.
+	// Speaker is the router's BGP identity for inbound and outbound
+	// sessions.
 	Speaker bgpd.Config
 	// ListenBGP accepts inbound BGP sessions ("" disables).
 	ListenBGP string
 	// ListenHTTP serves the fleet HTTP API ("" disables).
 	ListenHTTP string
+	// Collectors lists remote BGP speakers to dial and keep sessions
+	// with, on the session front's redial schedule; their updates are
+	// routed exactly like an inbound peer's.
+	Collectors []string
 
-	// ReadBatch bounds UPDATEs decoded per session read (default 64).
-	ReadBatch int
 	// AlertBuffer is the merged alert ring capacity (default 8192).
 	AlertBuffer int
 	// MergeInterval is the shard-ring poll period (default 2ms).
 	MergeInterval time.Duration
-	// ForwardBuffer bounds the per-remote replay queue (default 8192
-	// updates); overflow while a shard is down is dropped and counted.
-	ForwardBuffer int
 
-	// Anomaly parameterises the Counter-RAPTOR detectors on the merged
-	// stream (zero value: defense.AnomalyConfig defaults).
-	Anomaly defense.AnomalyConfig
-	// AnomalyBuffer bounds the recent anomalies kept for /anomalies
-	// (default 256).
-	AnomalyBuffer int
-
-	// EstablishTimeout bounds every session handshake (default 10s).
-	EstablishTimeout time.Duration
-	// DialBackoffBase/Max/HealthyAfter parameterise the forwarder
-	// redial schedule — the bgpd.Server dial loop monitord's collector
-	// sessions run on too (defaults 500ms / 30s / 30s).
-	DialBackoffBase  time.Duration
-	DialBackoffMax   time.Duration
-	DialHealthyAfter time.Duration
-	// Seed derives forwarder backoff jitter (default 1).
+	// Seed derives collector backoff jitter (zero: the session front's
+	// default).
 	Seed int64
 
 	// Logf receives progress lines (default: discard).
@@ -121,13 +86,13 @@ type Config struct {
 	Registry *obs.Registry
 }
 
+// anomalyBuffer bounds the recent anomalies kept for /anomalies.
+const anomalyBuffer = 256
+
 func (c *Config) withDefaults() Config {
 	out := *c
 	if out.Shards <= 0 {
 		out.Shards = 2
-	}
-	if out.ReadBatch <= 0 {
-		out.ReadBatch = 64
 	}
 	if out.AlertBuffer <= 0 {
 		out.AlertBuffer = 8192
@@ -135,41 +100,10 @@ func (c *Config) withDefaults() Config {
 	if out.MergeInterval <= 0 {
 		out.MergeInterval = 2 * time.Millisecond
 	}
-	if out.ForwardBuffer <= 0 {
-		out.ForwardBuffer = 8192
-	}
-	if out.AnomalyBuffer <= 0 {
-		out.AnomalyBuffer = 256
-	}
-	if out.EstablishTimeout <= 0 {
-		out.EstablishTimeout = 10 * time.Second
-	}
-	if out.DialBackoffBase <= 0 {
-		out.DialBackoffBase = 500 * time.Millisecond
-	}
-	if out.DialBackoffMax <= 0 {
-		out.DialBackoffMax = 30 * time.Second
-	}
-	if out.DialHealthyAfter <= 0 {
-		out.DialHealthyAfter = 30 * time.Second
-	}
-	if out.Seed == 0 {
-		out.Seed = 1
-	}
 	if out.Logf == nil {
 		out.Logf = func(string, ...any) {}
 	}
 	return out
-}
-
-// sink is one shard's forwarding endpoint.
-type sink interface {
-	// register mirrors a router source into the shard (in-process).
-	register(p *bgpd.Peer)
-	// forward delivers one prefix-level update.
-	forward(p *bgpd.Peer, t time.Time, prefix netip.Prefix, path []bgp.ASN)
-	// quiesce waits (until deadline) for delivered work to be visible.
-	quiesce(deadline time.Time) bool
 }
 
 // Router is a running fleet front-end. Create with New, stop with
@@ -179,11 +113,9 @@ type Router struct {
 	table *watchTable
 	met   *metrics
 
-	sinks   []sink
-	watched []int              // watched prefixes per shard, for /healthz
-	shards  []*monitord.Daemon // in-process mode; nil entries otherwise
-	regs    []*obs.Registry    // in-process shard registries
-	remotes []*remoteSink      // remote mode; nil entries otherwise
+	shards  []*monitord.Daemon
+	regs    []*obs.Registry // one per shard, merged by /metrics
+	watched []int           // watched prefixes per shard, for /healthz
 
 	det    *defense.AnomalyDetector
 	anomMu sync.Mutex
@@ -191,25 +123,22 @@ type Router struct {
 
 	mrg *merger
 
-	srv *bgpd.Server // session front: listener, forwarder dialers, source registry
+	srv *bgpd.Server // session front: listener, collector dialers, source registry
 	api *monitord.HTTPServer
 
 	shutOnce sync.Once
 	shutErr  error
 }
 
-// New validates cfg, builds the shard fleet (boots in-process shard
-// daemons or starts remote forwarders), binds the listeners, and starts
-// the merger. The router runs until Shutdown.
+// New validates cfg, boots the shard daemons, binds the listeners, and
+// starts the merger and the collector dialers. The router runs until
+// Shutdown.
 func New(cfg Config) (*Router, error) {
 	cfg = cfg.withDefaults()
 	if len(cfg.Watched) == 0 {
 		return nil, errors.New("fleet: Watched must name at least one prefix")
 	}
 	n := cfg.Shards
-	if len(cfg.Remotes) > 0 {
-		n = len(cfg.Remotes)
-	}
 	table, err := newWatchTable(cfg.Watched, n)
 	if err != nil {
 		return nil, err
@@ -218,25 +147,19 @@ func New(cfg Config) (*Router, error) {
 		cfg:   cfg,
 		table: table,
 		met:   newFleetMetrics(cfg.Registry, n),
-		det:   defense.NewAnomalyDetector(cfg.Anomaly),
+		det:   defense.NewAnomalyDetector(defense.AnomalyConfig{}),
 	}
 	r.srv, err = bgpd.NewServer(bgpd.ServerConfig{
 		Name: "fleet", Speaker: cfg.Speaker, Listen: cfg.ListenBGP,
-		EstablishTimeout: cfg.EstablishTimeout, ReadBatch: cfg.ReadBatch,
-		DialBackoffBase: cfg.DialBackoffBase, DialBackoffMax: cfg.DialBackoffMax,
-		DialHealthyAfter: cfg.DialHealthyAfter, Seed: cfg.Seed, Logf: cfg.Logf,
+		Seed: cfg.Seed, Logf: cfg.Logf,
 		SessionsAccepted: r.met.sessionsAccepted, SessionsActive: r.met.sessionsActive,
 		DroppedNoASPath: r.met.droppedNoPath,
 		// Mirror every source into every shard inside the registry's
 		// critical section — concurrent handshakes must not interleave
 		// their per-shard registrations, or shard-local session ids would
 		// diverge from router ids.
-		OnRegister: func(p *bgpd.Peer) {
-			for _, s := range r.sinks {
-				s.register(p)
-			}
-		},
-		NewSink: func(p *bgpd.Peer) bgpd.UpdateSink { return routeSink{r, p} },
+		OnRegister: r.mirror,
+		NewSink:    func(p *bgpd.Peer) bgpd.UpdateSink { return routeSink{r, p} },
 	})
 	if err != nil {
 		return nil, fmt.Errorf("fleet: BGP listener: %w", err)
@@ -246,61 +169,39 @@ func New(cfg Config) (*Router, error) {
 		return nil, fmt.Errorf("fleet: HTTP listener: %w", err)
 	}
 
-	parts := Partition(cfg.Watched, n)
-	for _, part := range parts {
+	for i, part := range Partition(cfg.Watched, n) {
 		r.watched = append(r.watched, len(part))
-	}
-	srcs := make([]monitord.AlertSource, n)
-	if len(cfg.Remotes) > 0 {
-		r.remotes = make([]*remoteSink, n)
-		for i, rem := range cfg.Remotes {
-			if rem.BGPAddr == "" || rem.HTTPAddr == "" {
-				r.shutdownPartial()
-				return nil, fmt.Errorf("fleet: remote shard %d needs BGPAddr and HTTPAddr", i)
+		sc := cfg.ShardConfig
+		sc.Watched = part
+		sc.ListenBGP, sc.ListenHTTP = "", ""
+		sc.Collectors = nil
+		sc.Registry = obs.NewRegistry()
+		sc.Logf = cfg.Logf
+		if len(sc.Watched) == 0 {
+			// monitord refuses an empty watchlist; an empty partition
+			// (more shards than prefixes) still needs a live daemon so
+			// shard indexes stay aligned. Watch an unroutable sentinel
+			// the router will never forward to.
+			sc.Watched = map[netip.Prefix]bgp.ASN{
+				netip.MustParsePrefix("192.0.2.0/24"): 64496, // TEST-NET-1
 			}
-			rs := newRemoteSink(r, i, rem)
-			r.remotes[i] = rs
-			r.sinks = append(r.sinks, rs)
-			srcs[i] = &monitord.HTTPAlerts{Base: "http://" + rem.HTTPAddr}
-			r.srv.Dial(rem.BGPAddr, "fleet-fwd-"+rs.shard.Name, r.met.redials[i], rs.run)
 		}
-	} else {
-		r.shards = make([]*monitord.Daemon, n)
-		r.regs = make([]*obs.Registry, n)
-		r.remotes = make([]*remoteSink, n) // all nil; len used by collectors
-		for i := 0; i < n; i++ {
-			sc := cfg.ShardConfig
-			sc.Watched = parts[i]
-			sc.ListenBGP, sc.ListenHTTP = "", ""
-			sc.Collectors = nil
-			sc.Registry = obs.NewRegistry()
-			sc.Logf = cfg.Logf
-			if len(sc.Watched) == 0 {
-				// monitord refuses an empty watchlist; an empty partition
-				// (more shards than prefixes) still needs a live daemon so
-				// shard indexes stay aligned. Watch an unroutable sentinel
-				// the router will never forward to.
-				sc.Watched = map[netip.Prefix]bgp.ASN{
-					netip.MustParsePrefix("192.0.2.0/24"): 64496, // TEST-NET-1
-				}
-			}
-			d, err := monitord.New(sc)
-			if err != nil {
-				r.shutdownPartial()
-				return nil, fmt.Errorf("fleet: shard %d: %w", i, err)
-			}
-			r.shards[i] = d
-			r.regs[i] = sc.Registry
-			r.sinks = append(r.sinks, inprocSink{d})
-			srcs[i] = d
-			r.met.shardUp[i].Set(1)
+		d, err := monitord.New(sc)
+		if err != nil {
+			r.shutdownPartial()
+			return nil, fmt.Errorf("fleet: shard %d: %w", i, err)
 		}
+		r.shards = append(r.shards, d)
+		r.regs = append(r.regs, sc.Registry)
 	}
 	r.met.registerCollectors(r)
-	r.mrg = newMerger(r, srcs, cfg.AlertBuffer)
+	r.mrg = newMerger(r, cfg.AlertBuffer)
 	go r.mrg.loop(cfg.MergeInterval)
 
 	r.srv.Start()
+	for _, addr := range cfg.Collectors {
+		r.srv.Collect(addr, r.met.redials)
+	}
 	r.api.Serve(r.handler())
 	if addr := r.BGPAddr(); addr != "" {
 		cfg.Logf("fleet: BGP listening on %s (%d shards)", addr, n)
@@ -311,13 +212,24 @@ func New(cfg Config) (*Router, error) {
 	return r, nil
 }
 
+// mirror registers a new router source in every shard. The router
+// registers every source in every shard in id order and nothing else
+// registers with a shard, so each shard hands out the router's id — which
+// is what makes fleet alerts carry the same Session as a single daemon's
+// would.
+func (r *Router) mirror(p *bgpd.Peer) {
+	for _, d := range r.shards {
+		if id := d.RegisterSource(p.Remote, p.PeerAS); id != p.ID {
+			panic("fleet: shard session id " + strconv.Itoa(id) + " diverged from router id " + strconv.Itoa(p.ID))
+		}
+	}
+}
+
 // shutdownPartial tears down whatever New built before failing.
 func (r *Router) shutdownPartial() {
 	r.srv.Shutdown()
 	for _, d := range r.shards {
-		if d != nil {
-			d.Shutdown(context.Background())
-		}
+		d.Shutdown(context.Background())
 	}
 	r.api.Shutdown(context.Background())
 }
@@ -329,7 +241,7 @@ func (r *Router) BGPAddr() string { return r.srv.Addr() }
 func (r *Router) HTTPAddr() string { return r.api.Addr() }
 
 // Shards returns how many shards sit behind the router.
-func (r *Router) Shards() int { return len(r.sinks) }
+func (r *Router) Shards() int { return len(r.shards) }
 
 // Alerts serves the merged stream under the single-daemon cursor
 // contract (see monitord.Daemon.Alerts), including the ahead-cursor
@@ -357,17 +269,17 @@ func (r *Router) recordAnomaly(an defense.Anomaly) {
 		an.Kind, an.Prefix, an.Score, an.Alerts)
 	r.anomMu.Lock()
 	r.anoms = append(r.anoms, an)
-	if over := len(r.anoms) - r.cfg.AnomalyBuffer; over > 0 {
+	if over := len(r.anoms) - anomalyBuffer; over > 0 {
 		r.anoms = append(r.anoms[:0], r.anoms[over:]...)
 	}
 	r.anomMu.Unlock()
 }
 
 // RegisterSource allocates a session id for an in-process update source
-// (tests, simulation streams), mirroring it into every in-process shard
+// (MRT replay, simulation streams, tests), mirroring it into every shard
 // so shard-local session ids match the router's.
 func (r *Router) RegisterSource(name string, peer bgp.ASN) int {
-	return r.srv.Register(name, peer, "local").ID
+	return r.srv.Register(name, peer).ID
 }
 
 // Ingest feeds one update through the router as if received on the
@@ -396,7 +308,11 @@ func (r *Router) route(p *bgpd.Peer, t time.Time, prefix netip.Prefix, path []bg
 	}
 	p.Updates.Add(1)
 	r.met.forwarded[shard].Inc()
-	r.sinks[shard].forward(p, t, prefix, path)
+	// Straight into the shard's ingest path, backpressured by its bounded
+	// queues. The shard takes its own receive stamp, so t stays a semantic
+	// time (archives pass through here too), and it knows every router id
+	// (mirror), so Ingest's unknown-session error cannot occur.
+	_ = r.shards[shard].Ingest(p.ID, t, prefix, path)
 }
 
 // routeSink routes one BGP session's updates as they are read; the
@@ -412,13 +328,21 @@ func (s routeSink) Update(t time.Time, prefix netip.Prefix, path []bgp.ASN) {
 
 func (routeSink) Flush(time.Time, int) {}
 
+// IngestMRT replays an MRT archive through the router (see
+// monitord.ReadMRT): every archived update is routed like a live one.
+func (r *Router) IngestMRT(rd io.Reader, label string) (*monitord.MRTStats, error) {
+	stats, err := monitord.ReadMRT(r, rd, label)
+	r.met.droppedNoPath.Add(uint64(stats.NoASPath))
+	return stats, err
+}
+
 // WaitQuiesce blocks until every forwarded update is visible in shard
 // state and the merged stream, or the timeout elapses.
 func (r *Router) WaitQuiesce(timeout time.Duration) bool {
 	deadline := time.Now().Add(timeout)
 	ok := true
-	for _, s := range r.sinks {
-		ok = s.quiesce(deadline) && ok
+	for _, d := range r.shards {
+		ok = d.WaitQuiesce(time.Until(deadline)) && ok
 	}
 	// Drain whatever the quiesced shards just appended.
 	r.mrg.mu.Lock()
@@ -428,22 +352,16 @@ func (r *Router) WaitQuiesce(timeout time.Duration) bool {
 }
 
 // Shutdown gracefully stops the router: the session front stopped (no
-// new sessions, every live session closed, forwarders drained),
-// in-process shards shut down, the merger stopped after a final sweep,
-// and the HTTP server stopped. It is idempotent; ctx bounds only the
-// HTTP drain.
+// new sessions or dials, every live session closed), the shards shut
+// down, the merger stopped after a final sweep, and the HTTP server
+// stopped. It is idempotent; ctx bounds only the HTTP drain.
 func (r *Router) Shutdown(ctx context.Context) error {
 	r.shutOnce.Do(func() {
 		r.srv.Shutdown()
 		for _, d := range r.shards {
-			if d != nil {
-				r.shutErr = errors.Join(r.shutErr, d.Shutdown(ctx))
-			}
+			r.shutErr = errors.Join(r.shutErr, d.Shutdown(ctx))
 		}
-		// Final merge sweep happens inside mrg.shutdown — but only
-		// in-process sources still answer; remote polls may fail (their
-		// daemons are not ours to stop) and that is fine.
-		r.mrg.shutdown()
+		r.mrg.shutdown() // takes a final merge sweep
 		r.shutErr = errors.Join(r.shutErr, r.api.Shutdown(ctx))
 		r.cfg.Logf("fleet: shutdown complete (%d alerts merged)", r.mrg.log.Total())
 	})

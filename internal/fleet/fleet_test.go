@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http"
 	"net/netip"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -455,5 +456,54 @@ func TestRouterBGPAndHTTP(t *testing.T) {
 		if resp.status != 405 {
 			t.Fatalf("POST %s = %d, want 405", path, resp.status)
 		}
+	}
+}
+
+// TestAnomaliesEndpoint drives one prefix past the frequency detector's
+// cold-start threshold (eight alerts inside one window) and pins what
+// GET /anomalies then serves: the wire field names, the escalated
+// anomaly, and the detectors' lifetime totals.
+func TestAnomaliesEndpoint(t *testing.T) {
+	r, err := New(Config{Watched: fleetWatched, Shards: 2, ListenHTTP: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Shutdown(context.Background())
+	src := r.RegisterSource("feed", 64601)
+	hijacked := netip.MustParsePrefix("10.10.0.0/16")
+	t0 := time.Unix(1400000000, 0).UTC()
+	for i := 0; i < 8; i++ {
+		if err := r.Ingest(src, t0.Add(time.Duration(i)*time.Second), hijacked, []bgp.ASN{64601, 666}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !r.WaitQuiesce(5 * time.Second) {
+		t.Fatal("quiesce timed out")
+	}
+	resp, err := httpGet("http://" + r.HTTPAddr() + "/anomalies")
+	if err != nil || resp.status != 200 {
+		t.Fatalf("/anomalies: %v %+v", err, resp)
+	}
+	var got any
+	if err := json.Unmarshal([]byte(resp.body), &got); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]any{
+		"anomalies": []any{map[string]any{
+			"time":    t0.Add(7 * time.Second).Format(time.RFC3339),
+			"prefix":  "10.10.0.0/16",
+			"kind":    "frequency-burst",
+			"score":   1.0,
+			"alerts":  8.0,
+			"origins": []any{666.0},
+		}},
+		"alerts_observed": 8.0,
+		"escalated":       map[string]any{"frequency-burst": 1.0, "origin-flap": 0.0},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("/anomalies = %s\nwant %v", resp.body, want)
+	}
+	if v := r.met.anomalies[defense.AnomalyFrequency].Value(); v != 1 {
+		t.Errorf("fleet_anomalies_total{kind=\"frequency-burst\"} = %d, want 1", v)
 	}
 }

@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"io"
 	"net/http"
 	"net/netip"
 	"strconv"
@@ -37,14 +36,11 @@ type anomaliesResponse struct {
 
 // shardHealth is one shard's row in the fleet /healthz payload.
 type shardHealth struct {
-	Shard      int    `json:"shard"`
-	Name       string `json:"name"`
-	Up         bool   `json:"up"`
-	Watched    int    `json:"watched_prefixes"`
-	Forwarded  uint64 `json:"forwarded"`
-	Dropped    uint64 `json:"forward_dropped"`
-	QueueDepth int64  `json:"queue_depth"`
-	Cursor     uint64 `json:"alert_cursor"`
+	Shard     int    `json:"shard"`
+	Name      string `json:"name"`
+	Watched   int    `json:"watched_prefixes"`
+	Forwarded uint64 `json:"forwarded"`
+	Cursor    uint64 `json:"alert_cursor"`
 }
 
 type fleetHealthResponse struct {
@@ -94,9 +90,8 @@ func (r *Router) handleAnomalies(w http.ResponseWriter, req *http.Request) {
 
 // handleRIB serves GET /rib?prefix=… or ?addr=… by routing the query to
 // the shard owning the covering watched prefix — the shard whose RIB
-// holds every route for it — and letting that shard's own API answer:
-// an in-process shard's handler directly, a remote shard's over HTTP.
-// Queries outside the watchlist are 404: no shard ever saw those
+// holds every route for it — and letting that shard's own handler
+// answer. Queries outside the watchlist are 404: no shard ever saw those
 // updates, by design.
 func (r *Router) handleRIB(w http.ResponseWriter, req *http.Request) {
 	q := req.URL.Query()
@@ -127,28 +122,7 @@ func (r *Router) handleRIB(w http.ResponseWriter, req *http.Request) {
 		http.Error(w, "not watched", http.StatusNotFound)
 		return
 	}
-	if r.remotes[shard] != nil {
-		r.proxyRIB(w, r.remotes[shard].shard.HTTPAddr, req.URL.RawQuery)
-		return
-	}
 	r.shards[shard].Handler().ServeHTTP(w, req)
-}
-
-// proxyRIB forwards a routed /rib query to a remote shard's own API and
-// relays the response verbatim (status, content type and body).
-func (r *Router) proxyRIB(w http.ResponseWriter, httpAddr, rawQuery string) {
-	client := &http.Client{Timeout: 10 * time.Second}
-	resp, err := client.Get("http://" + httpAddr + "/rib?" + rawQuery)
-	if err != nil {
-		http.Error(w, "shard unreachable: "+err.Error(), http.StatusBadGateway)
-		return
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "" {
-		w.Header().Set("Content-Type", ct)
-	}
-	w.WriteHeader(resp.StatusCode)
-	io.Copy(w, resp.Body)
 }
 
 // handleHealthz serves GET /healthz with fleet-level status plus one
@@ -158,39 +132,29 @@ func (r *Router) handleHealthz(w http.ResponseWriter, req *http.Request) {
 	resp := fleetHealthResponse{
 		Status:         "ok",
 		UptimeSeconds:  time.Since(r.met.start).Seconds(),
-		Shards:         len(r.sinks),
+		Shards:         len(r.shards),
 		SessionsActive: int64(r.met.sessionsActive.Value()),
 		AlertsMerged:   r.met.alertsMerged.Value(),
 		Watched:        len(r.cfg.Watched),
 	}
-	for i := range r.sinks {
-		row := shardHealth{
+	for i := range r.shards {
+		resp.ShardRows = append(resp.ShardRows, shardHealth{
 			Shard:     i,
 			Name:      "shard" + strconv.Itoa(i),
-			Up:        r.met.shardUp[i].Value() > 0,
 			Watched:   r.watched[i],
 			Forwarded: r.met.forwarded[i].Value(),
-			Dropped:   r.met.forwardDropped[i].Value(),
 			Cursor:    cursors[i],
-		}
-		if rs := r.remotes[i]; rs != nil {
-			row.Name = rs.shard.Name
-			row.QueueDepth = rs.queued.Load()
-		}
-		if !row.Up {
-			resp.Status = "degraded"
-		}
-		resp.ShardRows = append(resp.ShardRows, row)
+		})
 	}
 	monitord.WriteJSON(w, resp)
 }
 
 // handleMetrics serves GET /metrics: the router's fleet_* families
-// merged with every shard's monitord_* families — in-process registries
-// snapshotted directly, remote daemons scraped live — through the obs
-// scrape/merge layer, so one exposition describes the whole fleet.
+// merged with a snapshot of every shard registry's monitord_* families
+// through the obs merge layer, so one exposition describes the whole
+// fleet.
 func (r *Router) handleMetrics(w http.ResponseWriter, req *http.Request) {
-	snaps := make([]*obs.Snapshot, 0, len(r.sinks)+1)
+	snaps := make([]*obs.Snapshot, 0, len(r.shards)+1)
 	own, err := obs.SnapshotRegistry(r.met.reg)
 	if err != nil {
 		http.Error(w, "snapshot: "+err.Error(), http.StatusInternalServerError)
@@ -202,16 +166,6 @@ func (r *Router) handleMetrics(w http.ResponseWriter, req *http.Request) {
 		if err != nil {
 			http.Error(w, "shard snapshot: "+err.Error(), http.StatusInternalServerError)
 			return
-		}
-		snaps = append(snaps, s)
-	}
-	for _, rs := range r.remotes {
-		if rs == nil {
-			continue
-		}
-		s, err := obs.ScrapeTarget("http://" + rs.shard.HTTPAddr + "/metrics")
-		if err != nil {
-			continue // dead shard: serve what the fleet can see
 		}
 		snaps = append(snaps, s)
 	}

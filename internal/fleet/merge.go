@@ -17,26 +17,19 @@ import (
 // poll order. Each merged alert also feeds the Counter-RAPTOR anomaly
 // detectors, whose per-prefix analytics are deterministic for exactly
 // the same reason.
-//
-// A shard that restarts comes back with sequence numbers starting at 0
-// while the merger still holds a high cursor; the ahead-cursor clamp in
-// the shard's Alerts contract resynchronizes the vector cursor in one
-// poll instead of wedging the merge forever.
 type merger struct {
 	r       *Router
 	mu      sync.Mutex
-	srcs    []monitord.AlertSource
-	cursors []uint64
+	cursors []uint64 // one per r.shards entry
 	log     *monitord.AlertLog
 	stop    chan struct{}
 	done    chan struct{}
 }
 
-func newMerger(r *Router, srcs []monitord.AlertSource, capacity int) *merger {
+func newMerger(r *Router, capacity int) *merger {
 	return &merger{
 		r:       r,
-		srcs:    srcs,
-		cursors: make([]uint64, len(srcs)),
+		cursors: make([]uint64, len(r.shards)),
 		log:     monitord.NewAlertLog(capacity, r.met.alertsDropped),
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
@@ -62,8 +55,8 @@ func (m *merger) loop(interval time.Duration) {
 // pollLocked advances every shard cursor, appending new alerts to the
 // merged log and running the anomaly analytics. Callers hold m.mu.
 func (m *merger) pollLocked() {
-	for i, src := range m.srcs {
-		alerts, next, dropped := src.Alerts(m.cursors[i], 0)
+	for i, d := range m.r.shards {
+		alerts, next, dropped := d.Alerts(m.cursors[i], 0)
 		m.cursors[i] = next
 		if dropped > 0 {
 			m.r.met.shardAlertsDropped.Add(dropped)

@@ -10,17 +10,15 @@ import (
 
 // metrics holds the router's own fleet_* instrumentation. Shard-level
 // monitord_* families are not mirrored here: the router's /metrics
-// endpoint aggregates them live from every shard registry (in-process)
-// or scrape target (remote) via the obs merger, so the fleet exposition
-// is the union of fleet_* and the summed monitord_* families.
+// endpoint aggregates them live from every shard registry via the obs
+// merger, so the fleet exposition is the union of fleet_* and the summed
+// monitord_* families.
 type metrics struct {
 	reg   *obs.Registry
 	start time.Time
 
 	forwarded      []*obs.Counter // per shard
-	forwardDropped []*obs.Counter // per shard: remote buffer overflow
-	redials        []*obs.Counter // per shard: forwarder dial attempts that failed
-	shardUp        []*obs.Gauge   // per shard: forwarding path up
+	redials        *obs.Counter   // collector dial attempts that failed
 	unwatched      *obs.Counter
 	droppedNonIPv4 *obs.Counter
 	droppedNoPath  *obs.Counter
@@ -40,16 +38,10 @@ func newFleetMetrics(reg *obs.Registry, shards int) *metrics {
 	}
 	m := &metrics{reg: reg, start: time.Now()}
 	fwd := reg.CounterVec("fleet_updates_forwarded_total", "Updates forwarded to each shard by the watchlist router.", "shard")
-	fdrop := reg.CounterVec("fleet_forward_dropped_total", "Updates dropped because a remote shard's replay buffer was full.", "shard")
-	redial := reg.CounterVec("fleet_redials_total", "Failed forwarder dial attempts per remote shard (each backs off).", "shard")
-	up := reg.GaugeVec("fleet_shard_up", "Whether the forwarding path to each shard is up (in-process shards are always 1).", "shard")
 	for i := 0; i < shards; i++ {
-		s := strconv.Itoa(i)
-		m.forwarded = append(m.forwarded, fwd.With(s))
-		m.forwardDropped = append(m.forwardDropped, fdrop.With(s))
-		m.redials = append(m.redials, redial.With(s))
-		m.shardUp = append(m.shardUp, up.With(s))
+		m.forwarded = append(m.forwarded, fwd.With(strconv.Itoa(i)))
 	}
+	m.redials = reg.Counter("fleet_redials_total", "Failed collector dial attempts (each backs off).")
 	m.unwatched = reg.Counter("fleet_updates_unwatched_total",
 		"Updates dropped at the router because no watched prefix matches or covers them — the fleet's fast-reject path.")
 	dropped := reg.CounterVec("fleet_updates_dropped_total", "Updates discarded before routing, by reason.", "reason")
@@ -74,20 +66,12 @@ func newFleetMetrics(reg *obs.Registry, shards int) *metrics {
 }
 
 // registerCollectors wires exposition-time families reading router
-// state; called once from New after the sinks exist.
+// state; called once from New after the shards exist.
 func (m *metrics) registerCollectors(r *Router) {
 	m.reg.GaugeFunc("fleet_shards", "Number of shards behind the router.", func() float64 {
-		return float64(len(r.sinks))
+		return float64(len(r.shards))
 	})
 	m.reg.GaugeFunc("fleet_watched_prefixes", "Prefixes on the router's watchlist.", func() float64 {
 		return float64(r.table.trie.Len())
 	})
-	m.reg.Collect("fleet_forward_queue_depth", "Updates buffered for each remote shard awaiting (re)delivery.",
-		obs.KindGauge, []string{"shard"}, func(emit obs.Emit) {
-			for i, rs := range r.remotes {
-				if rs != nil {
-					emit([]string{strconv.Itoa(i)}, float64(rs.queued.Load()))
-				}
-			}
-		})
 }

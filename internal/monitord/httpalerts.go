@@ -9,12 +9,11 @@ import (
 )
 
 // HTTPAlerts adapts an /alerts endpoint (a daemon's or a fleet
-// router's — the wire shape is identical) to AlertSource. The router
-// uses it to poll remote shards over the same path a real client takes.
-// Poll failures return no alerts with the cursor unchanged — the poller
-// simply retries — and are tallied in Errs: a shard whose alerts API is
-// down shows up as a stalled cursor plus a non-zero error count, not a
-// crashed merger.
+// router's — the wire shape is identical) to AlertSource: the one client
+// of the /alerts wire struct, polling over the same path a real client
+// takes. Poll failures return no alerts with the cursor unchanged — the
+// poller simply retries — and are tallied in Errs: an alerts API that is
+// down shows up as a stalled cursor plus a non-zero error count.
 type HTTPAlerts struct {
 	// Base is the instance's HTTP root, e.g. "http://127.0.0.1:8179".
 	Base string

@@ -33,6 +33,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/netip"
 	"sync"
@@ -69,13 +70,12 @@ type Config struct {
 
 	// Shards is the dispatcher width (default 8).
 	Shards int
-	// QueueDepth bounds each shard's ingest queue (default 1024).
-	QueueDepth int
 	// AlertBuffer is the alert ring capacity (default 4096).
 	AlertBuffer int
 	// ReadBatch bounds how many UPDATEs a session reader decodes per
-	// RecvUpdateBatch call before handing them to the dispatcher
-	// (default 64). 1 degenerates to the old per-message path.
+	// RecvUpdateBatch call before handing them to the dispatcher (zero:
+	// the session front's default). 1 degenerates to the old per-message
+	// path.
 	ReadBatch int
 
 	// DisableLatencyMetrics turns off the pipeline's latency
@@ -96,22 +96,12 @@ type Config struct {
 	// LearnUpdates=0 for differential tests against the batch monitor).
 	UpstreamAlarms bool
 
-	// EstablishTimeout bounds the OPEN/KEEPALIVE handshake of every
-	// session (default 10s).
-	EstablishTimeout time.Duration
-
-	// DialBackoffBase and DialBackoffMax bound the reconnect backoff for
-	// outbound collector sessions (defaults 500ms and 30s).
+	// DialBackoffBase is where the reconnect backoff for outbound
+	// collector sessions starts (zero: the session front's default). The
+	// rest of the schedule is bgpd.ServerConfig's.
 	DialBackoffBase time.Duration
-	DialBackoffMax  time.Duration
-	// DialHealthyAfter is how long an established collector session must
-	// survive — or it must deliver at least one update — before the
-	// reconnect backoff resets to base (default 30s). A peer that
-	// accepts, handshakes, and immediately hangs up keeps backing off
-	// instead of being redialed in a tight loop.
-	DialHealthyAfter time.Duration
-	// Seed derives the backoff jitter (default 1); fixed so tests are
-	// reproducible.
+	// Seed derives the backoff jitter (zero: the session front's
+	// default); fixed so tests are reproducible.
 	Seed int64
 
 	// Logf receives progress lines (default: discard).
@@ -124,39 +114,41 @@ type Config struct {
 	Registry *obs.Registry
 }
 
+// queueDepth bounds each dispatcher shard's ingest queue; a full queue
+// blocks the producer, which is how a flooding peer backpressures its own
+// TCP session.
+const queueDepth = 1024
+
 func (c *Config) withDefaults() Config {
 	out := *c
 	if out.Shards <= 0 {
 		out.Shards = 8
 	}
-	if out.QueueDepth <= 0 {
-		out.QueueDepth = 1024
-	}
 	if out.AlertBuffer <= 0 {
 		out.AlertBuffer = 4096
-	}
-	if out.ReadBatch <= 0 {
-		out.ReadBatch = 64
-	}
-	if out.EstablishTimeout <= 0 {
-		out.EstablishTimeout = 10 * time.Second
-	}
-	if out.DialBackoffBase <= 0 {
-		out.DialBackoffBase = 500 * time.Millisecond
-	}
-	if out.DialBackoffMax <= 0 {
-		out.DialBackoffMax = 30 * time.Second
-	}
-	if out.DialHealthyAfter <= 0 {
-		out.DialHealthyAfter = 30 * time.Second
-	}
-	if out.Seed == 0 {
-		out.Seed = 1
 	}
 	if out.Logf == nil {
 		out.Logf = func(string, ...any) {}
 	}
 	return out
+}
+
+// Front is the surface a single daemon and a fleet router share, named
+// once: sessions arrive by themselves (inbound on BGPAddr, outbound to
+// the configured collectors); in-process sources and MRT archives enter
+// through RegisterSource, Ingest and IngestMRT; WaitQuiesce reports when
+// what entered has been absorbed; alerts leave through Alerts and the
+// HTTP API; Shutdown stops it all. serve, the differential checkers and
+// the conformance tables drive either front through it.
+type Front interface {
+	AlertSource
+	RegisterSource(name string, peer bgp.ASN) int
+	Ingest(session int, t time.Time, prefix netip.Prefix, path []bgp.ASN) error
+	IngestMRT(r io.Reader, label string) (*MRTStats, error)
+	WaitQuiesce(timeout time.Duration) bool
+	BGPAddr() string
+	HTTPAddr() string
+	Shutdown(ctx context.Context) error
 }
 
 // item is one prefix-level update flowing through the dispatcher — or,
@@ -239,9 +231,8 @@ func New(cfg Config) (*Daemon, error) {
 	d.mux = d.handler()
 	d.srv, err = bgpd.NewServer(bgpd.ServerConfig{
 		Name: "monitord", Speaker: cfg.Speaker, Listen: cfg.ListenBGP,
-		EstablishTimeout: cfg.EstablishTimeout, ReadBatch: cfg.ReadBatch,
-		DialBackoffBase: cfg.DialBackoffBase, DialBackoffMax: cfg.DialBackoffMax,
-		DialHealthyAfter: cfg.DialHealthyAfter, Seed: cfg.Seed, Logf: cfg.Logf,
+		ReadBatch: cfg.ReadBatch, DialBackoffBase: cfg.DialBackoffBase,
+		Seed: cfg.Seed, Logf: cfg.Logf,
 		SessionsAccepted: met.sessionsAccepted, SessionsActive: met.sessionsActive,
 		DroppedNoASPath: met.droppedNoASPath,
 		NewSink: func(p *bgpd.Peer) bgpd.UpdateSink {
@@ -257,7 +248,7 @@ func New(cfg Config) (*Daemon, error) {
 	}
 
 	for i := range d.shards {
-		d.shards[i] = make(chan item, cfg.QueueDepth)
+		d.shards[i] = make(chan item, queueDepth)
 		d.shardWG.Add(1)
 		go d.worker(d.shards[i])
 	}
@@ -284,7 +275,7 @@ func (d *Daemon) HTTPAddr() string { return d.api.Addr() }
 
 // Handler returns the daemon's HTTP API (/alerts, /rib, /healthz,
 // /metrics) for callers that front it themselves, such as the fleet
-// router answering /rib from an in-process shard.
+// router answering /rib from the owning shard.
 func (d *Daemon) Handler() http.Handler { return d.mux }
 
 // RIB exposes the live routing table for in-process consumers.
@@ -459,7 +450,7 @@ func (d *Daemon) process(it *item, observe bool) {
 // (MRT replay, simulation streams, tests) so its updates are tracked
 // like any BGP peer's.
 func (d *Daemon) RegisterSource(name string, peer bgp.ASN) int {
-	return d.srv.Register(name, peer, "local").ID
+	return d.srv.Register(name, peer).ID
 }
 
 // Ingest feeds one update into the pipeline as if received on the given

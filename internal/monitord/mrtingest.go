@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"net/netip"
-	"os"
 	"time"
 
 	"quicksand/internal/bgp"
@@ -13,42 +12,66 @@ import (
 	"quicksand/internal/mrt"
 )
 
-// ingestSink feeds one archived peer's prefix-level updates into the
-// pipeline under its source session, counting what was enqueued.
+// MRTStats reports what one archive ingest fed into the pipeline.
+type MRTStats struct {
+	Records  int // MRT records decoded (messages, state changes, peer tables, RIB rows)
+	Updates  int // prefix-level updates enqueued
+	Sessions int // distinct peers seen (new source sessions registered)
+	Skipped  int // unsupported or undecodable records, and RIB entries naming no peer
+	NoASPath int // announced prefixes dropped because they carried no AS_PATH
+}
+
+// ingester is the part of Front an archive reader drives.
+type ingester interface {
+	RegisterSource(name string, peer bgp.ASN) int
+	Ingest(session int, t time.Time, prefix netip.Prefix, path []bgp.ASN) error
+}
+
+// ingestSink feeds one archived peer's prefix-level updates into a front
+// under its source session, counting what was enqueued. Archive
+// timestamps are months old, so they go in through Ingest — which takes
+// its own receive stamp for the latency histograms — never through a
+// session sink, whose stamp is the latency origin.
 type ingestSink struct {
-	d       *Daemon
+	in      ingester
 	session int
 	stats   *MRTStats
 }
 
 func (s ingestSink) Update(t time.Time, prefix netip.Prefix, path []bgp.ASN) {
-	if err := s.d.Ingest(s.session, t, prefix, path); err == nil {
+	if err := s.in.Ingest(s.session, t, prefix, path); err == nil {
 		s.stats.Updates++
 	}
 }
 
 func (ingestSink) Flush(time.Time, int) {} // archives have no read batches
 
-// MRTStats reports what one archive ingest fed into the pipeline.
-type MRTStats struct {
-	Records  int // MRT records decoded (messages + state changes)
-	Updates  int // prefix-level updates enqueued
-	Sessions int // distinct peers seen (new source sessions registered)
-	Skipped  int // unsupported or undecodable records skipped
-}
-
-// IngestMRT replays a BGP4MP update archive through the live pipeline,
-// as if each peer in the archive were a connected session: one source
-// session is registered per distinct peer address, and every update is
-// enqueued with its record timestamp. Unsupported records are skipped.
-// The label names the archive in the session registry.
+// ReadMRT replays an MRT archive into in, whichever front that is, as if
+// each peer in the archive were a connected session: one source session
+// is registered per distinct peer address (named after label), every
+// BGP4MP update is enqueued with its record timestamp, and every
+// TABLE_DUMP_V2 RIB entry becomes an announcement at the dump's
+// timestamp — the monitor observes both like live updates, so a poisoned
+// table alarms too. Unsupported records are skipped, and announcements
+// without an AS_PATH are dropped and counted, as on a live session.
 //
-// The call returns once everything is enqueued; use WaitQuiesce to wait
-// for the pipeline to absorb it.
-func (d *Daemon) IngestMRT(r io.Reader, label string) (*MRTStats, error) {
+// The call returns once everything is enqueued; the stats are valid even
+// alongside an error. Daemon.IngestMRT and the fleet router's twin add
+// them to their own counters.
+func ReadMRT(in ingester, r io.Reader, label string) (*MRTStats, error) {
 	stats := &MRTStats{}
+	sessions := make(map[netip.Addr]int) // peer address -> source session
+	sink := func(ip netip.Addr, as bgp.ASN) ingestSink {
+		si, ok := sessions[ip]
+		if !ok {
+			si = in.RegisterSource(fmt.Sprintf("%s peer %v", label, ip), as)
+			sessions[ip] = si
+			stats.Sessions++
+		}
+		return ingestSink{in, si, stats}
+	}
+	var peers []mrt.Peer // the peer table later RIB entries index into
 	rd := mrt.NewReader(r)
-	peerSessions := make(map[netip.Addr]int)
 	for {
 		rec, err := rd.Next()
 		if err == io.EOF {
@@ -61,65 +84,16 @@ func (d *Daemon) IngestMRT(r io.Reader, label string) (*MRTStats, error) {
 		if err != nil {
 			return stats, fmt.Errorf("monitord: reading %s: %w", label, err)
 		}
-		d.met.mrtRecords.Add(1)
 		stats.Records++
 		switch {
 		case rec.Message != nil:
-			si, ok := peerSessions[rec.Message.PeerIP]
-			if !ok {
-				si = d.RegisterSource(fmt.Sprintf("%s peer %v", label, rec.Message.PeerIP), rec.Message.PeerAS)
-				peerSessions[rec.Message.PeerIP] = si
-				stats.Sessions++
-			}
+			s := sink(rec.Message.PeerIP, rec.Message.PeerAS)
 			u, err := rec.Message.Update()
 			if err != nil {
 				stats.Skipped++
 				continue
 			}
-			dropped := bgpd.PrefixUpdates(u, rec.Header.Timestamp, ingestSink{d, si, stats})
-			d.met.droppedNoASPath.Add(uint64(dropped))
-		case rec.StateChange != nil:
-			// Session resets carry no routes; they are visible in the
-			// archive for completeness but the live RIB only tracks
-			// announced state.
-		}
-	}
-}
-
-// IngestMRTFile opens and replays one archive file.
-func (d *Daemon) IngestMRTFile(path string) (*MRTStats, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return d.IngestMRT(f, path)
-}
-
-// IngestRIBSnapshot seeds the live RIB from a TABLE_DUMP_V2 snapshot:
-// every RIB entry becomes an announcement on the corresponding peer's
-// source session at the record timestamp. The monitor observes these
-// like any update (a poisoned snapshot should alarm too).
-func (d *Daemon) IngestRIBSnapshot(r io.Reader, label string) (*MRTStats, error) {
-	stats := &MRTStats{}
-	rd := mrt.NewReader(r)
-	var peers []mrt.Peer
-	peerSessions := make(map[int]int) // peer index -> session id
-	for {
-		rec, err := rd.Next()
-		if err == io.EOF {
-			return stats, nil
-		}
-		if errors.Is(err, mrt.ErrUnsupported) {
-			stats.Skipped++
-			continue
-		}
-		if err != nil {
-			return stats, fmt.Errorf("monitord: reading %s: %w", label, err)
-		}
-		d.met.mrtRecords.Add(1)
-		stats.Records++
-		switch {
+			stats.NoASPath += bgpd.PrefixUpdates(u, rec.Header.Timestamp, s)
 		case rec.PeerIndex != nil:
 			peers = rec.PeerIndex.Peers
 		case rec.RIB != nil:
@@ -129,20 +103,23 @@ func (d *Daemon) IngestRIBSnapshot(r io.Reader, label string) (*MRTStats, error)
 					continue
 				}
 				if !e.Attrs.HasASPath {
+					stats.NoASPath++
 					continue
 				}
-				si, ok := peerSessions[e.PeerIndex]
-				if !ok {
-					p := peers[e.PeerIndex]
-					si = d.RegisterSource(fmt.Sprintf("%s peer %v", label, p.IP), p.AS)
-					peerSessions[e.PeerIndex] = si
-					stats.Sessions++
-				}
-				path := bgpd.FlattenPath(e.Attrs.ASPath)
-				if err := d.Ingest(si, rec.Header.Timestamp, rec.RIB.Prefix, path); err == nil {
-					stats.Updates++
-				}
+				p := peers[e.PeerIndex]
+				sink(p.IP, p.AS).Update(rec.Header.Timestamp, rec.RIB.Prefix, bgpd.FlattenPath(e.Attrs.ASPath))
 			}
 		}
+		// State changes carry no routes: the live RIB tracks announced
+		// state only.
 	}
+}
+
+// IngestMRT replays an archive through the daemon's pipeline (see
+// ReadMRT); use WaitQuiesce to wait for the pipeline to absorb it.
+func (d *Daemon) IngestMRT(r io.Reader, label string) (*MRTStats, error) {
+	stats, err := ReadMRT(d, r, label)
+	d.met.mrtRecords.Add(uint64(stats.Records))
+	d.met.droppedNoASPath.Add(uint64(stats.NoASPath))
+	return stats, err
 }

@@ -3,8 +3,6 @@ package monitord
 import (
 	"bytes"
 	"net/netip"
-	"os"
-	"path/filepath"
 	"testing"
 	"time"
 
@@ -13,34 +11,10 @@ import (
 	"quicksand/internal/mrt"
 )
 
-func TestIngestMRTFile(t *testing.T) {
-	d := newTestDaemon(t, Config{UpstreamAlarms: true})
-	path := filepath.Join(t.TempDir(), "updates.mrt")
-	if err := os.WriteFile(path, mrtArchive(t), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	stats, err := d.IngestMRTFile(path)
-	if err != nil {
-		t.Fatalf("IngestMRTFile: %v", err)
-	}
-	if stats.Records != 3 || stats.Updates != 2 || stats.Sessions != 2 {
-		t.Errorf("stats = %+v", stats)
-	}
-	if !d.WaitQuiesce(5 * time.Second) {
-		t.Fatal("pipeline did not quiesce")
-	}
-	if got, ok := d.RIB().Lookup(watchedPrefix); !ok || len(got.Routes) != 2 {
-		t.Errorf("RIB after file ingest = %+v, ok=%v", got, ok)
-	}
-
-	if _, err := d.IngestMRTFile(filepath.Join(t.TempDir(), "missing.mrt")); err == nil {
-		t.Error("IngestMRTFile on a missing file succeeded")
-	}
-}
-
 // snapshotArchive builds a TABLE_DUMP_V2 snapshot holding the watched
 // prefix as seen by two peers — one benign, one with a hijacked origin —
-// plus one entry pointing at a peer index outside the table.
+// plus one entry pointing at a peer index outside the table and one
+// carrying no AS_PATH.
 func snapshotArchive(t *testing.T) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -70,6 +44,9 @@ func snapshotArchive(t *testing.T) []byte {
 			{PeerIndex: 0, OriginatedTime: ts, Attrs: attrs(64501, 64500, 64496)},
 			{PeerIndex: 1, OriginatedTime: ts, Attrs: attrs(64502, 666)},
 			{PeerIndex: 7, OriginatedTime: ts, Attrs: attrs(64503, 64496)},
+			{PeerIndex: 0, OriginatedTime: ts, Attrs: bgp.PathAttributes{
+				HasOrigin: true, Origin: bgp.OriginIGP, NextHop: netip.MustParseAddr("192.0.2.1"),
+			}},
 		},
 	}); err != nil {
 		t.Fatal(err)
@@ -79,12 +56,17 @@ func snapshotArchive(t *testing.T) []byte {
 
 func TestIngestRIBSnapshot(t *testing.T) {
 	d := newTestDaemon(t, Config{UpstreamAlarms: true})
-	stats, err := d.IngestRIBSnapshot(bytes.NewReader(snapshotArchive(t)), "snap.mrt")
+	stats, err := d.IngestMRT(bytes.NewReader(snapshotArchive(t)), "snap.mrt")
 	if err != nil {
-		t.Fatalf("IngestRIBSnapshot: %v", err)
+		t.Fatalf("IngestMRT: %v", err)
 	}
-	if stats.Records != 2 || stats.Updates != 2 || stats.Sessions != 2 || stats.Skipped != 1 {
-		t.Errorf("stats = %+v", stats)
+	if want := (MRTStats{Records: 2, Updates: 2, Sessions: 2, Skipped: 1, NoASPath: 1}); *stats != want {
+		t.Errorf("stats = %+v, want %+v", *stats, want)
+	}
+	// Delivered or in a drop counter: the entry without an AS_PATH is
+	// counted where a live session's would be.
+	if got := d.met.droppedNoASPath.Value(); got != 1 {
+		t.Errorf("no-as-path drop counter = %d, want 1", got)
 	}
 	if !d.WaitQuiesce(5 * time.Second) {
 		t.Fatal("pipeline did not quiesce")

@@ -1,8 +1,7 @@
 package obs
 
 // Multi-target /metrics scraping and aggregation: the fleet router
-// merges the expositions of its shards (in process and remote) into the
-// one it serves. ParseExposition is the repository's one parser of the
+// merges the expositions of its shards into the one it serves. ParseExposition is the repository's one parser of the
 // Prometheus text format — testkit's linter and every test read
 // expositions through it too — so it is strict: what it accepts, a
 // Prometheus server accepts.

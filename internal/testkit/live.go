@@ -13,17 +13,6 @@ import (
 	"quicksand/internal/monitord"
 )
 
-// LiveMonitor is the ingest-and-alert surface a single monitord daemon
-// and a fleet router share: register sources, ingest prefix-level
-// updates, wait for the pipeline to drain, read the alert stream. One
-// differential checker drives both through it.
-type LiveMonitor interface {
-	RegisterSource(name string, peer bgp.ASN) int
-	Ingest(session int, t time.Time, prefix netip.Prefix, path []bgp.ASN) error
-	WaitQuiesce(timeout time.Duration) bool
-	Alerts(cursor uint64, max int) (alerts []monitord.SeqAlert, next uint64, dropped uint64)
-}
-
 // batchAlerts runs the reference: defense.RunMonitor with learnFraction
 // 0 over the whole stream.
 func batchAlerts(st *bgpsim.Stream, watched map[netip.Prefix]bgp.ASN) (*defense.MonitorReport, error) {
@@ -39,14 +28,15 @@ func alertBuffer(st *bgpsim.Stream, rep *defense.MonitorReport) int {
 	return len(st.Updates) + len(rep.Alerts) + 16
 }
 
-// checkLiveAlerts feeds the stream through live and requires its alert
-// multiset to equal the batch report's exactly — session ids and
-// semantic timestamps included.
+// checkLiveAlerts feeds the stream through live — a daemon or a fleet
+// router, one checker for both — and requires its alert multiset to equal
+// the batch report's exactly, session ids and semantic timestamps
+// included.
 //
 // With learnFraction 0 the monitor's learned state stays empty, so
 // Observe is pure and alert generation is order-independent — which is
 // what makes the comparison sound despite the live side's concurrency.
-func checkLiveAlerts(live LiveMonitor, st *bgpsim.Stream, rep *defense.MonitorReport) error {
+func checkLiveAlerts(live monitord.Front, st *bgpsim.Stream, rep *defense.MonitorReport) error {
 	for si := range st.Sessions {
 		s := &st.Sessions[si]
 		if id := live.RegisterSource(s.Collector, s.PeerAS); id != si {

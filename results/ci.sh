@@ -14,9 +14,10 @@
 #   6. bench module: bench/ is its own Go module (root ./... does not
 #      cover it) compiled against monitord, fleet, bgpd and obs
 #   7. every Benchmark* for one iteration, so none can rot unrun
-#   8. retired names: code and records deleted for bench/ or for the one
-#      route engine and exposition parser are named nowhere outside the
-#      history files
+#   8. retired names: code and records deleted for bench/, for the one
+#      route engine and exposition parser, or with the fleet's remote
+#      mode and the daemon's private RIB file are named nowhere outside
+#      the history files
 #   9. fuzz smoke: every Fuzz* target for FUZZTIME (default 10s)
 #  10. per-package coverage floors (see floor() below)
 #
@@ -63,11 +64,15 @@ go test -run '^$' -bench . -benchtime 1x ./...
 
 echo "== retired names =="
 # The in-tree load harness (PR 14), the map route engine and testkit's
-# exposition parser (PR 15), and the shell perf harness with its records
-# and 73K subcommand (PR 16) are gone; CHANGES.md has the history. Each
-# alternative is spelled so this file does not match itself.
+# exposition parser (PR 15), the shell perf harness with its records and
+# 73K subcommand (PR 16), and the fleet's remote-shard mode, the daemon's
+# private RIB file and two sizing flags (PR 22) are gone; CHANGES.md has
+# the history. Each alternative is spelled so this file does not match
+# itself.
 retired='load(gen|test)|ComputeRoutes(Filtered)|route(Heap)|Parse(Prom)|Prom(Family)'
 retired="$retired|bench[.]sh|BENCH_[a-z0-9]+[.]json|topo(Cmd)|quicksand (topo)([^a-z]|\$)"
+retired="$retired|Remote(Shard)|remote(Sink)|Remote(s)|Forward(Buffer)|proxy(RIB)|QS(RIB)"
+retired="$retired|(Save|Load)(Snapshot)|queue(-depth)|alert(-buffer)"
 if stale=$(git grep -nE "$retired" -- . \
     ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!bench'); then
     echo "FAIL: retired names still referenced:" >&2
@@ -97,7 +102,7 @@ function floor(pkg) {
     if (pkg == "quicksand/cmd/bgpgen") return 50       # main() wiring untested
     if (pkg == "quicksand/cmd/torgen") return 50       # main() wiring untested
     if (pkg == "quicksand/internal/monitord") return 80 # daemon floor (required)
-    if (pkg == "quicksand/internal/fleet") return 80    # fleet router floor (required)
+    if (pkg == "quicksand/internal/fleet") return 85    # fleet router floor (required)
     if (pkg == "quicksand/internal/obs") return 80      # observability floor (required)
     if (pkg == "quicksand/internal/topology") return 90 # route-engine floor (required)
     if (pkg == "quicksand/internal/resilience") return 85 # resilience engine floor (required)
