@@ -37,7 +37,9 @@ type UpdateSink interface {
 	// Update delivers one prefix-level update stamped with the start of
 	// the read batch that carried it. A nil path is a withdrawal; a
 	// non-nil empty path is an announcement whose AS_PATH attribute was
-	// present but had no ASes.
+	// present but had no ASes. The path is lent: it is valid for the call
+	// only (the caller reuses its storage for the next UPDATE), so a sink
+	// that keeps it copies it.
 	Update(t time.Time, prefix netip.Prefix, path []bgp.ASN)
 	// Flush ends a read batch of n UPDATEs whose first came off the
 	// socket at start.
@@ -249,11 +251,12 @@ func (s *Server) serve(sess *Session, remote, source string) *Peer {
 	s.cfg.Logf("%s: session %d established with AS%d (%s %s)", s.cfg.Name, p.ID, uint32(p.PeerAS), source, remote)
 	sink := s.cfg.NewSink(p)
 	batch := make([]bgp.Update, s.cfg.ReadBatch)
+	var scratch []bgp.ASN // every UPDATE's flattened path, lent to the sink
 	for {
 		n, start, err := sess.RecvUpdateBatchStamped(batch)
 		if n > 0 {
 			for i := range batch[:n] {
-				if dropped := PrefixUpdates(&batch[i], start, sink); dropped > 0 {
+				if dropped := PrefixUpdates(&batch[i], start, sink, &scratch); dropped > 0 {
 					s.cfg.DroppedNoASPath.Add(uint64(dropped))
 				}
 			}
@@ -270,10 +273,12 @@ func (s *Server) serve(sess *Session, remote, source string) *Peer {
 
 // PrefixUpdates is the UPDATE → prefix-level contract: it delivers u to
 // sink.Update once per prefix, stamped t, withdrawals (nil path) before
-// announcements; batching, and so Flush, stays with the caller. NLRI carrying no AS_PATH is no usable route: it is
-// dropped, and the number of prefixes dropped is returned so the caller
-// counts them instead of losing them silently.
-func PrefixUpdates(u *bgp.Update, t time.Time, sink UpdateSink) (noASPath int) {
+// announcements; batching, and so Flush, stays with the caller. The
+// announced path is flattened into *scratch (grown as needed, reused by
+// the next call) and lent to the sink. NLRI carrying no AS_PATH is no
+// usable route: it is dropped, and the number of prefixes dropped is
+// returned so the caller counts them instead of losing them silently.
+func PrefixUpdates(u *bgp.Update, t time.Time, sink UpdateSink, scratch *[]bgp.ASN) (noASPath int) {
 	for _, prefix := range u.Withdrawn {
 		sink.Update(t, prefix, nil)
 	}
@@ -283,9 +288,9 @@ func PrefixUpdates(u *bgp.Update, t time.Time, sink UpdateSink) (noASPath int) {
 	if !u.Attrs.HasASPath {
 		return len(u.NLRI)
 	}
-	path := FlattenPath(u.Attrs.ASPath)
+	*scratch = FlattenPath(*scratch, u.Attrs.ASPath)
 	for _, prefix := range u.NLRI {
-		sink.Update(t, prefix, path)
+		sink.Update(t, prefix, *scratch)
 	}
 	return 0
 }
@@ -293,12 +298,15 @@ func PrefixUpdates(u *bgp.Update, t time.Time, sink UpdateSink) (noASPath int) {
 // emptyPath marks an announcement with a present-but-empty AS_PATH.
 var emptyPath = []bgp.ASN{}
 
-// FlattenPath flattens an AS_PATH into one AS sequence. A present-but-
-// empty path (zero segments, or only empty segments) flattens to a
-// non-nil empty slice so it stays an announcement; nil is reserved for
-// withdrawals.
-func FlattenPath(p bgp.ASPath) []bgp.ASN {
-	out := emptyPath
+// FlattenPath flattens an AS_PATH into one AS sequence over dst's
+// storage (dst[:0]; nil allocates). A present-but-empty path (zero
+// segments, or only empty segments) flattens to a non-nil empty slice so
+// it stays an announcement; nil is reserved for withdrawals.
+func FlattenPath(dst []bgp.ASN, p bgp.ASPath) []bgp.ASN {
+	out := dst[:0]
+	if out == nil {
+		out = emptyPath
+	}
 	for _, seg := range p.Segments {
 		out = append(out, seg.ASes...)
 	}

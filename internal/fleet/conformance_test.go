@@ -113,6 +113,8 @@ func TestHTTPConformance(t *testing.T) {
 		{name: "put-rib", method: http.MethodPut, path: "/rib?prefix=10.10.0.0/16", status: 405},
 		{name: "delete-healthz", method: http.MethodDelete, path: "/healthz", status: 405},
 		{name: "post-metrics", method: http.MethodPost, path: "/metrics", status: 405},
+		{name: "ipv6-rib-prefix", method: http.MethodGet, path: "/rib?prefix=2001:db8::/32", status: 404},
+		{name: "ipv6-rib-addr", method: http.MethodGet, path: "/rib?addr=2001:db8::1", status: 404},
 		{name: "bad-since", method: http.MethodGet, path: "/alerts?since=x", status: 400},
 		{name: "negative-since", method: http.MethodGet, path: "/alerts?since=-1", status: 400},
 		{name: "bad-max", method: http.MethodGet, path: "/alerts?max=x", status: 400},
@@ -277,12 +279,58 @@ func ingestArchive(t *testing.T, tableDump bool) *bytes.Reader {
 	return bytes.NewReader(buf.Bytes())
 }
 
+// lentRoute is one prefix of the lent-path row: where it must end up.
+type lentRoute struct {
+	prefix  netip.Prefix
+	path    []bgp.ASN // the latest announced, which /rib must serve
+	watched bool      // a more-specific of a watched prefix: alarms, and the router forwards it
+}
+
+// lentStream builds the row that catches a layer keeping a path it was
+// only lent: 64 UPDATEs, each with its own prefix, path and origin (every
+// other one a more-specific hijack of a watched prefix), then a
+// withdrawal and a re-announcement over a different, longer path for
+// half of each kind. Each phase is meant for one TCP write, so it arrives
+// as one read batch and every path of the batch passes through the same
+// reader scratch and the same per-shard runs, and the second phase for
+// after the first has settled, so it travels in recycled storage. It returns the two phases,
+// the final routes, and the alerts keyed as TestIngestConformance keys
+// them — one per hijack announcement, each naming its own origin.
+func lentStream() (first, second []*bgp.Update, final []lentRoute, alerts map[string]int) {
+	alerts = map[string]int{}
+	for i := 0; i < 64; i++ {
+		r := lentRoute{watched: i%2 == 0}
+		if r.watched {
+			r.prefix = netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(10 + 10*(i/2%2)), byte(i), 0}), 24)
+		} else {
+			r.prefix = netip.PrefixFrom(netip.AddrFrom4([4]byte{198, 18, byte(i), 0}), 24)
+		}
+		announce := func(path []bgp.ASN) *bgp.Update {
+			r.path = path
+			if r.watched {
+				alerts[fmt.Sprintf("0|%v|more-specific|%v", r.prefix, path[len(path)-1])]++
+			}
+			return ingestUpdate(r.prefix.String(), path)
+		}
+		first = append(first, announce([]bgp.ASN{ingestPeerAS, bgp.ASN(64700 + i), bgp.ASN(65100 + i)}))
+		if i%4 < 2 {
+			second = append(second,
+				&bgp.Update{Withdrawn: []netip.Prefix{r.prefix}},
+				announce([]bgp.ASN{ingestPeerAS, bgp.ASN(64800 + i), bgp.ASN(64900 + i), bgp.ASN(65300 + i)}))
+		}
+		final = append(final, r)
+	}
+	return first, second, final, alerts
+}
+
 // TestIngestConformance delivers one labelled stream by every input a
 // front has — an inbound session, a dialed collector, a BGP4MP archive, a
 // TABLE_DUMP_V2 seed — to a daemon and to a router: every cell must raise
 // exactly the labelled alerts, count the path-less announcement as
 // dropped, keep the archive's timestamps as the alerts' semantic time,
-// and keep them out of the latency histograms.
+// and keep them out of the latency histograms. The lent-path row sends
+// its own stream (lentStream) over an inbound session and also reads
+// every prefix back from /rib.
 func TestIngestConformance(t *testing.T) {
 	peer := bgpd.Config{ASN: ingestPeerAS, BGPID: netip.MustParseAddr("203.0.113.9"), AS4: true}
 	establish := func(t *testing.T, conn net.Conn, err error) *bgpd.Session {
@@ -306,17 +354,27 @@ func TestIngestConformance(t *testing.T) {
 			return svc
 		}
 	}
+	lentFirst, lentSecond, lentFinal, lentAlerts := lentStream()
+	streamAlerts := map[string]int{}
+	for _, u := range ingestStream {
+		if u.alert != "" {
+			streamAlerts[fmt.Sprintf("0|%s|%s|%v", u.prefix, u.alert, u.path[len(u.path)-1])]++
+		}
+	}
 	paths := []struct {
 		name    string
 		archive bool // alerts carry archiveTime, not the receive time
 		deliver func(t *testing.T, front string) monitord.Front
+		want    map[string]int // the alerts the delivered stream must raise
+		noPath  int            // announcements it carries without an AS_PATH
+		rib     []lentRoute    // what /rib must serve afterwards, when the row checks it
 	}{
 		{name: "inbound", deliver: func(t *testing.T, front string) monitord.Front {
 			svc := bootFront(t, front)
 			conn, err := net.Dial("tcp", svc.BGPAddr())
 			sendStream(t, establish(t, conn, err))
 			return svc
-		}},
+		}, want: streamAlerts, noPath: 1},
 		{name: "collector", deliver: func(t *testing.T, front string) monitord.Front {
 			ln, err := net.Listen("tcp", "127.0.0.1:0")
 			if err != nil {
@@ -327,21 +385,42 @@ func TestIngestConformance(t *testing.T) {
 			conn, err := ln.Accept()
 			sendStream(t, establish(t, conn, err))
 			return svc
-		}},
-		{name: "bgp4mp", archive: true, deliver: fromArchive(false)},
-		{name: "table-dump", archive: true, deliver: fromArchive(true)},
+		}, want: streamAlerts, noPath: 1},
+		{name: "bgp4mp", archive: true, deliver: fromArchive(false), want: streamAlerts, noPath: 1},
+		{name: "table-dump", archive: true, deliver: fromArchive(true), want: streamAlerts, noPath: 1},
+		{name: "lent-paths", deliver: func(t *testing.T, front string) monitord.Front {
+			svc := bootFront(t, front)
+			conn, err := net.Dial("tcp", svc.BGPAddr())
+			sess := establish(t, conn, err)
+			t.Cleanup(func() { sess.Close() })
+			if err := sess.SendUpdates(lentFirst); err != nil { // one write
+				t.Fatal(err)
+			}
+			// Let the first phase settle, so the second reuses whatever
+			// storage the first travelled in.
+			for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+				if alerts, _, _ := svc.Alerts(0, 0); len(alerts) >= len(lentFirst)/2 {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatal("first phase raised too few alerts")
+				}
+			}
+			if !svc.WaitQuiesce(5 * time.Second) {
+				t.Fatal("pipeline did not quiesce between the phases")
+			}
+			if err := sess.SendUpdates(lentSecond); err != nil {
+				t.Fatal(err)
+			}
+			return svc
+		}, want: lentAlerts, rib: lentFinal},
 	}
 
-	want := map[string]int{}
-	for _, u := range ingestStream {
-		if u.alert != "" {
-			want[fmt.Sprintf("0|%s|%s|%v", u.prefix, u.alert, u.path[len(u.path)-1])]++
-		}
-	}
 	for _, path := range paths {
 		for _, front := range fronts {
 			t.Run(path.name+"/"+front, func(t *testing.T) {
 				svc := path.deliver(t, front)
+				want := path.want
 				var alerts []monitord.SeqAlert
 				for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
 					if alerts, _, _ = svc.Alerts(0, 0); len(alerts) >= len(want) {
@@ -374,13 +453,42 @@ func TestIngestConformance(t *testing.T) {
 				}
 				dropped, _ := snap.Sum("monitord_updates_dropped_total", map[string]string{"reason": "no-as-path"})
 				routerDropped, _ := snap.Sum("fleet_updates_dropped_total", map[string]string{"reason": "no-as-path"})
-				if dropped+routerDropped != 1 {
-					t.Errorf("no-as-path drops = %v (shards) + %v (router), want 1 in all", dropped, routerDropped)
+				if int(dropped+routerDropped) != path.noPath {
+					t.Errorf("no-as-path drops = %v (shards) + %v (router), want %d in all", dropped, routerDropped, path.noPath)
 				}
 				for _, family := range []string{"monitord_stage_seconds", "monitord_detection_seconds"} {
 					// Quantile 1 is the upper bound of the highest occupied bucket.
 					if max, err := snap.Quantile(family, 1, nil); err != nil || max > 1.001 {
 						t.Errorf("%s: largest observation in the bucket up to %v s (err %v), want none above 1 s", family, max, err)
+					}
+				}
+
+				for _, r := range path.rib {
+					url := "http://" + svc.HTTPAddr() + "/rib?prefix=" + r.prefix.String()
+					resp, err := http.Get(url)
+					if err != nil {
+						t.Fatal(err)
+					}
+					var entry struct {
+						Routes []struct {
+							Path []bgp.ASN `json:"path"`
+						} `json:"routes"`
+					}
+					err = json.NewDecoder(resp.Body).Decode(&entry)
+					resp.Body.Close()
+					if front == "router" && !r.watched {
+						// The router rejected it; nothing may have kept it.
+						if resp.StatusCode != http.StatusNotFound {
+							t.Errorf("GET %s: status %d, want 404 for a prefix the router never forwarded", url, resp.StatusCode)
+						}
+						continue
+					}
+					if resp.StatusCode != http.StatusOK || err != nil {
+						t.Errorf("GET %s: status %d, decoding: %v", url, resp.StatusCode, err)
+						continue
+					}
+					if len(entry.Routes) != 1 || !reflect.DeepEqual(entry.Routes[0].Path, r.path) {
+						t.Errorf("/rib %v = %+v, want its own latest path %v", r.prefix, entry.Routes, r.path)
 					}
 				}
 			})

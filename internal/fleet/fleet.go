@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"io"
 	"net/netip"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -284,46 +285,54 @@ func (r *Router) RegisterSource(name string, peer bgp.ASN) int {
 
 // Ingest feeds one update through the router as if received on the
 // given source session: route to the owning shard or reject as
-// unwatched. A nil path is a withdrawal.
+// unwatched. A nil path is a withdrawal; a forwarded path is handed over
+// to the shard (see monitord.Front).
 func (r *Router) Ingest(session int, t time.Time, prefix netip.Prefix, path []bgp.ASN) error {
 	p, ok := r.srv.Peer(session)
 	if !ok {
 		return fmt.Errorf("fleet: unknown session %d", session)
 	}
-	r.route(p, t, prefix, path)
+	if d := r.route(p, prefix); d != nil {
+		_ = d.Ingest(p.ID, t, prefix, path)
+	}
 	return nil
 }
 
 // route is the per-update hot path: validate, consult the watch table,
-// and forward to the owning shard or count the rejection.
-func (r *Router) route(p *bgpd.Peer, t time.Time, prefix netip.Prefix, path []bgp.ASN) {
+// and return the owning shard (counted as forwarded) or nil (the
+// rejection counted). The caller forwards straight into the shard's
+// ingest path, backpressured by its bounded queues; the shard takes its
+// own receive stamp, so t stays a semantic time (archives pass through
+// here too), and it knows every router id (mirror), so Ingest's
+// unknown-session error cannot occur.
+func (r *Router) route(p *bgpd.Peer, prefix netip.Prefix) *monitord.Daemon {
 	if !prefix.IsValid() || !prefix.Addr().Is4() {
 		r.met.droppedNonIPv4.Inc()
-		return
+		return nil
 	}
 	shard, ok := r.table.route(prefix)
 	if !ok {
 		r.met.unwatched.Inc()
-		return
+		return nil
 	}
 	p.Updates.Add(1)
 	r.met.forwarded[shard].Inc()
-	// Straight into the shard's ingest path, backpressured by its bounded
-	// queues. The shard takes its own receive stamp, so t stays a semantic
-	// time (archives pass through here too), and it knows every router id
-	// (mirror), so Ingest's unknown-session error cannot occur.
-	_ = r.shards[shard].Ingest(p.ID, t, prefix, path)
+	return r.shards[shard]
 }
 
 // routeSink routes one BGP session's updates as they are read; the
-// router keeps no per-batch state.
+// router keeps no per-batch state. The session front only lends the
+// path, so the forward arm copies it for the shard's queue; the reject
+// arm, most of the traffic, allocates nothing.
 type routeSink struct {
 	r *Router
 	p *bgpd.Peer
 }
 
 func (s routeSink) Update(t time.Time, prefix netip.Prefix, path []bgp.ASN) {
-	s.r.route(s.p, t, prefix, path)
+	if d := s.r.route(s.p, prefix); d != nil {
+		_ = d.Ingest(s.p.ID, t, prefix, slices.Clone(path))
+	}
 }
 
 func (routeSink) Flush(time.Time, int) {}

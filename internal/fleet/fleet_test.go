@@ -290,8 +290,11 @@ func TestMergedRingEviction(t *testing.T) {
 }
 
 // TestRejectPathAllocFree pins the router's fast path as the session
-// front drives it: an update matching no watched prefix is counted and
-// dropped without allocating.
+// front drives it — bgpd.PrefixUpdates flattening a multi-segment AS_PATH
+// into the reader's scratch, then the sink: an UPDATE matching no watched
+// prefix is counted and dropped without allocating, flattening included
+// (the path used to be allocated per UPDATE, one frame above the sink,
+// before the router rejected it).
 func TestRejectPathAllocFree(t *testing.T) {
 	r, err := New(Config{Watched: fleetWatched, Shards: 2})
 	if err != nil {
@@ -301,14 +304,19 @@ func TestRejectPathAllocFree(t *testing.T) {
 	p, _ := r.srv.Peer(r.RegisterSource("feed", 64601))
 	var sink bgpd.UpdateSink = routeSink{r, p}
 	now := time.Now()
-	unwatched := netip.MustParsePrefix("198.18.0.0/15")
-	nearMiss := netip.MustParsePrefix("10.99.0.0/16") // shares a first octet: reaches the trie
-	path := []bgp.ASN{64601, 64700}
+	u := &bgp.Update{
+		Withdrawn: []netip.Prefix{netip.MustParsePrefix("10.99.0.0/16")}, // shares a first octet: reaches the trie
+		NLRI:      []netip.Prefix{netip.MustParsePrefix("198.18.0.0/15")},
+		Attrs: bgp.PathAttributes{HasASPath: true, ASPath: bgp.ASPath{Segments: []bgp.Segment{
+			{Type: bgp.SegmentSequence, ASes: []bgp.ASN{64601, 64700}},
+			{Type: bgp.SegmentSet, ASes: []bgp.ASN{64701, 64702}},
+		}}},
+	}
+	var scratch []bgp.ASN // the session reader's, grown by AllocsPerRun's warm-up call
 	if n := testing.AllocsPerRun(100, func() {
-		sink.Update(now, unwatched, path)
-		sink.Update(now, nearMiss, nil)
+		bgpd.PrefixUpdates(u, now, sink, &scratch)
 	}); n != 0 {
-		t.Errorf("reject path allocates %v times per update pair", n)
+		t.Errorf("reject path allocates %v times per UPDATE", n)
 	}
 	if got := r.met.unwatched.Value(); got < 200 {
 		t.Errorf("unwatched counter = %d, want every rejected update counted", got)

@@ -104,7 +104,9 @@ func (r *Router) handleRIB(w http.ResponseWriter, req *http.Request) {
 			http.Error(w, "bad prefix: "+err.Error(), http.StatusBadRequest)
 			return
 		}
-		shard, ok = r.table.route(p)
+		if p.Addr().Is4() {
+			shard, ok = r.table.route(p)
+		}
 	case q.Get("addr") != "":
 		a, err := netip.ParseAddr(q.Get("addr"))
 		if err != nil {

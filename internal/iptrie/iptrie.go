@@ -8,6 +8,7 @@
 package iptrie
 
 import (
+	"encoding/binary"
 	"fmt"
 	"net/netip"
 )
@@ -29,10 +30,11 @@ type Trie[V any] struct {
 	size int
 }
 
-// bitAt returns bit i (0 = most significant) of the IPv4 address a.
-func bitAt(a netip.Addr, i int) int {
+// key returns IPv4 address a as the word a walk consumes from the top bit
+// down (child[k>>31], k <<= 1): derived once per operation, not per bit.
+func key(a netip.Addr) uint32 {
 	b := a.As4()
-	return int(b[i/8]>>(7-i%8)) & 1
+	return binary.BigEndian.Uint32(b[:])
 }
 
 func checkPrefix(p netip.Prefix) error {
@@ -52,13 +54,15 @@ func (t *Trie[V]) Insert(p netip.Prefix, val V) (added bool, err error) {
 	if err := checkPrefix(p); err != nil {
 		return false, err
 	}
-	p = p.Masked()
 	if t.root == nil {
 		t.root = &node[V]{}
 	}
 	n := t.root
-	for i := 0; i < p.Bits(); i++ {
-		b := bitAt(p.Addr(), i)
+	// Only the first Bits() bits are walked, which is the masking.
+	k := key(p.Addr())
+	for i := p.Bits(); i > 0; i-- {
+		b := k >> 31
+		k <<= 1
 		if n.child[b] == nil {
 			n.child[b] = &node[V]{}
 		}
@@ -81,10 +85,11 @@ func (t *Trie[V]) Delete(p netip.Prefix) (removed bool, err error) {
 	if err := checkPrefix(p); err != nil {
 		return false, err
 	}
-	p = p.Masked()
 	n := t.root
-	for i := 0; n != nil && i < p.Bits(); i++ {
-		n = n.child[bitAt(p.Addr(), i)]
+	k := key(p.Addr())
+	for i := p.Bits(); n != nil && i > 0; i-- {
+		n = n.child[k>>31]
+		k <<= 1
 	}
 	if n == nil || !n.has {
 		return false, nil
@@ -102,10 +107,11 @@ func (t *Trie[V]) Get(p netip.Prefix) (val V, ok bool) {
 	if err := checkPrefix(p); err != nil {
 		return zero, false
 	}
-	p = p.Masked()
 	n := t.root
-	for i := 0; n != nil && i < p.Bits(); i++ {
-		n = n.child[bitAt(p.Addr(), i)]
+	k := key(p.Addr())
+	for i := p.Bits(); n != nil && i > 0; i-- {
+		n = n.child[k>>31]
+		k <<= 1
 	}
 	if n == nil || !n.has {
 		return zero, false
@@ -121,6 +127,7 @@ func (t *Trie[V]) LongestMatch(addr netip.Addr) (p netip.Prefix, val V, ok bool)
 		return netip.Prefix{}, zero, false
 	}
 	n := t.root
+	k := key(addr)
 	bestLen := -1
 	var bestVal V
 	for i := 0; n != nil; i++ {
@@ -131,7 +138,8 @@ func (t *Trie[V]) LongestMatch(addr netip.Addr) (p netip.Prefix, val V, ok bool)
 		if i == 32 {
 			break
 		}
-		n = n.child[bitAt(addr, i)]
+		n = n.child[k>>31]
+		k <<= 1
 	}
 	if bestLen < 0 {
 		return netip.Prefix{}, zero, false
@@ -151,6 +159,7 @@ func (t *Trie[V]) Matches(addr netip.Addr) []Entry[V] {
 	}
 	var out []Entry[V]
 	n := t.root
+	k := key(addr)
 	for i := 0; n != nil; i++ {
 		if n.has {
 			p, err := addr.Prefix(i)
@@ -162,7 +171,8 @@ func (t *Trie[V]) Matches(addr netip.Addr) []Entry[V] {
 		if i == 32 {
 			break
 		}
-		n = n.child[bitAt(addr, i)]
+		n = n.child[k>>31]
+		k <<= 1
 	}
 	return out
 }

@@ -222,8 +222,8 @@ func (d *Daemon) handleRIB(w http.ResponseWriter, r *http.Request) {
 // handleHealthz serves GET /healthz.
 func (d *Daemon) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	depth := 0
-	for _, ch := range d.shards {
-		depth += len(ch)
+	for i := range d.shards {
+		depth += int(d.shards[i].depth())
 	}
 	WriteJSON(w, healthResponse{
 		Status:         "ok",

@@ -115,8 +115,8 @@ func (m *metrics) registerCollectors(d *Daemon) {
 	})
 	m.reg.Collect("monitord_ingest_queue_depth", "Items waiting per dispatcher shard.",
 		obs.KindGauge, []string{"shard"}, func(emit obs.Emit) {
-			for i, ch := range d.shards {
-				emit([]string{strconv.Itoa(i)}, float64(len(ch)))
+			for i := range d.shards {
+				emit([]string{strconv.Itoa(i)}, float64(d.shards[i].depth()))
 			}
 		})
 	m.reg.Collect("monitord_session_updates_total", "Updates ingested per session.",

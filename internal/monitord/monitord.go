@@ -16,14 +16,18 @@
 // Concurrency model:
 //
 //   - the session front (bgpd.Server, shared with the fleet router) runs
-//     one reader goroutine per BGP session; the daemon's sink stages one
-//     item per prefix for the dispatcher shard chosen by hashing the
-//     prefix, so each prefix's updates are processed in arrival order;
-//   - shard channels are bounded: a flooding peer backpressures its own
-//     TCP session instead of growing memory;
-//   - each shard worker folds items into its slice of the live RIB and
-//     runs the (concurrency-safe) monitor, appending alerts to a ring
-//     buffer with monotonically increasing sequence numbers;
+//     one reader goroutine per BGP session; the daemon's sink hashes each
+//     prefix to its shard once and stages the update in that shard's run,
+//     so each prefix's updates are processed in arrival order;
+//   - a run is one session's updates for one shard out of one read batch,
+//     their lent paths copied into its arena (the live RIB copies again
+//     into storage it owns). Runs come from a fixed per-session budget
+//     that workers return them to; an empty budget blocks the reader, so a
+//     flooding peer backpressures its own TCP session in bounded memory;
+//   - each shard worker folds a run into its slice of the live RIB under
+//     one lock, then runs the (concurrency-safe) monitor over it,
+//     appending alerts to a ring buffer with monotonically increasing
+//     sequence numbers;
 //   - shutdown stops the session front (dialers, listener, sessions,
 //     readers), then closes the shard channels and drains them — no
 //     goroutine outlives Shutdown.
@@ -114,10 +118,15 @@ type Config struct {
 	Registry *obs.Registry
 }
 
-// queueDepth bounds each dispatcher shard's ingest queue; a full queue
-// blocks the producer, which is how a flooding peer backpressures its own
-// TCP session.
+// queueDepth is each dispatcher shard's channel capacity in elements (a
+// session's run or one Ingest update); a full queue blocks the producer,
+// which is what backpressures Ingest — sessions spend their runs first.
 const queueDepth = 1024
+
+// runsPerShard × Shards is a session's run budget: strictly more than
+// Shards, so a reader holding one half-filled run per shard always has
+// runs in flight that a worker will hand back.
+const runsPerShard = 8
 
 func (c *Config) withDefaults() Config {
 	out := *c
@@ -143,6 +152,8 @@ func (c *Config) withDefaults() Config {
 type Front interface {
 	AlertSource
 	RegisterSource(name string, peer bgp.ASN) int
+	// Ingest queues: path is handed over, and the caller must not modify
+	// it afterwards (copy a buffer that will be reused).
 	Ingest(session int, t time.Time, prefix netip.Prefix, path []bgp.ASN) error
 	IngestMRT(r io.Reader, label string) (*MRTStats, error)
 	WaitQuiesce(timeout time.Duration) bool
@@ -151,10 +162,9 @@ type Front interface {
 	Shutdown(ctx context.Context) error
 }
 
-// item is one prefix-level update flowing through the dispatcher — or,
-// when batch is non-nil, a whole run of items bound for the same shard
-// (one channel send amortised across a session reader's decode batch;
-// the single-item form keeps the in-process Ingest path allocation-free).
+// item is one dispatcher channel element: a read batch's run of one
+// session's updates for the shard, or (run nil) a single Ingest update
+// carried by value, so Ingest allocates nothing.
 type item struct {
 	si *bgpd.Peer
 	t  time.Time
@@ -165,14 +175,51 @@ type item struct {
 	// caller-supplied on the Ingest/MRT paths and has no monotonic
 	// reading, so it must never feed a latency histogram. Zero when
 	// latency metrics are disabled.
-	rt     time.Time
+	rt  time.Time
+	run *run
+
 	prefix netip.Prefix
 	// path distinguishes nil from empty: nil is a withdrawal, a non-nil
 	// empty slice is an announcement whose AS_PATH attribute was present
 	// but had zero segments (legal; it must not flatten into a phantom
 	// withdrawal).
-	path  []bgp.ASN
-	batch []item
+	path []bgp.ASN
+}
+
+// run holds one session's updates for one shard out of one read batch, so
+// a channel send, a RIB lock and a round of counter updates are amortised
+// across them. The worker hands a processed run back to home, the
+// session's budget.
+type run struct {
+	upds  []upd
+	arena []bgp.ASN // the updates' paths, copied out of the reader's scratch
+	home  chan *run
+}
+
+// upd is one update of a run. Its path is arena[off:off+n]; n < 0 is a
+// withdrawal (nil path), n == 0 an announcement with an empty AS_PATH.
+type upd struct {
+	prefix netip.Prefix
+	off, n int32
+}
+
+func (u *upd) path(arena []bgp.ASN) []bgp.ASN {
+	if u.n < 0 {
+		return nil
+	}
+	return arena[u.off : u.off+u.n : u.off+u.n]
+}
+
+// shardQueue is one dispatcher shard's inbox. enqueued − processed is its
+// depth in updates, counting the run its worker has dequeued.
+type shardQueue struct {
+	ch                  chan item
+	enqueued, processed atomic.Uint64
+}
+
+func (q *shardQueue) depth() uint64 {
+	done := q.processed.Load() // first: a concurrent enqueue must not make it negative
+	return q.enqueued.Load() - done
 }
 
 // Daemon is a running monitord instance. Create with New, stop with
@@ -187,15 +234,13 @@ type Daemon struct {
 	// feed them) so the disabled path costs nothing.
 	stageOn bool
 
-	shards  []chan item
+	shards  []shardQueue // shards[i] feeds the worker that owns rib.shards[i]
 	shardWG sync.WaitGroup
 
 	srv *bgpd.Server // session front: listener, collectors, peer registry
 	api *HTTPServer
 	mux http.Handler
 
-	enqueued  atomic.Uint64
-	processed atomic.Uint64
 	learnSeen atomic.Uint64
 
 	shutOnce sync.Once
@@ -226,7 +271,7 @@ func New(cfg Config) (*Daemon, error) {
 		rng:     NewAlertLog(cfg.AlertBuffer, met.alertsDropped),
 		met:     met,
 		stageOn: !cfg.DisableLatencyMetrics,
-		shards:  make([]chan item, cfg.Shards),
+		shards:  make([]shardQueue, cfg.Shards),
 	}
 	d.mux = d.handler()
 	d.srv, err = bgpd.NewServer(bgpd.ServerConfig{
@@ -236,7 +281,10 @@ func New(cfg Config) (*Daemon, error) {
 		SessionsAccepted: met.sessionsAccepted, SessionsActive: met.sessionsActive,
 		DroppedNoASPath: met.droppedNoASPath,
 		NewSink: func(p *bgpd.Peer) bgpd.UpdateSink {
-			return &sessionSink{d: d, si: p, bufs: make([][]item, len(d.shards))}
+			return &sessionSink{
+				d: d, si: p, open: make([]*run, len(d.shards)),
+				free: make(chan *run, runsPerShard*len(d.shards)),
+			}
 		},
 	})
 	if err != nil {
@@ -248,9 +296,9 @@ func New(cfg Config) (*Daemon, error) {
 	}
 
 	for i := range d.shards {
-		d.shards[i] = make(chan item, queueDepth)
+		d.shards[i].ch = make(chan item, queueDepth)
 		d.shardWG.Add(1)
-		go d.worker(d.shards[i])
+		go d.worker(i)
 	}
 	d.met.registerCollectors(d)
 	d.srv.Start()
@@ -301,149 +349,164 @@ func (d *Daemon) Alerts(cursor uint64, max int) (alerts []SeqAlert, next uint64,
 // sessionSink is one BGP session's path into the dispatcher: it stages
 // the session's prefix-level updates in per-shard runs and hands each
 // run over at the end of the read batch — one channel send per (shard,
-// batch) instead of per prefix. Every item carries the batch-start
+// batch) instead of per prefix. Every update carries the batch-start
 // stamp, so per-update latency skew is bounded by the batch decode time,
 // and the read-stage histogram measures batch-start to dispatcher
 // handoff, including any backpressure stall.
 type sessionSink struct {
 	d    *Daemon
 	si   *bgpd.Peer
-	bufs [][]item // pending run per shard
+	open []*run    // the run being filled per shard, nil when none
+	free chan *run // the session's budget: runs no shard holds
+	made int       // runs allocated so far, at most cap(free)
 }
 
+// Update copies the lent path into its shard's open run (non-IPv4: dropped, counted).
 func (s *sessionSink) Update(t time.Time, prefix netip.Prefix, path []bgp.ASN) {
-	it := item{si: s.si, t: t, prefix: prefix, path: path}
-	if s.d.stageOn {
-		it.rt = t
+	if !prefix.IsValid() || !prefix.Addr().Is4() {
+		s.d.met.droppedNonIPv4.Add(1)
+		return
 	}
-	s.d.stageItem(s.bufs, it)
+	shard := s.d.rib.shardOf(prefix)
+	r := s.open[shard]
+	if r == nil {
+		r = s.take()
+		s.open[shard] = r
+	}
+	u := upd{prefix: prefix, off: int32(len(r.arena)), n: -1}
+	if path != nil {
+		u.n = int32(len(path))
+		r.arena = append(r.arena, path...)
+	}
+	r.upds = append(r.upds, u)
+}
+
+// take draws a run from the budget, made on demand; once it is, an empty
+// list blocks the reader until a worker returns one — the backpressure.
+func (s *sessionSink) take() *run {
+	if len(s.free) == 0 && s.made < cap(s.free) { // only workers add to free
+		s.made++
+		// A non-nil arena, so an empty path sliced from it stays non-nil.
+		return &run{arena: []bgp.ASN{}, home: s.free}
+	}
+	return <-s.free
 }
 
 func (s *sessionSink) Flush(start time.Time, n int) {
-	s.d.flushShardBufs(s.bufs)
+	it := item{si: s.si, t: start}
+	if s.d.stageOn {
+		it.rt = start
+	}
+	for shard, r := range s.open {
+		if r == nil {
+			continue
+		}
+		s.open[shard] = nil
+		q := &s.d.shards[shard]
+		q.enqueued.Add(uint64(len(r.upds)))
+		it.run = r
+		q.ch <- it
+	}
 	if s.d.stageOn {
 		s.d.met.readBatchSize.Observe(float64(n))
 		s.d.met.stageRead.Observe(time.Since(start).Seconds())
 	}
 }
 
-// stageItem validates one item and appends it to its shard's pending
-// run (dropping non-IPv4 prefixes, counted).
-func (d *Daemon) stageItem(shardBufs [][]item, it item) {
-	if !it.prefix.IsValid() || !it.prefix.Addr().Is4() {
-		d.met.droppedNonIPv4.Add(1)
-		return
-	}
-	shard := d.rib.shardOf(it.prefix)
-	shardBufs[shard] = append(shardBufs[shard], it)
-}
-
-// flushShardBufs sends every staged run to its shard worker as a single
-// batch item and resets the buffers (ownership of each slice passes to
-// the worker).
-func (d *Daemon) flushShardBufs(shardBufs [][]item) {
-	for shard, items := range shardBufs {
-		if len(items) == 0 {
-			continue
-		}
-		shardBufs[shard] = nil
-		d.enqueued.Add(uint64(len(items)))
-		d.shards[shard] <- item{batch: items}
-	}
-}
-
-// enqueue dispatches one item to its prefix's shard, blocking when the
-// shard queue is full (backpressure).
-func (d *Daemon) enqueue(it item) {
-	if !it.prefix.IsValid() || !it.prefix.Addr().Is4() {
-		d.met.droppedNonIPv4.Add(1)
-		return
-	}
-	if d.stageOn {
-		it.rt = time.Now()
-	}
-	d.enqueued.Add(1)
-	d.shards[d.rib.shardOf(it.prefix)] <- it
-}
-
-// worker is one dispatcher shard: RIB fold, monitor check, alert fanout.
-// A channel element is either one item or a whole same-shard batch.
-//
-// Latency accounting is amortised per channel element: the dispatch
-// stage (receive stamp to dequeue) is observed once per element, and the
-// apply/monitor stages are timed on the element's last item only — every
-// item of a batch shares the same batch-start stamp, so the last item is
-// the conservative upper bound, and a large ReadBatch costs a handful of
-// clock reads instead of two per update. Singleton items (the Ingest
-// path) observe every stage.
-func (d *Daemon) worker(ch chan item) {
+// worker is one dispatcher shard: it owns the RIB shard of the same index
+// and puts what its queue carries, a run or a single Ingest update,
+// through the one process body; a run then returns to its session.
+func (d *Daemon) worker(shard int) {
 	defer d.shardWG.Done()
-	for it := range ch {
-		if it.batch != nil {
-			if d.stageOn && len(it.batch) > 0 && !it.batch[0].rt.IsZero() {
-				d.met.stageDispatch.Observe(time.Since(it.batch[0].rt).Seconds())
-			}
-			last := len(it.batch) - 1
-			for i := range it.batch {
-				d.process(&it.batch[i], i == last)
-			}
+	for it := range d.shards[shard].ch {
+		if r := it.run; r != nil {
+			d.process(shard, &it, r.upds, r.arena)
+			r.upds, r.arena = r.upds[:0], r.arena[:0]
+			r.home <- r // never blocks: home holds the whole budget
 			continue
 		}
-		if d.stageOn && !it.rt.IsZero() {
-			d.met.stageDispatch.Observe(time.Since(it.rt).Seconds())
+		one := [1]upd{{prefix: it.prefix, n: -1}}
+		if it.path != nil {
+			one[0].n = int32(len(it.path))
 		}
-		d.process(&it, true)
+		d.process(shard, &it, one[:], it.path)
 	}
 }
 
-// process folds one item into the shard's RIB slice and runs the
-// streaming monitor. A nil path is a withdrawal; a non-nil empty path is
-// an announcement with an empty AS_PATH (stored, not withdrawn, and not
-// counted as a withdrawal). observe enables the apply/monitor stage
-// timing for this item; detection latency is observed for every alert
-// regardless, measured monotonically from the receive stamp.
-func (d *Daemon) process(it *item, observe bool) {
-	observe = observe && d.stageOn && !it.rt.IsZero()
-	var t0 time.Time
+// process folds one run of a session's updates (paths in arena) into the
+// worker's RIB shard under a single lock, then runs the streaming monitor
+// over it.
+//
+// Latency accounting is amortised per run: the dispatch stage (receive
+// stamp to dequeue) is observed once, and the apply/monitor stages are
+// timed on the run's last update only — every update of a run shares the
+// batch-start stamp, so the last is the conservative upper bound, and a
+// large ReadBatch costs a handful of clock reads instead of two per
+// update. A single Ingest update observes every stage. Detection latency
+// is observed for every alert regardless, measured monotonically from the
+// receive stamp.
+func (d *Daemon) process(shard int, it *item, upds []upd, arena []bgp.ASN) {
+	si, t, rt := it.si, it.t, it.rt
+	observe := d.stageOn && !rt.IsZero()
 	if observe {
-		t0 = time.Now()
+		d.met.stageDispatch.Observe(time.Since(rt).Seconds())
 	}
-	d.rib.apply(it.t, it.si.ID, it.prefix, it.path)
+	last := len(upds) - 1
+	var t0 time.Time
+	withdrawals := 0
+	sh := &d.rib.shards[shard]
+	sh.mu.Lock()
+	for i := range upds {
+		if observe && i == last {
+			t0 = time.Now()
+		}
+		path := upds[i].path(arena)
+		if path == nil {
+			withdrawals++
+		}
+		sh.apply(t, si.ID, upds[i].prefix, path)
+	}
+	sh.mu.Unlock()
 	if observe {
 		d.met.stageApply.Observe(time.Since(t0).Seconds())
 	}
-	it.si.Updates.Add(1)
-	d.met.updates.Add(1)
-	if it.path == nil {
-		d.met.withdrawals.Add(1)
-	}
-	ev := bgpsim.UpdateEvent{Time: it.t, Session: it.si.ID, Prefix: it.prefix, Path: it.path}
-	n := d.learnSeen.Add(1)
-	if learn := uint64(d.cfg.LearnUpdates); n <= learn {
-		d.mon.Learn(&ev)
-		if n == learn {
-			d.mon.EnableUpstream()
-			d.cfg.Logf("monitord: learning window done (%d updates), upstream alarms on", learn)
+	n := uint64(len(upds))
+	si.Updates.Add(n)
+	d.met.updates.Add(n)
+	d.met.withdrawals.Add(uint64(withdrawals))
+
+	learn := uint64(d.cfg.LearnUpdates)
+	for i := range upds {
+		ev := bgpsim.UpdateEvent{Time: t, Session: si.ID, Prefix: upds[i].prefix, Path: upds[i].path(arena)}
+		if learn > 0 {
+			if seen := d.learnSeen.Add(1); seen <= learn {
+				d.mon.Learn(&ev)
+				if seen == learn {
+					d.mon.EnableUpstream()
+					d.cfg.Logf("monitord: learning window done (%d updates), upstream alarms on", learn)
+				}
+				continue
+			}
 		}
-	} else {
-		if observe {
+		timed := observe && i == last
+		if timed {
 			t0 = time.Now()
 		}
 		alerts := d.mon.Observe(&ev)
-		if observe {
+		if timed {
 			d.met.stageMonitor.Observe(time.Since(t0).Seconds())
 		}
 		for _, a := range alerts {
 			d.rng.Append(a)
-			if d.stageOn && !it.rt.IsZero() {
-				d.met.detection.Observe(time.Since(it.rt).Seconds())
+			if observe {
+				d.met.detection.Observe(time.Since(rt).Seconds())
 			}
 			if int(a.Kind) >= 0 && int(a.Kind) < len(d.met.alerts) {
 				d.met.alerts[a.Kind].Add(1)
 			}
 		}
 	}
-	d.processed.Add(1)
+	d.shards[shard].processed.Add(n)
 }
 
 // RegisterSource allocates a session id for an in-process update source
@@ -454,14 +517,25 @@ func (d *Daemon) RegisterSource(name string, peer bgp.ASN) int {
 }
 
 // Ingest feeds one update into the pipeline as if received on the given
-// source session, preserving the caller's timestamp. It must not be
-// called after Shutdown. A nil path is a withdrawal.
+// source session, preserving the caller's timestamp, and blocks while the
+// prefix's shard queue is full (backpressure). It must not be called
+// after Shutdown. A nil path is a withdrawal; path is handed over.
 func (d *Daemon) Ingest(session int, t time.Time, prefix netip.Prefix, path []bgp.ASN) error {
 	si, ok := d.srv.Peer(session)
 	if !ok {
 		return fmt.Errorf("monitord: unknown session %d", session)
 	}
-	d.enqueue(item{si: si, t: t, prefix: prefix, path: path})
+	if !prefix.IsValid() || !prefix.Addr().Is4() {
+		d.met.droppedNonIPv4.Add(1)
+		return nil
+	}
+	it := item{si: si, t: t, prefix: prefix, path: path}
+	if d.stageOn {
+		it.rt = time.Now()
+	}
+	q := &d.shards[d.rib.shardOf(prefix)]
+	q.enqueued.Add(1)
+	q.ch <- it
 	return nil
 }
 
@@ -471,7 +545,16 @@ func (d *Daemon) Ingest(session int, t time.Time, prefix netip.Prefix, path []bg
 func (d *Daemon) WaitQuiesce(timeout time.Duration) bool {
 	deadline := time.Now().Add(timeout)
 	for {
-		if d.processed.Load() == d.enqueued.Load() {
+		// Every processed count is read before any enqueued count, so
+		// equal sums mean all shards were idle in between.
+		var done, in uint64
+		for i := range d.shards {
+			done += d.shards[i].processed.Load()
+		}
+		for i := range d.shards {
+			in += d.shards[i].enqueued.Load()
+		}
+		if done == in {
 			return true
 		}
 		if time.Now().After(deadline) {
@@ -488,8 +571,8 @@ func (d *Daemon) Shutdown(ctx context.Context) error {
 	d.shutOnce.Do(func() {
 		d.srv.Shutdown()
 		// All producers are gone: close the shards and drain them.
-		for _, ch := range d.shards {
-			close(ch)
+		for i := range d.shards {
+			close(d.shards[i].ch)
 		}
 		d.shardWG.Wait()
 		d.shutErr = d.api.Shutdown(ctx)

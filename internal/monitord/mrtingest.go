@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/netip"
+	"slices"
 	"time"
 
 	"quicksand/internal/bgp"
@@ -31,7 +32,8 @@ type ingester interface {
 // under its source session, counting what was enqueued. Archive
 // timestamps are months old, so they go in through Ingest — which takes
 // its own receive stamp for the latency histograms — never through a
-// session sink, whose stamp is the latency origin.
+// session sink, whose stamp is the latency origin. Ingest queues the path
+// it is given and ReadMRT only lends one, so Update copies it.
 type ingestSink struct {
 	in      ingester
 	session int
@@ -39,7 +41,7 @@ type ingestSink struct {
 }
 
 func (s ingestSink) Update(t time.Time, prefix netip.Prefix, path []bgp.ASN) {
-	if err := s.in.Ingest(s.session, t, prefix, path); err == nil {
+	if err := s.in.Ingest(s.session, t, prefix, slices.Clone(path)); err == nil {
 		s.stats.Updates++
 	}
 }
@@ -70,7 +72,8 @@ func ReadMRT(in ingester, r io.Reader, label string) (*MRTStats, error) {
 		}
 		return ingestSink{in, si, stats}
 	}
-	var peers []mrt.Peer // the peer table later RIB entries index into
+	var peers []mrt.Peer  // the peer table later RIB entries index into
+	var scratch []bgp.ASN // each record's flattened path, lent to the sink
 	rd := mrt.NewReader(r)
 	for {
 		rec, err := rd.Next()
@@ -93,7 +96,7 @@ func ReadMRT(in ingester, r io.Reader, label string) (*MRTStats, error) {
 				stats.Skipped++
 				continue
 			}
-			stats.NoASPath += bgpd.PrefixUpdates(u, rec.Header.Timestamp, s)
+			stats.NoASPath += bgpd.PrefixUpdates(u, rec.Header.Timestamp, s, &scratch)
 		case rec.PeerIndex != nil:
 			peers = rec.PeerIndex.Peers
 		case rec.RIB != nil:
@@ -107,7 +110,8 @@ func ReadMRT(in ingester, r io.Reader, label string) (*MRTStats, error) {
 					continue
 				}
 				p := peers[e.PeerIndex]
-				sink(p.IP, p.AS).Update(rec.Header.Timestamp, rec.RIB.Prefix, bgpd.FlattenPath(e.Attrs.ASPath))
+				scratch = bgpd.FlattenPath(scratch, e.Attrs.ASPath)
+				sink(p.IP, p.AS).Update(rec.Header.Timestamp, rec.RIB.Prefix, scratch)
 			}
 		}
 		// State changes carry no routes: the live RIB tracks announced

@@ -1,9 +1,18 @@
 package monitord
 
 import (
+	"bytes"
+	"context"
+	"fmt"
 	"net"
+	"net/http"
 	"net/netip"
+	"reflect"
+	"runtime"
+	"runtime/pprof"
 	"sort"
+	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -11,6 +20,7 @@ import (
 	"quicksand/internal/bgp"
 	"quicksand/internal/bgpd"
 	"quicksand/internal/bgpsim"
+	"quicksand/internal/obs"
 )
 
 // TestFlappingCollectorBoundedDials pins the dialLoop backoff fix: a
@@ -180,9 +190,10 @@ func TestDroppedNoASPathCounted(t *testing.T) {
 }
 
 // TestBatchSizeEquivalence replays the same interception scenario over
-// TCP against a ReadBatch=1 daemon and a ReadBatch=256 daemon and
-// demands identical alert streams: batching is a transport optimization
-// and must not change what the monitor sees.
+// TCP against every dispatcher width × read-batch size and demands
+// identical alert streams and final RIBs: batching, runs and sharding are
+// transport optimizations and must not change what the monitor sees or
+// what /rib serves.
 func TestBatchSizeEquivalence(t *testing.T) {
 	other := netip.MustParsePrefix("192.0.2.0/24")
 	moreSpec := netip.MustParsePrefix("10.0.2.0/24")
@@ -205,14 +216,17 @@ func TestBatchSizeEquivalence(t *testing.T) {
 	}
 	const wantUpdates = 7 // 2 initial + 5 stream
 
-	run := func(readBatch int) []string {
+	// run returns the alert multiset and the final RIB, both as sorted
+	// strings of their semantic content (arrival wall-clock differs
+	// between runs).
+	run := func(shards, readBatch int) (alerts, rib []string) {
 		d := newTestDaemon(t, Config{
 			Speaker: bgpd.Config{
 				ASN: 64500, BGPID: netip.MustParseAddr("198.51.100.1"),
 				HoldTime: 3 * time.Second,
 			},
 			ListenBGP: "127.0.0.1:0",
-			Shards:    4,
+			Shards:    shards,
 			ReadBatch: readBatch,
 		})
 		sess := dialDaemon(t, d)
@@ -224,23 +238,291 @@ func TestBatchSizeEquivalence(t *testing.T) {
 		if !d.WaitQuiesce(5 * time.Second) {
 			t.Fatal("pipeline did not quiesce")
 		}
-		alerts, _, _ := d.Alerts(0, 0)
-		// Arrival wall-clock differs between runs; compare the semantic
-		// alert content as a sorted multiset.
-		keys := make([]string, 0, len(alerts))
-		for _, a := range alerts {
-			keys = append(keys, a.Prefix.String()+"|"+a.Kind.String()+"|"+a.Observed.String())
+		got, _, _ := d.Alerts(0, 0)
+		for _, a := range got {
+			alerts = append(alerts, a.Prefix.String()+"|"+a.Kind.String()+"|"+a.Observed.String())
 		}
-		sort.Strings(keys)
-		return keys
+		sort.Strings(alerts)
+		d.rib.Walk(func(e *RIBEntry) bool {
+			for _, rt := range e.Routes {
+				rib = append(rib, fmt.Sprintf("%v|%d|%v", e.Prefix, rt.Session, rt.Path))
+			}
+			return true
+		})
+		sort.Strings(rib)
+		return alerts, rib
 	}
 
-	one, many := run(1), run(256)
-	if len(one) == 0 {
-		t.Fatal("scenario raised no alerts at ReadBatch=1")
+	wantAlerts, wantRIB := run(1, 1)
+	if len(wantAlerts) == 0 || len(wantRIB) != 2 {
+		t.Fatalf("Shards=1 ReadBatch=1: alerts %v, RIB %v; want some alerts and the two live routes", wantAlerts, wantRIB)
 	}
-	if !equalStrings(one, many) {
-		t.Errorf("alert streams diverge:\n ReadBatch=1:   %v\n ReadBatch=256: %v", one, many)
+	for _, shards := range []int{1, 8, 64} {
+		for _, readBatch := range []int{1, 64, 256} {
+			alerts, rib := run(shards, readBatch)
+			if !equalStrings(alerts, wantAlerts) {
+				t.Errorf("Shards=%d ReadBatch=%d: alerts diverge:\n got  %v\n want %v", shards, readBatch, alerts, wantAlerts)
+			}
+			if !equalStrings(rib, wantRIB) {
+				t.Errorf("Shards=%d ReadBatch=%d: final RIB diverges:\n got  %v\n want %v", shards, readBatch, rib, wantRIB)
+			}
+		}
+	}
+}
+
+// shardPrefixes returns n distinct /24s under 11.0.0.0/8 that the
+// daemon's dispatcher sends to the given shard (want true) or to any
+// other shard (want false).
+func shardPrefixes(d *Daemon, shard, n int, want bool) []netip.Prefix {
+	var out []netip.Prefix
+	for i := 0; len(out) < n; i++ {
+		p := netip.PrefixFrom(netip.AddrFrom4([4]byte{11, byte(i >> 8), byte(i), 0}), 24)
+		if (d.rib.shardOf(p) == shard) == want {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
+// announceAll builds one single-prefix announcement per prefix.
+func announceAll(prefixes []netip.Prefix, path ...uint32) []*bgp.Update {
+	evs := make([]bgpsim.UpdateEvent, len(prefixes))
+	for i, p := range prefixes {
+		evs[i] = bgpsim.UpdateEvent{Prefix: p, Path: asns(path...)}
+	}
+	return benchWire(evs)
+}
+
+// queueDepths scrapes the two places an operator reads the backlog:
+// monitord_ingest_queue_depth for one shard and /healthz queue_depth.
+func queueDepths(t *testing.T, d *Daemon, shard int) (gauge, healthz int) {
+	t.Helper()
+	_, body := httpGet(t, "http://"+d.HTTPAddr()+"/metrics")
+	snap, err := obs.ParseExposition(bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, _ := snap.Sum("monitord_ingest_queue_depth", map[string]string{"shard": strconv.Itoa(shard)})
+	var h healthResponse
+	getJSON(t, "http://"+d.HTTPAddr()+"/healthz", &h)
+	return int(v), h.QueueDepth
+}
+
+// TestQueueDepthCountsUpdates pins what monitord_ingest_queue_depth and
+// /healthz queue_depth count: updates enqueued and not yet processed, not
+// channel elements — a whole run is one element, and a run the stalled
+// worker has already dequeued is in no channel at all. With the shard's
+// RIB lock held, three read batches of five updates must read 15 (channel
+// elements would read at most 3), and the scrape itself must not wait for
+// the lock.
+func TestQueueDepthCountsUpdates(t *testing.T) {
+	d := newTestDaemon(t, Config{
+		Speaker: bgpd.Config{
+			ASN: 64500, BGPID: netip.MustParseAddr("198.51.100.1"),
+			HoldTime: 3 * time.Second,
+		},
+		ListenBGP: "127.0.0.1:0", ListenHTTP: "127.0.0.1:0",
+		Shards: 4,
+	})
+	sess := dialDaemon(t, d)
+	defer sess.Close()
+
+	const shard, perBatch, batches = 2, 5, 3
+	updates := announceAll(shardPrefixes(d, shard, perBatch*batches, true), 64501, 64510)
+	q := &d.shards[shard]
+	sh := &d.rib.shards[shard]
+	sh.mu.Lock()
+	locked := true
+	defer func() {
+		if locked {
+			sh.mu.Unlock()
+		}
+	}()
+	for b := 0; b < batches; b++ {
+		// One write per batch, and the next only once the reader has
+		// handed this one over, so each is a read batch of its own.
+		if err := sess.SendUpdates(updates[b*perBatch : (b+1)*perBatch]); err != nil {
+			t.Fatal(err)
+		}
+		waitCounter(t, &counterWait{get: q.enqueued.Load, want: uint64((b + 1) * perBatch), what: "updates enqueued"})
+	}
+	if gauge, healthz := queueDepths(t, d, shard); gauge != perBatch*batches || healthz != perBatch*batches {
+		t.Errorf("stalled shard: queue depth gauge %d, /healthz %d; want the %d updates sent", gauge, healthz, perBatch*batches)
+	}
+	if got := d.met.updates.Value(); got != 0 {
+		t.Errorf("%d updates ingested while the shard was stalled", got)
+	}
+
+	sh.mu.Unlock()
+	locked = false
+	if !d.WaitQuiesce(5 * time.Second) {
+		t.Fatal("pipeline did not quiesce after the stall")
+	}
+	if gauge, healthz := queueDepths(t, d, shard); gauge != 0 || healthz != 0 {
+		t.Errorf("after release: queue depth gauge %d, /healthz %d; want 0", gauge, healthz)
+	}
+	for i := range d.shards {
+		if in, done := d.shards[i].enqueued.Load(), d.shards[i].processed.Load(); in != done {
+			t.Errorf("shard %d: %d enqueued, %d processed", i, in, done)
+		}
+	}
+	if got := d.met.updates.Value(); got != perBatch*batches {
+		t.Errorf("updates ingested = %d, want %d", got, perBatch*batches)
+	}
+}
+
+// TestStalledShardBackpressure pins the run budget: with one RIB shard
+// locked, a peer flooding that shard blocks its own reader with at most
+// the session's budget of runs in flight — the backlog and the heap stop
+// growing — while a second session to the other shards keeps being
+// served; after release every update sent is ingested, the books balance
+// and Shutdown leaves no goroutine behind.
+func TestStalledShardBackpressure(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	const shards, readBatch, shard = 4, 16, 1
+	d, err := New(Config{
+		Watched: map[netip.Prefix]bgp.ASN{watchedPrefix: watchedOrigin},
+		Speaker: bgpd.Config{
+			ASN: 64500, BGPID: netip.MustParseAddr("198.51.100.1"),
+			HoldTime: 30 * time.Second,
+		},
+		ListenBGP: "127.0.0.1:0", ListenHTTP: "127.0.0.1:0",
+		Shards: shards, ReadBatch: readBatch,
+		Logf: t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shutdown := func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		if err := d.Shutdown(ctx); err != nil {
+			t.Errorf("Shutdown: %v", err)
+		}
+	}
+	defer shutdown() // idempotent: the early-exit paths still stop the daemon
+
+	const flood = 20000
+	budget := runsPerShard * shards * readBatch // updates: every run of the budget full
+	if flood < 10*budget {
+		t.Fatalf("flood of %d does not dwarf the budget of %d updates", flood, budget)
+	}
+	stalled := announceAll(shardPrefixes(d, shard, 256, true), 64501, 64510)
+	sh := &d.rib.shards[shard]
+	sh.mu.Lock()
+	locked := true
+	defer func() {
+		if locked {
+			sh.mu.Unlock()
+		}
+	}()
+
+	flooder := dialDaemon(t, d)
+	defer flooder.Close()
+	sent := make(chan error, 1)
+	go func() { // unthrottled; blocks in the TCP write once the reader stops reading
+		for n := 0; n < flood; n += len(stalled) {
+			if err := flooder.SendUpdates(stalled[:min(len(stalled), flood-n)]); err != nil {
+				sent <- err
+				return
+			}
+		}
+		sent <- nil
+	}()
+
+	// The backlog must stop growing at or under the budget although the
+	// peer has far more to send.
+	depth := func() int { g, _ := queueDepths(t, d, shard); return g }
+	var before runtime.MemStats
+	settled, last := 0, -1
+	for deadline := time.Now().Add(10 * time.Second); settled < 5; time.Sleep(20 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("backlog still moving after 10s (last depth %d)", last)
+		}
+		if now := depth(); now == last && now > 0 {
+			settled++
+		} else {
+			settled, last = 0, now
+		}
+		if settled == 1 {
+			runtime.GC() // HeapAlloc as live heap: the scrapes' own garbage is not growth
+			runtime.ReadMemStats(&before)
+		}
+	}
+	if last > budget {
+		t.Errorf("stalled shard holds %d updates, over the session budget of %d", last, budget)
+	}
+	var after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if grown := int64(after.HeapAlloc) - int64(before.HeapAlloc); grown > 1<<20 {
+		t.Errorf("heap grew %d bytes while the reader was blocked", grown)
+	}
+
+	// Another session, other shards: served while the flooder waits.
+	other := dialDaemon(t, d)
+	defer other.Close()
+	served := announceAll(shardPrefixes(d, shard, 64, false), 64502, 64511)
+	if err := other.SendUpdates(served); err != nil {
+		t.Fatal(err)
+	}
+	waitCounter(t, &counterWait{get: d.met.updates.Value, want: uint64(len(served)), what: "updates from the unstalled session"})
+	if got := depth(); got != last {
+		t.Errorf("stalled backlog moved from %d to %d with the lock still held", last, got)
+	}
+
+	sh.mu.Unlock()
+	locked = false
+	if err := <-sent; err != nil {
+		t.Fatalf("flooder: %v", err)
+	}
+	waitCounter(t, &counterWait{get: d.met.updates.Value, want: flood + uint64(len(served)), what: "updates after release"})
+	if !d.WaitQuiesce(5 * time.Second) {
+		t.Fatal("pipeline did not quiesce after release")
+	}
+	if got := d.met.updates.Value(); got != flood+uint64(len(served)) {
+		t.Errorf("updates ingested = %d, want every one of the %d sent", got, flood+len(served))
+	}
+	flooder.Close()
+	other.Close()
+	shutdown()
+	http.DefaultClient.CloseIdleConnections()
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > baseline; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			var buf strings.Builder
+			pprof.Lookup("goroutine").WriteTo(&buf, 1)
+			t.Fatalf("goroutines leaked: %d > baseline %d\n%s", runtime.NumGoroutine(), baseline, buf.String())
+		}
+	}
+}
+
+// TestRIBOwnsPathStorage pins the ownership rule at its two ends: Ingest
+// takes the slice it is handed, and the live RIB copies what it stores —
+// so once the pipeline has quiesced, a source that reuses its buffer
+// rewrites nothing the daemon serves. (Before the RIB copied, the stored
+// route was the caller's slice.)
+func TestRIBOwnsPathStorage(t *testing.T) {
+	d, base := newHTTPDaemon(t)
+	si := d.RegisterSource("reuser", 64502)
+	p := netip.MustParsePrefix("198.51.100.0/24")
+	buf := asns(64502, 64510, 64520)
+	if err := d.Ingest(si, time.Unix(2000, 0), p, buf); err != nil {
+		t.Fatal(err)
+	}
+	if !d.WaitQuiesce(5 * time.Second) {
+		t.Fatal("pipeline did not quiesce")
+	}
+	buf[0], buf[1], buf[2] = 1, 2, 3 // the source moves on to its next update
+
+	want := asns(64502, 64510, 64520)
+	e, ok := d.RIB().Lookup(p)
+	if !ok || len(e.Routes) != 1 || !reflect.DeepEqual(e.Routes[0].Path, want) {
+		t.Errorf("RIB().Lookup after the caller reused its buffer = %+v, %v; want path %v", e, ok, want)
+	}
+	var resp ribResponse
+	getJSON(t, base+"/rib?prefix="+p.String(), &resp)
+	if len(resp.Routes) != 1 || !reflect.DeepEqual(resp.Routes[0].Path, []uint32{64502, 64510, 64520}) {
+		t.Errorf("/rib after the caller reused its buffer = %+v; want path %v", resp.Routes, want)
 	}
 }
 

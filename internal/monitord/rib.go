@@ -1,8 +1,10 @@
 package monitord
 
 import (
+	"encoding/binary"
 	"net/netip"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"quicksand/internal/bgp"
@@ -45,15 +47,25 @@ func (e *RIBEntry) Best() (Route, bool) {
 // path state over internal/iptrie. Each shard is guarded by its own
 // RWMutex; the dispatcher routes every update for a prefix to the same
 // shard, so writes per shard come from a single worker while HTTP
-// lookups take read locks.
+// lookups take read locks. The RIB owns its storage: it copies every path
+// into a route's own capacity and never retains an argument.
 type liveRIB struct {
 	shards []ribShard
 }
 
 type ribShard struct {
 	mu   sync.RWMutex
-	trie iptrie.Trie[map[int]Route]
-	size int
+	trie iptrie.Trie[*ribRoutes]
+	size atomic.Int64 // written under mu, read without: a scrape never waits on a shard
+	// spare holds the route sets of prefixes that left the table: the next
+	// prefix inserted reuses their route and path capacity.
+	spare []*ribRoutes
+}
+
+// ribRoutes is one prefix's live routes in ascending session id. Slots
+// past len keep the path capacity of routes that were withdrawn.
+type ribRoutes struct {
+	routes []Route
 }
 
 func newLiveRIB(shards int) *liveRIB {
@@ -63,75 +75,99 @@ func newLiveRIB(shards int) *liveRIB {
 // shardOf maps a prefix to its shard by FNV-1a over the masked address
 // bytes and the prefix length.
 func (r *liveRIB) shardOf(p netip.Prefix) int {
-	a := p.Masked().Addr().As4()
+	a := p.Addr().As4()
+	k := binary.BigEndian.Uint32(a[:]) &^ (^uint32(0) >> p.Bits())
 	h := uint32(2166136261)
-	for _, b := range a {
-		h = (h ^ uint32(b)) * 16777619
+	for shift := 24; shift >= 0; shift -= 8 {
+		h = (h ^ (k >> shift & 0xff)) * 16777619
 	}
 	h = (h ^ uint32(p.Bits())) * 16777619
 	return int(h % uint32(len(r.shards)))
 }
 
-// apply folds one update into the RIB: an announcement replaces the
-// session's path, a withdrawal (nil path) removes it, and a prefix whose
-// last session withdraws leaves the table entirely. A non-nil empty path
-// is a legal announcement (AS_PATH present with zero segments) and is
-// stored, not treated as a withdrawal.
-func (r *liveRIB) apply(t time.Time, session int, prefix netip.Prefix, path []bgp.ASN) {
-	sh := &r.shards[r.shardOf(prefix)]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	routes, ok := sh.trie.Get(prefix)
+// apply folds one update into its shard; the caller holds mu. An
+// announcement replaces the session's path (copied, never kept), a
+// withdrawal (nil path) removes it, and a prefix whose last session
+// withdraws leaves the table entirely. A non-nil empty path is a legal
+// announcement (AS_PATH present with zero segments) and is stored.
+func (sh *ribShard) apply(t time.Time, session int, prefix netip.Prefix, path []bgp.ASN) {
+	rs, ok := sh.trie.Get(prefix)
+	i := 0
+	for ok && i < len(rs.routes) && rs.routes[i].Session < session {
+		i++
+	}
+	found := ok && i < len(rs.routes) && rs.routes[i].Session == session
 	if path == nil {
-		if !ok {
+		if !found {
 			return
 		}
-		delete(routes, session)
-		if len(routes) == 0 {
+		// Park the slot past the end: its path capacity serves the next
+		// session announced here.
+		gone, last := rs.routes[i], len(rs.routes)-1
+		copy(rs.routes[i:], rs.routes[i+1:])
+		rs.routes[last] = gone
+		rs.routes = rs.routes[:last]
+		if last == 0 {
 			if removed, _ := sh.trie.Delete(prefix); removed {
-				sh.size--
+				sh.size.Add(-1)
+				sh.spare = append(sh.spare, rs)
 			}
 		}
 		return
 	}
 	if !ok {
-		routes = make(map[int]Route, 1)
-		if added, err := sh.trie.Insert(prefix, routes); err != nil {
+		if n := len(sh.spare); n > 0 {
+			rs, sh.spare = sh.spare[n-1], sh.spare[:n-1]
+		} else {
+			rs = new(ribRoutes)
+		}
+		if added, err := sh.trie.Insert(prefix, rs); err != nil {
 			return // non-IPv4 prefix; the decode layer never produces one
 		} else if added {
-			sh.size++
+			sh.size.Add(1)
 		}
 	}
-	routes[session] = Route{Session: session, Path: path, Updated: t}
+	if !found {
+		// Open slot i, taking over a parked slot's path capacity.
+		n := len(rs.routes)
+		if n < cap(rs.routes) {
+			rs.routes = rs.routes[:n+1]
+		} else {
+			rs.routes = append(rs.routes, Route{})
+		}
+		parked := rs.routes[n].Path
+		copy(rs.routes[i+1:], rs.routes[i:n])
+		rs.routes[i] = Route{Session: session, Path: parked}
+	}
+	rt := &rs.routes[i]
+	rt.Path = append(rt.Path[:0], path...)
+	rt.Updated = t
 }
 
-func snapshotEntry(p netip.Prefix, routes map[int]Route) *RIBEntry {
-	e := &RIBEntry{Prefix: p, Routes: make([]Route, 0, len(routes))}
-	for _, rt := range routes {
-		cp := rt
+func snapshotEntry(p netip.Prefix, rs *ribRoutes) *RIBEntry {
+	e := &RIBEntry{Prefix: p, Routes: make([]Route, len(rs.routes))}
+	for i, rt := range rs.routes {
 		// append onto a non-nil base so an empty-AS_PATH announcement
 		// stays distinguishable from a withdrawal in the snapshot.
-		cp.Path = append([]bgp.ASN{}, rt.Path...)
-		e.Routes = append(e.Routes, cp)
-	}
-	for i := 1; i < len(e.Routes); i++ {
-		for j := i; j > 0 && e.Routes[j].Session < e.Routes[j-1].Session; j-- {
-			e.Routes[j], e.Routes[j-1] = e.Routes[j-1], e.Routes[j]
-		}
+		rt.Path = append([]bgp.ASN{}, rt.Path...)
+		e.Routes[i] = rt
 	}
 	return e
 }
 
 // Lookup returns the live entry stored at exactly prefix p.
 func (r *liveRIB) Lookup(p netip.Prefix) (*RIBEntry, bool) {
+	if !p.IsValid() || !p.Addr().Is4() {
+		return nil, false
+	}
 	sh := &r.shards[r.shardOf(p)]
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	routes, ok := sh.trie.Get(p)
+	rs, ok := sh.trie.Get(p)
 	if !ok {
 		return nil, false
 	}
-	return snapshotEntry(p.Masked(), routes), true
+	return snapshotEntry(p.Masked(), rs), true
 }
 
 // LookupAddr returns the most specific live entry covering addr. Shards
@@ -142,8 +178,8 @@ func (r *liveRIB) LookupAddr(addr netip.Addr) (*RIBEntry, bool) {
 	for i := range r.shards {
 		sh := &r.shards[i]
 		sh.mu.RLock()
-		if p, routes, ok := sh.trie.LongestMatch(addr); ok && p.Bits() > bestBits {
-			best = snapshotEntry(p, routes)
+		if p, rs, ok := sh.trie.LongestMatch(addr); ok && p.Bits() > bestBits {
+			best = snapshotEntry(p, rs)
 			bestBits = p.Bits()
 		}
 		sh.mu.RUnlock()
@@ -155,10 +191,7 @@ func (r *liveRIB) LookupAddr(addr netip.Addr) (*RIBEntry, bool) {
 func (r *liveRIB) Size() int {
 	n := 0
 	for i := range r.shards {
-		sh := &r.shards[i]
-		sh.mu.RLock()
-		n += sh.size
-		sh.mu.RUnlock()
+		n += int(r.shards[i].size.Load())
 	}
 	return n
 }
@@ -169,8 +202,8 @@ func (r *liveRIB) Walk(fn func(*RIBEntry) bool) {
 		sh := &r.shards[i]
 		sh.mu.RLock()
 		var entries []*RIBEntry
-		sh.trie.Walk(func(p netip.Prefix, routes map[int]Route) bool {
-			entries = append(entries, snapshotEntry(p, routes))
+		sh.trie.Walk(func(p netip.Prefix, rs *ribRoutes) bool {
+			entries = append(entries, snapshotEntry(p, rs))
 			return true
 		})
 		sh.mu.RUnlock()

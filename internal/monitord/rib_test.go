@@ -16,6 +16,15 @@ func asns(vs ...uint32) []bgp.ASN {
 	return out
 }
 
+// apply folds one update into the RIB as a shard worker would: under the
+// prefix's shard's lock.
+func (r *liveRIB) apply(t time.Time, session int, prefix netip.Prefix, path []bgp.ASN) {
+	sh := &r.shards[r.shardOf(prefix)]
+	sh.mu.Lock()
+	sh.apply(t, session, prefix, path)
+	sh.mu.Unlock()
+}
+
 func TestLiveRIBApplyLookupWithdraw(t *testing.T) {
 	rib := newLiveRIB(4)
 	p := netip.MustParsePrefix("10.0.0.0/16")

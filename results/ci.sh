@@ -13,7 +13,10 @@
 #      skip themselves under the race detector)
 #   6. bench module: bench/ is its own Go module (root ./... does not
 #      cover it) compiled against monitord, fleet, bgpd and obs
-#   7. every Benchmark* for one iteration, so none can rot unrun
+#   7. every Benchmark* for one iteration with -benchmem, so none can
+#      rot unrun and allocs/op prints beside ns/op (the ingest, iptrie
+#      and defense benchmarks are where an allocation creeping back into
+#      the update path shows first)
 #   8. retired names: code and records deleted for bench/, for the one
 #      route engine and exposition parser, or with the fleet's remote
 #      mode and the daemon's private RIB file are named nowhere outside
@@ -60,7 +63,7 @@ echo "== bench module (own go.mod; root ./... does not cover it) =="
 (cd bench && go vet ./... && go test ./...)
 
 echo "== every benchmark, one iteration =="
-go test -run '^$' -bench . -benchtime 1x ./...
+go test -run '^$' -bench . -benchtime 1x -benchmem ./...
 
 echo "== retired names =="
 # The in-tree load harness (PR 14), the map route engine and testkit's
