@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 
 	"quicksand"
 	"quicksand/internal/bgpsim"
@@ -57,18 +56,10 @@ func main() {
 // run generates the archives. tr and met are the (nil-safe) tracing and
 // churn-metric hooks from the observability flags.
 func run(scale string, seed int64, out string, attacks int, tr *obs.Tracer, met *bgpsim.Metrics) error {
-	wcfg := quicksand.SmallWorldConfig()
-	mcfg := quicksand.SmallMonthConfig()
-	if scale == "paper" {
-		wcfg = quicksand.DefaultWorldConfig()
-		mcfg = bgpsim.DefaultConfig()
-	} else if scale != "small" {
-		return fmt.Errorf("unknown scale %q", scale)
+	wcfg, mcfg, err := quicksand.ScaleConfigs(scale, seed)
+	if err != nil {
+		return err
 	}
-	wcfg.Seed = seed
-	wcfg.Topology.Seed = seed
-	wcfg.Consensus.Seed = seed
-	mcfg.Seed = seed
 
 	fmt.Fprintf(os.Stderr, "building %s world...\n", scale)
 	sp := tr.Start("build_world", obs.String("scale", scale))
@@ -79,17 +70,7 @@ func run(scale string, seed int64, out string, attacks int, tr *obs.Tracer, met 
 	}
 	if attacks > 0 {
 		mcfg.InjectHijacks = attacks
-		// Sorted for determinism: target selection indexes this slice.
-		for p := range w.TorPrefixes {
-			mcfg.HijackTargets = append(mcfg.HijackTargets, p)
-		}
-		sort.Slice(mcfg.HijackTargets, func(i, j int) bool {
-			a, b := mcfg.HijackTargets[i], mcfg.HijackTargets[j]
-			if c := a.Addr().Compare(b.Addr()); c != 0 {
-				return c < 0
-			}
-			return a.Bits() < b.Bits()
-		})
+		mcfg.HijackTargets = w.SortedTorPrefixes()
 	}
 	mcfg.Metrics = met
 	fmt.Fprintf(os.Stderr, "simulating churn over %v...\n", mcfg.Duration)

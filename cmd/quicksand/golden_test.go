@@ -36,7 +36,10 @@ var (
 func runGoldenSteps(t *testing.T) (*app, map[string][]byte) {
 	t.Helper()
 	goldenOnce.Do(func() {
-		a := &app{scale: "small", seed: 1, workers: 1}
+		var a *app
+		if a, goldenErr = newApp("small", 1, 1, ""); goldenErr != nil {
+			return
+		}
 		if _, goldenErr = a.getStream(); goldenErr != nil { // builds the world too
 			return
 		}

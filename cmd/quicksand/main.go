@@ -145,6 +145,9 @@ type app struct {
 	workers int
 	pcapDir string
 
+	worldCfg quicksand.WorldConfig // what -scale and -seed name
+	monthCfg bgpsim.Config
+
 	// Observability handles. The zero value (all nil) is the fully
 	// disabled state: every use below is nil-safe, so tests can build a
 	// bare &app{...} and batch runs pay nothing unless a flag is set.
@@ -186,15 +189,24 @@ func (a *app) steps() []step {
 	}
 }
 
+// newApp is an app over the world and month -scale and -seed name.
+func newApp(scale string, seed int64, workers int, pcapDir string) (*app, error) {
+	wcfg, mcfg, err := quicksand.ScaleConfigs(scale, seed)
+	if err != nil {
+		return nil, err
+	}
+	return &app{scale: scale, seed: seed, workers: workers, pcapDir: pcapDir, worldCfg: wcfg, monthCfg: mcfg}, nil
+}
+
 func run(name, scale string, seed int64, workers int, pcapDir string, oo *obs.Options, verbose bool) error {
-	if scale != "small" && scale != "paper" {
-		return fmt.Errorf("unknown scale %q", scale)
+	a, err := newApp(scale, seed, workers, pcapDir)
+	if err != nil {
+		return err
 	}
 	rt, err := oo.Start("quicksand", os.Stderr)
 	if err != nil {
 		return err
 	}
-	a := &app{scale: scale, seed: seed, workers: workers, pcapDir: pcapDir}
 	if oo.Enabled() || verbose {
 		a.attachObs(rt, verbose)
 		defer par.SetObserver(nil)
@@ -325,15 +337,8 @@ func (a *app) getWorld() (*quicksand.World, error) {
 	a.worldOnce.Do(func() {
 		sp := a.trace.Start("build_world", obs.String("scale", a.scale))
 		defer sp.End()
-		cfg := quicksand.SmallWorldConfig()
-		if a.scale == "paper" {
-			cfg = quicksand.DefaultWorldConfig()
-		}
-		cfg.Seed = a.seed
-		cfg.Topology.Seed = a.seed
-		cfg.Consensus.Seed = a.seed
 		fmt.Fprintf(os.Stderr, "# building %s world (seed %d)...\n", a.scale, a.seed)
-		a.world, a.worldErr = quicksand.BuildWorld(cfg)
+		a.world, a.worldErr = quicksand.BuildWorld(a.worldCfg)
 	})
 	return a.world, a.worldErr
 }
@@ -345,11 +350,7 @@ func (a *app) getStream() (*bgpsim.Stream, error) {
 			a.strmErr = err
 			return
 		}
-		cfg := quicksand.SmallMonthConfig()
-		if a.scale == "paper" {
-			cfg = bgpsim.DefaultConfig()
-		}
-		cfg.Seed = a.seed
+		cfg := a.monthCfg
 		cfg.Metrics = a.simMet
 		fmt.Fprintf(os.Stderr, "# simulating BGP churn over %v (%d sessions)...\n",
 			cfg.Duration, sessions(cfg))
@@ -729,7 +730,7 @@ func (a *app) detect(out io.Writer) error {
 	cfg := quicksand.DefaultLiveDetectionConfig()
 	cfg.Seed = a.seed
 	if a.scale == "paper" {
-		cfg.Month = bgpsim.DefaultConfig()
+		cfg.Month = a.monthCfg
 		cfg.Month.Duration = cfg.Month.Duration / 4
 		cfg.Attacks = 25
 	}

@@ -108,9 +108,6 @@ func resilCmd(args []string, out io.Writer) error {
 	if fs.NArg() != 0 {
 		return fmt.Errorf("unexpected arguments %v", fs.Args())
 	}
-	if o.scale != "small" && o.scale != "paper" {
-		return fmt.Errorf("unknown scale %q", o.scale)
-	}
 	alphas, err := o.alphaList()
 	if err != nil {
 		return err
@@ -134,13 +131,10 @@ func resilCmd(args []string, out io.Writer) error {
 }
 
 func runResil(o *resilOpts, alphas []float64) (*resilReport, error) {
-	cfg := quicksand.SmallWorldConfig()
-	if o.scale == "paper" {
-		cfg = quicksand.DefaultWorldConfig()
+	cfg, _, err := quicksand.ScaleConfigs(o.scale, o.seed)
+	if err != nil {
+		return nil, err
 	}
-	cfg.Seed = o.seed
-	cfg.Topology.Seed = o.seed
-	cfg.Consensus.Seed = o.seed
 	fmt.Fprintf(os.Stderr, "# building %s world (seed %d)...\n", o.scale, o.seed)
 	w, err := quicksand.BuildWorld(cfg)
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"net/netip"
 	"os"
 	"os/signal"
@@ -113,24 +114,15 @@ func parseWatchFile(r io.Reader) (map[netip.Prefix]bgp.ASN, error) {
 // world's Tor (guard/exit-hosting) prefixes with their legitimate
 // origins — the §5 monitoring target.
 func watchlistFromWorld(scale string, seed int64) (map[netip.Prefix]bgp.ASN, error) {
-	cfg := quicksand.SmallWorldConfig()
-	if scale == "paper" {
-		cfg = quicksand.DefaultWorldConfig()
-	} else if scale != "small" {
-		return nil, fmt.Errorf("unknown scale %q", scale)
+	cfg, _, err := quicksand.ScaleConfigs(scale, seed)
+	if err != nil {
+		return nil, err
 	}
-	cfg.Seed = seed
-	cfg.Topology.Seed = seed
-	cfg.Consensus.Seed = seed
 	w, err := quicksand.BuildWorld(cfg)
 	if err != nil {
 		return nil, err
 	}
-	watched := make(map[netip.Prefix]bgp.ASN, len(w.TorPrefixes))
-	for p := range w.TorPrefixes {
-		watched[p] = w.Origins[p]
-	}
-	return watched, nil
+	return w.TorWatchlist(), nil
 }
 
 // splitList splits a comma-separated flag value, dropping empties.
@@ -146,6 +138,9 @@ func splitList(s string) []string {
 
 // serveConfig turns parsed flags into a daemon config.
 func (o *serveOpts) serveConfig(logf func(string, ...any)) (monitord.Config, error) {
+	if o.asn > math.MaxUint32 {
+		return monitord.Config{}, fmt.Errorf("-asn %d above the 4-octet maximum %d", o.asn, uint32(math.MaxUint32))
+	}
 	var watched map[netip.Prefix]bgp.ASN
 	var err error
 	if o.watchFile != "" {

@@ -120,6 +120,23 @@ func TestServeSmoke(t *testing.T) {
 	}
 }
 
+// TestServeRejectsWideASN is the regression test for -asn narrowing: a
+// 64-bit flag converted to a 4-octet ASN, so -asn 4294967297 spoke as AS1.
+func TestServeRejectsWideASN(t *testing.T) {
+	watch := filepath.Join(t.TempDir(), "watch.txt")
+	if err := os.WriteFile(watch, []byte("10.0.0.0/16 64496\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
+	o := serveFlags(fs)
+	if err := fs.Parse([]string{"-watch", watch, "-asn", "4294967297"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := o.serveConfig(t.Logf); err == nil || !strings.Contains(err.Error(), "-asn") {
+		t.Errorf("serveConfig at -asn 4294967297 = %v, want an error naming -asn", err)
+	}
+}
+
 // TestServeFleetSmoke exercises the -fleet arm of the serve wiring:
 // flag parsing into a fleet config and a live router answering the fleet
 // /healthz.

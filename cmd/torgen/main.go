@@ -50,15 +50,10 @@ func main() {
 // run generates the consensus and prefix table. tr is the (nil-safe)
 // tracer from the observability flags.
 func run(scale string, seed int64, out, prefixFile string, tr *obs.Tracer) error {
-	cfg := quicksand.SmallWorldConfig()
-	if scale == "paper" {
-		cfg = quicksand.DefaultWorldConfig()
-	} else if scale != "small" {
-		return fmt.Errorf("unknown scale %q", scale)
+	cfg, _, err := quicksand.ScaleConfigs(scale, seed)
+	if err != nil {
+		return err
 	}
-	cfg.Seed = seed
-	cfg.Topology.Seed = seed
-	cfg.Consensus.Seed = seed
 	sp := tr.Start("build_world", obs.String("scale", scale))
 	w, err := quicksand.BuildWorld(cfg)
 	sp.End()

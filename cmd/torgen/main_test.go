@@ -84,4 +84,9 @@ func TestRunSmoke(t *testing.T) {
 	if err := run("bogus", 1, consPath, prefPath, nil); err == nil {
 		t.Error("run with unknown scale succeeded")
 	}
+	for _, paths := range [][2]string{{dir, prefPath}, {consPath, dir}} {
+		if err := run("small", 1, paths[0], paths[1], nil); err == nil {
+			t.Errorf("run writing to the directory %s succeeded", dir)
+		}
+	}
 }

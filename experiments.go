@@ -703,11 +703,7 @@ func (w *World) RunDefenseStudy(st *bgpsim.Stream, cfg DefenseStudyConfig) (*Def
 	}
 
 	// --- monitoring ---
-	watch := make(map[netip.Prefix]bgp.ASN, len(torSet))
-	for p := range torSet {
-		watch[p] = w.Origins[p]
-	}
-	mon, err := defense.NewMonitor(watch)
+	mon, err := defense.NewMonitor(w.TorWatchlist())
 	if err != nil {
 		return nil, err
 	}
@@ -722,11 +718,7 @@ func (w *World) RunDefenseStudy(st *bgpsim.Stream, cfg DefenseStudyConfig) (*Def
 	// Inject synthetic hijacks (origin changes and more-specifics) and
 	// require 100% detection — §5 tolerates false positives, never false
 	// negatives.
-	torList := make([]netip.Prefix, 0, len(torSet))
-	for p := range torSet {
-		torList = append(torList, p)
-	}
-	sort.Slice(torList, func(i, j int) bool { return torList[i].Addr().Less(torList[j].Addr()) })
+	torList := w.SortedTorPrefixes()
 	for i := 0; i < cfg.InjectedHijacks && i < len(torList); i++ {
 		victim := torList[i]
 		attacker := bgp.ASN(990000 + i)
@@ -749,11 +741,4 @@ func (w *World) RunDefenseStudy(st *bgpsim.Stream, cfg DefenseStudyConfig) (*Def
 		}
 	}
 	return res, nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

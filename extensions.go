@@ -499,27 +499,17 @@ func (w *World) RunLiveDetection(cfg LiveDetectionConfig) (*LiveDetectionResult,
 	if cfg.Attacks < 1 {
 		return nil, fmt.Errorf("quicksand: need at least one attack")
 	}
-	torList := make([]netip.Prefix, 0, len(w.TorPrefixes))
-	for p := range w.TorPrefixes {
-		torList = append(torList, p)
-	}
-	sort.Slice(torList, func(i, j int) bool { return torList[i].Addr().Less(torList[j].Addr()) })
-
 	m := cfg.Month
 	m.Seed = cfg.Seed
 	m.InjectHijacks = cfg.Attacks
-	m.HijackTargets = torList
+	m.HijackTargets = w.SortedTorPrefixes()
 	m.HijackDuration = cfg.AttackDuration
 	st, err := w.SimulateMonth(m)
 	if err != nil {
 		return nil, err
 	}
 
-	watch := make(map[netip.Prefix]bgp.ASN, len(torList))
-	for _, p := range torList {
-		watch[p] = w.Origins[p]
-	}
-	mon, err := defense.NewMonitor(watch)
+	mon, err := defense.NewMonitor(w.TorWatchlist())
 	if err != nil {
 		return nil, err
 	}

@@ -15,7 +15,6 @@ package bgp
 import (
 	"fmt"
 	"net/netip"
-	"sort"
 	"strings"
 )
 
@@ -104,42 +103,6 @@ func Sequence(ases ...ASN) ASPath {
 	return ASPath{Segments: []Segment{{Type: SegmentSequence, ASes: append([]ASN(nil), ases...)}}}
 }
 
-// Length returns the AS_PATH length as used by the BGP decision process:
-// each AS in an AS_SEQUENCE counts 1, each AS_SET counts 1 in total
-// (RFC 4271 §9.1.2.2).
-func (p ASPath) Length() int {
-	n := 0
-	for _, s := range p.Segments {
-		switch s.Type {
-		case SegmentSequence:
-			n += len(s.ASes)
-		case SegmentSet:
-			if len(s.ASes) > 0 {
-				n++
-			}
-		}
-	}
-	return n
-}
-
-// ASes returns the set of distinct ASNs appearing anywhere in the path, in
-// ascending order. This is the "set of ASes crossed" the paper uses to
-// define a path change.
-func (p ASPath) ASes() []ASN {
-	seen := make(map[ASN]bool)
-	for _, s := range p.Segments {
-		for _, a := range s.ASes {
-			seen[a] = true
-		}
-	}
-	out := make([]ASN, 0, len(seen))
-	for a := range seen {
-		out = append(out, a)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // Origin returns the origin AS (the last AS of the last segment) and true,
 // or 0 and false for an empty path.
 func (p ASPath) Origin() (ASN, bool) {
@@ -149,70 +112,6 @@ func (p ASPath) Origin() (ASN, bool) {
 		}
 	}
 	return 0, false
-}
-
-// First returns the neighbor AS (the first AS of the first segment) and
-// true, or 0 and false for an empty path.
-func (p ASPath) First() (ASN, bool) {
-	for _, s := range p.Segments {
-		if len(s.ASes) > 0 {
-			return s.ASes[0], true
-		}
-	}
-	return 0, false
-}
-
-// Contains reports whether asn appears anywhere in the path.
-func (p ASPath) Contains(asn ASN) bool {
-	for _, s := range p.Segments {
-		for _, a := range s.ASes {
-			if a == asn {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// HasLoop reports whether any ASN appears more than once across the whole
-// path — the loop-prevention check every BGP speaker applies on import.
-func (p ASPath) HasLoop() bool {
-	seen := make(map[ASN]bool)
-	for _, s := range p.Segments {
-		for _, a := range s.ASes {
-			if seen[a] {
-				return true
-			}
-			seen[a] = true
-		}
-	}
-	return false
-}
-
-// Prepend returns a new path with asn prepended as an AS_SEQUENCE element,
-// as a speaker does when propagating a route to an eBGP neighbor. The
-// receiver is not modified.
-func (p ASPath) Prepend(asn ASN) ASPath {
-	out := ASPath{Segments: make([]Segment, 0, len(p.Segments)+1)}
-	if len(p.Segments) > 0 && p.Segments[0].Type == SegmentSequence {
-		first := Segment{Type: SegmentSequence, ASes: make([]ASN, 0, len(p.Segments[0].ASes)+1)}
-		first.ASes = append(first.ASes, asn)
-		first.ASes = append(first.ASes, p.Segments[0].ASes...)
-		out.Segments = append(out.Segments, first)
-		for _, s := range p.Segments[1:] {
-			out.Segments = append(out.Segments, cloneSegment(s))
-		}
-		return out
-	}
-	out.Segments = append(out.Segments, Segment{Type: SegmentSequence, ASes: []ASN{asn}})
-	for _, s := range p.Segments {
-		out.Segments = append(out.Segments, cloneSegment(s))
-	}
-	return out
-}
-
-func cloneSegment(s Segment) Segment {
-	return Segment{Type: s.Type, ASes: append([]ASN(nil), s.ASes...)}
 }
 
 // Equal reports whether two paths are identical segment by segment.
@@ -234,20 +133,22 @@ func (p ASPath) Equal(q ASPath) bool {
 	return true
 }
 
-// SameASSet reports whether two paths cross the same set of ASes. The
-// paper defines a path change as a change in this set between two
-// subsequent updates for the same prefix.
-func (p ASPath) SameASSet(q ASPath) bool {
-	a, b := p.ASes(), q.ASes()
-	if len(a) != len(b) {
-		return false
+// emptyPath marks an announcement with a present-but-empty AS_PATH.
+var emptyPath = []ASN{}
+
+// FlattenPath flattens an AS_PATH into one AS sequence over dst's
+// storage (dst[:0]; nil allocates). A present-but-empty path (zero
+// segments, or only empty segments) flattens to a non-nil empty slice so
+// it stays an announcement; nil is reserved for withdrawals.
+func FlattenPath(dst []ASN, p ASPath) []ASN {
+	out := dst[:0]
+	if out == nil {
+		out = emptyPath
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
+	for _, seg := range p.Segments {
+		out = append(out, seg.ASes...)
 	}
-	return true
+	return out
 }
 
 // String renders the path in the usual "1 2 {3,4}" notation.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"net/netip"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -41,98 +42,52 @@ func TestCommunityString(t *testing.T) {
 	}
 }
 
-func TestASPathLength(t *testing.T) {
-	p := ASPath{Segments: []Segment{
-		{Type: SegmentSequence, ASes: []ASN{1, 2, 3}},
-		{Type: SegmentSet, ASes: []ASN{4, 5}},
-	}}
-	if p.Length() != 4 {
-		t.Fatalf("Length = %d, want 4 (AS_SET counts 1)", p.Length())
-	}
-	if Sequence(7, 8).Length() != 2 {
-		t.Fatal("Sequence length wrong")
-	}
-}
-
-func TestASPathASesSortedDistinct(t *testing.T) {
-	p := ASPath{Segments: []Segment{
-		{Type: SegmentSequence, ASes: []ASN{30, 10, 30}},
-		{Type: SegmentSet, ASes: []ASN{20}},
-	}}
-	got := p.ASes()
-	want := []ASN{10, 20, 30}
-	if len(got) != len(want) {
-		t.Fatalf("got %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("got %v, want %v", got, want)
-		}
-	}
-}
-
-func TestASPathOriginFirst(t *testing.T) {
-	p := Sequence(100, 200, 300)
-	if o, ok := p.Origin(); !ok || o != 300 {
+func TestASPathOrigin(t *testing.T) {
+	if o, ok := Sequence(100, 200, 300).Origin(); !ok || o != 300 {
 		t.Fatalf("Origin = %v %v", o, ok)
-	}
-	if f, ok := p.First(); !ok || f != 100 {
-		t.Fatalf("First = %v %v", f, ok)
 	}
 	var empty ASPath
 	if _, ok := empty.Origin(); ok {
 		t.Fatal("empty path has origin")
 	}
-	if _, ok := empty.First(); ok {
-		t.Fatal("empty path has first")
-	}
 }
 
-func TestASPathPrepend(t *testing.T) {
-	p := Sequence(2, 3)
-	q := p.Prepend(1)
-	if q.String() != "1 2 3" {
-		t.Fatalf("q = %q", q.String())
-	}
-	if p.String() != "2 3" {
-		t.Fatalf("original mutated: %q", p.String())
-	}
-	// Prepend to a path starting with an AS_SET creates a new segment.
-	setFirst := ASPath{Segments: []Segment{{Type: SegmentSet, ASes: []ASN{9}}}}
-	r := setFirst.Prepend(1)
-	if len(r.Segments) != 2 || r.Segments[0].Type != SegmentSequence {
-		t.Fatalf("prepend to set-first: %v", r)
-	}
-}
-
-func TestASPathHasLoop(t *testing.T) {
-	if Sequence(1, 2, 3).HasLoop() {
-		t.Fatal("false positive")
-	}
-	if !Sequence(1, 2, 1).HasLoop() {
-		t.Fatal("false negative")
-	}
-}
-
-func TestASPathContains(t *testing.T) {
-	p := Sequence(10, 20)
-	if !p.Contains(20) || p.Contains(30) {
-		t.Fatal("Contains wrong")
-	}
-}
-
-func TestASPathEqualAndSameASSet(t *testing.T) {
+func TestASPathEqual(t *testing.T) {
 	a := Sequence(1, 2, 3)
-	b := Sequence(3, 2, 1)
-	if a.Equal(b) {
+	if !a.Equal(Sequence(1, 2, 3)) {
+		t.Fatal("identical paths unequal")
+	}
+	if a.Equal(Sequence(3, 2, 1)) {
 		t.Fatal("Equal should be order-sensitive")
 	}
-	if !a.SameASSet(b) {
-		t.Fatal("SameASSet should be order-insensitive")
+	if a.Equal(Sequence(1, 2)) {
+		t.Fatal("paths of different length reported equal")
 	}
-	c := Sequence(1, 2)
-	if a.SameASSet(c) {
-		t.Fatal("different sets reported same")
+}
+
+// TestFlattenPathKeepsEmptyDistinct pins nil-vs-empty — only an absent
+// path may be nil, with or without a destination — and that a destination
+// with room is the storage of the result.
+func TestFlattenPathKeepsEmptyDistinct(t *testing.T) {
+	scratch := make([]ASN, 0, 8)
+	for _, dst := range [][]ASN{nil, scratch} {
+		if got := FlattenPath(dst, ASPath{}); got == nil || len(got) != 0 {
+			t.Errorf("FlattenPath(%#v, empty) = %#v, want non-nil empty", dst, got)
+		}
+	}
+	two := ASPath{Segments: []Segment{
+		{Type: SegmentSequence, ASes: []ASN{1, 2}},
+		{Type: SegmentSet, ASes: []ASN{3}},
+	}}
+	if got := FlattenPath(nil, two); !reflect.DeepEqual(got, []ASN{1, 2, 3}) {
+		t.Errorf("FlattenPath(two segments) = %v", got)
+	}
+	if len(emptyPath) != 0 {
+		t.Error("flattening appended into the shared empty-path sentinel")
+	}
+	got := FlattenPath(append(scratch, 9, 9, 9, 9), two)
+	if !reflect.DeepEqual(got, []ASN{1, 2, 3}) || &got[0] != &scratch[:1][0] {
+		t.Errorf("FlattenPath into a destination = %v, want [1 2 3] over the destination's storage", got)
 	}
 }
 
@@ -474,28 +429,5 @@ func TestCommunityRoundTripQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// Property: Prepend increases Length by exactly one and keeps the suffix.
-func TestPrependProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for trial := 0; trial < 100; trial++ {
-		n := rng.Intn(6)
-		ases := make([]ASN, n)
-		for i := range ases {
-			ases[i] = ASN(rng.Intn(1000) + 1)
-		}
-		p := Sequence(ases...)
-		q := p.Prepend(ASN(rng.Intn(1000) + 70000))
-		if q.Length() != p.Length()+1 {
-			t.Fatalf("length %d -> %d", p.Length(), q.Length())
-		}
-		if o1, ok1 := p.Origin(); ok1 {
-			o2, ok2 := q.Origin()
-			if !ok2 || o1 != o2 {
-				t.Fatalf("origin changed: %v -> %v", o1, o2)
-			}
-		}
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/netip"
 	"sync"
@@ -59,6 +60,9 @@ func (c *Config) validate() error {
 	}
 	if c.HoldTime != 0 && c.HoldTime < 3*time.Second {
 		return fmt.Errorf("bgpd: hold time %v below the 3s minimum", c.HoldTime)
+	}
+	if c.HoldTime > math.MaxUint16*time.Second {
+		return fmt.Errorf("bgpd: hold time %v above the OPEN field's 65535s", c.HoldTime)
 	}
 	return nil
 }
@@ -125,10 +129,7 @@ func Establish(conn net.Conn, cfg Config) (*Session, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	if cfg.HoldTime == 0 {
-		// Zero means "no hold timer" on the wire too.
-	}
-	holdSecs := uint16(cfg.HoldTime / time.Second)
+	holdSecs := uint16(cfg.HoldTime / time.Second) // zero disables the hold timer on the wire too
 	open := &bgp.Open{
 		Version: 4, ASN: cfg.ASN, HoldTime: holdSecs, BGPID: cfg.BGPID,
 		AS4: cfg.AS4 || cfg.ASN > 0xFFFF,

@@ -85,6 +85,11 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := Establish(nil, bad); err == nil {
 		t.Fatal("sub-minimum hold time accepted")
 	}
+	bad = speakerCfg
+	bad.HoldTime = 20 * time.Hour // 72000s would wrap to 6464s in the OPEN
+	if _, err := Establish(nil, bad); err == nil {
+		t.Fatal("hold time above 65535s accepted")
+	}
 }
 
 func TestEstablishNegotiation(t *testing.T) {

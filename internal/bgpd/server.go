@@ -288,29 +288,11 @@ func PrefixUpdates(u *bgp.Update, t time.Time, sink UpdateSink, scratch *[]bgp.A
 	if !u.Attrs.HasASPath {
 		return len(u.NLRI)
 	}
-	*scratch = FlattenPath(*scratch, u.Attrs.ASPath)
+	*scratch = bgp.FlattenPath(*scratch, u.Attrs.ASPath)
 	for _, prefix := range u.NLRI {
 		sink.Update(t, prefix, *scratch)
 	}
 	return 0
-}
-
-// emptyPath marks an announcement with a present-but-empty AS_PATH.
-var emptyPath = []bgp.ASN{}
-
-// FlattenPath flattens an AS_PATH into one AS sequence over dst's
-// storage (dst[:0]; nil allocates). A present-but-empty path (zero
-// segments, or only empty segments) flattens to a non-nil empty slice so
-// it stays an announcement; nil is reserved for withdrawals.
-func FlattenPath(dst []bgp.ASN, p bgp.ASPath) []bgp.ASN {
-	out := dst[:0]
-	if out == nil {
-		out = emptyPath
-	}
-	for _, seg := range p.Segments {
-		out = append(out, seg.ASes...)
-	}
-	return out
 }
 
 // Collect maintains one outbound session to the route collector at addr

@@ -191,32 +191,6 @@ func TestServerSessionToSink(t *testing.T) {
 	}
 }
 
-// TestFlattenPathKeepsEmptyDistinct pins nil-vs-empty — only an absent
-// path may be nil, with or without a destination — and that a destination
-// with room is the storage of the result.
-func TestFlattenPathKeepsEmptyDistinct(t *testing.T) {
-	scratch := make([]bgp.ASN, 0, 8)
-	for _, dst := range [][]bgp.ASN{nil, scratch} {
-		if got := FlattenPath(dst, bgp.ASPath{}); got == nil || len(got) != 0 {
-			t.Errorf("FlattenPath(%#v, empty) = %#v, want non-nil empty", dst, got)
-		}
-	}
-	two := bgp.ASPath{Segments: []bgp.Segment{
-		{Type: bgp.SegmentSequence, ASes: []bgp.ASN{1, 2}},
-		{Type: bgp.SegmentSet, ASes: []bgp.ASN{3}},
-	}}
-	if got := FlattenPath(nil, two); !reflect.DeepEqual(got, []bgp.ASN{1, 2, 3}) {
-		t.Errorf("FlattenPath(two segments) = %v", got)
-	}
-	if len(emptyPath) != 0 {
-		t.Error("flattening appended into the shared empty-path sentinel")
-	}
-	got := FlattenPath(append(scratch, 9, 9, 9, 9), two)
-	if !reflect.DeepEqual(got, []bgp.ASN{1, 2, 3}) || &got[0] != &scratch[:1][0] {
-		t.Errorf("FlattenPath into a destination = %v, want [1 2 3] over the destination's storage", got)
-	}
-}
-
 // TestServerRegisterOrder checks in-process sources get sequential ids
 // and that OnRegister sees them in id order even when registrations race.
 func TestServerRegisterOrder(t *testing.T) {

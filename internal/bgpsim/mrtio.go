@@ -208,7 +208,7 @@ func ImportMRT(rib, updates io.Reader, collector string) (*Stream, error) {
 				if !e.Attrs.HasASPath {
 					continue
 				}
-				path := flattenPath(e.Attrs.ASPath)
+				path := bgp.FlattenPath(nil, e.Attrs.ASPath)
 				st.Initial[e.PeerIndex][rec.RIB.Prefix] = path
 				st.Sessions[e.PeerIndex].visible[rec.RIB.Prefix] = true
 			}
@@ -248,7 +248,7 @@ func ImportMRT(rib, updates io.Reader, collector string) (*Stream, error) {
 				st.Sessions[si].visible[p] = true
 			}
 			if len(u.NLRI) > 0 && u.Attrs.HasASPath {
-				path := flattenPath(u.Attrs.ASPath)
+				path := bgp.FlattenPath(nil, u.Attrs.ASPath)
 				for _, p := range u.NLRI {
 					st.Updates = append(st.Updates, UpdateEvent{
 						Time: rec.Header.Timestamp, Session: si, Prefix: p, Path: path,
@@ -277,12 +277,4 @@ func ImportMRT(rib, updates io.Reader, collector string) (*Stream, error) {
 		}
 	}
 	return st, nil
-}
-
-func flattenPath(p bgp.ASPath) []bgp.ASN {
-	var out []bgp.ASN
-	for _, s := range p.Segments {
-		out = append(out, s.ASes...)
-	}
-	return out
 }

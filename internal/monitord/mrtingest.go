@@ -110,7 +110,7 @@ func ReadMRT(in ingester, r io.Reader, label string) (*MRTStats, error) {
 					continue
 				}
 				p := peers[e.PeerIndex]
-				scratch = bgpd.FlattenPath(scratch, e.Attrs.ASPath)
+				scratch = bgp.FlattenPath(scratch, e.Attrs.ASPath)
 				sink(p.IP, p.AS).Update(rec.Header.Timestamp, rec.RIB.Prefix, scratch)
 			}
 		}

@@ -154,7 +154,7 @@ func TestRIBConcurrentLookupApply(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := 0; i < 2000; i++ {
-			// Fresh path slice per apply, like flattenPath in the daemon.
+			// A fresh path slice per apply.
 			rib.apply(t0.Add(time.Duration(i)), 0, p, asns(100, 200, uint32(300+i%7)))
 			if i%3 == 0 {
 				rib.apply(t0, 1, p, nil) // withdraw a route that may not exist

@@ -107,7 +107,7 @@ func TestMessage2ByteASSubtype(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Attrs.ASPath.Length() != 2 {
+	if !got.Attrs.ASPath.Equal(bgp.Sequence(100, 200)) {
 		t.Fatalf("path = %v", got.Attrs.ASPath)
 	}
 }

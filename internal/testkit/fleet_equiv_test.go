@@ -2,7 +2,6 @@ package testkit
 
 import (
 	"net/netip"
-	"sort"
 	"testing"
 	"time"
 
@@ -24,21 +23,14 @@ func TestFleetMatchesBatchMonitor(t *testing.T) {
 			t.Fatalf("seed %d: world: %v", seed, err)
 		}
 		cfg := RandomChurnConfig(seed)
-		torList := make([]netip.Prefix, 0, len(w.TorPrefixes))
-		for p := range w.TorPrefixes {
-			torList = append(torList, p)
-		}
-		sort.Slice(torList, func(i, j int) bool { return torList[i].Addr().Less(torList[j].Addr()) })
+		torList := w.SortedTorPrefixes()
 		cfg.InjectHijacks = 4
 		cfg.HijackTargets = torList
 		st, err := w.SimulateMonth(cfg)
 		if err != nil {
 			t.Fatalf("seed %d: stream: %v", seed, err)
 		}
-		watched := make(map[netip.Prefix]bgp.ASN, len(torList))
-		for _, p := range torList {
-			watched[p] = w.Origins[p]
-		}
+		watched := w.TorWatchlist()
 
 		// Append the longest-prefix-aware routing cases after the
 		// simulated run (order does not matter at learnFraction 0).

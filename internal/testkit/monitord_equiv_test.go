@@ -1,12 +1,6 @@
 package testkit
 
-import (
-	"net/netip"
-	"sort"
-	"testing"
-
-	"quicksand/internal/bgp"
-)
+import "testing"
 
 // TestMonitordMatchesBatchMonitor runs the streaming-vs-batch
 // equivalence check over random churn scenarios with hijacks injected
@@ -20,23 +14,14 @@ func TestMonitordMatchesBatchMonitor(t *testing.T) {
 			t.Fatalf("seed %d: world: %v", seed, err)
 		}
 		cfg := RandomChurnConfig(seed)
-		torList := make([]netip.Prefix, 0, len(w.TorPrefixes))
-		for p := range w.TorPrefixes {
-			torList = append(torList, p)
-		}
-		sort.Slice(torList, func(i, j int) bool { return torList[i].Addr().Less(torList[j].Addr()) })
 		cfg.InjectHijacks = 4
-		cfg.HijackTargets = torList
+		cfg.HijackTargets = w.SortedTorPrefixes()
 		st, err := w.SimulateMonth(cfg)
 		if err != nil {
 			t.Fatalf("seed %d: stream: %v", seed, err)
 		}
-		watched := make(map[netip.Prefix]bgp.ASN, len(torList))
-		for _, p := range torList {
-			watched[p] = w.Origins[p]
-		}
 		for _, shards := range []int{1, 4, 16} {
-			if err := CheckMonitordEquivalence(st, watched, shards); err != nil {
+			if err := CheckMonitordEquivalence(st, w.TorWatchlist(), shards); err != nil {
 				t.Errorf("seed %d shards %d: %v", seed, shards, err)
 			}
 		}

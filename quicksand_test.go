@@ -1,6 +1,7 @@
 package quicksand
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -75,6 +76,67 @@ func TestBuildWorldShape(t *testing.T) {
 		got, _, ok := w.RIB.LongestMatch(r.Addr)
 		if !ok || got != want {
 			t.Fatalf("relay %v: LPM %v (ok=%v), hosting says %v", r.Addr, got, ok, want)
+		}
+	}
+}
+
+// TestScaleConfigs pins the one -scale/-seed table: each scale's presets
+// with the root seed in all four seed fields, and an error otherwise.
+func TestScaleConfigs(t *testing.T) {
+	for _, tc := range []struct {
+		scale string
+		world WorldConfig
+		month bgpsim.Config
+	}{
+		{"small", SmallWorldConfig(), SmallMonthConfig()},
+		{"paper", DefaultWorldConfig(), bgpsim.DefaultConfig()},
+	} {
+		w, m, err := ScaleConfigs(tc.scale, 7)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.scale, err)
+		}
+		if w.Seed != 7 || w.Topology.Seed != 7 || w.Consensus.Seed != 7 || m.Seed != 7 {
+			t.Errorf("%s: seeds world %d topology %d consensus %d month %d, want 7 each",
+				tc.scale, w.Seed, w.Topology.Seed, w.Consensus.Seed, m.Seed)
+		}
+		w.Seed, w.Topology.Seed, w.Consensus.Seed, m.Seed = tc.world.Seed, tc.world.Topology.Seed, tc.world.Consensus.Seed, tc.month.Seed
+		if !reflect.DeepEqual(w, tc.world) || !reflect.DeepEqual(m, tc.month) {
+			t.Errorf("%s: configs differ from the scale's presets beyond the seeds", tc.scale)
+		}
+	}
+	if _, _, err := ScaleConfigs("huge", 1); err == nil || err.Error() != `unknown scale "huge"` {
+		t.Errorf("ScaleConfigs(huge) = %v, want unknown scale", err)
+	}
+}
+
+// TestTorPrefixViews checks the world's two views of its Tor prefixes:
+// the watchlist maps each to its Origins value, and the sorted list holds
+// each once, by address, then length.
+func TestTorPrefixViews(t *testing.T) {
+	w := smallWorld(t)
+	watch := w.TorWatchlist()
+	if len(watch) != len(w.TorPrefixes) {
+		t.Fatalf("watchlist has %d entries for %d Tor prefixes", len(watch), len(w.TorPrefixes))
+	}
+	for p := range w.TorPrefixes {
+		if asn, ok := watch[p]; !ok || asn != w.Origins[p] {
+			t.Errorf("watchlist[%v] = %v, %v; want %v", p, asn, ok, w.Origins[p])
+		}
+	}
+	list := w.SortedTorPrefixes()
+	if len(list) != len(w.TorPrefixes) {
+		t.Fatalf("sorted list has %d entries for %d Tor prefixes", len(list), len(w.TorPrefixes))
+	}
+	for i, p := range list {
+		if w.TorPrefixes[p] == nil {
+			t.Errorf("sorted list holds %v, not a Tor prefix", p)
+		}
+		if i == 0 {
+			continue
+		}
+		prev := list[i-1]
+		if c := prev.Addr().Compare(p.Addr()); c > 0 || c == 0 && prev.Bits() >= p.Bits() {
+			t.Errorf("sorted list has %v before %v", prev, p)
 		}
 	}
 }

@@ -18,9 +18,11 @@
 #      and defense benchmarks are where an allocation creeping back into
 #      the update path shows first)
 #   8. retired names: code and records deleted for bench/, for the one
-#      route engine and exposition parser, or with the fleet's remote
-#      mode and the daemon's private RIB file are named nowhere outside
-#      the history files
+#      route engine and exposition parser, with the fleet's remote mode
+#      and the daemon's private RIB file, or with the unused example
+#      programs and AS_PATH helpers are named nowhere outside the history
+#      files (Go comments and scripts here; TestDocsCiteOnlyWhatExists
+#      checks the Markdown's paths and test names)
 #   9. fuzz smoke: every Fuzz* target for FUZZTIME (default 10s)
 #  10. per-package coverage floors (see floor() below)
 #
@@ -76,7 +78,12 @@ retired='load(gen|test)|ComputeRoutes(Filtered)|route(Heap)|Parse(Prom)|Prom(Fam
 retired="$retired|bench[.]sh|BENCH_[a-z0-9]+[.]json|topo(Cmd)|quicksand (topo)([^a-z]|\$)"
 retired="$retired|Remote(Shard)|remote(Sink)|Remote(s)|Forward(Buffer)|proxy(RIB)|QS(RIB)"
 retired="$retired|(Save|Load)(Snapshot)|queue(-depth)|alert(-buffer)"
-if stale=$(git grep -nE "$retired" -- . \
+# So are the example programs, the unused AS-relationship inference
+# package, bgp.ASPath's unused methods and the second AS_PATH flattener
+# (PAPER.md, the original design statement, keeps its table row).
+retired="$retired|as(infer)|example(s)/|Same(ASSet)|Has(Loop)|clone(Segment)|func (flattenPath)"
+retired="$retired|[.](Prepend|ASes|First)[(]"
+if stale=$(git grep -nE "$retired" -- . ':!PAPER.md' \
     ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!bench'); then
     echo "FAIL: retired names still referenced:" >&2
     echo "$stale" >&2

@@ -162,6 +162,32 @@ func (w *World) TorPrefixSet() map[netip.Prefix]bool {
 	return s
 }
 
+// TorWatchlist returns the Tor prefixes with their legitimate origins,
+// the watchlist of the §5 monitor.
+func (w *World) TorWatchlist() map[netip.Prefix]bgp.ASN {
+	watch := make(map[netip.Prefix]bgp.ASN, len(w.TorPrefixes))
+	for p := range w.TorPrefixes {
+		watch[p] = w.Origins[p]
+	}
+	return watch
+}
+
+// SortedTorPrefixes returns the Tor prefixes by address, then length:
+// the canonical order studies index when they pick attack targets.
+func (w *World) SortedTorPrefixes() []netip.Prefix {
+	out := make([]netip.Prefix, 0, len(w.TorPrefixes))
+	for p := range w.TorPrefixes {
+		out = append(out, p)
+	}
+	slices.SortFunc(out, func(a, b netip.Prefix) int {
+		if c := a.Addr().Compare(b.Addr()); c != 0 {
+			return c
+		}
+		return a.Bits() - b.Bits()
+	})
+	return out
+}
+
 // RelayAS maps a relay (or any) address to its origin AS via the RIB.
 func (w *World) RelayAS(addr netip.Addr) (bgp.ASN, bool) {
 	_, asn, ok := w.RIB.LongestMatch(addr)
@@ -266,4 +292,23 @@ func SmallMonthConfig() bgpsim.Config {
 	cfg.MaxFlapCycles = 200
 	cfg.PolicyEvents = 1
 	return cfg
+}
+
+// ScaleConfigs maps a -scale name and root seed to the world and month
+// configs every binary builds from: "small" is SmallWorldConfig with
+// SmallMonthConfig, "paper" DefaultWorldConfig with bgpsim.DefaultConfig.
+// The seed lands in the world, its topology, its consensus and the month.
+func ScaleConfigs(scale string, seed int64) (WorldConfig, bgpsim.Config, error) {
+	var world WorldConfig
+	var month bgpsim.Config
+	switch scale {
+	case "small":
+		world, month = SmallWorldConfig(), SmallMonthConfig()
+	case "paper":
+		world, month = DefaultWorldConfig(), bgpsim.DefaultConfig()
+	default:
+		return WorldConfig{}, bgpsim.Config{}, fmt.Errorf("unknown scale %q", scale)
+	}
+	world.Seed, world.Topology.Seed, world.Consensus.Seed, month.Seed = seed, seed, seed, seed
+	return world, month, nil
 }
