@@ -1,10 +1,10 @@
 package quicksand
 
-// One benchmark per paper artifact. Each bench measures the full
-// regeneration of its table or figure from the prebuilt world/stream
-// (world construction and the month simulation are amortised in a
-// sync.Once and benchmarked separately as BenchmarkBuildWorld and
-// BenchmarkSimulateMonth).
+// Benchmarks for the artifacts bench/ does not time per layer. Each
+// measures the full regeneration of its table or figure from the
+// prebuilt world/stream, amortised in a sync.Once. World construction,
+// the month simulation, E1, F3L, F3R and E3-E5 are BENCHMARK.json's
+// quicksand.*, bgpsim.* and analysis.* metrics.
 
 import (
 	"runtime"
@@ -18,7 +18,7 @@ import (
 )
 
 // benchWorkers makes the study benchmarks sensitive to `go test -cpu`:
-// GOMAXPROCS is what -cpu sets, so `-cpu 1,4 -bench E3` reports the
+// GOMAXPROCS is what -cpu sets, so `-cpu 1,4 -bench E8` reports the
 // sequential and 4-worker timings side by side.
 func benchWorkers() int { return runtime.GOMAXPROCS(0) }
 
@@ -45,39 +45,6 @@ func benchSetup(b *testing.B) (*World, *bgpsim.Stream) {
 	return benchWorld, benchStream
 }
 
-// BenchmarkBuildWorld measures synthetic-Internet construction (topology,
-// consensus, origination table, RIB).
-func BenchmarkBuildWorld(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := BuildWorld(SmallWorldConfig()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSimulateMonth measures the BGP churn simulation feeding F3L,
-// F3R and E5.
-func BenchmarkSimulateMonth(b *testing.B) {
-	w, _ := benchSetup(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := w.SimulateMonth(SmallMonthConfig()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkE1DatasetStats regenerates the §4 methodology table.
-func BenchmarkE1DatasetStats(b *testing.B) {
-	w, st := benchSetup(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := w.RunDataset(st); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkFig2Left regenerates the AS-concentration curve.
 func BenchmarkFig2Left(b *testing.B) {
 	w, _ := benchSetup(b)
@@ -102,29 +69,6 @@ func BenchmarkFig2Right(b *testing.B) {
 	}
 }
 
-// BenchmarkFig3Left regenerates the path-change ratio CCDF with the
-// archive-grade reset heuristic.
-func BenchmarkFig3Left(b *testing.B) {
-	w, st := benchSetup(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := w.RunFig3Left(st, analysis.FilterHeuristic); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFig3Right regenerates the extra-AS exposure CCDF.
-func BenchmarkFig3Right(b *testing.B) {
-	w, st := benchSetup(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := w.RunFig3Right(st, 5*time.Minute, analysis.FilterHeuristic); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkE2AnonymityModel regenerates the §3.1 model table.
 func BenchmarkE2AnonymityModel(b *testing.B) {
 	fs := []float64{0.01, 0.02, 0.05, 0.10}
@@ -132,55 +76,6 @@ func BenchmarkE2AnonymityModel(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if cells := RunAnonymityModel(fs, xs, 3); len(cells) == 0 {
 			b.Fatal("empty model")
-		}
-	}
-}
-
-// BenchmarkE3Hijack runs the hijack study (attackers x top prefixes),
-// parallelised across -cpu workers.
-func BenchmarkE3Hijack(b *testing.B) {
-	w, _ := benchSetup(b)
-	cfg := DefaultHijackStudyConfig()
-	cfg.Attackers = 5
-	cfg.TopPrefixes = 2
-	cfg.ClientASes = 40
-	cfg.Workers = benchWorkers()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := w.RunHijackStudy(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkE4Intercept runs interception trials including the end-to-end
-// correlation attack, parallelised across -cpu workers.
-func BenchmarkE4Intercept(b *testing.B) {
-	w, _ := benchSetup(b)
-	cfg := DefaultInterceptStudyConfig()
-	cfg.Trials = 3
-	cfg.Decoys = 3
-	cfg.FileSize = 1 << 20
-	cfg.Workers = benchWorkers()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := w.RunInterceptStudy(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkE5Defenses evaluates the §5 countermeasures end to end,
-// parallelised across -cpu workers.
-func BenchmarkE5Defenses(b *testing.B) {
-	w, st := benchSetup(b)
-	cfg := DefaultDefenseStudyConfig()
-	cfg.Circuits = 40
-	cfg.Workers = benchWorkers()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := w.RunDefenseStudy(st, cfg); err != nil {
-			b.Fatal(err)
 		}
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"go/token"
 	"io"
 	"net"
+	"net/http"
 	"net/netip"
 	"os"
 	"path/filepath"
@@ -83,17 +84,33 @@ func runServe(t *testing.T, args ...string) (httpAddr string) {
 	return httpAddr
 }
 
-// waitAlerts polls /alerts until n alerts are served or five seconds
-// pass, and renders what arrived as sorted "kind prefix observed" lines.
-func waitAlerts(t *testing.T, httpAddr string, n int) []string {
+// settledAlerts waits until serve has ingested n updates and drained its
+// queues, then renders its alerts as sorted "kind prefix observed"
+// lines: what it serves then is final, so a missing alert fails at once
+// rather than at a deadline.
+func settledAlerts(t *testing.T, httpAddr string, n int) []string {
 	t.Helper()
-	poller := &monitord.HTTPAlerts{Base: "http://" + httpAddr}
-	var alerts []monitord.SeqAlert
-	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
-		if alerts, _, _ = poller.Alerts(0, 0); len(alerts) >= n {
+	base := "http://" + httpAddr
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		resp, err := http.Get(base + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap, err := obs.ParseExposition(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ingested, _ := snap.Sum("monitord_updates_ingested_total", nil)
+		depth, _ := snap.Sum("monitord_ingest_queue_depth", nil)
+		if int(ingested) >= n && depth == 0 {
 			break
 		}
+		if time.Now().After(deadline) {
+			t.Fatalf("serve ingested %v of %d updates, %v still queued", ingested, n, depth)
+		}
 	}
+	alerts, _, _ := (&monitord.HTTPAlerts{Base: base}).Alerts(0, 0)
 	var got []string
 	for _, a := range alerts {
 		got = append(got, fmt.Sprintf("%v %v %v", a.Kind, a.Prefix, a.Observed))
@@ -179,7 +196,7 @@ func TestServeInputsBothFronts(t *testing.T) {
 				"new-upstream 10.0.0.0/16 AS64500",
 				"origin-change 10.1.0.0/16 AS666",
 			}
-			if got := waitAlerts(t, httpAddr, len(want)); !slices.Equal(got, want) {
+			if got := settledAlerts(t, httpAddr, 3); !slices.Equal(got, want) { // two table rows, one update
 				t.Errorf("alerts = %q, want %q", got, want)
 			}
 		})
@@ -217,7 +234,7 @@ func TestServeInputsBothFronts(t *testing.T) {
 				}
 			}
 			want := []string{"new-upstream 10.0.0.0/16 AS64510", "origin-change 10.0.0.0/16 AS666"}
-			if got := waitAlerts(t, httpAddr, len(want)); !slices.Equal(got, want) {
+			if got := settledAlerts(t, httpAddr, 4); !slices.Equal(got, want) {
 				t.Errorf("alerts = %q, want %q", got, want)
 			}
 		})

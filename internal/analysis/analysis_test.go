@@ -251,6 +251,26 @@ func TestTransferHeuristicDetectsBurst(t *testing.T) {
 	}
 }
 
+// TestTransferHeuristicBurstGap pins the default 5 s burst gap: a
+// transfer paced 2 s or 5 s per update is still one burst and filtered,
+// while 6 s between updates splits it into single-prefix changes.
+func TestTransferHeuristicBurstGap(t *testing.T) {
+	base := t0churn.Add(10 * time.Hour)
+	for _, tc := range []struct {
+		spacing time.Duration
+		changes int
+	}{{2 * time.Second, 0}, {5 * time.Second, 0}, {6 * time.Second, 1}} {
+		st := craftStream([]bgpsim.UpdateEvent{
+			{Time: base, Session: 0, Prefix: torPfx, Path: []bgp.ASN{3320, 6939, 24940}},
+			{Time: base.Add(tc.spacing), Session: 0, Prefix: bgPfx, Path: []bgp.ASN{3320, 6939, 100}},
+			{Time: base.Add(2 * tc.spacing), Session: 0, Prefix: bgPfx2, Path: []bgp.ASN{3320, 6939, 200}},
+		})
+		if got := CountPathChanges(st, 0, FilterHeuristic, DefaultTransferHeuristic())[torPfx]; got != tc.changes {
+			t.Errorf("updates %v apart: %d changes, want %d", tc.spacing, got, tc.changes)
+		}
+	}
+}
+
 func TestTransferHeuristicIgnoresSmallBursts(t *testing.T) {
 	base := t0churn.Add(10 * time.Hour)
 	// Only one of three prefixes updates: below MinFraction, so kept.

@@ -522,18 +522,3 @@ func TestExplorationPathsAppear(t *testing.T) {
 		t.Fatal("no transient exploration paths observed despite ExplorationProb=1")
 	}
 }
-
-func BenchmarkRunSmallWorld(b *testing.B) {
-	g, origins := testWorld(b)
-	s, err := New(g, origins)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := testConfig()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.Run(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -365,6 +365,7 @@ func TestIngestConformance(t *testing.T) {
 		name    string
 		archive bool // alerts carry archiveTime, not the receive time
 		deliver func(t *testing.T, front string) monitord.Front
+		sent    int            // prefix updates the delivered stream carries
 		want    map[string]int // the alerts the delivered stream must raise
 		noPath  int            // announcements it carries without an AS_PATH
 		rib     []lentRoute    // what /rib must serve afterwards, when the row checks it
@@ -374,7 +375,7 @@ func TestIngestConformance(t *testing.T) {
 			conn, err := net.Dial("tcp", svc.BGPAddr())
 			sendStream(t, establish(t, conn, err))
 			return svc
-		}, want: streamAlerts, noPath: 1},
+		}, sent: len(ingestStream), want: streamAlerts, noPath: 1},
 		{name: "collector", deliver: func(t *testing.T, front string) monitord.Front {
 			ln, err := net.Listen("tcp", "127.0.0.1:0")
 			if err != nil {
@@ -385,9 +386,9 @@ func TestIngestConformance(t *testing.T) {
 			conn, err := ln.Accept()
 			sendStream(t, establish(t, conn, err))
 			return svc
-		}, want: streamAlerts, noPath: 1},
-		{name: "bgp4mp", archive: true, deliver: fromArchive(false), want: streamAlerts, noPath: 1},
-		{name: "table-dump", archive: true, deliver: fromArchive(true), want: streamAlerts, noPath: 1},
+		}, sent: len(ingestStream), want: streamAlerts, noPath: 1},
+		{name: "bgp4mp", archive: true, deliver: fromArchive(false), sent: len(ingestStream), want: streamAlerts, noPath: 1},
+		{name: "table-dump", archive: true, deliver: fromArchive(true), sent: len(ingestStream), want: streamAlerts, noPath: 1},
 		{name: "lent-paths", deliver: func(t *testing.T, front string) monitord.Front {
 			svc := bootFront(t, front)
 			conn, err := net.Dial("tcp", svc.BGPAddr())
@@ -398,39 +399,20 @@ func TestIngestConformance(t *testing.T) {
 			}
 			// Let the first phase settle, so the second reuses whatever
 			// storage the first travelled in.
-			for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
-				if alerts, _, _ := svc.Alerts(0, 0); len(alerts) >= len(lentFirst)/2 {
-					break
-				}
-				if time.Now().After(deadline) {
-					t.Fatal("first phase raised too few alerts")
-				}
-			}
-			if !svc.WaitQuiesce(5 * time.Second) {
-				t.Fatal("pipeline did not quiesce between the phases")
-			}
+			fleet.Settle(t, svc, len(lentFirst))
 			if err := sess.SendUpdates(lentSecond); err != nil {
 				t.Fatal(err)
 			}
 			return svc
-		}, want: lentAlerts, rib: lentFinal},
+		}, sent: len(lentFirst) + len(lentSecond), want: lentAlerts, rib: lentFinal},
 	}
 
 	for _, path := range paths {
 		for _, front := range fronts {
 			t.Run(path.name+"/"+front, func(t *testing.T) {
 				svc := path.deliver(t, front)
-				want := path.want
-				var alerts []monitord.SeqAlert
-				for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
-					if alerts, _, _ = svc.Alerts(0, 0); len(alerts) >= len(want) {
-						break
-					}
-				}
-				if !svc.WaitQuiesce(5 * time.Second) {
-					t.Fatal("pipeline did not quiesce")
-				}
-				alerts, _, _ = svc.Alerts(0, 0)
+				fleet.Settle(t, svc, path.sent)
+				alerts, _, _ := svc.Alerts(0, 0)
 				got := map[string]int{}
 				for _, a := range alerts {
 					got[fmt.Sprintf("%d|%v|%v|%v", a.Session, a.Prefix, a.Kind, a.Observed)]++
@@ -438,8 +420,8 @@ func TestIngestConformance(t *testing.T) {
 						t.Errorf("alert %+v: semantic time %v, want the archive's %v", a.Alert, a.Time, archiveTime)
 					}
 				}
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("alerts = %v, want %v", got, want)
+				if !reflect.DeepEqual(got, path.want) {
+					t.Errorf("alerts = %v, want %v", got, path.want)
 				}
 
 				resp, err := http.Get("http://" + svc.HTTPAddr() + "/metrics")

@@ -17,6 +17,7 @@ import (
 	"quicksand/internal/bgpd"
 	"quicksand/internal/defense"
 	"quicksand/internal/monitord"
+	"quicksand/internal/obs"
 )
 
 var fleetWatched = map[netip.Prefix]bgp.ASN{
@@ -57,15 +58,41 @@ func httpPost(url string) (httpResult, error) {
 	return httpResult{status: resp.StatusCode, body: string(body)}, nil
 }
 
-func waitFor(t *testing.T, timeout time.Duration, what string, cond func() bool) {
+// Settle waits until svc has accounted for the first n prefix updates
+// delivered to it — each ingested by a shard, rejected as unwatched or
+// dropped — and its pipeline is idle. What it serves then is final, so a
+// missing alert fails at once rather than at a deadline. (Exported for
+// the conformance tables in package fleet_test.)
+func Settle(t *testing.T, svc monitord.Front, n int) {
 	t.Helper()
-	deadline := time.Now().Add(timeout)
-	for !cond() {
+	for deadline := time.Now().Add(5 * time.Second); accounted(t, svc) < n; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
-			t.Fatalf("timed out waiting for %s", what)
+			t.Fatalf("only %d of %d updates accounted for", accounted(t, svc), n)
 		}
-		time.Sleep(2 * time.Millisecond)
 	}
+	if !svc.WaitQuiesce(5 * time.Second) {
+		t.Fatal("pipeline did not quiesce")
+	}
+}
+
+func accounted(t *testing.T, svc monitord.Front) int {
+	t.Helper()
+	resp, err := http.Get("http://" + svc.HTTPAddr() + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	snap, err := obs.ParseExposition(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0.0
+	for _, family := range []string{"monitord_updates_ingested_total", "monitord_updates_dropped_total",
+		"fleet_updates_unwatched_total", "fleet_updates_dropped_total"} {
+		v, _ := snap.Sum(family, nil)
+		n += v
+	}
+	return int(n)
 }
 
 func TestOwnerOfPartition(t *testing.T) {
@@ -406,11 +433,8 @@ func TestRouterBGPAndHTTP(t *testing.T) {
 
 	base := "http://" + r.HTTPAddr()
 	poller := &monitord.HTTPAlerts{Base: base}
-	var alerts []monitord.SeqAlert
-	waitFor(t, 5*time.Second, "2 alerts over HTTP", func() bool {
-		alerts, _, _ = poller.Alerts(0, 0)
-		return len(alerts) >= 2
-	})
+	Settle(t, r, 5)
+	alerts, _, _ := poller.Alerts(0, 0)
 	kinds := map[defense.AlertKind]int{}
 	for _, a := range alerts {
 		kinds[a.Kind]++

@@ -290,21 +290,3 @@ func TestInsertThenGetQuick(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func BenchmarkLongestMatch(b *testing.B) {
-	var tr Trie[int]
-	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < 10000; i++ {
-		addr := netip.AddrFrom4([4]byte{byte(rng.Intn(224)), byte(rng.Intn(256)), byte(rng.Intn(256)), 0})
-		p, _ := addr.Prefix(8 + rng.Intn(17))
-		tr.Insert(p, i)
-	}
-	addrs := make([]netip.Addr, 1024)
-	for i := range addrs {
-		addrs[i] = netip.AddrFrom4([4]byte{byte(rng.Intn(224)), byte(rng.Intn(256)), byte(rng.Intn(256)), byte(rng.Intn(256))})
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tr.LongestMatch(addrs[i%len(addrs)])
-	}
-}

@@ -86,6 +86,35 @@ func TestRingSinceCursorSemantics(t *testing.T) {
 	}
 }
 
+// TestAlertLogSinceAtEvictionBoundary pins Since at the four cursors
+// around a full ring's live window [oldest, next): one behind the oldest
+// live alert must report that one alert dropped, never read the slot its
+// successor overwrote.
+func TestAlertLogSinceAtEvictionBoundary(t *testing.T) {
+	r := NewAlertLog(4, nil)
+	for i := 0; i < 6; i++ {
+		r.Append(mkAlert(i))
+	}
+	const oldest, head = 2, 6
+	for _, tc := range []struct {
+		cursor, first uint64
+		n             int
+		dropped       uint64
+	}{
+		{cursor: oldest - 1, first: oldest, n: 4, dropped: 1},
+		{cursor: oldest, first: oldest, n: 4},
+		{cursor: head},
+		{cursor: head + 1},
+	} {
+		alerts, next, dropped := r.Since(tc.cursor, 0)
+		if len(alerts) != tc.n || next != head || dropped != tc.dropped ||
+			tc.n > 0 && (alerts[0].Seq != tc.first || alerts[0].Session != int(tc.first)) {
+			t.Errorf("Since(%d) = %v, next %d, dropped %d; want %d alerts from seq %d, next %d, dropped %d",
+				tc.cursor, alerts, next, dropped, tc.n, tc.first, head, tc.dropped)
+		}
+	}
+}
+
 // TestRingCursorAheadResync pins the ahead-of-head cursor contract that
 // Daemon.Alerts documents: a stale client holding a cursor from before a
 // daemon restart (sequences restart at 0) clamps to the live head with

@@ -163,35 +163,6 @@ func TestSessionPathSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkMonitordIngest measures pipeline throughput (dispatch → live
-// RIB → streaming monitor → alert ring) via the in-process Ingest path,
-// reporting updates/sec. This is the ceiling a BGP session can drive.
-func BenchmarkMonitordIngest(b *testing.B) {
-	d, err := New(Config{
-		Watched: map[netip.Prefix]bgp.ASN{watchedPrefix: watchedOrigin},
-		Shards:  8,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer d.Shutdown(context.Background())
-	si := d.RegisterSource("bench", 64501)
-	evs := benchUpdates(1 << 16)
-	t0 := time.Unix(0, 0)
-
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ev := &evs[i&(len(evs)-1)]
-		d.Ingest(si, t0, ev.Prefix, ev.Path)
-	}
-	if !d.WaitQuiesce(time.Minute) {
-		b.Fatal("pipeline did not quiesce")
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "updates/sec")
-}
-
 // BenchmarkMonitordIngestTCP measures the same pipeline fed through a
 // real loopback BGP session — wire encode, TCP, decode, dispatch, RIB,
 // monitor — i.e. the full session path of the serve subcommand.

@@ -7,110 +7,6 @@ import (
 	"quicksand/internal/topology"
 )
 
-func TestOracleAgreesOnRandomTopologies(t *testing.T) {
-	for seed := int64(1); seed <= 12; seed++ {
-		g, err := RandomTopology(seed)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		rng := Rand(seed, 20)
-		asns := g.ASNs()
-		for trial := 0; trial < 4; trial++ {
-			origin := asns[rng.Intn(len(asns))]
-			if err := CheckRoutesAgainstOracle(g, nil, topology.Origin{ASN: origin}); err != nil {
-				t.Errorf("seed %d origin %v: %v", seed, origin, err)
-			}
-		}
-	}
-}
-
-func TestOracleAgreesOnHijacks(t *testing.T) {
-	// Two simultaneous origins — the hijack configuration — must split
-	// the Internet identically under both implementations.
-	for seed := int64(1); seed <= 8; seed++ {
-		g, err := RandomTopology(seed)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		rng := Rand(seed, 21)
-		asns := g.ASNs()
-		victim := asns[rng.Intn(len(asns))]
-		attacker := asns[rng.Intn(len(asns))]
-		if attacker == victim {
-			continue
-		}
-		err = CheckRoutesAgainstOracle(g, nil,
-			topology.Origin{ASN: victim}, topology.Origin{ASN: attacker})
-		if err != nil {
-			t.Errorf("seed %d victim %v attacker %v: %v", seed, victim, attacker, err)
-		}
-	}
-}
-
-func TestOracleAgreesUnderAnnouncementScoping(t *testing.T) {
-	// Interception-style scoping: the origin withholds from some
-	// neighbors or announces to exactly one.
-	for seed := int64(1); seed <= 8; seed++ {
-		g, err := RandomTopology(seed)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		rng := Rand(seed, 22)
-		asns := g.ASNs()
-		origin := asns[rng.Intn(len(asns))]
-		neigh := g.Neighbors(origin)
-		if len(neigh) < 2 {
-			continue
-		}
-		withhold := topology.Origin{
-			ASN:          origin,
-			WithholdFrom: map[bgp.ASN]bool{neigh[0]: true},
-		}
-		if err := CheckRoutesAgainstOracle(g, nil, withhold); err != nil {
-			t.Errorf("seed %d withhold: %v", seed, err)
-		}
-		only := topology.Origin{
-			ASN:          origin,
-			AnnounceOnly: map[bgp.ASN]bool{neigh[len(neigh)-1]: true},
-		}
-		if err := CheckRoutesAgainstOracle(g, nil, only); err != nil {
-			t.Errorf("seed %d announce-only: %v", seed, err)
-		}
-	}
-}
-
-func TestOracleAgreesUnderImportFilter(t *testing.T) {
-	// ROV modelling: a random third of ASes drop routes toward the
-	// attacker origin.
-	for seed := int64(1); seed <= 6; seed++ {
-		g, err := RandomTopology(seed)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		rng := Rand(seed, 23)
-		asns := g.ASNs()
-		victim := asns[rng.Intn(len(asns))]
-		attacker := asns[rng.Intn(len(asns))]
-		if attacker == victim {
-			continue
-		}
-		validating := make(map[bgp.ASN]bool)
-		for _, a := range asns {
-			if rng.Float64() < 1.0/3 {
-				validating[a] = true
-			}
-		}
-		filter := func(at, origin bgp.ASN) bool {
-			return !(validating[at] && origin == attacker)
-		}
-		err = CheckRoutesAgainstOracle(g, filter,
-			topology.Origin{ASN: victim}, topology.Origin{ASN: attacker})
-		if err != nil {
-			t.Errorf("seed %d: %v", seed, err)
-		}
-	}
-}
-
 func TestDiffRoutesReportsDisagreements(t *testing.T) {
 	g, err := RandomTopology(2)
 	if err != nil {

@@ -33,11 +33,12 @@ func oracle(t *testing.T, g *topology.Graph, filter topology.ImportFilter, origi
 	return rt
 }
 
-// TestCompiledMatchesLegacy pins the compiled engine bit-for-bit against
-// the oracle across generated topologies, multi-origin hijack configs,
-// announcement scoping, and import filters. (The name dates from when
-// the reference was the map engine this package used to carry.)
-func TestCompiledMatchesLegacy(t *testing.T) {
+// TestCompiledMatchesOracle pins the compiled engine bit-for-bit against
+// the oracle across generated topologies: a single origin, a two-origin
+// hijack, announcement scoping (withhold-from and announce-only), each
+// with and without an ROV import filter. It is the one compiled-vs-oracle
+// differential; FuzzComputeRoutes widens it to arbitrary small graphs.
+func TestCompiledMatchesOracle(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		g, err := topology.Generate(topology.GenConfig{
 			Tier1: 3, Tier2: 25, Tier3: 150,

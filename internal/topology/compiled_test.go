@@ -102,20 +102,6 @@ func BenchmarkComputeRoutesCompiled(b *testing.B) {
 	}
 }
 
-// BenchmarkComputeRoutesCompiledFresh measures the compiled engine with
-// per-call allocation (the one-shot caller pattern).
-func BenchmarkComputeRoutesCompiledFresh(b *testing.B) {
-	g, dst := benchGraph(b)
-	g.Compiled() // exclude the one-time compile
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := g.Routes(nil, Origin{ASN: dst}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkCompileDelta measures the per-event snapshot recompile cost
 // after a single link flap (the churn simulator's mutation pattern).
 func BenchmarkCompileDelta(b *testing.B) {

@@ -1,6 +1,7 @@
 #!/bin/sh
 # Full CI gate. Every correctness check is an ordinary named test, so no
-# step below selects tests or benchmarks by name:
+# step below selects tests or benchmarks by name; step 6 records which
+# tests kill each mutant:
 #
 #   1. gofmt (no unformatted files)
 #   2. go build ./...                 (tier-1)
@@ -11,20 +12,28 @@
 #      margin > 0, sampled-estimator agreement >= 0.9)
 #   5. go test -race ./...            (the paper-scale and 73K tests
 #      skip themselves under the race detector)
-#   6. bench module: bench/ is its own Go module (root ./... does not
+#   6. mutant kill matrix (results/mutants/run.sh): each patch under
+#      results/mutants/ breaks one security-relevant decision in a
+#      throwaway copy of the tree; fails when a patch no longer applies,
+#      when a mutant has no confirmed killer or when its fastest
+#      confirmed killer takes 1 s or more, and rewrites
+#      results/mutants/KILLS.tsv (a diff there is a changed matrix)
+#   7. bench module: bench/ is its own Go module (root ./... does not
 #      cover it) compiled against monitord, fleet, bgpd and obs
-#   7. every Benchmark* for one iteration with -benchmem, so none can
-#      rot unrun and allocs/op prints beside ns/op (the ingest, iptrie
-#      and defense benchmarks are where an allocation creeping back into
-#      the update path shows first)
-#   8. retired names: code and records deleted for bench/, for the one
+#   8. every Benchmark* for one iteration with -benchmem, so none can
+#      rot unrun (an allocation creeping back into the update path is
+#      failed by TestSessionPathSteadyStateAllocs, TestRejectPathAllocFree
+#      and TestComputeRoutesIntoZeroAlloc in steps 4 and 5)
+#   9. retired names: code and records deleted for bench/, for the one
 #      route engine and exposition parser, with the fleet's remote mode
-#      and the daemon's private RIB file, or with the unused example
-#      programs and AS_PATH helpers are named nowhere outside the history
-#      files (Go comments and scripts here; TestDocsCiteOnlyWhatExists
-#      checks the Markdown's paths and test names)
-#   9. fuzz smoke: every Fuzz* target for FUZZTIME (default 10s)
-#  10. per-package coverage floors (see floor() below)
+#      and the daemon's private RIB file, with the unused example
+#      programs and AS_PATH helpers, or as duplicates of a bench/ metric
+#      or of a test the kill matrix keeps are named nowhere outside the
+#      history files (Go comments and scripts here;
+#      TestDocsCiteOnlyWhatExists checks the Markdown's paths and test
+#      names)
+#  10. fuzz smoke: every Fuzz* target for FUZZTIME (default 10s)
+#  11. per-package coverage floors (see floor() below)
 #
 # Speed is not measured here: that is `bash bench/run.sh` over the
 # workloads of BENCHMARK.json, per layer and end to end.
@@ -58,6 +67,9 @@ go test -count=1 -cover ./... | tee "$cover_out"
 echo "== go test -race ./... =="
 go test -race ./...
 
+echo "== mutant kill matrix =="
+sh results/mutants/run.sh
+
 echo "== bench module (own go.mod; root ./... does not cover it) =="
 # bench/ compiles against monitord.SeqAlert, MaxAlertsPerRequest,
 # monitord.New, fleet.New and obs.ParseExposition: vet and smoke-test it
@@ -83,6 +95,13 @@ retired="$retired|(Save|Load)(Snapshot)|queue(-depth)|alert(-buffer)"
 # (PAPER.md, the original design statement, keeps its table row).
 retired="$retired|as(infer)|example(s)/|Same(ASSet)|Has(Loop)|clone(Segment)|func (flattenPath)"
 retired="$retired|[.](Prepend|ASes|First)[(]"
+# So are the Go benchmarks that timed what a BENCHMARK.json per-layer
+# metric now reports, and the tests the kill matrix showed to be
+# duplicates (CHANGES.md pairs each with what covers it).
+retired="$retired|Benchmark(BuildWorld|SimulateMonth|E1DatasetStats|Fig3Left|Fig3Right)"
+retired="$retired|Benchmark(E3Hijack|E4Intercept|E5Defenses|RunSmallWorld|LongestMatch)"
+retired="$retired|Benchmark(ComputeRoutesCompiledFresh)|Benchmark(MonitordIngest)([^T]|\$)"
+retired="$retired|TestOracle(Agrees)|TestCompiledMatches(Legacy)|Test(Hijack|Intercept|Defense)Study(DeterministicAcrossWorkers)"
 if stale=$(git grep -nE "$retired" -- . ':!PAPER.md' \
     ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!bench'); then
     echo "FAIL: retired names still referenced:" >&2
