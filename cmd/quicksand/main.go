@@ -11,10 +11,9 @@
 // The serve subcommand runs the long-lived monitord daemon instead of a
 // batch experiment: a live BGP listener, MRT ingest, a streaming §5
 // monitor, and an HTTP API (see serve.go and `quicksand serve -h`).
-// With -fleet N it instead runs a fleet router hash-sharding the
-// watchlist across N in-process monitord instances behind the same BGP
-// and HTTP surface, escalating merged alerts through Counter-RAPTOR
-// anomaly detectors (see internal/fleet).
+// With -fleet N the daemon runs N dispatcher shards behind a filter
+// that drops every update no watched prefix covers before the RIB (see
+// internal/fleet).
 //
 // The resilience subcommand runs E10, the Counter-RAPTOR extension: it
 // computes the all-pairs hijack-resilience matrix R(client, guard),

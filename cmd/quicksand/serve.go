@@ -51,7 +51,7 @@ func serveFlags(fs *flag.FlagSet) *serveOpts {
 	fs.StringVar(&o.scale, "scale", "small", "world scale for the default Tor-prefix watchlist: small or paper")
 	fs.Int64Var(&o.seed, "seed", 1, "root seed for the default watchlist world")
 	fs.StringVar(&o.watchFile, "watch", "", "watchlist file (\"prefix origin-AS\" per line) instead of the generated world's Tor prefixes")
-	fs.IntVar(&o.fleet, "fleet", 0, "shard the watchlist across N in-process monitord instances behind one fleet router (0 = single daemon)")
+	fs.IntVar(&o.fleet, "fleet", 0, "run one daemon of N dispatcher shards that drops every update no watched prefix covers before the RIB (0 = 8 shards, no filter)")
 	fs.StringVar(&o.listenBGP, "listen-bgp", "127.0.0.1:1790", "TCP address accepting inbound BGP sessions (empty disables)")
 	fs.StringVar(&o.listenHTTP, "listen-http", "127.0.0.1:8790", "TCP address serving the HTTP API (empty disables)")
 	fs.StringVar(&o.collectors, "collectors", "", "comma-separated BGP speakers to dial and keep sessions with")
@@ -178,6 +178,7 @@ func (o *serveOpts) serveConfig(logf func(string, ...any)) (monitord.Config, err
 		ListenBGP:      o.listenBGP,
 		ListenHTTP:     o.listenHTTP,
 		Collectors:     splitList(o.collectors),
+		Shards:         o.fleet,
 		LearnUpdates:   o.learn,
 		UpstreamAlarms: o.upstreamAlarms,
 		Seed:           o.seed,
@@ -185,31 +186,8 @@ func (o *serveOpts) serveConfig(logf func(string, ...any)) (monitord.Config, err
 	}, nil
 }
 
-// fleetConfig spreads a daemon config over -fleet shards behind a router:
-// the router takes the daemon's place on the network and the registry,
-// the shards keep the monitor settings.
-func (o *serveOpts) fleetConfig(mc monitord.Config) fleet.Config {
-	return fleet.Config{
-		Watched: mc.Watched,
-		Shards:  o.fleet,
-		ShardConfig: monitord.Config{
-			// -learn applies per shard: each shard's learning window spans
-			// the first N updates routed to its own partition.
-			LearnUpdates:   mc.LearnUpdates,
-			UpstreamAlarms: mc.UpstreamAlarms,
-		},
-		Speaker:    mc.Speaker,
-		ListenBGP:  mc.ListenBGP,
-		ListenHTTP: mc.ListenHTTP,
-		Collectors: mc.Collectors,
-		Seed:       mc.Seed,
-		Logf:       mc.Logf,
-		Registry:   mc.Registry,
-	}
-}
-
-// serveCmd runs the monitord daemon (or, with -fleet, the fleet router)
-// until SIGINT/SIGTERM.
+// serveCmd runs the monitord daemon (with -fleet, behind the fleet's
+// filter) until SIGINT/SIGTERM.
 func serveCmd(args []string) error {
 	// The handler goes in before anything else: building the watchlist
 	// world, booting and ingesting archives can take seconds, and a
@@ -231,14 +209,14 @@ func serve(args []string, sig <-chan os.Signal, logw io.Writer) error {
 Long-running Tor-prefix route monitor: accepts BGP sessions, dials
 route collectors, ingests MRT archives (BGP4MP updates and TABLE_DUMP_V2
 tables), maintains a live RIB, and serves alerts and metrics over HTTP
-(GET /alerts, /rib, /healthz, /metrics). It keeps no state across
-restarts: peers resend their tables when their sessions re-establish,
-and -rib-snapshot/-mrt preload the rest.
+(GET /alerts, /anomalies, /rib, /healthz, /metrics). It keeps no state
+across restarts: peers resend their tables when their sessions
+re-establish, and -rib-snapshot/-mrt preload the rest.
 
-With -fleet N the watchlist is hash-sharded across N in-process
-monitord instances behind one router that presents the same BGP and
-HTTP surface (plus GET /anomalies from the Counter-RAPTOR detectors)
-and takes every flag the single daemon does.
+With -fleet N the same daemon runs N dispatcher shards behind a filter
+that drops every update no watched prefix covers before it reaches the
+RIB, so /rib answers only for watched routes; the alerts, the API and
+every other flag are the same.
 
 `)
 		fs.PrintDefaults()
@@ -270,10 +248,10 @@ and takes every flag the single daemon does.
 	return rt.Close()
 }
 
-// boot starts the single daemon or, with -fleet, the fleet router, then
-// preloads its archives. Either shares the runtime's registry, so its
-// own families and the bgpd_* families appear on both its /metrics
-// endpoint and the optional -metrics-addr server.
+// boot starts the daemon, behind the fleet's filter with -fleet, then
+// preloads its archives. It shares the runtime's registry, so its own
+// families and the bgpd_* families appear on both its /metrics endpoint
+// and the optional -metrics-addr server.
 func (o *serveOpts) boot(rt *obs.Runtime, logf func(string, ...any)) (monitord.Front, error) {
 	cfg, err := o.serveConfig(logf)
 	if err != nil {
@@ -284,8 +262,8 @@ func (o *serveOpts) boot(rt *obs.Runtime, logf func(string, ...any)) (monitord.F
 	var svc monitord.Front
 	what := "one daemon"
 	if o.fleet > 0 {
-		what = fmt.Sprintf("fleet router over %d shards", o.fleet)
-		svc, err = fleet.New(o.fleetConfig(cfg))
+		what = fmt.Sprintf("fleet of %d shards", o.fleet)
+		svc, err = fleet.New(cfg)
 	} else {
 		svc, err = monitord.New(cfg)
 	}

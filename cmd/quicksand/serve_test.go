@@ -138,8 +138,8 @@ func TestServeRejectsWideASN(t *testing.T) {
 }
 
 // TestServeFleetSmoke exercises the -fleet arm of the serve wiring:
-// flag parsing into a fleet config and a live router answering the fleet
-// /healthz.
+// flag parsing into the daemon's config and a live fleet answering
+// /healthz with the shard count.
 func TestServeFleetSmoke(t *testing.T) {
 	watch := filepath.Join(t.TempDir(), "watch.txt")
 	if err := os.WriteFile(watch, []byte("10.0.0.0/16 64496\n10.1.0.0/16 64497\n"), 0o644); err != nil {
@@ -156,11 +156,10 @@ func TestServeFleetSmoke(t *testing.T) {
 
 	o := parse("-fleet", "2", "-watch", watch,
 		"-listen-bgp", "127.0.0.1:0", "-listen-http", "127.0.0.1:0", "-hold", "3s")
-	mc, err := o.serveConfig(t.Logf)
+	cfg, err := o.serveConfig(t.Logf)
 	if err != nil {
 		t.Fatalf("serveConfig: %v", err)
 	}
-	cfg := o.fleetConfig(mc)
 	if cfg.Shards != 2 || len(cfg.Watched) != 2 {
 		t.Fatalf("config = %+v", cfg)
 	}

@@ -15,9 +15,9 @@ import (
 // legitimate renumbering, while a *burst* of announcements for one
 // prefix, or an origin that keeps flapping back and forth, is the
 // signature of an active hijack or interception attempt. The
-// AnomalyDetector sits on an aggregated alert stream (a single daemon's
-// ring or the fleet router's merged stream) and escalates raw alerts to
-// scored anomalies using two per-prefix analytics:
+// AnomalyDetector sits on an alert stream (monitord feeds it every alert
+// it appends) and escalates raw alerts to scored anomalies using two
+// per-prefix analytics:
 //
 //   - announcement-frequency analysis: alerts per window scored against
 //     an EWMA baseline of that prefix's own history, so a prefix with

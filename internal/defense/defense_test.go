@@ -278,6 +278,60 @@ func TestMonitorMoreSpecific(t *testing.T) {
 	}
 }
 
+// TestMonitorRelevant pins the one relevance rule: an announcement can
+// alert only when its prefix is watched or strictly more specific than a
+// watched prefix, and Observe raises an alert (here: a bogus origin) on
+// exactly the prefixes Relevant admits. The first-octet map must not
+// reject what the rule admits, including prefixes shorter than /8, which
+// span several first octets.
+func TestMonitorRelevant(t *testing.T) {
+	pfx := netip.MustParsePrefix
+	cases := []struct {
+		name    string
+		watched []string
+		prefix  netip.Prefix
+		want    bool
+	}{
+		{"exact", []string{"10.10.0.0/16", "10.20.0.0/16"}, pfx("10.20.0.0/16"), true},
+		{"more-specific", []string{"10.10.0.0/16", "10.20.0.0/16"}, pfx("10.20.99.0/24"), true},
+		{"more-specific /32", []string{"10.10.0.0/16"}, pfx("10.10.1.1/32"), true},
+		{"covering", []string{"10.10.0.0/16", "10.20.0.0/16"}, pfx("10.0.0.0/8"), false},
+		{"same octet, unrelated", []string{"10.10.0.0/16"}, pfx("10.99.0.0/16"), false},
+		{"unrelated octet", []string{"10.10.0.0/16"}, pfx("192.168.0.0/16"), false},
+		{"/0 announced", []string{"10.10.0.0/16", "0.0.0.0/8"}, pfx("0.0.0.0/0"), false},
+		{"/0 watched, exact", []string{"0.0.0.0/0"}, pfx("0.0.0.0/0"), true},
+		{"/0 watched, anything", []string{"0.0.0.0/0"}, pfx("198.18.0.0/15"), true},
+		{"/32 watched, exact", []string{"10.1.2.3/32"}, pfx("10.1.2.3/32"), true},
+		{"/32 watched, covering", []string{"10.1.2.3/32"}, pfx("10.1.2.0/24"), false},
+		{"/6 span, first octet", []string{"8.0.0.0/6"}, pfx("8.5.0.0/16"), true},
+		{"/6 span, last octet", []string{"8.0.0.0/6"}, pfx("11.5.0.0/16"), true},
+		{"/6 span, past the end", []string{"8.0.0.0/6"}, pfx("12.0.0.0/16"), false},
+		{"/6 span, before the start", []string{"8.0.0.0/6"}, pfx("7.255.0.0/16"), false},
+		{"non-IPv4", []string{"10.10.0.0/16"}, pfx("2001:db8::/32"), false},
+		{"invalid", []string{"10.10.0.0/16"}, netip.Prefix{}, false},
+	}
+	for _, tc := range cases {
+		watched := make(map[netip.Prefix]bgp.ASN)
+		for _, w := range tc.watched {
+			watched[pfx(w)] = 65000
+		}
+		m, err := NewMonitor(watched)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got := m.Relevant(tc.prefix); got != tc.want {
+			t.Errorf("%s: Relevant(%v) = %v, want %v", tc.name, tc.prefix, got, tc.want)
+		}
+		u := bgpsim.UpdateEvent{Time: mt0, Prefix: tc.prefix, Path: []bgp.ASN{3320, 666}}
+		if alerted := len(m.Observe(&u)) > 0; alerted != tc.want {
+			t.Errorf("%s: Observe(%v) alerted = %v, want %v", tc.name, tc.prefix, alerted, tc.want)
+		}
+	}
+	if _, err := NewMonitor(map[netip.Prefix]bgp.ASN{pfx("2001:db8::/32"): 65000}); err == nil {
+		t.Error("IPv6 watched prefix accepted")
+	}
+}
+
 func TestMonitorNewUpstream(t *testing.T) {
 	m := newTestMonitor(t)
 	learn := bgpsim.UpdateEvent{Time: mt0, Prefix: mpfx, Path: []bgp.ASN{3320, 1299, 24940}}

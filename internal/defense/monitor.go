@@ -61,14 +61,20 @@ type Alert struct {
 // watched prefix and, optionally, on the set of legitimate upstream
 // (penultimate) ASes seen during a learning window.
 //
-// Monitor is safe for concurrent use: Learn, EnableUpstream and Observe
-// may be called from any number of goroutines, so a streaming consumer
-// (internal/monitord) can fan updates out over sharded workers. The
-// watched-prefix trie is immutable after NewMonitor and read lock-free;
-// the mutable learning state is guarded by an RWMutex, which Observe only
-// takes on the (cheap, read-side) upstream check.
+// Monitor is safe for concurrent use: Learn, EnableUpstream, Observe and
+// Relevant may be called from any number of goroutines, so a streaming
+// consumer (internal/monitord) can fan updates out over sharded workers.
+// The watched-prefix trie and first-octet map are immutable after
+// NewMonitor and read lock-free; the mutable learning state is guarded by
+// an RWMutex, which Observe only takes on the (cheap, read-side) upstream
+// check.
 type Monitor struct {
 	watched iptrie.Trie[bgp.ASN] // watched prefix -> expected origin; immutable
+	// octets marks every first octet a watched prefix covers. A watched
+	// prefix covering an address also covers its first octet, or is
+	// covered by it, so an unmarked octet proves no match without a trie
+	// walk — the common case for background churn.
+	octets [256]bool
 
 	mu             sync.RWMutex
 	knownUpstreams map[netip.Prefix]map[bgp.ASN]bool
@@ -87,8 +93,36 @@ func NewMonitor(watched map[netip.Prefix]bgp.ASN) (*Monitor, error) {
 		if _, err := m.watched.Insert(p, origin); err != nil {
 			return nil, err
 		}
+		// A prefix shorter than /8 spans 2^(8-bits) first octets.
+		first, span := int(p.Masked().Addr().As4()[0]), 1<<max(8-p.Bits(), 0)
+		for o := first; o < first+span; o++ {
+			m.octets[o] = true
+		}
 	}
 	return m, nil
+}
+
+// Relevant reports whether an announcement of p can raise an alert: p is
+// watched, or strictly more specific than a watched prefix. Covering,
+// unrelated and non-IPv4 prefixes alert nowhere, whatever their path.
+// This is the one statement of that rule: Observe applies it first, and a
+// front may drop what it rejects before the update reaches a RIB.
+func (m *Monitor) Relevant(p netip.Prefix) bool {
+	_, _, ok := m.match(p)
+	return ok
+}
+
+// match applies Relevant's rule, also returning whether p is itself
+// watched and, if so, its expected origin.
+func (m *Monitor) match(p netip.Prefix) (expected bgp.ASN, exact, ok bool) {
+	if !p.IsValid() || !p.Addr().Is4() || !m.octets[p.Addr().As4()[0]] {
+		return 0, false, false
+	}
+	if expected, ok := m.watched.Get(p); ok {
+		return expected, true, true
+	}
+	cover, _, ok := m.watched.LongestMatch(p.Addr())
+	return 0, false, ok && cover.Bits() < p.Bits()
 }
 
 // Learn records the upstream (penultimate AS) of a benign update for a
@@ -135,45 +169,42 @@ func (m *Monitor) Observe(u *bgpsim.UpdateEvent) []Alert {
 	if u.Withdraw() || len(u.Path) == 0 {
 		return nil
 	}
-	origin := u.Path[len(u.Path)-1]
-	var alerts []Alert
-
-	if expected, ok := m.watched.Get(u.Prefix); ok {
-		// Exact watched prefix: origin and upstream checks.
-		if origin != expected {
-			alerts = append(alerts, Alert{
-				Time: u.Time, Session: u.Session, Prefix: u.Prefix,
-				Kind: AlertOriginChange, Observed: origin,
-			})
-		} else {
-			m.mu.RLock()
-			alarm := false
-			var up bgp.ASN
-			if m.upstreamAlarms {
-				var ok bool
-				if up, ok = upstreamOf(u.Path); ok && !m.knownUpstreams[u.Prefix][up] {
-					alarm = true
-				}
-			}
-			m.mu.RUnlock()
-			if alarm {
-				alerts = append(alerts, Alert{
-					Time: u.Time, Session: u.Session, Prefix: u.Prefix,
-					Kind: AlertNewUpstream, Observed: up,
-				})
-			}
-		}
-		return alerts
+	expected, exact, ok := m.match(u.Prefix)
+	if !ok {
+		return nil
 	}
-
-	// Not a watched prefix itself: is it strictly more specific than one?
-	if cover, _, ok := m.watched.LongestMatch(u.Prefix.Addr()); ok && cover.Bits() < u.Prefix.Bits() {
-		alerts = append(alerts, Alert{
+	origin := u.Path[len(u.Path)-1]
+	if !exact {
+		// Strictly more specific than a watched prefix.
+		return []Alert{{
 			Time: u.Time, Session: u.Session, Prefix: u.Prefix,
 			Kind: AlertMoreSpecific, Observed: origin,
-		})
+		}}
 	}
-	return alerts
+	// Exact watched prefix: origin and upstream checks.
+	if origin != expected {
+		return []Alert{{
+			Time: u.Time, Session: u.Session, Prefix: u.Prefix,
+			Kind: AlertOriginChange, Observed: origin,
+		}}
+	}
+	m.mu.RLock()
+	alarm := false
+	var up bgp.ASN
+	if m.upstreamAlarms {
+		var ok bool
+		if up, ok = upstreamOf(u.Path); ok && !m.knownUpstreams[u.Prefix][up] {
+			alarm = true
+		}
+	}
+	m.mu.RUnlock()
+	if !alarm {
+		return nil
+	}
+	return []Alert{{
+		Time: u.Time, Session: u.Session, Prefix: u.Prefix,
+		Kind: AlertNewUpstream, Observed: up,
+	}}
 }
 
 // MonitorReport aggregates a monitor run over a stream.

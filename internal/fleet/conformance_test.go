@@ -32,27 +32,24 @@ var conformanceWatched = map[netip.Prefix]bgp.ASN{
 // is observable.
 const conformanceAlerts = monitord.MaxAlertsPerRequest + 1
 
-// bootFront starts the named front — "daemon", or "router" over two
-// shards — on loopback listeners, dialing the given collectors. The
-// conformance tables drive both through monitord.Front.
+// bootFront starts the named front — "daemon", or "router" (the fleet)
+// over two shards — on loopback listeners, dialing the given collectors.
+// The conformance tables drive both through monitord.Front.
 func bootFront(t *testing.T, name string, collectors ...string) monitord.Front {
 	t.Helper()
 	speaker := bgpd.Config{ASN: 64500, BGPID: netip.MustParseAddr("198.51.100.1"), AS4: true}
+	cfg := monitord.Config{
+		Watched: conformanceWatched, Speaker: speaker,
+		ListenBGP: "127.0.0.1:0", ListenHTTP: "127.0.0.1:0", Collectors: collectors,
+		AlertBuffer: 2 * conformanceAlerts,
+	}
 	var svc monitord.Front
 	var err error
 	if name == "daemon" {
-		svc, err = monitord.New(monitord.Config{
-			Watched: conformanceWatched, Speaker: speaker,
-			ListenBGP: "127.0.0.1:0", ListenHTTP: "127.0.0.1:0", Collectors: collectors,
-			AlertBuffer: 2 * conformanceAlerts,
-		})
+		svc, err = monitord.New(cfg)
 	} else {
-		svc, err = fleet.New(fleet.Config{
-			Watched: conformanceWatched, Shards: 2, Speaker: speaker,
-			ListenBGP: "127.0.0.1:0", ListenHTTP: "127.0.0.1:0", Collectors: collectors,
-			ShardConfig: monitord.Config{AlertBuffer: 2 * conformanceAlerts},
-			AlertBuffer: 2 * conformanceAlerts,
-		})
+		cfg.Shards = 2
+		svc, err = fleet.New(cfg)
 	}
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
@@ -96,8 +93,8 @@ type alertsPage struct {
 	Dropped uint64 `json:"dropped"`
 }
 
-// TestHTTPConformance pins the HTTP contract a single daemon and a
-// fleet router must serve identically: read-only methods, parameter
+// TestHTTPConformance pins the HTTP contract a daemon and a fleet must
+// serve identically: read-only methods, parameter
 // validation, the server-side page ceiling, and the ahead-cursor
 // resync.
 func TestHTTPConformance(t *testing.T) {
@@ -327,8 +324,9 @@ func lentStream() (first, second []*bgp.Update, final []lentRoute, alerts map[st
 // front has — an inbound session, a dialed collector, a BGP4MP archive, a
 // TABLE_DUMP_V2 seed — to a daemon and to a router: every cell must raise
 // exactly the labelled alerts, count the path-less announcement as
-// dropped, keep the archive's timestamps as the alerts' semantic time,
-// and keep them out of the latency histograms. The lent-path row sends
+// dropped and an archive's records on monitord_mrt_records_total, keep
+// the archive's timestamps as the alerts' semantic time, and keep them
+// out of the latency histograms. The lent-path row sends
 // its own stream (lentStream) over an inbound session and also reads
 // every prefix back from /rib.
 func TestIngestConformance(t *testing.T) {
@@ -368,6 +366,7 @@ func TestIngestConformance(t *testing.T) {
 		sent    int            // prefix updates the delivered stream carries
 		want    map[string]int // the alerts the delivered stream must raise
 		noPath  int            // announcements it carries without an AS_PATH
+		records int            // MRT records it carries
 		rib     []lentRoute    // what /rib must serve afterwards, when the row checks it
 	}{
 		{name: "inbound", deliver: func(t *testing.T, front string) monitord.Front {
@@ -387,8 +386,10 @@ func TestIngestConformance(t *testing.T) {
 			sendStream(t, establish(t, conn, err))
 			return svc
 		}, sent: len(ingestStream), want: streamAlerts, noPath: 1},
-		{name: "bgp4mp", archive: true, deliver: fromArchive(false), sent: len(ingestStream), want: streamAlerts, noPath: 1},
-		{name: "table-dump", archive: true, deliver: fromArchive(true), sent: len(ingestStream), want: streamAlerts, noPath: 1},
+		{name: "bgp4mp", archive: true, deliver: fromArchive(false), sent: len(ingestStream), want: streamAlerts, noPath: 1,
+			records: len(ingestStream)},
+		{name: "table-dump", archive: true, deliver: fromArchive(true), sent: len(ingestStream), want: streamAlerts, noPath: 1,
+			records: len(ingestStream) + 1}, // and the peer index table
 		{name: "lent-paths", deliver: func(t *testing.T, front string) monitord.Front {
 			svc := bootFront(t, front)
 			conn, err := net.Dial("tcp", svc.BGPAddr())
@@ -436,7 +437,10 @@ func TestIngestConformance(t *testing.T) {
 				dropped, _ := snap.Sum("monitord_updates_dropped_total", map[string]string{"reason": "no-as-path"})
 				routerDropped, _ := snap.Sum("fleet_updates_dropped_total", map[string]string{"reason": "no-as-path"})
 				if int(dropped+routerDropped) != path.noPath {
-					t.Errorf("no-as-path drops = %v (shards) + %v (router), want %d in all", dropped, routerDropped, path.noPath)
+					t.Errorf("no-as-path drops = %v (daemon) + %v (router), want %d in all", dropped, routerDropped, path.noPath)
+				}
+				if records, _ := snap.Sum("monitord_mrt_records_total", nil); int(records) != path.records {
+					t.Errorf("monitord_mrt_records_total = %v, want %d", records, path.records)
 				}
 				for _, family := range []string{"monitord_stage_seconds", "monitord_detection_seconds"} {
 					// Quantile 1 is the upper bound of the highest occupied bucket.
@@ -475,5 +479,142 @@ func TestIngestConformance(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestAnomaliesEndpoint drives one prefix past the frequency detector's
+// cold-start threshold (eight alerts inside one window) on each front
+// and pins what GET /anomalies then serves: the wire field names, the
+// escalated anomaly, and the detectors' lifetime totals, which
+// monitord_anomalies_total counts too.
+func TestAnomaliesEndpoint(t *testing.T) {
+	t0 := time.Unix(1400000000, 0).UTC()
+	want := map[string]any{
+		"anomalies": []any{map[string]any{
+			"time":    t0.Add(7 * time.Second).Format(time.RFC3339),
+			"prefix":  "10.10.0.0/16",
+			"kind":    "frequency-burst",
+			"score":   1.0,
+			"alerts":  8.0,
+			"origins": []any{666.0},
+		}},
+		"alerts_observed": 8.0,
+		"escalated":       map[string]any{"frequency-burst": 1.0, "origin-flap": 0.0},
+	}
+	for _, front := range fronts {
+		t.Run(front, func(t *testing.T) {
+			svc := bootFront(t, front)
+			src := svc.RegisterSource("feed", 64601)
+			hijacked := netip.MustParsePrefix("10.10.0.0/16")
+			for i := 0; i < 8; i++ {
+				if err := svc.Ingest(src, t0.Add(time.Duration(i)*time.Second), hijacked, []bgp.ASN{64601, 666}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !svc.WaitQuiesce(5 * time.Second) {
+				t.Fatal("quiesce timed out")
+			}
+			base := "http://" + svc.HTTPAddr()
+			resp, err := http.Get(base + "/anomalies")
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got any
+			err = json.NewDecoder(resp.Body).Decode(&got)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK || err != nil {
+				t.Fatalf("/anomalies: status %d, decoding: %v", resp.StatusCode, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("/anomalies = %v\nwant %v", got, want)
+			}
+			snap, err := obs.ScrapeTarget(base + "/metrics")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v, _ := snap.Sum("monitord_anomalies_total", map[string]string{"kind": "frequency-burst"}); v != 1 {
+				t.Errorf(`monitord_anomalies_total{kind="frequency-burst"} = %v, want 1`, v)
+			}
+		})
+	}
+}
+
+// TestCollectorRedials pins each front's collector schedule and session
+// count: a collector that delivers one watched update per session and
+// hangs up is redialed at the base rate, because a session that
+// delivered resets the backoff (the doubling schedule would need over
+// 6 s for eight sessions), and once it stops answering /healthz counts
+// none of its sessions as active.
+func TestCollectorRedials(t *testing.T) {
+	for _, front := range fronts {
+		t.Run(front, func(t *testing.T) {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			established := make(chan struct{}, 64)
+			go func() {
+				remote := bgpd.Config{ASN: 64601, BGPID: ingestPeerIP, AS4: true}
+				for {
+					c, err := ln.Accept()
+					if err != nil {
+						return
+					}
+					s, err := bgpd.Establish(c, remote)
+					if err != nil {
+						c.Close()
+						continue
+					}
+					s.SendUpdate(ingestUpdate("10.10.0.0/16", []bgp.ASN{64601, 65010}))
+					s.Close()
+					established <- struct{}{}
+				}
+			}()
+			cfg := monitord.Config{
+				Watched:    conformanceWatched,
+				Speaker:    bgpd.Config{ASN: 64500, BGPID: netip.MustParseAddr("198.51.100.1"), AS4: true},
+				ListenHTTP: "127.0.0.1:0", Collectors: []string{ln.Addr().String()},
+				Shards: 2, DialBackoffBase: 50 * time.Millisecond,
+			}
+			var svc monitord.Front
+			if front == "daemon" {
+				svc, err = monitord.New(cfg)
+			} else {
+				svc, err = fleet.New(cfg)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer svc.Shutdown(context.Background())
+			deadline := time.After(3 * time.Second)
+			for i := 0; i < 8; i++ {
+				select {
+				case <-established:
+				case <-deadline:
+					t.Fatalf("%d collector sessions in 3 s: the backoff did not reset", i)
+				}
+			}
+			ln.Close()
+			for start := time.Now(); ; time.Sleep(10 * time.Millisecond) {
+				resp, err := http.Get("http://" + svc.HTTPAddr() + "/healthz")
+				if err != nil {
+					t.Fatal(err)
+				}
+				var h struct {
+					SessionsActive int `json:"sessions_active"`
+				}
+				err = json.NewDecoder(resp.Body).Decode(&h)
+				resp.Body.Close()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if h.SessionsActive == 0 {
+					break
+				}
+				if time.Since(start) > 5*time.Second {
+					t.Fatalf("/healthz sessions_active = %d after the collector went away, want 0", h.SessionsActive)
+				}
+			}
+		})
 	}
 }

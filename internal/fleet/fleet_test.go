@@ -2,13 +2,11 @@ package fleet
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"net/netip"
-	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -59,7 +57,7 @@ func httpPost(url string) (httpResult, error) {
 }
 
 // Settle waits until svc has accounted for the first n prefix updates
-// delivered to it — each ingested by a shard, rejected as unwatched or
+// delivered to it — each ingested by the daemon, rejected as unwatched or
 // dropped — and its pipeline is idle. What it serves then is final, so a
 // missing alert fails at once rather than at a deadline. (Exported for
 // the conformance tables in package fleet_test.)
@@ -95,98 +93,6 @@ func accounted(t *testing.T, svc monitord.Front) int {
 	return int(n)
 }
 
-func TestOwnerOfPartition(t *testing.T) {
-	p := netip.MustParsePrefix("10.10.0.0/16")
-	if OwnerOf(p, 4) != OwnerOf(p, 4) {
-		t.Fatal("OwnerOf is not deterministic")
-	}
-	if OwnerOf(netip.MustParsePrefix("10.10.1.0/16"), 4) != OwnerOf(p, 4) {
-		t.Fatal("OwnerOf must mask the prefix before hashing")
-	}
-	parts := Partition(fleetWatched, 3)
-	if len(parts) != 3 {
-		t.Fatalf("got %d partitions, want 3", len(parts))
-	}
-	total := 0
-	for i, part := range parts {
-		for q, origin := range part {
-			if OwnerOf(q, 3) != i {
-				t.Fatalf("prefix %v landed on shard %d, owner is %d", q, i, OwnerOf(q, 3))
-			}
-			if fleetWatched[q] != origin {
-				t.Fatalf("prefix %v origin %d, want %d", q, origin, fleetWatched[q])
-			}
-			total++
-		}
-	}
-	if total != len(fleetWatched) {
-		t.Fatalf("partitions carry %d prefixes, want %d", total, len(fleetWatched))
-	}
-}
-
-func TestWatchTableRoute(t *testing.T) {
-	tab, err := newWatchTable(fleetWatched, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	watched := netip.MustParsePrefix("10.20.0.0/16")
-	owner := OwnerOf(watched, 4)
-
-	if shard, ok := tab.route(watched); !ok || shard != owner {
-		t.Fatalf("exact watched prefix: got (%d,%v), want (%d,true)", shard, ok, owner)
-	}
-	// The correctness trap: a more-specific hijack must land on the shard
-	// owning the *covering* watched prefix, not hash(announced prefix).
-	moreSpec := netip.MustParsePrefix("10.20.99.0/24")
-	if shard, ok := tab.route(moreSpec); !ok || shard != owner {
-		t.Fatalf("more-specific hijack: got (%d,%v), want (%d,true)", shard, ok, owner)
-	}
-	if naive := OwnerOf(moreSpec, 4); naive == owner {
-		t.Logf("note: naive hash coincides with owner for this prefix; trap untested by accident")
-	}
-	// A covering (less-specific) announcement alerts nowhere — not routed.
-	if _, ok := tab.route(netip.MustParsePrefix("10.0.0.0/8")); ok {
-		t.Fatal("covering announcement must not be routed")
-	}
-	if _, ok := tab.route(netip.MustParsePrefix("192.168.0.0/16")); ok {
-		t.Fatal("unrelated prefix must not be routed")
-	}
-	// Coarse bitmap: different first octet rejected without trie work.
-	if _, ok := tab.route(netip.MustParsePrefix("11.10.0.0/16")); ok {
-		t.Fatal("unwatched first octet must be rejected")
-	}
-	if shard, ok := tab.routeAddr(netip.MustParseAddr("10.20.3.4")); !ok || shard != owner {
-		t.Fatalf("routeAddr: got (%d,%v), want (%d,true)", shard, ok, owner)
-	}
-	if _, ok := tab.routeAddr(netip.MustParseAddr("172.16.0.1")); ok {
-		t.Fatal("routeAddr must reject unwatched addresses")
-	}
-
-	// Sub-/8 watched prefix spans first octets 8..11 in the coarse map.
-	short, err := newWatchTable(map[netip.Prefix]bgp.ASN{
-		netip.MustParsePrefix("8.0.0.0/6"): 65001,
-	}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantShard := OwnerOf(netip.MustParsePrefix("8.0.0.0/6"), 2)
-	if shard, ok := short.route(netip.MustParsePrefix("11.5.0.0/16")); !ok || shard != wantShard {
-		t.Fatalf("more-specific under /6: got (%d,%v), want (%d,true)", shard, ok, wantShard)
-	}
-	if _, ok := short.route(netip.MustParsePrefix("12.0.0.0/16")); ok {
-		t.Fatal("octet 12 is outside 8.0.0.0/6")
-	}
-
-	if _, err := newWatchTable(map[netip.Prefix]bgp.ASN{
-		netip.MustParsePrefix("2001:db8::/32"): 65001,
-	}, 2); err == nil {
-		t.Fatal("IPv6 watched prefix must be rejected")
-	}
-	if _, err := newWatchTable(fleetWatched, 0); err == nil {
-		t.Fatal("zero shards must be rejected")
-	}
-}
-
 // alertKey builds the multiset key used to compare alert streams.
 func alertKey(a defense.Alert) string {
 	return fmt.Sprintf("%d|%v|%v|%v", a.Session, a.Prefix, a.Kind, a.Observed)
@@ -203,9 +109,6 @@ func TestRouterInprocAlerts(t *testing.T) {
 	}
 	defer r.Shutdown(context.Background())
 
-	if r.Shards() != 4 {
-		t.Fatalf("Shards() = %d, want 4", r.Shards())
-	}
 	src0 := r.RegisterSource("feed0", 64601)
 	src1 := r.RegisterSource("feed1", 64602)
 	if src0 == src1 {
@@ -228,7 +131,7 @@ func TestRouterInprocAlerts(t *testing.T) {
 	if err := r.Ingest(src0, now, moreSpec, []bgp.ASN{64601, 667}); err != nil {
 		t.Fatal(err)
 	}
-	// Background churn: rejected at the router, never reaches a shard.
+	// Background churn: rejected at the router, never reaches the daemon.
 	if err := r.Ingest(src0, now, netip.MustParsePrefix("198.18.0.0/15"), []bgp.ASN{64601, 1}); err != nil {
 		t.Fatal(err)
 	}
@@ -241,21 +144,18 @@ func TestRouterInprocAlerts(t *testing.T) {
 		t.Fatalf("dropped = %d", dropped)
 	}
 	if len(alerts) != 2 {
-		t.Fatalf("got %d merged alerts, want 2: %+v", len(alerts), alerts)
+		t.Fatalf("got %d alerts, want 2: %+v", len(alerts), alerts)
 	}
 	got := map[string]bool{}
-	for i, a := range alerts {
-		if a.Seq != uint64(i) {
-			t.Fatalf("alert %d has seq %d: merged stream must re-sequence", i, a.Seq)
-		}
+	for _, a := range alerts {
 		got[alertKey(a.Alert)] = true
 	}
 	// Session ids in fleet alerts match the router's source ids — the
-	// shard-registration critical section at work.
+	// mirror under the registry lock at work.
 	wantHijack := fmt.Sprintf("%d|%v|%v|%v", src1, hijacked, defense.AlertOriginChange, bgp.ASN(666))
 	wantMoreSpec := fmt.Sprintf("%d|%v|%v|%v", src0, moreSpec, defense.AlertMoreSpecific, bgp.ASN(667))
 	if !got[wantHijack] || !got[wantMoreSpec] {
-		t.Fatalf("merged alerts %v missing %q or %q", got, wantHijack, wantMoreSpec)
+		t.Fatalf("alerts %v missing %q or %q", got, wantHijack, wantMoreSpec)
 	}
 	if next != 2 {
 		t.Fatalf("next = %d, want 2", next)
@@ -263,12 +163,16 @@ func TestRouterInprocAlerts(t *testing.T) {
 	if v := r.met.unwatched.Value(); v != 1 {
 		t.Fatalf("unwatched counter = %v, want 1", v)
 	}
-	// The anomaly detectors see every merged alert, no more and no less.
-	if _, observed, _ := r.Anomalies(); observed != 2 {
-		t.Fatalf("detectors observed %d alerts, want the 2 merged", observed)
+	// The anomaly detectors see every alert, no more and no less.
+	if _, observed, _ := r.d.Anomalies(); observed != 2 {
+		t.Fatalf("detectors observed %d alerts, want the 2 raised", observed)
+	}
+	// The background announcement never reached the RIB.
+	if n := r.d.RIB().Size(); n != len(fleetWatched)+1 {
+		t.Fatalf("RIB holds %d prefixes, want the %d watched and the more-specific", n, len(fleetWatched)+1)
 	}
 
-	// Cursor paging and ahead-cursor clamp on the merged stream.
+	// Cursor paging and ahead-cursor clamp.
 	page, next2, _ := r.Alerts(next, 10)
 	if len(page) != 0 || next2 != next {
 		t.Fatalf("caught-up poll returned %d alerts, next %d", len(page), next2)
@@ -280,39 +184,8 @@ func TestRouterInprocAlerts(t *testing.T) {
 	if err := r.Ingest(99, now, hijacked, []bgp.ASN{64601, 666}); err == nil {
 		t.Fatal("unknown session must be rejected")
 	}
-}
-
-// TestMergedRingEviction overflows the router's merged alert log: the
-// oldest merged alerts are evicted, reported as dropped to a client
-// polling from 0, and counted in fleet_alerts_dropped_total.
-func TestMergedRingEviction(t *testing.T) {
-	r, err := New(Config{Watched: fleetWatched, Shards: 2, AlertBuffer: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Shutdown(context.Background())
-	src := r.RegisterSource("feed", 64601)
-	hijacked := netip.MustParsePrefix("10.10.0.0/16")
-	for i := 0; i < 6; i++ {
-		if err := r.Ingest(src, time.Unix(int64(i), 0), hijacked, []bgp.ASN{64601, bgp.ASN(666 + i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !r.WaitQuiesce(5 * time.Second) {
-		t.Fatal("quiesce timed out")
-	}
-	alerts, next, dropped := r.Alerts(0, 0)
-	if dropped != 2 || len(alerts) != 4 || next != 6 {
-		t.Fatalf("Alerts(0) = %d alerts, next %d, dropped %d; want 4, 6, 2", len(alerts), next, dropped)
-	}
-	if alerts[0].Seq != 2 || alerts[0].Observed != 668 {
-		t.Fatalf("oldest surviving alert is seq %d origin %d, want 2/668", alerts[0].Seq, alerts[0].Observed)
-	}
-	if got, _, _ := r.Alerts(0, 2); len(got) != 2 {
-		t.Fatalf("max=2 returned %d alerts", len(got))
-	}
-	if v := r.met.alertsDropped.Value(); v != 2 {
-		t.Fatalf("fleet_alerts_dropped_total = %d, want 2", v)
+	if _, err := New(Config{Watched: map[netip.Prefix]bgp.ASN{netip.MustParsePrefix("2001:db8::/32"): 65001}}); err == nil {
+		t.Fatal("IPv6 watched prefix must be rejected")
 	}
 }
 
@@ -329,7 +202,7 @@ func TestRejectPathAllocFree(t *testing.T) {
 	}
 	defer r.Shutdown(context.Background())
 	p, _ := r.srv.Peer(r.RegisterSource("feed", 64601))
-	var sink bgpd.UpdateSink = routeSink{r, p}
+	sink := r.sink(p)
 	now := time.Now()
 	u := &bgp.Update{
 		Withdrawn: []netip.Prefix{netip.MustParsePrefix("10.99.0.0/16")}, // shares a first octet: reaches the trie
@@ -347,35 +220,6 @@ func TestRejectPathAllocFree(t *testing.T) {
 	}
 	if got := r.met.unwatched.Value(); got < 200 {
 		t.Errorf("unwatched counter = %d, want every rejected update counted", got)
-	}
-}
-
-// TestHealthzWatchedCounts pins the per-shard watched_prefixes rows of
-// /healthz to the hash partition (the counts are computed once in New,
-// not by re-partitioning the watchlist on every request).
-func TestHealthzWatchedCounts(t *testing.T) {
-	const n = 3
-	r, err := New(Config{Watched: fleetWatched, Shards: n, ListenHTTP: "127.0.0.1:0"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Shutdown(context.Background())
-	resp, err := httpGet("http://" + r.HTTPAddr() + "/healthz")
-	if err != nil || resp.status != 200 {
-		t.Fatalf("/healthz: %v %+v", err, resp)
-	}
-	var h fleetHealthResponse
-	if err := json.Unmarshal([]byte(resp.body), &h); err != nil {
-		t.Fatal(err)
-	}
-	parts := Partition(fleetWatched, n)
-	if len(h.ShardRows) != n || h.Watched != len(fleetWatched) {
-		t.Fatalf("/healthz = %+v", h)
-	}
-	for i, row := range h.ShardRows {
-		if row.Watched != len(parts[i]) {
-			t.Errorf("shard %d: watched_prefixes = %d, partition holds %d", i, row.Watched, len(parts[i]))
-		}
 	}
 }
 
@@ -459,7 +303,7 @@ func TestRouterBGPAndHTTP(t *testing.T) {
 		!strings.Contains(body, "fleet_updates_forwarded_total") ||
 		!strings.Contains(body, "fleet_shards 2") ||
 		!strings.Contains(body, "monitord_updates_ingested_total") {
-		t.Fatalf("/metrics = %d, missing fleet or merged shard families:\n%s", code, body)
+		t.Fatalf("/metrics = %d, missing fleet or daemon families:\n%s", code, body)
 	}
 	if code, body := get("/rib?prefix=10.10.0.0/16"); code != 200 || !strings.Contains(body, `"routes"`) {
 		t.Fatalf("/rib = %d %q", code, body)
@@ -488,54 +332,5 @@ func TestRouterBGPAndHTTP(t *testing.T) {
 		if resp.status != 405 {
 			t.Fatalf("POST %s = %d, want 405", path, resp.status)
 		}
-	}
-}
-
-// TestAnomaliesEndpoint drives one prefix past the frequency detector's
-// cold-start threshold (eight alerts inside one window) and pins what
-// GET /anomalies then serves: the wire field names, the escalated
-// anomaly, and the detectors' lifetime totals.
-func TestAnomaliesEndpoint(t *testing.T) {
-	r, err := New(Config{Watched: fleetWatched, Shards: 2, ListenHTTP: "127.0.0.1:0"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Shutdown(context.Background())
-	src := r.RegisterSource("feed", 64601)
-	hijacked := netip.MustParsePrefix("10.10.0.0/16")
-	t0 := time.Unix(1400000000, 0).UTC()
-	for i := 0; i < 8; i++ {
-		if err := r.Ingest(src, t0.Add(time.Duration(i)*time.Second), hijacked, []bgp.ASN{64601, 666}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !r.WaitQuiesce(5 * time.Second) {
-		t.Fatal("quiesce timed out")
-	}
-	resp, err := httpGet("http://" + r.HTTPAddr() + "/anomalies")
-	if err != nil || resp.status != 200 {
-		t.Fatalf("/anomalies: %v %+v", err, resp)
-	}
-	var got any
-	if err := json.Unmarshal([]byte(resp.body), &got); err != nil {
-		t.Fatal(err)
-	}
-	want := map[string]any{
-		"anomalies": []any{map[string]any{
-			"time":    t0.Add(7 * time.Second).Format(time.RFC3339),
-			"prefix":  "10.10.0.0/16",
-			"kind":    "frequency-burst",
-			"score":   1.0,
-			"alerts":  8.0,
-			"origins": []any{666.0},
-		}},
-		"alerts_observed": 8.0,
-		"escalated":       map[string]any{"frequency-burst": 1.0, "origin-flap": 0.0},
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("/anomalies = %s\nwant %v", resp.body, want)
-	}
-	if v := r.met.anomalies[defense.AnomalyFrequency].Value(); v != 1 {
-		t.Errorf("fleet_anomalies_total{kind=\"frequency-burst\"} = %d, want 1", v)
 	}
 }

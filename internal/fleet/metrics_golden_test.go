@@ -12,28 +12,26 @@ import (
 
 	"quicksand/internal/bgp"
 	"quicksand/internal/fleet"
-	"quicksand/internal/monitord"
 	"quicksand/internal/testkit"
 )
 
-// TestFleetMetricsGolden pins the router's merged /metrics exposition —
-// the fleet_* families plus the summed monitord_* families of every
-// shard — against a golden file, like monitord's TestMetricsGolden.
+// TestFleetMetricsGolden pins the fleet's /metrics exposition — the
+// fleet_* families and the daemon's monitord_* families on one registry
+// — against a golden file, like monitord's TestMetricsGolden.
 // Latency observations are off (bucket placement depends on elapsed
 // time) and the time-dependent gauges are normalised to X; everything
 // else is exact, so a diff here means a fleet dashboard breaks.
 func TestFleetMetricsGolden(t *testing.T) {
 	r, err := fleet.New(fleet.Config{
 		Watched: map[netip.Prefix]bgp.ASN{
-			// Two prefixes per shard under the 2-way hash partition.
 			netip.MustParsePrefix("10.10.0.0/16"): 65010,
 			netip.MustParsePrefix("10.15.0.0/16"): 65015,
 			netip.MustParsePrefix("10.20.0.0/16"): 65020,
 			netip.MustParsePrefix("10.25.0.0/16"): 65025,
 		},
-		Shards:      2,
-		ShardConfig: monitord.Config{Shards: 2, DisableLatencyMetrics: true},
-		ListenHTTP:  "127.0.0.1:0",
+		Shards:                2,
+		DisableLatencyMetrics: true,
+		ListenHTTP:            "127.0.0.1:0",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -51,7 +49,7 @@ func TestFleetMetricsGolden(t *testing.T) {
 	}{
 		{"10.10.0.0/16", []bgp.ASN{64601, 65010}},  // legitimate
 		{"10.10.0.0/16", []bgp.ASN{64601, 666}},    // same-prefix hijack
-		{"10.25.7.0/24", []bgp.ASN{64601, 667}},    // more-specific hijack, other shard
+		{"10.25.7.0/24", []bgp.ASN{64601, 667}},    // more-specific hijack
 		{"198.18.0.0/15", []bgp.ASN{64601, 64700}}, // unwatched: rejected at the router
 		{"10.20.0.0/16", nil},                      // withdrawal
 		{"2001:db8::/32", []bgp.ASN{64601, 64700}}, // non-IPv4: dropped, counted

@@ -17,12 +17,11 @@ type SeqAlert struct {
 	defense.Alert
 }
 
-// AlertLog is the alert-cursor contract in one place: a fixed-capacity
-// circular log of sequenced alerts, shared by the daemon (its alert
-// ring) and the fleet router (its merged stream). Appends never block
+// alertLog is the alert-cursor contract in one place: the daemon's
+// fixed-capacity circular log of sequenced alerts. Appends never block
 // and never fail: when full, the oldest alert is evicted and accounted
 // as dropped.
-type AlertLog struct {
+type alertLog struct {
 	mu      sync.Mutex
 	buf     []SeqAlert
 	next    uint64       // sequence number of the next append
@@ -30,15 +29,15 @@ type AlertLog struct {
 	evicted *obs.Counter // bumped when a full ring overwrites its oldest alert
 }
 
-// NewAlertLog returns an empty log holding up to capacity alerts;
+// newAlertLog returns an empty log holding up to capacity alerts;
 // evicted (optional) counts alerts overwritten before being read.
-func NewAlertLog(capacity int, evicted *obs.Counter) *AlertLog {
-	return &AlertLog{buf: make([]SeqAlert, capacity), evicted: evicted}
+func newAlertLog(capacity int, evicted *obs.Counter) *alertLog {
+	return &alertLog{buf: make([]SeqAlert, capacity), evicted: evicted}
 }
 
 // Append stores a and returns its sequence number, counting the
 // eviction when a full ring overwrites its oldest entry.
-func (r *AlertLog) Append(a defense.Alert) uint64 {
+func (r *alertLog) Append(a defense.Alert) uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	seq := r.next
@@ -57,15 +56,13 @@ func (r *AlertLog) Append(a defense.Alert) uint64 {
 // evicted before they could be read. max <= 0 means no limit.
 //
 // A cursor *ahead* of the log's next sequence — a stale client polling
-// a daemon that restarted (sequences restart at 0), or a fleet router
-// polling a shard that came back empty — is clamped to next: the call
+// a daemon that restarted (sequences restart at 0) — is clamped to next: the call
 // returns no alerts, next as the new cursor, and dropped == 0. The
 // client silently resynchronizes at the live head instead of erroring
 // or, worse, waiting forever for sequences that will only be reached
-// again after ~cursor more alerts. This is a contract (the fleet
-// router's merged vector cursor depends on it), pinned by
+// again after ~cursor more alerts. This is a contract, pinned by
 // TestRingCursorAheadResync.
-func (r *AlertLog) Since(cursor uint64, max int) (alerts []SeqAlert, next uint64, dropped uint64) {
+func (r *alertLog) Since(cursor uint64, max int) (alerts []SeqAlert, next uint64, dropped uint64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	oldest := r.next - uint64(r.n)
@@ -87,7 +84,7 @@ func (r *AlertLog) Since(cursor uint64, max int) (alerts []SeqAlert, next uint64
 }
 
 // Total returns how many alerts have ever been appended.
-func (r *AlertLog) Total() uint64 {
+func (r *alertLog) Total() uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.next

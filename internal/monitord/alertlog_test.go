@@ -20,7 +20,7 @@ func mkAlert(i int) defense.Alert {
 
 func TestRingSequencesAndEviction(t *testing.T) {
 	evicted := obs.NewRegistry().Counter("monitord_test_evicted_total", "evictions")
-	r := NewAlertLog(4, evicted)
+	r := newAlertLog(4, evicted)
 	for i := 0; i < 6; i++ {
 		if seq := r.Append(mkAlert(i)); seq != uint64(i) {
 			t.Fatalf("append %d: seq = %d", i, seq)
@@ -54,7 +54,7 @@ func TestRingSequencesAndEviction(t *testing.T) {
 }
 
 func TestRingSinceCursorSemantics(t *testing.T) {
-	r := NewAlertLog(8, nil) // nil eviction counter: accounting is optional
+	r := newAlertLog(8, nil) // nil eviction counter: accounting is optional
 	for i := 0; i < 5; i++ {
 		r.Append(mkAlert(i))
 	}
@@ -91,7 +91,7 @@ func TestRingSinceCursorSemantics(t *testing.T) {
 // live alert must report that one alert dropped, never read the slot its
 // successor overwrote.
 func TestAlertLogSinceAtEvictionBoundary(t *testing.T) {
-	r := NewAlertLog(4, nil)
+	r := newAlertLog(4, nil)
 	for i := 0; i < 6; i++ {
 		r.Append(mkAlert(i))
 	}
@@ -119,11 +119,10 @@ func TestAlertLogSinceAtEvictionBoundary(t *testing.T) {
 // Daemon.Alerts documents: a stale client holding a cursor from before a
 // daemon restart (sequences restart at 0) clamps to the live head with
 // no alerts and no drops, then resumes normally from the returned
-// cursor. The fleet router's merged vector cursor relies on exactly this
-// to survive a shard restart without wedging or double-reading.
+// cursor.
 func TestRingCursorAheadResync(t *testing.T) {
 	// A client reads up to seq 42 on the old incarnation...
-	old := NewAlertLog(8, nil)
+	old := newAlertLog(8, nil)
 	for i := 0; i < 42; i++ {
 		old.Append(mkAlert(i))
 	}
@@ -133,7 +132,7 @@ func TestRingCursorAheadResync(t *testing.T) {
 	}
 
 	// ...then the daemon restarts: a fresh, empty ring.
-	fresh := NewAlertLog(8, nil)
+	fresh := newAlertLog(8, nil)
 	alerts, next, dropped := fresh.Since(cursor, 0)
 	if len(alerts) != 0 || next != 0 || dropped != 0 {
 		t.Fatalf("ahead cursor on empty ring: %d alerts, next %d, dropped %d; want 0, 0, 0",

@@ -15,10 +15,10 @@ import (
 	"quicksand/internal/defense"
 )
 
-// This file is the one HTTP surface a single daemon and a fleet router
-// both serve from: the /alerts wire format (encode here, decode in
-// HTTPAlerts), the /alerts handler, the read-only and JSON helpers, and
-// the listen/serve/drain lifecycle.
+// This file is the daemon's HTTP surface, with or without a fleet in
+// front of it: the /alerts wire format (encode here, decode in
+// HTTPAlerts), the handlers, the read-only and JSON helpers, and the
+// listen/serve/drain lifecycle.
 
 // alertJSON is the wire shape of one alert on /alerts.
 type alertJSON struct {
@@ -83,6 +83,7 @@ type ribResponse struct {
 type healthResponse struct {
 	Status         string  `json:"status"`
 	UptimeSeconds  float64 `json:"uptime_seconds"`
+	Shards         int     `json:"shards"`
 	SessionsActive int64   `json:"sessions_active"`
 	Updates        uint64  `json:"updates"`
 	RIBPrefixes    int     `json:"rib_prefixes"`
@@ -99,16 +100,17 @@ const MaxAlertsPerRequest = 10000
 
 func (d *Daemon) handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/alerts", GetOnly(AlertsHandler(d)))
-	mux.HandleFunc("/rib", GetOnly(d.handleRIB))
-	mux.HandleFunc("/healthz", GetOnly(d.handleHealthz))
-	mux.HandleFunc("/metrics", GetOnly(d.handleMetrics))
+	mux.HandleFunc("/alerts", getOnly(d.handleAlerts))
+	mux.HandleFunc("/anomalies", getOnly(d.handleAnomalies))
+	mux.HandleFunc("/rib", getOnly(d.handleRIB))
+	mux.HandleFunc("/healthz", getOnly(d.handleHealthz))
+	mux.HandleFunc("/metrics", getOnly(d.handleMetrics))
 	return mux
 }
 
-// GetOnly rejects every method except GET (and HEAD, which net/http
+// getOnly rejects every method except GET (and HEAD, which net/http
 // serves from the GET handler) with 405 — the API is read-only.
-func GetOnly(h http.HandlerFunc) http.HandlerFunc {
+func getOnly(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet && r.Method != http.MethodHead {
 			w.Header().Set("Allow", http.MethodGet)
@@ -119,10 +121,10 @@ func GetOnly(h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// WriteJSON marshals v before touching the ResponseWriter so an encode
+// writeJSON marshals v before touching the ResponseWriter so an encode
 // failure can still turn into a 500 instead of a silently truncated 200
 // (streaming json.Encoder writes the status line on its first byte).
-func WriteJSON(w http.ResponseWriter, v any) {
+func writeJSON(w http.ResponseWriter, v any) {
 	buf, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		http.Error(w, "encode: "+err.Error(), http.StatusInternalServerError)
@@ -133,42 +135,81 @@ func WriteJSON(w http.ResponseWriter, v any) {
 }
 
 // AlertSource is anything that serves the alert-cursor contract of
-// Daemon.Alerts (notably the ahead-cursor resync): a daemon, a fleet
-// router, or either one's /alerts endpoint through HTTPAlerts.
+// Daemon.Alerts (notably the ahead-cursor resync): a daemon, the fleet in
+// front of one, or either one's /alerts endpoint through HTTPAlerts.
 type AlertSource interface {
 	Alerts(cursor uint64, max int) (alerts []SeqAlert, next uint64, dropped uint64)
 }
 
-// AlertsHandler serves GET /alerts?since=N&max=M over src: 400 on a
-// malformed parameter, a default page of 1000, and max clamped to
+// handleAlerts serves GET /alerts?since=N&max=M: 400 on a malformed
+// parameter, a default page of 1000, and max clamped to
 // MaxAlertsPerRequest.
-func AlertsHandler(src AlertSource) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		var cursor uint64
-		if s := r.URL.Query().Get("since"); s != "" {
-			v, err := strconv.ParseUint(s, 10, 64)
-			if err != nil {
-				http.Error(w, "bad since cursor: "+err.Error(), http.StatusBadRequest)
-				return
-			}
-			cursor = v
+func (d *Daemon) handleAlerts(w http.ResponseWriter, r *http.Request) {
+	var cursor uint64
+	if s := r.URL.Query().Get("since"); s != "" {
+		v, err := strconv.ParseUint(s, 10, 64)
+		if err != nil {
+			http.Error(w, "bad since cursor: "+err.Error(), http.StatusBadRequest)
+			return
 		}
-		max := 1000
-		if s := r.URL.Query().Get("max"); s != "" {
-			v, err := strconv.Atoi(s)
-			if err != nil || v < 1 {
-				http.Error(w, "bad max", http.StatusBadRequest)
-				return
-			}
-			max = min(v, MaxAlertsPerRequest)
-		}
-		alerts, next, dropped := src.Alerts(cursor, max)
-		resp := alertsResponse{Alerts: make([]alertJSON, 0, len(alerts)), Next: next, Dropped: dropped}
-		for _, a := range alerts {
-			resp.Alerts = append(resp.Alerts, alertToJSON(a))
-		}
-		WriteJSON(w, resp)
+		cursor = v
 	}
+	max := 1000
+	if s := r.URL.Query().Get("max"); s != "" {
+		v, err := strconv.Atoi(s)
+		if err != nil || v < 1 {
+			http.Error(w, "bad max", http.StatusBadRequest)
+			return
+		}
+		max = min(v, MaxAlertsPerRequest)
+	}
+	alerts, next, dropped := d.Alerts(cursor, max)
+	resp := alertsResponse{Alerts: make([]alertJSON, 0, len(alerts)), Next: next, Dropped: dropped}
+	for _, a := range alerts {
+		resp.Alerts = append(resp.Alerts, alertToJSON(a))
+	}
+	writeJSON(w, resp)
+}
+
+// anomalyJSON is the wire shape of one escalated anomaly on /anomalies.
+type anomalyJSON struct {
+	Time    time.Time `json:"time"`
+	Prefix  string    `json:"prefix"`
+	Kind    string    `json:"kind"`
+	Score   float64   `json:"score"`
+	Alerts  int       `json:"alerts"`
+	Origins []uint32  `json:"origins,omitempty"`
+}
+
+type anomaliesResponse struct {
+	Anomalies []anomalyJSON     `json:"anomalies"`
+	Observed  uint64            `json:"alerts_observed"`
+	Escalated map[string]uint64 `json:"escalated"`
+}
+
+// handleAnomalies serves GET /anomalies: the recent escalations plus the
+// detectors' lifetime totals.
+func (d *Daemon) handleAnomalies(w http.ResponseWriter, r *http.Request) {
+	recent, observed, escalated := d.Anomalies()
+	resp := anomaliesResponse{
+		Anomalies: make([]anomalyJSON, 0, len(recent)),
+		Observed:  observed,
+		Escalated: make(map[string]uint64, len(escalated)),
+	}
+	for _, an := range recent {
+		aj := anomalyJSON{
+			Time: an.Time, Prefix: an.Prefix.String(), Kind: an.Kind.String(),
+			Score: an.Score, Alerts: an.Alerts,
+		}
+		for _, o := range an.Origins {
+			aj.Origins = append(aj.Origins, uint32(o))
+		}
+		resp.Anomalies = append(resp.Anomalies, aj)
+	}
+	for k, v := range escalated {
+		resp.Escalated[k.String()] = v
+	}
+	writeJSON(w, resp)
 }
 
 func routeToJSON(rt Route) routeJSON {
@@ -216,7 +257,7 @@ func (d *Daemon) handleRIB(w http.ResponseWriter, r *http.Request) {
 		bj := routeToJSON(best)
 		resp.Best = &bj
 	}
-	WriteJSON(w, resp)
+	writeJSON(w, resp)
 }
 
 // handleHealthz serves GET /healthz.
@@ -225,10 +266,11 @@ func (d *Daemon) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	for i := range d.shards {
 		depth += int(d.shards[i].depth())
 	}
-	WriteJSON(w, healthResponse{
+	writeJSON(w, healthResponse{
 		Status:         "ok",
 		UptimeSeconds:  time.Since(d.met.start).Seconds(),
-		SessionsActive: int64(d.met.sessionsActive.Value()),
+		Shards:         len(d.shards),
+		SessionsActive: int64(d.sessions.Load().Value()),
 		Updates:        d.met.updates.Value(),
 		RIBPrefixes:    d.rib.Size(),
 		Alerts:         d.rng.Total(),
@@ -245,17 +287,17 @@ func (d *Daemon) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	d.met.writePrometheus(w)
 }
 
-// HTTPServer is the listen/serve/drain lifecycle of the HTTP API. A nil
-// *HTTPServer is a disabled API: every method is a no-op.
-type HTTPServer struct {
+// httpServer is the listen/serve/drain lifecycle of the HTTP API. A nil
+// *httpServer is a disabled API: every method is a no-op.
+type httpServer struct {
 	ln   net.Listener
 	srv  *http.Server
 	done chan error // Serve's result; nil until Serve
 }
 
-// ListenHTTP binds addr; "" returns a nil (disabled) server. Nothing is
+// listenHTTP binds addr; "" returns a nil (disabled) server. Nothing is
 // served until Serve.
-func ListenHTTP(addr string) (*HTTPServer, error) {
+func listenHTTP(addr string) (*httpServer, error) {
 	if addr == "" {
 		return nil, nil
 	}
@@ -263,11 +305,11 @@ func ListenHTTP(addr string) (*HTTPServer, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &HTTPServer{ln: ln}, nil
+	return &httpServer{ln: ln}, nil
 }
 
 // Addr returns the bound address ("" when disabled).
-func (s *HTTPServer) Addr() string {
+func (s *httpServer) Addr() string {
 	if s == nil {
 		return ""
 	}
@@ -275,7 +317,7 @@ func (s *HTTPServer) Addr() string {
 }
 
 // Serve starts serving h on the bound listener.
-func (s *HTTPServer) Serve(h http.Handler) {
+func (s *httpServer) Serve(h http.Handler) {
 	if s == nil {
 		return
 	}
@@ -286,7 +328,7 @@ func (s *HTTPServer) Serve(h http.Handler) {
 
 // Shutdown drains in-flight requests (bounded by ctx) and stops the
 // server, reporting the first failure of either.
-func (s *HTTPServer) Shutdown(ctx context.Context) error {
+func (s *httpServer) Shutdown(ctx context.Context) error {
 	if s == nil {
 		return nil
 	}

@@ -35,6 +35,7 @@ type metrics struct {
 	// alertsDropped counts real ring evictions, bumped by the ring itself
 	// at the moment an unread alert is overwritten.
 	alertsDropped *obs.Counter
+	anomalies     []*obs.Counter // by defense.AnomalyKind
 
 	sessionsAccepted *obs.Counter
 	sessionsActive   *obs.Gauge
@@ -85,6 +86,11 @@ func newMetrics(reg *obs.Registry) *metrics {
 		m.alerts[k] = alerts.With(k.String())
 	}
 	m.alertsDropped = reg.Counter("monitord_alerts_dropped_total", "Alerts evicted from the ring before any client read them.")
+	anoms := reg.CounterVec("monitord_anomalies_total", "Counter-RAPTOR anomalies escalated from the alert stream, by kind.", "kind")
+	m.anomalies = []*obs.Counter{
+		defense.AnomalyFrequency:  anoms.With(defense.AnomalyFrequency.String()),
+		defense.AnomalyOriginFlap: anoms.With(defense.AnomalyOriginFlap.String()),
+	}
 	stages := reg.HistogramVec("monitord_stage_seconds",
 		"Pipeline stage latency: read (socket to dispatcher handoff), dispatch (shard queue wait), apply (RIB fold), monitor (§5 checks).",
 		latencyBuckets, "stage")

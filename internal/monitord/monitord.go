@@ -3,8 +3,10 @@
 // concurrent peers (inbound sessions and outbound collector sessions),
 // replays MRT archives, funnels every update through a bounded,
 // backpressure-aware sharded pipeline into a live RIB, runs the
-// defense.Monitor origin/upstream checks in streaming mode, and exposes
-// the results over an HTTP API (/alerts, /rib, /healthz, /metrics).
+// defense.Monitor origin/upstream checks in streaming mode, escalates the
+// alerts through the Counter-RAPTOR anomaly detectors, and exposes the
+// results over an HTTP API (/alerts, /anomalies, /rib, /healthz,
+// /metrics).
 //
 // Counter-RAPTOR (Sun et al., 2017) deployed exactly this shape of
 // system against live update feeds; monitord is the serving layer that
@@ -15,10 +17,11 @@
 //
 // Concurrency model:
 //
-//   - the session front (bgpd.Server, shared with the fleet router) runs
-//     one reader goroutine per BGP session; the daemon's sink hashes each
-//     prefix to its shard once and stages the update in that shard's run,
-//     so each prefix's updates are processed in arrival order;
+//   - the session front (bgpd.Server; with -fleet, the fleet's own in
+//     front of the daemon) runs one reader goroutine per BGP session; the
+//     daemon's sink hashes each prefix to its shard once and stages the
+//     update in that shard's run, so each prefix's updates are processed
+//     in arrival order;
 //   - a run is one session's updates for one shard out of one read batch,
 //     their lent paths copied into its arena (the live RIB copies again
 //     into storage it owns). Runs come from a fixed per-session budget
@@ -27,7 +30,9 @@
 //   - each shard worker folds a run into its slice of the live RIB under
 //     one lock, then runs the (concurrency-safe) monitor over it,
 //     appending alerts to a ring buffer with monotonically increasing
-//     sequence numbers;
+//     sequence numbers and feeding them to the anomaly detectors. An
+//     alert names the updated prefix, which one worker owns, so each
+//     prefix's alerts reach the per-prefix detectors in order;
 //   - shutdown stops the session front (dialers, listener, sessions,
 //     readers), then closes the shard channels and drains them — no
 //     goroutine outlives Shutdown.
@@ -38,8 +43,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net/http"
 	"net/netip"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -123,6 +128,9 @@ type Config struct {
 // which is what backpressures Ingest — sessions spend their runs first.
 const queueDepth = 1024
 
+// anomalyBuffer bounds the recent anomalies kept for /anomalies.
+const anomalyBuffer = 256
+
 // runsPerShard × Shards is a session's run budget: strictly more than
 // Shards, so a reader holding one half-filled run per shard always has
 // runs in flight that a worker will hand back.
@@ -142,9 +150,9 @@ func (c *Config) withDefaults() Config {
 	return out
 }
 
-// Front is the surface a single daemon and a fleet router share, named
-// once: sessions arrive by themselves (inbound on BGPAddr, outbound to
-// the configured collectors); in-process sources and MRT archives enter
+// Front is the surface a daemon and the fleet in front of one share,
+// named once: sessions arrive by themselves (inbound on BGPAddr, outbound
+// to the configured collectors); in-process sources and MRT archives enter
 // through RegisterSource, Ingest and IngestMRT; WaitQuiesce reports when
 // what entered has been absorbed; alerts leave through Alerts and the
 // HTTP API; Shutdown stops it all. serve, the differential checkers and
@@ -228,8 +236,13 @@ type Daemon struct {
 	cfg Config
 	mon *defense.Monitor
 	rib *liveRIB
-	rng *AlertLog
+	rng *alertLog
 	met *metrics
+
+	det    *defense.AnomalyDetector
+	anomMu sync.Mutex
+	anoms  []defense.Anomaly // the anomalyBuffer most recent
+
 	// stageOn gates every latency observation (and the clock reads that
 	// feed them) so the disabled path costs nothing.
 	stageOn bool
@@ -238,8 +251,10 @@ type Daemon struct {
 	shardWG sync.WaitGroup
 
 	srv *bgpd.Server // session front: listener, collectors, peer registry
-	api *HTTPServer
-	mux http.Handler
+	api *httpServer
+	// sessions is what /healthz reports as sessions_active (see
+	// ReportSessions).
+	sessions atomic.Pointer[obs.Gauge]
 
 	learnSeen atomic.Uint64
 
@@ -268,29 +283,25 @@ func New(cfg Config) (*Daemon, error) {
 	d := &Daemon{
 		cfg: cfg, mon: mon,
 		rib:     newLiveRIB(cfg.Shards),
-		rng:     NewAlertLog(cfg.AlertBuffer, met.alertsDropped),
+		rng:     newAlertLog(cfg.AlertBuffer, met.alertsDropped),
 		met:     met,
+		det:     defense.NewAnomalyDetector(defense.AnomalyConfig{}),
 		stageOn: !cfg.DisableLatencyMetrics,
 		shards:  make([]shardQueue, cfg.Shards),
 	}
-	d.mux = d.handler()
 	d.srv, err = bgpd.NewServer(bgpd.ServerConfig{
 		Name: "monitord", Speaker: cfg.Speaker, Listen: cfg.ListenBGP,
 		ReadBatch: cfg.ReadBatch, DialBackoffBase: cfg.DialBackoffBase,
 		Seed: cfg.Seed, Logf: cfg.Logf,
 		SessionsAccepted: met.sessionsAccepted, SessionsActive: met.sessionsActive,
 		DroppedNoASPath: met.droppedNoASPath,
-		NewSink: func(p *bgpd.Peer) bgpd.UpdateSink {
-			return &sessionSink{
-				d: d, si: p, open: make([]*run, len(d.shards)),
-				free: make(chan *run, runsPerShard*len(d.shards)),
-			}
-		},
+		NewSink:         d.newSink,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("monitord: BGP listener: %w", err)
 	}
-	if d.api, err = ListenHTTP(cfg.ListenHTTP); err != nil {
+	d.sessions.Store(met.sessionsActive)
+	if d.api, err = listenHTTP(cfg.ListenHTTP); err != nil {
 		d.srv.Shutdown()
 		return nil, fmt.Errorf("monitord: HTTP listener: %w", err)
 	}
@@ -305,7 +316,7 @@ func New(cfg Config) (*Daemon, error) {
 	for _, addr := range cfg.Collectors {
 		d.srv.Collect(addr, met.dialRetries)
 	}
-	d.api.Serve(d.mux)
+	d.api.Serve(d.handler())
 	if addr := d.BGPAddr(); addr != "" {
 		cfg.Logf("monitord: BGP listening on %s", addr)
 	}
@@ -320,11 +331,6 @@ func (d *Daemon) BGPAddr() string { return d.srv.Addr() }
 
 // HTTPAddr returns the bound HTTP listener address ("" when disabled).
 func (d *Daemon) HTTPAddr() string { return d.api.Addr() }
-
-// Handler returns the daemon's HTTP API (/alerts, /rib, /healthz,
-// /metrics) for callers that front it themselves, such as the fleet
-// router answering /rib from the owning shard.
-func (d *Daemon) Handler() http.Handler { return d.mux }
 
 // RIB exposes the live routing table for in-process consumers.
 func (d *Daemon) RIB() interface {
@@ -341,9 +347,70 @@ func (d *Daemon) RIB() interface {
 // were evicted unseen; max <= 0 means no limit. A cursor ahead of the
 // live sequence (stale client after a daemon restart) is clamped to the
 // current head: empty result, next == head, dropped == 0 — callers
-// resynchronize by adopting the returned cursor. See AlertLog.Since.
+// resynchronize by adopting the returned cursor. See alertLog.Since.
 func (d *Daemon) Alerts(cursor uint64, max int) (alerts []SeqAlert, next uint64, dropped uint64) {
 	return d.rng.Since(cursor, max)
+}
+
+// ReportSessions makes /healthz report sessions_active from active, the
+// gauge of a front that runs the daemon's sessions itself: there a
+// closed session is subtracted, while the daemon's row of it stays open.
+func (d *Daemon) ReportSessions(active *obs.Gauge) { d.sessions.Store(active) }
+
+// Relevant reports whether an update for prefix can raise an alert here
+// (defense.Monitor.Relevant): a front may drop every other update before
+// it reaches the RIB.
+func (d *Daemon) Relevant(prefix netip.Prefix) bool { return d.mon.Relevant(prefix) }
+
+// Intake returns how many updates each dispatcher shard has been handed,
+// indexed by shard.
+func (d *Daemon) Intake() []uint64 {
+	out := make([]uint64, len(d.shards))
+	for i := range d.shards {
+		out[i] = d.shards[i].enqueued.Load()
+	}
+	return out
+}
+
+// Anomalies returns the recent escalated anomalies (newest last) plus
+// the detectors' lifetime totals.
+func (d *Daemon) Anomalies() (recent []defense.Anomaly, observed uint64, escalated map[defense.AnomalyKind]uint64) {
+	d.anomMu.Lock()
+	recent = slices.Clone(d.anoms)
+	d.anomMu.Unlock()
+	observed, escalated = d.det.Totals()
+	return recent, observed, escalated
+}
+
+// escalate feeds one appended alert to the anomaly detectors and keeps
+// what they escalate.
+func (d *Daemon) escalate(a defense.Alert) {
+	for _, an := range d.det.Observe(a) {
+		d.met.anomalies[an.Kind].Inc()
+		d.cfg.Logf("monitord: anomaly %s on %v score=%.2f (%d alerts in window)",
+			an.Kind, an.Prefix, an.Score, an.Alerts)
+		d.anomMu.Lock()
+		d.anoms = append(d.anoms, an)
+		if over := len(d.anoms) - anomalyBuffer; over > 0 {
+			d.anoms = append(d.anoms[:0], d.anoms[over:]...)
+		}
+		d.anomMu.Unlock()
+	}
+}
+
+// Sink returns the run path of a registered session: what the daemon's
+// own session front feeds a BGP session's updates into, for a front that
+// reads the sessions itself. Its paths are lent, as bgpd.UpdateSink says.
+func (d *Daemon) Sink(session int) bgpd.UpdateSink {
+	si, _ := d.srv.Peer(session)
+	return d.newSink(si)
+}
+
+func (d *Daemon) newSink(si *bgpd.Peer) bgpd.UpdateSink {
+	return &sessionSink{
+		d: d, si: si, open: make([]*run, len(d.shards)),
+		free: make(chan *run, runsPerShard*len(d.shards)),
+	}
 }
 
 // sessionSink is one BGP session's path into the dispatcher: it stages
@@ -397,6 +464,7 @@ func (s *sessionSink) Flush(start time.Time, n int) {
 	if s.d.stageOn {
 		it.rt = start
 	}
+	taken := 0
 	for shard, r := range s.open {
 		if r == nil {
 			continue
@@ -404,9 +472,13 @@ func (s *sessionSink) Flush(start time.Time, n int) {
 		s.open[shard] = nil
 		q := &s.d.shards[shard]
 		q.enqueued.Add(uint64(len(r.upds)))
+		taken += len(r.upds)
 		it.run = r
 		q.ch <- it
 	}
+	// Counted on the reader, before the session can end, so Collect sees
+	// that it delivered.
+	s.si.Updates.Add(uint64(taken))
 	if s.d.stageOn {
 		s.d.met.readBatchSize.Observe(float64(n))
 		s.d.met.stageRead.Observe(time.Since(start).Seconds())
@@ -471,7 +543,6 @@ func (d *Daemon) process(shard int, it *item, upds []upd, arena []bgp.ASN) {
 		d.met.stageApply.Observe(time.Since(t0).Seconds())
 	}
 	n := uint64(len(upds))
-	si.Updates.Add(n)
 	d.met.updates.Add(n)
 	d.met.withdrawals.Add(uint64(withdrawals))
 
@@ -504,6 +575,7 @@ func (d *Daemon) process(shard int, it *item, upds []upd, arena []bgp.ASN) {
 			if int(a.Kind) >= 0 && int(a.Kind) < len(d.met.alerts) {
 				d.met.alerts[a.Kind].Add(1)
 			}
+			d.escalate(a)
 		}
 	}
 	d.shards[shard].processed.Add(n)
@@ -535,6 +607,7 @@ func (d *Daemon) Ingest(session int, t time.Time, prefix netip.Prefix, path []bg
 	}
 	q := &d.shards[d.rib.shardOf(prefix)]
 	q.enqueued.Add(1)
+	si.Updates.Add(1)
 	q.ch <- it
 	return nil
 }

@@ -48,18 +48,19 @@ func (s ingestSink) Update(t time.Time, prefix netip.Prefix, path []bgp.ASN) {
 
 func (ingestSink) Flush(time.Time, int) {} // archives have no read batches
 
-// ReadMRT replays an MRT archive into in, whichever front that is, as if
-// each peer in the archive were a connected session: one source session
-// is registered per distinct peer address (named after label), every
-// BGP4MP update is enqueued with its record timestamp, and every
-// TABLE_DUMP_V2 RIB entry becomes an announcement at the dump's
-// timestamp — the monitor observes both like live updates, so a poisoned
-// table alarms too. Unsupported records are skipped, and announcements
-// without an AS_PATH are dropped and counted, as on a live session.
+// ReadMRT replays an MRT archive into in — a daemon, or a front that
+// filters for one — as if each peer in the archive were a connected
+// session. One source session is registered per distinct peer address
+// (named after label), every BGP4MP update is enqueued with its record
+// timestamp, and every TABLE_DUMP_V2 RIB entry becomes an announcement
+// at the dump's timestamp — the monitor observes both like live
+// updates, so a poisoned table alarms too. Unsupported records are
+// skipped, and announcements without an AS_PATH are dropped and
+// counted, as on a live session.
 //
 // The call returns once everything is enqueued; the stats are valid even
-// alongside an error. Daemon.IngestMRT and the fleet router's twin add
-// them to their own counters.
+// alongside an error. IngestMRT and the fleet's twin book the records and
+// the path-less announcements on their counters.
 func ReadMRT(in ingester, r io.Reader, label string) (*MRTStats, error) {
 	stats := &MRTStats{}
 	sessions := make(map[netip.Addr]int) // peer address -> source session
@@ -123,7 +124,11 @@ func ReadMRT(in ingester, r io.Reader, label string) (*MRTStats, error) {
 // ReadMRT); use WaitQuiesce to wait for the pipeline to absorb it.
 func (d *Daemon) IngestMRT(r io.Reader, label string) (*MRTStats, error) {
 	stats, err := ReadMRT(d, r, label)
-	d.met.mrtRecords.Add(uint64(stats.Records))
+	d.CountMRTRecords(stats.Records)
 	d.met.droppedNoASPath.Add(uint64(stats.NoASPath))
 	return stats, err
 }
+
+// CountMRTRecords adds n archive records to monitord_mrt_records_total,
+// for a front that reads archives into the daemon (see ReadMRT).
+func (d *Daemon) CountMRTRecords(n int) { d.met.mrtRecords.Add(uint64(n)) }

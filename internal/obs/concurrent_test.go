@@ -2,6 +2,8 @@ package obs_test
 
 import (
 	"fmt"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"strings"
@@ -51,19 +53,16 @@ func TestConcurrentScrapeUnderLoad(t *testing.T) {
 	var lastCount, lastSum float64
 	scrapes := 0
 	for scrapes == 0 || !done.Load() {
-		snap, err := obs.ScrapeTarget(srv.URL + "/metrics")
-		if err != nil {
-			t.Fatal(err)
-		}
+		text := scrape(t, srv.URL+"/metrics")
 		scrapes++
 		// Lint enforces bucket monotonicity, +Inf presence, and
 		// _count == +Inf bucket on the scraped exposition.
-		var b strings.Builder
-		if err := snap.WritePrometheus(&b); err != nil {
-			t.Fatal(err)
-		}
-		if errs := testkit.LintProm(b.String()); errs != nil {
+		if errs := testkit.LintProm(text); errs != nil {
 			t.Fatalf("scrape %d fails lint: %v", scrapes, errs)
+		}
+		snap, err := obs.ParseExposition(strings.NewReader(text))
+		if err != nil {
+			t.Fatal(err)
 		}
 		count, _ := snap.Sum("quicksand_load_seconds_count", nil)
 		sum, _ := snap.Sum("quicksand_load_seconds_sum", nil)
@@ -96,4 +95,19 @@ func TestConcurrentScrapeUnderLoad(t *testing.T) {
 		t.Errorf("final _sum = %v, want %v", sum, total*obsValue)
 	}
 	t.Logf("%d scrapes overlapped %d writers x %d observations", scrapes, writers, perWriter)
+}
+
+// scrape returns the exposition text served at url.
+func scrape(t *testing.T, url string) string {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	b, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
 }

@@ -1,14 +1,12 @@
 package obs
 
-// Multi-target /metrics scraping and aggregation: the fleet router
-// merges the expositions of its shards into the one it serves. ParseExposition is the repository's one parser of the
+// /metrics scraping: ParseExposition is the repository's one parser of the
 // Prometheus text format — testkit's linter and every test read
 // expositions through it too — so it is strict: what it accepts, a
 // Prometheus server accepts.
 
 import (
 	"bufio"
-	"bytes"
 	"fmt"
 	"io"
 	"math"
@@ -26,7 +24,7 @@ type ScrapedSample struct {
 	Name   string
 	Labels map[string]string
 	Value  float64
-	Line   int // 1-based line in the parsed exposition; 0 in a merged snapshot
+	Line   int // 1-based line in the parsed exposition
 }
 
 // ScrapedFamily groups the samples of one metric family as scraped, in
@@ -42,8 +40,7 @@ type ScrapedFamily struct {
 }
 
 // Snapshot is a parsed exposition: families in first-seen order, with
-// name lookup. Snapshots from several instances merge with
-// MergeSnapshots.
+// name lookup.
 type Snapshot struct {
 	Families []*ScrapedFamily
 	byName   map[string]*ScrapedFamily
@@ -284,13 +281,12 @@ func (s *Snapshot) familyFor(sample string) string {
 	return sample
 }
 
-// addSample appends sm as a new series, or sums it into the series of
-// the same name and labels and reports false. Summing is what merging
-// snapshots means; inside one exposition a repeat is a defect.
+// addSample appends sm as a new series, or reports false when the family
+// already has a series of that name and labels: inside one exposition a
+// repeat is a defect.
 func (f *ScrapedFamily) addSample(sm ScrapedSample) (added bool) {
 	key := sm.Name + labelKeyOf(sm.Labels)
-	if i, ok := f.index[key]; ok {
-		f.Samples[i].Value += sm.Value
+	if _, ok := f.index[key]; ok {
 		return false
 	}
 	f.index[key] = len(f.Samples)
@@ -422,184 +418,4 @@ func ScrapeTarget(url string) (*Snapshot, error) {
 		return nil, fmt.Errorf("obs: scrape %s: status %s", url, resp.Status)
 	}
 	return ParseExposition(resp.Body)
-}
-
-// SnapshotRegistry captures an in-process registry as a Snapshot — the
-// zero-network equivalent of ScrapeTarget, so a process hosting several
-// registries (the fleet router and its in-process shards) can merge
-// them with MergeSnapshots exactly as it would merge remote scrapes.
-func SnapshotRegistry(reg *Registry) (*Snapshot, error) {
-	var buf bytes.Buffer
-	if err := reg.WritePrometheus(&buf); err != nil {
-		return nil, err
-	}
-	return ParseExposition(&buf)
-}
-
-// MergeSnapshots sums same-name same-label samples across snapshots:
-// counters and histogram buckets aggregate to fleet totals, gauges sum
-// (queue depths and rates add meaningfully across instances). Family
-// types must agree; help text is first-seen.
-func MergeSnapshots(snaps ...*Snapshot) (*Snapshot, error) {
-	out := &Snapshot{byName: make(map[string]*ScrapedFamily)}
-	for _, sn := range snaps {
-		if sn == nil {
-			continue
-		}
-		for _, f := range sn.Families {
-			of := out.family(f.Name)
-			if of.Type == "" {
-				of.Type = f.Type
-			} else if f.Type != "" && f.Type != of.Type {
-				return nil, fmt.Errorf("obs: merge: family %q is both %s and %s",
-					f.Name, of.Type, f.Type)
-			}
-			if of.Help == "" {
-				of.Help = f.Help
-			}
-			of.HasHelp = of.HasHelp || f.HasHelp
-			for _, sm := range f.Samples {
-				labels := make(map[string]string, len(sm.Labels))
-				for k, v := range sm.Labels {
-					labels[k] = v
-				}
-				of.addSample(ScrapedSample{Name: sm.Name, Labels: labels, Value: sm.Value})
-			}
-		}
-	}
-	return out, nil
-}
-
-// WritePrometheus renders the snapshot back to exposition text:
-// families in sorted name order, histogram buckets in bound order with
-// sum and count after them, other samples in sorted label order. The
-// output round-trips through ParseExposition (FuzzPromParse) and passes
-// the testkit linter, so aggregated fleet metrics can be linted and
-// re-served.
-func (s *Snapshot) WritePrometheus(w io.Writer) error {
-	if s == nil {
-		return nil
-	}
-	fams := make([]*ScrapedFamily, len(s.Families))
-	copy(fams, s.Families)
-	sort.Slice(fams, func(i, j int) bool { return fams[i].Name < fams[j].Name })
-	for _, f := range fams {
-		typ := f.Type
-		if typ == "" {
-			typ = "untyped"
-		}
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n",
-			f.Name, escapeHelp(f.Help), f.Name, typ); err != nil {
-			return err
-		}
-		var err error
-		if typ == "histogram" {
-			err = writeHistogramSamples(w, f)
-		} else {
-			err = writePlainSamples(w, f.Samples)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func writePlainSamples(w io.Writer, samples []ScrapedSample) error {
-	rows := make([]ScrapedSample, len(samples))
-	copy(rows, samples)
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].Name != rows[j].Name {
-			return rows[i].Name < rows[j].Name
-		}
-		return labelKeyOf(rows[i].Labels) < labelKeyOf(rows[j].Labels)
-	})
-	for _, sm := range rows {
-		if err := writeSample(w, sm); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// writeHistogramSamples groups a histogram family's samples by series
-// (labels minus le) and renders each series' buckets in bound order
-// followed by its _sum and _count.
-func writeHistogramSamples(w io.Writer, f *ScrapedFamily) error {
-	type series struct {
-		buckets []ScrapedSample
-		other   []ScrapedSample // _sum, _count
-	}
-	groups := make(map[string]*series)
-	var keys []string
-	group := func(key string) *series {
-		g, ok := groups[key]
-		if !ok {
-			g = &series{}
-			groups[key] = g
-			keys = append(keys, key)
-		}
-		return g
-	}
-	for _, sm := range f.Samples {
-		if sm.Name == f.Name+"_bucket" {
-			base := make(map[string]string, len(sm.Labels))
-			for k, v := range sm.Labels {
-				if k != "le" {
-					base[k] = v
-				}
-			}
-			g := group(labelKeyOf(base))
-			g.buckets = append(g.buckets, sm)
-		} else {
-			group(labelKeyOf(sm.Labels)).other = append(group(labelKeyOf(sm.Labels)).other, sm)
-		}
-	}
-	sort.Strings(keys)
-	for _, key := range keys {
-		g := groups[key]
-		sort.Slice(g.buckets, func(i, j int) bool {
-			bi, _ := parseLe(g.buckets[i].Labels["le"])
-			bj, _ := parseLe(g.buckets[j].Labels["le"])
-			return bi < bj
-		})
-		sort.Slice(g.other, func(i, j int) bool { return g.other[i].Name < g.other[j].Name })
-		for _, sm := range g.buckets {
-			if err := writeSample(w, sm); err != nil {
-				return err
-			}
-		}
-		for _, sm := range g.other {
-			if err := writeSample(w, sm); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-func writeSample(w io.Writer, sm ScrapedSample) error {
-	labels := sm.Labels
-	key := ""
-	if len(labels) > 0 {
-		// Keep le last within a bucket line for readability, matching
-		// the in-process writer's splice order.
-		names := make([]string, 0, len(labels))
-		for n := range labels {
-			if n != "le" {
-				names = append(names, n)
-			}
-		}
-		sort.Strings(names)
-		if _, ok := labels["le"]; ok {
-			names = append(names, "le")
-		}
-		values := make([]string, len(names))
-		for i, n := range names {
-			values[i] = labels[n]
-		}
-		key = labelKey(names, values)
-	}
-	_, err := fmt.Fprintf(w, "%s%s %s\n", sm.Name, key, formatValue(sm.Value))
-	return err
 }

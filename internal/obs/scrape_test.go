@@ -7,17 +7,15 @@ import (
 	"testing"
 
 	"quicksand/internal/obs"
-	"quicksand/internal/testkit"
 )
 
 // buildRegistry returns a registry with one counter, one labeled gauge,
-// and one labeled histogram, populated with the given sample offset so
-// two instances have distinct values.
-func buildRegistry(offset int) *obs.Registry {
+// and one labeled histogram.
+func buildRegistry() *obs.Registry {
 	reg := obs.NewRegistry()
-	reg.Counter("quicksand_scrape_updates_total", "Updates.").Add(uint64(100 + offset))
-	reg.GaugeVec("quicksand_scrape_depth", "Depth.", "shard").With("0").Set(float64(3 + offset))
-	reg.GaugeVec("quicksand_scrape_depth", "Depth.", "shard").With("1").Set(float64(5 + offset))
+	reg.Counter("quicksand_scrape_updates_total", "Updates.").Add(100)
+	reg.GaugeVec("quicksand_scrape_depth", "Depth.", "shard").With("0").Set(3)
+	reg.GaugeVec("quicksand_scrape_depth", "Depth.", "shard").With("1").Set(5)
 	h := reg.HistogramVec("quicksand_scrape_seconds", "Latency.",
 		[]float64{0.001, 0.01, 0.1, 1}, "stage")
 	for i := 0; i < 50; i++ {
@@ -38,7 +36,7 @@ func expositionOf(t *testing.T, reg *obs.Registry) string {
 }
 
 func TestParseExpositionRoundTrip(t *testing.T) {
-	text := expositionOf(t, buildRegistry(0))
+	text := expositionOf(t, buildRegistry())
 	snap, err := obs.ParseExposition(strings.NewReader(text))
 	if err != nil {
 		t.Fatal(err)
@@ -59,22 +57,6 @@ func TestParseExpositionRoundTrip(t *testing.T) {
 	}
 	if v, _ := snap.Sum("quicksand_scrape_seconds_count", map[string]string{"stage": "apply"}); v != 100 {
 		t.Errorf("apply _count = %v, want 100", v)
-	}
-
-	// Rendered snapshot must itself parse and lint cleanly.
-	var b strings.Builder
-	if err := snap.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	if errs := testkit.LintProm(b.String()); errs != nil {
-		t.Fatalf("round-tripped exposition fails lint: %v", errs)
-	}
-	again, err := obs.ParseExposition(strings.NewReader(b.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v, _ := again.Sum("quicksand_scrape_updates_total", nil); v != 100 {
-		t.Errorf("second round trip counter = %v, want 100", v)
 	}
 }
 
@@ -137,42 +119,19 @@ func TestParseExpositionEscapes(t *testing.T) {
 	if got := fam.Samples[0].Labels["path"]; got != "a\\b\"c\nd" {
 		t.Errorf("label = %q", got)
 	}
-	// Round trip preserves the escaping.
-	var b strings.Builder
-	if err := snap.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	again, err := obs.ParseExposition(strings.NewReader(b.String()))
-	if err != nil {
-		t.Fatalf("re-parse: %v (rendered: %q)", err, b.String())
-	}
-	if got := again.Family("weird_total").Samples[0].Labels["path"]; got != "a\\b\"c\nd" {
-		t.Errorf("round-tripped label = %q", got)
-	}
 
-	// HELP text survives the path the fleet's /metrics takes — registry,
-	// snapshot, merge, write, parse — even where a literal backslash sits
-	// in front of an n.
+	// A label value and HELP text survive the registry's writer and the
+	// parser, even where a literal backslash sits in front of an n.
 	const help = "Files under C:\\new, one per\nline."
 	reg := obs.NewRegistry()
-	reg.Counter("pathy_total", help).Inc()
-	sn, err := obs.SnapshotRegistry(reg)
+	reg.CounterVec("pathy_total", help, "path").With("a\\b\"c\nd").Inc()
+	again, err := obs.ParseExposition(strings.NewReader(expositionOf(t, reg)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	merged, err := obs.MergeSnapshots(sn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b.Reset()
-	if err := merged.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	if again, err = obs.ParseExposition(strings.NewReader(b.String())); err != nil {
-		t.Fatal(err)
-	}
-	if got := again.Family("pathy_total").Help; got != help {
-		t.Errorf("round-tripped HELP = %q, want %q", got, help)
+	fam = again.Family("pathy_total")
+	if fam.Help != help || fam.Samples[0].Labels["path"] != "a\\b\"c\nd" {
+		t.Errorf("round-tripped HELP %q, label %q", fam.Help, fam.Samples[0].Labels["path"])
 	}
 }
 
@@ -183,7 +142,7 @@ func TestParseExpositionErrors(t *testing.T) {
 		"unterminated block": "metric{a=\"b\" 1\n",
 		"no value":           "justaname\n",
 		// The same series twice in one exposition is a defect of the
-		// target, not two instances to sum (that is MergeSnapshots).
+		// target.
 		"duplicate series": "# TYPE x_total counter\nx_total{a=\"1\",b=\"2\"} 3\nx_total{b=\"2\",a=\"1\"} 4\n",
 
 		"repeated label":      "a{x=\"1\",x=\"2\"} 1\n",
@@ -208,73 +167,6 @@ func TestParseExpositionErrors(t *testing.T) {
 	}
 }
 
-func TestScrapeAllMergesInstances(t *testing.T) {
-	reg1, reg2 := buildRegistry(0), buildRegistry(100)
-	srv1 := httptest.NewServer(obs.Handler(reg1, false))
-	defer srv1.Close()
-	srv2 := httptest.NewServer(obs.Handler(reg2, false))
-	defer srv2.Close()
-
-	var snaps []*obs.Snapshot
-	for _, srv := range []*httptest.Server{srv1, srv2} {
-		sn, err := obs.ScrapeTarget(srv.URL + "/metrics")
-		if err != nil {
-			t.Fatal(err)
-		}
-		snaps = append(snaps, sn)
-	}
-	merged, err := obs.MergeSnapshots(snaps...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v, n := merged.Sum("quicksand_scrape_updates_total", nil); v != 300 || n != 1 {
-		t.Errorf("merged counter = %v over %d samples, want 300 over 1", v, n)
-	}
-	if v, _ := merged.Sum("quicksand_scrape_depth", map[string]string{"shard": "0"}); v != 106 {
-		t.Errorf("merged gauge{shard=0} = %v, want 106", v)
-	}
-	// Histogram buckets add: each instance has 100 apply observations.
-	if v, _ := merged.Sum("quicksand_scrape_seconds_count", map[string]string{"stage": "apply"}); v != 200 {
-		t.Errorf("merged apply _count = %v, want 200", v)
-	}
-
-	// Aggregated exposition stays lint-clean (covers the new scraped-
-	// exposition linter path too).
-	var b strings.Builder
-	if err := merged.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	if errs := testkit.LintProm(b.String()); errs != nil {
-		t.Fatalf("merged exposition fails lint: %v", errs)
-	}
-
-	// Quantiles over the merged buckets: apply has half its mass at
-	// 0.0005 and half at 0.05, so p25 interpolates inside the first
-	// bucket and p75 inside the third.
-	p25, err := merged.Quantile("quicksand_scrape_seconds", 0.25, map[string]string{"stage": "apply"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p25 <= 0 || p25 > 0.001 {
-		t.Errorf("p25 = %g, want in (0, 0.001]", p25)
-	}
-	p75, err := merged.Quantile("quicksand_scrape_seconds", 0.75, map[string]string{"stage": "apply"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p75 <= 0.01 || p75 > 0.1 {
-		t.Errorf("p75 = %g, want in (0.01, 0.1]", p75)
-	}
-	// Merged across both label values: still answers.
-	if _, err := merged.Quantile("quicksand_scrape_seconds", 0.5, nil); err != nil {
-		t.Fatal(err)
-	}
-	// Unknown family errors.
-	if _, err := merged.Quantile("quicksand_missing_seconds", 0.5, nil); err == nil {
-		t.Error("no error for unknown family")
-	}
-}
-
 func TestScrapeTargetErrors(t *testing.T) {
 	if _, err := obs.ScrapeTarget("http://127.0.0.1:1/metrics"); err == nil {
 		t.Error("no error for unreachable target")
@@ -283,30 +175,6 @@ func TestScrapeTargetErrors(t *testing.T) {
 	srv.Close()
 	if _, err := obs.ScrapeTarget(srv.URL + "/metrics"); err == nil {
 		t.Error("no error for closed server")
-	}
-}
-
-func TestMergeSnapshotsTypeMismatch(t *testing.T) {
-	a, err := obs.ParseExposition(strings.NewReader(
-		"# HELP m_total x\n# TYPE m_total counter\nm_total 1\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := obs.ParseExposition(strings.NewReader(
-		"# HELP m_total x\n# TYPE m_total gauge\nm_total 1\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := obs.MergeSnapshots(a, b); err == nil {
-		t.Error("no error for type mismatch")
-	}
-	// nil snapshots are skipped.
-	m, err := obs.MergeSnapshots(nil, a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v, _ := m.Sum("m_total", nil); v != 1 {
-		t.Errorf("merge with nil = %v, want 1", v)
 	}
 }
 

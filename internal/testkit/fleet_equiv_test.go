@@ -11,11 +11,11 @@ import (
 
 // TestFleetMatchesBatchMonitor runs the fleet-vs-batch equivalence
 // check over random churn with injected hijacks, at fleet widths 1 (the
-// degenerate single-shard control) and 4. On top of the simulator's
-// same-prefix hijacks it appends the routing cases naive prefix-hashing
-// gets wrong: more-specific hijacks of watched prefixes (which must
-// reach the shard owning the covering prefix) and a covering
-// less-specific announcement (which must alert nowhere).
+// degenerate single-shard control), 4 and 8. On top of the simulator's
+// same-prefix hijacks it appends the cases the fleet's filter must get
+// right: more-specific hijacks of watched prefixes (which it must pass)
+// and a covering less-specific announcement (which it may drop, since it
+// alerts nowhere).
 func TestFleetMatchesBatchMonitor(t *testing.T) {
 	for seed := int64(1); seed <= 2; seed++ {
 		w, err := RandomWorld(seed)
@@ -32,8 +32,8 @@ func TestFleetMatchesBatchMonitor(t *testing.T) {
 		}
 		watched := w.TorWatchlist()
 
-		// Append the longest-prefix-aware routing cases after the
-		// simulated run (order does not matter at learnFraction 0).
+		// Append the filter's edge cases after the simulated run (order
+		// does not matter at learnFraction 0).
 		ts := st.End
 		appended := 0
 		for i, p := range torList {
@@ -66,7 +66,7 @@ func TestFleetMatchesBatchMonitor(t *testing.T) {
 			t.Fatalf("seed %d: no watched prefix left room for a more-specific", seed)
 		}
 
-		for _, n := range []int{1, 4} {
+		for _, n := range []int{1, 4, 8} {
 			if err := CheckFleetEquivalence(st, watched, n); err != nil {
 				t.Errorf("seed %d fleet %d: %v", seed, n, err)
 			}

@@ -106,35 +106,24 @@ func CheckMonitordEquivalence(st *bgpsim.Stream, watched map[netip.Prefix]bgp.AS
 	return checkRIBFold(d, st)
 }
 
-// CheckFleetEquivalence is the same differential check through a router
-// fronting n in-process monitord shards. This is the fleet's core
-// correctness claim — that hash-partitioning the watchlist and routing
-// each update to the shard owning the longest covering watched prefix
-// loses no alert a single global monitor would raise, and invents none.
-//
-// On top of the single-daemon argument: the monitor's per-prefix mutable
-// state is only ever touched by updates whose longest covering watched
-// prefix is that prefix, and the router sends every such update to the
-// one shard owning it, so shard-local monitor state evolves identically
-// to the global monitor's. Updates matching no watched prefix are
-// dropped at the router without reaching any shard — and raise no alerts
-// in the batch monitor either. Session ids match because the router
-// mirrors every source into every shard under one lock, and timestamps
-// because in-process shards receive the ingest timestamp unmodified.
+// CheckFleetEquivalence is the same differential check through a fleet
+// of n dispatcher shards: dropping every update defense.Monitor.Relevant
+// rejects before the daemon loses no alert the batch monitor raises, and
+// invents none. Those updates raise nothing in the batch run either, by
+// the rule's definition; the rest take the daemon's own path. Session ids
+// match because the router mirrors every source into the daemon under
+// its registry lock, and timestamps because in-process ingest keeps the
+// caller's timestamp.
 func CheckFleetEquivalence(st *bgpsim.Stream, watched map[netip.Prefix]bgp.ASN, n int) error {
 	rep, err := batchAlerts(st, watched)
 	if err != nil {
 		return err
 	}
 	r, err := fleet.New(fleet.Config{
-		Watched: watched,
-		Shards:  n,
-		ShardConfig: monitord.Config{
-			UpstreamAlarms: true, // matches RunMonitor's EnableUpstream at split 0
-			AlertBuffer:    alertBuffer(st, rep),
-		},
-		AlertBuffer:   alertBuffer(st, rep),
-		MergeInterval: time.Millisecond,
+		Watched:        watched,
+		Shards:         n,
+		UpstreamAlarms: true, // matches RunMonitor's EnableUpstream at split 0
+		AlertBuffer:    alertBuffer(st, rep),
 	})
 	if err != nil {
 		return err

