@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	bgpgen [-scale small|paper] [-seed N] [-out DIR] [-attacks N]
+//	bgpgen [-scale small|paper] [-seed N] [-out DIR] [-attacks N] [-trace FILE]
 //
 // Output files: DIR/<collector>.rib.mrt and DIR/<collector>.updates.mrt.
 // With -attacks N, N same-prefix hijacks of the world's Tor prefixes are
@@ -19,7 +19,6 @@ import (
 	"path/filepath"
 
 	"quicksand"
-	"quicksand/internal/bgpsim"
 	"quicksand/internal/obs"
 )
 
@@ -28,24 +27,14 @@ func main() {
 	seed := flag.Int64("seed", 1, "root seed")
 	out := flag.String("out", ".", "output directory")
 	attacks := flag.Int("attacks", 0, "embed this many same-prefix hijacks of Tor prefixes in the churn")
-	var oo obs.Options
-	oo.RegisterFlags(flag.CommandLine)
+	trace := flag.String("trace", "", "write a JSONL span trace to this file; a per-phase wall-time summary prints at exit")
 	flag.Parse()
-	rt, err := oo.Start("bgpgen", os.Stderr)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "bgpgen:", err)
-		os.Exit(1)
-	}
-	var met *bgpsim.Metrics
-	if oo.Enabled() {
-		met = bgpsim.NewMetrics(rt.Reg)
-	}
-	err = run(*scale, *seed, *out, *attacks, rt.Trace, met)
-	if rt.Trace != nil {
-		rt.Trace.WriteSummary(os.Stderr)
-	}
-	if cerr := rt.Close(); err == nil {
-		err = cerr
+	tr, traceDone, err := obs.OpenTrace(*trace, os.Stderr, obs.String("run", obs.NewRunID()))
+	if err == nil {
+		err = run(*scale, *seed, *out, *attacks, tr)
+		if terr := traceDone(); err == nil {
+			err = terr
+		}
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "bgpgen:", err)
@@ -53,9 +42,8 @@ func main() {
 	}
 }
 
-// run generates the archives. tr and met are the (nil-safe) tracing and
-// churn-metric hooks from the observability flags.
-func run(scale string, seed int64, out string, attacks int, tr *obs.Tracer, met *bgpsim.Metrics) error {
+// run generates the archives. tr is the (nil-safe) tracer from -trace.
+func run(scale string, seed int64, out string, attacks int, tr *obs.Tracer) error {
 	wcfg, mcfg, err := quicksand.ScaleConfigs(scale, seed)
 	if err != nil {
 		return err
@@ -72,7 +60,6 @@ func run(scale string, seed int64, out string, attacks int, tr *obs.Tracer, met 
 		mcfg.InjectHijacks = attacks
 		mcfg.HijackTargets = w.SortedTorPrefixes()
 	}
-	mcfg.Metrics = met
 	fmt.Fprintf(os.Stderr, "simulating churn over %v...\n", mcfg.Duration)
 	sp = tr.Start("simulate_churn", obs.Int("attacks", attacks))
 	st, err := w.SimulateMonth(mcfg)

@@ -17,7 +17,7 @@ import (
 // stream with the same session count and a plausible update count.
 func TestRunSmoke(t *testing.T) {
 	dir := t.TempDir()
-	if err := run("small", 1, dir, 2, nil, nil); err != nil {
+	if err := run("small", 1, dir, 2, nil); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 
@@ -82,7 +82,7 @@ func TestRunSmoke(t *testing.T) {
 		}
 	}
 
-	if err := run("bogus", 1, dir, 0, nil, nil); err == nil {
+	if err := run("bogus", 1, dir, 0, nil); err == nil {
 		t.Error("run with unknown scale succeeded")
 	}
 }

@@ -51,12 +51,8 @@
 //	-pcap DIR            write fig2right captures as .pcap files
 //	-v                   structured per-experiment and per-trial progress
 //	                     logs with an ETA (off by default)
-//
-// Observability flags shared with every binary in this repository
-// (see internal/obs): -metrics-addr serves Prometheus text-format
-// metrics, -log-level/-log-json control the structured logger, -trace
-// writes a JSONL span trace (a per-phase wall-time summary is printed
-// at exit), and -pprof exposes net/http/pprof.
+//	-trace FILE          write a JSONL span trace; a per-phase wall-time
+//	                     summary is printed at exit
 //
 // Every study derives one RNG per trial from the root seed, so output
 // is bit-for-bit identical regardless of -workers. Under "all", the
@@ -103,34 +99,48 @@ func main() {
 			return
 		}
 	}
-	scale := flag.String("scale", "small", "world scale: small or paper")
-	seed := flag.Int64("seed", 1, "root seed")
-	workers := flag.Int("workers", 0, "worker goroutines per study (<1 = one per CPU)")
-	pcapDir := flag.String("pcap", "", "directory to write fig2right packet captures (.pcap) into")
-	verbose := flag.Bool("v", false, "log structured per-experiment and per-trial progress (with ETA)")
-	var oo obs.Options
-	oo.RegisterFlags(flag.CommandLine)
+	o := experimentFlags(flag.CommandLine)
 	flag.Usage = usage
 	flag.Parse()
 	if flag.NArg() != 1 {
 		usage()
 		os.Exit(2)
 	}
-	if err := run(flag.Arg(0), *scale, *seed, *workers, *pcapDir, &oo, *verbose); err != nil {
+	if err := run(flag.Arg(0), o); err != nil {
 		fmt.Fprintln(os.Stderr, "quicksand:", err)
 		os.Exit(1)
 	}
 }
 
-const usageText = `usage: quicksand [-scale small|paper] [-seed N] [-workers N] <experiment>
+// expOpts are the parsed flags of an experiment run.
+type expOpts struct {
+	scale     string
+	seed      int64
+	workers   int
+	pcapDir   string
+	verbose   bool
+	traceFile string
+}
+
+func experimentFlags(fs *flag.FlagSet) *expOpts {
+	o := &expOpts{}
+	fs.StringVar(&o.scale, "scale", "small", "world scale: small or paper")
+	fs.Int64Var(&o.seed, "seed", 1, "root seed")
+	fs.IntVar(&o.workers, "workers", 0, "worker goroutines per study (<1 = one per CPU)")
+	fs.StringVar(&o.pcapDir, "pcap", "", "directory to write fig2right packet captures (.pcap) into")
+	fs.BoolVar(&o.verbose, "v", false, "log structured per-experiment and per-trial progress (with ETA)")
+	fs.StringVar(&o.traceFile, "trace", "", "write a JSONL span trace to this file; a per-phase wall-time summary prints at exit")
+	return o
+}
+
+const usageText = `usage: quicksand [-scale small|paper] [-seed N] [-workers N] [-pcap DIR]
+                 [-v] [-trace FILE] <experiment>
        quicksand serve [flags]   (long-running route monitor; see serve -h)
        quicksand resilience [flags]  (E10 Counter-RAPTOR guard study; see resilience -h)
 
 experiments: dataset fig2left fig2right fig3left fig3right
              anonymity hijack intercept defend
              convergence rotation rov detect ablation all
-
-observability: -v -metrics-addr ADDR -log-level L -log-json -trace FILE -pprof
 `
 
 func usage() { fmt.Fprint(os.Stderr, usageText) }
@@ -147,12 +157,11 @@ type app struct {
 	worldCfg quicksand.WorldConfig // what -scale and -seed name
 	monthCfg bgpsim.Config
 
-	// Observability handles. The zero value (all nil) is the fully
+	// Observability handles. The zero value (both nil) is the fully
 	// disabled state: every use below is nil-safe, so tests can build a
 	// bare &app{...} and batch runs pay nothing unless a flag is set.
-	log    *slog.Logger    // -v progress records; nil = quiet
-	trace  *obs.Tracer     // span trace; nil = off
-	simMet *bgpsim.Metrics // churn-simulator counters; nil = off
+	log   *slog.Logger // -v progress records; nil = quiet
+	trace *obs.Tracer  // -trace spans; nil = off
 
 	worldOnce sync.Once
 	world     *quicksand.World
@@ -197,17 +206,26 @@ func newApp(scale string, seed int64, workers int, pcapDir string) (*app, error)
 	return &app{scale: scale, seed: seed, workers: workers, pcapDir: pcapDir, worldCfg: wcfg, monthCfg: mcfg}, nil
 }
 
-func run(name, scale string, seed int64, workers int, pcapDir string, oo *obs.Options, verbose bool) error {
-	a, err := newApp(scale, seed, workers, pcapDir)
+func run(name string, o *expOpts) error {
+	a, err := newApp(o.scale, o.seed, o.workers, o.pcapDir)
 	if err != nil {
 		return err
 	}
-	rt, err := oo.Start("quicksand", os.Stderr)
+	runID := obs.NewRunID()
+	tr, traceDone, err := obs.OpenTrace(o.traceFile, os.Stderr, obs.String("run", runID))
 	if err != nil {
 		return err
 	}
-	if oo.Enabled() || verbose {
-		a.attachObs(rt, verbose)
+	if tr != nil || o.verbose {
+		// The pool observer carries the trial spans and the -v progress.
+		ob := &par.Observer{Trace: tr}
+		a.trace = tr
+		if o.verbose {
+			a.log = obs.Component(obs.NewLogger(os.Stderr, slog.LevelInfo, false), "quicksand").
+				With(slog.String("run", runID))
+			ob.Progress = progressLogger(a.log)
+		}
+		par.SetObserver(ob)
 		defer par.SetObserver(nil)
 	}
 	runErr := func() error {
@@ -221,29 +239,10 @@ func run(name, scale string, seed int64, workers int, pcapDir string, oo *obs.Op
 		}
 		return fmt.Errorf("unknown experiment %q", name)
 	}()
-	if rt.Trace != nil {
-		rt.Trace.WriteSummary(os.Stderr)
-	}
-	if cerr := rt.Close(); runErr == nil {
-		runErr = cerr
+	if err := traceDone(); runErr == nil {
+		runErr = err
 	}
 	return runErr
-}
-
-// attachObs hooks the app and the shared worker pool into a built
-// observability runtime. Metrics, spans, and pprof follow the obs
-// flags; the per-experiment/per-trial progress records additionally
-// require -v.
-func (a *app) attachObs(rt *obs.Runtime, verbose bool) {
-	a.trace = rt.Trace
-	a.simMet = bgpsim.NewMetrics(rt.Reg)
-	ob := par.NewObserver(rt.Reg)
-	ob.Trace = rt.Trace
-	if verbose {
-		a.log = rt.Log
-		ob.Progress = progressLogger(rt.Log)
-	}
-	par.SetObserver(ob)
 }
 
 // info logs one structured progress record when -v is on.
@@ -350,7 +349,6 @@ func (a *app) getStream() (*bgpsim.Stream, error) {
 			return
 		}
 		cfg := a.monthCfg
-		cfg.Metrics = a.simMet
 		fmt.Fprintf(os.Stderr, "# simulating BGP churn over %v (%d sessions)...\n",
 			cfg.Duration, sessions(cfg))
 		start := time.Now()

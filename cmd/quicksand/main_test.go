@@ -1,12 +1,11 @@
 package main
 
 import (
+	"flag"
 	"fmt"
 	"regexp"
 	"strings"
 	"testing"
-
-	"quicksand/internal/obs"
 )
 
 // TestRunErrors drives the experiment dispatcher's failure paths. The
@@ -15,18 +14,19 @@ import (
 func TestRunErrors(t *testing.T) {
 	for _, name := range []string{"nope", "topo", "load" + "test"} {
 		want := fmt.Sprintf("unknown experiment %q", name)
-		if err := run(name, "small", 1, 1, "", &obs.Options{}, false); err == nil || err.Error() != want {
+		if err := run(name, &expOpts{scale: "small", seed: 1, workers: 1}); err == nil || err.Error() != want {
 			t.Errorf("run(%q) = %v, want %s", name, err, want)
 		}
 	}
 	want := `unknown scale "huge"`
-	if err := run("hijack", "huge", 1, 1, "", &obs.Options{}, false); err == nil || err.Error() != want {
+	if err := run("hijack", &expOpts{scale: "huge", seed: 1, workers: 1}); err == nil || err.Error() != want {
 		t.Errorf("run at -scale huge = %v, want %s", err, want)
 	}
 }
 
-// TestUsageMatchesDispatch parses the usage text: the subcommands and
-// experiments it names must be exactly the ones main and run dispatch.
+// TestUsageMatchesDispatch parses the usage text: the subcommands,
+// experiments and -flags it names must be exactly the ones main
+// and run dispatch and experimentFlags registers.
 func TestUsageMatchesDispatch(t *testing.T) {
 	named := map[string]bool{}
 	for _, m := range regexp.MustCompile(`(?m)^\s+quicksand (\w+) \[flags\]`).FindAllStringSubmatch(usageText, -1) {
@@ -56,4 +56,22 @@ func TestUsageMatchesDispatch(t *testing.T) {
 	for name := range experiments {
 		t.Errorf("usage omits experiment %q", name)
 	}
+
+	fs := flag.NewFlagSet("quicksand", flag.ContinueOnError)
+	experimentFlags(fs)
+	flags := map[string]bool{}
+	for _, m := range regexp.MustCompile(`(?:^|[\s\[])-([a-z][\w-]*)`).FindAllStringSubmatch(usageText, -1) {
+		if m[1] == "h" { // "see serve -h": the flag package's help
+			continue
+		}
+		if fs.Lookup(m[1]) == nil {
+			t.Errorf("usage names -%s, which is not an experiment flag", m[1])
+		}
+		flags[m[1]] = true
+	}
+	fs.VisitAll(func(f *flag.Flag) {
+		if !flags[f.Name] {
+			t.Errorf("usage omits -%s", f.Name)
+		}
+	})
 }

@@ -3,9 +3,11 @@ package main
 import (
 	"bufio"
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
+	"log/slog"
 	"math"
 	"net/netip"
 	"os"
@@ -43,7 +45,9 @@ type serveOpts struct {
 	learn          int
 	upstreamAlarms bool
 
-	obs obs.Options
+	logLevel string
+	logJSON  bool
+	pprof    bool
 }
 
 func serveFlags(fs *flag.FlagSet) *serveOpts {
@@ -62,7 +66,9 @@ func serveFlags(fs *flag.FlagSet) *serveOpts {
 	fs.DurationVar(&o.hold, "hold", 90*time.Second, "proposed BGP hold time (0 disables keepalives)")
 	fs.IntVar(&o.learn, "learn", 0, "treat the first N updates as a clean learning window before arming upstream alarms")
 	fs.BoolVar(&o.upstreamAlarms, "upstream-alarms", false, "arm new-upstream alarms immediately (no learning window)")
-	o.obs.RegisterFlags(fs)
+	fs.StringVar(&o.logLevel, "log-level", "info", "log level: debug, info, warn, error")
+	fs.BoolVar(&o.logJSON, "log-json", false, "emit structured logs as JSON lines instead of text")
+	fs.BoolVar(&o.pprof, "pprof", false, "mount net/http/pprof under /debug/pprof/ on the -listen-http API")
 	return o
 }
 
@@ -141,6 +147,9 @@ func (o *serveOpts) serveConfig(logf func(string, ...any)) (monitord.Config, err
 	if o.asn > math.MaxUint32 {
 		return monitord.Config{}, fmt.Errorf("-asn %d above the 4-octet maximum %d", o.asn, uint32(math.MaxUint32))
 	}
+	if o.pprof && o.listenHTTP == "" {
+		return monitord.Config{}, errors.New("-pprof needs -listen-http: it is mounted on the HTTP API")
+	}
 	var watched map[netip.Prefix]bgp.ASN
 	var err error
 	if o.watchFile != "" {
@@ -177,6 +186,7 @@ func (o *serveOpts) serveConfig(logf func(string, ...any)) (monitord.Config, err
 		},
 		ListenBGP:      o.listenBGP,
 		ListenHTTP:     o.listenHTTP,
+		Pprof:          o.pprof,
 		Collectors:     splitList(o.collectors),
 		Shards:         o.fleet,
 		LearnUpdates:   o.learn,
@@ -209,7 +219,8 @@ func serve(args []string, sig <-chan os.Signal, logw io.Writer) error {
 Long-running Tor-prefix route monitor: accepts BGP sessions, dials
 route collectors, ingests MRT archives (BGP4MP updates and TABLE_DUMP_V2
 tables), maintains a live RIB, and serves alerts and metrics over HTTP
-(GET /alerts, /anomalies, /rib, /healthz, /metrics). It keeps no state
+(GET /alerts, /anomalies, /rib, /healthz, /metrics, and with -pprof
+/debug/pprof/). It keeps no state
 across restarts: peers resend their tables when their sessions
 re-establish, and -rib-snapshot/-mrt preload the rest.
 
@@ -227,13 +238,14 @@ every other flag are the same.
 		return fmt.Errorf("serve takes no positional arguments")
 	}
 
-	rt, err := o.obs.Start("monitord", logw)
+	level, err := obs.ParseLevel(o.logLevel)
 	if err != nil {
 		return err
 	}
-	defer rt.Close()
-	logf := func(format string, args ...any) { rt.Log.Info(fmt.Sprintf(format, args...)) }
-	svc, err := o.boot(rt, logf)
+	log := obs.Component(obs.NewLogger(logw, level, o.logJSON), "monitord").
+		With(slog.String("run", obs.NewRunID()))
+	logf := func(format string, args ...any) { log.Info(fmt.Sprintf(format, args...)) }
+	svc, err := o.boot(logf)
 	if err != nil {
 		return err
 	}
@@ -242,23 +254,19 @@ every other flag are the same.
 	logf("serve: %v received, shutting down...", s)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	if err := svc.Shutdown(ctx); err != nil {
-		return err
-	}
-	return rt.Close()
+	return svc.Shutdown(ctx)
 }
 
 // boot starts the daemon, behind the fleet's filter with -fleet, then
-// preloads its archives. It shares the runtime's registry, so its own
-// families and the bgpd_* families appear on both its /metrics endpoint
-// and the optional -metrics-addr server.
-func (o *serveOpts) boot(rt *obs.Runtime, logf func(string, ...any)) (monitord.Front, error) {
+// preloads its archives. Its registry also carries the bgpd_* families,
+// so its one /metrics endpoint serves them beside its own.
+func (o *serveOpts) boot(logf func(string, ...any)) (monitord.Front, error) {
 	cfg, err := o.serveConfig(logf)
 	if err != nil {
 		return nil, err
 	}
-	cfg.Registry = rt.Reg
-	cfg.Speaker.Metrics = bgpd.NewMetrics(rt.Reg)
+	cfg.Registry = obs.NewRegistry()
+	cfg.Speaker.Metrics = bgpd.NewMetrics(cfg.Registry)
 	var svc monitord.Front
 	what := "one daemon"
 	if o.fleet > 0 {

@@ -302,9 +302,9 @@ func TestIngestFileStalledPipeline(t *testing.T) {
 	}
 }
 
-// TestServeFlagsExercised holds every serve flag (the obs flags have
-// their own tests) to a named user: a test in this package whose body
-// passes the flag, or a BENCHMARK.json workload whose driver does. A flag
+// TestServeFlagsExercised holds every serve flag to a named user: a test
+// in this package whose body passes the flag, or a BENCHMARK.json
+// workload whose driver does. A flag
 // nobody passes is a flag whose code nothing runs; it fails here until it
 // gets a user or goes.
 func TestServeFlagsExercised(t *testing.T) {
@@ -324,6 +324,9 @@ func TestServeFlagsExercised(t *testing.T) {
 		"hold":            inputs,
 		"learn":           inputs,
 		"upstream-alarms": inputs,
+		"log-level":       "TestServeLogFlags",
+		"log-json":        "TestServeLogFlags",
+		"pprof":           "TestServeObsSmoke",
 	}
 
 	// Every string literal of every test function in this package.
@@ -378,13 +381,8 @@ func TestServeFlagsExercised(t *testing.T) {
 
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
 	serveFlags(fs)
-	obsFlags := flag.NewFlagSet("obs", flag.ContinueOnError)
-	(&obs.Options{}).RegisterFlags(obsFlags)
 	seen := 0
 	fs.VisitAll(func(f *flag.Flag) {
-		if obsFlags.Lookup(f.Name) != nil {
-			return
-		}
 		seen++
 		user, ok := users[f.Name]
 		switch workload, isWorkload := strings.CutPrefix(user, "workload:"); {

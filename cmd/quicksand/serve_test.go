@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"flag"
-	"io"
 	"net"
 	"net/http"
 	"net/netip"
@@ -242,12 +241,7 @@ func TestServeFourOctetOrigins(t *testing.T) {
 			if err := fs.Parse(args); err != nil {
 				t.Fatal(err)
 			}
-			rt, err := o.obs.Start("monitord", io.Discard)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer rt.Close()
-			svc, err := o.boot(rt, t.Logf)
+			svc, err := o.boot(t.Logf)
 			if err != nil {
 				t.Fatal(err)
 			}

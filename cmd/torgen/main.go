@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	torgen [-scale small|paper] [-seed N] [-out consensus.txt] [-prefixes prefixes.txt]
+//	torgen [-scale small|paper] [-seed N] [-out consensus.txt] [-prefixes prefixes.txt] [-trace FILE]
 package main
 
 import (
@@ -26,20 +26,14 @@ func main() {
 	seed := flag.Int64("seed", 1, "root seed")
 	out := flag.String("out", "consensus.txt", "consensus output file")
 	prefixes := flag.String("prefixes", "prefixes.txt", "prefix origination output file")
-	var oo obs.Options
-	oo.RegisterFlags(flag.CommandLine)
+	trace := flag.String("trace", "", "write a JSONL span trace to this file; a per-phase wall-time summary prints at exit")
 	flag.Parse()
-	rt, err := oo.Start("torgen", os.Stderr)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "torgen:", err)
-		os.Exit(1)
-	}
-	err = run(*scale, *seed, *out, *prefixes, rt.Trace)
-	if rt.Trace != nil {
-		rt.Trace.WriteSummary(os.Stderr)
-	}
-	if cerr := rt.Close(); err == nil {
-		err = cerr
+	tr, traceDone, err := obs.OpenTrace(*trace, os.Stderr, obs.String("run", obs.NewRunID()))
+	if err == nil {
+		err = run(*scale, *seed, *out, *prefixes, tr)
+		if terr := traceDone(); err == nil {
+			err = terr
+		}
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "torgen:", err)
@@ -48,7 +42,7 @@ func main() {
 }
 
 // run generates the consensus and prefix table. tr is the (nil-safe)
-// tracer from the observability flags.
+// tracer from -trace.
 func run(scale string, seed int64, out, prefixFile string, tr *obs.Tracer) error {
 	cfg, _, err := quicksand.ScaleConfigs(scale, seed)
 	if err != nil {

@@ -92,10 +92,6 @@ type Config struct {
 	// is announced; exploration paths appear within this window.
 	ConvergenceDelay time.Duration
 
-	// Metrics, when non-nil, receives run instrumentation (event, update,
-	// and recompute counts). Nil disables it at no per-event cost.
-	Metrics *Metrics
-
 	// TransferCheck, when non-nil, is called after each completed reset
 	// table transfer with the session index, the re-establishment time,
 	// the session's announced table (known), and the live table
@@ -199,11 +195,6 @@ func (s *Sim) Run(cfg Config) (*Stream, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	met := cfg.Metrics
-	if met == nil {
-		met = &Metrics{}
-	}
-	evCount := met.eventCounters()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	end := cfg.Start.Add(cfg.Duration)
 
@@ -267,7 +258,6 @@ func (s *Sim) Run(cfg Config) (*Stream, error) {
 
 	// --- Event schedule. ---
 	events := s.schedule(cfg, rng, st)
-	met.Scheduled.Add(uint64(len(events)))
 	sort.SliceStable(events, func(i, j int) bool { return events[i].at.Before(events[j].at) })
 
 	// failAffected[pairIdx] remembers which origins a failure touched so
@@ -319,14 +309,11 @@ func (s *Sim) Run(cfg Config) (*Stream, error) {
 					st.Updates = append(st.Updates, UpdateEvent{
 						Time: t.Add(dt), Session: si, Prefix: p, Path: n,
 					})
-					met.Exploration.Inc()
-					met.Updates.Inc()
 				}
 			}
 			st.Updates = append(st.Updates, UpdateEvent{
 				Time: t.Add(cfg.ConvergenceDelay), Session: si, Prefix: p, Path: newPath,
 			})
-			met.Updates.Inc()
 			if newPath == nil {
 				delete(known[si], p)
 			} else {
@@ -344,7 +331,6 @@ func (s *Sim) Run(cfg Config) (*Stream, error) {
 	}
 
 	recompute := func(affected []bgp.ASN) error {
-		met.Recomputes.Add(uint64(len(affected)))
 		for _, o := range affected {
 			rt, err := g.RoutesInto(tables[o], scratch, nil, topology.Origin{ASN: o})
 			if err != nil {
@@ -377,7 +363,6 @@ func (s *Sim) Run(cfg Config) (*Stream, error) {
 				return err
 			}
 			hijacked[p] = rt
-			met.Recomputes.Inc()
 			emitPrefixChanges(t, p)
 		}
 		return nil
@@ -406,7 +391,6 @@ func (s *Sim) Run(cfg Config) (*Stream, error) {
 	}
 
 	for _, ev := range events {
-		evCount[ev.kind].Inc()
 		switch ev.kind {
 		case evLinkDown:
 			var affected []bgp.ASN
@@ -495,8 +479,6 @@ func (s *Sim) Run(cfg Config) (*Stream, error) {
 				st.Updates = append(st.Updates, UpdateEvent{
 					Time: ev.at, Session: ev.si, Prefix: p, Path: path, Transfer: true,
 				})
-				met.Updates.Inc()
-				met.Transfers.Inc()
 				known[ev.si][p] = path
 			}
 			if cfg.TransferCheck != nil {

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"net/netip"
 	"strconv"
 	"time"
@@ -105,6 +106,13 @@ func (d *Daemon) handler() http.Handler {
 	mux.HandleFunc("/rib", getOnly(d.handleRIB))
 	mux.HandleFunc("/healthz", getOnly(d.handleHealthz))
 	mux.HandleFunc("/metrics", getOnly(d.handleMetrics))
+	if d.cfg.Pprof {
+		mux.HandleFunc("/debug/pprof/", pprof.Index)
+		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	}
 	return mux
 }
 

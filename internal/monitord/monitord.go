@@ -6,7 +6,7 @@
 // defense.Monitor origin/upstream checks in streaming mode, escalates the
 // alerts through the Counter-RAPTOR anomaly detectors, and exposes the
 // results over an HTTP API (/alerts, /anomalies, /rib, /healthz,
-// /metrics).
+// /metrics, and with Config.Pprof /debug/pprof/).
 //
 // Counter-RAPTOR (Sun et al., 2017) deployed exactly this shape of
 // system against live update feeds; monitord is the serving layer that
@@ -72,6 +72,9 @@ type Config struct {
 	// ListenHTTP is the TCP address serving the HTTP API
 	// ("" disables HTTP).
 	ListenHTTP string
+	// Pprof mounts net/http/pprof under /debug/pprof/ on the HTTP API
+	// (nothing without ListenHTTP).
+	Pprof bool
 
 	// Collectors lists remote BGP speakers to dial and keep sessions
 	// with, reconnecting with jittered exponential backoff.
@@ -117,8 +120,8 @@ type Config struct {
 	Logf func(format string, args ...any)
 
 	// Registry, when set, receives the daemon's monitord_* metric
-	// families so /metrics can be aggregated with other subsystems (or
-	// served by an external obs endpoint). Nil gives the daemon a
+	// families so its /metrics also serves other subsystems' families
+	// registered there (serve adds bgpd_*). Nil gives the daemon a
 	// private registry. One daemon per registry.
 	Registry *obs.Registry
 }

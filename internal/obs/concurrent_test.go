@@ -33,7 +33,9 @@ func TestConcurrentScrapeUnderLoad(t *testing.T) {
 	reg := obs.NewRegistry()
 	hv := reg.HistogramVec("quicksand_load_seconds", "Scrape-under-load test.",
 		[]float64{0.1, 0.25, 0.5, 1}, "writer")
-	srv := httptest.NewServer(obs.Handler(reg, false))
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		reg.WritePrometheus(w)
+	}))
 	defer srv.Close()
 
 	var done atomic.Bool

@@ -1,15 +1,16 @@
 // Package obs is the repository's observability substrate: a stdlib-only
-// metrics registry with Prometheus text-format exposition, structured
-// JSON logging on log/slog with a shared component/run-ID convention,
-// lightweight nestable span tracing (JSONL trace files plus an in-memory
-// per-phase wall-time summary), and opt-in HTTP endpoints (/metrics and
-// net/http/pprof) usable from any binary.
+// metrics registry with Prometheus text-format exposition and a strict
+// parser for it, structured logging on log/slog with a shared
+// component/run-ID convention, and lightweight nestable span tracing
+// (JSONL trace files plus an in-memory per-phase wall-time summary).
 //
-// The paper's §5 countermeasure is a monitoring system, and the ROADMAP
-// north star ("as fast as the hardware allows") needs numbers instead of
-// guesses: every hot path — bgpsim propagation, the internal/par
-// experiment engine, bgpd sessions, monitord ingest — emits through this
-// package so one exposition path serves the daemon and the CLI alike.
+// Each piece is used where it is read. The paper's §5 countermeasure is
+// a monitor an operator watches, so the registry backs the daemon's
+// /metrics: `quicksand serve` puts the monitord_*, fleet_* and bgpd_*
+// families on its one HTTP API, next to opt-in pprof. The batch
+// binaries (the experiments, bgpgen, torgen) answer their questions
+// after the run, so they get a tracer (-trace FILE, see OpenTrace) and,
+// for the experiments, -v progress logs — no metrics endpoint.
 //
 // Design rules:
 //

@@ -2,6 +2,7 @@ package obs_test
 
 import (
 	"math"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -171,7 +172,7 @@ func TestScrapeTargetErrors(t *testing.T) {
 	if _, err := obs.ScrapeTarget("http://127.0.0.1:1/metrics"); err == nil {
 		t.Error("no error for unreachable target")
 	}
-	srv := httptest.NewServer(obs.Handler(obs.NewRegistry(), false))
+	srv := httptest.NewServer(http.NotFoundHandler())
 	srv.Close()
 	if _, err := obs.ScrapeTarget(srv.URL + "/metrics"); err == nil {
 		t.Error("no error for closed server")

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -49,6 +50,30 @@ func Float(k string, v float64) Attr { return Attr{k, v} }
 // be nil for a summary-only tracer. attrs are stamped on every record.
 func NewTracer(w io.Writer, attrs ...Attr) *Tracer {
 	return &Tracer{w: w, stats: make(map[string]*SpanStat), attrs: attrs}
+}
+
+// OpenTrace is a batch binary's -trace FILE. An empty path is tracing
+// off: a nil tracer and a done that does nothing. Otherwise every ended
+// span is written to path as one JSON line stamped with attrs, and done,
+// called once when the run ends, prints the per-phase summary to summary
+// and returns the first span-write or close error.
+func OpenTrace(path string, summary io.Writer, attrs ...Attr) (t *Tracer, done func() error, err error) {
+	if path == "" {
+		return nil, func() error { return nil }, nil
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, nil, fmt.Errorf("-trace: %w", err)
+	}
+	t = NewTracer(f, attrs...)
+	return t, func() error {
+		t.WriteSummary(summary)
+		err := t.Err()
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		return err
+	}, nil
 }
 
 // Span is one in-flight span. End it exactly once.

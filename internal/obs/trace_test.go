@@ -3,6 +3,8 @@ package obs
 import (
 	"encoding/json"
 	"errors"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -101,6 +103,45 @@ func TestTracerWriteError(t *testing.T) {
 	tr.Start("b").End()
 	if !errors.Is(tr.Err(), sentinel) {
 		t.Fatalf("Err() = %v, want %v", tr.Err(), sentinel)
+	}
+}
+
+// TestOpenTrace covers -trace FILE: off without a path, one JSONL record
+// per span stamped with the run attrs plus the summary at done, and an
+// error for a path that cannot be created.
+func TestOpenTrace(t *testing.T) {
+	tr, done, err := OpenTrace("", nil)
+	if tr != nil || err != nil || done() != nil {
+		t.Fatalf("OpenTrace(\"\") = %v, %v; want tracing off", tr, err)
+	}
+
+	path := filepath.Join(t.TempDir(), "trace.jsonl")
+	var summary strings.Builder
+	tr, done, err = OpenTrace(path, &summary, String("run", "abcd1234"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.Start("phase").End()
+	if err := done(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rec struct {
+		Name  string
+		Attrs map[string]any
+	}
+	if err := json.Unmarshal(data, &rec); err != nil || rec.Name != "phase" || rec.Attrs["run"] != "abcd1234" {
+		t.Errorf("trace file = %s (%v), want one phase record stamped run=abcd1234", data, err)
+	}
+	if !strings.Contains(summary.String(), "span summary (1 phases)") {
+		t.Errorf("summary:\n%s", summary.String())
+	}
+
+	if _, _, err := OpenTrace(filepath.Join(t.TempDir(), "missing", "t.jsonl"), nil); err == nil {
+		t.Error("an uncreatable trace path did not fail")
 	}
 }
 

@@ -7,22 +7,11 @@ import (
 	"quicksand/internal/obs"
 )
 
-// Observer instruments the pool. All fields are optional: nil metric
-// handles no-op (see internal/obs), and a nil Progress callback skips
-// progress reporting. The observer wraps the user function only — it
+// Observer instruments the pool for the experiments' -v and -trace. Both
+// fields are optional. The observer wraps the user function only — it
 // never touches dispatch order or per-trial seed derivation, so the
 // bit-for-bit determinism contract of Map is unaffected.
 type Observer struct {
-	// Wait observes the delay (seconds) between fan-out start and each
-	// task starting — scheduling latency under worker contention.
-	Wait *obs.Histogram
-	// Exec observes each task's execution wall time in seconds.
-	Exec *obs.Histogram
-	// Tasks counts completed tasks across all fan-outs.
-	Tasks *obs.Counter
-	// BusyNS accumulates worker busy time in nanoseconds; divide by
-	// workers x wall time for pool utilization.
-	BusyNS *obs.Counter
 	// Progress, when set, is called after every task completion with the
 	// number done so far, the fan-out size, and elapsed time since the
 	// fan-out began. It runs on worker goroutines and must be safe for
@@ -34,18 +23,6 @@ type Observer struct {
 	Trace *obs.Tracer
 }
 
-// NewObserver builds an observer backed by the standard par_* metric
-// families on reg. A nil registry yields an observer whose metric
-// handles all no-op.
-func NewObserver(reg *obs.Registry) *Observer {
-	return &Observer{
-		Wait:   reg.Histogram("par_task_wait_seconds", "Delay from fan-out start to task start.", nil),
-		Exec:   reg.Histogram("par_task_exec_seconds", "Task execution wall time.", nil),
-		Tasks:  reg.Counter("par_tasks_completed_total", "Tasks completed across all fan-outs."),
-		BusyNS: reg.Counter("par_worker_busy_nanoseconds_total", "Cumulative worker busy time in nanoseconds."),
-	}
-}
-
 var observer atomic.Pointer[Observer]
 
 // SetObserver installs the process-wide pool observer; nil disables
@@ -53,23 +30,17 @@ var observer atomic.Pointer[Observer]
 // Map call — nothing per task.
 func SetObserver(o *Observer) { observer.Store(o) }
 
-// instrumented wraps fn with per-task timing and progress reporting.
+// instrumented wraps fn with a per-task span and progress reporting.
 func instrumented[T any](ob *Observer, n int, fn func(int) (T, error)) func(int) (T, error) {
 	start := time.Now()
 	done := new(atomic.Int64)
 	return func(i int) (T, error) {
-		ts := time.Now()
-		ob.Wait.Observe(ts.Sub(start).Seconds())
 		var sp *obs.Span
 		if ob.Trace != nil {
 			sp = ob.Trace.Start("trial", obs.Int("trial", i))
 		}
 		v, err := fn(i)
 		sp.End()
-		d := time.Since(ts)
-		ob.Exec.Observe(d.Seconds())
-		ob.BusyNS.Add(uint64(d))
-		ob.Tasks.Inc()
 		if ob.Progress != nil {
 			ob.Progress(int(done.Add(1)), n, time.Since(start))
 		}

@@ -1,6 +1,7 @@
 package par
 
 import (
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -9,8 +10,7 @@ import (
 )
 
 func TestObserverCountsAndProgress(t *testing.T) {
-	reg := obs.NewRegistry()
-	ob := NewObserver(reg)
+	ob := &Observer{}
 	var mu sync.Mutex
 	var seenDone []int
 	lastTotal := 0
@@ -32,12 +32,6 @@ func TestObserverCountsAndProgress(t *testing.T) {
 			t.Fatalf("out[%d] = %d, instrumentation perturbed results", i, v)
 		}
 	}
-	if ob.Tasks.Value() != 10 {
-		t.Errorf("tasks = %d, want 10", ob.Tasks.Value())
-	}
-	if ob.Exec.Count() != 10 || ob.Wait.Count() != 10 {
-		t.Errorf("exec count = %d, wait count = %d, want 10 each", ob.Exec.Count(), ob.Wait.Count())
-	}
 	if len(seenDone) != 10 || lastTotal != 10 {
 		t.Errorf("progress calls = %d (total %d), want 10", len(seenDone), lastTotal)
 	}
@@ -52,22 +46,19 @@ func TestObserverCountsAndProgress(t *testing.T) {
 }
 
 func TestObserverSequentialPath(t *testing.T) {
-	ob := NewObserver(obs.NewRegistry())
-	SetObserver(ob)
+	var calls []int
+	SetObserver(&Observer{Progress: func(done, total int, _ time.Duration) { calls = append(calls, done, total) }})
 	defer SetObserver(nil)
 	if err := ForEach(1, 3, func(i int) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
-	if ob.Tasks.Value() != 3 {
-		t.Errorf("tasks = %d, want 3", ob.Tasks.Value())
-	}
-	if ob.BusyNS.Value() == 0 {
-		t.Error("busy time not accumulated")
+	if want := []int{1, 3, 2, 3, 3, 3}; !slices.Equal(calls, want) {
+		t.Errorf("progress (done, total) pairs = %v, want %v", calls, want)
 	}
 }
 
 func TestObserverDeterminismAcrossWorkers(t *testing.T) {
-	SetObserver(NewObserver(obs.NewRegistry()))
+	SetObserver(&Observer{Trace: obs.NewTracer(nil), Progress: func(int, int, time.Duration) {}})
 	defer SetObserver(nil)
 	run := func(workers int) []int64 {
 		out, err := Map(workers, 32, func(i int) (int64, error) {
@@ -87,10 +78,8 @@ func TestObserverDeterminismAcrossWorkers(t *testing.T) {
 }
 
 func TestObserverTrialSpans(t *testing.T) {
-	ob := NewObserver(obs.NewRegistry())
 	tr := obs.NewTracer(nil) // summary-only
-	ob.Trace = tr
-	SetObserver(ob)
+	SetObserver(&Observer{Trace: tr})
 	defer SetObserver(nil)
 	if _, err := Map(2, 7, func(i int) (int, error) { return i, nil }); err != nil {
 		t.Fatal(err)
@@ -98,17 +87,5 @@ func TestObserverTrialSpans(t *testing.T) {
 	sum := tr.Summary()
 	if len(sum) != 1 || sum[0].Name != "trial" || sum[0].Count != 7 {
 		t.Fatalf("span summary = %+v, want 7 'trial' spans", sum)
-	}
-}
-
-func TestObserverNilRegistry(t *testing.T) {
-	ob := NewObserver(nil)
-	SetObserver(ob)
-	defer SetObserver(nil)
-	if err := ForEach(2, 4, func(i int) error { return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if ob.Tasks.Value() != 0 {
-		t.Error("nil-registry observer recorded values")
 	}
 }

@@ -15,10 +15,6 @@ type Metrics struct {
 	// Tables counts two-origin hijack route tables computed — the
 	// engine's unit of work (one per (guard, attacker) pair).
 	Tables *obs.Counter
-	// CacheHits / CacheMisses count Engine.Matrix lookups served from
-	// the version-tagged cache vs recomputed.
-	CacheHits   *obs.Counter
-	CacheMisses *obs.Counter
 	// ShardSeconds observes the wall time of each per-guard shard (all
 	// attacker tables for one guard destination).
 	ShardSeconds *obs.Histogram
@@ -33,8 +29,6 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 	return &Metrics{
 		Pairs:        reg.Counter("resilience_pairs_total", "Client-guard resilience values computed."),
 		Tables:       reg.Counter("resilience_tables_total", "Two-origin hijack route tables computed."),
-		CacheHits:    reg.Counter("resilience_cache_hits_total", "Matrix lookups served from the versioned cache."),
-		CacheMisses:  reg.Counter("resilience_cache_misses_total", "Matrix lookups that forced a computation."),
 		ShardSeconds: reg.Histogram("resilience_shard_seconds", "Wall time of one per-guard destination shard.", shardBuckets),
 	}
 }

@@ -328,10 +328,6 @@ func sampleIDs(dst []int32, swap map[int]int, rng *rand.Rand, n int, skip int32,
 // computation, and any graph mutation invalidates every cached matrix.
 // Safe for concurrent use.
 type Engine struct {
-	// Met, when set before use, instruments computations and cache
-	// traffic. Nil disables all recording.
-	Met *Metrics
-
 	memo *topology.VersionMemo[string, *Matrix]
 }
 
@@ -346,17 +342,8 @@ func (e *Engine) Graph() *topology.Graph { return e.memo.Graph() }
 // Matrix returns the cached matrix for cfg, computing it on first use
 // per graph version.
 func (e *Engine) Matrix(cfg Config) (*Matrix, error) {
-	g, miss := e.memo.Graph(), false
-	m, err := e.memo.Get(cfg.key(g.Compiled().Len()), func() (*Matrix, error) {
-		miss = true
-		return Compute(g, cfg, e.Met)
+	g := e.memo.Graph()
+	return e.memo.Get(cfg.key(g.Compiled().Len()), func() (*Matrix, error) {
+		return Compute(g, cfg, nil)
 	})
-	if e.Met != nil {
-		if miss {
-			e.Met.CacheMisses.Inc()
-		} else {
-			e.Met.CacheHits.Inc()
-		}
-	}
-	return m, err
 }

@@ -55,7 +55,9 @@ func TestLintPromURLAggregated(t *testing.T) {
 	h := reg.HistogramVec("monitord_latency_seconds", "Latency.", obs.ExpBuckets(0.001, 10, 4), "stage")
 	h.With("read").Observe(0.005)
 	h.With("apply").Observe(0.5)
-	srv := httptest.NewServer(obs.Handler(reg, false))
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		reg.WritePrometheus(w)
+	}))
 	t.Cleanup(srv.Close)
 	if errs := LintPromURL(srv.URL + "/metrics"); len(errs) != 0 {
 		t.Fatalf("aggregated registry fails lint: %v", errs)

@@ -28,7 +28,8 @@
 #      route engine and exposition parser, with the fleet's remote mode
 #      and the daemon's private RIB file, with the unused example
 #      programs and AS_PATH helpers, with the fleet's shards, merger and
-#      watch table, or as duplicates of a bench/ metric or of a test the
+#      watch table, with the shared observability flags and the batch-only
+#      metrics, or as duplicates of a bench/ metric or of a test the
 #      kill matrix keeps are named nowhere outside the history files (Go
 #      comments and scripts here; TestDocsCiteOnlyWhatExists checks the
 #      Markdown's paths and test names)
@@ -108,6 +109,11 @@ retired="$retired|TestOracle(Agrees)|TestCompiledMatches(Legacy)|Test(Hijack|Int
 retired="$retired|Merge(Snapshots)|Snapshot(Registry)|Owner(Of)|Partition[(]|Merge(Interval)|watch(Table)"
 retired="$retired|TestMerged(RingEviction)|TestOwner(Of)(Partition)"
 retired="$retired|write(Plain|Histogram)(Samples)"
+# So is the observability flag bundle every binary carried, its second
+# HTTP server, and the batch-only metric families nothing read: serve has
+# one HTTP surface, the batch binaries keep -trace and -v.
+retired="$retired|obs[.](Options)|Start(Server)|metrics(-addr)|New(Observer)"
+retired="$retired|par_(task_)|bgpsim_(events_)|resilience_(cache_)|Benchmark(RunObserved|MapObserver)"
 if stale=$(git grep -nE "$retired" -- . ':!PAPER.md' \
     ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!bench'); then
     echo "FAIL: retired names still referenced:" >&2
