@@ -327,9 +327,6 @@ func TestMonitorRelevant(t *testing.T) {
 			t.Errorf("%s: Observe(%v) alerted = %v, want %v", tc.name, tc.prefix, alerted, tc.want)
 		}
 	}
-	if _, err := NewMonitor(map[netip.Prefix]bgp.ASN{pfx("2001:db8::/32"): 65000}); err == nil {
-		t.Error("IPv6 watched prefix accepted")
-	}
 }
 
 func TestMonitorNewUpstream(t *testing.T) {
@@ -365,6 +362,31 @@ func TestMonitorIgnoresWithdrawals(t *testing.T) {
 func TestNewMonitorEmpty(t *testing.T) {
 	if _, err := NewMonitor(nil); err == nil {
 		t.Fatal("empty watch set accepted")
+	}
+}
+
+// TestNewMonitorRejectsBadWatchlist pins the watchlist's two input
+// checks: every watched prefix is IPv4, and keys that mask to one prefix
+// agree on its origin, so which origin is expected (and so whether a
+// hijack alarms) never depends on map iteration order.
+func TestNewMonitorRejectsBadWatchlist(t *testing.T) {
+	pfx := netip.MustParsePrefix
+	bad := map[string]map[netip.Prefix]bgp.ASN{
+		"IPv6":            {pfx("2001:db8::/32"): 65000},
+		"origin conflict": {pfx("10.1.0.0/16"): 1, pfx("10.1.2.3/16"): 2},
+	}
+	for name, w := range bad {
+		if _, err := NewMonitor(w); err == nil {
+			t.Errorf("%s: watchlist %v accepted", name, w)
+		}
+	}
+	m, err := NewMonitor(map[netip.Prefix]bgp.ASN{pfx("10.1.0.0/16"): 1, pfx("10.1.2.3/16"): 1})
+	if err != nil {
+		t.Fatalf("agreeing duplicate rejected: %v", err)
+	}
+	u := bgpsim.UpdateEvent{Time: mt0, Prefix: pfx("10.1.0.0/16"), Path: []bgp.ASN{3320, 1}}
+	if alerts := m.Observe(&u); len(alerts) != 0 {
+		t.Errorf("expected origin alerted: %v", alerts)
 	}
 }
 

@@ -2,8 +2,10 @@ package defense
 
 import (
 	"fmt"
+	"math/bits"
 	"net/netip"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"quicksand/internal/bgp"
@@ -64,39 +66,48 @@ type Alert struct {
 // Monitor is safe for concurrent use: Learn, EnableUpstream, Observe and
 // Relevant may be called from any number of goroutines, so a streaming
 // consumer (internal/monitord) can fan updates out over sharded workers.
-// The watched-prefix trie and first-octet map are immutable after
-// NewMonitor and read lock-free; the mutable learning state is guarded by
-// an RWMutex, which Observe only takes on the (cheap, read-side) upstream
-// check.
+// The watchlist and its length masks are immutable after NewMonitor and
+// read lock-free; the learned upstreams are guarded by an RWMutex, which
+// Observe takes (read-side) only once upstream alarms are armed.
 type Monitor struct {
-	watched iptrie.Trie[bgp.ASN] // watched prefix -> expected origin; immutable
-	// octets marks every first octet a watched prefix covers. A watched
-	// prefix covering an address also covers its first octet, or is
-	// covered by it, so an unmarked octet proves no match without a trie
-	// walk — the common case for background churn.
-	octets [256]bool
+	watched map[uint64]bgp.ASN // iptrie.Key of a watched prefix -> expected origin; immutable
+	// lens[o] has bit b set when a watched /b prefix covers first octet o.
+	// A watched prefix covering an address covers its first octet, or is
+	// covered by it, so a zero mask proves no match without a probe — the
+	// common case for background churn — and a match probes only the
+	// lengths the mask names.
+	lens [256]uint64
 
 	mu             sync.RWMutex
-	knownUpstreams map[netip.Prefix]map[bgp.ASN]bool
-	upstreamAlarms bool
+	knownUpstreams map[uint64]map[bgp.ASN]bool
+	upstreamAlarms atomic.Bool // until set, Observe takes no lock
 }
 
-// NewMonitor builds a monitor watching the given prefixes with their
-// legitimate origins. Upstream alarms stay disabled until EnableUpstream
-// is called after a learning phase.
+// NewMonitor builds a monitor watching the given IPv4 prefixes with their
+// legitimate origins. Two keys that mask to one prefix must agree on its
+// origin. Upstream alarms stay disabled until EnableUpstream is called
+// after a learning phase.
 func NewMonitor(watched map[netip.Prefix]bgp.ASN) (*Monitor, error) {
 	if len(watched) == 0 {
 		return nil, fmt.Errorf("defense: nothing to watch")
 	}
-	m := &Monitor{knownUpstreams: make(map[netip.Prefix]map[bgp.ASN]bool)}
+	m := &Monitor{
+		watched:        make(map[uint64]bgp.ASN, len(watched)),
+		knownUpstreams: make(map[uint64]map[bgp.ASN]bool),
+	}
 	for p, origin := range watched {
-		if _, err := m.watched.Insert(p, origin); err != nil {
-			return nil, err
+		k, ok := iptrie.Key(p)
+		if !ok {
+			return nil, fmt.Errorf("defense: watched prefix %v is not IPv4", p)
 		}
+		if prev, dup := m.watched[k]; dup && prev != origin {
+			return nil, fmt.Errorf("defense: watched prefix %v has origins %v and %v", p.Masked(), prev, origin)
+		}
+		m.watched[k] = origin
 		// A prefix shorter than /8 spans 2^(8-bits) first octets.
-		first, span := int(p.Masked().Addr().As4()[0]), 1<<max(8-p.Bits(), 0)
+		first, span := int(k>>32), 1<<max(8-p.Bits(), 0)
 		for o := first; o < first+span; o++ {
-			m.octets[o] = true
+			m.lens[o] |= 1 << p.Bits()
 		}
 	}
 	return m, nil
@@ -108,21 +119,31 @@ func NewMonitor(watched map[netip.Prefix]bgp.ASN) (*Monitor, error) {
 // This is the one statement of that rule: Observe applies it first, and a
 // front may drop what it rejects before the update reaches a RIB.
 func (m *Monitor) Relevant(p netip.Prefix) bool {
-	_, _, ok := m.match(p)
+	_, _, _, ok := m.match(p)
 	return ok
 }
 
-// match applies Relevant's rule, also returning whether p is itself
-// watched and, if so, its expected origin.
-func (m *Monitor) match(p netip.Prefix) (expected bgp.ASN, exact, ok bool) {
-	if !p.IsValid() || !p.Addr().Is4() || !m.octets[p.Addr().As4()[0]] {
-		return 0, false, false
+// match applies Relevant's rule, also returning p's key and whether p is
+// itself watched and, if so, its expected origin.
+func (m *Monitor) match(p netip.Prefix) (k uint64, expected bgp.ASN, exact, ok bool) {
+	k, ok = iptrie.Key(p)
+	if !ok {
+		return 0, 0, false, false
 	}
-	if expected, ok := m.watched.Get(p); ok {
-		return expected, true, true
+	plen := int(k & 0xff)
+	lens := m.lens[k>>32]
+	if lens>>plen&1 != 0 {
+		if expected, ok := m.watched[k]; ok {
+			return k, expected, true, true
+		}
 	}
-	cover, _, ok := m.watched.LongestMatch(p.Addr())
-	return 0, false, ok && cover.Bits() < p.Bits()
+	// Strictly more specific: probe each shorter watched length.
+	for shorter := lens & (1<<plen - 1); shorter != 0; shorter &= shorter - 1 {
+		if _, ok := m.watched[iptrie.AddrKey(uint32(k>>8), bits.TrailingZeros64(shorter))]; ok {
+			return k, 0, false, true
+		}
+	}
+	return k, 0, false, false
 }
 
 // Learn records the upstream (penultimate AS) of a benign update for a
@@ -132,15 +153,16 @@ func (m *Monitor) Learn(u *bgpsim.UpdateEvent) {
 	if u.Withdraw() {
 		return
 	}
-	if _, ok := m.watched.Get(u.Prefix); !ok {
+	k, _, exact, _ := m.match(u.Prefix)
+	if !exact {
 		return
 	}
 	if up, ok := upstreamOf(u.Path); ok {
 		m.mu.Lock()
-		set := m.knownUpstreams[u.Prefix]
+		set := m.knownUpstreams[k]
 		if set == nil {
 			set = make(map[bgp.ASN]bool)
-			m.knownUpstreams[u.Prefix] = set
+			m.knownUpstreams[k] = set
 		}
 		set[up] = true
 		m.mu.Unlock()
@@ -149,9 +171,7 @@ func (m *Monitor) Learn(u *bgpsim.UpdateEvent) {
 
 // EnableUpstream turns on new-upstream alarms (after learning).
 func (m *Monitor) EnableUpstream() {
-	m.mu.Lock()
-	m.upstreamAlarms = true
-	m.mu.Unlock()
+	m.upstreamAlarms.Store(true)
 }
 
 // upstreamOf returns the penultimate AS of a path (the origin's
@@ -169,7 +189,7 @@ func (m *Monitor) Observe(u *bgpsim.UpdateEvent) []Alert {
 	if u.Withdraw() || len(u.Path) == 0 {
 		return nil
 	}
-	expected, exact, ok := m.match(u.Prefix)
+	k, expected, exact, ok := m.match(u.Prefix)
 	if !ok {
 		return nil
 	}
@@ -188,17 +208,17 @@ func (m *Monitor) Observe(u *bgpsim.UpdateEvent) []Alert {
 			Kind: AlertOriginChange, Observed: origin,
 		}}
 	}
-	m.mu.RLock()
-	alarm := false
-	var up bgp.ASN
-	if m.upstreamAlarms {
-		var ok bool
-		if up, ok = upstreamOf(u.Path); ok && !m.knownUpstreams[u.Prefix][up] {
-			alarm = true
-		}
+	if !m.upstreamAlarms.Load() {
+		return nil
 	}
+	up, ok := upstreamOf(u.Path)
+	if !ok {
+		return nil
+	}
+	m.mu.RLock()
+	known := m.knownUpstreams[k][up]
 	m.mu.RUnlock()
-	if !alarm {
+	if known {
 		return nil
 	}
 	return []Alert{{

@@ -1,9 +1,11 @@
 // Package iptrie implements a binary radix trie over IPv4 prefixes with
-// longest-prefix-match lookup.
+// longest-prefix-match lookup, and the one-word prefix key that exact-match
+// tables use instead of it.
 //
 // The paper maps every Tor relay IP to "the most specific BGP prefix that
 // contained it" (its Tor prefix); this trie is the substrate for that
-// mapping and for the per-AS routing tables in the BGP simulator. The
+// batch mapping. Questions that ask for one prefix exactly, such as the
+// live RIB's and the watchlist's, hash a Key instead of walking bits. The
 // zero value of Trie is ready to use.
 package iptrie
 
@@ -35,6 +37,31 @@ type Trie[V any] struct {
 func key(a netip.Addr) uint32 {
 	b := a.As4()
 	return binary.BigEndian.Uint32(b[:])
+}
+
+// Key returns the exact-match key of IPv4 prefix p: the masked address in
+// the high bits over the length in the low 8, addr<<8 | bits. Keys of
+// distinct prefixes differ, and keys sort in the trie's pre-order: by
+// address, then shorter first. ok is false for an invalid or non-IPv4
+// prefix.
+func Key(p netip.Prefix) (k uint64, ok bool) {
+	if !p.IsValid() || !p.Addr().Is4() {
+		return 0, false
+	}
+	return AddrKey(key(p.Addr()), p.Bits()), true
+}
+
+// AddrKey returns the Key of the /bits prefix covering IPv4 address a,
+// given as the word key derives; bits must be in [0, 32].
+func AddrKey(a uint32, bits int) uint64 {
+	return uint64(a&^(^uint32(0)>>bits))<<8 | uint64(bits)
+}
+
+// KeyPrefix returns the prefix whose Key is k.
+func KeyPrefix(k uint64) netip.Prefix {
+	var b [4]byte
+	binary.BigEndian.PutUint32(b[:], uint32(k>>8))
+	return netip.PrefixFrom(netip.AddrFrom4(b), int(k&0xff))
 }
 
 func checkPrefix(p netip.Prefix) error {
@@ -75,30 +102,6 @@ func (t *Trie[V]) Insert(p netip.Prefix, val V) (added bool, err error) {
 		t.size++
 	}
 	return added, nil
-}
-
-// Delete removes prefix p from the trie, reporting whether it was present.
-// Interior nodes are left in place (the trie never shrinks structurally);
-// this is fine for the workloads here, where deletions are rare relative
-// to lookups.
-func (t *Trie[V]) Delete(p netip.Prefix) (removed bool, err error) {
-	if err := checkPrefix(p); err != nil {
-		return false, err
-	}
-	n := t.root
-	k := key(p.Addr())
-	for i := p.Bits(); n != nil && i > 0; i-- {
-		n = n.child[k>>31]
-		k <<= 1
-	}
-	if n == nil || !n.has {
-		return false, nil
-	}
-	var zero V
-	n.has = false
-	n.val = zero
-	t.size--
-	return true, nil
 }
 
 // Get returns the value stored at exactly prefix p.
@@ -151,77 +154,5 @@ func (t *Trie[V]) LongestMatch(addr netip.Addr) (p netip.Prefix, val V, ok bool)
 	return bp, bestVal, true
 }
 
-// Matches returns every stored (prefix, value) pair that covers addr, from
-// least to most specific. The slice is nil when nothing matches.
-func (t *Trie[V]) Matches(addr netip.Addr) []Entry[V] {
-	if !addr.Is4() {
-		return nil
-	}
-	var out []Entry[V]
-	n := t.root
-	k := key(addr)
-	for i := 0; n != nil; i++ {
-		if n.has {
-			p, err := addr.Prefix(i)
-			if err != nil {
-				break
-			}
-			out = append(out, Entry[V]{Prefix: p, Value: n.val})
-		}
-		if i == 32 {
-			break
-		}
-		n = n.child[k>>31]
-		k <<= 1
-	}
-	return out
-}
-
-// Entry is a stored (prefix, value) pair, as yielded by Walk and Matches.
-type Entry[V any] struct {
-	Prefix netip.Prefix
-	Value  V
-}
-
 // Len returns the number of stored prefixes.
 func (t *Trie[V]) Len() int { return t.size }
-
-// Walk visits every stored (prefix, value) pair in lexicographic bit
-// order (which sorts by address, then by prefix length at equal address
-// bits, shorter first). Walk stops early and returns false if fn returns
-// false; otherwise it returns true.
-func (t *Trie[V]) Walk(fn func(p netip.Prefix, val V) bool) bool {
-	var rec func(n *node[V], bits [4]byte, depth int) bool
-	rec = func(n *node[V], bits [4]byte, depth int) bool {
-		if n == nil {
-			return true
-		}
-		if n.has {
-			addr := netip.AddrFrom4(bits)
-			p, err := addr.Prefix(depth)
-			if err == nil && !fn(p, n.val) {
-				return false
-			}
-		}
-		if depth == 32 {
-			return true
-		}
-		if !rec(n.child[0], bits, depth+1) {
-			return false
-		}
-		b1 := bits
-		b1[depth/8] |= 1 << (7 - depth%8)
-		return rec(n.child[1], b1, depth+1)
-	}
-	return rec(t.root, [4]byte{}, 0)
-}
-
-// Entries returns all stored pairs in Walk order.
-func (t *Trie[V]) Entries() []Entry[V] {
-	out := make([]Entry[V], 0, t.size)
-	t.Walk(func(p netip.Prefix, v V) bool {
-		out = append(out, Entry[V]{Prefix: p, Value: v})
-		return true
-	})
-	return out
-}

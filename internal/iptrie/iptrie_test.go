@@ -134,85 +134,32 @@ func TestLongestMatchIPv6Addr(t *testing.T) {
 	}
 }
 
-func TestDelete(t *testing.T) {
-	var tr Trie[int]
-	tr.Insert(mustPrefix(t, "10.0.0.0/8"), 1)
-	tr.Insert(mustPrefix(t, "10.1.0.0/16"), 2)
-	removed, err := tr.Delete(mustPrefix(t, "10.1.0.0/16"))
-	if err != nil || !removed {
-		t.Fatalf("Delete: %v %v", removed, err)
+func TestKey(t *testing.T) {
+	// Sorted keys follow the trie's pre-order: address, then shorter first.
+	order := []string{"0.0.0.0/0", "10.0.0.0/8", "10.0.0.0/16", "10.1.0.0/16", "10.1.2.3/32", "192.168.0.0/16"}
+	var prev uint64
+	for i, s := range order {
+		k, ok := Key(mustPrefix(t, s))
+		if !ok {
+			t.Fatalf("Key(%s) rejected", s)
+		}
+		if got := KeyPrefix(k); got != mustPrefix(t, s) {
+			t.Errorf("KeyPrefix(Key(%s)) = %v", s, got)
+		}
+		if i > 0 && k <= prev {
+			t.Errorf("Key(%s) = %#x sorts before its predecessor %#x", s, k, prev)
+		}
+		prev = k
 	}
-	if tr.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", tr.Len())
+	// Unmasked inputs share their masked prefix's key.
+	k1, _ := Key(mustPrefix(t, "10.1.2.3/16"))
+	k2, _ := Key(mustPrefix(t, "10.1.0.0/16"))
+	if k1 != k2 || k1 != AddrKey(0x0a010203, 16) {
+		t.Errorf("unmasked key %#x, masked %#x, AddrKey %#x", k1, k2, AddrKey(0x0a010203, 16))
 	}
-	_, v, ok := tr.LongestMatch(mustAddr(t, "10.1.2.3"))
-	if !ok || v != 1 {
-		t.Fatalf("after delete, match = %v %v, want /8", v, ok)
-	}
-	removed, err = tr.Delete(mustPrefix(t, "10.1.0.0/16"))
-	if err != nil || removed {
-		t.Fatalf("double delete: %v %v", removed, err)
-	}
-}
-
-func TestMatches(t *testing.T) {
-	var tr Trie[int]
-	tr.Insert(mustPrefix(t, "0.0.0.0/0"), 0)
-	tr.Insert(mustPrefix(t, "10.0.0.0/8"), 8)
-	tr.Insert(mustPrefix(t, "10.1.2.0/24"), 24)
-	ms := tr.Matches(mustAddr(t, "10.1.2.3"))
-	if len(ms) != 3 {
-		t.Fatalf("got %d matches, want 3: %v", len(ms), ms)
-	}
-	if ms[0].Value != 0 || ms[1].Value != 8 || ms[2].Value != 24 {
-		t.Fatalf("matches out of order: %v", ms)
-	}
-}
-
-func TestWalkOrderAndEarlyStop(t *testing.T) {
-	var tr Trie[int]
-	for i, s := range []string{"10.0.0.0/8", "10.0.0.0/16", "192.168.0.0/16", "0.0.0.0/0"} {
-		tr.Insert(mustPrefix(t, s), i)
-	}
-	var seen []netip.Prefix
-	tr.Walk(func(p netip.Prefix, _ int) bool {
-		seen = append(seen, p)
-		return true
-	})
-	if len(seen) != 4 {
-		t.Fatalf("walked %d, want 4", len(seen))
-	}
-	if seen[0] != mustPrefix(t, "0.0.0.0/0") || seen[1] != mustPrefix(t, "10.0.0.0/8") {
-		t.Fatalf("walk order wrong: %v", seen)
-	}
-	// Early stop.
-	count := 0
-	done := tr.Walk(func(netip.Prefix, int) bool {
-		count++
-		return count < 2
-	})
-	if done || count != 2 {
-		t.Fatalf("early stop: done=%v count=%d", done, count)
-	}
-}
-
-func TestEntriesRoundTrip(t *testing.T) {
-	var tr Trie[int]
-	want := map[netip.Prefix]int{
-		mustPrefix(t, "10.0.0.0/8"):     1,
-		mustPrefix(t, "172.16.0.0/12"):  2,
-		mustPrefix(t, "192.168.1.0/24"): 3,
-	}
-	for p, v := range want {
-		tr.Insert(p, v)
-	}
-	got := tr.Entries()
-	if len(got) != len(want) {
-		t.Fatalf("Entries len = %d, want %d", len(got), len(want))
-	}
-	for _, e := range got {
-		if want[e.Prefix] != e.Value {
-			t.Fatalf("entry %v = %d, want %d", e.Prefix, e.Value, want[e.Prefix])
+	for _, p := range []netip.Prefix{{}, mustPrefix(t, "2001:db8::/32"), mustPrefix(t, "::ffff:10.0.0.0/104")} {
+		if _, ok := Key(p); ok {
+			t.Errorf("Key(%v) accepted", p)
 		}
 	}
 }

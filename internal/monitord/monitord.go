@@ -53,6 +53,7 @@ import (
 	"quicksand/internal/bgpd"
 	"quicksand/internal/bgpsim"
 	"quicksand/internal/defense"
+	"quicksand/internal/iptrie"
 	"quicksand/internal/obs"
 )
 
@@ -189,7 +190,7 @@ type item struct {
 	rt  time.Time
 	run *run
 
-	prefix netip.Prefix
+	key uint64 // iptrie.Key of the prefix
 	// path distinguishes nil from empty: nil is a withdrawal, a non-nil
 	// empty slice is an announcement whose AS_PATH attribute was present
 	// but had zero segments (legal; it must not flatten into a phantom
@@ -207,10 +208,11 @@ type run struct {
 	home  chan *run
 }
 
-// upd is one update of a run. Its path is arena[off:off+n]; n < 0 is a
-// withdrawal (nil path), n == 0 an announcement with an empty AS_PATH.
+// upd is one update of a run. key is its prefix's iptrie.Key, derived
+// once on the reader. Its path is arena[off:off+n]; n < 0 is a withdrawal
+// (nil path), n == 0 an announcement with an empty AS_PATH.
 type upd struct {
-	prefix netip.Prefix
+	key    uint64
 	off, n int32
 }
 
@@ -433,17 +435,18 @@ type sessionSink struct {
 
 // Update copies the lent path into its shard's open run (non-IPv4: dropped, counted).
 func (s *sessionSink) Update(t time.Time, prefix netip.Prefix, path []bgp.ASN) {
-	if !prefix.IsValid() || !prefix.Addr().Is4() {
+	k, ok := iptrie.Key(prefix)
+	if !ok {
 		s.d.met.droppedNonIPv4.Add(1)
 		return
 	}
-	shard := s.d.rib.shardOf(prefix)
+	shard := s.d.rib.shardOf(k)
 	r := s.open[shard]
 	if r == nil {
 		r = s.take()
 		s.open[shard] = r
 	}
-	u := upd{prefix: prefix, off: int32(len(r.arena)), n: -1}
+	u := upd{key: k, off: int32(len(r.arena)), n: -1}
 	if path != nil {
 		u.n = int32(len(path))
 		r.arena = append(r.arena, path...)
@@ -500,7 +503,7 @@ func (d *Daemon) worker(shard int) {
 			r.home <- r // never blocks: home holds the whole budget
 			continue
 		}
-		one := [1]upd{{prefix: it.prefix, n: -1}}
+		one := [1]upd{{key: it.key, n: -1}}
 		if it.path != nil {
 			one[0].n = int32(len(it.path))
 		}
@@ -539,7 +542,7 @@ func (d *Daemon) process(shard int, it *item, upds []upd, arena []bgp.ASN) {
 		if path == nil {
 			withdrawals++
 		}
-		sh.apply(t, si.ID, upds[i].prefix, path)
+		sh.apply(t, si.ID, upds[i].key, path)
 	}
 	sh.mu.Unlock()
 	if observe {
@@ -551,7 +554,7 @@ func (d *Daemon) process(shard int, it *item, upds []upd, arena []bgp.ASN) {
 
 	learn := uint64(d.cfg.LearnUpdates)
 	for i := range upds {
-		ev := bgpsim.UpdateEvent{Time: t, Session: si.ID, Prefix: upds[i].prefix, Path: upds[i].path(arena)}
+		ev := bgpsim.UpdateEvent{Time: t, Session: si.ID, Prefix: iptrie.KeyPrefix(upds[i].key), Path: upds[i].path(arena)}
 		if learn > 0 {
 			if seen := d.learnSeen.Add(1); seen <= learn {
 				d.mon.Learn(&ev)
@@ -594,21 +597,23 @@ func (d *Daemon) RegisterSource(name string, peer bgp.ASN) int {
 // Ingest feeds one update into the pipeline as if received on the given
 // source session, preserving the caller's timestamp, and blocks while the
 // prefix's shard queue is full (backpressure). It must not be called
-// after Shutdown. A nil path is a withdrawal; path is handed over.
+// after Shutdown. A nil path is a withdrawal; path is handed over. The
+// RIB and any alert name the prefix masked, as the wire carries it.
 func (d *Daemon) Ingest(session int, t time.Time, prefix netip.Prefix, path []bgp.ASN) error {
 	si, ok := d.srv.Peer(session)
 	if !ok {
 		return fmt.Errorf("monitord: unknown session %d", session)
 	}
-	if !prefix.IsValid() || !prefix.Addr().Is4() {
+	k, ok := iptrie.Key(prefix)
+	if !ok {
 		d.met.droppedNonIPv4.Add(1)
 		return nil
 	}
-	it := item{si: si, t: t, prefix: prefix, path: path}
+	it := item{si: si, t: t, key: k, path: path}
 	if d.stageOn {
 		it.rt = time.Now()
 	}
-	q := &d.shards[d.rib.shardOf(prefix)]
+	q := &d.shards[d.rib.shardOf(k)]
 	q.enqueued.Add(1)
 	si.Updates.Add(1)
 	q.ch <- it

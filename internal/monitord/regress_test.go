@@ -20,6 +20,7 @@ import (
 	"quicksand/internal/bgp"
 	"quicksand/internal/bgpd"
 	"quicksand/internal/bgpsim"
+	"quicksand/internal/iptrie"
 	"quicksand/internal/obs"
 )
 
@@ -277,7 +278,7 @@ func shardPrefixes(d *Daemon, shard, n int, want bool) []netip.Prefix {
 	var out []netip.Prefix
 	for i := 0; len(out) < n; i++ {
 		p := netip.PrefixFrom(netip.AddrFrom4([4]byte{11, byte(i >> 8), byte(i), 0}), 24)
-		if (d.rib.shardOf(p) == shard) == want {
+		if k, _ := iptrie.Key(p); (d.rib.shardOf(k) == shard) == want {
 			out = append(out, p)
 		}
 	}

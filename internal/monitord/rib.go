@@ -1,8 +1,9 @@
 package monitord
 
 import (
-	"encoding/binary"
+	"math/bits"
 	"net/netip"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -44,109 +45,109 @@ func (e *RIBEntry) Best() (Route, bool) {
 }
 
 // liveRIB is the daemon's sharded routing table: prefix -> per-session
-// path state over internal/iptrie. Each shard is guarded by its own
-// RWMutex; the dispatcher routes every update for a prefix to the same
-// shard, so writes per shard come from a single worker while HTTP
-// lookups take read locks. The RIB owns its storage: it copies every path
-// into a route's own capacity and never retains an argument.
+// path state. Every question the ingest path asks of it is exact, so each
+// shard is a map keyed by iptrie.Key; only /rib?addr= asks for a longest
+// match. Each shard is guarded by its own RWMutex; the dispatcher routes
+// every update for a prefix to the same shard, so writes per shard come
+// from a single worker while HTTP lookups take read locks. The RIB owns
+// its storage: it copies every path into a route's own capacity and
+// never retains an argument.
 type liveRIB struct {
 	shards []ribShard
 }
 
+// ribShard maps each prefix's key to its live routes in ascending session
+// id. Slots past a slice's len keep the path capacity of routes that were
+// withdrawn.
 type ribShard struct {
-	mu   sync.RWMutex
-	trie iptrie.Trie[*ribRoutes]
-	size atomic.Int64 // written under mu, read without: a scrape never waits on a shard
-	// spare holds the route sets of prefixes that left the table: the next
-	// prefix inserted reuses their route and path capacity.
-	spare []*ribRoutes
-}
-
-// ribRoutes is one prefix's live routes in ascending session id. Slots
-// past len keep the path capacity of routes that were withdrawn.
-type ribRoutes struct {
-	routes []Route
+	mu     sync.RWMutex
+	routes map[uint64][]Route
+	lens   uint64       // bit b set once a /b prefix is stored: the lengths LookupAddr probes
+	size   atomic.Int64 // written under mu, read without: a scrape never waits on a shard
+	// spare holds the route slices of prefixes that left the table: the
+	// next prefix inserted reuses their route and path capacity.
+	spare [][]Route
 }
 
 func newLiveRIB(shards int) *liveRIB {
-	return &liveRIB{shards: make([]ribShard, shards)}
+	r := &liveRIB{shards: make([]ribShard, shards)}
+	for i := range r.shards {
+		r.shards[i].routes = make(map[uint64][]Route)
+	}
+	return r
 }
 
-// shardOf maps a prefix to its shard by FNV-1a over the masked address
-// bytes and the prefix length.
-func (r *liveRIB) shardOf(p netip.Prefix) int {
-	a := p.Addr().As4()
-	k := binary.BigEndian.Uint32(a[:]) &^ (^uint32(0) >> p.Bits())
+// shardOf maps a prefix key to its shard by FNV-1a over the masked
+// address bytes and the prefix length: the key's five low bytes, high
+// byte first.
+func (r *liveRIB) shardOf(k uint64) int {
 	h := uint32(2166136261)
-	for shift := 24; shift >= 0; shift -= 8 {
-		h = (h ^ (k >> shift & 0xff)) * 16777619
+	for shift := 32; shift >= 0; shift -= 8 {
+		h = (h ^ uint32(k>>shift&0xff)) * 16777619
 	}
-	h = (h ^ uint32(p.Bits())) * 16777619
 	return int(h % uint32(len(r.shards)))
 }
 
-// apply folds one update into its shard; the caller holds mu. An
-// announcement replaces the session's path (copied, never kept), a
-// withdrawal (nil path) removes it, and a prefix whose last session
-// withdraws leaves the table entirely. A non-nil empty path is a legal
-// announcement (AS_PATH present with zero segments) and is stored.
-func (sh *ribShard) apply(t time.Time, session int, prefix netip.Prefix, path []bgp.ASN) {
-	rs, ok := sh.trie.Get(prefix)
+// apply folds one update for the prefix with key k into its shard; the
+// caller holds mu. An announcement replaces the session's path (copied,
+// never kept), a withdrawal (nil path) removes it, and a prefix whose last
+// session withdraws leaves the table entirely. A non-nil empty path is a
+// legal announcement (AS_PATH present with zero segments) and is stored.
+// The map holds the slice itself, so it is written back only when the
+// slice's header changes.
+func (sh *ribShard) apply(t time.Time, session int, k uint64, path []bgp.ASN) {
+	rs, ok := sh.routes[k]
 	i := 0
-	for ok && i < len(rs.routes) && rs.routes[i].Session < session {
+	for i < len(rs) && rs[i].Session < session {
 		i++
 	}
-	found := ok && i < len(rs.routes) && rs.routes[i].Session == session
+	found := i < len(rs) && rs[i].Session == session
 	if path == nil {
 		if !found {
 			return
 		}
 		// Park the slot past the end: its path capacity serves the next
 		// session announced here.
-		gone, last := rs.routes[i], len(rs.routes)-1
-		copy(rs.routes[i:], rs.routes[i+1:])
-		rs.routes[last] = gone
-		rs.routes = rs.routes[:last]
+		gone, last := rs[i], len(rs)-1
+		copy(rs[i:], rs[i+1:])
+		rs[last] = gone
 		if last == 0 {
-			if removed, _ := sh.trie.Delete(prefix); removed {
-				sh.size.Add(-1)
-				sh.spare = append(sh.spare, rs)
-			}
+			delete(sh.routes, k)
+			sh.size.Add(-1)
+			sh.spare = append(sh.spare, rs[:0])
+		} else {
+			sh.routes[k] = rs[:last]
 		}
 		return
 	}
 	if !ok {
 		if n := len(sh.spare); n > 0 {
 			rs, sh.spare = sh.spare[n-1], sh.spare[:n-1]
-		} else {
-			rs = new(ribRoutes)
 		}
-		if added, err := sh.trie.Insert(prefix, rs); err != nil {
-			return // non-IPv4 prefix; the decode layer never produces one
-		} else if added {
-			sh.size.Add(1)
-		}
+		sh.size.Add(1)
+		sh.lens |= 1 << (k & 0xff)
 	}
 	if !found {
 		// Open slot i, taking over a parked slot's path capacity.
-		n := len(rs.routes)
-		if n < cap(rs.routes) {
-			rs.routes = rs.routes[:n+1]
+		n := len(rs)
+		if n < cap(rs) {
+			rs = rs[:n+1]
 		} else {
-			rs.routes = append(rs.routes, Route{})
+			rs = append(rs, Route{})
 		}
-		parked := rs.routes[n].Path
-		copy(rs.routes[i+1:], rs.routes[i:n])
-		rs.routes[i] = Route{Session: session, Path: parked}
+		parked := rs[n].Path
+		copy(rs[i+1:], rs[i:n])
+		rs[i] = Route{Session: session, Path: parked}
+		sh.routes[k] = rs
 	}
-	rt := &rs.routes[i]
+	rt := &rs[i]
 	rt.Path = append(rt.Path[:0], path...)
 	rt.Updated = t
 }
 
-func snapshotEntry(p netip.Prefix, rs *ribRoutes) *RIBEntry {
-	e := &RIBEntry{Prefix: p, Routes: make([]Route, len(rs.routes))}
-	for i, rt := range rs.routes {
+func snapshotEntry(k uint64, rs []Route) *RIBEntry {
+	e := &RIBEntry{Prefix: iptrie.KeyPrefix(k), Routes: make([]Route, len(rs))}
+	for i, rt := range rs {
 		// append onto a non-nil base so an empty-AS_PATH announcement
 		// stays distinguishable from a withdrawal in the snapshot.
 		rt.Path = append([]bgp.ASN{}, rt.Path...)
@@ -157,30 +158,41 @@ func snapshotEntry(p netip.Prefix, rs *ribRoutes) *RIBEntry {
 
 // Lookup returns the live entry stored at exactly prefix p.
 func (r *liveRIB) Lookup(p netip.Prefix) (*RIBEntry, bool) {
-	if !p.IsValid() || !p.Addr().Is4() {
-		return nil, false
-	}
-	sh := &r.shards[r.shardOf(p)]
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	rs, ok := sh.trie.Get(p)
+	k, ok := iptrie.Key(p)
 	if !ok {
 		return nil, false
 	}
-	return snapshotEntry(p.Masked(), rs), true
+	sh := &r.shards[r.shardOf(k)]
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	rs, ok := sh.routes[k]
+	if !ok {
+		return nil, false
+	}
+	return snapshotEntry(k, rs), true
 }
 
 // LookupAddr returns the most specific live entry covering addr. Shards
-// partition by prefix, so the longest match is taken across all of them.
+// partition by prefix, so the longest match is taken across all of them,
+// each probing only the lengths it has stored, longest first.
 func (r *liveRIB) LookupAddr(addr netip.Addr) (*RIBEntry, bool) {
+	a, ok := iptrie.Key(netip.PrefixFrom(addr, 32))
+	if !ok {
+		return nil, false
+	}
 	var best *RIBEntry
 	bestBits := -1
 	for i := range r.shards {
 		sh := &r.shards[i]
 		sh.mu.RLock()
-		if p, rs, ok := sh.trie.LongestMatch(addr); ok && p.Bits() > bestBits {
-			best = snapshotEntry(p, rs)
-			bestBits = p.Bits()
+		for lens := sh.lens &^ (1<<(bestBits+1) - 1); lens != 0; {
+			b := 63 - bits.LeadingZeros64(lens)
+			lens &^= 1 << b
+			k := iptrie.AddrKey(uint32(a>>8), b)
+			if rs, ok := sh.routes[k]; ok {
+				best, bestBits = snapshotEntry(k, rs), b
+				break
+			}
 		}
 		sh.mu.RUnlock()
 	}
@@ -196,16 +208,21 @@ func (r *liveRIB) Size() int {
 	return n
 }
 
-// Walk visits a snapshot of every live entry, shard by shard.
+// Walk visits a snapshot of every live entry, shard by shard, each in key
+// order: by address, then shorter first.
 func (r *liveRIB) Walk(fn func(*RIBEntry) bool) {
 	for i := range r.shards {
 		sh := &r.shards[i]
 		sh.mu.RLock()
-		var entries []*RIBEntry
-		sh.trie.Walk(func(p netip.Prefix, rs *ribRoutes) bool {
-			entries = append(entries, snapshotEntry(p, rs))
-			return true
-		})
+		keys := make([]uint64, 0, len(sh.routes))
+		for k := range sh.routes {
+			keys = append(keys, k)
+		}
+		slices.Sort(keys)
+		entries := make([]*RIBEntry, len(keys))
+		for j, k := range keys {
+			entries[j] = snapshotEntry(k, sh.routes[k])
+		}
 		sh.mu.RUnlock()
 		for _, e := range entries {
 			if !fn(e) {

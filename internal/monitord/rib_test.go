@@ -1,11 +1,19 @@
 package monitord
 
 import (
+	"cmp"
+	"fmt"
+	"hash/fnv"
+	"math/rand"
 	"net/netip"
+	"slices"
 	"testing"
 	"time"
 
 	"quicksand/internal/bgp"
+	"quicksand/internal/bgpsim"
+	"quicksand/internal/defense"
+	"quicksand/internal/iptrie"
 )
 
 func asns(vs ...uint32) []bgp.ASN {
@@ -19,9 +27,13 @@ func asns(vs ...uint32) []bgp.ASN {
 // apply folds one update into the RIB as a shard worker would: under the
 // prefix's shard's lock.
 func (r *liveRIB) apply(t time.Time, session int, prefix netip.Prefix, path []bgp.ASN) {
-	sh := &r.shards[r.shardOf(prefix)]
+	k, ok := iptrie.Key(prefix)
+	if !ok {
+		return // the sink drops non-IPv4 prefixes before a shard sees them
+	}
+	sh := &r.shards[r.shardOf(k)]
 	sh.mu.Lock()
-	sh.apply(t, session, prefix, path)
+	sh.apply(t, session, k, path)
 	sh.mu.Unlock()
 }
 
@@ -117,25 +129,21 @@ func TestLiveRIBLongestMatchAcrossShards(t *testing.T) {
 	}
 }
 
+// TestShardOfStableAndInRange pins the shard hash: FNV-1a over the masked
+// address bytes, then the prefix length. Fleet goldens count intake per
+// shard, so a change of hash is a change of output.
 func TestShardOfStableAndInRange(t *testing.T) {
 	rib := newLiveRIB(8)
-	ps := []netip.Prefix{
-		netip.MustParsePrefix("10.0.0.0/8"),
-		netip.MustParsePrefix("10.0.0.0/16"),
-		netip.MustParsePrefix("203.0.113.0/24"),
-	}
-	for _, p := range ps {
-		s := rib.shardOf(p)
-		if s < 0 || s >= 8 {
-			t.Fatalf("shardOf(%v) = %d out of range", p, s)
-		}
-		if s2 := rib.shardOf(p); s2 != s {
-			t.Errorf("shardOf(%v) not stable: %d vs %d", p, s, s2)
+	for _, s := range []string{"10.0.0.0/8", "10.0.0.0/16", "10.1.2.3/16", "203.0.113.0/24", "0.0.0.0/0", "198.51.100.7/32"} {
+		p := netip.MustParsePrefix(s)
+		k, _ := iptrie.Key(p)
+		a := p.Masked().Addr().As4()
+		h := fnv.New32a()
+		h.Write(append(a[:], byte(p.Bits())))
+		if got, want := rib.shardOf(k), int(h.Sum32()%8); got != want {
+			t.Errorf("shardOf(%v) = %d, want %d", p, got, want)
 		}
 	}
-	// Same address, different lengths must be allowed to differ (they are
-	// distinct prefixes), but must at least be deterministic — and the
-	// /8 vs /16 pair above exercises the Bits() mixing.
 }
 
 // TestRIBConcurrentLookupApply pins that Lookup/LookupAddr hand back
@@ -190,4 +198,177 @@ func TestRIBConcurrentLookupApply(t *testing.T) {
 			t.Fatalf("session mutated through snapshot: %+v", rt)
 		}
 	}
+}
+
+// TestExactMatchAgainstLinearOracle is testkit.CheckLPM's twin for the
+// exact-match maps the ingest path uses: random announce/withdraw
+// sequences over overlapping prefixes, among them /0, /1–/7 spanning
+// several first octets, /32s and unmasked inputs, run against a linear
+// scan. The RIB must agree on Lookup, LookupAddr, Walk order and Size;
+// the monitor, built from a random watchlist over the same prefixes, on
+// Relevant and on whether Observe calls an announcement exact, more
+// specific or neither. IPv6 and invalid inputs match nothing.
+func TestExactMatchAgainstLinearOracle(t *testing.T) {
+	lengths := []int{0, 1, 2, 3, 5, 7, 8, 9, 12, 16, 23, 24, 31, 32}
+	octets := []byte{0, 1, 10, 11, 63, 64, 127, 128, 200, 255}
+	t0 := time.Unix(1000, 0)
+	for seed := int64(1); seed <= 12; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		randPrefix := func() netip.Prefix {
+			a := [4]byte{octets[rng.Intn(len(octets))], byte(rng.Intn(3)), byte(rng.Intn(3)), byte(rng.Intn(256))}
+			return netip.PrefixFrom(netip.AddrFrom4(a), lengths[rng.Intn(len(lengths))]) // unmasked
+		}
+		pool := make([]netip.Prefix, 40)
+		for i := range pool {
+			pool[i] = randPrefix()
+		}
+		probes := append([]netip.Prefix{{}, netip.MustParsePrefix("2001:db8::/32")}, pool...)
+		for i := 0; i < 40; i++ {
+			probes = append(probes, randPrefix())
+		}
+
+		rib := newLiveRIB(1 + int(seed)%4)
+		oracle := map[netip.Prefix]map[int][]bgp.ASN{} // masked prefix -> session -> path
+		for op := 0; op < 300; op++ {
+			p, session := pool[rng.Intn(len(pool))], rng.Intn(4)
+			var path []bgp.ASN
+			if rng.Intn(3) > 0 {
+				path = asns(uint32(op), uint32(rng.Intn(5)))[:rng.Intn(3)]
+			}
+			rib.apply(t0, session, p, path)
+			switch m := oracle[p.Masked()]; {
+			case path != nil && m == nil:
+				oracle[p.Masked()] = map[int][]bgp.ASN{session: path}
+			case path != nil:
+				m[session] = path
+			case m != nil:
+				delete(m, session)
+				if len(m) == 0 {
+					delete(oracle, p.Masked())
+				}
+			}
+			if op%10 == 0 {
+				if err := checkRIBOracle(rib, oracle, probes); err != nil {
+					t.Fatalf("seed %d op %d: %v", seed, op, err)
+				}
+			}
+		}
+
+		watched := map[netip.Prefix]bgp.ASN{}
+		for _, p := range pool[:1+rng.Intn(12)] {
+			watched[p.Masked()] = 65000
+		}
+		mon, err := defense.NewMonitor(watched)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, q := range probes {
+			_, exact := watched[q.Masked()]
+			inside := false
+			for w := range watched {
+				inside = inside || (w.Bits() < q.Bits() && w.Contains(q.Addr()))
+			}
+			exact = exact && q.Addr().Is4()
+			inside = inside && q.Addr().Is4()
+			if got := mon.Relevant(q); got != (exact || inside) {
+				t.Fatalf("seed %d: Relevant(%v) = %v; oracle exact %v, more specific %v (watching %v)", seed, q, got, exact, inside, watched)
+			}
+			u := bgpsim.UpdateEvent{Time: t0, Prefix: q, Path: asns(3320, 666)}
+			var kinds []defense.AlertKind
+			for _, a := range mon.Observe(&u) {
+				kinds = append(kinds, a.Kind)
+			}
+			var want []defense.AlertKind
+			switch {
+			case exact:
+				want = []defense.AlertKind{defense.AlertOriginChange}
+			case inside:
+				want = []defense.AlertKind{defense.AlertMoreSpecific}
+			}
+			if !slices.Equal(kinds, want) {
+				t.Fatalf("seed %d: Observe(%v) raised %v, oracle %v (watching %v)", seed, q, kinds, want, watched)
+			}
+		}
+	}
+}
+
+// checkRIBOracle compares the live RIB with the oracle's masked prefix ->
+// session -> path fold by a linear scan.
+func checkRIBOracle(rib *liveRIB, oracle map[netip.Prefix]map[int][]bgp.ASN, probes []netip.Prefix) error {
+	if rib.Size() != len(oracle) {
+		return fmt.Errorf("Size = %d, oracle %d", rib.Size(), len(oracle))
+	}
+	same := func(e *RIBEntry, p netip.Prefix) error {
+		m := oracle[p]
+		if e.Prefix != p || len(e.Routes) != len(m) {
+			return fmt.Errorf("entry %v with %d routes, oracle %v with %d", e.Prefix, len(e.Routes), p, len(m))
+		}
+		for i, rt := range e.Routes {
+			want, ok := m[rt.Session]
+			if !ok || (i > 0 && rt.Session <= e.Routes[i-1].Session) || !slices.Equal(rt.Path, want) || rt.Path == nil {
+				return fmt.Errorf("%v route %d = %+v, oracle %v", p, i, rt, m)
+			}
+		}
+		return nil
+	}
+	for _, q := range probes {
+		e, ok := rib.Lookup(q)
+		if _, want := oracle[q.Masked()]; ok != (want && q.Addr().Is4()) {
+			return fmt.Errorf("Lookup(%v) ok = %v, oracle %v", q, ok, want)
+		}
+		if ok {
+			if err := same(e, q.Masked()); err != nil {
+				return fmt.Errorf("Lookup(%v): %v", q, err)
+			}
+		}
+		best, found := netip.Prefix{}, false
+		for p := range oracle {
+			if p.Contains(q.Addr()) && (!found || p.Bits() > best.Bits()) {
+				best, found = p, true
+			}
+		}
+		e, ok = rib.LookupAddr(q.Addr())
+		if ok != found {
+			return fmt.Errorf("LookupAddr(%v) ok = %v, oracle %v", q.Addr(), ok, found)
+		}
+		if ok {
+			if err := same(e, best); err != nil {
+				return fmt.Errorf("LookupAddr(%v): %v", q.Addr(), err)
+			}
+		}
+	}
+	// Walk: every entry once, shard by shard, each shard by address then
+	// length (the trie's pre-order).
+	want := make([]netip.Prefix, 0, len(oracle))
+	for p := range oracle {
+		want = append(want, p)
+	}
+	shard := func(p netip.Prefix) int { k, _ := iptrie.Key(p); return rib.shardOf(k) }
+	slices.SortFunc(want, func(a, b netip.Prefix) int {
+		if c := cmp.Compare(shard(a), shard(b)); c != 0 {
+			return c
+		}
+		if c := a.Addr().Compare(b.Addr()); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Bits(), b.Bits())
+	})
+	var walkErr error
+	i := 0
+	rib.Walk(func(e *RIBEntry) bool {
+		if i >= len(want) {
+			walkErr = fmt.Errorf("Walk visits %v past the oracle's %d entries", e.Prefix, len(want))
+			return false
+		}
+		if err := same(e, want[i]); err != nil {
+			walkErr = fmt.Errorf("Walk entry %d: %v", i, err)
+			return false
+		}
+		i++
+		return true
+	})
+	if walkErr == nil && i != len(want) {
+		walkErr = fmt.Errorf("Walk visited %d entries, oracle %d", i, len(want))
+	}
+	return walkErr
 }
