@@ -44,25 +44,25 @@ func main() {
 
 // run generates the archives. tr is the (nil-safe) tracer from -trace.
 func run(scale string, seed int64, out string, attacks int, tr *obs.Tracer) error {
-	wcfg, mcfg, err := quicksand.ScaleConfigs(scale, seed)
+	sc, err := quicksand.ScaleConfigs(scale, seed)
 	if err != nil {
 		return err
 	}
 
 	fmt.Fprintf(os.Stderr, "building %s world...\n", scale)
 	sp := tr.Start("build_world", obs.String("scale", scale))
-	w, err := quicksand.BuildWorld(wcfg)
+	w, err := quicksand.BuildWorld(sc.World)
 	sp.End()
 	if err != nil {
 		return err
 	}
 	if attacks > 0 {
-		mcfg.InjectHijacks = attacks
-		mcfg.HijackTargets = w.SortedTorPrefixes()
+		sc.Month.InjectHijacks = attacks
+		sc.Month.HijackTargets = w.SortedTorPrefixes()
 	}
-	fmt.Fprintf(os.Stderr, "simulating churn over %v...\n", mcfg.Duration)
+	fmt.Fprintf(os.Stderr, "simulating churn over %v...\n", sc.Month.Duration)
 	sp = tr.Start("simulate_churn", obs.Int("attacks", attacks))
-	st, err := w.SimulateMonth(mcfg)
+	st, err := w.SimulateMonth(sc.Month)
 	sp.End()
 	if err != nil {
 		return err
@@ -70,9 +70,9 @@ func run(scale string, seed int64, out string, attacks int, tr *obs.Tracer) erro
 	if err := os.MkdirAll(out, 0o755); err != nil {
 		return err
 	}
-	exp := tr.Start("export_mrt", obs.Int("collectors", len(mcfg.Collectors)))
+	exp := tr.Start("export_mrt", obs.Int("collectors", len(sc.Month.Collectors)))
 	defer exp.End()
-	for _, c := range mcfg.Collectors {
+	for _, c := range sc.Month.Collectors {
 		ribPath := filepath.Join(out, c.Name+".rib.mrt")
 		updPath := filepath.Join(out, c.Name+".updates.mrt")
 		rib, err := os.Create(ribPath)

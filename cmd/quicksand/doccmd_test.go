@@ -20,8 +20,8 @@ var (
 
 // TestDocCommandsParse holds every fenced quicksand command line of the
 // documents that describe the tree to the flag set that would parse it:
-// serve's, resilience's, or the experiments' (which must then name one
-// experiment). A doc that passes a deleted or misspelled flag fails here.
+// serve's or the experiments' (which must then name one experiment). A
+// doc that passes a deleted or misspelled flag fails here.
 func TestDocCommandsParse(t *testing.T) {
 	experiments := map[string]bool{"all": true}
 	for _, s := range (&app{}).steps() {
@@ -72,23 +72,18 @@ func TestDocCommandsParse(t *testing.T) {
 	}
 }
 
-// parseDocCommand parses args as main would dispatch them: a subcommand
-// takes its own flags and no argument, an experiment run its flags and
-// one experiment name.
+// parseDocCommand parses args as main would dispatch them: serve takes
+// its own flags and no argument, an experiment run its flags and one
+// experiment name.
 func parseDocCommand(args []string, experiments map[string]bool) error {
 	fs := flag.NewFlagSet("quicksand", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
-	positional := 0
-	switch {
-	case len(args) > 0 && args[0] == "serve":
+	positional := 1
+	if len(args) > 0 && args[0] == "serve" {
 		serveFlags(fs)
-		args = args[1:]
-	case len(args) > 0 && args[0] == "resilience":
-		resilFlags(fs)
-		args = args[1:]
-	default:
+		args, positional = args[1:], 0
+	} else {
 		experimentFlags(fs)
-		positional = 1
 	}
 	if err := fs.Parse(args); err != nil {
 		return err

@@ -12,17 +12,19 @@ import (
 )
 
 // goldenNames are the steps pinned under results/golden/: the paper's
-// experiments E1-E5 and figures F2L/F2R/F3L/F3R. The extension studies
-// (E6-E9, ablation) are exercised by their own package tests.
+// experiments E1-E5, figures F2L/F2R/F3L/F3R and the E10 defence. The
+// other extension studies (E6-E9, ablation) are exercised by their own
+// package tests.
 var goldenNames = map[string]bool{
 	"dataset": true, "fig2left": true, "fig2right": true,
 	"fig3left": true, "fig3right": true,
 	"anonymity": true, "hijack": true, "intercept": true, "defend": true,
+	"resilience": true,
 }
 
 // workerSteps are the steps that fan trials out over the -workers pool;
 // their output must be bit-for-bit independent of the worker count.
-var workerSteps = []string{"hijack", "intercept", "defend"}
+var workerSteps = []string{"hijack", "intercept", "defend", "resilience"}
 
 var (
 	goldenOnce sync.Once
@@ -64,7 +66,7 @@ func runGoldenSteps(t *testing.T) (*app, map[string][]byte) {
 }
 
 // TestGoldenSmallScale pins the seeded small-scale output of every
-// E1-E5 / F2L-F3R step. Refresh after an intentional change with
+// E1-E5 / F2L-F3R / E10 step. Refresh after an intentional change with
 //
 //	go test ./cmd/quicksand -run Golden -update
 func TestGoldenSmallScale(t *testing.T) {
@@ -93,7 +95,7 @@ func TestGoldenWorkerInvariance(t *testing.T) {
 	a1, out := runGoldenSteps(t)
 	counts := []int{3, 4, runtime.GOMAXPROCS(0)}
 	for _, workers := range counts {
-		a2 := &app{scale: "small", seed: 1, workers: workers}
+		a2 := &app{scale: "small", seed: 1, workers: workers, cfg: a1.cfg}
 		// Adopt a1's substrate: burn each Once, then install the shared state.
 		a2.worldOnce.Do(func() {})
 		a2.strmOnce.Do(func() {})
@@ -119,5 +121,32 @@ func TestGoldenWorkerInvariance(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestRotationAloneMatchesAll renders E7 as `quicksand rotation` does,
+// on a fresh app, and again once the stream is built, as under `all`:
+// both must draw the measured F3R distribution and print the same
+// bytes. At seed 2 the built-in distribution gives different rows.
+func TestRotationAloneMatchesAll(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a small world and stream; skipped in -short")
+	}
+	a, err := newApp("small", 2, 0, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var alone, all bytes.Buffer
+	if err := a.rotation(&alone); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.getStream(); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.rotation(&all); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(alone.Bytes(), all.Bytes()) {
+		t.Errorf("rotation alone:\n%s\nafter the stream is built:\n%s", alone.Bytes(), all.Bytes())
 	}
 }

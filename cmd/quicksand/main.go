@@ -6,7 +6,6 @@
 //
 //	quicksand [flags] <experiment>
 //	quicksand serve [flags]
-//	quicksand resilience [flags]
 //
 // The serve subcommand runs the long-lived monitord daemon instead of a
 // batch experiment: a live BGP listener, MRT ingest, a streaming §5
@@ -14,14 +13,6 @@
 // With -fleet N the daemon runs N dispatcher shards behind a filter
 // that drops every update no watched prefix covers before the RIB (see
 // internal/fleet).
-//
-// The resilience subcommand runs E10, the Counter-RAPTOR extension: it
-// computes the all-pairs hijack-resilience matrix R(client, guard),
-// compares vanilla bandwidth-weighted guard selection against
-// resilience-weighted selection W(i) = a·R(i) + (1−a)·B(i) head to
-// head under explicit hijack trials, and validates the sampled
-// estimator's error bound at Internet scale (see resilience.go and
-// `quicksand resilience -h`).
 //
 // Experiments:
 //
@@ -38,13 +29,15 @@
 //	rotation   E7  — guard-lifetime study (extension)
 //	rov        E8  — ROV deployment sweep (extension)
 //	detect     E9  — in-stream attack detection (extension)
+//	resilience E10 — Counter-RAPTOR resilience-weighted guards (extension)
 //	ablation   reset-filter ablation
 //	all        everything above in order
 //
 // Flags:
 //
-//	-scale small|paper   world size (default small; paper ≈ the real
-//	                     July-2014 population)
+//	-scale small|paper   world size and study sizes (default small;
+//	                     paper ≈ the real July-2014 population; see
+//	                     quicksand.ScaleConfigs)
 //	-seed N              root seed (default 1)
 //	-workers N           worker goroutines per study (default: one per
 //	                     CPU); results are identical for any value
@@ -84,15 +77,14 @@ import (
 
 // subcommands have their own flag sets; main dispatches to them before
 // the experiment flags are parsed.
-var subcommands = map[string]func(args []string, out io.Writer) error{
-	"serve":      func(args []string, _ io.Writer) error { return serveCmd(args) },
-	"resilience": resilCmd,
+var subcommands = map[string]func(args []string) error{
+	"serve": serveCmd,
 }
 
 func main() {
 	if len(os.Args) > 1 {
 		if cmd, ok := subcommands[os.Args[1]]; ok {
-			if err := cmd(os.Args[2:], os.Stdout); err != nil {
+			if err := cmd(os.Args[2:]); err != nil {
 				fmt.Fprintf(os.Stderr, "quicksand %s: %v\n", os.Args[1], err)
 				os.Exit(1)
 			}
@@ -136,11 +128,10 @@ func experimentFlags(fs *flag.FlagSet) *expOpts {
 const usageText = `usage: quicksand [-scale small|paper] [-seed N] [-workers N] [-pcap DIR]
                  [-v] [-trace FILE] <experiment>
        quicksand serve [flags]   (long-running route monitor; see serve -h)
-       quicksand resilience [flags]  (E10 Counter-RAPTOR guard study; see resilience -h)
 
 experiments: dataset fig2left fig2right fig3left fig3right
              anonymity hijack intercept defend
-             convergence rotation rov detect ablation all
+             convergence rotation rov detect resilience ablation all
 `
 
 func usage() { fmt.Fprint(os.Stderr, usageText) }
@@ -154,8 +145,7 @@ type app struct {
 	workers int
 	pcapDir string
 
-	worldCfg quicksand.WorldConfig // what -scale and -seed name
-	monthCfg bgpsim.Config
+	cfg quicksand.Scale // what -scale and -seed name
 
 	// Observability handles. The zero value (both nil) is the fully
 	// disabled state: every use below is nil-safe, so tests can build a
@@ -193,17 +183,18 @@ func (a *app) steps() []step {
 		{"rotation", a.rotation},
 		{"rov", a.rov},
 		{"detect", a.detect},
+		{"resilience", a.resilience},
 		{"ablation", a.ablation},
 	}
 }
 
-// newApp is an app over the world and month -scale and -seed name.
+// newApp is an app over the configs -scale and -seed name.
 func newApp(scale string, seed int64, workers int, pcapDir string) (*app, error) {
-	wcfg, mcfg, err := quicksand.ScaleConfigs(scale, seed)
+	cfg, err := quicksand.ScaleConfigs(scale, seed)
 	if err != nil {
 		return nil, err
 	}
-	return &app{scale: scale, seed: seed, workers: workers, pcapDir: pcapDir, worldCfg: wcfg, monthCfg: mcfg}, nil
+	return &app{scale: scale, seed: seed, workers: workers, pcapDir: pcapDir, cfg: cfg}, nil
 }
 
 func run(name string, o *expOpts) error {
@@ -292,8 +283,8 @@ func progressLogger(log *slog.Logger) func(done, total int, elapsed time.Duratio
 
 // runAll executes every experiment concurrently on the worker pool and
 // prints the reports in the canonical order as they become ready. The
-// world and stream are built first so every experiment (including the
-// rotation study's measured-F3R input) sees identical shared state.
+// world and stream are built first so every experiment sees identical
+// shared state.
 func (a *app) runAll() error {
 	start := time.Now()
 	if _, err := a.getStream(); err != nil { // builds the world too
@@ -336,7 +327,7 @@ func (a *app) getWorld() (*quicksand.World, error) {
 		sp := a.trace.Start("build_world", obs.String("scale", a.scale))
 		defer sp.End()
 		fmt.Fprintf(os.Stderr, "# building %s world (seed %d)...\n", a.scale, a.seed)
-		a.world, a.worldErr = quicksand.BuildWorld(a.worldCfg)
+		a.world, a.worldErr = quicksand.BuildWorld(a.cfg.World)
 	})
 	return a.world, a.worldErr
 }
@@ -348,7 +339,7 @@ func (a *app) getStream() (*bgpsim.Stream, error) {
 			a.strmErr = err
 			return
 		}
-		cfg := a.monthCfg
+		cfg := a.cfg.Month
 		fmt.Fprintf(os.Stderr, "# simulating BGP churn over %v (%d sessions)...\n",
 			cfg.Duration, sessions(cfg))
 		start := time.Now()
@@ -429,11 +420,7 @@ func (a *app) fig2left(out io.Writer) error {
 }
 
 func (a *app) fig2right(out io.Writer) error {
-	cfg := tcpsim.DefaultConfig()
-	cfg.Seed = a.seed
-	if a.scale == "small" {
-		cfg.FileSize = 4 << 20
-	}
+	cfg := a.cfg.Download
 	fmt.Fprintf(os.Stderr, "# simulating %d MB Tor download...\n", cfg.FileSize>>20)
 	res, err := quicksand.RunFig2Right(cfg, time.Second)
 	if err != nil {
@@ -575,13 +562,8 @@ func (a *app) intercept(out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	cfg := quicksand.DefaultInterceptStudyConfig()
-	cfg.Seed = a.seed
+	cfg := a.cfg.Intercept
 	cfg.Workers = a.workers
-	if a.scale == "small" {
-		cfg.Trials = 10
-		cfg.FileSize = 2 << 20
-	}
 	fmt.Fprintf(os.Stderr, "# running %d interception trials with correlation attacks...\n", cfg.Trials)
 	res, err := w.RunInterceptStudy(cfg)
 	if err != nil {
@@ -653,27 +635,24 @@ func (a *app) convergence(out io.Writer) error {
 }
 
 func (a *app) rotation(out io.Writer) error {
+	st, err := a.getStream()
+	if err != nil {
+		return err
+	}
 	w, err := a.getWorld()
 	if err != nil {
 		return err
 	}
-	cfg := quicksand.DefaultRotationStudyConfig()
-	cfg.Seed = a.seed
+	// Each month's extra ASes are drawn from the measured F3R
+	// distribution of the simulated month.
+	f3r, err := w.RunFig3Right(st, 5*time.Minute, analysis.FilterHeuristic)
+	if err != nil {
+		return err
+	}
+	cfg := a.cfg.Rotation
 	cfg.Workers = a.workers
 	cfg.EvolveMonthly = true
-	if a.scale == "small" {
-		cfg.Clients = 150
-	}
-	// When the month stream has already been simulated, feed the
-	// *measured* per-month extra-AS distribution (F3R) into the model
-	// instead of the built-in default. (Under "all" the stream is always
-	// built before the fan-out starts, so this is deterministic there.)
-	if a.strm != nil {
-		if f3r, err := w.RunFig3Right(a.strm, 5*time.Minute, analysis.FilterHeuristic); err == nil {
-			cfg.ExtraASesPerMonth = f3r.ExtraSamples()
-			fmt.Fprintln(os.Stderr, "# rotation study using measured F3R extra-AS distribution")
-		}
-	}
+	cfg.ExtraASesPerMonth = f3r.ExtraSamples()
 	res, err := w.RunRotationStudy(cfg)
 	if err != nil {
 		return err
@@ -724,13 +703,7 @@ func (a *app) detect(out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	cfg := quicksand.DefaultLiveDetectionConfig()
-	cfg.Seed = a.seed
-	if a.scale == "paper" {
-		cfg.Month = a.monthCfg
-		cfg.Month.Duration = cfg.Month.Duration / 4
-		cfg.Attacks = 25
-	}
+	cfg := a.cfg.Detection
 	fmt.Fprintf(os.Stderr, "# simulating churn with %d injected hijacks...\n", cfg.Attacks)
 	res, err := w.RunLiveDetection(cfg)
 	if err != nil {
@@ -746,6 +719,38 @@ func (a *app) detect(out io.Writer) error {
 		res.FalseAlarms, res.ObservedUpdates)
 	fmt.Fprintln(out, "(the monitor sees attacks embedded in realistic churn; §5 requires")
 	fmt.Fprintln(out, " no false negatives, and latency bounds the anonymity-set exposure)")
+	return nil
+}
+
+func (a *app) resilience(out io.Writer) error {
+	w, err := a.getWorld()
+	if err != nil {
+		return err
+	}
+	cfg := a.cfg.Resilience
+	cfg.Workers = a.workers
+	fmt.Fprintf(os.Stderr, "# running E10: resilience matrix, %d clients and %d trials per arm...\n",
+		cfg.Clients, cfg.HijackTrials)
+	res, err := w.RunResilienceStudy(cfg)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintln(out, "== E10 (extension): Counter-RAPTOR resilience-weighted guard selection ==")
+	fmt.Fprintf(out, "matrix            %d guard ASes x %d ASes from %d hijack tables\n",
+		res.GuardASes, w.Topology.Len(), res.MatrixTables)
+	if res.ErrorBound > 0 {
+		fmt.Fprintf(out, "estimator         sampled, %d attackers/guard, 95%% bound ±%.3f\n", res.AttackersPerGuard, res.ErrorBound)
+	} else {
+		fmt.Fprintln(out, "estimator         exact, every attacker enumerated")
+	}
+	fmt.Fprintf(out, "%-22s %12s %12s %12s\n", "strategy", "capture", "empirical", "anon-set")
+	for _, arm := range append([]quicksand.ResilienceArm{res.Vanilla, res.ShortPath}, res.Resilience...) {
+		fmt.Fprintf(out, "%-22s %12.4f %12.4f %12.4f\n",
+			arm.Name, arm.MeanCapture, arm.EmpiricalCapture, arm.AnonymitySetFraction)
+	}
+	fmt.Fprintf(out, "capture margin    %.4f (vanilla minus worst resilience arm; must be > 0)\n", res.CaptureMargin())
+	fmt.Fprintln(out, "(Counter-RAPTOR: W(i) = a*R(i) + (1-a)*B(i); higher a trades bandwidth")
+	fmt.Fprintln(out, " balance for hijack resilience, lowering the capture probability)")
 	return nil
 }
 

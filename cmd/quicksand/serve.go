@@ -120,11 +120,11 @@ func parseWatchFile(r io.Reader) (map[netip.Prefix]bgp.ASN, error) {
 // world's Tor (guard/exit-hosting) prefixes with their legitimate
 // origins — the §5 monitoring target.
 func watchlistFromWorld(scale string, seed int64) (map[netip.Prefix]bgp.ASN, error) {
-	cfg, _, err := quicksand.ScaleConfigs(scale, seed)
+	sc, err := quicksand.ScaleConfigs(scale, seed)
 	if err != nil {
 		return nil, err
 	}
-	w, err := quicksand.BuildWorld(cfg)
+	w, err := quicksand.BuildWorld(sc.World)
 	if err != nil {
 		return nil, err
 	}

@@ -44,12 +44,12 @@ func main() {
 // run generates the consensus and prefix table. tr is the (nil-safe)
 // tracer from -trace.
 func run(scale string, seed int64, out, prefixFile string, tr *obs.Tracer) error {
-	cfg, _, err := quicksand.ScaleConfigs(scale, seed)
+	sc, err := quicksand.ScaleConfigs(scale, seed)
 	if err != nil {
 		return err
 	}
 	sp := tr.Start("build_world", obs.String("scale", scale))
-	w, err := quicksand.BuildWorld(cfg)
+	w, err := quicksand.BuildWorld(sc.World)
 	sp.End()
 	if err != nil {
 		return err

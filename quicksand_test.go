@@ -80,31 +80,62 @@ func TestBuildWorldShape(t *testing.T) {
 	}
 }
 
-// TestScaleConfigs pins the one -scale/-seed table: each scale's presets
-// with the root seed in all four seed fields, and an error otherwise.
+// TestScaleConfigs pins the one -scale/-seed table: each scale's world,
+// month and study settings, the root seed in every seed field, and an
+// error for any other name.
 func TestScaleConfigs(t *testing.T) {
+	detectSmall := DefaultLiveDetectionConfig().Month
+	detectPaper := bgpsim.DefaultConfig()
+	detectPaper.Duration /= 4
 	for _, tc := range []struct {
-		scale string
-		world WorldConfig
-		month bgpsim.Config
+		scale       string
+		world       WorldConfig
+		month       bgpsim.Config
+		download    int // F2R bytes
+		trials      int // E4
+		clients     int // E7
+		detectMonth bgpsim.Config
+		attacks     int // E9
+		budget      int // E10 attackers per guard; 0 = exact
 	}{
-		{"small", SmallWorldConfig(), SmallMonthConfig()},
-		{"paper", DefaultWorldConfig(), bgpsim.DefaultConfig()},
+		{"small", SmallWorldConfig(), SmallMonthConfig(), 4 << 20, 10, 150, detectSmall, 12, 0},
+		{"paper", DefaultWorldConfig(), bgpsim.DefaultConfig(), 40 << 20, 15, 300, detectPaper, 25, 200},
 	} {
-		w, m, err := ScaleConfigs(tc.scale, 7)
+		s, err := ScaleConfigs(tc.scale, 7)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.scale, err)
 		}
-		if w.Seed != 7 || w.Topology.Seed != 7 || w.Consensus.Seed != 7 || m.Seed != 7 {
-			t.Errorf("%s: seeds world %d topology %d consensus %d month %d, want 7 each",
-				tc.scale, w.Seed, w.Topology.Seed, w.Consensus.Seed, m.Seed)
+		seeds := []*int64{&s.World.Seed, &s.World.Topology.Seed, &s.World.Consensus.Seed, &s.Month.Seed,
+			&s.Download.Seed, &s.Intercept.Seed, &s.Rotation.Seed, &s.Detection.Seed,
+			&s.Detection.Month.Seed, &s.Resilience.Seed}
+		for i, p := range seeds {
+			if *p != 7 {
+				t.Errorf("%s: seed field %d = %d, want 7", tc.scale, i, *p)
+			}
 		}
-		w.Seed, w.Topology.Seed, w.Consensus.Seed, m.Seed = tc.world.Seed, tc.world.Topology.Seed, tc.world.Consensus.Seed, tc.month.Seed
-		if !reflect.DeepEqual(w, tc.world) || !reflect.DeepEqual(m, tc.month) {
-			t.Errorf("%s: configs differ from the scale's presets beyond the seeds", tc.scale)
+		// Reset the seeds to the presets' and compare each config with
+		// its preset plus the pinned per-scale values.
+		want := Scale{
+			World: tc.world, Month: tc.month, Download: tcpsim.DefaultConfig(),
+			Intercept: DefaultInterceptStudyConfig(), Rotation: DefaultRotationStudyConfig(),
+			Detection: DefaultLiveDetectionConfig(), Resilience: DefaultResilienceStudyConfig(),
+		}
+		wantSeeds := []int64{want.World.Seed, want.World.Topology.Seed, want.World.Consensus.Seed, want.Month.Seed,
+			want.Download.Seed, want.Intercept.Seed, want.Rotation.Seed, want.Detection.Seed,
+			tc.detectMonth.Seed, want.Resilience.Seed}
+		for i, p := range seeds {
+			*p = wantSeeds[i]
+		}
+		want.Download.FileSize = tc.download
+		want.Intercept.Trials = tc.trials
+		want.Rotation.Clients = tc.clients
+		want.Detection.Month, want.Detection.Attacks = tc.detectMonth, tc.attacks
+		want.Resilience.AttackerBudget = tc.budget
+		if !reflect.DeepEqual(s, want) {
+			t.Errorf("%s: configs differ from the scale's presets beyond the seeds:\n got %+v\nwant %+v", tc.scale, s, want)
 		}
 	}
-	if _, _, err := ScaleConfigs("huge", 1); err == nil || err.Error() != `unknown scale "huge"` {
+	if _, err := ScaleConfigs("huge", 1); err == nil || err.Error() != `unknown scale "huge"` {
 		t.Errorf("ScaleConfigs(huge) = %v, want unknown scale", err)
 	}
 }

@@ -1,6 +1,6 @@
 //go:build race
 
-package main
+package quicksand
 
 // raceEnabled reports whether the race detector is compiled in; see
 // race_off_test.go.

@@ -2,6 +2,7 @@ package quicksand
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"quicksand/internal/attacks"
@@ -95,6 +96,17 @@ type ResilienceStudyResult struct {
 	ShortPath ResilienceArm
 	// Resilience holds one arm per configured alpha, in sweep order.
 	Resilience []ResilienceArm
+}
+
+// CaptureMargin is the smallest drop in mean capture probability from
+// the vanilla arm to any resilience arm; > 0 means resilience weighting
+// lowered capture at every alpha of the sweep.
+func (r *ResilienceStudyResult) CaptureMargin() float64 {
+	m := math.Inf(1)
+	for _, a := range r.Resilience {
+		m = min(m, r.Vanilla.MeanCapture-a.MeanCapture)
+	}
+	return m
 }
 
 // RunResilienceStudy computes the shared resilience matrix over every

@@ -104,3 +104,35 @@ func TestResilienceStudyValidation(t *testing.T) {
 		t.Error("zero clients accepted")
 	}
 }
+
+// TestResilPaperCaptureMargin is the Counter-RAPTOR claim at the scale
+// the paper's numbers are quoted at, on the config `quicksand -scale
+// paper resilience` runs: with the 200-attacker budget per guard,
+// resilience weighting must strictly lower the analytic capture
+// probability against vanilla bandwidth weighting at every alpha.
+func TestResilPaperCaptureMargin(t *testing.T) {
+	if testing.Short() {
+		t.Skip("skipping paper-scale gate in -short mode")
+	}
+	if raceEnabled {
+		t.Skip("skipping paper-scale gate under -race")
+	}
+	s, err := ScaleConfigs("paper", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := BuildWorld(s.World)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := w.RunResilienceStudy(s.Resilience)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := w.Topology.Len(); n < 1000 || res.ErrorBound <= 0 {
+		t.Fatalf("not the sampled paper-scale run: %d ASes, bound %v", n, res.ErrorBound)
+	}
+	if m := res.CaptureMargin(); m <= 0 {
+		t.Errorf("capture margin %.4f, want > 0", m)
+	}
+}

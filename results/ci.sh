@@ -8,8 +8,10 @@
 #   3. go vet ./...
 #   4. go test ./... with coverage    (tier-1: differentials, goldens,
 #      metrics lint, serve/fleet smokes, and the paper-scale and 73K
-#      gates — every AS routed, <= 24 B per AS-table entry, E10 capture
-#      margin > 0, sampled-estimator agreement >= 0.9)
+#      gates — every AS routed, <= 24 B per AS-table entry
+#      (internal/topology), E10 capture margin > 0 on the paper-scale
+#      config (root package), sampled-estimator agreement >= 0.9
+#      (internal/resilience))
 #   5. go test -race ./...            (the paper-scale and 73K tests
 #      skip themselves under the race detector)
 #   6. mutant kill matrix (results/mutants/run.sh): each patch under
@@ -29,7 +31,7 @@
 #      and the daemon's private RIB file, with the unused example
 #      programs and AS_PATH helpers, with the fleet's shards, merger and
 #      watch table, with the shared observability flags and the batch-only
-#      metrics, or as duplicates of a bench/ metric or of a test the
+#      metrics, with the resilience subcommand, or as duplicates of a bench/ metric or of a test the
 #      kill matrix keeps are named nowhere outside the history files (Go
 #      comments and scripts here; TestDocsCiteOnlyWhatExists checks the
 #      Markdown's paths and test names)
@@ -114,6 +116,11 @@ retired="$retired|write(Plain|Histogram)(Samples)"
 # one HTTP surface, the batch binaries keep -trace and -v.
 retired="$retired|obs[.](Options)|Start(Server)|metrics(-addr)|New(Observer)"
 retired="$retired|par_(task_)|bgpsim_(events_)|resilience_(cache_)|Benchmark(RunObserved|MapObserver)"
+# So is E10's own subcommand: its flag set, report struct and 73K phase.
+# E10 is the resilience experiment on the shared flags; the 73K check is
+# a test in internal/resilience.
+retired="$retired|resil(Cmd|Flags|Opts|Report|BigPhase)|printResil(Report)|-big-(guards|attackers)"
+retired="$retired|TestResil(Cmd)|TestRunResil(Small)"
 if stale=$(git grep -nE "$retired" -- . ':!PAPER.md' \
     ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!bench'); then
     echo "FAIL: retired names still referenced:" >&2

@@ -32,6 +32,7 @@ import (
 	"quicksand/internal/bgp"
 	"quicksand/internal/bgpsim"
 	"quicksand/internal/resilience"
+	"quicksand/internal/tcpsim"
 	"quicksand/internal/topology"
 	"quicksand/internal/torconsensus"
 )
@@ -128,8 +129,8 @@ func (w *World) RouteCache() *topology.RouteCache {
 
 // ResilienceEngine returns the world's shared Counter-RAPTOR resilience
 // engine, created on first use. Like RouteCache, its matrices are
-// cached per topology version, so the E10 study and the resilience
-// subcommand share one all-pairs computation per configuration.
+// cached per topology version, so E10 studies over one world share one
+// all-pairs computation per configuration.
 func (w *World) ResilienceEngine() *resilience.Engine {
 	w.resilienceOnce.Do(func() {
 		w.resilienceEng = resilience.NewEngine(w.Topology)
@@ -294,21 +295,55 @@ func SmallMonthConfig() bgpsim.Config {
 	return cfg
 }
 
-// ScaleConfigs maps a -scale name and root seed to the world and month
-// configs every binary builds from: "small" is SmallWorldConfig with
-// SmallMonthConfig, "paper" DefaultWorldConfig with bgpsim.DefaultConfig.
-// The seed lands in the world, its topology, its consensus and the month.
-func ScaleConfigs(scale string, seed int64) (WorldConfig, bgpsim.Config, error) {
-	var world WorldConfig
-	var month bgpsim.Config
+// Scale is everything a -scale name changes: the world, the month of
+// churn, and each study setting that differs between scales. Every
+// config carries the root seed; callers add only their worker count.
+type Scale struct {
+	World WorldConfig
+	Month bgpsim.Config
+	// Download is F2R's simulated Tor download (4 MB at small).
+	Download tcpsim.Config
+	// Intercept is E4 (10 trials at small).
+	Intercept InterceptStudyConfig
+	// Rotation is E7 (150 clients at small).
+	Rotation RotationStudyConfig
+	// Detection is E9: at paper, a quarter of the paper month with 25
+	// attacks.
+	Detection LiveDetectionConfig
+	// Resilience is E10: an exact matrix at small, a 200-attacker
+	// budget per guard at paper.
+	Resilience ResilienceStudyConfig
+}
+
+// ScaleConfigs maps a -scale name and root seed to the configs every
+// binary builds from: "small" is SmallWorldConfig with SmallMonthConfig,
+// "paper" DefaultWorldConfig with bgpsim.DefaultConfig, and the studies
+// start from their Default*Config. The seed lands in every config.
+func ScaleConfigs(scale string, seed int64) (Scale, error) {
+	s := Scale{
+		Download:   tcpsim.DefaultConfig(),
+		Intercept:  DefaultInterceptStudyConfig(),
+		Rotation:   DefaultRotationStudyConfig(),
+		Detection:  DefaultLiveDetectionConfig(),
+		Resilience: DefaultResilienceStudyConfig(),
+	}
 	switch scale {
 	case "small":
-		world, month = SmallWorldConfig(), SmallMonthConfig()
+		s.World, s.Month = SmallWorldConfig(), SmallMonthConfig()
+		s.Download.FileSize = 4 << 20
+		s.Intercept.Trials = 10
+		s.Rotation.Clients = 150
 	case "paper":
-		world, month = DefaultWorldConfig(), bgpsim.DefaultConfig()
+		s.World, s.Month = DefaultWorldConfig(), bgpsim.DefaultConfig()
+		s.Detection.Month = s.Month
+		s.Detection.Month.Duration /= 4
+		s.Detection.Attacks = 25
+		s.Resilience.AttackerBudget = 200
 	default:
-		return WorldConfig{}, bgpsim.Config{}, fmt.Errorf("unknown scale %q", scale)
+		return Scale{}, fmt.Errorf("unknown scale %q", scale)
 	}
-	world.Seed, world.Topology.Seed, world.Consensus.Seed, month.Seed = seed, seed, seed, seed
-	return world, month, nil
+	s.World.Seed, s.World.Topology.Seed, s.World.Consensus.Seed, s.Month.Seed = seed, seed, seed, seed
+	s.Download.Seed, s.Intercept.Seed, s.Rotation.Seed = seed, seed, seed
+	s.Detection.Seed, s.Detection.Month.Seed, s.Resilience.Seed = seed, seed, seed
+	return s, nil
 }
