@@ -177,10 +177,13 @@ func (st *Stream) PrefixesOnSession(si int) []netip.Prefix {
 }
 
 // Sim holds the simulation inputs: the pristine topology and the prefix
-// origination table.
+// origination table, indexed by origin.
 type Sim struct {
 	graph   *topology.Graph
 	origins map[netip.Prefix]bgp.ASN
+	// byOrigin lists each origin AS's prefixes in address order; the
+	// event loop reads it once per affected origin of every event.
+	byOrigin map[bgp.ASN][]netip.Prefix
 }
 
 // New builds a simulator over g, where origins maps each announced prefix
@@ -189,12 +192,17 @@ func New(g *topology.Graph, origins map[netip.Prefix]bgp.ASN) (*Sim, error) {
 	if len(origins) == 0 {
 		return nil, fmt.Errorf("bgpsim: no prefixes to originate")
 	}
+	byOrigin := make(map[bgp.ASN][]netip.Prefix)
 	for p, asn := range origins {
 		if g.AS(asn) == nil {
 			return nil, fmt.Errorf("bgpsim: origin %v of %v not in topology", asn, p)
 		}
+		byOrigin[asn] = append(byOrigin[asn], p)
 	}
-	return &Sim{graph: g, origins: origins}, nil
+	for _, ps := range byOrigin {
+		sortPrefixes(ps)
+	}
+	return &Sim{graph: g, origins: origins, byOrigin: byOrigin}, nil
 }
 
 // Graph returns the pristine topology the simulator was built over.
@@ -205,29 +213,17 @@ func (s *Sim) Origins() map[netip.Prefix]bgp.ASN { return s.origins }
 
 // originASNs returns the distinct origin ASes, ascending.
 func (s *Sim) originASNs() []bgp.ASN {
-	seen := make(map[bgp.ASN]bool)
-	for _, a := range s.origins {
-		seen[a] = true
-	}
-	out := make([]bgp.ASN, 0, len(seen))
-	for a := range seen {
+	out := make([]bgp.ASN, 0, len(s.byOrigin))
+	for a := range s.byOrigin {
 		out = append(out, a)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
-// prefixesOf returns the prefixes originated by asn, in address order.
-func (s *Sim) prefixesOf(asn bgp.ASN) []netip.Prefix {
-	var out []netip.Prefix
-	for p, a := range s.origins {
-		if a == asn {
-			out = append(out, p)
-		}
-	}
-	sortPrefixes(out)
-	return out
-}
+// prefixesOf returns the prefixes originated by asn, in address order. The
+// slice is the Sim's own index: callers must not modify it.
+func (s *Sim) prefixesOf(asn bgp.ASN) []netip.Prefix { return s.byOrigin[asn] }
 
 func samePath(a, b []bgp.ASN) bool {
 	if len(a) != len(b) {

@@ -34,8 +34,8 @@ type Series struct {
 var ErrNoPackets = errors.New("correlation: no packets in capture")
 
 // DataSeries recovers the cumulative bytes *sent* from a capture of data
-// packets, by summing TCP payload lengths implied by each packet's IPv4
-// TotalLen (snaplen-truncated captures are fine).
+// packets, by summing the TCP payload lengths implied by each packet's
+// IPv4 TotalLen and header lengths (snaplen-truncated captures are fine).
 func DataSeries(recs []tcpsim.Record, start time.Time, bin time.Duration, nbins int) (Series, error) {
 	if err := checkGrid(bin, nbins); err != nil {
 		return Series{}, err
@@ -43,11 +43,11 @@ func DataSeries(recs []tcpsim.Record, start time.Time, bin time.Duration, nbins 
 	s := Series{Start: start, Bin: bin, Cum: make([]float64, nbins)}
 	seen := false
 	for _, r := range recs {
-		ip, _, err := packet.ParseTCPPacketLoose(r.Data)
+		ip, tcp, err := packet.ParseTCPPacketLoose(r.Data)
 		if err != nil {
 			return Series{}, fmt.Errorf("correlation: %w", err)
 		}
-		n := packet.TCPPayloadLen(ip)
+		n := packet.TCPPayloadLen(ip, tcp)
 		if n == 0 {
 			continue
 		}

@@ -4,9 +4,10 @@
 // The asymmetric traffic-analysis experiment (paper §3.3/§4) works by
 // inspecting TCP headers on the wire — sequence and acknowledgment
 // numbers — to count bytes sent and bytes acknowledged at each end of a
-// Tor circuit. The traffic simulator (internal/tcpsim) serialises every
-// simulated segment through this package and the analysis parses the raw
-// bytes back, exactly as the paper's tcpdump-based pipeline did.
+// Tor circuit. The traffic simulator (internal/tcpsim) captures every
+// simulated segment through this package — AppendTCPHeaders writes the
+// snapped bytes without building the payload — and the analysis parses
+// the raw bytes back, exactly as the paper's tcpdump-based pipeline did.
 package packet
 
 import (
@@ -34,7 +35,8 @@ var (
 	ErrBadLength   = errors.New("packet: inconsistent length fields")
 )
 
-// IPv4Header is a (option-less) IPv4 header.
+// IPv4Header is an IPv4 header. Marshal writes it option-less; the
+// parsers accept options and remember the header length they read.
 type IPv4Header struct {
 	TOS      uint8
 	TotalLen uint16 // filled by Marshal when zero
@@ -44,6 +46,8 @@ type IPv4Header struct {
 	Protocol uint8
 	Src      netip.Addr
 	Dst      netip.Addr
+
+	ihl int // header bytes read by a parser; 0 = option-less
 }
 
 // ProtoTCP is the IPv4 protocol number for TCP.
@@ -54,6 +58,10 @@ const ipv4HeaderLen = 20
 
 // tcpHeaderLen is the length of an option-less TCP header.
 const tcpHeaderLen = 20
+
+// HeadersLen is the length of the option-less IPv4 and TCP headers that
+// open every packet TCPPacket and AppendTCPHeaders write.
+const HeadersLen = ipv4HeaderLen + tcpHeaderLen
 
 // checksum computes the Internet checksum (RFC 1071) over data.
 func checksum(sum uint32, data []byte) uint32 {
@@ -79,30 +87,40 @@ func (h *IPv4Header) Marshal(payload []byte) ([]byte, error) {
 	if !h.Src.Is4() || !h.Dst.Is4() {
 		return nil, fmt.Errorf("packet: IPv4 header needs IPv4 addresses, got %v -> %v", h.Src, h.Dst)
 	}
-	totalLen := h.TotalLen
+	totalLen := int(h.TotalLen)
 	if totalLen == 0 {
 		if ipv4HeaderLen+len(payload) > 0xFFFF {
 			return nil, fmt.Errorf("packet: payload %d bytes too large", len(payload))
 		}
-		totalLen = uint16(ipv4HeaderLen + len(payload))
+		totalLen = ipv4HeaderLen + len(payload)
 	}
 	buf := make([]byte, ipv4HeaderLen+len(payload))
-	buf[0] = 4<<4 | ipv4HeaderLen/4
-	buf[1] = h.TOS
-	binary.BigEndian.PutUint16(buf[2:], totalLen)
-	binary.BigEndian.PutUint16(buf[4:], h.ID)
-	if h.DontFrag {
-		buf[6] = 0x40
-	}
-	buf[8] = h.TTL
-	buf[9] = h.Protocol
-	src := h.Src.As4()
-	dst := h.Dst.As4()
-	copy(buf[12:16], src[:])
-	copy(buf[16:20], dst[:])
-	binary.BigEndian.PutUint16(buf[10:], foldChecksum(checksum(0, buf[:ipv4HeaderLen])))
+	h.put(buf, totalLen)
 	copy(buf[ipv4HeaderLen:], payload)
 	return buf, nil
+}
+
+// put writes the option-less header into b[:20], with TotalLen totalLen
+// and the header checksum. h's addresses must be IPv4.
+func (h *IPv4Header) put(b []byte, totalLen int) {
+	b = b[:ipv4HeaderLen]
+	b[0] = 4<<4 | ipv4HeaderLen/4
+	b[1] = h.TOS
+	binary.BigEndian.PutUint16(b[2:], uint16(totalLen))
+	binary.BigEndian.PutUint16(b[4:], h.ID)
+	b[6] = 0
+	if h.DontFrag {
+		b[6] = 0x40
+	}
+	b[7] = 0
+	b[8] = h.TTL
+	b[9] = h.Protocol
+	b[10], b[11] = 0, 0
+	src := h.Src.As4()
+	dst := h.Dst.As4()
+	copy(b[12:16], src[:])
+	copy(b[16:20], dst[:])
+	binary.BigEndian.PutUint16(b[10:], foldChecksum(checksum(0, b)))
 }
 
 // ParseIPv4 decodes an IPv4 packet, verifying the header checksum, and
@@ -134,11 +152,13 @@ func ParseIPv4(data []byte) (*IPv4Header, []byte, error) {
 		Protocol: data[9],
 		Src:      netip.AddrFrom4([4]byte(data[12:16])),
 		Dst:      netip.AddrFrom4([4]byte(data[16:20])),
+		ihl:      ihl,
 	}
 	return h, data[ihl:totalLen], nil
 }
 
-// TCPHeader is a (option-less) TCP header.
+// TCPHeader is a TCP header. Marshal writes it option-less; the parsers
+// accept options and remember the data offset they read.
 type TCPHeader struct {
 	SrcPort uint16
 	DstPort uint16
@@ -147,6 +167,8 @@ type TCPHeader struct {
 	Flags   uint8
 	Window  uint16
 	Urgent  uint16
+
+	off int // header bytes read by a parser; 0 = option-less
 }
 
 // HasFlag reports whether flag f is set.
@@ -171,18 +193,28 @@ func (h *TCPHeader) Marshal(src, dst netip.Addr, payload []byte) ([]byte, error)
 		return nil, fmt.Errorf("packet: TCP pseudo-header needs IPv4 addresses")
 	}
 	seg := make([]byte, tcpHeaderLen+len(payload))
-	binary.BigEndian.PutUint16(seg[0:], h.SrcPort)
-	binary.BigEndian.PutUint16(seg[2:], h.DstPort)
-	binary.BigEndian.PutUint32(seg[4:], h.Seq)
-	binary.BigEndian.PutUint32(seg[8:], h.Ack)
-	seg[12] = tcpHeaderLen / 4 << 4
-	seg[13] = h.Flags
-	binary.BigEndian.PutUint16(seg[14:], h.Window)
-	binary.BigEndian.PutUint16(seg[18:], h.Urgent)
 	copy(seg[tcpHeaderLen:], payload)
-	sum := pseudoHeaderSum(src, dst, len(seg))
-	binary.BigEndian.PutUint16(seg[16:], foldChecksum(checksum(sum, seg)))
+	h.put(seg, src, dst, len(payload), checksum(0, payload))
 	return seg, nil
+}
+
+// put writes the option-less header into b[:20], with the checksum of a
+// segment carrying n payload bytes whose unfolded RFC 1071 sum is paySum.
+// A payload of zeros sums to 0: only its length, in the pseudo-header,
+// reaches the checksum. src and dst must be IPv4.
+func (h *TCPHeader) put(b []byte, src, dst netip.Addr, n int, paySum uint32) {
+	b = b[:tcpHeaderLen]
+	binary.BigEndian.PutUint16(b[0:], h.SrcPort)
+	binary.BigEndian.PutUint16(b[2:], h.DstPort)
+	binary.BigEndian.PutUint32(b[4:], h.Seq)
+	binary.BigEndian.PutUint32(b[8:], h.Ack)
+	b[12] = tcpHeaderLen / 4 << 4
+	b[13] = h.Flags
+	binary.BigEndian.PutUint16(b[14:], h.Window)
+	b[16], b[17] = 0, 0
+	binary.BigEndian.PutUint16(b[18:], h.Urgent)
+	sum := pseudoHeaderSum(src, dst, tcpHeaderLen+n) + paySum
+	binary.BigEndian.PutUint16(b[16:], foldChecksum(checksum(sum, b)))
 }
 
 // ParseTCP decodes a TCP segment, verifying the checksum against the
@@ -207,18 +239,62 @@ func ParseTCP(src, dst netip.Addr, seg []byte) (*TCPHeader, []byte, error) {
 		Flags:   seg[13],
 		Window:  binary.BigEndian.Uint16(seg[14:]),
 		Urgent:  binary.BigEndian.Uint16(seg[18:]),
+		off:     off,
 	}
 	return h, seg[off:], nil
 }
 
 // TCPPacket builds a complete IPv4+TCP packet.
 func TCPPacket(src, dst netip.Addr, tcp *TCPHeader, payload []byte) ([]byte, error) {
-	seg, err := tcp.Marshal(src, dst, payload)
-	if err != nil {
+	if err := checkTCPPacket(src, dst, len(payload)); err != nil {
 		return nil, err
 	}
-	ip := &IPv4Header{TTL: 64, Protocol: ProtoTCP, DontFrag: true, Src: src, Dst: dst}
-	return ip.Marshal(seg)
+	buf := make([]byte, HeadersLen+len(payload))
+	copy(buf[HeadersLen:], payload)
+	putHeaders(buf, src, dst, tcp, len(payload), checksum(0, payload))
+	return buf, nil
+}
+
+// AppendTCPHeaders appends to b the first min(snap, HeadersLen+n) bytes of
+// TCPPacket(src, dst, tcp, make([]byte, n)) — what a capture with snap
+// length snap records of it, checksums included — without building the
+// packet: the payload's zeros are written only where the snap reaches them.
+// snap must be at least HeadersLen.
+func AppendTCPHeaders(b []byte, src, dst netip.Addr, tcp *TCPHeader, n, snap int) ([]byte, error) {
+	if snap < HeadersLen {
+		return nil, fmt.Errorf("packet: snap length %d too small for IPv4+TCP headers", snap)
+	}
+	if n < 0 {
+		return nil, fmt.Errorf("packet: negative payload length %d", n)
+	}
+	if err := checkTCPPacket(src, dst, n); err != nil {
+		return nil, err
+	}
+	keep := min(snap, HeadersLen+n)
+	at := len(b)
+	b = append(b, make([]byte, keep)...)
+	putHeaders(b[at:], src, dst, tcp, n, 0)
+	return b, nil
+}
+
+func checkTCPPacket(src, dst netip.Addr, n int) error {
+	if !src.Is4() || !dst.Is4() {
+		return fmt.Errorf("packet: TCP packet needs IPv4 addresses, got %v -> %v", src, dst)
+	}
+	if HeadersLen+n > 0xFFFF {
+		return fmt.Errorf("packet: payload %d bytes too large", n)
+	}
+	return nil
+}
+
+// putHeaders writes the IPv4 and TCP headers of the packet src→dst
+// carrying tcp and n payload bytes of unfolded RFC 1071 sum paySum into
+// b[:HeadersLen]: the one header layout TCPPacket and AppendTCPHeaders
+// share.
+func putHeaders(b []byte, src, dst netip.Addr, tcp *TCPHeader, n int, paySum uint32) {
+	ip := IPv4Header{TTL: 64, Protocol: ProtoTCP, DontFrag: true, Src: src, Dst: dst}
+	ip.put(b, HeadersLen+n)
+	tcp.put(b[ipv4HeaderLen:], src, dst, n, paySum)
 }
 
 // ParseTCPPacketLoose decodes the IPv4 and TCP headers of a possibly
@@ -248,6 +324,7 @@ func ParseTCPPacketLoose(data []byte) (*IPv4Header, *TCPHeader, error) {
 		Protocol: data[9],
 		Src:      netip.AddrFrom4([4]byte(data[12:16])),
 		Dst:      netip.AddrFrom4([4]byte(data[16:20])),
+		ihl:      ihl,
 	}
 	if ip.Protocol != ProtoTCP {
 		return nil, nil, fmt.Errorf("packet: protocol %d is not TCP", ip.Protocol)
@@ -255,6 +332,10 @@ func ParseTCPPacketLoose(data []byte) (*IPv4Header, *TCPHeader, error) {
 	seg := data[ihl:]
 	if len(seg) < tcpHeaderLen {
 		return nil, nil, fmt.Errorf("%w: %d bytes of TCP header", ErrTruncated, len(seg))
+	}
+	off := int(seg[12]>>4) * 4
+	if off < tcpHeaderLen {
+		return nil, nil, fmt.Errorf("%w: data offset %d", ErrBadLength, off)
 	}
 	tcp := &TCPHeader{
 		SrcPort: binary.BigEndian.Uint16(seg[0:]),
@@ -264,18 +345,17 @@ func ParseTCPPacketLoose(data []byte) (*IPv4Header, *TCPHeader, error) {
 		Flags:   seg[13],
 		Window:  binary.BigEndian.Uint16(seg[14:]),
 		Urgent:  binary.BigEndian.Uint16(seg[18:]),
+		off:     off,
 	}
 	return ip, tcp, nil
 }
 
 // TCPPayloadLen returns the TCP payload length implied by a packet's
-// length fields (usable on snaplen-truncated captures).
-func TCPPayloadLen(ip *IPv4Header) int {
-	n := int(ip.TotalLen) - ipv4HeaderLen - tcpHeaderLen
-	if n < 0 {
-		return 0
-	}
-	return n
+// length fields: TotalLen less the IPv4 and TCP header lengths, options
+// included, clamped at 0. It works on snaplen-truncated captures; headers
+// not produced by a parser count as option-less.
+func TCPPayloadLen(ip *IPv4Header, tcp *TCPHeader) int {
+	return max(int(ip.TotalLen)-max(ip.ihl, ipv4HeaderLen)-max(tcp.off, tcpHeaderLen), 0)
 }
 
 // ParseTCPPacket decodes a complete IPv4+TCP packet, verifying both

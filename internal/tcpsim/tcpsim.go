@@ -11,14 +11,15 @@
 // start, congestion avoidance, pacing to a bottleneck rate, delayed
 // cumulative ACKs, fast retransmit on triple duplicate ACKs, and RTO
 // fallback — while the client-side connection replays the delivered byte
-// stream re-chunked into 512-byte Tor cells. Every simulated packet is
-// serialised through internal/packet with correct sequence/ack numbers and
-// captured with a tcpdump-style snaplen, so downstream analysis must
-// recover byte counts from TCP headers alone, exactly like the paper.
+// stream re-chunked into 512-byte Tor cells. Payload bytes are never
+// materialised: each capture is exactly the first SnapLen bytes of the
+// packet that would have been sent — IPv4 and TCP headers with correct
+// sequence/ack numbers, lengths and checksums, then zero payload bytes up
+// to the snap — written by packet.AppendTCPHeaders. Downstream analysis
+// must recover byte counts from TCP headers alone, exactly like the paper.
 package tcpsim
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 	"net/netip"
@@ -155,6 +156,10 @@ const (
 	cellPayload = 498
 )
 
+// slabChunk is the size of the buffers capture records are cut from; the
+// four captures of a 2 MB download fill about four.
+const slabChunk = 64 << 10
+
 // event kinds for the discrete-event loop.
 const (
 	evDataArriveExit = iota // data segment reaches the exit
@@ -171,13 +176,46 @@ type simEvent struct {
 	id   int // RTO epoch for stale-timer detection
 }
 
+// eventHeap is a binary min-heap on simEvent.at. push and pop are
+// container/heap's sift-up and sift-down, so events with equal times leave
+// in the same order, without boxing each event into an interface.
 type eventHeap []simEvent
 
-func (h eventHeap) Len() int           { return len(h) }
-func (h eventHeap) Less(i, j int) bool { return h[i].at.Before(h[j].at) }
-func (h eventHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)        { *h = append(*h, x.(simEvent)) }
-func (h *eventHeap) Pop() any          { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
+func (h *eventHeap) push(e simEvent) {
+	*h = append(*h, e)
+	q := *h
+	for j := len(q) - 1; j > 0; {
+		i := (j - 1) / 2
+		if !q[j].at.Before(q[i].at) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		j = i
+	}
+}
+
+func (h *eventHeap) pop() simEvent {
+	q := *h
+	n := len(q) - 1
+	q[0], q[n] = q[n], q[0]
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && q[j2].at.Before(q[j].at) {
+			j = j2
+		}
+		if !q[j].at.Before(q[i].at) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		i = j
+	}
+	e := q[n]
+	*h = q[:n]
+	return e
+}
 
 // Run simulates the download and returns the four captures.
 func Run(cfg Config) (*Traces, error) {
@@ -194,13 +232,6 @@ func Run(cfg Config) (*Traces, error) {
 		return time.Duration(rng.Int63n(int64(2*cfg.Jitter))) - cfg.Jitter
 	}
 
-	snap := func(raw []byte) []byte {
-		if len(raw) > cfg.SnapLen {
-			raw = raw[:cfg.SnapLen]
-		}
-		return append([]byte(nil), raw...)
-	}
-
 	const (
 		serverPort = 80
 		exitPort   = 40000
@@ -208,12 +239,20 @@ func Run(cfg Config) (*Traces, error) {
 		clientPort = 50000
 	)
 
+	// capture records the first SnapLen bytes of the packet carrying
+	// payloadLen zero bytes, written straight into a shared slab: the
+	// payload itself is never built.
+	var slab []byte
 	capture := func(dst *[]Record, at time.Time, src, dstIP netip.Addr, tcp *packet.TCPHeader, payloadLen int) error {
-		raw, err := packet.TCPPacket(src, dstIP, tcp, make([]byte, payloadLen))
-		if err != nil {
+		if keep := min(cfg.SnapLen, packet.HeadersLen+payloadLen); cap(slab)-len(slab) < keep {
+			slab = make([]byte, 0, max(slabChunk, keep))
+		}
+		start := len(slab)
+		var err error
+		if slab, err = packet.AppendTCPHeaders(slab, src, dstIP, tcp, payloadLen, cfg.SnapLen); err != nil {
 			return err
 		}
-		*dst = append(*dst, Record{Time: at, Data: snap(raw)})
+		*dst = append(*dst, Record{Time: at, Data: slab[start:len(slab):len(slab)]})
 		return nil
 	}
 
@@ -234,7 +273,6 @@ func Run(cfg Config) (*Traces, error) {
 		segsSinceA = 0
 		delivered  = 0 // bytes handed to the circuit
 	)
-	heap.Init(&events)
 
 	paceBase := time.Duration(float64(cfg.MSS) / float64(cfg.BottleneckBps) * float64(time.Second))
 
@@ -276,7 +314,7 @@ func Run(cfg Config) (*Traces, error) {
 		}
 		lost := rng.Float64() < cfg.LossProb && !retrans
 		if !lost {
-			heap.Push(&events, simEvent{
+			events.push(simEvent{
 				at: at.Add(cfg.RTTServerExit/2 + jitter()), kind: evDataArriveExit, seq: seq, n: n,
 			})
 		}
@@ -300,7 +338,7 @@ func Run(cfg Config) (*Traces, error) {
 
 	armRTO := func(t time.Time) {
 		rtoEpoch++
-		heap.Push(&events, simEvent{at: t.Add(rto), kind: evRTO, id: rtoEpoch})
+		events.push(simEvent{at: t.Add(rto), kind: evRTO, id: rtoEpoch})
 	}
 
 	// exitAck emits the exit's cumulative ACK and schedules its arrival
@@ -314,7 +352,7 @@ func Run(cfg Config) (*Traces, error) {
 		if err := capture(&tr.ExitToServer, at.Add(cfg.RTTServerExit/2), cfg.Exit, cfg.Server, tcp, 0); err != nil {
 			return err
 		}
-		heap.Push(&events, simEvent{at: at.Add(cfg.RTTServerExit / 2), kind: evAckArriveServer, ack: rcvNext})
+		events.push(simEvent{at: at.Add(cfg.RTTServerExit / 2), kind: evAckArriveServer, ack: rcvNext})
 		return nil
 	}
 
@@ -377,8 +415,8 @@ func Run(cfg Config) (*Traces, error) {
 	}
 	armRTO(cfg.Start)
 
-	for events.Len() > 0 {
-		ev := heap.Pop(&events).(simEvent)
+	for len(events) > 0 {
+		ev := events.pop()
 		switch ev.kind {
 		case evDataArriveExit:
 			if ev.seq == rcvNext {

@@ -29,11 +29,11 @@ func sumDataBytes(t *testing.T, recs []Record) int {
 	t.Helper()
 	total := 0
 	for _, r := range recs {
-		ip, _, err := packet.ParseTCPPacketLoose(r.Data)
+		ip, tcp, err := packet.ParseTCPPacketLoose(r.Data)
 		if err != nil {
 			t.Fatal(err)
 		}
-		total += packet.TCPPayloadLen(ip)
+		total += packet.TCPPayloadLen(ip, tcp)
 	}
 	return total
 }
@@ -150,8 +150,8 @@ func TestSnapLenApplied(t *testing.T) {
 	if tcp.SrcPort != 80 {
 		t.Fatalf("src port %d", tcp.SrcPort)
 	}
-	if packet.TCPPayloadLen(ip) != cfg.MSS {
-		t.Fatalf("first segment payload %d, want MSS %d", packet.TCPPayloadLen(ip), cfg.MSS)
+	if packet.TCPPayloadLen(ip, tcp) != cfg.MSS {
+		t.Fatalf("first segment payload %d, want MSS %d", packet.TCPPayloadLen(ip, tcp), cfg.MSS)
 	}
 }
 
