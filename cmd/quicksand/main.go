@@ -445,25 +445,29 @@ func (a *app) fig2right(out io.Writer) error {
 		if err := os.MkdirAll(a.pcapDir, 0o755); err != nil {
 			return err
 		}
-		for name, recs := range map[string][]tcpsim.Record{
-			"server_to_exit.pcap":  res.Traces.ServerToExit,
-			"exit_to_server.pcap":  res.Traces.ExitToServer,
-			"guard_to_client.pcap": res.Traces.GuardToClient,
-			"client_to_guard.pcap": res.Traces.ClientToGuard,
+		// By file name, as ls lists them: the same order every run.
+		for _, c := range []struct {
+			name string
+			recs []tcpsim.Record
+		}{
+			{"client_to_guard.pcap", res.Traces.ClientToGuard},
+			{"exit_to_server.pcap", res.Traces.ExitToServer},
+			{"guard_to_client.pcap", res.Traces.GuardToClient},
+			{"server_to_exit.pcap", res.Traces.ServerToExit},
 		} {
-			path := filepath.Join(a.pcapDir, name)
+			path := filepath.Join(a.pcapDir, c.name)
 			f, err := os.Create(path)
 			if err != nil {
 				return err
 			}
-			if err := tcpsim.WritePcap(f, recs, cfg.SnapLen); err != nil {
+			if err := tcpsim.WritePcap(f, c.recs, cfg.SnapLen); err != nil {
 				f.Close()
 				return err
 			}
 			if err := f.Close(); err != nil {
 				return err
 			}
-			fmt.Fprintf(out, "wrote %s (%d packets)\n", path, len(recs))
+			fmt.Fprintf(out, "wrote %s (%d packets)\n", path, len(c.recs))
 		}
 	}
 	return nil

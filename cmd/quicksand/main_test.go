@@ -1,11 +1,18 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
+	"os"
+	"path/filepath"
 	"regexp"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
+
+	"quicksand/internal/pcap"
 )
 
 // TestRunErrors drives the experiment dispatcher's failure paths. The
@@ -74,4 +81,36 @@ func TestUsageMatchesDispatch(t *testing.T) {
 			t.Errorf("usage omits -%s", f.Name)
 		}
 	})
+}
+
+// TestPcapCapturesInFixedOrder runs fig2right with -pcap: it must write
+// and report its four captures in file-name order on every run, and each
+// file must read back through internal/pcap as raw IP with the packet
+// count its report line gives.
+func TestPcapCapturesInFixedOrder(t *testing.T) {
+	dir := t.TempDir()
+	a, err := newApp("small", 1, 1, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if err := a.fig2right(&out); err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, m := range regexp.MustCompile(`(?m)^wrote (.+) \((\d+) packets\)$`).FindAllStringSubmatch(out.String(), -1) {
+		names = append(names, filepath.Base(m[1]))
+		raw, err := os.ReadFile(m[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		pkts, linkType, err := pcap.ReadAll(bytes.NewReader(raw))
+		if err != nil || linkType != pcap.LinkTypeRaw || len(pkts) == 0 || strconv.Itoa(len(pkts)) != m[2] {
+			t.Errorf("%s: read back %d packets, link type %d, err %v; report says %s packets", m[1], len(pkts), linkType, err, m[2])
+		}
+	}
+	want := []string{"client_to_guard.pcap", "exit_to_server.pcap", "guard_to_client.pcap", "server_to_exit.pcap"}
+	if !slices.Equal(names, want) {
+		t.Errorf("wrote %v, want %v", names, want)
+	}
 }

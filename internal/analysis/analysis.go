@@ -29,7 +29,7 @@ import (
 // most-specific covering prefix.
 type RIB = iptrie.Trie[bgp.ASN]
 
-// BuildRIB loads an origination table into a longest-prefix-match trie.
+// BuildRIB loads an origination table into a longest-prefix-match index.
 func BuildRIB(origins map[netip.Prefix]bgp.ASN) (*RIB, error) {
 	var t RIB
 	for p, asn := range origins {

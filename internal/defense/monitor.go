@@ -2,7 +2,6 @@ package defense
 
 import (
 	"fmt"
-	"math/bits"
 	"net/netip"
 	"sync"
 	"sync/atomic"
@@ -60,27 +59,18 @@ type Alert struct {
 
 // Monitor is a control-plane watcher for relay prefixes (§5's real-time
 // monitoring framework). It is trained on the expected origin of each
-// watched prefix and, optionally, on the set of legitimate upstream
-// (penultimate) ASes seen during a learning window.
+// watched prefix and, optionally, on the legitimate upstream (penultimate)
+// ASes seen during a learning window.
 //
-// Monitor is safe for concurrent use: Learn, EnableUpstream, Observe and
-// Relevant may be called from any number of goroutines, so a streaming
-// consumer (internal/monitord) can fan updates out over sharded workers.
-// The watchlist and its length masks are immutable after NewMonitor and
-// read lock-free; the learned upstreams are guarded by an RWMutex, which
-// Observe takes (read-side) only once upstream alarms are armed.
+// Monitor is safe for concurrent use, so a streaming consumer
+// (internal/monitord) can fan updates out over sharded workers. The
+// watchlist is immutable after NewMonitor and read lock-free; Observe
+// takes the upstreams' read lock only once upstream alarms are armed.
 type Monitor struct {
-	watched map[uint64]bgp.ASN // iptrie.Key of a watched prefix -> expected origin; immutable
-	// lens[o] has bit b set when a watched /b prefix covers first octet o.
-	// A watched prefix covering an address covers its first octet, or is
-	// covered by it, so a zero mask proves no match without a probe — the
-	// common case for background churn — and a match probes only the
-	// lengths the mask names.
-	lens [256]uint64
-
+	watched        iptrie.Trie[bgp.ASN] // watched prefix -> expected origin; immutable
 	mu             sync.RWMutex
-	knownUpstreams map[uint64]map[bgp.ASN]bool
-	upstreamAlarms atomic.Bool // until set, Observe takes no lock
+	knownUpstreams map[[2]uint64]bool // {iptrie.Key, upstream AS} pairs seen while learning
+	upstreamAlarms atomic.Bool        // until set, Observe takes no lock
 }
 
 // NewMonitor builds a monitor watching the given IPv4 prefixes with their
@@ -91,24 +81,16 @@ func NewMonitor(watched map[netip.Prefix]bgp.ASN) (*Monitor, error) {
 	if len(watched) == 0 {
 		return nil, fmt.Errorf("defense: nothing to watch")
 	}
-	m := &Monitor{
-		watched:        make(map[uint64]bgp.ASN, len(watched)),
-		knownUpstreams: make(map[uint64]map[bgp.ASN]bool),
-	}
+	m := &Monitor{knownUpstreams: make(map[[2]uint64]bool)}
 	for p, origin := range watched {
 		k, ok := iptrie.Key(p)
 		if !ok {
 			return nil, fmt.Errorf("defense: watched prefix %v is not IPv4", p)
 		}
-		if prev, dup := m.watched[k]; dup && prev != origin {
+		if prev, dup := m.watched.GetKey(k); dup && prev != origin {
 			return nil, fmt.Errorf("defense: watched prefix %v has origins %v and %v", p.Masked(), prev, origin)
 		}
-		m.watched[k] = origin
-		// A prefix shorter than /8 spans 2^(8-bits) first octets.
-		first, span := int(k>>32), 1<<max(8-p.Bits(), 0)
-		for o := first; o < first+span; o++ {
-			m.lens[o] |= 1 << p.Bits()
-		}
+		m.watched.SetKey(k, origin)
 	}
 	return m, nil
 }
@@ -130,41 +112,19 @@ func (m *Monitor) match(p netip.Prefix) (k uint64, expected bgp.ASN, exact, ok b
 	if !ok {
 		return 0, 0, false, false
 	}
-	plen := int(k & 0xff)
-	lens := m.lens[k>>32]
-	if lens>>plen&1 != 0 {
-		if expected, ok := m.watched[k]; ok {
-			return k, expected, true, true
-		}
+	if expected, ok := m.watched.GetKey(k); ok {
+		return k, expected, true, true
 	}
-	// Strictly more specific: probe each shorter watched length.
-	for shorter := lens & (1<<plen - 1); shorter != 0; shorter &= shorter - 1 {
-		if _, ok := m.watched[iptrie.AddrKey(uint32(k>>8), bits.TrailingZeros64(shorter))]; ok {
-			return k, 0, false, true
-		}
-	}
-	return k, 0, false, false
+	return k, 0, false, m.watched.CoversKey(k)
 }
 
 // Learn records the upstream (penultimate AS) of a benign update for a
 // watched prefix; run it over a known-clean window before enabling
 // upstream alarms.
 func (m *Monitor) Learn(u *bgpsim.UpdateEvent) {
-	if u.Withdraw() {
-		return
-	}
-	k, _, exact, _ := m.match(u.Prefix)
-	if !exact {
-		return
-	}
-	if up, ok := upstreamOf(u.Path); ok {
+	if k, _, exact, _ := m.match(u.Prefix); exact && len(u.Path) >= 2 {
 		m.mu.Lock()
-		set := m.knownUpstreams[k]
-		if set == nil {
-			set = make(map[bgp.ASN]bool)
-			m.knownUpstreams[k] = set
-		}
-		set[up] = true
+		m.knownUpstreams[[2]uint64{k, uint64(u.Path[len(u.Path)-2])}] = true
 		m.mu.Unlock()
 	}
 }
@@ -174,19 +134,10 @@ func (m *Monitor) EnableUpstream() {
 	m.upstreamAlarms.Store(true)
 }
 
-// upstreamOf returns the penultimate AS of a path (the origin's
-// provider-side neighbor), when the path has one.
-func upstreamOf(path []bgp.ASN) (bgp.ASN, bool) {
-	if len(path) < 2 {
-		return 0, false
-	}
-	return path[len(path)-2], true
-}
-
 // Observe inspects one update and returns any alarms it raises. Announced
 // paths run src-first, origin-last (the bgpsim convention).
 func (m *Monitor) Observe(u *bgpsim.UpdateEvent) []Alert {
-	if u.Withdraw() || len(u.Path) == 0 {
+	if u.Withdraw() {
 		return nil
 	}
 	k, expected, exact, ok := m.match(u.Prefix)
@@ -201,29 +152,24 @@ func (m *Monitor) Observe(u *bgpsim.UpdateEvent) []Alert {
 			Kind: AlertMoreSpecific, Observed: origin,
 		}}
 	}
-	// Exact watched prefix: origin and upstream checks.
-	if origin != expected {
-		return []Alert{{
-			Time: u.Time, Session: u.Session, Prefix: u.Prefix,
-			Kind: AlertOriginChange, Observed: origin,
-		}}
-	}
-	if !m.upstreamAlarms.Load() {
-		return nil
-	}
-	up, ok := upstreamOf(u.Path)
-	if !ok {
-		return nil
-	}
-	m.mu.RLock()
-	known := m.knownUpstreams[k][up]
-	m.mu.RUnlock()
-	if known {
-		return nil
+	// Exact watched prefix: the origin, then the upstream once armed.
+	kind, observed := AlertOriginChange, origin
+	if origin == expected {
+		if len(u.Path) < 2 || !m.upstreamAlarms.Load() {
+			return nil
+		}
+		up := u.Path[len(u.Path)-2]
+		m.mu.RLock()
+		known := m.knownUpstreams[[2]uint64{k, uint64(up)}]
+		m.mu.RUnlock()
+		if known {
+			return nil
+		}
+		kind, observed = AlertNewUpstream, up
 	}
 	return []Alert{{
 		Time: u.Time, Session: u.Session, Prefix: u.Prefix,
-		Kind: AlertNewUpstream, Observed: up,
+		Kind: kind, Observed: observed,
 	}}
 }
 
@@ -231,8 +177,7 @@ func (m *Monitor) Observe(u *bgpsim.UpdateEvent) []Alert {
 type MonitorReport struct {
 	Updates int
 	Alerts  []Alert
-	// ByKind counts alerts per kind.
-	ByKind map[AlertKind]int
+	ByKind  map[AlertKind]int // alerts per kind
 }
 
 // RunMonitor trains the monitor on the first learnFraction of the

@@ -205,7 +205,7 @@ func TestRejectPathAllocFree(t *testing.T) {
 	sink := r.sink(p)
 	now := time.Now()
 	u := &bgp.Update{
-		Withdrawn: []netip.Prefix{netip.MustParsePrefix("10.99.0.0/16")}, // shares a first octet: reaches the trie
+		Withdrawn: []netip.Prefix{netip.MustParsePrefix("10.99.0.0/16")}, // shares a first octet: reaches the index
 		NLRI:      []netip.Prefix{netip.MustParsePrefix("198.18.0.0/15")},
 		Attrs: bgp.PathAttributes{HasASPath: true, ASPath: bgp.ASPath{Segments: []bgp.Segment{
 			{Type: bgp.SegmentSequence, ASes: []bgp.ASN{64601, 64700}},

@@ -1,59 +1,46 @@
-// Package iptrie implements a binary radix trie over IPv4 prefixes with
-// longest-prefix-match lookup, and the one-word prefix key that exact-match
-// tables use instead of it.
-//
-// The paper maps every Tor relay IP to "the most specific BGP prefix that
-// contained it" (its Tor prefix); this trie is the substrate for that
-// batch mapping. Questions that ask for one prefix exactly, such as the
-// live RIB's and the watchlist's, hash a Key instead of walking bits. The
-// zero value of Trie is ready to use.
+// Package iptrie is the one IPv4 prefix index. The paper maps every Tor
+// relay IP to "the most specific BGP prefix that contained it", and its
+// monitor asks whether an announcement is a watched prefix or more
+// specific than one: the batch relay-IP map, the live RIB's shards and
+// the watchlist all ask a Trie.
 package iptrie
 
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"net/netip"
+	"slices"
 )
 
-// node is one bit-level trie node. Prefixes are stored at the node whose
-// depth equals the prefix length, following the address bits from the most
-// significant bit down.
-type node[V any] struct {
-	child [2]*node[V]
-	has   bool
-	val   V
-}
-
-// Trie is a binary radix trie mapping IPv4 prefixes to values of type V.
-// The zero value is an empty trie. Trie is not safe for concurrent
-// mutation; concurrent read-only access is safe.
+// Trie maps IPv4 prefixes to values of type V: a map keyed by Key plus,
+// per first octet, a mask of the lengths stored over it, so a lookup
+// probes only the lengths its octet names. Masks only grow: a deleted
+// length costs a probe, never a wrong answer. The zero value is empty.
+// Trie is not safe for concurrent mutation; concurrent reads are safe.
 type Trie[V any] struct {
-	root *node[V]
-	size int
+	m    map[uint64]V
+	lens [256]uint64 // lens[o] bit b: a /b prefix was stored over first octet o
 }
 
-// key returns IPv4 address a as the word a walk consumes from the top bit
-// down (child[k>>31], k <<= 1): derived once per operation, not per bit.
+// key returns IPv4 address a as a big-endian word.
 func key(a netip.Addr) uint32 {
 	b := a.As4()
 	return binary.BigEndian.Uint32(b[:])
 }
 
-// Key returns the exact-match key of IPv4 prefix p: the masked address in
-// the high bits over the length in the low 8, addr<<8 | bits. Keys of
-// distinct prefixes differ, and keys sort in the trie's pre-order: by
-// address, then shorter first. ok is false for an invalid or non-IPv4
-// prefix.
+// Key returns IPv4 prefix p's key, addr<<8 | bits over the masked address:
+// distinct prefixes' keys differ and sort by address, then shorter first.
+// ok is false for an invalid or non-IPv4 prefix.
 func Key(p netip.Prefix) (k uint64, ok bool) {
 	if !p.IsValid() || !p.Addr().Is4() {
 		return 0, false
 	}
-	return AddrKey(key(p.Addr()), p.Bits()), true
+	return addrKey(key(p.Addr()), p.Bits()), true
 }
 
-// AddrKey returns the Key of the /bits prefix covering IPv4 address a,
-// given as the word key derives; bits must be in [0, 32].
-func AddrKey(a uint32, bits int) uint64 {
+// addrKey returns the Key of the /bits prefix covering IPv4 address a.
+func addrKey(a uint32, bits int) uint64 {
 	return uint64(a&^(^uint32(0)>>bits))<<8 | uint64(bits)
 }
 
@@ -64,95 +51,95 @@ func KeyPrefix(k uint64) netip.Prefix {
 	return netip.PrefixFrom(netip.AddrFrom4(b), int(k&0xff))
 }
 
-func checkPrefix(p netip.Prefix) error {
-	if !p.IsValid() {
-		return fmt.Errorf("iptrie: invalid prefix %v", p)
-	}
-	if !p.Addr().Is4() {
-		return fmt.Errorf("iptrie: prefix %v is not IPv4", p)
-	}
-	return nil
-}
-
-// Insert associates val with prefix p, replacing any previous value. The
-// prefix is canonicalized (masked) before insertion, so 10.1.2.3/8 and
-// 10.0.0.0/8 are the same key. It reports whether the key was newly added.
+// Insert stores val at prefix p, masked first (10.1.2.3/8 is 10.0.0.0/8),
+// replacing any previous value. It reports whether p was newly added.
 func (t *Trie[V]) Insert(p netip.Prefix, val V) (added bool, err error) {
-	if err := checkPrefix(p); err != nil {
-		return false, err
+	k, ok := Key(p)
+	if !ok {
+		return false, fmt.Errorf("iptrie: %v is not a valid IPv4 prefix", p)
 	}
-	if t.root == nil {
-		t.root = &node[V]{}
-	}
-	n := t.root
-	// Only the first Bits() bits are walked, which is the masking.
-	k := key(p.Addr())
-	for i := p.Bits(); i > 0; i-- {
-		b := k >> 31
-		k <<= 1
-		if n.child[b] == nil {
-			n.child[b] = &node[V]{}
-		}
-		n = n.child[b]
-	}
-	added = !n.has
-	n.has = true
-	n.val = val
-	if added {
-		t.size++
-	}
-	return added, nil
+	_, had := t.GetKey(k)
+	t.SetKey(k, val)
+	return !had, nil
 }
 
 // Get returns the value stored at exactly prefix p.
 func (t *Trie[V]) Get(p netip.Prefix) (val V, ok bool) {
-	var zero V
-	if err := checkPrefix(p); err != nil {
-		return zero, false
+	if k, ok := Key(p); ok {
+		return t.GetKey(k)
 	}
-	n := t.root
-	k := key(p.Addr())
-	for i := p.Bits(); n != nil && i > 0; i-- {
-		n = n.child[k>>31]
-		k <<= 1
+	return val, false
+}
+
+// GetKey returns the value stored at exactly the prefix whose Key is k.
+func (t *Trie[V]) GetKey(k uint64) (val V, ok bool) {
+	if t.lens[k>>32]>>(k&0xff)&1 != 0 {
+		val, ok = t.m[k]
 	}
-	if n == nil || !n.has {
-		return zero, false
+	return val, ok
+}
+
+// SetKey stores val at the prefix whose Key is k.
+func (t *Trie[V]) SetKey(k uint64, val V) {
+	if t.m == nil {
+		t.m = make(map[uint64]V)
 	}
-	return n.val, true
+	t.m[k] = val
+	// A prefix shorter than /8 spans 2^(8-bits) first octets.
+	plen := int(k & 0xff)
+	first, span := int(k>>32), 1<<max(8-plen, 0)
+	for o := first; o < first+span; o++ {
+		t.lens[o] |= 1 << plen
+	}
+}
+
+// DeleteKey removes the prefix whose Key is k, if it is stored.
+func (t *Trie[V]) DeleteKey(k uint64) { delete(t.m, k) }
+
+// CoversKey reports whether a stored prefix strictly shorter than the one
+// whose Key is k contains it.
+func (t *Trie[V]) CoversKey(k uint64) bool {
+	_, _, ok := t.longest(uint32(k>>8), t.lens[k>>32]&(1<<(k&0xff)-1))
+	return ok
 }
 
 // LongestMatch returns the most specific stored prefix containing addr,
 // along with its value. ok is false when no stored prefix covers addr.
 func (t *Trie[V]) LongestMatch(addr netip.Addr) (p netip.Prefix, val V, ok bool) {
-	var zero V
 	if !addr.Is4() {
-		return netip.Prefix{}, zero, false
+		return p, val, false
 	}
-	n := t.root
-	k := key(addr)
-	bestLen := -1
-	var bestVal V
-	for i := 0; n != nil; i++ {
-		if n.has {
-			bestLen = i
-			bestVal = n.val
+	a := key(addr)
+	if k, val, ok := t.longest(a, t.lens[a>>24]); ok {
+		return KeyPrefix(k), val, true
+	}
+	return p, val, false
+}
+
+// longest returns the longest prefix over address a of the lengths lens names.
+func (t *Trie[V]) longest(a uint32, lens uint64) (k uint64, val V, ok bool) {
+	for ; lens != 0; lens &^= 1 << (k & 0xff) {
+		k = addrKey(a, 63-bits.LeadingZeros64(lens))
+		if val, ok = t.m[k]; ok {
+			return k, val, true
 		}
-		if i == 32 {
-			break
+	}
+	return 0, val, false
+}
+
+// Walk calls fn on every stored prefix in Key order until fn returns false.
+func (t *Trie[V]) Walk(fn func(netip.Prefix, V) bool) {
+	keys := make([]uint64, 0, len(t.m))
+	for k := range t.m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	for _, k := range keys {
+		if !fn(KeyPrefix(k), t.m[k]) {
+			return
 		}
-		n = n.child[k>>31]
-		k <<= 1
 	}
-	if bestLen < 0 {
-		return netip.Prefix{}, zero, false
-	}
-	bp, err := addr.Prefix(bestLen)
-	if err != nil {
-		return netip.Prefix{}, zero, false
-	}
-	return bp, bestVal, true
 }
 
 // Len returns the number of stored prefixes.
-func (t *Trie[V]) Len() int { return t.size }
+func (t *Trie[V]) Len() int { return len(t.m) }

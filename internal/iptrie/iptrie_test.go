@@ -1,10 +1,11 @@
 package iptrie
 
 import (
+	"fmt"
 	"math/rand"
 	"net/netip"
+	"slices"
 	"testing"
-	"testing/quick"
 )
 
 func mustPrefix(t *testing.T, s string) netip.Prefix {
@@ -135,7 +136,7 @@ func TestLongestMatchIPv6Addr(t *testing.T) {
 }
 
 func TestKey(t *testing.T) {
-	// Sorted keys follow the trie's pre-order: address, then shorter first.
+	// Sorted keys run by address, then shorter first.
 	order := []string{"0.0.0.0/0", "10.0.0.0/8", "10.0.0.0/16", "10.1.0.0/16", "10.1.2.3/32", "192.168.0.0/16"}
 	var prev uint64
 	for i, s := range order {
@@ -154,8 +155,8 @@ func TestKey(t *testing.T) {
 	// Unmasked inputs share their masked prefix's key.
 	k1, _ := Key(mustPrefix(t, "10.1.2.3/16"))
 	k2, _ := Key(mustPrefix(t, "10.1.0.0/16"))
-	if k1 != k2 || k1 != AddrKey(0x0a010203, 16) {
-		t.Errorf("unmasked key %#x, masked %#x, AddrKey %#x", k1, k2, AddrKey(0x0a010203, 16))
+	if k1 != k2 || k1 != addrKey(0x0a010203, 16) {
+		t.Errorf("unmasked key %#x, masked %#x, addrKey %#x", k1, k2, addrKey(0x0a010203, 16))
 	}
 	for _, p := range []netip.Prefix{{}, mustPrefix(t, "2001:db8::/32"), mustPrefix(t, "::ffff:10.0.0.0/104")} {
 		if _, ok := Key(p); ok {
@@ -164,76 +165,135 @@ func TestKey(t *testing.T) {
 	}
 }
 
-// referenceLPM is a brute-force longest-prefix match used as the oracle for
-// the property test.
-func referenceLPM(prefixes map[netip.Prefix]int, addr netip.Addr) (netip.Prefix, int, bool) {
-	best := netip.Prefix{}
-	bestVal := 0
-	found := false
-	for p, v := range prefixes {
-		if p.Contains(addr) && (!found || p.Bits() > best.Bits()) {
-			best, bestVal, found = p, v, true
-		}
-	}
-	return best, bestVal, found
-}
-
-// Property: trie LPM agrees with brute-force scan on random prefix sets.
+// TestLongestMatchAgainstReference runs random Insert/SetKey/DeleteKey
+// sequences over overlapping prefixes against a linear scan of a map. The
+// prefixes include /0, /1–/7 spanning several first octets, /32s and
+// unmasked inputs. The Trie must agree on Insert's added flag, Get,
+// GetKey, LongestMatch, CoversKey, Walk order and Len; IPv6 and invalid
+// prefixes are rejected and match nothing.
 func TestLongestMatchAgainstReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 30; trial++ {
+	lengths := []int{0, 1, 2, 3, 5, 7, 8, 9, 12, 16, 23, 24, 31, 32}
+	octets := []byte{0, 1, 10, 11, 63, 64, 127, 128, 200, 255}
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		randPrefix := func() netip.Prefix {
+			a := [4]byte{octets[rng.Intn(len(octets))], byte(rng.Intn(3)), byte(rng.Intn(3)), byte(rng.Intn(256))}
+			return netip.PrefixFrom(netip.AddrFrom4(a), lengths[rng.Intn(len(lengths))]) // unmasked
+		}
+		pool := make([]netip.Prefix, 40)
+		for i := range pool {
+			pool[i] = randPrefix()
+		}
+		probes := slices.Clone(pool)
+		for i := 0; i < 40; i++ {
+			probes = append(probes, randPrefix())
+		}
+
 		var tr Trie[int]
-		prefixes := make(map[netip.Prefix]int)
-		n := 1 + rng.Intn(60)
-		for i := 0; i < n; i++ {
-			addr := netip.AddrFrom4([4]byte{byte(rng.Intn(8)), byte(rng.Intn(4)), byte(rng.Intn(4)), byte(rng.Intn(256))})
-			bits := rng.Intn(33)
-			p, err := addr.Prefix(bits)
-			if err != nil {
-				t.Fatal(err)
+		oracle := map[netip.Prefix]int{} // masked prefix -> value
+		for op := 0; op < 300; op++ {
+			p := pool[rng.Intn(len(pool))]
+			k, _ := Key(p)
+			switch rng.Intn(3) {
+			case 0:
+				_, had := oracle[p.Masked()]
+				if added, err := tr.Insert(p, op); err != nil || added == had {
+					t.Fatalf("seed %d: Insert(%v) = %v, %v; oracle had it: %v", seed, p, added, err, had)
+				}
+				oracle[p.Masked()] = op
+			case 1:
+				tr.SetKey(k, op)
+				oracle[p.Masked()] = op
+			default:
+				tr.DeleteKey(k)
+				delete(oracle, p.Masked())
 			}
-			prefixes[p] = i
-			tr.Insert(p, i)
-		}
-		// Re-insert to fix value collisions on canonicalized duplicates:
-		// map wins last, so replay map contents.
-		for p, v := range prefixes {
-			tr.Insert(p, v)
-		}
-		if tr.Len() != len(prefixes) {
-			t.Fatalf("Len = %d, want %d", tr.Len(), len(prefixes))
-		}
-		for q := 0; q < 200; q++ {
-			addr := netip.AddrFrom4([4]byte{byte(rng.Intn(8)), byte(rng.Intn(4)), byte(rng.Intn(4)), byte(rng.Intn(256))})
-			wp, _, wok := referenceLPM(prefixes, addr)
-			gp, _, gok := tr.LongestMatch(addr)
-			if wok != gok {
-				t.Fatalf("addr %v: ok %v vs reference %v", addr, gok, wok)
-			}
-			if wok && gp.Bits() != wp.Bits() {
-				t.Fatalf("addr %v: got /%d, reference /%d", addr, gp.Bits(), wp.Bits())
+			if op%10 == 0 {
+				if err := checkTrieOracle(&tr, oracle, probes); err != nil {
+					t.Fatalf("seed %d op %d: %v", seed, op, err)
+				}
 			}
 		}
+	}
+
+	var tr Trie[int]
+	tr.Insert(mustPrefix(t, "0.0.0.0/0"), 1)
+	for _, p := range []netip.Prefix{{}, mustPrefix(t, "2001:db8::/32"), mustPrefix(t, "::ffff:10.0.0.0/104")} {
+		if _, err := tr.Insert(p, 2); err == nil {
+			t.Errorf("Insert(%v) accepted", p)
+		}
+		if _, ok := tr.Get(p); ok {
+			t.Errorf("Get(%v) matched", p)
+		}
+		if q, _, ok := tr.LongestMatch(p.Addr()); ok {
+			t.Errorf("LongestMatch(%v) = %v", p.Addr(), q)
+		}
+	}
+	if tr.Len() != 1 {
+		t.Errorf("Len = %d after rejected inserts, want 1", tr.Len())
 	}
 }
 
-// Property (testing/quick): inserting any valid prefix makes Get find it.
-func TestInsertThenGetQuick(t *testing.T) {
-	f := func(a, b, c, d byte, bitsRaw uint8) bool {
-		bits := int(bitsRaw % 33)
-		addr := netip.AddrFrom4([4]byte{a, b, c, d})
-		p, err := addr.Prefix(bits)
-		if err != nil {
-			return false
-		}
-		var tr Trie[byte]
-		if _, err := tr.Insert(p, a); err != nil {
-			return false
-		}
-		v, ok := tr.Get(p)
-		return ok && v == a && tr.Len() == 1
+// checkTrieOracle compares tr with the oracle's masked prefix -> value
+// map by a linear scan per probe.
+func checkTrieOracle(tr *Trie[int], oracle map[netip.Prefix]int, probes []netip.Prefix) error {
+	if tr.Len() != len(oracle) {
+		return fmt.Errorf("Len = %d, oracle %d", tr.Len(), len(oracle))
 	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
+	for _, q := range probes {
+		k, _ := Key(q)
+		want, wantOK := oracle[q.Masked()]
+		if v, ok := tr.Get(q); v != want || ok != wantOK {
+			return fmt.Errorf("Get(%v) = %d, %v; oracle %d, %v", q, v, ok, want, wantOK)
+		}
+		if v, ok := tr.GetKey(k); v != want || ok != wantOK {
+			return fmt.Errorf("GetKey(%v) = %d, %v; oracle %d, %v", q, v, ok, want, wantOK)
+		}
+		best, found, covered := netip.Prefix{}, false, false
+		for p := range oracle {
+			if p.Contains(q.Addr()) && (!found || p.Bits() > best.Bits()) {
+				best, found = p, true
+			}
+			covered = covered || (p.Bits() < q.Bits() && p.Contains(q.Addr()))
+		}
+		if p, v, ok := tr.LongestMatch(q.Addr()); ok != found || p != best || v != oracle[best] {
+			return fmt.Errorf("LongestMatch(%v) = %v, %d, %v; oracle %v, %v", q.Addr(), p, v, ok, best, found)
+		}
+		if got := tr.CoversKey(k); got != covered {
+			return fmt.Errorf("CoversKey(%v) = %v, oracle %v", q, got, covered)
+		}
 	}
+	// Walk: every prefix once, by address then shorter first, stopping
+	// when fn returns false.
+	want := make([]netip.Prefix, 0, len(oracle))
+	for p := range oracle {
+		want = append(want, p)
+	}
+	slices.SortFunc(want, func(a, b netip.Prefix) int {
+		if c := a.Addr().Compare(b.Addr()); c != 0 {
+			return c
+		}
+		return a.Bits() - b.Bits()
+	})
+	var got []netip.Prefix
+	var err error
+	tr.Walk(func(p netip.Prefix, v int) bool {
+		if v != oracle[p] {
+			err = fmt.Errorf("Walk gave %v value %d, oracle %d", p, v, oracle[p])
+		}
+		got = append(got, p)
+		return true
+	})
+	if err != nil {
+		return err
+	}
+	if !slices.Equal(got, want) {
+		return fmt.Errorf("Walk visited %v, oracle %v", got, want)
+	}
+	n := 0
+	tr.Walk(func(netip.Prefix, int) bool { n++; return false })
+	if n != min(len(oracle), 1) {
+		return fmt.Errorf("Walk visited %d prefixes after fn returned false", n)
+	}
+	return nil
 }

@@ -1,9 +1,7 @@
 package monitord
 
 import (
-	"math/bits"
 	"net/netip"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -27,10 +25,9 @@ type RIBEntry struct {
 }
 
 // Best returns the entry's best path under the collector's simple rule:
-// shortest AS path, ties broken by lowest session id. Every route in an
-// entry is live (apply deletes a withdrawn session's), so a present but
-// empty AS_PATH is the shortest there is. ok is false only for an entry
-// with no routes.
+// shortest AS path, ties broken by lowest session id. Every route is live
+// (apply drops withdrawn ones), so a present but empty AS_PATH is the
+// shortest there is. ok is false only for an entry with no routes.
 func (e *RIBEntry) Best() (Route, bool) {
 	if len(e.Routes) == 0 {
 		return Route{}, false
@@ -45,36 +42,25 @@ func (e *RIBEntry) Best() (Route, bool) {
 }
 
 // liveRIB is the daemon's sharded routing table: prefix -> per-session
-// path state. Every question the ingest path asks of it is exact, so each
-// shard is a map keyed by iptrie.Key; only /rib?addr= asks for a longest
-// match. Each shard is guarded by its own RWMutex; the dispatcher routes
-// every update for a prefix to the same shard, so writes per shard come
-// from a single worker while HTTP lookups take read locks. The RIB owns
-// its storage: it copies every path into a route's own capacity and
-// never retains an argument.
+// path state, one iptrie.Trie per shard. The dispatcher routes every
+// update for a prefix to one shard, so a shard's writes come from one
+// worker under its RWMutex while HTTP lookups take read locks. The RIB
+// copies every path it stores and never retains an argument.
 type liveRIB struct {
 	shards []ribShard
 }
 
-// ribShard maps each prefix's key to its live routes in ascending session
-// id. Slots past a slice's len keep the path capacity of routes that were
-// withdrawn.
+// ribShard maps each prefix to its live routes in ascending session id;
+// slots past a slice's len keep withdrawn routes' path capacity.
 type ribShard struct {
 	mu     sync.RWMutex
-	routes map[uint64][]Route
-	lens   uint64       // bit b set once a /b prefix is stored: the lengths LookupAddr probes
+	routes iptrie.Trie[[]Route]
 	size   atomic.Int64 // written under mu, read without: a scrape never waits on a shard
-	// spare holds the route slices of prefixes that left the table: the
-	// next prefix inserted reuses their route and path capacity.
-	spare [][]Route
+	spare  [][]Route    // route slices of prefixes that left, reused by the next one in
 }
 
 func newLiveRIB(shards int) *liveRIB {
-	r := &liveRIB{shards: make([]ribShard, shards)}
-	for i := range r.shards {
-		r.shards[i].routes = make(map[uint64][]Route)
-	}
-	return r
+	return &liveRIB{shards: make([]ribShard, shards)}
 }
 
 // shardOf maps a prefix key to its shard by FNV-1a over the masked
@@ -89,14 +75,13 @@ func (r *liveRIB) shardOf(k uint64) int {
 }
 
 // apply folds one update for the prefix with key k into its shard; the
-// caller holds mu. An announcement replaces the session's path (copied,
-// never kept), a withdrawal (nil path) removes it, and a prefix whose last
-// session withdraws leaves the table entirely. A non-nil empty path is a
-// legal announcement (AS_PATH present with zero segments) and is stored.
-// The map holds the slice itself, so it is written back only when the
-// slice's header changes.
+// caller holds mu. An announcement replaces the session's path (copied),
+// a withdrawal (nil path) removes it, and a prefix whose last session
+// withdraws leaves the table. A non-nil empty path (AS_PATH with zero
+// segments) is a legal announcement. The slice is written back to the
+// index only when its header changes.
 func (sh *ribShard) apply(t time.Time, session int, k uint64, path []bgp.ASN) {
-	rs, ok := sh.routes[k]
+	rs, ok := sh.routes.GetKey(k)
 	i := 0
 	for i < len(rs) && rs[i].Session < session {
 		i++
@@ -112,11 +97,11 @@ func (sh *ribShard) apply(t time.Time, session int, k uint64, path []bgp.ASN) {
 		copy(rs[i:], rs[i+1:])
 		rs[last] = gone
 		if last == 0 {
-			delete(sh.routes, k)
+			sh.routes.DeleteKey(k)
 			sh.size.Add(-1)
 			sh.spare = append(sh.spare, rs[:0])
 		} else {
-			sh.routes[k] = rs[:last]
+			sh.routes.SetKey(k, rs[:last])
 		}
 		return
 	}
@@ -125,7 +110,6 @@ func (sh *ribShard) apply(t time.Time, session int, k uint64, path []bgp.ASN) {
 			rs, sh.spare = sh.spare[n-1], sh.spare[:n-1]
 		}
 		sh.size.Add(1)
-		sh.lens |= 1 << (k & 0xff)
 	}
 	if !found {
 		// Open slot i, taking over a parked slot's path capacity.
@@ -138,15 +122,15 @@ func (sh *ribShard) apply(t time.Time, session int, k uint64, path []bgp.ASN) {
 		parked := rs[n].Path
 		copy(rs[i+1:], rs[i:n])
 		rs[i] = Route{Session: session, Path: parked}
-		sh.routes[k] = rs
+		sh.routes.SetKey(k, rs)
 	}
 	rt := &rs[i]
 	rt.Path = append(rt.Path[:0], path...)
 	rt.Updated = t
 }
 
-func snapshotEntry(k uint64, rs []Route) *RIBEntry {
-	e := &RIBEntry{Prefix: iptrie.KeyPrefix(k), Routes: make([]Route, len(rs))}
+func snapshotEntry(p netip.Prefix, rs []Route) *RIBEntry {
+	e := &RIBEntry{Prefix: p, Routes: make([]Route, len(rs))}
 	for i, rt := range rs {
 		// append onto a non-nil base so an empty-AS_PATH announcement
 		// stays distinguishable from a withdrawal in the snapshot.
@@ -165,34 +149,21 @@ func (r *liveRIB) Lookup(p netip.Prefix) (*RIBEntry, bool) {
 	sh := &r.shards[r.shardOf(k)]
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	rs, ok := sh.routes[k]
-	if !ok {
-		return nil, false
+	if rs, ok := sh.routes.GetKey(k); ok {
+		return snapshotEntry(p.Masked(), rs), true
 	}
-	return snapshotEntry(k, rs), true
+	return nil, false
 }
 
 // LookupAddr returns the most specific live entry covering addr. Shards
-// partition by prefix, so the longest match is taken across all of them,
-// each probing only the lengths it has stored, longest first.
+// partition by prefix, so the longest match is taken across all of them.
 func (r *liveRIB) LookupAddr(addr netip.Addr) (*RIBEntry, bool) {
-	a, ok := iptrie.Key(netip.PrefixFrom(addr, 32))
-	if !ok {
-		return nil, false
-	}
 	var best *RIBEntry
-	bestBits := -1
 	for i := range r.shards {
 		sh := &r.shards[i]
 		sh.mu.RLock()
-		for lens := sh.lens &^ (1<<(bestBits+1) - 1); lens != 0; {
-			b := 63 - bits.LeadingZeros64(lens)
-			lens &^= 1 << b
-			k := iptrie.AddrKey(uint32(a>>8), b)
-			if rs, ok := sh.routes[k]; ok {
-				best, bestBits = snapshotEntry(k, rs), b
-				break
-			}
+		if p, rs, ok := sh.routes.LongestMatch(addr); ok && (best == nil || p.Bits() > best.Prefix.Bits()) {
+			best = snapshotEntry(p, rs)
 		}
 		sh.mu.RUnlock()
 	}
@@ -213,16 +184,12 @@ func (r *liveRIB) Size() int {
 func (r *liveRIB) Walk(fn func(*RIBEntry) bool) {
 	for i := range r.shards {
 		sh := &r.shards[i]
+		var entries []*RIBEntry
 		sh.mu.RLock()
-		keys := make([]uint64, 0, len(sh.routes))
-		for k := range sh.routes {
-			keys = append(keys, k)
-		}
-		slices.Sort(keys)
-		entries := make([]*RIBEntry, len(keys))
-		for j, k := range keys {
-			entries[j] = snapshotEntry(k, sh.routes[k])
-		}
+		sh.routes.Walk(func(p netip.Prefix, rs []Route) bool {
+			entries = append(entries, snapshotEntry(p, rs))
+			return true
+		})
 		sh.mu.RUnlock()
 		for _, e := range entries {
 			if !fn(e) {

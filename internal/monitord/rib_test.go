@@ -200,14 +200,15 @@ func TestRIBConcurrentLookupApply(t *testing.T) {
 	}
 }
 
-// TestExactMatchAgainstLinearOracle is testkit.CheckLPM's twin for the
-// exact-match maps the ingest path uses: random announce/withdraw
-// sequences over overlapping prefixes, among them /0, /1–/7 spanning
-// several first octets, /32s and unmasked inputs, run against a linear
-// scan. The RIB must agree on Lookup, LookupAddr, Walk order and Size;
-// the monitor, built from a random watchlist over the same prefixes, on
-// Relevant and on whether Observe calls an announcement exact, more
-// specific or neither. IPv6 and invalid inputs match nothing.
+// TestExactMatchAgainstLinearOracle checks the two users of the prefix
+// index on the ingest path against a linear scan (iptrie's
+// TestLongestMatchAgainstReference checks the index itself): random
+// announce/withdraw sequences over overlapping prefixes, among them /0,
+// /1–/7 spanning several first octets, /32s and unmasked inputs. The RIB
+// must agree across its shards on Lookup, LookupAddr, Walk order and
+// Size; the monitor, built from a random watchlist over the same
+// prefixes, on Relevant and on whether Observe calls an announcement
+// exact, more specific or neither. IPv6 and invalid inputs match nothing.
 func TestExactMatchAgainstLinearOracle(t *testing.T) {
 	lengths := []int{0, 1, 2, 3, 5, 7, 8, 9, 12, 16, 23, 24, 31, 32}
 	octets := []byte{0, 1, 10, 11, 63, 64, 127, 128, 200, 255}
@@ -338,7 +339,7 @@ func checkRIBOracle(rib *liveRIB, oracle map[netip.Prefix]map[int][]bgp.ASN, pro
 		}
 	}
 	// Walk: every entry once, shard by shard, each shard by address then
-	// length (the trie's pre-order).
+	// length (key order).
 	want := make([]netip.Prefix, 0, len(oracle))
 	for p := range oracle {
 		want = append(want, p)

@@ -10,7 +10,6 @@ import (
 
 	"quicksand/internal/bgp"
 	"quicksand/internal/bgpsim"
-	"quicksand/internal/iptrie"
 	"quicksand/internal/mrt"
 	"quicksand/internal/pcap"
 	"quicksand/internal/stats"
@@ -120,48 +119,6 @@ func CheckResetTransfer(si int, up time.Time, known, live map[netip.Prefix][]bgp
 		if _, ok := known[p]; !ok {
 			return fmt.Errorf("session %d transfer at %v: live prefix %v missing from announced table",
 				si, up.Format(time.RFC3339), p)
-		}
-	}
-	return nil
-}
-
-// CheckLPM cross-checks the iptrie against a brute-force linear oracle:
-// for every probe address, LongestMatch must return the most specific
-// containing prefix; Get must find every inserted entry.
-func CheckLPM(entries map[netip.Prefix]int, probes []netip.Addr) error {
-	var trie iptrie.Trie[int]
-	for p, v := range entries {
-		if _, err := trie.Insert(p, v); err != nil {
-			return fmt.Errorf("insert %v: %w", p, err)
-		}
-	}
-	if trie.Len() != len(entries) {
-		return fmt.Errorf("trie has %d entries, inserted %d", trie.Len(), len(entries))
-	}
-	for p, v := range entries {
-		got, ok := trie.Get(p)
-		if !ok || got != v {
-			return fmt.Errorf("Get(%v) = %d, %v; want %d, true", p, got, ok, v)
-		}
-	}
-	for _, addr := range probes {
-		// Linear oracle: scan every prefix.
-		best, found := netip.Prefix{}, false
-		for p := range entries {
-			if p.Contains(addr) && (!found || p.Bits() > best.Bits()) {
-				best, found = p, true
-			}
-		}
-		gotP, gotV, gotOK := trie.LongestMatch(addr)
-		if !found {
-			if gotOK {
-				return fmt.Errorf("LongestMatch(%v) = %v, oracle has no match", addr, gotP)
-			}
-			continue
-		}
-		if !gotOK || gotP != best || gotV != entries[best] {
-			return fmt.Errorf("LongestMatch(%v) = %v/%d/%v, oracle %v/%d",
-				addr, gotP, gotV, gotOK, best, entries[best])
 		}
 	}
 	return nil

@@ -2,12 +2,15 @@ package testkit
 
 import (
 	"net/netip"
+	"slices"
 	"strings"
 	"testing"
 
+	"quicksand/internal/analysis"
 	"quicksand/internal/bgp"
 	"quicksand/internal/stats"
 	"quicksand/internal/topology"
+	"quicksand/internal/torconsensus"
 	"quicksand/internal/torpath"
 )
 
@@ -114,27 +117,107 @@ func TestCheckPathRejectsBadPaths(t *testing.T) {
 	}
 }
 
+// TestLPMAgainstLinearOracle checks §4's relay → Tor-prefix mapping
+// (analysis.MapTorPrefixes over a BuildRIB index) against a linear scan:
+// each relay must land in the most specific announced prefix containing
+// it, with that prefix's origin and role counts, and relays no prefix
+// covers must be reported unmapped, in consensus order.
 func TestLPMAgainstLinearOracle(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
+		cons, _, err := RandomConsensus(seed)
+		if err != nil {
+			t.Fatal(err)
+		}
 		rng := Rand(seed, 10)
-		entries := make(map[netip.Prefix]int)
-		for i := 0; i < 400; i++ {
-			entries[RandomPrefix(rng)] = i
-		}
-		probes := make([]netip.Addr, 0, 600)
-		// Half the probes are uniform; half land inside known prefixes
-		// so matches actually occur.
-		for i := 0; i < 300; i++ {
-			probes = append(probes, RandomAddr4(rng))
-		}
-		for p := range entries {
-			probes = append(probes, p.Addr())
-			if len(probes) >= 600 {
-				break
+		origins := make(map[netip.Prefix]bgp.ASN)
+		// Nested prefixes over every relay, so the most specific one has
+		// to be found, and noise elsewhere; then every fifth relay loses
+		// all its covering prefixes, so some relays are unrouted.
+		for _, r := range cons.Relays {
+			for n := 1 + rng.Intn(3); n > 0; n-- {
+				p, _ := r.Addr.Prefix(8 + rng.Intn(25))
+				origins[p] = RandomASN(rng, true)
 			}
 		}
-		if err := CheckLPM(entries, probes); err != nil {
-			t.Errorf("seed %d: %v", seed, err)
+		for i := 0; i < 200; i++ {
+			origins[RandomPrefix(rng)] = RandomASN(rng, true)
+		}
+		for i := 0; i < len(cons.Relays); i += 5 {
+			for p := range origins {
+				if p.Contains(cons.Relays[i].Addr) {
+					delete(origins, p)
+				}
+			}
+		}
+		rib, err := analysis.BuildRIB(origins)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tor, unmapped, err := analysis.MapTorPrefixes(cons, rib)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(tor) == 0 || len(unmapped) == 0 {
+			t.Fatalf("seed %d: %d Tor prefixes, %d unmapped relays; want both", seed, len(tor), len(unmapped))
+		}
+
+		type counts struct{ guards, exits, middles, guardExit int }
+		want := make(map[netip.Prefix]*counts)
+		var wantUnmapped []netip.Addr
+		for i := range cons.Relays {
+			r := &cons.Relays[i]
+			best, found := netip.Prefix{}, false
+			for p := range origins {
+				if p.Contains(r.Addr) && (!found || p.Bits() > best.Bits()) {
+					best, found = p, true
+				}
+			}
+			if !found {
+				wantUnmapped = append(wantUnmapped, r.Addr)
+				continue
+			}
+			c := want[best]
+			if c == nil {
+				c = &counts{}
+				want[best] = c
+			}
+			g, e := r.HasFlag(torconsensus.FlagGuard), r.HasFlag(torconsensus.FlagExit)
+			if g {
+				c.guards++
+			}
+			if e {
+				c.exits++
+			}
+			if g || e {
+				c.guardExit++
+			} else {
+				c.middles++
+			}
+		}
+		if !slices.Equal(unmapped, wantUnmapped) {
+			t.Errorf("seed %d: unmapped %v, oracle %v", seed, unmapped, wantUnmapped)
+		}
+		for p, c := range want {
+			tp := tor[p]
+			if c.guardExit == 0 {
+				if tp != nil {
+					t.Errorf("seed %d: middle-only %v kept as a Tor prefix", seed, p)
+				}
+				continue
+			}
+			if tp == nil {
+				t.Errorf("seed %d: Tor prefix %v missing", seed, p)
+				continue
+			}
+			got := counts{tp.Guards, tp.Exits, tp.Middles, tp.GuardExitRelays()}
+			if tp.Prefix != p || tp.Origin != origins[p] || got != *c {
+				t.Errorf("seed %d: %v = %v/%v %+v, oracle %v %+v", seed, p, tp.Prefix, tp.Origin, got, origins[p], *c)
+			}
+		}
+		for p := range tor {
+			if c := want[p]; c == nil || c.guardExit == 0 {
+				t.Errorf("seed %d: %v is no relay's most specific guard/exit prefix", seed, p)
+			}
 		}
 	}
 }

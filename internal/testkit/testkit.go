@@ -12,11 +12,9 @@
 //     all pure functions of a seed.
 //   - Invariant checkers (invariants.go): Gao-Rexford/valley-free
 //     validity for every path a simulated update stream carries,
-//     longest-prefix-match agreement between internal/iptrie and a
-//     brute-force oracle, byte-exact round-trip identity for the
-//     bgp/mrt/pcap/torconsensus codecs, and chi-square agreement between
-//     empirical torpath relay selection and the analytic bandwidth
-//     weights.
+//     byte-exact round-trip identity for the bgp/mrt/pcap/torconsensus
+//     codecs, and chi-square agreement between empirical torpath relay
+//     selection and the analytic bandwidth weights.
 //   - A differential routing oracle (oracle.go): an independent, naive
 //     message-passing implementation of policy routing whose fixpoint is
 //     diffed AS-by-AS against topology's compiled engine, the one route

@@ -21,7 +21,7 @@
 #      confirmed killer takes 1 s or more, and rewrites
 #      results/mutants/KILLS.tsv (a diff there is a changed matrix)
 #   7. bench module: bench/ is its own Go module (root ./... does not
-#      cover it) compiled against monitord, fleet, bgpd and obs
+#      cover it) compiled against monitord, fleet, bgpd, obs and iptrie
 #   8. every Benchmark* for one iteration with -benchmem, so none can
 #      rot unrun (an allocation creeping back into the update path is
 #      failed by TestSessionPathSteadyStateAllocs, TestRejectPathAllocFree
@@ -31,7 +31,8 @@
 #      and the daemon's private RIB file, with the unused example
 #      programs and AS_PATH helpers, with the fleet's shards, merger and
 #      watch table, with the shared observability flags and the batch-only
-#      metrics, with the resilience subcommand, or as duplicates of a bench/ metric or of a test the
+#      metrics, with the resilience subcommand, with the bit trie, or as
+#      duplicates of a bench/ metric or of a test the
 #      kill matrix keeps are named nowhere outside the history files (Go
 #      comments and scripts here; TestDocsCiteOnlyWhatExists checks the
 #      Markdown's paths and test names)
@@ -75,8 +76,10 @@ sh results/mutants/run.sh
 
 echo "== bench module (own go.mod; root ./... does not cover it) =="
 # bench/ compiles against monitord.SeqAlert, MaxAlertsPerRequest,
-# monitord.New, fleet.New and obs.ParseExposition: vet and smoke-test it
-# so an internals change cannot break the benchmark unnoticed.
+# monitord.New, fleet.New, obs.ParseExposition and iptrie.Trie (its zero
+# value, Insert and LongestMatch: why the one prefix index keeps that
+# name): vet and smoke-test it so an internals change cannot break the
+# benchmark unnoticed.
 (cd bench && go vet ./... && go test ./...)
 
 echo "== every benchmark, one iteration =="
@@ -121,6 +124,12 @@ retired="$retired|par_(task_)|bgpsim_(events_)|resilience_(cache_)|Benchmark(Run
 # a test in internal/resilience.
 retired="$retired|resil(Cmd|Flags|Opts|Report|BigPhase)|printResil(Report)|-big-(guards|attackers)"
 retired="$retired|TestResil(Cmd)|TestRunResil(Small)"
+# So is the bit trie: its nodes and walks, its prefix check, the public
+# word-key helper only its callers needed, and the oracle helpers folded
+# into iptrie's TestLongestMatchAgainstReference. iptrie.Trie is the map-
+# plus-length-mask index.
+retired="$retired|node(\[V\])|check(Prefix)[(]|Addr(Key)[(]|binary (radix) trie|Check(LPM)"
+retired="$retired|reference(LPM)|TestInsertThenGet(Quick)"
 if stale=$(git grep -nE "$retired" -- . ':!PAPER.md' \
     ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!bench'); then
     echo "FAIL: retired names still referenced:" >&2
