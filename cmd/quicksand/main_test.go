@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -112,5 +113,31 @@ func TestPcapCapturesInFixedOrder(t *testing.T) {
 	want := []string{"client_to_guard.pcap", "exit_to_server.pcap", "guard_to_client.pcap", "server_to_exit.pcap"}
 	if !slices.Equal(names, want) {
 		t.Errorf("wrote %v, want %v", names, want)
+	}
+}
+
+// TestFig3LeftTraceHasNoTrialSpans runs fig3left with -trace. The churn
+// month fans out its recomputes on every large event; none of that may
+// reach the trace as trial spans, which are the experiments' own
+// fan-outs (a paper-scale month would write a megabyte of them).
+func TestFig3LeftTraceHasNoTrialSpans(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "trace.jsonl")
+	if err := run("fig3left", &expOpts{scale: "small", seed: 1, workers: 1, traceFile: path}); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spans := map[string]int{}
+	for _, line := range bytes.Split(bytes.TrimSpace(raw), []byte("\n")) {
+		var sp struct{ Name string }
+		if err := json.Unmarshal(line, &sp); err != nil {
+			t.Fatalf("trace line %q: %v", line, err)
+		}
+		spans[sp.Name]++
+	}
+	if spans["simulate_stream"] != 1 || spans["trial"] != 0 {
+		t.Errorf("trace spans %v, want one simulate_stream and no trial", spans)
 	}
 }

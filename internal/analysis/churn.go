@@ -49,21 +49,28 @@ func DefaultTransferHeuristic() TransferHeuristic {
 // (into st.Updates) classified as table-transfer announcements by the
 // burst heuristic.
 func detectTransferBursts(st *bgpsim.Stream, si int, h TransferHeuristic) map[int]bool {
+	// seen collects the session's prefixes, the ones PrefixesOnSession
+	// lists, to count them.
+	seen := make(map[netip.Prefix]bool, len(st.Initial[si]))
+	for p := range st.Initial[si] {
+		seen[p] = true
+	}
 	var idxs []int
 	for i := range st.Updates {
 		if st.Updates[i].Session == si {
 			idxs = append(idxs, i)
+			seen[st.Updates[i].Prefix] = true
 		}
 	}
-	known := len(st.PrefixesOnSession(si))
 	out := make(map[int]bool)
-	if known == 0 {
+	if len(seen) == 0 {
 		return out
 	}
+	need := h.MinFraction * float64(len(seen))
+	prefixes := make(map[netip.Prefix]bool)
 	start := 0
 	for start < len(idxs) {
 		end := start
-		prefixes := map[netip.Prefix]bool{st.Updates[idxs[start]].Prefix: true}
 		for end+1 < len(idxs) {
 			cur := st.Updates[idxs[end]].Time
 			next := st.Updates[idxs[end+1]].Time
@@ -71,11 +78,19 @@ func detectTransferBursts(st *bgpsim.Stream, si int, h TransferHeuristic) map[in
 				break
 			}
 			end++
-			prefixes[st.Updates[idxs[end]].Prefix] = true
 		}
-		if float64(len(prefixes)) >= h.MinFraction*float64(known) {
+		// A burst re-announces at most one prefix per update, so a burst
+		// with fewer updates than need cannot qualify: only a longer one
+		// gets its prefix set built.
+		if float64(end-start+1) >= need {
+			clear(prefixes)
 			for k := start; k <= end; k++ {
-				out[idxs[k]] = true
+				prefixes[st.Updates[idxs[k]].Prefix] = true
+			}
+			if float64(len(prefixes)) >= need {
+				for k := start; k <= end; k++ {
+					out[idxs[k]] = true
+				}
 			}
 		}
 		start = end + 1

@@ -17,9 +17,10 @@
 package bgpsim
 
 import (
+	"cmp"
 	"fmt"
 	"net/netip"
-	"sort"
+	"slices"
 	"time"
 
 	"quicksand/internal/bgp"
@@ -65,14 +66,14 @@ func (s *Session) VisiblePrefixes() []netip.Prefix {
 	return out
 }
 
-func sortPrefixes(ps []netip.Prefix) {
-	sort.Slice(ps, func(i, j int) bool {
-		ai, aj := ps[i].Addr(), ps[j].Addr()
-		if ai != aj {
-			return ai.Less(aj)
-		}
-		return ps[i].Bits() < ps[j].Bits()
-	})
+func sortPrefixes(ps []netip.Prefix) { slices.SortFunc(ps, comparePrefix) }
+
+// comparePrefix orders prefixes by address, then by length.
+func comparePrefix(a, b netip.Prefix) int {
+	if c := a.Addr().Compare(b.Addr()); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Bits(), b.Bits())
 }
 
 // UpdateEvent is one BGP UPDATE observed on a session: an announcement of
@@ -81,7 +82,10 @@ type UpdateEvent struct {
 	Time    time.Time
 	Session int // index into Stream.Sessions
 	Prefix  netip.Prefix
-	Path    []bgp.ASN // vantage first, origin last; nil = withdraw
+	// Path is vantage first, origin last; nil = withdraw. The simulator
+	// shares one path among the prefixes of an origin, and with
+	// Stream.Initial: it is read-only.
+	Path []bgp.ASN
 	// Transfer marks updates that are part of a post-reset routing table
 	// transfer. The MRT export does not carry this flag (real archives
 	// don't either) — it is ground truth for validating the reset filter.
@@ -117,7 +121,8 @@ type Stream struct {
 	Sessions []Session
 	// Initial holds the stable best path per (session, prefix) at Start;
 	// this is the paper's baseline "first path used at the beginning of
-	// the month". Withheld (invisible) prefixes are absent.
+	// the month". Withheld (invisible) prefixes are absent. Paths are
+	// shared like UpdateEvent.Path: read-only.
 	Initial map[int]map[netip.Prefix][]bgp.ASN
 	// Updates holds every update event in time order.
 	Updates []UpdateEvent
@@ -177,13 +182,18 @@ func (st *Stream) PrefixesOnSession(si int) []netip.Prefix {
 }
 
 // Sim holds the simulation inputs: the pristine topology and the prefix
-// origination table, indexed by origin.
+// origination table, with the dense index the event loop runs on.
 type Sim struct {
 	graph   *topology.Graph
 	origins map[netip.Prefix]bgp.ASN
-	// byOrigin lists each origin AS's prefixes in address order; the
-	// event loop reads it once per affected origin of every event.
-	byOrigin map[bgp.ASN][]netip.Prefix
+	// prefixes lists every prefix in address order; a prefix's id is its
+	// position. asns lists the distinct origin ASes ascending; an origin's
+	// index is its position. originOf maps a prefix id to its origin's
+	// index, and idsOf an origin's index to its prefix ids, ascending.
+	prefixes []netip.Prefix
+	asns     []bgp.ASN
+	originOf []int32
+	idsOf    [][]int32
 }
 
 // New builds a simulator over g, where origins maps each announced prefix
@@ -192,17 +202,24 @@ func New(g *topology.Graph, origins map[netip.Prefix]bgp.ASN) (*Sim, error) {
 	if len(origins) == 0 {
 		return nil, fmt.Errorf("bgpsim: no prefixes to originate")
 	}
-	byOrigin := make(map[bgp.ASN][]netip.Prefix)
+	s := &Sim{graph: g, origins: origins, originOf: make([]int32, 0, len(origins))}
 	for p, asn := range origins {
 		if g.AS(asn) == nil {
 			return nil, fmt.Errorf("bgpsim: origin %v of %v not in topology", asn, p)
 		}
-		byOrigin[asn] = append(byOrigin[asn], p)
+		s.prefixes = append(s.prefixes, p)
+		s.asns = append(s.asns, asn)
 	}
-	for _, ps := range byOrigin {
-		sortPrefixes(ps)
+	sortPrefixes(s.prefixes)
+	slices.Sort(s.asns)
+	s.asns = slices.Compact(s.asns)
+	s.idsOf = make([][]int32, len(s.asns))
+	for pid, p := range s.prefixes {
+		oi, _ := slices.BinarySearch(s.asns, origins[p])
+		s.originOf = append(s.originOf, int32(oi))
+		s.idsOf[oi] = append(s.idsOf[oi], int32(pid))
 	}
-	return &Sim{graph: g, origins: origins, byOrigin: byOrigin}, nil
+	return s, nil
 }
 
 // Graph returns the pristine topology the simulator was built over.
@@ -210,29 +227,3 @@ func (s *Sim) Graph() *topology.Graph { return s.graph }
 
 // Origins returns the prefix origination table (shared, do not mutate).
 func (s *Sim) Origins() map[netip.Prefix]bgp.ASN { return s.origins }
-
-// originASNs returns the distinct origin ASes, ascending.
-func (s *Sim) originASNs() []bgp.ASN {
-	out := make([]bgp.ASN, 0, len(s.byOrigin))
-	for a := range s.byOrigin {
-		out = append(out, a)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// prefixesOf returns the prefixes originated by asn, in address order. The
-// slice is the Sim's own index: callers must not modify it.
-func (s *Sim) prefixesOf(asn bgp.ASN) []netip.Prefix { return s.byOrigin[asn] }
-
-func samePath(a, b []bgp.ASN) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}

@@ -3,6 +3,7 @@ package bgpsim
 import (
 	"bytes"
 	"net/netip"
+	"slices"
 	"testing"
 	"time"
 
@@ -130,7 +131,7 @@ func TestRunDeterministic(t *testing.T) {
 	}
 	for i := range a.Updates {
 		ua, ub := a.Updates[i], b.Updates[i]
-		if !ua.Time.Equal(ub.Time) || ua.Session != ub.Session || ua.Prefix != ub.Prefix || !samePath(ua.Path, ub.Path) {
+		if !ua.Time.Equal(ub.Time) || ua.Session != ub.Session || ua.Prefix != ub.Prefix || !slices.Equal(ua.Path, ub.Path) {
 			t.Fatalf("update %d differs", i)
 		}
 	}
@@ -259,7 +260,7 @@ func TestUpdatesChangePaths(t *testing.T) {
 		k := key{u.Session, u.Prefix}
 		if !u.Transfer {
 			changes++
-			if samePath(u.Path, last[k]) {
+			if slices.Equal(u.Path, last[k]) {
 				dups++
 			}
 		}
@@ -310,7 +311,7 @@ func TestMRTRoundTrip(t *testing.T) {
 		// Initial paths survive.
 		for p, path := range st.Initial[si] {
 			gp, ok := got.Initial[local][p]
-			if !ok || !samePath(gp, path) {
+			if !ok || !slices.Equal(gp, path) {
 				t.Fatalf("initial path for %v lost: %v vs %v", p, gp, path)
 			}
 		}

@@ -5,7 +5,10 @@ import (
 	"math"
 	"math/rand"
 	"net/netip"
-	"sort"
+	"runtime"
+	"slices"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"quicksand/internal/bgp"
@@ -173,6 +176,7 @@ type event struct {
 	si   int           // session index for resets
 	up   time.Duration // downtime for resets / hijack duration
 	pfx  netip.Prefix  // target prefix for hijack events
+	pid  int32         // pfx's id, -1 when no origin announces it
 	// pairIdx links a recovery to its failure for affected-set reuse.
 	pairIdx int
 }
@@ -190,6 +194,15 @@ const (
 	evTransfer
 )
 
+// monthWorkers is how many goroutines an event's table recomputes fan out
+// to; below 1 it means runtime.GOMAXPROCS(0). Tests pin it to show that
+// the stream does not depend on it.
+var monthWorkers int
+
+// fanOutMin is the fewest origins an event must touch for its recomputes
+// to fan out; smaller events stay on the event loop's goroutine.
+const fanOutMin = 8
+
 // Run executes the simulation and returns the observed stream.
 func (s *Sim) Run(cfg Config) (*Stream, error) {
 	if err := cfg.validate(); err != nil {
@@ -205,12 +218,10 @@ func (s *Sim) Run(cfg Config) (*Stream, error) {
 	if len(vantagePool) == 0 {
 		vantagePool = s.graph.ASNs()
 	}
-	allPrefixes := make([]netip.Prefix, 0, len(s.origins))
-	for p := range s.origins {
-		allPrefixes = append(allPrefixes, p)
-	}
-	sortPrefixes(allPrefixes)
-
+	// vis[si][pid] and visIDs[si] (ascending, so in address order) are the
+	// session's visibility by prefix id; the Session keeps its map for Sees.
+	var vis [][]bool
+	var visIDs [][]int32
 	for _, cs := range cfg.Collectors {
 		for i := 0; i < cs.Sessions; i++ {
 			v := vantagePool[rng.Intn(len(vantagePool))]
@@ -219,157 +230,194 @@ func (s *Sim) Run(cfg Config) (*Stream, error) {
 				cov = cfg.MaxVisibility // one near-full-table session
 			}
 			sess := Session{Collector: cs.Name, PeerAS: v, visible: make(map[netip.Prefix]bool)}
-			for _, p := range allPrefixes {
+			seen, ids := make([]bool, len(s.prefixes)), []int32(nil)
+			for pid, p := range s.prefixes {
 				if rng.Float64() < cov {
-					sess.visible[p] = true
+					sess.visible[p], seen[pid] = true, true
+					ids = append(ids, int32(pid))
 				}
 			}
 			st.Sessions = append(st.Sessions, sess)
+			vis, visIDs = append(vis, seen), append(visIDs, ids)
 		}
+	}
+	nS := len(st.Sessions)
+	sessionUpAt := make([]time.Time, nS) // zero = up
+	up := func(t time.Time, si int) bool { return !t.Before(sessionUpAt[si]) }
+
+	// --- Route tables, one per origin, recomputed per event. ---
+	// The AS set is fixed for the month (link events remove and re-add
+	// links between existing ASes), so every compiled snapshot interns the
+	// same ids and a table from an older snapshot is read by id.
+	g := s.graph.Clone()
+	ids := g.Compiled()
+	workers := monthWorkers
+	if workers < 1 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	scratches := make([]topology.Scratch, workers)
+	tables := make([]*topology.CompiledRoutes, len(s.asns))
+	// paths[k*nS+si] is session si's path from the table recompute just
+	// made for origin aff[k]: taken once per (origin, session), nil when
+	// the session is down or sees none of the origin's prefixes.
+	var paths [][]bgp.ASN
+	recompute := func(t time.Time, aff []int32) error {
+		paths = slices.Grow(paths[:0], len(aff)*nS)[:len(aff)*nS]
+		w := 1
+		if len(aff) >= fanOutMin {
+			w = workers
+			g.Compiled() // compile once, before the workers share the graph
+		}
+		return fanOut(w, len(aff), func(wi, k int) error {
+			oi := aff[k]
+			rt, err := g.RoutesInto(tables[oi], &scratches[wi], nil, topology.Origin{ASN: s.asns[oi]})
+			if err != nil {
+				return err
+			}
+			tables[oi] = rt
+			for si := range st.Sessions {
+				var path []bgp.ASN
+				if up(t, si) && slices.ContainsFunc(s.idsOf[oi], func(pid int32) bool { return vis[si][pid] }) {
+					path, _ = rt.PathFrom(st.Sessions[si].PeerAS)
+				}
+				paths[k*nS+si] = path
+			}
+			return nil
+		})
 	}
 
 	// --- Initial stable state on the pristine topology. ---
-	// All tables go through the compiled route engine with one shared
-	// scratch and per-origin result reuse: the event loop is
-	// single-goroutine, so recomputes allocate almost nothing.
-	g := s.graph.Clone()
-	scratch := &topology.Scratch{}
-	tables := make(map[bgp.ASN]*topology.CompiledRoutes)
-	for _, o := range s.originASNs() {
-		rt, err := g.RoutesInto(nil, scratch, nil, topology.Origin{ASN: o})
-		if err != nil {
-			return nil, err
-		}
-		tables[o] = rt
+	all := make([]int32, len(s.asns))
+	for oi := range all {
+		all[oi] = int32(oi)
 	}
-	// known[si][prefix] is the path the session last announced.
-	known := make([]map[netip.Prefix][]bgp.ASN, len(st.Sessions))
+	if err := recompute(cfg.Start, all); err != nil {
+		return nil, err
+	}
+	// known[si][pid] is the path the session last announced, nil for none.
+	known := make([][][]bgp.ASN, nS)
 	for si := range st.Sessions {
-		known[si] = make(map[netip.Prefix][]bgp.ASN)
+		known[si] = make([][]bgp.ASN, len(s.prefixes))
 		st.Initial[si] = make(map[netip.Prefix][]bgp.ASN)
-		for p := range st.Sessions[si].visible {
-			rt := tables[s.origins[p]]
-			if path, ok := rt.PathFrom(st.Sessions[si].PeerAS); ok {
-				st.Initial[si][p] = path
-				known[si][p] = path
+		for _, pid := range visIDs[si] {
+			if path := paths[int(s.originOf[pid])*nS+si]; path != nil {
+				st.Initial[si][s.prefixes[pid]] = path
+				known[si][pid] = path
 			}
 		}
 	}
 
 	// --- Event schedule. ---
 	events := s.schedule(cfg, rng, st)
-	sort.SliceStable(events, func(i, j int) bool { return events[i].at.Before(events[j].at) })
+	slices.SortStableFunc(events, func(a, b event) int { return a.at.Compare(b.at) })
 
 	// failAffected[pairIdx] remembers which origins a failure touched so
 	// the matching recovery recomputes the same set (a close
 	// approximation that keeps recovery handling O(affected)).
-	failAffected := make(map[int][]bgp.ASN)
-	sessionUpAt := make([]time.Time, len(st.Sessions)) // zero = up
+	failAffected := make(map[int][]int32)
 
-	originList := s.originASNs()
-
-	// hijacked overrides the per-origin table for prefixes under an
-	// active injected hijack (the victim and the attacker both originate
-	// the prefix there); hijackAtk remembers each attack's attacker so
-	// the table can be recomputed when churn shifts routing mid-attack.
-	hijacked := make(map[netip.Prefix]*topology.CompiledRoutes)
-	hijackAtk := make(map[netip.Prefix]bgp.ASN)
-	tableFor := func(p netip.Prefix) *topology.CompiledRoutes {
-		if rt, ok := hijacked[p]; ok {
-			return rt
+	// hijacks holds, by prefix id, the two-origin table of every prefix
+	// under an active injected hijack (the victim and the attacker both
+	// originate it there) and its attacker, so the table can be
+	// recomputed when churn shifts routing mid-attack.
+	type hijack struct {
+		rt  *topology.CompiledRoutes
+		atk bgp.ASN
+	}
+	hijacks := make(map[int32]*hijack)
+	tableFor := func(pid int32) *topology.CompiledRoutes {
+		if h := hijacks[pid]; h != nil {
+			return h.rt
 		}
-		return tables[s.origins[p]]
+		return tables[s.originOf[pid]]
 	}
 
-	emitPrefixChanges := func(t time.Time, p netip.Prefix) {
-		rt := tableFor(p)
+	// emit announces newPath for prefix pid on session si, read off rt,
+	// when it differs from what the session last announced.
+	var nbrs []bgp.ASN
+	emit := func(t time.Time, si int, pid int32, rt *topology.CompiledRoutes, newPath []bgp.ASN) {
+		if slices.Equal(newPath, known[si][pid]) {
+			return
+		}
+		p := s.prefixes[pid]
+		// Transient exploration before settling.
+		if newPath != nil && rng.Float64() < cfg.ExplorationProb {
+			n := s.explorationPath(g, rt, st.Sessions[si].PeerAS, rng, &nbrs)
+			if n != nil && !slices.Equal(n, newPath) {
+				// Int63n panics on a zero bound; validate rejects the
+				// degenerate delay when exploration is on, and this
+				// guard keeps a 1ns delay safe regardless.
+				var dt time.Duration
+				if half := int64(cfg.ConvergenceDelay) / 2; half > 0 {
+					dt = time.Duration(rng.Int63n(half))
+				}
+				st.Updates = append(st.Updates, UpdateEvent{
+					Time: t.Add(dt), Session: si, Prefix: p, Path: n,
+				})
+			}
+		}
+		st.Updates = append(st.Updates, UpdateEvent{
+			Time: t.Add(cfg.ConvergenceDelay), Session: si, Prefix: p, Path: newPath,
+		})
+		known[si][pid] = newPath
+	}
+
+	emitPrefixChanges := func(t time.Time, pid int32) {
+		rt := tableFor(pid)
 		for si := range st.Sessions {
-			sess := &st.Sessions[si]
-			if !sess.visible[p] {
-				continue
+			if vis[si][pid] && up(t, si) { // a down session does not see the change
+				newPath, _ := rt.PathFrom(st.Sessions[si].PeerAS)
+				emit(t, si, pid, rt, newPath)
 			}
-			if t.Before(sessionUpAt[si]) {
-				continue // session down: the change is invisible
-			}
-			newPath, _ := rt.PathFrom(sess.PeerAS)
-			if samePath(newPath, known[si][p]) {
-				continue
-			}
-			// Transient exploration before settling.
-			if newPath != nil && rng.Float64() < cfg.ExplorationProb {
-				n := s.explorationPath(g, rt, sess.PeerAS, rng)
-				if n != nil && !samePath(n, newPath) {
-					// Int63n panics on a zero bound; validate rejects the
-					// degenerate delay when exploration is on, and this
-					// guard keeps a 1ns delay safe regardless.
-					var dt time.Duration
-					if half := int64(cfg.ConvergenceDelay) / 2; half > 0 {
-						dt = time.Duration(rng.Int63n(half))
+		}
+	}
+
+	// emitChanges emits the changes of the origins recompute just
+	// refreshed, in (origin, prefix, session) order, from the paths it took.
+	emitChanges := func(t time.Time, aff []int32) {
+		for k, oi := range aff {
+			for _, pid := range s.idsOf[oi] {
+				if hijacks[pid] != nil {
+					emitPrefixChanges(t, pid) // a hijacked prefix reads its two-origin table
+					continue
+				}
+				for si := range st.Sessions {
+					if vis[si][pid] && up(t, si) {
+						emit(t, si, pid, tables[oi], paths[k*nS+si])
 					}
-					st.Updates = append(st.Updates, UpdateEvent{
-						Time: t.Add(dt), Session: si, Prefix: p, Path: n,
-					})
 				}
 			}
-			st.Updates = append(st.Updates, UpdateEvent{
-				Time: t.Add(cfg.ConvergenceDelay), Session: si, Prefix: p, Path: newPath,
-			})
-			if newPath == nil {
-				delete(known[si], p)
-			} else {
-				known[si][p] = newPath
-			}
 		}
-	}
-
-	emitChanges := func(t time.Time, affected []bgp.ASN) {
-		for _, o := range affected {
-			for _, p := range s.prefixesOf(o) {
-				emitPrefixChanges(t, p)
-			}
-		}
-	}
-
-	recompute := func(affected []bgp.ASN) error {
-		for _, o := range affected {
-			rt, err := g.RoutesInto(tables[o], scratch, nil, topology.Origin{ASN: o})
-			if err != nil {
-				return err
-			}
-			tables[o] = rt
-		}
-		return nil
 	}
 
 	// refreshHijacks recomputes the two-origin tables of every active
 	// hijack after a topology event and emits the resulting path changes.
 	// Without this the hijack tables keep pre-failure paths for the whole
 	// attack window. Prefixes are walked in address order so the stream
-	// stays deterministic, and emitPrefixChanges draws randomness only on
-	// actual path changes, so unrelated events leave the stream untouched.
+	// stays deterministic, and emit draws randomness only on actual path
+	// changes, so unrelated events leave the stream untouched.
+	var active []int32
 	refreshHijacks := func(t time.Time) error {
-		if len(hijacked) == 0 {
-			return nil
+		active = active[:0]
+		for pid := range hijacks {
+			active = append(active, pid)
 		}
-		ps := make([]netip.Prefix, 0, len(hijacked))
-		for p := range hijacked {
-			ps = append(ps, p)
-		}
-		sortPrefixes(ps)
-		for _, p := range ps {
-			rt, err := g.RoutesInto(hijacked[p], scratch, nil,
-				topology.Origin{ASN: s.origins[p]}, topology.Origin{ASN: hijackAtk[p]})
+		slices.Sort(active)
+		for _, pid := range active {
+			h := hijacks[pid]
+			rt, err := g.RoutesInto(h.rt, &scratches[0], nil,
+				topology.Origin{ASN: s.asns[s.originOf[pid]]}, topology.Origin{ASN: h.atk})
 			if err != nil {
 				return err
 			}
-			hijacked[p] = rt
-			emitPrefixChanges(t, p)
+			h.rt = rt
+			emitPrefixChanges(t, pid)
 		}
 		return nil
 	}
 
 	// Vantage set for the observability pruning below.
-	isVantage := make(map[bgp.ASN]bool, len(st.Sessions))
+	isVantage := make(map[bgp.ASN]bool, nS)
 	for si := range st.Sessions {
 		isVantage[st.Sessions[si].PeerAS] = true
 	}
@@ -393,20 +441,21 @@ func (s *Sim) Run(cfg Config) (*Stream, error) {
 	for _, ev := range events {
 		switch ev.kind {
 		case evLinkDown:
-			var affected []bgp.ASN
-			for _, o := range originList {
-				rt := tables[o]
-				if ra, ok := rt.Route(ev.a); ok && ra.NextHop == ev.b && ra.Type != topology.RouteOrigin && observable(ev.a) {
-					affected = append(affected, o)
-					continue
-				}
-				if rb, ok := rt.Route(ev.b); ok && rb.NextHop == ev.a && rb.Type != topology.RouteOrigin && observable(ev.b) {
-					affected = append(affected, o)
+			ia, _ := ids.ID(ev.a)
+			ib, _ := ids.ID(ev.b)
+			obsA, obsB := observable(ev.a), observable(ev.b)
+			var affected []int32
+			for oi, rt := range tables {
+				// RouteNone and RouteOrigin sort below the learned types.
+				ra, rb := rt.At(int(ia)), rt.At(int(ib))
+				if obsA && ra.Type > topology.RouteOrigin && ra.NextHop == ev.b ||
+					obsB && rb.Type > topology.RouteOrigin && rb.NextHop == ev.a {
+					affected = append(affected, int32(oi))
 				}
 			}
 			g.RemoveLink(ev.a, ev.b)
 			failAffected[ev.pairIdx] = affected
-			if err := recompute(affected); err != nil {
+			if err := recompute(ev.at, affected); err != nil {
 				return nil, err
 			}
 			emitChanges(ev.at, affected)
@@ -418,7 +467,7 @@ func (s *Sim) Run(cfg Config) (*Stream, error) {
 				return nil, err
 			}
 			affected := failAffected[ev.pairIdx]
-			if err := recompute(affected); err != nil {
+			if err := recompute(ev.at, affected); err != nil {
 				return nil, err
 			}
 			emitChanges(ev.at, affected)
@@ -431,31 +480,37 @@ func (s *Sim) Run(cfg Config) (*Stream, error) {
 			} else if err := g.AddPeering(ev.a, ev.b); err != nil {
 				return nil, err
 			}
-			if err := recompute(originList); err != nil {
+			if err := recompute(ev.at, all); err != nil {
 				return nil, err
 			}
-			emitChanges(ev.at, originList)
+			emitChanges(ev.at, all)
 			if err := refreshHijacks(ev.at); err != nil {
 				return nil, err
 			}
 		case evHijackStart:
-			victim := s.origins[ev.pfx]
-			rt, err := g.RoutesInto(hijacked[ev.pfx], scratch, nil,
+			if ev.pid < 0 {
+				return nil, fmt.Errorf("bgpsim: hijack target %v is not originated", ev.pfx)
+			}
+			h := hijacks[ev.pid]
+			if h == nil {
+				h = &hijack{}
+				hijacks[ev.pid] = h
+			}
+			victim := s.asns[s.originOf[ev.pid]]
+			rt, err := g.RoutesInto(h.rt, &scratches[0], nil,
 				topology.Origin{ASN: victim}, topology.Origin{ASN: ev.b})
 			if err != nil {
 				return nil, err
 			}
-			hijacked[ev.pfx] = rt
-			hijackAtk[ev.pfx] = ev.b
+			h.rt, h.atk = rt, ev.b
 			st.Attacks = append(st.Attacks, AttackEvent{
 				Prefix: ev.pfx, Victim: victim, Attacker: ev.b,
 				Start: ev.at, End: ev.at.Add(ev.up),
 			})
-			emitPrefixChanges(ev.at, ev.pfx)
+			emitPrefixChanges(ev.at, ev.pid)
 		case evHijackEnd:
-			delete(hijacked, ev.pfx)
-			delete(hijackAtk, ev.pfx)
-			emitPrefixChanges(ev.at, ev.pfx)
+			delete(hijacks, ev.pid)
+			emitPrefixChanges(ev.at, ev.pid)
 		case evReset:
 			up := ev.at.Add(ev.up)
 			st.Resets = append(st.Resets, ResetEvent{Session: ev.si, Down: ev.at, Up: up})
@@ -469,35 +524,67 @@ func (s *Sim) Run(cfg Config) (*Stream, error) {
 			if ev.at.Before(sessionUpAt[ev.si]) {
 				break // a longer overlapping reset still holds the session down
 			}
-			sess := &st.Sessions[ev.si]
-			for _, p := range sess.VisiblePrefixes() {
-				path, ok := tableFor(p).PathFrom(sess.PeerAS)
-				if !ok {
-					delete(known[ev.si], p)
-					continue
+			peer := st.Sessions[ev.si].PeerAS
+			for _, pid := range visIDs[ev.si] {
+				path, _ := tableFor(pid).PathFrom(peer)
+				known[ev.si][pid] = path
+				if path != nil {
+					st.Updates = append(st.Updates, UpdateEvent{
+						Time: ev.at, Session: ev.si, Prefix: s.prefixes[pid], Path: path, Transfer: true,
+					})
 				}
-				st.Updates = append(st.Updates, UpdateEvent{
-					Time: ev.at, Session: ev.si, Prefix: p, Path: path, Transfer: true,
-				})
-				known[ev.si][p] = path
 			}
 			if cfg.TransferCheck != nil {
-				live := make(map[netip.Prefix][]bgp.ASN)
-				for _, p := range sess.VisiblePrefixes() {
-					if path, ok := tableFor(p).PathFrom(sess.PeerAS); ok {
-						live[p] = path
+				knownM, live := make(map[netip.Prefix][]bgp.ASN), make(map[netip.Prefix][]bgp.ASN)
+				for _, pid := range visIDs[ev.si] {
+					if known[ev.si][pid] != nil {
+						knownM[s.prefixes[pid]] = known[ev.si][pid]
+					}
+					if path, ok := tableFor(pid).PathFrom(peer); ok {
+						live[s.prefixes[pid]] = path
 					}
 				}
-				if err := cfg.TransferCheck(ev.si, ev.at, known[ev.si], live); err != nil {
+				if err := cfg.TransferCheck(ev.si, ev.at, knownM, live); err != nil {
 					return nil, err
 				}
 			}
 		}
 	}
 
-	sort.SliceStable(st.Updates, func(i, j int) bool { return st.Updates[i].Time.Before(st.Updates[j].Time) })
-	sort.SliceStable(st.Resets, func(i, j int) bool { return st.Resets[i].Down.Before(st.Resets[j].Down) })
+	slices.SortStableFunc(st.Updates, func(a, b UpdateEvent) int { return a.Time.Compare(b.Time) })
+	slices.SortStableFunc(st.Resets, func(a, b ResetEvent) int { return a.Down.Compare(b.Down) })
 	return st, nil
+}
+
+// fanOut calls fn(w, i) for every i in [0, n) on at most workers
+// goroutines, the caller's among them, w being the worker's index, and
+// returns the error of the smallest failing i. It is the month's own
+// fan-out, one per large event: par's pool would report every event to
+// the experiments' observer as a traced trial and a progress record.
+func fanOut(workers, n int, fn func(w, i int) error) error {
+	errs := make([]error, n)
+	var next atomic.Int64
+	work := func(w int) {
+		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+			errs[i] = fn(w, i)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < min(workers, n); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work(w)
+		}()
+	}
+	work(0)
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // restoreLink re-adds a previously removed link with its original
@@ -519,16 +606,23 @@ func restoreLink(g *topology.Graph, ev event) error {
 // explorationPath builds a plausible transient path from vantage v: v
 // temporarily routes through a non-best neighbor n, yielding v + n's path.
 // Returns nil when no loop-free policy-compliant alternate exists.
-func (s *Sim) explorationPath(g *topology.Graph, rt *topology.CompiledRoutes, v bgp.ASN, rng *rand.Rand) []bgp.ASN {
-	neighbors := g.Neighbors(v)
+func (s *Sim) explorationPath(g *topology.Graph, rt *topology.CompiledRoutes, v bgp.ASN, rng *rand.Rand, buf *[]bgp.ASN) []bgp.ASN {
+	// The neighbors in ascending order, as Graph.Neighbors lists them, but
+	// in a buffer the run reuses.
+	neighbors := (*buf)[:0]
+	if a := g.AS(v); a != nil {
+		neighbors = append(append(append(neighbors, a.Customers()...), a.Peers()...), a.Providers()...)
+		slices.Sort(neighbors)
+	}
+	*buf = neighbors
 	if len(neighbors) == 0 {
 		return nil
 	}
+	best, hasBest := rt.Route(v)
 	start := rng.Intn(len(neighbors))
 	for k := 0; k < len(neighbors); k++ {
 		n := neighbors[(start+k)%len(neighbors)]
-		best, ok := rt.Route(v)
-		if ok && best.NextHop == n {
+		if hasBest && best.NextHop == n {
 			continue
 		}
 		// Gao-Rexford export rule at n: customer and self-originated
@@ -654,7 +748,7 @@ func (s *Sim) schedule(cfg Config, rng *rand.Rand, st *Stream) []event {
 	// provider links for a while. Single-homed origins are skipped — a
 	// withdraw/re-announce of the identical path is not a path change.
 	var multihomed []bgp.ASN
-	for _, o := range s.originASNs() {
+	for _, o := range s.asns {
 		if len(s.graph.AS(o).Providers()) >= 2 {
 			multihomed = append(multihomed, o)
 		}
@@ -728,9 +822,13 @@ func (s *Sim) schedule(cfg Config, rng *rand.Rand, st *Stream) []event {
 			if d <= 0 {
 				continue
 			}
+			pid, found := slices.BinarySearchFunc(s.prefixes, p, comparePrefix)
+			if !found {
+				pid = -1
+			}
 			events = append(events,
-				event{at: at, kind: evHijackStart, b: attacker, pfx: p, up: d},
-				event{at: at.Add(d), kind: evHijackEnd, pfx: p})
+				event{at: at, kind: evHijackStart, b: attacker, pfx: p, pid: int32(pid), up: d},
+				event{at: at.Add(d), kind: evHijackEnd, pfx: p, pid: int32(pid)})
 		}
 	}
 
@@ -776,11 +874,4 @@ func poisson(rng *rand.Rand, mean float64) int {
 		}
 		k++
 	}
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -16,6 +16,27 @@ import (
 const streamDigest = "1b1131f12f96c4695f0dade7b14088449599cbf3ac7dba55952e23e7a440e3ed"
 
 func TestStreamDigest(t *testing.T) {
+	if got := digestRun(t); got != streamDigest {
+		t.Fatalf("stream digest = %s, want %s", got, streamDigest)
+	}
+}
+
+// TestStreamDigestAcrossWorkers runs the month with its recomputes on one
+// goroutine and fanned out to four: the stream must be the pinned one
+// either way.
+func TestStreamDigestAcrossWorkers(t *testing.T) {
+	defer func(w int) { monthWorkers = w }(monthWorkers)
+	for _, w := range []int{1, 4} {
+		monthWorkers = w
+		if got := digestRun(t); got != streamDigest {
+			t.Errorf("%d workers: stream digest = %s, want %s", w, got, streamDigest)
+		}
+	}
+}
+
+// digestRun simulates the pinned month and returns its stream's digest.
+func digestRun(t *testing.T) string {
+	t.Helper()
 	g, origins := testWorld(t)
 	s, err := New(g, origins)
 	if err != nil {
@@ -52,9 +73,7 @@ func TestStreamDigest(t *testing.T) {
 		h.Write([]byte(a.Prefix.String()))
 		putUint(h, uint64(a.Victim), uint64(a.Attacker), uint64(a.Start.UnixNano()), uint64(a.End.UnixNano()))
 	}
-	if got := hex.EncodeToString(h.Sum(nil)); got != streamDigest {
-		t.Fatalf("stream digest = %s, want %s", got, streamDigest)
-	}
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 func putUint(h hash.Hash, vs ...uint64) {

@@ -49,7 +49,7 @@ func TestExplorationPathRespectsExportRules(t *testing.T) {
 	// [1 3 2 5].
 	for seed := int64(0); seed < 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		if got := sim.explorationPath(g, rt, 1, rng); got != nil {
+		if got := sim.explorationPath(g, rt, 1, rng, new([]bgp.ASN)); got != nil {
 			t.Fatalf("explorationPath(AS1) = %v, want nil (customer would not export a provider route)", got)
 		}
 	}
@@ -59,7 +59,7 @@ func TestExplorationPathRespectsExportRules(t *testing.T) {
 	want := []bgp.ASN{3, 1, 2, 5}
 	for seed := int64(0); seed < 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		got := sim.explorationPath(g, rt, 3, rng)
+		got := sim.explorationPath(g, rt, 3, rng, new([]bgp.ASN))
 		if len(got) != len(want) {
 			t.Fatalf("explorationPath(AS3) = %v, want %v", got, want)
 		}

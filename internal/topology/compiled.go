@@ -258,7 +258,7 @@ func (r *CompiledRoutes) PathFrom(src bgp.ASN) (path []bgp.ASN, ok bool) {
 	if !ok || r.routes[id].Type == RouteNone {
 		return nil, false
 	}
-	path = append(path, src)
+	path = append(make([]bgp.ASN, 0, r.routes[id].PathLen+1), src)
 	cur := id
 	for r.routes[cur].Type != RouteOrigin {
 		nh := r.routes[cur].NextHop
