@@ -52,37 +52,44 @@ func (c *Compiled) providers(id int32) []int32 {
 	return c.prov[c.provOff[id]:c.provOff[id+1]]
 }
 
+// Phase 3's rank key (see ComputeRoutesInto).
+const (
+	rankIDBits  = 28
+	maxRankIDs  = 1<<rankIDBits - 1
+	rankTransit = 1 // marks an AS with customers: its route is in dst
+)
+
 // rowsOf projects one adjacency class out of an AS node.
 type rowsOf func(a *AS) []bgp.ASN
 
-func buildCSR(g *Graph, asns []bgp.ASN, idOf map[bgp.ASN]int32, pick rowsOf) (off, adj []int32) {
-	off = make([]int32, len(asns)+1)
-	total := 0
-	for i, asn := range asns {
-		total += len(pick(g.ases[asn]))
-		off[i+1] = int32(total)
+// appendIDs appends the ids of row's ASNs to adj. Per-AS adjacency is
+// kept ASN-sorted and ids follow ASN order, so the ids are sorted too.
+func (c *Compiled) appendIDs(adj []int32, row []bgp.ASN) []int32 {
+	for _, nb := range row {
+		adj = append(adj, c.idOf[nb])
 	}
-	adj = make([]int32, 0, total)
-	for _, asn := range asns {
-		// Per-AS adjacency is kept ASN-sorted and ids follow ASN order,
-		// so the converted row is id-sorted too.
-		for _, nb := range pick(g.ases[asn]) {
-			adj = append(adj, idOf[nb])
-		}
-	}
-	return off, adj
+	return adj
 }
 
-// compileFull builds a snapshot from scratch.
+// compileFull builds a snapshot from scratch, fetching each AS once: one
+// pass interns the ASes and sets the row offsets, one fills the rows.
 func compileFull(g *Graph) *Compiled {
 	asns := g.ASNs()
-	c := &Compiled{version: g.version, asns: asns, idOf: make(map[bgp.ASN]int32, len(asns))}
-	for i, a := range asns {
-		c.idOf[a] = int32(i)
+	n := len(asns)
+	c := &Compiled{version: g.version, asns: asns, idOf: make(map[bgp.ASN]int32, n),
+		custOff: make([]int32, n+1), peerOff: make([]int32, n+1), provOff: make([]int32, n+1)}
+	nodes := make([]*AS, n)
+	for i, asn := range asns {
+		a := g.ases[asn]
+		nodes[i], c.idOf[asn] = a, int32(i)
+		c.custOff[i+1] = c.custOff[i] + int32(len(a.customers))
+		c.peerOff[i+1] = c.peerOff[i] + int32(len(a.peers))
+		c.provOff[i+1] = c.provOff[i] + int32(len(a.providers))
 	}
-	c.custOff, c.cust = buildCSR(g, asns, c.idOf, func(a *AS) []bgp.ASN { return a.customers })
-	c.peerOff, c.peer = buildCSR(g, asns, c.idOf, func(a *AS) []bgp.ASN { return a.peers })
-	c.provOff, c.prov = buildCSR(g, asns, c.idOf, func(a *AS) []bgp.ASN { return a.providers })
+	c.cust, c.peer, c.prov = make([]int32, 0, c.custOff[n]), make([]int32, 0, c.peerOff[n]), make([]int32, 0, c.provOff[n])
+	for _, a := range nodes {
+		c.cust, c.peer, c.prov = c.appendIDs(c.cust, a.customers), c.appendIDs(c.peer, a.peers), c.appendIDs(c.prov, a.providers)
+	}
 	return c
 }
 
@@ -131,9 +138,7 @@ func (c *Compiled) patchCSR(g *Graph, dirty []int32, oldOff, oldAdj []int32, pic
 	}
 	for _, id := range dirty {
 		span(id)
-		for _, nb := range pick(g.ases[c.asns[id]]) {
-			adj = append(adj, c.idOf[nb])
-		}
+		adj = c.appendIDs(adj, pick(g.ases[c.asns[id]]))
 		from = id + 1
 		off[from] = int32(len(adj))
 	}
@@ -185,7 +190,8 @@ type Scratch struct {
 	// Phase-3 shortest-first queue: one bucket of ids per path length.
 	// Buckets keep their capacity across runs.
 	buckets [][]int32
-	used    int // buckets touched by the previous run
+	used    int      // buckets touched by the previous run
+	rank    []uint64 // phase-3 rank keys, all n reseeded by every run
 }
 
 func (s *Scratch) reset(n int) {
@@ -197,6 +203,7 @@ func (s *Scratch) reset(n int) {
 	if len(s.candSeen) < n {
 		s.candSeen = make([]uint32, n)
 		s.candNext = make([]int32, n)
+		s.rank = make([]uint64, n)
 		s.epoch = 0
 	}
 	if s.epoch >= math.MaxUint32-1 {
@@ -337,12 +344,23 @@ func (c *Compiled) Routes(s *Scratch, filter ImportFilter, origins ...Origin) (*
 //     replaced only by a strictly lower next hop at the same length, so
 //     it ends as the minimum over its providers in bucket l. Which
 //     provider reached it first only decides who appended it to bucket
-//     l+1, and it is appended once.
+//     l+1, and it is appended once. An AS without customers exports to
+//     nobody and no phase reads its route, so it keeps only the minimum
+//     of a rank key, type<<60 | length<<28 | next-hop id, over the
+//     offers that scoping and the filter let through. All offers are
+//     provider routes, so keys order them by length and then next-hop
+//     ASN, as the decision process does; the seed 0 is below every
+//     offer, keeping an origin or peer route. A minimum is order-free,
+//     so the fold equals the per-offer update. The id field caps the
+//     kernel at maxRankIDs (2^28−1) ASes; a larger graph is an error.
 func (c *Compiled) ComputeRoutesInto(dst []Route, s *Scratch, filter ImportFilter, origins ...Origin) ([]Route, error) {
 	if len(origins) == 0 {
 		return dst, fmt.Errorf("topology: no origins")
 	}
 	n := len(c.asns)
+	if n > maxRankIDs {
+		return dst, fmt.Errorf("topology: %d ASes exceed the route kernel's limit of %d", n, maxRankIDs)
+	}
 	origIDs := s.origIDs[:0]
 	scoped := false
 	for _, o := range origins {
@@ -452,20 +470,30 @@ func (c *Compiled) ComputeRoutesInto(dst []Route, s *Scratch, filter ImportFilte
 	// Phase 3 — provider routes, shortest-first: one bucket of ids per
 	// path length, drained in length order. Only an AS with customers
 	// has anyone to export to, so only those are queued — at 73K ASes,
-	// one in twenty.
+	// one in twenty; every other AS folds its offers into its rank key.
+	rank := s.rank[:n]
 	for id := int32(0); id < int32(n); id++ {
-		if c.custOff[id] != c.custOff[id+1] && dst[id].Type != RouteNone {
-			b := s.bucket(int(dst[id].PathLen))
-			*b = append(*b, id)
+		switch {
+		case c.custOff[id] != c.custOff[id+1]:
+			rank[id] = rankTransit
+			if dst[id].Type != RouteNone {
+				b := s.bucket(int(dst[id].PathLen))
+				*b = append(*b, id)
+			}
+		case dst[id].Type == RouteNone:
+			rank[id] = math.MaxUint64
+		default:
+			rank[id] = 0
 		}
 	}
 	for l := 0; l < s.used; l++ {
 		nl := int32(l + 1)
 		for _, u := range s.buckets[l] {
 			asn, origin := c.asns[u], dst[u].Origin
+			cand := uint64(RouteProvider)<<60 | uint64(nl)<<rankIDBits | uint64(u)
 			for _, ch := range c.customers(u) {
-				rc := &dst[ch]
-				if rc.Type != RouteNone && (rc.Type != RouteProvider || rc.PathLen < nl ||
+				r, rc := rank[ch], &dst[ch]
+				if r == rankTransit && rc.Type != RouteNone && (rc.Type != RouteProvider || rc.PathLen < nl ||
 					(rc.PathLen == nl && rc.NextHop <= asn)) {
 					continue
 				}
@@ -475,12 +503,22 @@ func (c *Compiled) ComputeRoutesInto(dst []Route, s *Scratch, filter ImportFilte
 				if filter != nil && !filter(c.asns[ch], origin) {
 					continue
 				}
-				if rc.Type == RouteNone && c.custOff[ch] != c.custOff[ch+1] {
+				if r != rankTransit {
+					rank[ch] = min(r, cand)
+					continue
+				}
+				if rc.Type == RouteNone {
 					b := s.bucket(l + 1)
 					*b = append(*b, ch)
 				}
 				*rc = Route{Type: RouteProvider, NextHop: asn, PathLen: nl, Origin: origin}
 			}
+		}
+	}
+	for id, r := range rank {
+		if RouteType(r>>60) == RouteProvider {
+			nh := int32(r & maxRankIDs)
+			dst[id] = Route{Type: RouteProvider, NextHop: c.asns[nh], PathLen: int32(uint32(r >> rankIDBits)), Origin: dst[nh].Origin}
 		}
 	}
 	return dst, nil

@@ -281,3 +281,97 @@ func TestRouteCache(t *testing.T) {
 		t.Fatal("PathFrom to unknown destination: want error")
 	}
 }
+
+// TestCustomerlessOffers pins phase 3's fold for ASes without customers,
+// which take the minimum of their providers' offers as a rank key
+// instead of updating a route per offer. Each hand-built case names the
+// AS whose route the fold decides and the route it must end with, and
+// the whole table is diffed against the oracle; the last case reuses one
+// Scratch across graphs of different sizes, so a key left over from an
+// earlier run shows as a wrong route.
+func TestCustomerlessOffers(t *testing.T) {
+	// build returns a graph of provider->customer links and peerings.
+	build := func(t *testing.T, links, peers [][2]bgp.ASN) *topology.Graph {
+		t.Helper()
+		g := topology.NewGraph()
+		for _, l := range links {
+			if err := g.AddLink(l[0], l[1]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, p := range peers {
+			if err := g.AddPeering(p[0], p[1]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return g
+	}
+	// Stub 100 buys transit from 10 and 20, which each sell to one
+	// more stub: 11 under 10, 21 under 20.
+	twoProviders := [][2]bgp.ASN{{10, 11}, {10, 100}, {20, 21}, {20, 100}}
+	var s topology.Scratch
+	var cr *topology.CompiledRoutes
+	check := func(t *testing.T, g *topology.Graph, filter topology.ImportFilter, at bgp.ASN, want topology.Route, origins ...topology.Origin) {
+		t.Helper()
+		var err error
+		if cr, err = g.RoutesInto(cr, &s, filter, origins...); err != nil {
+			t.Fatal(err)
+		}
+		if got, _ := cr.Route(at); got != want {
+			t.Errorf("route at %v = %+v, want %+v", at, got, want)
+		}
+		diffTables(t, cr, oracle(t, g, filter, origins...))
+	}
+	provider := func(nh bgp.ASN, l int32, origin bgp.ASN) topology.Route {
+		return topology.Route{Type: topology.RouteProvider, NextHop: nh, PathLen: l, Origin: origin}
+	}
+
+	t.Run("filter-rejects-lower-provider", func(t *testing.T) {
+		// 10 offers the attacker 11's route and 20 the victim 21's, both
+		// at length 2; ROV at 100 drops the lower next hop's offer.
+		g := build(t, twoProviders, nil)
+		rov := func(at, origin bgp.ASN) bool { return at != 100 || origin == 21 }
+		check(t, g, nil, 100, provider(10, 2, 11), topology.Origin{ASN: 21}, topology.Origin{ASN: 11})
+		check(t, g, rov, 100, provider(20, 2, 21), topology.Origin{ASN: 21}, topology.Origin{ASN: 11})
+	})
+	t.Run("customerless-attacker-origin", func(t *testing.T) {
+		// Attacker 100 is offered the victim 11's route by its provider
+		// 10 and must keep originating.
+		g := build(t, twoProviders, nil)
+		origin := topology.Route{Type: topology.RouteOrigin, Origin: 100}
+		check(t, g, nil, 100, origin, topology.Origin{ASN: 11}, topology.Origin{ASN: 100})
+	})
+	t.Run("peer-beats-shorter-provider", func(t *testing.T) {
+		// 100 hears the victim 21 from its provider 20 at length 2 and
+		// at length 3 from its peer 30, whose customer 31 sells to 21.
+		g := build(t, [][2]bgp.ASN{{20, 21}, {20, 100}, {30, 31}, {31, 21}}, [][2]bgp.ASN{{30, 100}})
+		peer := topology.Route{Type: topology.RoutePeer, NextHop: 30, PathLen: 3, Origin: 21}
+		check(t, g, nil, 100, peer, topology.Origin{ASN: 21})
+	})
+	t.Run("announce-only-skips-lower-provider", func(t *testing.T) {
+		// Both of 100's providers originate; 10 announces to 11 alone.
+		g := build(t, twoProviders, nil)
+		only := topology.Origin{ASN: 10, AnnounceOnly: map[bgp.ASN]bool{11: true}}
+		check(t, g, nil, 100, provider(10, 1, 10), topology.Origin{ASN: 10}, topology.Origin{ASN: 20})
+		check(t, g, nil, 100, provider(20, 1, 20), only, topology.Origin{ASN: 20})
+	})
+	t.Run("scratch-across-sizes", func(t *testing.T) {
+		large, err := topology.Generate(topology.GenConfig{
+			Tier1: 3, Tier2: 25, Tier3: 150,
+			Tier2PeerProb: 0.1, MaxT2Providers: 3, MaxT3Providers: 2, Seed: 9,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		small := build(t, twoProviders, nil)
+		victim := large.TierASNs(3)[0]
+		for _, g := range []*topology.Graph{large, small, large} {
+			if g == small {
+				check(t, g, nil, 100, provider(10, 2, 11), topology.Origin{ASN: 11})
+				continue
+			}
+			origin := topology.Route{Type: topology.RouteOrigin, Origin: victim}
+			check(t, g, nil, victim, origin, topology.Origin{ASN: victim})
+		}
+	})
+}

@@ -16,7 +16,7 @@ const routeBytes = int(unsafe.Sizeof(Route{}))
 // memory of a sharded computation an explicit, measurable budget.
 func (s *Scratch) SizeBytes() int {
 	b := (cap(s.origIDs) + cap(s.frontier) + cap(s.next) + cap(s.candNext)) * 4
-	b += len(s.candSeen) * 4
+	b += len(s.candSeen)*4 + len(s.rank)*8
 	for i := range s.buckets {
 		b += cap(s.buckets[i]) * 4
 	}

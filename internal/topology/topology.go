@@ -15,6 +15,7 @@ package topology
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -131,7 +132,7 @@ func (g *Graph) ASNs() []bgp.ASN {
 	for a := range g.ases {
 		out = append(out, a)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
