@@ -297,7 +297,7 @@ func (a *app) runAll() error {
 	go func() {
 		// Step-level errors are collected per step (not propagated via
 		// the pool) so every independent report still completes.
-		_ = par.ForEach(a.workers, len(steps), func(i int) error {
+		_ = par.ForEachWorker(a.workers, len(steps), func(_, i int) error {
 			errs[i] = a.runStep(steps[i], &bufs[i])
 			done <- i
 			return nil

@@ -13,6 +13,7 @@ import (
 	"strings"
 	"testing"
 
+	"quicksand"
 	"quicksand/internal/pcap"
 )
 
@@ -116,28 +117,48 @@ func TestPcapCapturesInFixedOrder(t *testing.T) {
 	}
 }
 
-// TestFig3LeftTraceHasNoTrialSpans runs fig3left with -trace. The churn
-// month fans out its recomputes on every large event; none of that may
-// reach the trace as trial spans, which are the experiments' own
-// fan-outs (a paper-scale month would write a megabyte of them).
+// TestFig3LeftTraceHasNoTrialSpans runs experiments with -trace and
+// counts their spans. Trial spans are the studies' own trials, the
+// fan-outs that go through par.Map: fig3left has none, so its churn
+// month's recomputes (a paper-scale month would write a megabyte of
+// them) must not appear, and resilience has one per client draw and
+// hijack trial of each arm, so its matrix's guard shards must not.
 func TestFig3LeftTraceHasNoTrialSpans(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "trace.jsonl")
-	if err := run("fig3left", &expOpts{scale: "small", seed: 1, workers: 1, traceFile: path}); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(path)
+	sc, err := quicksand.ScaleConfigs("small", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	spans := map[string]int{}
-	for _, line := range bytes.Split(bytes.TrimSpace(raw), []byte("\n")) {
-		var sp struct{ Name string }
-		if err := json.Unmarshal(line, &sp); err != nil {
-			t.Fatalf("trace line %q: %v", line, err)
-		}
-		spans[sp.Name]++
-	}
-	if spans["simulate_stream"] != 1 || spans["trial"] != 0 {
-		t.Errorf("trace spans %v, want one simulate_stream and no trial", spans)
+	rc := sc.Resilience
+	for _, tc := range []struct {
+		experiment string
+		want       map[string]int // exact span counts by name
+	}{
+		{"fig3left", map[string]int{"simulate_stream": 1, "trial": 0}},
+		// Two baseline arms plus one per alpha.
+		{"resilience", map[string]int{"trial": (2 + len(rc.Alphas)) * (rc.Clients + rc.HijackTrials)}},
+	} {
+		t.Run(tc.experiment, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "trace.jsonl")
+			if err := run(tc.experiment, &expOpts{scale: "small", seed: 1, workers: 1, traceFile: path}); err != nil {
+				t.Fatal(err)
+			}
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			spans := map[string]int{}
+			for _, line := range bytes.Split(bytes.TrimSpace(raw), []byte("\n")) {
+				var sp struct{ Name string }
+				if err := json.Unmarshal(line, &sp); err != nil {
+					t.Fatalf("trace line %q: %v", line, err)
+				}
+				spans[sp.Name]++
+			}
+			for name, want := range tc.want {
+				if spans[name] != want {
+					t.Errorf("%d %q spans, want %d (all spans: %v)", spans[name], name, want, spans)
+				}
+			}
+		})
 	}
 }

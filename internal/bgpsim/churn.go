@@ -5,13 +5,11 @@ import (
 	"math"
 	"math/rand"
 	"net/netip"
-	"runtime"
 	"slices"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"quicksand/internal/bgp"
+	"quicksand/internal/par"
 	"quicksand/internal/topology"
 )
 
@@ -251,10 +249,7 @@ func (s *Sim) Run(cfg Config) (*Stream, error) {
 	// same ids and a table from an older snapshot is read by id.
 	g := s.graph.Clone()
 	ids := g.Compiled()
-	workers := monthWorkers
-	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers := par.Workers(monthWorkers)
 	scratches := make([]topology.Scratch, workers)
 	tables := make([]*topology.CompiledRoutes, len(s.asns))
 	// paths[k*nS+si] is session si's path from the table recompute just
@@ -268,7 +263,7 @@ func (s *Sim) Run(cfg Config) (*Stream, error) {
 			w = workers
 			g.Compiled() // compile once, before the workers share the graph
 		}
-		return fanOut(w, len(aff), func(wi, k int) error {
+		return par.ForEachWorker(w, len(aff), func(wi, k int) error {
 			oi := aff[k]
 			rt, err := g.RoutesInto(tables[oi], &scratches[wi], nil, topology.Origin{ASN: s.asns[oi]})
 			if err != nil {
@@ -554,37 +549,6 @@ func (s *Sim) Run(cfg Config) (*Stream, error) {
 	slices.SortStableFunc(st.Updates, func(a, b UpdateEvent) int { return a.Time.Compare(b.Time) })
 	slices.SortStableFunc(st.Resets, func(a, b ResetEvent) int { return a.Down.Compare(b.Down) })
 	return st, nil
-}
-
-// fanOut calls fn(w, i) for every i in [0, n) on at most workers
-// goroutines, the caller's among them, w being the worker's index, and
-// returns the error of the smallest failing i. It is the month's own
-// fan-out, one per large event: par's pool would report every event to
-// the experiments' observer as a traced trial and a progress record.
-func fanOut(workers, n int, fn func(w, i int) error) error {
-	errs := make([]error, n)
-	var next atomic.Int64
-	work := func(w int) {
-		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
-			errs[i] = fn(w, i)
-		}
-	}
-	var wg sync.WaitGroup
-	for w := 1; w < min(workers, n); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			work(w)
-		}()
-	}
-	work(0)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // restoreLink re-adds a previously removed link with its original

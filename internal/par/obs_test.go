@@ -49,7 +49,7 @@ func TestObserverSequentialPath(t *testing.T) {
 	var calls []int
 	SetObserver(&Observer{Progress: func(done, total int, _ time.Duration) { calls = append(calls, done, total) }})
 	defer SetObserver(nil)
-	if err := ForEach(1, 3, func(i int) error { return nil }); err != nil {
+	if _, err := Map(1, 3, func(i int) (int, error) { return i, nil }); err != nil {
 		t.Fatal(err)
 	}
 	if want := []int{1, 3, 2, 3, 3, 3}; !slices.Equal(calls, want) {

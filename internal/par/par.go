@@ -1,6 +1,14 @@
-// Package par is the experiment engine's parallel substrate: a bounded
-// worker pool with ordered result collection and deterministic error
+// Package par is the program's one worker pool: a bounded fan-out with
+// per-worker indices, ordered result collection and deterministic error
 // propagation, plus splitmix64-based per-trial seed derivation.
+//
+// It has two entry points. Map is the observed fan-out: it runs a
+// study's trials, and an installed Observer (-v, -trace) sees each call
+// as one trial. ForEachWorker is the unobserved fan-out under it: it
+// hands each task the index of the worker running it, so route-table
+// work (the churn month's recomputes, topology.RouteSet, the resilience
+// matrix's guard shards) keeps one scratch per worker in a plain slice,
+// and none of it is reported as a trial.
 //
 // The contract every study in the root package relies on is that a
 // fan-out over n independent trials produces bit-for-bit identical
@@ -30,15 +38,12 @@ func Workers(n int) int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// Map runs fn(i) for every i in [0, n) on at most workers goroutines
-// (workers < 1 meaning Workers(0)) and returns the results in index
-// order. fn must be safe for concurrent invocation.
+// Map runs fn(i) for every i in [0, n) on ForEachWorker's pool and
+// returns the results in index order, with ForEachWorker's worker bound
+// and error semantics. fn must be safe for concurrent invocation.
 //
-// Error propagation is deterministic: indices are dispatched in
-// ascending order, and once a call fails no index beyond the smallest
-// failing one is started; after in-flight calls drain, the error with
-// the smallest index is returned. A sequential run and an 8-worker run
-// therefore report the same error.
+// Map is the studies' trial fan-out: when an Observer is installed,
+// every fn(i) is one traced, progress-counted trial.
 func Map[T any](workers, n int, fn func(i int) (T, error)) ([]T, error) {
 	if n <= 0 {
 		return nil, nil
@@ -46,95 +51,72 @@ func Map[T any](workers, n int, fn func(i int) (T, error)) ([]T, error) {
 	if ob := observer.Load(); ob != nil {
 		fn = instrumented(ob, n, fn)
 	}
-	workers = Workers(workers)
-	if workers > n {
-		workers = n
-	}
 	out := make([]T, n)
-	if workers == 1 {
-		for i := 0; i < n; i++ {
-			v, err := fn(i)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = v
-		}
-		return out, nil
-	}
-
-	var (
-		next     atomic.Int64
-		mu       sync.Mutex
-		firstErr error
-		errIdx   = n
-		wg       sync.WaitGroup
-	)
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				mu.Lock()
-				stop := firstErr != nil && i > errIdx
-				mu.Unlock()
-				if stop {
-					return
-				}
-				v, err := fn(i)
-				if err != nil {
-					mu.Lock()
-					if firstErr == nil || i < errIdx {
-						firstErr, errIdx = err, i
-					}
-					mu.Unlock()
-					continue
-				}
-				out[i] = v
-			}
-		}()
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	err := ForEachWorker(workers, n, func(_, i int) error {
+		v, err := fn(i)
+		out[i] = v
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
-// ForEach is Map for side-effect-only work: fn(i) for every i in
-// [0, n), same worker bound and error semantics.
-func ForEach(workers, n int, fn func(i int) error) error {
-	_, err := Map(workers, n, func(i int) (struct{}, error) {
-		return struct{}{}, fn(i)
-	})
-	return err
-}
-
-// ForEachChunk partitions [0, n) into contiguous chunks of at most
-// chunk indices (chunk < 1 meaning 1) and runs fn(lo, hi) for every
-// chunk, with ForEach's worker bound and error semantics. Sharded
-// fan-outs use it to amortise per-task setup — a worker grabs one
-// scratch buffer per chunk instead of one per index — while keeping the
-// contract that results are independent of the worker count.
-func ForEachChunk(workers, n, chunk int, fn func(lo, hi int) error) error {
+// ForEachWorker runs fn(w, i) for every i in [0, n) on
+// min(Workers(workers), n) workers, the calling goroutine running as
+// worker 0, and returns once every call has. w is the index of the
+// worker making the call, in [0, min(Workers(workers), n)), so a caller
+// can keep one scratch buffer per worker in a slice indexed by w. fn
+// must be safe for concurrent invocation with distinct w.
+//
+// Error propagation is deterministic: indices are dispatched in
+// ascending order, and once a call fails no index beyond the smallest
+// failing one is started; after in-flight calls drain, the error with
+// the smallest index is returned. A sequential run and an 8-worker run
+// therefore report the same error.
+//
+// ForEachWorker never consults the Observer: it is the fan-out for work
+// that is not a study's trials.
+func ForEachWorker(workers, n int, fn func(w, i int) error) error {
 	if n <= 0 {
 		return nil
 	}
-	if chunk < 1 {
-		chunk = 1
-	}
-	chunks := (n + chunk - 1) / chunk
-	return ForEach(workers, chunks, func(i int) error {
-		lo := i * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
+	workers = min(Workers(workers), n)
+	var (
+		next     atomic.Int64
+		errIdx   atomic.Int64 // smallest failing index so far; n for none
+		mu       sync.Mutex   // guards firstErr and orders errIdx updates
+		firstErr error
+		wg       sync.WaitGroup
+	)
+	errIdx.Store(int64(n))
+	work := func(w int) {
+		for {
+			i := next.Add(1) - 1
+			if i >= int64(n) || i > errIdx.Load() {
+				return
+			}
+			if err := fn(w, int(i)); err != nil {
+				mu.Lock()
+				if i < errIdx.Load() {
+					firstErr = err
+					errIdx.Store(i)
+				}
+				mu.Unlock()
+			}
 		}
-		return fn(lo, hi)
-	})
+	}
+	wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			work(w)
+		}()
+	}
+	work(0)
+	wg.Wait()
+	return firstErr
 }
 
 // splitmix64 is the finalizer of Steele et al.'s SplitMix generator —

@@ -4,8 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestMapOrdered(t *testing.T) {
@@ -36,17 +38,34 @@ func TestMapEmpty(t *testing.T) {
 	}
 }
 
+// fanOuts runs each error test on both entry points: Map, and the
+// ForEachWorker pool under it.
+var fanOuts = []struct {
+	name string
+	run  func(workers, n int, fn func(i int) error) error
+}{
+	{"Map", func(workers, n int, fn func(i int) error) error {
+		_, err := Map(workers, n, func(i int) (int, error) { return i, fn(i) })
+		return err
+	}},
+	{"ForEachWorker", func(workers, n int, fn func(i int) error) error {
+		return ForEachWorker(workers, n, func(_, i int) error { return fn(i) })
+	}},
+}
+
 func TestMapErrorSmallestIndex(t *testing.T) {
 	// Indices 7 and 23 both fail; every worker count must report 7.
-	for _, workers := range []int{1, 2, 8, 64} {
-		_, err := Map(workers, 40, func(i int) (int, error) {
-			if i == 7 || i == 23 {
-				return 0, fmt.Errorf("boom at %d", i)
+	for _, fo := range fanOuts {
+		for _, workers := range []int{1, 2, 8, 64} {
+			err := fo.run(workers, 40, func(i int) error {
+				if i == 7 || i == 23 {
+					return fmt.Errorf("boom at %d", i)
+				}
+				return nil
+			})
+			if err == nil || err.Error() != "boom at 7" {
+				t.Fatalf("%s workers=%d: err=%v", fo.name, workers, err)
 			}
-			return i, nil
-		})
-		if err == nil || err.Error() != "boom at 7" {
-			t.Fatalf("workers=%d: err=%v", workers, err)
 		}
 	}
 }
@@ -54,33 +73,67 @@ func TestMapErrorSmallestIndex(t *testing.T) {
 func TestMapErrorStopsDispatch(t *testing.T) {
 	// After the failure at index 0, indices well beyond it must not all
 	// run: the pool stops dispatching past the smallest failing index.
-	var ran atomic.Int64
-	_, err := Map(2, 10_000, func(i int) (int, error) {
-		ran.Add(1)
-		if i == 0 {
-			return 0, errors.New("early")
+	for _, fo := range fanOuts {
+		var ran atomic.Int64
+		err := fo.run(2, 10_000, func(i int) error {
+			ran.Add(1)
+			if i == 0 {
+				return errors.New("early")
+			}
+			return nil
+		})
+		if err == nil {
+			t.Fatalf("%s: error lost", fo.name)
 		}
-		return i, nil
-	})
-	if err == nil {
-		t.Fatal("error lost")
-	}
-	if n := ran.Load(); n > 1000 {
-		t.Fatalf("%d trials ran after an index-0 failure", n)
+		if n := ran.Load(); n > 1000 {
+			t.Fatalf("%s: %d trials ran after an index-0 failure", fo.name, n)
+		}
 	}
 }
 
-func TestForEach(t *testing.T) {
-	var sum atomic.Int64
-	if err := ForEach(8, 100, func(i int) error {
-		sum.Add(int64(i))
+// TestForEachWorkerIndices holds as many tasks as workers in flight at
+// once behind a barrier, so each runs on its own worker: their w must be
+// distinct and in range, and worker 0 must be the caller's goroutine.
+func TestForEachWorkerIndices(t *testing.T) {
+	const workers = 4
+	var arrived atomic.Int32
+	all := make(chan struct{})
+	ws := make([]int, workers)
+	onCaller := make([]bool, workers)
+	caller := goroutineID()
+	err := ForEachWorker(workers, workers, func(w, i int) error {
+		if arrived.Add(1) == workers {
+			close(all)
+		}
+		select {
+		case <-all:
+		case <-time.After(10 * time.Second):
+			return fmt.Errorf("task %d: %d of %d tasks in flight", i, arrived.Load(), workers)
+		}
+		ws[i], onCaller[i] = w, goroutineID() == caller
 		return nil
-	}); err != nil {
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if sum.Load() != 4950 {
-		t.Fatalf("sum=%d", sum.Load())
+	seen := make([]bool, workers)
+	for i, w := range ws {
+		if w < 0 || w >= workers || seen[w] {
+			t.Fatalf("worker indices %v, want a permutation of [0, %d)", ws, workers)
+		}
+		seen[w] = true
+		if (w == 0) != onCaller[i] {
+			t.Fatalf("task %d ran as worker %d, on the caller's goroutine: %v", i, w, onCaller[i])
+		}
 	}
+}
+
+// goroutineID parses the running goroutine's id from its stack header,
+// "goroutine N [running]:".
+func goroutineID() string {
+	buf := make([]byte, 64)
+	buf = buf[:runtime.Stack(buf, false)]
+	return strings.Fields(string(buf))[1]
 }
 
 func TestWorkers(t *testing.T) {
@@ -111,51 +164,5 @@ func TestTrialSeedDistinct(t *testing.T) {
 	// Pure function of (seed, trial).
 	if TrialSeed(42, 7) != TrialSeed(42, 7) {
 		t.Fatal("TrialSeed not deterministic")
-	}
-}
-
-func TestForEachChunkCoversAllIndices(t *testing.T) {
-	for _, tc := range []struct{ n, chunk int }{
-		{0, 4}, {1, 4}, {4, 4}, {5, 4}, {17, 4}, {17, 1}, {17, 0}, {3, 100},
-	} {
-		var hits atomic.Int64
-		seen := make([]atomic.Int32, tc.n)
-		err := ForEachChunk(3, tc.n, tc.chunk, func(lo, hi int) error {
-			if lo >= hi || hi > tc.n {
-				return fmt.Errorf("bad chunk [%d, %d) for n=%d", lo, hi, tc.n)
-			}
-			if eff := tc.chunk; eff >= 1 && hi-lo > eff {
-				return fmt.Errorf("chunk [%d, %d) larger than %d", lo, hi, eff)
-			}
-			for i := lo; i < hi; i++ {
-				seen[i].Add(1)
-				hits.Add(1)
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatalf("n=%d chunk=%d: %v", tc.n, tc.chunk, err)
-		}
-		if hits.Load() != int64(tc.n) {
-			t.Fatalf("n=%d chunk=%d: visited %d indices", tc.n, tc.chunk, hits.Load())
-		}
-		for i := range seen {
-			if seen[i].Load() != 1 {
-				t.Fatalf("n=%d chunk=%d: index %d visited %d times", tc.n, tc.chunk, i, seen[i].Load())
-			}
-		}
-	}
-}
-
-func TestForEachChunkPropagatesError(t *testing.T) {
-	boom := errors.New("boom")
-	err := ForEachChunk(4, 100, 10, func(lo, hi int) error {
-		if lo == 50 {
-			return boom
-		}
-		return nil
-	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want boom", err)
 	}
 }

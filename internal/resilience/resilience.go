@@ -15,18 +15,20 @@
 // route table for the pair (g, a) yields the outcome for every client
 // simultaneously, so a full matrix over G guards costs G×|attackers|
 // table computations — not clients×G×|attackers|. Compute shards the
-// work by guard destination over internal/par; each worker keeps one
-// set of buffers (engine scratch, table, tallies) for every guard it
-// takes, so the run's working memory is workers × one table however
-// many pairs it produces. Every attacker is enumerated exactly at small
-// scale; at Internet scale a per-guard attacker budget is sampled with
-// a reported confidence bound. The cost of a matrix is the route
-// engine's: about four fifths of it is ComputeRoutesInto (82 % of the
-// paper-scale matrix's CPU on two vCPUs), the rest the per-client
-// tally. Engine caches finished matrices keyed by the graph's
-// mutation version (topology.VersionMemo). The brute-force reference the
-// matrix is proven against is testkit.CheckResilienceExact, on the
-// testkit route oracle.
+// work by guard destination over par.ForEachWorker, the unobserved
+// fan-out, so the guard shards are not study trials; each worker keeps
+// one set of buffers (engine scratch, table, tallies), indexed by its
+// worker index, for every guard it takes, so the run's working memory
+// is workers × one table however many pairs it produces. Every
+// attacker is enumerated exactly at small scale; at Internet scale a
+// per-guard attacker budget is sampled with a reported confidence
+// bound. The cost of a matrix is the route engine's: about four
+// fifths of it is ComputeRoutesInto (82 % of the paper-scale matrix's
+// CPU on two vCPUs), the rest the per-client tally. Engine caches
+// finished matrices keyed by the graph's mutation version
+// (topology.VersionMemo). The brute-force reference the matrix is
+// proven against is testkit.CheckResilienceExact, on the testkit route
+// oracle.
 package resilience
 
 import (
@@ -161,10 +163,10 @@ func errorBound95(m, pop int) float64 {
 
 // Compute builds the all-pairs resilience matrix for cfg on g's current
 // compiled snapshot. The computation shards by guard destination: each
-// shard computes one two-origin hijack table per attacker with pooled
-// scratch and accumulates per-client capture counts, so the whole run
-// allocates a bounded number of table buffers no matter how many pairs
-// it produces. met may be nil.
+// shard computes one two-origin hijack table per attacker in its
+// worker's scratch and accumulates per-client capture counts, so the
+// whole run allocates a bounded number of table buffers no matter how
+// many pairs it produces. met may be nil.
 func Compute(g *topology.Graph, cfg Config, met *Metrics) (*Matrix, error) {
 	c := g.Compiled()
 	version := g.Version()
@@ -210,17 +212,15 @@ func Compute(g *topology.Graph, cfg Config, met *Metrics) (*Matrix, error) {
 		m.bound = errorBound95(budget, n-1)
 	}
 
-	workers := par.Workers(cfg.Workers)
-	// One shardBuf per worker, handed from guard to guard: the pool's
-	// size, not allocation, bounds the run's working memory.
-	bufs := make(chan *shardBuf, workers)
-	for i := 0; i < workers; i++ {
-		bufs <- &shardBuf{counts: make([]int32, n), inSample: make([]bool, n), swap: make(map[int]int)}
+	// One shardBuf per worker, reused from guard to guard: the worker
+	// count, not allocation, bounds the run's working memory.
+	bufs := make([]shardBuf, min(par.Workers(cfg.Workers), len(cfg.Guards)))
+	for i := range bufs {
+		bufs[i] = shardBuf{counts: make([]int32, n), inSample: make([]bool, n), swap: make(map[int]int)}
 	}
 	tableCounts := make([]int, len(cfg.Guards))
-	err := par.ForEach(workers, len(cfg.Guards), func(gi int) error {
-		b := <-bufs
-		defer func() { bufs <- b }()
+	err := par.ForEachWorker(len(bufs), len(cfg.Guards), func(w, gi int) error {
+		b := &bufs[w]
 		start := time.Now()
 		gID, gASN := guardIDs[gi], m.guards[gi]
 		clear(b.counts)

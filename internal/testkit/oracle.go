@@ -236,7 +236,7 @@ func CheckRoutesAgainstOracle(g *topology.Graph, filter topology.ImportFilter, o
 	if err != nil {
 		return fmt.Errorf("oracle: %w", err)
 	}
-	got, err := g.Compiled().Routes(nil, filter, origins...)
+	got, err := g.Routes(filter, origins...)
 	if err != nil {
 		return fmt.Errorf("compiled Routes: %w", err)
 	}

@@ -304,19 +304,6 @@ func (r *CompiledRoutes) Table() RouteTable {
 	return rt
 }
 
-// Routes computes a fresh table on the snapshot; a convenience wrapper
-// over ComputeRoutesInto for callers without buffers to reuse.
-func (c *Compiled) Routes(s *Scratch, filter ImportFilter, origins ...Origin) (*CompiledRoutes, error) {
-	if s == nil {
-		s = &Scratch{}
-	}
-	routes, err := c.ComputeRoutesInto(nil, s, filter, origins...)
-	if err != nil {
-		return nil, err
-	}
-	return &CompiledRoutes{c: c, routes: routes}, nil
-}
-
 // ComputeRoutesInto is the route engine: it fills dst (grown as needed)
 // with every AS's best policy-compliant route toward the given origins
 // and returns it, applying the Gao-Rexford export rules and the BGP

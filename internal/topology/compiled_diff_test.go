@@ -76,7 +76,7 @@ func TestCompiledMatchesOracle(t *testing.T) {
 		}
 		for ci, origins := range cases {
 			for _, filter := range []topology.ImportFilter{nil, rov} {
-				cr, err := g.Compiled().Routes(nil, filter, origins...)
+				cr, err := g.Routes(filter, origins...)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -2,7 +2,6 @@ package topology
 
 import (
 	"fmt"
-	"sync/atomic"
 	"unsafe"
 
 	"quicksand/internal/bgp"
@@ -12,8 +11,8 @@ import (
 const routeBytes = int(unsafe.Sizeof(Route{}))
 
 // SizeBytes returns the heap footprint of the scratch's retained
-// buffers. Together with a bounded ScratchPool this makes the working
-// memory of a sharded computation an explicit, measurable budget.
+// buffers. With one scratch per worker this makes the working memory of
+// a sharded computation an explicit, measurable budget.
 func (s *Scratch) SizeBytes() int {
 	b := (cap(s.origIDs) + cap(s.frontier) + cap(s.next) + cap(s.candNext)) * 4
 	b += len(s.candSeen)*4 + len(s.rank)*8
@@ -36,69 +35,6 @@ func (c *Compiled) MemoryBytes() int {
 
 // MemoryBytes returns the heap footprint of the route array.
 func (r *CompiledRoutes) MemoryBytes() int { return cap(r.routes) * routeBytes }
-
-// ScratchPool is a bounded pool of route-computation scratch buffers:
-// at most Cap scratches ever exist, so the pool's memory ceiling is
-// Cap × the per-scratch footprint (which SizeBytes measures) no matter
-// how many computations run through it. Get blocks while all scratches
-// are in use — that bound, not allocation, is the backpressure.
-type ScratchPool struct {
-	ch    chan *Scratch
-	inUse atomic.Int32
-}
-
-// NewScratchPool returns a pool holding capacity scratches (minimum 1).
-// Scratches are allocated lazily on first use.
-func NewScratchPool(capacity int) *ScratchPool {
-	if capacity < 1 {
-		capacity = 1
-	}
-	p := &ScratchPool{ch: make(chan *Scratch, capacity)}
-	for i := 0; i < capacity; i++ {
-		p.ch <- nil // placeholder: allocated on first Get
-	}
-	return p
-}
-
-// Cap returns the pool's scratch bound.
-func (p *ScratchPool) Cap() int { return cap(p.ch) }
-
-// Get takes a scratch, blocking while the pool is exhausted.
-func (p *ScratchPool) Get() *Scratch {
-	s := <-p.ch
-	if s == nil {
-		s = new(Scratch)
-	}
-	p.inUse.Add(1)
-	return s
-}
-
-// Put returns a scratch taken with Get.
-func (p *ScratchPool) Put(s *Scratch) {
-	p.inUse.Add(-1)
-	p.ch <- s
-}
-
-// MemoryBytes sums the footprint of every pooled scratch. It must not
-// run concurrently with Get/Put (it drains and refills the pool).
-func (p *ScratchPool) MemoryBytes() int {
-	if n := p.inUse.Load(); n != 0 {
-		panic(fmt.Sprintf("topology: ScratchPool.MemoryBytes with %d scratches in use", n))
-	}
-	b := 0
-	held := make([]*Scratch, 0, cap(p.ch))
-	for len(held) < cap(p.ch) {
-		s := <-p.ch
-		held = append(held, s)
-		if s != nil {
-			b += s.SizeBytes()
-		}
-	}
-	for _, s := range held {
-		p.ch <- s
-	}
-	return b
-}
 
 // MutationOp is the kind of a single-link churn event.
 type MutationOp uint8
@@ -134,8 +70,8 @@ type Mutation struct {
 }
 
 // RouteSet maintains the route tables of a fixed destination set over
-// one graph, computed destination-sharded on the worker pool with a
-// bounded scratch pool. Apply drives churn through incremental delta
+// one graph, computed destination-sharded on the worker pool with one
+// scratch per worker. Apply drives churn through incremental delta
 // recompilation: a mutation recomputes only the destinations whose
 // stable routing it can affect — decided by an O(1)-per-destination
 // check against the current tables — instead of refixpointing every
@@ -148,19 +84,14 @@ type Mutation struct {
 // graph must not be mutated behind its back between Apply calls.
 type RouteSet struct {
 	g       *Graph
-	workers int
-	pool    *ScratchPool
+	scratch []Scratch // one per worker, indexed by par's worker index
 	dests   []bgp.ASN
 	tables  []*CompiledRoutes
 }
 
-// routeSetShard bounds how many destinations one worker computes
-// between scratch-pool round trips.
-const routeSetShard = 8
-
 // NewRouteSet computes the tables for every destination (distinct,
 // present in g) and returns the set. workers <1 means one per CPU; the
-// scratch pool is bounded at the worker count.
+// set keeps one scratch per worker.
 func NewRouteSet(g *Graph, dests []bgp.ASN, workers int) (*RouteSet, error) {
 	if len(dests) == 0 {
 		return nil, fmt.Errorf("topology: route set needs at least one destination")
@@ -177,11 +108,10 @@ func NewRouteSet(g *Graph, dests []bgp.ASN, workers int) (*RouteSet, error) {
 	}
 	rs := &RouteSet{
 		g:       g,
-		workers: par.Workers(workers),
+		scratch: make([]Scratch, min(par.Workers(workers), len(dests))),
 		dests:   append([]bgp.ASN(nil), dests...),
 		tables:  make([]*CompiledRoutes, len(dests)),
 	}
-	rs.pool = NewScratchPool(rs.workers)
 	if err := rs.recomputeAll(); err != nil {
 		return nil, err
 	}
@@ -210,22 +140,16 @@ func (rs *RouteSet) Table(dst bgp.ASN) (*CompiledRoutes, bool) {
 func (rs *RouteSet) TableAt(i int) *CompiledRoutes { return rs.tables[i] }
 
 // recompute refreshes the tables at the given indices, sharded over the
-// worker pool. Each worker holds one pooled scratch per shard and each
+// worker pool. Each worker computes into its own scratch and each
 // table's previous array is reused in place.
 func (rs *RouteSet) recompute(idx []int) error {
-	if len(idx) == 0 {
-		return nil
-	}
-	return par.ForEachChunk(rs.workers, len(idx), routeSetShard, func(lo, hi int) error {
-		s := rs.pool.Get()
-		defer rs.pool.Put(s)
-		for _, i := range idx[lo:hi] {
-			cr, err := rs.g.RoutesInto(rs.tables[i], s, nil, Origin{ASN: rs.dests[i]})
-			if err != nil {
-				return err
-			}
-			rs.tables[i] = cr
+	return par.ForEachWorker(len(rs.scratch), len(idx), func(w, k int) error {
+		i := idx[k]
+		cr, err := rs.g.RoutesInto(rs.tables[i], &rs.scratch[w], nil, Origin{ASN: rs.dests[i]})
+		if err != nil {
+			return err
 		}
+		rs.tables[i] = cr
 		return nil
 	})
 }
@@ -245,10 +169,13 @@ func (rs *RouteSet) recomputeAll() error {
 func (rs *RouteSet) RecomputeAll() error { return rs.recomputeAll() }
 
 // MemoryBytes reports the set's retained footprint: every table, the
-// scratch pool, and the compiled snapshot. It must not run concurrently
-// with Apply or RecomputeAll.
+// per-worker scratches, and the compiled snapshot. It must not run
+// concurrently with Apply or RecomputeAll.
 func (rs *RouteSet) MemoryBytes() int {
-	b := rs.pool.MemoryBytes() + rs.g.Compiled().MemoryBytes()
+	b := rs.g.Compiled().MemoryBytes()
+	for i := range rs.scratch {
+		b += rs.scratch[i].SizeBytes()
+	}
 	for _, t := range rs.tables {
 		if t != nil {
 			b += t.MemoryBytes()

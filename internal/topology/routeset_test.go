@@ -71,6 +71,13 @@ func TestRouteSetAccessors(t *testing.T) {
 	if rs.MemoryBytes() < 3*60*routeBytes {
 		t.Errorf("MemoryBytes() = %d, below the bare table footprint", rs.MemoryBytes())
 	}
+	tables := 0
+	for i := range rs.Dests() {
+		tables += rs.TableAt(i).MemoryBytes()
+	}
+	if scratch := rs.MemoryBytes() - tables - g.Compiled().MemoryBytes(); scratch <= 0 {
+		t.Errorf("MemoryBytes() counts %d bytes of worker scratch after computing tables, want > 0", scratch)
+	}
 	assertTablesMatchFresh(t, rs, "fresh route set")
 }
 
@@ -110,35 +117,6 @@ func TestMutationOpString(t *testing.T) {
 			t.Errorf("MutationOp(%d).String() = %q, want %q", int(op), got, want)
 		}
 	}
-}
-
-func TestScratchPool(t *testing.T) {
-	p := NewScratchPool(0)
-	if p.Cap() != 1 {
-		t.Fatalf("Cap() = %d, want clamp to 1", p.Cap())
-	}
-	p = NewScratchPool(2)
-	if p.MemoryBytes() != 0 {
-		t.Errorf("unused pool MemoryBytes = %d, want 0 (lazy allocation)", p.MemoryBytes())
-	}
-	s := p.Get()
-	s.reset(100)
-	p.Put(s)
-	if p.MemoryBytes() == 0 {
-		t.Error("pool MemoryBytes = 0 after a scratch grew buffers")
-	}
-}
-
-func TestScratchPoolMemoryBytesPanicsWhileInUse(t *testing.T) {
-	p := NewScratchPool(2)
-	s := p.Get()
-	defer p.Put(s)
-	defer func() {
-		if recover() == nil {
-			t.Error("MemoryBytes did not panic with a scratch checked out")
-		}
-	}()
-	p.MemoryBytes()
 }
 
 // TestDeltaRecompileRandomChurn drives a paper-scale power-law graph

@@ -31,11 +31,12 @@
 #      and the daemon's private RIB file, with the unused example
 #      programs and AS_PATH helpers, with the fleet's shards, merger and
 #      watch table, with the shared observability flags and the batch-only
-#      metrics, with the resilience subcommand, with the bit trie, or as
-#      duplicates of a bench/ metric or of a test the
-#      kill matrix keeps are named nowhere outside the history files (Go
-#      comments and scripts here; TestDocsCiteOnlyWhatExists checks the
-#      Markdown's paths and test names)
+#      metrics, with the resilience subcommand, with the bit trie, with
+#      the worker pools par's one fan-out replaced, or as duplicates of a
+#      bench/ metric or of a test the kill matrix keeps are named nowhere
+#      outside the history files (Go comments and scripts here;
+#      TestDocsCiteOnlyWhatExists checks the Markdown's paths and test
+#      names)
 #  10. fuzz smoke: every Fuzz* target for FUZZTIME (default 10s)
 #  11. per-package coverage floors (see floor() below)
 #
@@ -130,6 +131,12 @@ retired="$retired|TestResil(Cmd)|TestRunResil(Small)"
 # plus-length-mask index.
 retired="$retired|node(\[V\])|check(Prefix)[(]|Addr(Key)[(]|binary (radix) trie|Check(LPM)"
 retired="$retired|reference(LPM)|TestInsertThenGet(Quick)"
+# So are the hand-rolled worker pools par.ForEachWorker replaced: the
+# bounded scratch pool and its shard size, the chunked and index-only
+# fan-outs, the churn month's private fan-out, the compiled snapshot's
+# fresh-table entry point, and the tests of the pool and the fan-outs.
+retired="$retired|Scratch(Pool)|routeSet(Shard)|ForEach(Chunk)|par[.](ForEach)[(]|fan(Out)[(]"
+retired="$retired|Compiled[(][)][.](Routes)[(]|TestFor(Each)([^W]|\$)"
 if stale=$(git grep -nE "$retired" -- . ':!PAPER.md' \
     ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!bench'); then
     echo "FAIL: retired names still referenced:" >&2
