@@ -149,7 +149,7 @@ type Fig3LeftResult struct {
 
 // RunFig3Left computes Tor-prefix path-change ratios over the stream.
 func (w *World) RunFig3Left(st *bgpsim.Stream, filter analysis.ResetFilter) (*Fig3LeftResult, error) {
-	ratios, err := analysis.PathChangeRatios(st, w.TorPrefixSet(), filter, analysis.DefaultTransferHeuristic())
+	ratios, err := analysis.PathChangeRatios(st, w.TorPrefixSet(), filter)
 	if err != nil {
 		return nil, err
 	}
@@ -196,7 +196,7 @@ func (r *Fig3RightResult) ExtraSamples() []int {
 // RunFig3Right computes per-Tor-prefix extra-AS exposure with the paper's
 // 5-minute dwell threshold.
 func (w *World) RunFig3Right(st *bgpsim.Stream, minDwell time.Duration, filter analysis.ResetFilter) (*Fig3RightResult, error) {
-	counts, err := analysis.ExtraASesPerTorPrefix(st, w.TorPrefixSet(), minDwell, filter, analysis.DefaultTransferHeuristic())
+	counts, err := analysis.ExtraASesPerTorPrefix(st, w.TorPrefixSet(), minDwell, filter)
 	if err != nil {
 		return nil, err
 	}
@@ -612,8 +612,7 @@ func (w *World) RunDefenseStudy(st *bgpsim.Stream, cfg DefenseStudyConfig) (*Def
 	if minSessions < 2 {
 		minSessions = 2
 	}
-	if sets, err := analysis.ExtraASSets(st, torSet, 5*time.Minute, minSessions,
-		analysis.FilterGroundTruth, analysis.DefaultTransferHeuristic()); err == nil {
+	if sets, err := analysis.ExtraASSets(st, torSet, 5*time.Minute, minSessions, analysis.FilterGroundTruth); err == nil {
 		for p, ases := range sets {
 			origin := w.Origins[p]
 			extra[origin] = append(extra[origin], ases...)

@@ -50,7 +50,7 @@ type ConvergenceResult struct {
 // but each of them learns that some client communicates with a Tor guard
 // — membership information §3.1 argues is dangerous on its own.
 func (w *World) RunConvergence(st *bgpsim.Stream, maxDwell time.Duration, filter analysis.ResetFilter) (*ConvergenceResult, error) {
-	tr, err := analysis.TransientASes(st, w.TorPrefixSet(), maxDwell, filter, analysis.DefaultTransferHeuristic())
+	tr, err := analysis.TransientASes(st, w.TorPrefixSet(), maxDwell, filter)
 	if err != nil {
 		return nil, err
 	}
@@ -250,7 +250,7 @@ func (w *World) RunRotationStudy(cfg RotationStudyConfig) (*RotationStudyResult,
 				// Per-(client, month) selector: guard draws must not
 				// depend on other clients' draws.
 				sel := torpath.NewSelector(ms.cons, par.TrialSeed(cseed, m+1))
-				if gs == nil || m%lifetime == 0 {
+				if gs == nil || gs.Expired(now) {
 					picked, err := sel.PickGuards(torpath.DefaultNumGuards, now)
 					if err != nil {
 						return 0, err

@@ -203,7 +203,7 @@ func TestCountPathChangesDefinition(t *testing.T) {
 		// Different set again: change 2.
 		{Time: t0churn.Add(5 * time.Hour), Session: 0, Prefix: torPfx, Path: []bgp.ASN{3320, 1299, 24940}},
 	})
-	counts := CountPathChanges(st, 0, FilterNone, DefaultTransferHeuristic())
+	counts := CountPathChanges(st, 0, FilterNone)
 	if counts[torPfx] != 2 {
 		t.Fatalf("changes = %d, want 2", counts[torPfx])
 	}
@@ -218,10 +218,10 @@ func TestCountPathChangesGroundTruthFilter(t *testing.T) {
 		// A transfer announcement with a different path must be ignored.
 		{Time: t0churn.Add(2 * time.Hour), Session: 0, Prefix: torPfx, Path: []bgp.ASN{3320, 6939, 24940}, Transfer: true},
 	})
-	if got := CountPathChanges(st, 0, FilterGroundTruth, DefaultTransferHeuristic())[torPfx]; got != 1 {
+	if got := CountPathChanges(st, 0, FilterGroundTruth)[torPfx]; got != 1 {
 		t.Fatalf("ground-truth filtered changes = %d, want 1", got)
 	}
-	if got := CountPathChanges(st, 0, FilterNone, DefaultTransferHeuristic())[torPfx]; got != 2 {
+	if got := CountPathChanges(st, 0, FilterNone)[torPfx]; got != 2 {
 		t.Fatalf("unfiltered changes = %d, want 2", got)
 	}
 }
@@ -237,7 +237,7 @@ func TestTransferHeuristicDetectsBurst(t *testing.T) {
 		// An isolated genuine change hours later.
 		{Time: base.Add(5 * time.Hour), Session: 0, Prefix: torPfx, Path: []bgp.ASN{3320, 1299, 24940}},
 	})
-	counts := CountPathChanges(st, 0, FilterHeuristic, DefaultTransferHeuristic())
+	counts := CountPathChanges(st, 0, FilterHeuristic)
 	// The burst is filtered; the later isolated update is compared
 	// against the *initial* path {3320,1299,24940} — same set, so no
 	// change at all.
@@ -245,13 +245,13 @@ func TestTransferHeuristicDetectsBurst(t *testing.T) {
 		t.Fatalf("heuristic-filtered changes = %d, want 0", counts[torPfx])
 	}
 	// Without filtering the burst counts as changes.
-	unfiltered := CountPathChanges(st, 0, FilterNone, DefaultTransferHeuristic())
+	unfiltered := CountPathChanges(st, 0, FilterNone)
 	if unfiltered[torPfx] != 2 {
 		t.Fatalf("unfiltered = %d, want 2", unfiltered[torPfx])
 	}
 }
 
-// TestTransferHeuristicBurstGap pins the default 5 s burst gap: a
+// TestTransferHeuristicBurstGap pins the 5 s burst gap: a
 // transfer paced 2 s or 5 s per update is still one burst and filtered,
 // while 6 s between updates splits it into single-prefix changes.
 func TestTransferHeuristicBurstGap(t *testing.T) {
@@ -265,7 +265,7 @@ func TestTransferHeuristicBurstGap(t *testing.T) {
 			{Time: base.Add(tc.spacing), Session: 0, Prefix: bgPfx, Path: []bgp.ASN{3320, 6939, 100}},
 			{Time: base.Add(2 * tc.spacing), Session: 0, Prefix: bgPfx2, Path: []bgp.ASN{3320, 6939, 200}},
 		})
-		if got := CountPathChanges(st, 0, FilterHeuristic, DefaultTransferHeuristic())[torPfx]; got != tc.changes {
+		if got := CountPathChanges(st, 0, FilterHeuristic)[torPfx]; got != tc.changes {
 			t.Errorf("updates %v apart: %d changes, want %d", tc.spacing, got, tc.changes)
 		}
 	}
@@ -273,11 +273,11 @@ func TestTransferHeuristicBurstGap(t *testing.T) {
 
 func TestTransferHeuristicIgnoresSmallBursts(t *testing.T) {
 	base := t0churn.Add(10 * time.Hour)
-	// Only one of three prefixes updates: below MinFraction, so kept.
+	// Only one of three prefixes updates: below transferShare, so kept.
 	st := craftStream([]bgpsim.UpdateEvent{
 		{Time: base, Session: 0, Prefix: torPfx, Path: []bgp.ASN{3320, 6939, 24940}},
 	})
-	counts := CountPathChanges(st, 0, FilterHeuristic, DefaultTransferHeuristic())
+	counts := CountPathChanges(st, 0, FilterHeuristic)
 	if counts[torPfx] != 1 {
 		t.Fatalf("small burst was filtered: %v", counts)
 	}
@@ -293,7 +293,7 @@ func TestPathChangeRatios(t *testing.T) {
 		{Time: t0churn.Add(5 * time.Hour), Session: 0, Prefix: bgPfx, Path: []bgp.ASN{3320, 2914, 100}},
 		{Time: t0churn.Add(6 * time.Hour), Session: 0, Prefix: bgPfx2, Path: []bgp.ASN{3320, 174, 200}},
 	})
-	ratios, err := PathChangeRatios(st, map[netip.Prefix]bool{torPfx: true}, FilterNone, DefaultTransferHeuristic())
+	ratios, err := PathChangeRatios(st, map[netip.Prefix]bool{torPfx: true}, FilterNone)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,14 +315,14 @@ func TestPathChangeRatios(t *testing.T) {
 
 func TestPathChangeRatiosSkipsZeroMedianSessions(t *testing.T) {
 	st := craftStream(nil) // no updates at all: median 0
-	if _, err := PathChangeRatios(st, map[netip.Prefix]bool{torPfx: true}, FilterNone, DefaultTransferHeuristic()); err == nil {
+	if _, err := PathChangeRatios(st, map[netip.Prefix]bool{torPfx: true}, FilterNone); err == nil {
 		t.Fatal("expected error when no session has a defined ratio")
 	}
 }
 
 func TestPathChangeRatiosNoTorPrefixes(t *testing.T) {
 	st := craftStream(nil)
-	if _, err := PathChangeRatios(st, nil, FilterNone, DefaultTransferHeuristic()); err == nil {
+	if _, err := PathChangeRatios(st, nil, FilterNone); err == nil {
 		t.Fatal("empty Tor prefix set accepted")
 	}
 }
@@ -335,19 +335,29 @@ func TestExtraASesDwell(t *testing.T) {
 		{Time: t0churn.Add(11 * time.Hour), Session: 0, Prefix: torPfx, Path: []bgp.ASN{3320, 6939, 24940}},
 		{Time: t0churn.Add(11*time.Hour + 2*time.Minute), Session: 0, Prefix: torPfx, Path: []bgp.ASN{3320, 1299, 24940}},
 	})
-	extra := ExtraASes(st, 0, torPfx, 5*time.Minute, FilterNone, DefaultTransferHeuristic())
+	extra := extraASes(t, st, 5*time.Minute)
 	if len(extra) != 1 || extra[0] != 174 {
 		t.Fatalf("extra = %v, want [174]", extra)
 	}
 	// With a zero threshold, 6939 qualifies too.
-	extra = ExtraASes(st, 0, torPfx, 0, FilterNone, DefaultTransferHeuristic())
+	extra = extraASes(t, st, 0)
 	if len(extra) != 2 {
 		t.Fatalf("extra (no threshold) = %v", extra)
 	}
-	// Unknown prefix: nil.
-	if got := ExtraASes(st, 0, netip.MustParsePrefix("1.0.0.0/8"), 0, FilterNone, DefaultTransferHeuristic()); got != nil {
+	// A prefix no session carries gives no sample at all.
+	if got, err := ExtraASSets(st, map[netip.Prefix]bool{netip.MustParsePrefix("1.0.0.0/8"): true}, 0, 1, FilterNone); err == nil {
 		t.Fatalf("unknown prefix extra = %v", got)
 	}
+}
+
+// extraASes returns the extra ASes of torPfx on st's one session.
+func extraASes(t *testing.T, st *bgpsim.Stream, minDwell time.Duration) []bgp.ASN {
+	t.Helper()
+	sets, err := ExtraASSets(st, map[netip.Prefix]bool{torPfx: true}, minDwell, 1, FilterNone)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sets[torPfx]
 }
 
 func TestExtraASesDwellAccumulatesAcrossVisits(t *testing.T) {
@@ -358,7 +368,7 @@ func TestExtraASesDwellAccumulatesAcrossVisits(t *testing.T) {
 		{Time: t0churn.Add(2 * time.Hour), Session: 0, Prefix: torPfx, Path: []bgp.ASN{3320, 174, 24940}},
 		{Time: t0churn.Add(2*time.Hour + 3*time.Minute), Session: 0, Prefix: torPfx, Path: []bgp.ASN{3320, 1299, 24940}},
 	})
-	extra := ExtraASes(st, 0, torPfx, 5*time.Minute, FilterNone, DefaultTransferHeuristic())
+	extra := extraASes(t, st, 5*time.Minute)
 	if len(extra) != 1 || extra[0] != 174 {
 		t.Fatalf("extra = %v, want [174] (dwell accumulates)", extra)
 	}
@@ -371,7 +381,7 @@ func TestExtraASesWithdrawnTimeDoesNotCount(t *testing.T) {
 		{Time: t0churn.Add(11 * time.Hour), Session: 0, Prefix: torPfx, Path: []bgp.ASN{3320, 174, 24940}},
 		{Time: t0churn.Add(11*time.Hour + time.Minute), Session: 0, Prefix: torPfx, Path: []bgp.ASN{3320, 1299, 24940}},
 	})
-	extra := ExtraASes(st, 0, torPfx, 5*time.Minute, FilterNone, DefaultTransferHeuristic())
+	extra := extraASes(t, st, 5*time.Minute)
 	if len(extra) != 0 {
 		t.Fatalf("extra = %v, want none (1 minute dwell)", extra)
 	}
@@ -381,7 +391,7 @@ func TestExtraASesPerTorPrefix(t *testing.T) {
 	st := craftStream([]bgpsim.UpdateEvent{
 		{Time: t0churn.Add(1 * time.Hour), Session: 0, Prefix: torPfx, Path: []bgp.ASN{3320, 174, 24940}},
 	})
-	counts, err := ExtraASesPerTorPrefix(st, map[netip.Prefix]bool{torPfx: true}, 5*time.Minute, FilterNone, DefaultTransferHeuristic())
+	counts, err := ExtraASesPerTorPrefix(st, map[netip.Prefix]bool{torPfx: true}, 5*time.Minute, FilterNone)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -395,7 +405,7 @@ func TestExtraASesPerTorPrefix(t *testing.T) {
 	if len(ccdf) != 1 {
 		t.Fatalf("ccdf = %v", ccdf)
 	}
-	if _, err := ExtraASesPerTorPrefix(st, nil, 0, FilterNone, DefaultTransferHeuristic()); err == nil {
+	if _, err := ExtraASesPerTorPrefix(st, nil, 0, FilterNone); err == nil {
 		t.Fatal("empty Tor prefix set accepted")
 	}
 }

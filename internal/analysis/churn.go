@@ -3,7 +3,7 @@ package analysis
 import (
 	"fmt"
 	"net/netip"
-	"sort"
+	"slices"
 	"time"
 
 	"quicksand/internal/bgp"
@@ -29,87 +29,80 @@ const (
 	FilterHeuristic
 )
 
-// TransferHeuristic tunes FilterHeuristic.
-type TransferHeuristic struct {
-	// Gap chains updates into a burst while consecutive inter-arrival
-	// times stay at or below it.
-	Gap time.Duration
-	// MinFraction is the share of the session's known prefixes a burst
-	// must re-announce to be classified as a table transfer.
-	MinFraction float64
-}
+// FilterHeuristic chains a session's updates into one burst while
+// consecutive inter-arrival times stay at or below transferGap, and
+// classifies a burst as a table transfer when it re-announces at least
+// transferShare of the session's known prefixes. Both match the
+// simulator's reset behaviour: transfers re-announce the whole table
+// within seconds.
+const (
+	transferGap   = 5 * time.Second
+	transferShare = 0.5
+)
 
-// DefaultTransferHeuristic matches the simulator's reset behaviour:
-// transfers re-announce the whole table within seconds.
-func DefaultTransferHeuristic() TransferHeuristic {
-	return TransferHeuristic{Gap: 5 * time.Second, MinFraction: 0.5}
-}
-
-// detectTransferBursts returns, for session si, the set of update indices
-// (into st.Updates) classified as table-transfer announcements by the
-// burst heuristic.
-func detectTransferBursts(st *bgpsim.Stream, si int, h TransferHeuristic) map[int]bool {
-	// seen collects the session's prefixes, the ones PrefixesOnSession
-	// lists, to count them.
-	seen := make(map[netip.Prefix]bool, len(st.Initial[si]))
-	for p := range st.Initial[si] {
-		seen[p] = true
-	}
-	var idxs []int
+// sessionUpdates is the one pass over the stream an analysis makes: it
+// groups the indices of st.Updates by session, each group ascending.
+// Updates naming no session in st.Sessions are left out.
+func sessionUpdates(st *bgpsim.Stream) [][]int32 {
+	out := make([][]int32, len(st.Sessions))
 	for i := range st.Updates {
-		if st.Updates[i].Session == si {
-			idxs = append(idxs, i)
-			seen[st.Updates[i].Prefix] = true
+		if si := st.Updates[i].Session; si >= 0 && si < len(out) {
+			out[si] = append(out[si], int32(i))
 		}
-	}
-	out := make(map[int]bool)
-	if len(seen) == 0 {
-		return out
-	}
-	need := h.MinFraction * float64(len(seen))
-	prefixes := make(map[netip.Prefix]bool)
-	start := 0
-	for start < len(idxs) {
-		end := start
-		for end+1 < len(idxs) {
-			cur := st.Updates[idxs[end]].Time
-			next := st.Updates[idxs[end+1]].Time
-			if next.Sub(cur) > h.Gap {
-				break
-			}
-			end++
-		}
-		// A burst re-announces at most one prefix per update, so a burst
-		// with fewer updates than need cannot qualify: only a longer one
-		// gets its prefix set built.
-		if float64(end-start+1) >= need {
-			clear(prefixes)
-			for k := start; k <= end; k++ {
-				prefixes[st.Updates[idxs[k]].Prefix] = true
-			}
-			if float64(len(prefixes)) >= need {
-				for k := start; k <= end; k++ {
-					out[idxs[k]] = true
-				}
-			}
-		}
-		start = end + 1
 	}
 	return out
 }
 
-// isTransfer builds the per-update transfer predicate for a session under
-// the chosen filter.
-func isTransfer(st *bgpsim.Stream, si int, filter ResetFilter, h TransferHeuristic) func(i int) bool {
+// dropTransfers removes from session si's update indices, in place, the
+// ones the filter classifies as table transfers.
+func dropTransfers(st *bgpsim.Stream, si int, idxs []int32, filter ResetFilter) []int32 {
 	switch filter {
 	case FilterGroundTruth:
-		return func(i int) bool { return st.Updates[i].Transfer }
+		return slices.DeleteFunc(idxs, func(i int32) bool { return st.Updates[i].Transfer })
 	case FilterHeuristic:
-		bursts := detectTransferBursts(st, si, h)
-		return func(i int) bool { return bursts[i] }
+		return dropBursts(st, si, idxs)
 	default:
-		return func(int) bool { return false }
+		return idxs
 	}
+}
+
+// dropBursts is FilterHeuristic: it removes from session si's update
+// indices, in place, every burst that re-announces at least
+// transferShare of the prefixes the session carries (those with a
+// baseline path or at least one update).
+func dropBursts(st *bgpsim.Stream, si int, idxs []int32) []int32 {
+	seen := make(map[netip.Prefix]bool, len(st.Initial[si]))
+	for p := range st.Initial[si] {
+		seen[p] = true
+	}
+	for _, i := range idxs {
+		seen[st.Updates[i].Prefix] = true
+	}
+	need := transferShare * float64(len(seen))
+	prefixes := make(map[netip.Prefix]bool)
+	kept := idxs[:0]
+	for start := 0; start < len(idxs); {
+		end := start + 1
+		for end < len(idxs) && st.Updates[idxs[end]].Time.Sub(st.Updates[idxs[end-1]].Time) <= transferGap {
+			end++
+		}
+		burst := idxs[start:end]
+		start = end
+		// A burst re-announces at most one prefix per update, so a burst
+		// with fewer updates than need cannot qualify: only a longer one
+		// gets its prefix set built.
+		if float64(len(burst)) >= need {
+			clear(prefixes)
+			for _, i := range burst {
+				prefixes[st.Updates[i].Prefix] = true
+			}
+			if float64(len(prefixes)) >= need {
+				continue
+			}
+		}
+		kept = append(kept, burst...)
+	}
+	return kept
 }
 
 func asSet(path []bgp.ASN) map[bgp.ASN]bool {
@@ -137,20 +130,22 @@ func sameASSet(a, b map[bgp.ASN]bool) bool {
 // AS *sets* differ. Withdrawals do not count by themselves; the next
 // announcement is compared against the last announced path. Transfer
 // updates are excluded per the filter.
-func CountPathChanges(st *bgpsim.Stream, si int, filter ResetFilter, h TransferHeuristic) map[netip.Prefix]int {
+func CountPathChanges(st *bgpsim.Stream, si int, filter ResetFilter) map[netip.Prefix]int {
+	return pathChanges(st, si, dropTransfers(st, si, sessionUpdates(st)[si], filter))
+}
+
+// pathChanges is CountPathChanges over session si's ascending update
+// indices, transfers already removed.
+func pathChanges(st *bgpsim.Stream, si int, idxs []int32) map[netip.Prefix]int {
 	counts := make(map[netip.Prefix]int)
 	last := make(map[netip.Prefix]map[bgp.ASN]bool)
 	for p, path := range st.Initial[si] {
 		counts[p] = 0
 		last[p] = asSet(path)
 	}
-	transfer := isTransfer(st, si, filter, h)
-	for i := range st.Updates {
+	for _, i := range idxs {
 		u := &st.Updates[i]
-		if u.Session != si || u.Withdraw() {
-			continue
-		}
-		if transfer(i) {
+		if u.Withdraw() {
 			continue
 		}
 		if _, seen := counts[u.Prefix]; !seen {
@@ -163,6 +158,22 @@ func CountPathChanges(st *bgpsim.Stream, si int, filter ResetFilter, h TransferH
 		last[u.Prefix] = set
 	}
 	return counts
+}
+
+// sortedPrefixes returns the keys of set in (address, length) order: the
+// order every per-(session, prefix) sample list is emitted in.
+func sortedPrefixes(set map[netip.Prefix]bool) []netip.Prefix {
+	out := make([]netip.Prefix, 0, len(set))
+	for p := range set {
+		out = append(out, p)
+	}
+	slices.SortFunc(out, func(a, b netip.Prefix) int {
+		if c := a.Addr().Compare(b.Addr()); c != 0 {
+			return c
+		}
+		return a.Bits() - b.Bits()
+	})
+	return out
 }
 
 // ChangeRatio is one Figure-3-left sample: a Tor prefix on a session,
@@ -181,14 +192,15 @@ type ChangeRatio struct {
 // prefixes (Tor and background alike), and the ratio for each Tor prefix
 // the session carries. Sessions whose median is zero are skipped (the
 // ratio is undefined there), mirroring how the paper normalises per
-// session.
-func PathChangeRatios(st *bgpsim.Stream, torPrefixes map[netip.Prefix]bool, filter ResetFilter, h TransferHeuristic) ([]ChangeRatio, error) {
+// session. Samples come in (session, prefix) order.
+func PathChangeRatios(st *bgpsim.Stream, torPrefixes map[netip.Prefix]bool, filter ResetFilter) ([]ChangeRatio, error) {
 	if len(torPrefixes) == 0 {
 		return nil, fmt.Errorf("analysis: no Tor prefixes given")
 	}
+	tor := sortedPrefixes(torPrefixes)
 	var out []ChangeRatio
-	for si := range st.Sessions {
-		counts := CountPathChanges(st, si, filter, h)
+	for si, idxs := range sessionUpdates(st) {
+		counts := pathChanges(st, si, dropTransfers(st, si, idxs, filter))
 		if len(counts) == 0 {
 			continue
 		}
@@ -200,14 +212,13 @@ func PathChangeRatios(st *bgpsim.Stream, torPrefixes map[netip.Prefix]bool, filt
 		if err != nil || med == 0 {
 			continue
 		}
-		for p, c := range counts {
-			if !torPrefixes[p] {
-				continue
+		for _, p := range tor {
+			if c, ok := counts[p]; ok {
+				out = append(out, ChangeRatio{
+					Session: si, Prefix: p, Changes: c, Median: med,
+					Ratio: float64(c) / med,
+				})
 			}
-			out = append(out, ChangeRatio{
-				Session: si, Prefix: p, Changes: c, Median: med,
-				Ratio: float64(c) / med,
-			})
 		}
 	}
 	if len(out) == 0 {
@@ -225,85 +236,60 @@ func RatioCCDF(ratios []ChangeRatio) ([]stats.CCDFPoint, error) {
 	return stats.CCDF(xs)
 }
 
-// ExtraASes computes, for prefix p on session si, the set of ASes that
-// appeared on the announced path during the stream but (a) are not on the
-// baseline first path and (b) were on-path for at least minDwell in
-// total. The minimum dwell implements the paper's "we did not consider an
-// AS crossed for less than 5 minutes" rule. Transfer updates are excluded
-// per the filter.
-func ExtraASes(st *bgpsim.Stream, si int, p netip.Prefix, minDwell time.Duration, filter ResetFilter, h TransferHeuristic) []bgp.ASN {
-	transfer := isTransfer(st, si, filter, h)
-	var idxs []int
-	for i := range st.Updates {
-		if st.Updates[i].Session == si && st.Updates[i].Prefix == p {
-			idxs = append(idxs, i)
-		}
+// walkTorDwell calls fn once per (session, Tor prefix) pair with a
+// baseline path on that session, in (session, prefix) order, with the
+// total on-path time of every AS that is NOT on the baseline first path.
+// Transfer updates are excluded per the filter, and time spent withdrawn
+// counts for no AS. The dwell map is reused between calls. It is the raw
+// material of both the Figure 3 (right) exposure metric (dwell >= 5 min)
+// and the convergence transient analysis (dwell < 5 min).
+func walkTorDwell(st *bgpsim.Stream, torPrefixes map[netip.Prefix]bool, filter ResetFilter, fn func(si int, p netip.Prefix, dwell map[bgp.ASN]time.Duration)) error {
+	if len(torPrefixes) == 0 {
+		return fmt.Errorf("analysis: no Tor prefixes given")
 	}
-	return extraASesIndexed(st, si, p, idxs, transfer, minDwell)
-}
-
-// dwellTimesIndexed accumulates, for one (session, prefix), the total
-// on-path time of every AS that is NOT on the baseline first path; idxs
-// must be ascending indices into st.Updates restricted to that pair.
-func dwellTimesIndexed(st *bgpsim.Stream, si int, p netip.Prefix, idxs []int, transfer func(int) bool) map[bgp.ASN]time.Duration {
-	baselinePath, ok := st.Initial[si][p]
-	if !ok {
-		return nil
-	}
-	baseline := asSet(baselinePath)
+	tor := sortedPrefixes(torPrefixes)
 	dwell := make(map[bgp.ASN]time.Duration)
-	cur := baselinePath
-	curStart := st.Start
-	account := func(until time.Time) {
-		if cur == nil || until.Before(curStart) {
-			return
-		}
-		d := until.Sub(curStart)
-		for _, a := range cur {
-			if !baseline[a] {
-				dwell[a] += d
+	visited := false
+	for si, idxs := range sessionUpdates(st) {
+		byPrefix := make(map[netip.Prefix][]int32)
+		for _, i := range dropTransfers(st, si, idxs, filter) {
+			if p := st.Updates[i].Prefix; torPrefixes[p] {
+				byPrefix[p] = append(byPrefix[p], i)
 			}
 		}
-	}
-	for _, i := range idxs {
-		u := &st.Updates[i]
-		if transfer(i) {
-			continue
-		}
-		account(u.Time)
-		cur = u.Path
-		curStart = u.Time
-	}
-	account(st.End)
-	return dwell
-}
-
-// ASDwellTimes returns the per-AS on-path durations of every non-baseline
-// AS for prefix p on session si. It is the raw material of both the
-// Figure 3 (right) exposure metric (dwell >= 5 min) and the convergence
-// transient analysis (dwell < 5 min).
-func ASDwellTimes(st *bgpsim.Stream, si int, p netip.Prefix, filter ResetFilter, h TransferHeuristic) map[bgp.ASN]time.Duration {
-	transfer := isTransfer(st, si, filter, h)
-	var idxs []int
-	for i := range st.Updates {
-		if st.Updates[i].Session == si && st.Updates[i].Prefix == p {
-			idxs = append(idxs, i)
-		}
-	}
-	return dwellTimesIndexed(st, si, p, idxs, transfer)
-}
-
-// extraASesIndexed filters dwellTimesIndexed by the minimum dwell.
-func extraASesIndexed(st *bgpsim.Stream, si int, p netip.Prefix, idxs []int, transfer func(int) bool, minDwell time.Duration) []bgp.ASN {
-	dwell := dwellTimesIndexed(st, si, p, idxs, transfer)
-	var out []bgp.ASN
-	for a, d := range dwell {
-		if d >= minDwell {
-			out = append(out, a)
+		for _, p := range tor {
+			baselinePath, ok := st.Initial[si][p]
+			if !ok {
+				continue
+			}
+			baseline := asSet(baselinePath)
+			clear(dwell)
+			cur, curStart := baselinePath, st.Start
+			account := func(until time.Time) {
+				if until.Before(curStart) {
+					return
+				}
+				d := until.Sub(curStart)
+				for _, a := range cur {
+					if !baseline[a] {
+						dwell[a] += d
+					}
+				}
+			}
+			for _, i := range byPrefix[p] {
+				u := &st.Updates[i]
+				account(u.Time)
+				cur, curStart = u.Path, u.Time
+			}
+			account(st.End)
+			fn(si, p, dwell)
+			visited = true
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	if !visited {
+		return fmt.Errorf("analysis: no Tor prefix visible on any session")
+	}
+	return nil
 }
 
 // TransientASCount is one convergence-exposure sample: ASes that appeared
@@ -319,37 +305,20 @@ type TransientASCount struct {
 
 // TransientASes computes, per (Tor prefix, session), the number of
 // non-baseline ASes whose total dwell stayed below maxDwell — the
-// convergence-only observers.
-func TransientASes(st *bgpsim.Stream, torPrefixes map[netip.Prefix]bool, maxDwell time.Duration, filter ResetFilter, h TransferHeuristic) ([]TransientASCount, error) {
-	if len(torPrefixes) == 0 {
-		return nil, fmt.Errorf("analysis: no Tor prefixes given")
-	}
+// convergence-only observers. Samples come in (session, prefix) order.
+func TransientASes(st *bgpsim.Stream, torPrefixes map[netip.Prefix]bool, maxDwell time.Duration, filter ResetFilter) ([]TransientASCount, error) {
 	var out []TransientASCount
-	for si := range st.Sessions {
-		transfer := isTransfer(st, si, filter, h)
-		byPrefix := make(map[netip.Prefix][]int)
-		for i := range st.Updates {
-			u := &st.Updates[i]
-			if u.Session == si && torPrefixes[u.Prefix] {
-				byPrefix[u.Prefix] = append(byPrefix[u.Prefix], i)
+	err := walkTorDwell(st, torPrefixes, filter, func(si int, p netip.Prefix, dwell map[bgp.ASN]time.Duration) {
+		n := 0
+		for _, d := range dwell {
+			if d > 0 && d < maxDwell {
+				n++
 			}
 		}
-		for p := range torPrefixes {
-			if _, ok := st.Initial[si][p]; !ok {
-				continue
-			}
-			dwell := dwellTimesIndexed(st, si, p, byPrefix[p], transfer)
-			n := 0
-			for _, d := range dwell {
-				if d > 0 && d < maxDwell {
-					n++
-				}
-			}
-			out = append(out, TransientASCount{Prefix: p, Session: si, Transient: n})
-		}
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("analysis: no Tor prefix visible on any session")
+		out = append(out, TransientASCount{Prefix: p, Session: si, Transient: n})
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -363,109 +332,66 @@ type ExtraASCount struct {
 	Extra   int
 }
 
-// ExtraASSessionCounts computes, per Tor prefix, how many sessions each
-// qualifying extra AS appeared on. ASes seen across many vantage points
-// sit near the destination (on the shared tail of all paths) — the
-// dynamics a client should account for regardless of where it connects
-// from — while single-session extras are vantage-specific.
-func ExtraASSessionCounts(st *bgpsim.Stream, torPrefixes map[netip.Prefix]bool, minDwell time.Duration, filter ResetFilter, h TransferHeuristic) (map[netip.Prefix]map[bgp.ASN]int, error) {
-	if len(torPrefixes) == 0 {
-		return nil, fmt.Errorf("analysis: no Tor prefixes given")
-	}
-	counts := make(map[netip.Prefix]map[bgp.ASN]int)
-	for si := range st.Sessions {
-		// Build the transfer predicate and per-prefix update index once
-		// per session; the naive per-prefix rescan is quadratic.
-		transfer := isTransfer(st, si, filter, h)
-		byPrefix := make(map[netip.Prefix][]int)
-		for i := range st.Updates {
-			u := &st.Updates[i]
-			if u.Session == si && torPrefixes[u.Prefix] {
-				byPrefix[u.Prefix] = append(byPrefix[u.Prefix], i)
+// ExtraASSets returns, per Tor prefix visible on some session, the extra
+// ASes — off the session's baseline first path, on-path for at least
+// minDwell in total — that qualified on at least minSessions sessions
+// (use 1 for the full union — the §5 "list of ASes used to reach each
+// destination prefix in the last month"). ASes seen across many vantage
+// points sit near the destination (on the shared tail of all paths) —
+// the dynamics a client should account for regardless of where it
+// connects from — while single-session extras are vantage-specific.
+func ExtraASSets(st *bgpsim.Stream, torPrefixes map[netip.Prefix]bool, minDwell time.Duration, minSessions int, filter ResetFilter) (map[netip.Prefix][]bgp.ASN, error) {
+	sessions := make(map[netip.Prefix]map[bgp.ASN]int)
+	err := walkTorDwell(st, torPrefixes, filter, func(_ int, p netip.Prefix, dwell map[bgp.ASN]time.Duration) {
+		if sessions[p] == nil {
+			sessions[p] = make(map[bgp.ASN]int)
+		}
+		for a, d := range dwell {
+			if d >= minDwell {
+				sessions[p][a]++
 			}
 		}
-		for p := range torPrefixes {
-			if _, ok := st.Initial[si][p]; !ok {
-				continue
-			}
-			if counts[p] == nil {
-				counts[p] = make(map[bgp.ASN]int)
-			}
-			for _, a := range extraASesIndexed(st, si, p, byPrefix[p], transfer, minDwell) {
-				counts[p][a]++
-			}
-		}
-	}
-	if len(counts) == 0 {
-		return nil, fmt.Errorf("analysis: no Tor prefix visible on any session")
-	}
-	return counts, nil
-}
-
-// ExtraASSets returns, per Tor prefix, the extra ASes that qualified on
-// at least minSessions sessions (use 1 for the full union — the §5 "list
-// of ASes used to reach each destination prefix in the last month").
-func ExtraASSets(st *bgpsim.Stream, torPrefixes map[netip.Prefix]bool, minDwell time.Duration, minSessions int, filter ResetFilter, h TransferHeuristic) (map[netip.Prefix][]bgp.ASN, error) {
-	counts, err := ExtraASSessionCounts(st, torPrefixes, minDwell, filter, h)
+	})
 	if err != nil {
 		return nil, err
 	}
-	if minSessions < 1 {
-		minSessions = 1
-	}
-	out := make(map[netip.Prefix][]bgp.ASN, len(counts))
-	for p, set := range counts {
+	minSessions = max(minSessions, 1)
+	out := make(map[netip.Prefix][]bgp.ASN, len(sessions))
+	for p, set := range sessions {
 		var ases []bgp.ASN
 		for a, n := range set {
 			if n >= minSessions {
 				ases = append(ases, a)
 			}
 		}
-		sort.Slice(ases, func(i, j int) bool { return ases[i] < ases[j] })
+		slices.Sort(ases)
 		out[p] = ases
 	}
 	return out, nil
 }
 
 // ExtraASesPerTorPrefix computes the Figure 3 (right) samples: one sample
-// per (Tor prefix, session) pair, counting the extra ASes that session
-// saw on its paths to the prefix over the window. This per-vantage view
-// matches the left figure's per-session normalisation and the paper's
-// "in 50% of the cases" phrasing.
-func ExtraASesPerTorPrefix(st *bgpsim.Stream, torPrefixes map[netip.Prefix]bool, minDwell time.Duration, filter ResetFilter, h TransferHeuristic) ([]ExtraASCount, error) {
-	if len(torPrefixes) == 0 {
-		return nil, fmt.Errorf("analysis: no Tor prefixes given")
-	}
+// per (Tor prefix, session) pair, counting the extra ASes — off the
+// baseline first path, on-path for at least minDwell in total, the
+// paper's "we did not consider an AS crossed for less than 5 minutes"
+// rule — that session saw on its paths to the prefix over the window.
+// This per-vantage view matches the left figure's per-session
+// normalisation and the paper's "in 50% of the cases" phrasing. Samples
+// come in (session, prefix) order.
+func ExtraASesPerTorPrefix(st *bgpsim.Stream, torPrefixes map[netip.Prefix]bool, minDwell time.Duration, filter ResetFilter) ([]ExtraASCount, error) {
 	var out []ExtraASCount
-	for si := range st.Sessions {
-		transfer := isTransfer(st, si, filter, h)
-		byPrefix := make(map[netip.Prefix][]int)
-		for i := range st.Updates {
-			u := &st.Updates[i]
-			if u.Session == si && torPrefixes[u.Prefix] {
-				byPrefix[u.Prefix] = append(byPrefix[u.Prefix], i)
+	err := walkTorDwell(st, torPrefixes, filter, func(si int, p netip.Prefix, dwell map[bgp.ASN]time.Duration) {
+		n := 0
+		for _, d := range dwell {
+			if d >= minDwell {
+				n++
 			}
 		}
-		for p := range torPrefixes {
-			if _, ok := st.Initial[si][p]; !ok {
-				continue
-			}
-			extra := extraASesIndexed(st, si, p, byPrefix[p], transfer, minDwell)
-			out = append(out, ExtraASCount{Prefix: p, Session: si, Extra: len(extra)})
-		}
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("analysis: no Tor prefix visible on any session")
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Session != out[j].Session {
-			return out[i].Session < out[j].Session
-		}
-		if out[i].Prefix.Addr() != out[j].Prefix.Addr() {
-			return out[i].Prefix.Addr().Less(out[j].Prefix.Addr())
-		}
-		return out[i].Prefix.Bits() < out[j].Prefix.Bits()
+		out = append(out, ExtraASCount{Prefix: p, Session: si, Extra: n})
 	})
+	if err != nil {
+		return nil, err
+	}
 	return out, nil
 }
 

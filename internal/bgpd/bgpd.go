@@ -349,37 +349,14 @@ func (s *Session) SendUpdate(u *bgp.Update) error {
 // RecvUpdate blocks until the next UPDATE arrives, transparently
 // swallowing keepalives and enforcing the hold timer. A peer NOTIFICATION
 // surfaces as ErrNotification; hold-timer expiry as ErrHoldExpired (after
-// sending the corresponding NOTIFICATION).
+// sending the corresponding NOTIFICATION). It is RecvUpdateBatch into a
+// fresh one-element batch.
 func (s *Session) RecvUpdate() (*bgp.Update, error) {
-	for {
-		select {
-		case <-s.closed:
-			return nil, ErrClosed
-		default:
-		}
-		raw, msgType, err := s.readMessage(s.holdTime)
-		if err != nil {
-			if errors.Is(err, ErrHoldExpired) {
-				s.notifyAndClose(bgp.NotifHoldTimerExpired, 0, nil)
-			}
-			return nil, err
-		}
-		switch msgType {
-		case bgp.TypeKeepalive:
-			continue
-		case bgp.TypeUpdate:
-			return bgp.ParseUpdate(raw, s.as4)
-		case bgp.TypeNotification:
-			n, perr := bgp.ParseNotification(raw)
-			if perr != nil {
-				return nil, perr
-			}
-			s.closeConn()
-			return nil, fmt.Errorf("%w: code %d subcode %d", ErrNotification, n.Code, n.Subcode)
-		default:
-			return nil, fmt.Errorf("bgpd: unexpected message type %d", msgType)
-		}
+	dst := make([]bgp.Update, 1)
+	if _, _, err := s.recvUpdateBatch(dst); err != nil {
+		return nil, err
 	}
+	return &dst[0], nil
 }
 
 // RecvUpdateBatch decodes UPDATE messages into dst, blocking only for

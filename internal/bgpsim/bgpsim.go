@@ -133,54 +133,6 @@ type Stream struct {
 	Attacks []AttackEvent
 }
 
-// PathSample is one step of a (session, prefix) path history.
-type PathSample struct {
-	Time time.Time
-	Path []bgp.ASN // nil while withdrawn
-}
-
-// PathHistory reconstructs the full path timeline of prefix p on session
-// si: the initial path at Start followed by every subsequent update, table
-// transfers included (callers filter with the Transfer flag or a reset
-// heuristic as desired).
-func (st *Stream) PathHistory(si int, p netip.Prefix, includeTransfers bool) []PathSample {
-	var out []PathSample
-	if init, ok := st.Initial[si][p]; ok {
-		out = append(out, PathSample{Time: st.Start, Path: init})
-	}
-	for i := range st.Updates {
-		u := &st.Updates[i]
-		if u.Session != si || u.Prefix != p {
-			continue
-		}
-		if u.Transfer && !includeTransfers {
-			continue
-		}
-		out = append(out, PathSample{Time: u.Time, Path: u.Path})
-	}
-	return out
-}
-
-// PrefixesOnSession returns every prefix for which session si has an
-// initial path or at least one update, in address order.
-func (st *Stream) PrefixesOnSession(si int) []netip.Prefix {
-	seen := make(map[netip.Prefix]bool)
-	for p := range st.Initial[si] {
-		seen[p] = true
-	}
-	for i := range st.Updates {
-		if st.Updates[i].Session == si {
-			seen[st.Updates[i].Prefix] = true
-		}
-	}
-	out := make([]netip.Prefix, 0, len(seen))
-	for p := range seen {
-		out = append(out, p)
-	}
-	sortPrefixes(out)
-	return out
-}
-
 // Sim holds the simulation inputs: the pristine topology and the prefix
 // origination table, with the dense index the event loop runs on.
 type Sim struct {

@@ -199,47 +199,6 @@ func TestResetsProduceTransfers(t *testing.T) {
 	}
 }
 
-func TestPathHistory(t *testing.T) {
-	st := runStream(t)
-	// Find a (session, prefix) with at least one non-transfer update.
-	for _, u := range st.Updates {
-		if u.Transfer || u.Withdraw() {
-			continue
-		}
-		hist := st.PathHistory(u.Session, u.Prefix, false)
-		if len(hist) < 2 {
-			continue
-		}
-		if !hist[0].Time.Equal(st.Start) {
-			t.Fatalf("history does not start at stream start: %v", hist[0].Time)
-		}
-		for i := 1; i < len(hist); i++ {
-			if hist[i].Time.Before(hist[i-1].Time) {
-				t.Fatal("history not time-ordered")
-			}
-		}
-		withT := st.PathHistory(u.Session, u.Prefix, true)
-		if len(withT) < len(hist) {
-			t.Fatal("includeTransfers returned fewer samples")
-		}
-		return
-	}
-	t.Skip("no suitable history found for this seed")
-}
-
-func TestPrefixesOnSession(t *testing.T) {
-	st := runStream(t)
-	ps := st.PrefixesOnSession(0)
-	if len(ps) == 0 {
-		t.Fatal("session 0 saw no prefixes")
-	}
-	for i := 1; i < len(ps); i++ {
-		if !ps[i-1].Addr().Less(ps[i].Addr()) && ps[i-1].Addr() != ps[i].Addr() {
-			t.Fatal("prefixes not sorted")
-		}
-	}
-}
-
 func TestUpdatesChangePaths(t *testing.T) {
 	// Non-transfer announcements should (almost) always differ from the
 	// previous known path — that is the simulator's contract.

@@ -89,7 +89,7 @@ type DynamicsOracle struct {
 	Base PathOracle
 	// Extra maps a destination AS to additional ASes that appeared on
 	// paths toward its prefixes during the window (e.g. from
-	// analysis.ExtraASes over a bgpsim stream).
+	// analysis.ExtraASSets over a bgpsim stream).
 	Extra map[bgp.ASN][]bgp.ASN
 }
 

@@ -243,19 +243,6 @@ func (gs *GuardSet) Expired(now time.Time) bool {
 	return now.Sub(gs.Chosen) >= gs.Lifetime
 }
 
-// Rotate replaces the guard set if it has expired, returning the set in
-// effect at now. Clients call this at every circuit build.
-func (s *Selector) Rotate(gs *GuardSet, now time.Time) (*GuardSet, error) {
-	if gs != nil && !gs.Expired(now) {
-		return gs, nil
-	}
-	n := DefaultNumGuards
-	if gs != nil && len(gs.Guards) > 0 {
-		n = len(gs.Guards)
-	}
-	return s.PickGuards(n, now)
-}
-
 // Circuit is a three-hop Tor circuit.
 type Circuit struct {
 	Guard  *torconsensus.Relay

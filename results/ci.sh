@@ -32,7 +32,8 @@
 #      programs and AS_PATH helpers, with the fleet's shards, merger and
 #      watch table, with the shared observability flags and the batch-only
 #      metrics, with the resilience subcommand, with the bit trie, with
-#      the worker pools par's one fan-out replaced, or as duplicates of a
+#      the worker pools par's one fan-out replaced, with the churn
+#      analyses' per-call stream scanners, or as duplicates of a
 #      bench/ metric or of a test the kill matrix keeps are named nowhere
 #      outside the history files (Go comments and scripts here;
 #      TestDocsCiteOnlyWhatExists checks the Markdown's paths and test
@@ -137,6 +138,13 @@ retired="$retired|reference(LPM)|TestInsertThenGet(Quick)"
 # fresh-table entry point, and the tests of the pool and the fan-outs.
 retired="$retired|Scratch(Pool)|routeSet(Shard)|ForEach(Chunk)|par[.](ForEach)[(]|fan(Out)[(]"
 retired="$retired|Compiled[(][)][.](Routes)[(]|TestFor(Each)([^W]|\$)"
+# So are the churn analyses' per-call stream scanners and the one-valued
+# transfer heuristic: each analysis groups the stream by session once,
+# the extra-AS list is ExtraASSets, and guard sets rotate by
+# GuardSet.Expired.
+retired="$retired|Transfer(Heuristic)([^A-Za-z]|\$)|Extra(ASes)([^A-Za-z]|\$)|ASDwell(Times)"
+retired="$retired|ExtraASSession(Counts)|Path(History)|Path(Sample)|PrefixesOn(Session)"
+retired="$retired|Selector[)] (Rotate)|[.](Rotate)[(]"
 if stale=$(git grep -nE "$retired" -- . ':!PAPER.md' \
     ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!bench'); then
     echo "FAIL: retired names still referenced:" >&2
