@@ -202,10 +202,14 @@ func TestCountPathChangesDefinition(t *testing.T) {
 		{Time: t0churn.Add(4 * time.Hour), Session: 0, Prefix: torPfx, Path: []bgp.ASN{3320, 174, 24940}},
 		// Different set again: change 2.
 		{Time: t0churn.Add(5 * time.Hour), Session: 0, Prefix: torPfx, Path: []bgp.ASN{3320, 1299, 24940}},
+		// Prepending repeats an AS but keeps the set: no change.
+		{Time: t0churn.Add(6 * time.Hour), Session: 0, Prefix: torPfx, Path: []bgp.ASN{3320, 1299, 1299, 24940}},
+		// Same length, one AS fewer (a repeat where 24940 was): change 3.
+		{Time: t0churn.Add(7 * time.Hour), Session: 0, Prefix: torPfx, Path: []bgp.ASN{3320, 3320, 1299, 1299}},
 	})
 	counts := CountPathChanges(st, 0, FilterNone)
-	if counts[torPfx] != 2 {
-		t.Fatalf("changes = %d, want 2", counts[torPfx])
+	if counts[torPfx] != 3 {
+		t.Fatalf("changes = %d, want 3", counts[torPfx])
 	}
 	if counts[bgPfx] != 0 || counts[bgPfx2] != 0 {
 		t.Fatalf("background counts: %v", counts)

@@ -113,16 +113,21 @@ func asSet(path []bgp.ASN) map[bgp.ASN]bool {
 	return s
 }
 
-func sameASSet(a, b map[bgp.ASN]bool) bool {
-	if len(a) != len(b) {
-		return false
+// sameASSet reports whether paths a and b visit the same set of ASes.
+// Most announcements repeat their prefix's last path, so equal paths
+// answer at once; otherwise both are sorted and deduplicated in buf, a
+// scratch buffer kept by the caller (paths themselves are shared and
+// read-only).
+func sameASSet(a, b []bgp.ASN, buf *[]bgp.ASN) bool {
+	if slices.Equal(a, b) {
+		return true
 	}
-	for k := range a {
-		if !b[k] {
-			return false
-		}
-	}
-	return true
+	s := append(append((*buf)[:0], a...), b...)
+	*buf = s
+	sa, sb := s[:len(a)], s[len(a):]
+	slices.Sort(sa)
+	slices.Sort(sb)
+	return slices.Equal(slices.Compact(sa), slices.Compact(sb))
 }
 
 // CountPathChanges counts, for every prefix on session si, the paper's
@@ -138,11 +143,12 @@ func CountPathChanges(st *bgpsim.Stream, si int, filter ResetFilter) map[netip.P
 // indices, transfers already removed.
 func pathChanges(st *bgpsim.Stream, si int, idxs []int32) map[netip.Prefix]int {
 	counts := make(map[netip.Prefix]int)
-	last := make(map[netip.Prefix]map[bgp.ASN]bool)
+	last := make(map[netip.Prefix][]bgp.ASN) // the last announced path
 	for p, path := range st.Initial[si] {
 		counts[p] = 0
-		last[p] = asSet(path)
+		last[p] = path
 	}
+	var buf []bgp.ASN
 	for _, i := range idxs {
 		u := &st.Updates[i]
 		if u.Withdraw() {
@@ -151,11 +157,10 @@ func pathChanges(st *bgpsim.Stream, si int, idxs []int32) map[netip.Prefix]int {
 		if _, seen := counts[u.Prefix]; !seen {
 			counts[u.Prefix] = 0
 		}
-		set := asSet(u.Path)
-		if prev, ok := last[u.Prefix]; ok && !sameASSet(prev, set) {
+		if prev, ok := last[u.Prefix]; ok && !sameASSet(prev, u.Path, &buf) {
 			counts[u.Prefix]++
 		}
-		last[u.Prefix] = set
+		last[u.Prefix] = u.Path
 	}
 	return counts
 }

@@ -23,8 +23,9 @@
 // attacker is enumerated exactly at small scale; at Internet scale a
 // per-guard attacker budget is sampled with a reported confidence
 // bound. The cost of a matrix is the route engine's: about four
-// fifths of it is ComputeRoutesInto (82 % of the paper-scale matrix's
-// CPU on two vCPUs), the rest the per-client tally. Engine caches
+// fifths of it is ComputeRoutesInto (82–84 % of the paper-scale matrix's
+// CPU on two vCPUs, with one 8-byte key per AS), the rest the
+// per-client tally, which reads each key's origin index. Engine caches
 // finished matrices keyed by the graph's mutation version
 // (topology.VersionMemo). The brute-force reference the matrix is
 // proven against is testkit.CheckResilienceExact, on the testkit route
@@ -247,10 +248,15 @@ func Compute(g *topology.Graph, cfg Config, met *Metrics) (*Matrix, error) {
 			if err != nil {
 				return err
 			}
-			for id := range b.routes {
-				if b.routes[id].Origin == aASN {
-					b.counts[id]++
+			for id := 0; id < n; id++ {
+				// Counted without a branch, which would mispredict on
+				// near coin-flip captures: the matrix runs about a fifth
+				// faster so (EXPERIMENTS.md, "A route is one key").
+				captured := int32(0)
+				if b.routes.OriginIndex(id) == 1 { // routes to the attacker
+					captured = 1
 				}
+				b.counts[id] += captured
 			}
 		}
 		r := make([]float64, n)
@@ -288,7 +294,7 @@ func Compute(g *topology.Graph, cfg Config, met *Metrics) (*Matrix, error) {
 // per-guard tallies.
 type shardBuf struct {
 	scratch   topology.Scratch
-	routes    []topology.Route
+	routes    *topology.CompiledRoutes
 	counts    []int32 // captures per client id
 	inSample  []bool  // client id is one of this guard's attackers
 	attackers []int32

@@ -22,6 +22,8 @@ type Compiled struct {
 
 	custOff, peerOff, provOff []int32 // len(asns)+1 offsets into the rows
 	cust, peer, prov          []int32 // neighbor ids, ascending per row
+
+	transit, peered []int32 // ids with customers, with peers; ascending
 }
 
 // Len returns the number of ASes in the snapshot.
@@ -52,12 +54,39 @@ func (c *Compiled) providers(id int32) []int32 {
 	return c.prov[c.provOff[id]:c.provOff[id+1]]
 }
 
-// Phase 3's rank key (see ComputeRoutesInto).
+// A route key is one AS's route packed into a uint64 whose unsigned
+// order is the decision process: type<<61 | pathLen<<33 | nextHopID<<5 |
+// originIndex. RouteType's declaration order is the preference order,
+// and ids are ASN-ordered, so a smaller key is a better route. The
+// origin index (into the call's origins) is never a tiebreak: one next
+// hop has one origin.
 const (
-	rankIDBits  = 28
-	maxRankIDs  = 1<<rankIDBits - 1
-	rankTransit = 1 // marks an AS with customers: its route is in dst
+	keyTypeShift = 61
+	keyLenShift  = 33
+	keyHopShift  = 5
+	maxKeyIDs    = 1<<28 - 1        // ids and path lengths
+	maxOrigins   = 1 << keyHopShift // origin indices
+	keyLenMask   = maxKeyIDs << keyLenShift
+
+	// The two unrouted values sort above every route: an AS with
+	// customers starts at unroutedTransit, one without at unroutedStub.
+	unroutedTransit = math.MaxUint64 - 1
+	unroutedStub    = math.MaxUint64
 )
+
+// routeKey packs a route of type t and length l through next hop id hop
+// toward origin index oi.
+func routeKey(t RouteType, l uint64, hop int32, oi uint64) uint64 {
+	return uint64(t)<<keyTypeShift | l<<keyLenShift | uint64(hop)<<keyHopShift | oi
+}
+
+// keyType is the route type of k; anything but a route is RouteNone.
+func keyType(k uint64) RouteType {
+	if t := RouteType(k >> keyTypeShift); t <= RouteProvider {
+		return t
+	}
+	return RouteNone
+}
 
 // rowsOf projects one adjacency class out of an AS node.
 type rowsOf func(a *AS) []bgp.ASN
@@ -72,7 +101,8 @@ func (c *Compiled) appendIDs(adj []int32, row []bgp.ASN) []int32 {
 }
 
 // compileFull builds a snapshot from scratch, fetching each AS once: one
-// pass interns the ASes and sets the row offsets, one fills the rows.
+// pass interns the ASes, sets the row offsets and lists the ASes with
+// customers and with peers, one fills the rows.
 func compileFull(g *Graph) *Compiled {
 	asns := g.ASNs()
 	n := len(asns)
@@ -85,6 +115,12 @@ func compileFull(g *Graph) *Compiled {
 		c.custOff[i+1] = c.custOff[i] + int32(len(a.customers))
 		c.peerOff[i+1] = c.peerOff[i] + int32(len(a.peers))
 		c.provOff[i+1] = c.provOff[i] + int32(len(a.providers))
+		if len(a.customers) > 0 {
+			c.transit = append(c.transit, int32(i))
+		}
+		if len(a.peers) > 0 {
+			c.peered = append(c.peered, int32(i))
+		}
 	}
 	c.cust, c.peer, c.prov = make([]int32, 0, c.custOff[n]), make([]int32, 0, c.peerOff[n]), make([]int32, 0, c.provOff[n])
 	for _, a := range nodes {
@@ -107,7 +143,36 @@ func recompileDelta(g *Graph, old *Compiled) *Compiled {
 	c.custOff, c.cust = c.patchCSR(g, dirty, old.custOff, old.cust, func(a *AS) []bgp.ASN { return a.customers })
 	c.peerOff, c.peer = c.patchCSR(g, dirty, old.peerOff, old.peer, func(a *AS) []bgp.ASN { return a.peers })
 	c.provOff, c.prov = c.patchCSR(g, dirty, old.provOff, old.prov, func(a *AS) []bgp.ASN { return a.providers })
+	c.transit = patchIDs(old.transit, dirty, c.custOff)
+	c.peered = patchIDs(old.peered, dirty, c.peerOff)
 	return c
+}
+
+// patchIDs returns the ascending id list ids with each dirty id listed
+// exactly when its row under off is non-empty. Only dirty ids can change
+// membership, so a list none of them changes is shared as is.
+func patchIDs(ids, dirty, off []int32) []int32 {
+	var out []int32
+	from := 0 // first id of ids not yet copied
+	for _, d := range dirty {
+		i, in := slices.BinarySearch(ids, d)
+		if in == (off[d] != off[d+1]) {
+			continue
+		}
+		if out == nil {
+			out = make([]int32, 0, len(ids)+len(dirty))
+		}
+		out, from = append(out, ids[from:i]...), i
+		if in {
+			from++ // d lost its row
+		} else {
+			out = append(out, d) // d gained one
+		}
+	}
+	if out == nil {
+		return ids
+	}
+	return append(out, ids[from:]...)
 }
 
 // patchCSR returns one adjacency class of the old snapshot with the
@@ -175,41 +240,21 @@ func (g *Graph) Version() uint64 { return g.version }
 
 // Scratch holds the reusable working memory of ComputeRoutesInto so a
 // caller computing many tables (one per churn event, one per trial)
-// allocates nothing after the first call. The zero value is
-// ready to use. A Scratch must not be used concurrently.
+// allocates nothing after the first call. None of it is per AS: the
+// table itself is the only per-AS state. The zero value is ready to use.
+// A Scratch must not be used concurrently.
 type Scratch struct {
 	origIDs        []int32 // the call's origins, interned
-	frontier, next []int32
-
-	// Per-id phase-1 candidate state, epoch-stamped so rounds reset in
-	// O(1) instead of clearing arrays.
-	candSeen []uint32
-	candNext []int32
-	epoch    uint32
+	frontier, next []int32 // phase 1's rounds
 
 	// Phase-3 shortest-first queue: one bucket of ids per path length.
 	// Buckets keep their capacity across runs.
 	buckets [][]int32
-	used    int      // buckets touched by the previous run
-	rank    []uint64 // phase-3 rank keys, all n reseeded by every run
+	used    int // buckets touched by the previous run
 }
 
-func (s *Scratch) reset(n int) {
-	if cap(s.frontier) < n {
-		s.frontier = make([]int32, 0, n)
-		s.next = make([]int32, 0, n)
-	}
+func (s *Scratch) reset() {
 	s.frontier, s.next = s.frontier[:0], s.next[:0]
-	if len(s.candSeen) < n {
-		s.candSeen = make([]uint32, n)
-		s.candNext = make([]int32, n)
-		s.rank = make([]uint64, n)
-		s.epoch = 0
-	}
-	if s.epoch >= math.MaxUint32-1 {
-		clear(s.candSeen)
-		s.epoch = 0
-	}
 	for i := 0; i < s.used && i < len(s.buckets); i++ {
 		s.buckets[i] = s.buckets[i][:0]
 	}
@@ -229,54 +274,78 @@ func (s *Scratch) bucket(l int) *[]int32 {
 }
 
 // CompiledRoutes is an array-backed route table over a Compiled
-// snapshot: routes[id] is the best route of the AS interned at id, with
-// Type RouteNone for unrouted ASes. Table converts it to the plain
-// RouteTable map.
+// snapshot: keys[id] is the route key of the AS interned at id (one of
+// the two unrouted values when it has no route), and origins maps the
+// keys' origin indices back to ASNs. At, Route and Table decode keys
+// into Routes.
 type CompiledRoutes struct {
-	c      *Compiled
-	routes []Route
+	c       *Compiled
+	keys    []uint64
+	origins []bgp.ASN
 }
 
 // Len returns the number of ASes covered (routed or not).
-func (r *CompiledRoutes) Len() int { return len(r.routes) }
+func (r *CompiledRoutes) Len() int { return len(r.keys) }
 
 // ASN returns the ASN interned at id i.
 func (r *CompiledRoutes) ASN(i int) bgp.ASN { return r.c.asns[i] }
 
+// decode unpacks a route key; an unrouted value is the zero Route.
+func (r *CompiledRoutes) decode(k uint64) Route {
+	t := keyType(k)
+	if t == RouteNone {
+		return Route{}
+	}
+	rt := Route{Type: t, PathLen: int32(k >> keyLenShift & maxKeyIDs), Origin: r.origins[k%maxOrigins]}
+	if t != RouteOrigin {
+		rt.NextHop = r.c.asns[k>>keyHopShift&maxKeyIDs]
+	}
+	return rt
+}
+
 // At returns the route of the AS interned at id i; Type is RouteNone
 // when it has no route.
-func (r *CompiledRoutes) At(i int) Route { return r.routes[i] }
+func (r *CompiledRoutes) At(i int) Route { return r.decode(r.keys[i]) }
+
+// OriginIndex returns the position, among the origins the table was
+// computed for, of the origin the AS interned at id i routes to, or -1
+// when it has no route.
+func (r *CompiledRoutes) OriginIndex(i int) int {
+	if k := r.keys[i]; keyType(k) != RouteNone {
+		return int(k % maxOrigins)
+	}
+	return -1
+}
 
 // Route returns asn's best route, with ok=false when asn is unknown or
 // unrouted — the two-value map access on a RouteTable.
 func (r *CompiledRoutes) Route(asn bgp.ASN) (Route, bool) {
 	id, ok := r.c.idOf[asn]
-	if !ok || r.routes[id].Type == RouteNone {
+	if !ok || keyType(r.keys[id]) == RouteNone {
 		return Route{}, false
 	}
-	return r.routes[id], true
+	return r.decode(r.keys[id]), true
 }
 
 // PathFrom reconstructs the AS path from src to its origin, inclusive on
 // both ends: it always starts with src and ends with the origin AS. ok
-// is false when src has no route.
+// is false when src has no route. It follows next-hop ids, so only src
+// is looked up by ASN.
 func (r *CompiledRoutes) PathFrom(src bgp.ASN) (path []bgp.ASN, ok bool) {
 	id, ok := r.c.idOf[src]
-	if !ok || r.routes[id].Type == RouteNone {
+	if !ok || keyType(r.keys[id]) == RouteNone {
 		return nil, false
 	}
-	path = append(make([]bgp.ASN, 0, r.routes[id].PathLen+1), src)
-	cur := id
-	for r.routes[cur].Type != RouteOrigin {
-		nh := r.routes[cur].NextHop
-		path = append(path, nh)
-		nid, ok := r.c.idOf[nh]
-		if !ok || r.routes[nid].Type == RouteNone {
-			return nil, false // inconsistent table; should not happen
+	k := r.keys[id]
+	path = append(make([]bgp.ASN, 0, min(k>>keyLenShift&maxKeyIDs, uint64(len(r.keys)))+1), src)
+	for keyType(k) != RouteOrigin {
+		nid := int(k >> keyHopShift & maxKeyIDs)
+		if nid >= len(r.keys) || len(path) > len(r.keys) {
+			return nil, false // inconsistent table or cycle; should not happen
 		}
-		cur = nid
-		if len(path) > len(r.routes)+1 {
-			return nil, false // cycle guard
+		path = append(path, r.c.asns[nid])
+		if k = r.keys[nid]; keyType(k) == RouteNone {
+			return nil, false // dangling next hop; should not happen
 		}
 	}
 	return path, true
@@ -295,70 +364,72 @@ func (r *CompiledRoutes) ASPathFrom(src bgp.ASN) (bgp.ASPath, bool) {
 
 // Table converts to the map representation (unrouted ASes absent).
 func (r *CompiledRoutes) Table() RouteTable {
-	rt := make(RouteTable, len(r.routes))
-	for i := range r.routes {
-		if r.routes[i].Type != RouteNone {
-			rt[r.c.asns[i]] = r.routes[i]
+	rt := make(RouteTable, len(r.keys))
+	for i, k := range r.keys {
+		if keyType(k) != RouteNone {
+			rt[r.c.asns[i]] = r.decode(k)
 		}
 	}
 	return rt
 }
 
-// ComputeRoutesInto is the route engine: it fills dst (grown as needed)
-// with every AS's best policy-compliant route toward the given origins
-// and returns it, applying the Gao-Rexford export rules and the BGP
-// decision process (customer > peer > provider, then shortest AS path,
-// then lowest next-hop ASN — ids are ASN-ordered, so id comparisons are
-// ASN comparisons). The result is the unique stable routing outcome
-// under these preferences; filter (nil accepts everything) is consulted
-// before an AS imports a route. testkit.NaiveRoutes, a fixpoint over
-// full AS paths that shares no code with this, is the reference every
-// differential test compares against.
+// ComputeRoutesInto is the route engine: it fills dst (nil or a previous
+// table, whose arrays are reused) with every AS's best policy-compliant
+// route toward the given origins and returns it, applying the
+// Gao-Rexford export rules and the BGP decision process (customer > peer
+// > provider, then shortest AS path, then lowest next-hop ASN). The
+// result is the unique stable routing outcome under these preferences;
+// filter (nil accepts everything) is consulted before an AS imports a
+// route. testkit.NaiveRoutes, a fixpoint over full AS paths that shares
+// no code with this, is the reference every differential test compares
+// against.
 //
-// Three phases — customer routes upward, one peer hop, provider routes
-// downward. Frontiers and buckets are walked in whatever order they
-// were filled, because no phase's outcome depends on it:
+// Routes are route keys, whose unsigned order is the decision process,
+// so every phase does one thing with an offer: keys[x] = min(keys[x],
+// cand). A minimum is order-free, so no phase depends on the order its
+// lists were filled in:
 //
-//   - Phase 1: a provider's route for the round is the minimum next hop
-//     over the frontier customers that export to it, and routes are only
-//     written once the whole frontier has been walked, so the round
-//     computes a set-minimum and the next frontier is only ever a set.
-//   - Phase 2 reads only customer and origin routes and writes only peer
-//     routes, so an AS's pick cannot see another's.
-//   - Phase 3 drains buckets in increasing path length. While bucket l
-//     drains, only routes of length l+1 are written, so every entry of
-//     bucket l already holds its final route; and a customer's route is
-//     replaced only by a strictly lower next hop at the same length, so
-//     it ends as the minimum over its providers in bucket l. Which
-//     provider reached it first only decides who appended it to bucket
-//     l+1, and it is appended once. An AS without customers exports to
-//     nobody and no phase reads its route, so it keeps only the minimum
-//     of a rank key, type<<60 | length<<28 | next-hop id, over the
-//     offers that scoping and the filter let through. All offers are
-//     provider routes, so keys order them by length and then next-hop
-//     ASN, as the decision process does; the seed 0 is below every
-//     offer, keeping an origin or peer route. A minimum is order-free,
-//     so the fold equals the per-offer update. The id field caps the
-//     kernel at maxRankIDs (2^28−1) ASes; a larger graph is an error.
-func (c *Compiled) ComputeRoutesInto(dst []Route, s *Scratch, filter ImportFilter, origins ...Origin) ([]Route, error) {
+//   - Phase 1 (customer routes, upward in rounds of increasing length):
+//     a round's offers share type and length, so the smallest key is the
+//     lowest next hop; an AS routed in an earlier round holds a smaller
+//     key and ignores them, and an AS in the round's frontier holds a
+//     shorter route than it is offered.
+//   - Phase 2 (one peer hop, over the ASes with peers): peers offer only
+//     customer and origin routes and the phase writes only peer routes,
+//     so no AS's pick can see another's.
+//   - Phase 3 (provider routes, shortest-first, one bucket of ids per
+//     path length): while bucket l drains, only keys of length l+1 are
+//     written, so every entry of bucket l already holds its final key,
+//     and an AS offered routes by several of them ends at their minimum
+//     whichever offered first.
+//
+// Only an AS with customers exports a provider route, so only those are
+// queued. That is why there are two unrouted values: an AS starts at
+// unroutedTransit when it has customers and at unroutedStub when it has
+// none, and phase 3 queues an AS the first time its key leaves
+// unroutedTransit; every other AS just keeps the minimum of its offers.
+// Keys cap the kernel at maxKeyIDs (2^28−1) ASes and maxOrigins (32)
+// origins; more is an error.
+func (c *Compiled) ComputeRoutesInto(dst *CompiledRoutes, s *Scratch, filter ImportFilter, origins ...Origin) (*CompiledRoutes, error) {
 	if len(origins) == 0 {
-		return dst, fmt.Errorf("topology: no origins")
+		return nil, fmt.Errorf("topology: no origins")
+	}
+	if len(origins) > maxOrigins {
+		return nil, fmt.Errorf("topology: %d origins exceed the route kernel's limit of %d", len(origins), maxOrigins)
 	}
 	n := len(c.asns)
-	if n > maxRankIDs {
-		return dst, fmt.Errorf("topology: %d ASes exceed the route kernel's limit of %d", n, maxRankIDs)
+	if n > maxKeyIDs {
+		return nil, fmt.Errorf("topology: %d ASes exceed the route kernel's limit of %d", n, maxKeyIDs)
 	}
 	origIDs := s.origIDs[:0]
 	scoped := false
 	for _, o := range origins {
 		id, ok := c.idOf[o.ASN]
 		if !ok {
-			return dst, fmt.Errorf("topology: origin %v not in graph", o.ASN)
+			return nil, fmt.Errorf("topology: origin %v not in graph", o.ASN)
 		}
-		for _, prev := range origIDs {
-			if prev == id {
-				return dst, fmt.Errorf("topology: duplicate origin %v", o.ASN)
-			}
+		if slices.Contains(origIDs, id) {
+			return nil, fmt.Errorf("topology: duplicate origin %v", o.ASN)
 		}
 		origIDs = append(origIDs, id)
 		if len(o.WithholdFrom) > 0 || len(o.AnnounceOnly) > 0 {
@@ -366,146 +437,110 @@ func (c *Compiled) ComputeRoutesInto(dst []Route, s *Scratch, filter ImportFilte
 		}
 	}
 	s.origIDs = origIDs
+	s.reset()
 
-	if cap(dst) < n {
-		dst = make([]Route, n)
-	} else {
-		dst = dst[:n]
-		clear(dst)
+	if dst == nil {
+		dst = &CompiledRoutes{}
 	}
-	s.reset(n)
+	dst.c = c
+	if cap(dst.keys) < n {
+		dst.keys = make([]uint64, n)
+	}
+	keys := dst.keys[:n]
+	dst.keys = keys
+	for i := range keys {
+		keys[i] = unroutedStub
+	}
+	for _, id := range c.transit {
+		keys[id] = unroutedTransit
+	}
+	dst.origins = dst.origins[:0]
+	for i, o := range origins {
+		dst.origins = append(dst.origins, o.ASN)
+		keys[origIDs[i]] = routeKey(RouteOrigin, 0, 0, uint64(i))
+	}
 
-	// exports reports whether the AS at id u announces its route to
-	// neighbor "to"; only origins ever scope their announcements.
-	exports := func(u int32, to bgp.ASN) bool {
-		for i, oid := range origIDs {
-			if oid == u {
-				return origins[i].announces(to)
+	// imports reports whether the AS at id x takes the offer of u's
+	// route, whose key is ku: only origins scope their announcements.
+	imports := func(x, u int32, ku uint64) bool {
+		if scoped {
+			if i := slices.Index(origIDs, u); i >= 0 && !origins[i].announces(c.asns[x]) {
+				return false
 			}
 		}
-		return true
+		return filter == nil || filter(c.asns[x], dst.origins[ku%maxOrigins])
 	}
+	// Most calls are unscoped and unfiltered: their offers then take a
+	// minimum with no data-dependent branch, which at random ids would
+	// mispredict as often as not.
+	checked := scoped || filter != nil
 
-	// Phase 1 — customer routes, propagated upward in rounds of
-	// increasing path length. A round's candidates live in two
-	// epoch-stamped arrays; the minimum next hop is taken in id space,
-	// which equals ASN space by construction.
-	for _, id := range origIDs {
-		dst[id] = Route{Type: RouteOrigin, Origin: c.asns[id]}
-	}
+	// Phase 1 — customer routes, propagated upward in rounds.
 	s.frontier = append(s.frontier, origIDs...)
-	for length := int32(1); len(s.frontier) > 0; length++ {
-		s.epoch++
+	for l := uint64(1); len(s.frontier) > 0; l++ {
 		s.next = s.next[:0]
 		for _, u := range s.frontier {
-			origin := dst[u].Origin
+			ku := keys[u]
+			cand := routeKey(RouteCustomer, l, u, ku%maxOrigins)
 			for _, p := range c.providers(u) {
-				if dst[p].Type != RouteNone {
-					continue // settled in an earlier round
-				}
-				if scoped && !exports(u, c.asns[p]) {
+				old := keys[p]
+				if checked && cand < old && !imports(p, u, ku) {
 					continue
 				}
-				if filter != nil && !filter(c.asns[p], origin) {
-					continue
-				}
-				if s.candSeen[p] != s.epoch {
-					s.candSeen[p] = s.epoch
-					s.candNext[p] = u
+				keys[p] = min(old, cand)
+				if old >= unroutedTransit {
 					s.next = append(s.next, p)
-				} else if u < s.candNext[p] {
-					s.candNext[p] = u
 				}
 			}
-		}
-		for _, p := range s.next {
-			u := s.candNext[p]
-			dst[p] = Route{Type: RouteCustomer, NextHop: c.asns[u], PathLen: length, Origin: dst[u].Origin}
 		}
 		s.frontier, s.next = s.next, s.frontier
 	}
 
-	// Phase 2 — single-hop peer routes for unsettled ASes. Only customer
-	// and origin routes are offered, so peer routes never chain off each
-	// other. An AS without peers (most of a 73K graph) is skipped on its
-	// CSR offsets alone, before its route is loaded.
-	for id := int32(0); id < int32(n); id++ {
-		if c.peerOff[id] == c.peerOff[id+1] || dst[id].Type != RouteNone {
+	// Phase 2 — single-hop peer routes for the ASes phase 1 left
+	// unrouted. Only customer and origin routes are offered, so peer
+	// routes never chain off each other.
+	for _, x := range c.peered {
+		kx := keys[x]
+		if kx < unroutedTransit {
 			continue
 		}
-		best := Route{Type: RouteNone}
-		for _, p := range c.peers(id) {
-			rp := &dst[p]
-			if rp.Type != RouteCustomer && rp.Type != RouteOrigin {
+		for _, p := range c.peers(x) {
+			kp := keys[p]
+			cand := routeKey(RoutePeer, (kp&keyLenMask)>>keyLenShift+1, p, kp%maxOrigins)
+			if kp >= uint64(RoutePeer)<<keyTypeShift {
+				cand = unroutedStub // unrouted, or a peer or provider route
+			}
+			if checked && cand < kx && !imports(x, p, kp) {
 				continue
 			}
-			if scoped && !exports(p, c.asns[id]) {
-				continue
-			}
-			if filter != nil && !filter(c.asns[id], rp.Origin) {
-				continue
-			}
-			r := Route{Type: RoutePeer, NextHop: c.asns[p], PathLen: rp.PathLen + 1, Origin: rp.Origin}
-			if best.Type == RouteNone || r.PathLen < best.PathLen ||
-				(r.PathLen == best.PathLen && r.NextHop < best.NextHop) {
-				best = r
-			}
+			kx = min(kx, cand)
 		}
-		dst[id] = best
+		keys[x] = kx
 	}
 
-	// Phase 3 — provider routes, shortest-first: one bucket of ids per
-	// path length, drained in length order. Only an AS with customers
-	// has anyone to export to, so only those are queued — at 73K ASes,
-	// one in twenty; every other AS folds its offers into its rank key.
-	rank := s.rank[:n]
-	for id := int32(0); id < int32(n); id++ {
-		switch {
-		case c.custOff[id] != c.custOff[id+1]:
-			rank[id] = rankTransit
-			if dst[id].Type != RouteNone {
-				b := s.bucket(int(dst[id].PathLen))
-				*b = append(*b, id)
-			}
-		case dst[id].Type == RouteNone:
-			rank[id] = math.MaxUint64
-		default:
-			rank[id] = 0
+	// Phase 3 — provider routes, shortest-first, seeded with the routed
+	// ASes that have customers.
+	for _, id := range c.transit {
+		if k := keys[id]; k < unroutedTransit {
+			b := s.bucket(int(k >> keyLenShift & maxKeyIDs))
+			*b = append(*b, id)
 		}
 	}
 	for l := 0; l < s.used; l++ {
-		nl := int32(l + 1)
 		for _, u := range s.buckets[l] {
-			asn, origin := c.asns[u], dst[u].Origin
-			cand := uint64(RouteProvider)<<60 | uint64(nl)<<rankIDBits | uint64(u)
+			ku := keys[u]
+			cand := routeKey(RouteProvider, uint64(l+1), u, ku%maxOrigins)
 			for _, ch := range c.customers(u) {
-				r, rc := rank[ch], &dst[ch]
-				if r == rankTransit && rc.Type != RouteNone && (rc.Type != RouteProvider || rc.PathLen < nl ||
-					(rc.PathLen == nl && rc.NextHop <= asn)) {
+				old := keys[ch]
+				if checked && cand < old && !imports(ch, u, ku) {
 					continue
 				}
-				if scoped && !exports(u, c.asns[ch]) {
-					continue
-				}
-				if filter != nil && !filter(c.asns[ch], origin) {
-					continue
-				}
-				if r != rankTransit {
-					rank[ch] = min(r, cand)
-					continue
-				}
-				if rc.Type == RouteNone {
+				keys[ch] = min(old, cand)
+				if old == unroutedTransit {
 					b := s.bucket(l + 1)
 					*b = append(*b, ch)
 				}
-				*rc = Route{Type: RouteProvider, NextHop: asn, PathLen: nl, Origin: origin}
 			}
-		}
-	}
-	for id, r := range rank {
-		if RouteType(r>>60) == RouteProvider {
-			nh := int32(r & maxRankIDs)
-			dst[id] = Route{Type: RouteProvider, NextHop: c.asns[nh], PathLen: int32(uint32(r >> rankIDBits)), Origin: dst[nh].Origin}
 		}
 	}
 	return dst, nil

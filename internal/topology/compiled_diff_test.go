@@ -282,12 +282,12 @@ func TestRouteCache(t *testing.T) {
 	}
 }
 
-// TestCustomerlessOffers pins phase 3's fold for ASes without customers,
-// which take the minimum of their providers' offers as a rank key
-// instead of updating a route per offer. Each hand-built case names the
-// AS whose route the fold decides and the route it must end with, and
-// the whole table is diffed against the oracle; the last case reuses one
-// Scratch across graphs of different sizes, so a key left over from an
+// TestCustomerlessOffers pins phase 3's minimum for ASes without
+// customers, which are never queued and keep the smallest key their
+// providers offer. Each hand-built case names the AS whose route the
+// minimum decides and the route it must end with, and the whole table
+// is diffed against the oracle; the last case reuses one Scratch and
+// table across graphs of different sizes, so a key left over from an
 // earlier run shows as a wrong route.
 func TestCustomerlessOffers(t *testing.T) {
 	// build returns a graph of provider->customer links and peerings.

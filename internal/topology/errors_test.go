@@ -118,32 +118,42 @@ func TestRemoveLinkAllRelationships(t *testing.T) {
 }
 
 // TestPathFromDefendsAgainstBadTables hands CompiledRoutes.PathFrom
-// tables the engine never produces; it must refuse, not loop.
+// tables the engine never produces; it must refuse, not loop or panic.
 func TestPathFromDefendsAgainstBadTables(t *testing.T) {
 	g := NewGraph()
 	g.AddAS(1)
 	g.AddAS(2)
 	c := g.Compiled()
-	bad := func(routes ...Route) *CompiledRoutes { return &CompiledRoutes{c: c, routes: routes} }
-	if _, ok := bad(Route{}, Route{}).PathFrom(1); ok {
-		t.Error("path from an AS with no route")
+	bad := func(keys ...uint64) *CompiledRoutes {
+		return &CompiledRoutes{c: c, keys: keys, origins: []bgp.ASN{9}}
 	}
-	// NextHop pointing at an AS outside the graph, then at an unrouted one.
-	if _, ok := bad(Route{Type: RouteProvider, NextHop: 9, Origin: 9}, Route{}).PathFrom(1); ok {
-		t.Error("path through an unknown next hop")
+	provider := func(hop int32) uint64 { return routeKey(RouteProvider, 1, hop, 0) }
+	for _, u := range []uint64{unroutedTransit, unroutedStub} {
+		if _, ok := bad(u, u).PathFrom(1); ok {
+			t.Errorf("path from an AS with no route (%#x)", u)
+		}
 	}
-	if _, ok := bad(Route{Type: RouteProvider, NextHop: 2, Origin: 9}, Route{}).PathFrom(1); ok {
+	// A next-hop id outside the table, then one naming an unrouted AS.
+	if _, ok := bad(provider(7), unroutedStub).PathFrom(1); ok {
+		t.Error("path through an out-of-range next-hop id")
+	}
+	if _, ok := bad(provider(maxKeyIDs), unroutedStub).PathFrom(1); ok {
+		t.Error("path through the largest next-hop id")
+	}
+	if _, ok := bad(provider(1), unroutedStub).PathFrom(1); ok {
 		t.Error("path through a dangling next hop")
 	}
 	// Two non-origin routes pointing at each other: the cycle guard.
-	cyclic := bad(
-		Route{Type: RouteProvider, NextHop: 2, Origin: 9},
-		Route{Type: RouteProvider, NextHop: 1, Origin: 9})
+	cyclic := bad(provider(1), provider(0))
 	if _, ok := cyclic.PathFrom(1); ok {
 		t.Error("path through a routing cycle")
 	}
 	if _, ok := cyclic.ASPathFrom(1); ok {
 		t.Error("AS path through a routing cycle")
+	}
+	// A path length far beyond the table must not size the path buffer.
+	if p, ok := bad(routeKey(RouteProvider, maxKeyIDs, 1, 0), routeKey(RouteOrigin, 0, 0, 0)).PathFrom(1); !ok || len(p) != 2 || cap(p) > 3 {
+		t.Errorf("path = %v (cap %d), ok=%v; want [AS1 AS2] in a small buffer", p, cap(p), ok)
 	}
 }
 

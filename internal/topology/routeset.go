@@ -8,14 +8,11 @@ import (
 	"quicksand/internal/par"
 )
 
-const routeBytes = int(unsafe.Sizeof(Route{}))
-
 // SizeBytes returns the heap footprint of the scratch's retained
 // buffers. With one scratch per worker this makes the working memory of
 // a sharded computation an explicit, measurable budget.
 func (s *Scratch) SizeBytes() int {
-	b := (cap(s.origIDs) + cap(s.frontier) + cap(s.next) + cap(s.candNext)) * 4
-	b += len(s.candSeen)*4 + len(s.rank)*8
+	b := (cap(s.origIDs) + cap(s.frontier) + cap(s.next)) * 4
 	for i := range s.buckets {
 		b += cap(s.buckets[i]) * 4
 	}
@@ -24,17 +21,18 @@ func (s *Scratch) SizeBytes() int {
 
 // MemoryBytes estimates the snapshot's heap footprint: the interning
 // table, the id map (conservatively costed at 32 bytes/entry for
-// bucket overhead), and the three CSR adjacency structures.
+// bucket overhead), the three CSR adjacency structures and the two id
+// lists.
 func (c *Compiled) MemoryBytes() int {
 	b := len(c.asns) * 4
 	b += len(c.idOf) * 32
 	b += (len(c.custOff) + len(c.peerOff) + len(c.provOff)) * 4
-	b += (len(c.cust) + len(c.peer) + len(c.prov)) * 4
+	b += (len(c.cust) + len(c.peer) + len(c.prov) + len(c.transit) + len(c.peered)) * 4
 	return b
 }
 
-// MemoryBytes returns the heap footprint of the route array.
-func (r *CompiledRoutes) MemoryBytes() int { return cap(r.routes) * routeBytes }
+// MemoryBytes returns the heap footprint of the route key array.
+func (r *CompiledRoutes) MemoryBytes() int { return cap(r.keys) * int(unsafe.Sizeof(r.keys[0])) }
 
 // MutationOp is the kind of a single-link churn event.
 type MutationOp uint8
@@ -184,56 +182,28 @@ func (rs *RouteSet) MemoryBytes() int {
 	return b
 }
 
-// better reports whether cand beats cur under the decision process:
-// route type (RouteType's declaration order is the preference order, so
-// the enum value is the rank), then path length, then lowest next hop.
-func better(cand Route, cur Route) bool {
-	if cur.Type == RouteNone {
-		return true
-	}
-	if cand.Type != cur.Type {
-		return cand.Type < cur.Type
-	}
-	if cand.PathLen != cur.PathLen {
-		return cand.PathLen < cur.PathLen
-	}
-	return cand.NextHop < cur.NextHop
+// adopts reports whether x would take the route y offers across a new
+// x-y adjacency, on which x learns y's route as type t, given the current
+// stable table: the offer's key must be below x's. If neither endpoint of
+// a new link adopts, the old tables remain the (unique) stable outcome,
+// so the destination is provably unaffected.
+func adopts(tbl *CompiledRoutes, x, y bgp.ASN, t RouteType) bool {
+	ix, _ := tbl.c.ID(x)
+	iy, _ := tbl.c.ID(y)
+	cand, ok := tbl.offer(iy, t)
+	return ok && cand < tbl.keys[ix]
 }
 
-// adopts reports whether x would take the route y offers across a new
-// x-y adjacency, given the current stable table: y must have a route
-// and export it to x (customer/origin routes go to everyone,
-// peer/provider routes only to customers), and the offered route —
-// classified by relOfY, x's relationship to y — must beat x's current
-// best under the decision process. If neither endpoint of a new link
-// adopts, the old tables remain the (unique) stable outcome, so the
-// destination is provably unaffected.
-func adopts(tbl *CompiledRoutes, x, y bgp.ASN, relOfY Rel, xIsCustomerOfY bool) bool {
-	ry, ok := tbl.Route(y)
-	if !ok {
-		return false
+// offer returns the key of the route the AS at id y offers a neighbor
+// that learns it as type t, with ok=false when y has no route or does
+// not export it there: customer and origin routes go to everyone, peer
+// and provider routes only to y's customers (to whom y is a provider).
+func (r *CompiledRoutes) offer(y int32, t RouteType) (uint64, bool) {
+	ky := r.keys[y]
+	if yt := keyType(ky); yt == RouteNone || yt > RouteCustomer && t != RouteProvider {
+		return 0, false
 	}
-	if ry.Type != RouteOrigin && ry.Type != RouteCustomer && !xIsCustomerOfY {
-		return false
-	}
-	var candType RouteType
-	switch relOfY {
-	case RelCustomer:
-		candType = RouteCustomer
-	case RelPeer:
-		candType = RoutePeer
-	default:
-		candType = RouteProvider
-	}
-	cand := Route{Type: candType, NextHop: y, PathLen: ry.PathLen + 1}
-	rx, ok := tbl.Route(x)
-	if !ok {
-		return true
-	}
-	if rx.Type == RouteOrigin {
-		return false
-	}
-	return better(cand, rx)
+	return routeKey(t, (ky&keyLenMask)>>keyLenShift+1, y, ky%maxOrigins), true
 }
 
 // touch records that a mutation can change one destination's table.
@@ -275,13 +245,9 @@ func affected(tbl *CompiledRoutes, i int, m Mutation) (touch, bool) {
 		return touch{}, false
 	case MutAddLink:
 		// A gains customer B; B gains provider A.
-		aAd := adopts(tbl, m.A, m.B, RelCustomer, false)
-		bAd := adopts(tbl, m.B, m.A, RelProvider, true)
-		return classifyAdopts(i, m, aAd, bAd)
+		return classifyAdopts(i, m, adopts(tbl, m.A, m.B, RouteCustomer), adopts(tbl, m.B, m.A, RouteProvider))
 	default: // MutAddPeering
-		aAd := adopts(tbl, m.A, m.B, RelPeer, false)
-		bAd := adopts(tbl, m.B, m.A, RelPeer, false)
-		return classifyAdopts(i, m, aAd, bAd)
+		return classifyAdopts(i, m, adopts(tbl, m.A, m.B, RoutePeer), adopts(tbl, m.B, m.A, RoutePeer))
 	}
 }
 
@@ -306,43 +272,20 @@ func classifyAdopts(i int, m Mutation, aAd, bAd bool) (touch, bool) {
 // full O(V+E) refixpoint.
 func (rs *RouteSet) localRepair(tbl *CompiledRoutes, x bgp.ASN) {
 	ax := rs.g.AS(x)
-	best := Route{Type: RouteNone}
-	consider := func(y bgp.ASN, rel Rel) {
-		ry, ok := tbl.Route(y)
-		if !ok {
-			return
+	best := uint64(unroutedStub)
+	for _, row := range [...]struct {
+		ys []bgp.ASN
+		t  RouteType
+	}{{ax.customers, RouteCustomer}, {ax.peers, RoutePeer}, {ax.providers, RouteProvider}} {
+		for _, y := range row.ys {
+			iy, _ := tbl.c.ID(y)
+			if k, ok := tbl.offer(iy, row.t); ok {
+				best = min(best, k)
+			}
 		}
-		// Export rule at y: customer/origin routes go to everyone,
-		// peer/provider routes only to y's customers (x is y's customer
-		// exactly when y is x's provider).
-		if ry.Type != RouteOrigin && ry.Type != RouteCustomer && rel != RelProvider {
-			return
-		}
-		var ct RouteType
-		switch rel {
-		case RelCustomer:
-			ct = RouteCustomer
-		case RelPeer:
-			ct = RoutePeer
-		default:
-			ct = RouteProvider
-		}
-		cand := Route{Type: ct, NextHop: y, PathLen: ry.PathLen + 1, Origin: ry.Origin}
-		if better(cand, best) {
-			best = cand
-		}
-	}
-	for _, y := range ax.customers {
-		consider(y, RelCustomer)
-	}
-	for _, y := range ax.peers {
-		consider(y, RelPeer)
-	}
-	for _, y := range ax.providers {
-		consider(y, RelProvider)
 	}
 	id, _ := tbl.c.ID(x)
-	tbl.routes[id] = best
+	tbl.keys[id] = best
 }
 
 // ApplyStats reports what one Apply recomputed.

@@ -68,7 +68,7 @@ func TestRouteSetAccessors(t *testing.T) {
 	if r, ok := tbl.Route(30); !ok || r.Type != RouteOrigin {
 		t.Errorf("destination's own route = %+v, want origin", r)
 	}
-	if rs.MemoryBytes() < 3*60*routeBytes {
+	if rs.MemoryBytes() < 3*60*keyBytes {
 		t.Errorf("MemoryBytes() = %d, below the bare table footprint", rs.MemoryBytes())
 	}
 	tables := 0
@@ -221,7 +221,9 @@ func TestApplyFlapRestoresTables(t *testing.T) {
 	}
 	before := make([][]Route, len(dests))
 	for i := range dests {
-		before[i] = append([]Route(nil), rs.TableAt(i).routes...)
+		for id := 0; id < rs.TableAt(i).Len(); id++ {
+			before[i] = append(before[i], rs.TableAt(i).At(id))
+		}
 	}
 
 	// Flap the last stub's first provider link.
@@ -236,10 +238,10 @@ func TestApplyFlapRestoresTables(t *testing.T) {
 	}
 	assertTablesMatchFresh(t, rs, "after re-add")
 	for i := range dests {
-		for id, r := range rs.TableAt(i).routes {
-			if r != before[i][id] {
+		for id, want := range before[i] {
+			if r := rs.TableAt(i).At(id); r != want {
 				t.Fatalf("dest %v: AS %v: route %+v != pre-flap %+v",
-					dests[i], rs.TableAt(i).ASN(id), r, before[i][id])
+					dests[i], rs.TableAt(i).ASN(id), r, want)
 			}
 		}
 	}

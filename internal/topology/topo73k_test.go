@@ -10,12 +10,12 @@ import (
 
 // budgetBytesPerASTable is the pinned memory ceiling for route storage
 // at Internet scale: heap growth per (AS, destination) pair when
-// building a RouteSet over the 73K-AS topology. A Route is 16 bytes
-// (TestRouteLayout); the growth measured here is 16-18 with the scratch
-// pool and allocator slack. The ceiling leaves headroom for those but
-// fails loudly if the layout regresses (e.g. a field grows Route back
-// to 32 bytes or tables fall back to maps).
-const budgetBytesPerASTable = 24
+// building a RouteSet over the 73K-AS topology. A table entry is one
+// 8-byte route key (TestRouteLayout); the growth measured here is about
+// 10 with the per-worker scratch and allocator slack. The ceiling leaves
+// headroom for those but fails loudly if the layout regresses (e.g. a
+// table stores a 16-byte Route per AS again, or falls back to maps).
+const budgetBytesPerASTable = 12
 
 var topo73k struct {
 	once sync.Once
@@ -96,8 +96,8 @@ func TestTopo73KSmoke(t *testing.T) {
 // TestTopo73KMemoryBudget pins the route-storage budget at Internet
 // scale: building an 8-destination RouteSet over 73K ASes must grow the
 // heap by less than budgetBytesPerASTable per (AS, destination) pair.
-// This is the regression tripwire for the int32/CSR layout — a Route
-// growing past 16 bytes, or tables regressing to maps, blows the
+// This is the regression tripwire for the key/CSR layout — a table
+// entry growing past 8 bytes, or tables regressing to maps, blows the
 // ceiling immediately.
 func TestTopo73KMemoryBudget(t *testing.T) {
 	g := graph73K(t)
@@ -127,7 +127,7 @@ func TestTopo73KMemoryBudget(t *testing.T) {
 	// The explicit accounting must agree with reality: at least the raw
 	// table footprint, and no more than the measured heap growth plus
 	// allocator slack.
-	minAccounted := int(pairs) * routeBytes
+	minAccounted := int(pairs) * keyBytes
 	if rs.MemoryBytes() < minAccounted {
 		t.Errorf("MemoryBytes() = %d, below the bare table footprint %d", rs.MemoryBytes(), minAccounted)
 	}

@@ -272,7 +272,7 @@ func (g *Graph) Clone() *Graph {
 }
 
 // RouteType classifies how an AS learned its best route, in decreasing
-// order of preference. One byte, so a Route packs into 16.
+// order of preference: the order route keys sort routed types in.
 type RouteType uint8
 
 const (
@@ -305,9 +305,9 @@ func (t RouteType) String() string {
 	return fmt.Sprintf("RouteType(%d)", int(t))
 }
 
-// Route is one AS's best route toward the computed destination.
-// Sixteen bytes, so four routes share a cache line: the compiled engine's
-// cost is random probes into a table of these.
+// Route is one AS's best route toward the computed destination, as
+// CompiledRoutes decodes it: the engine itself stores one 8-byte route
+// key per AS.
 type Route struct {
 	NextHop bgp.ASN // meaningless for RouteOrigin
 	Origin  bgp.ASN // which origin this AS ends up routing to

@@ -8,7 +8,7 @@
 #   3. go vet ./...
 #   4. go test ./... with coverage    (tier-1: differentials, goldens,
 #      metrics lint, serve/fleet smokes, and the paper-scale and 73K
-#      gates — every AS routed, <= 24 B per AS-table entry
+#      gates — every AS routed, <= 12 B per AS-table entry
 #      (internal/topology), E10 capture margin > 0 on the paper-scale
 #      config (root package), sampled-estimator agreement >= 0.9
 #      (internal/resilience))
@@ -33,7 +33,8 @@
 #      watch table, with the shared observability flags and the batch-only
 #      metrics, with the resilience subcommand, with the bit trie, with
 #      the worker pools par's one fan-out replaced, with the churn
-#      analyses' per-call stream scanners, or as duplicates of a
+#      analyses' per-call stream scanners, with the route kernel's rank
+#      array and phase-1 candidate arrays, or as duplicates of a
 #      bench/ metric or of a test the kill matrix keeps are named nowhere
 #      outside the history files (Go comments and scripts here;
 #      TestDocsCiteOnlyWhatExists checks the Markdown's paths and test
@@ -145,6 +146,10 @@ retired="$retired|Compiled[(][)][.](Routes)[(]|TestFor(Each)([^W]|\$)"
 retired="$retired|Transfer(Heuristic)([^A-Za-z]|\$)|Extra(ASes)([^A-Za-z]|\$)|ASDwell(Times)"
 retired="$retired|ExtraASSession(Counts)|Path(History)|Path(Sample)|PrefixesOn(Session)"
 retired="$retired|Selector[)] (Rotate)|[.](Rotate)[(]"
+# So is the route kernel's second copy of each route: a table is one
+# key per AS, phase 3 takes minimums over it and phase 1 needs no
+# per-AS candidate state.
+retired="$retired|rank(Transit|IDBits)|cand(Seen|Next)"
 if stale=$(git grep -nE "$retired" -- . ':!PAPER.md' \
     ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!bench'); then
     echo "FAIL: retired names still referenced:" >&2
