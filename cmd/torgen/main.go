@@ -14,7 +14,7 @@ import (
 	"fmt"
 	"net/netip"
 	"os"
-	"sort"
+	"slices"
 
 	"quicksand"
 	"quicksand/internal/bgp"
@@ -87,7 +87,7 @@ func run(scale string, seed int64, out, prefixFile string, tr *obs.Tracer) error
 	for p, a := range w.Hosting.Prefixes {
 		rows = append(rows, row{p, a})
 	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].p.Addr().Less(rows[j].p.Addr()) })
+	slices.SortFunc(rows, func(a, b row) int { return bgp.ComparePrefix(a.p, b.p) })
 	for _, r := range rows {
 		fmt.Fprintf(pw, "%s %d\n", r.p, uint32(r.a))
 	}

@@ -1,10 +1,11 @@
 package quicksand
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"net/netip"
-	"sort"
+	"slices"
 	"time"
 
 	"quicksand/internal/analysis"
@@ -308,11 +309,11 @@ func (w *World) guardPrefixesByBandwidth() []netip.Prefix {
 	for p, bw := range sums {
 		ranked = append(ranked, pb{p, bw})
 	}
-	sort.Slice(ranked, func(i, j int) bool {
-		if ranked[i].bw != ranked[j].bw {
-			return ranked[i].bw > ranked[j].bw
+	slices.SortFunc(ranked, func(a, b pb) int {
+		if c := cmp.Compare(b.bw, a.bw); c != 0 {
+			return c
 		}
-		return ranked[i].p.Addr().Less(ranked[j].p.Addr())
+		return bgp.ComparePrefix(a.p, b.p)
 	})
 	out := make([]netip.Prefix, len(ranked))
 	for i, r := range ranked {

@@ -126,17 +126,6 @@ type RotationStudyResult struct {
 	Curves []RotationCurve
 }
 
-// FinalFrac returns the end-of-horizon compromised fraction for the
-// given lifetime, or -1 if absent.
-func (r *RotationStudyResult) FinalFrac(lifetime int) float64 {
-	for _, c := range r.Curves {
-		if c.LifetimeMonths == lifetime && len(c.CompromisedFrac) > 0 {
-			return c.CompromisedFrac[len(c.CompromisedFrac)-1]
-		}
-	}
-	return -1
-}
-
 // RunRotationStudy simulates clients over cfg.Months months. Each client
 // keeps a guard set for the configured lifetime, then rotates. Every
 // month, every client-guard pair is exposed to the ASes on the (static)

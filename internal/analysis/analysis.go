@@ -51,12 +51,8 @@ type TorPrefix struct {
 	Exits   int
 	Middles int
 
-	guardExit int // distinct guard-or-exit relays
+	guardExit int // distinct guard-or-exit relays: the paper's "relays per Tor prefix"
 }
-
-// GuardExitRelays returns the number of distinct guard-or-exit relays in
-// the prefix (the paper's "relays per Tor prefix" metric counts these).
-func (t *TorPrefix) GuardExitRelays() int { return t.guardExit }
 
 // MapTorPrefixes maps every relay in the consensus to its most-specific
 // covering prefix in rib and returns the Tor prefixes — those hosting at

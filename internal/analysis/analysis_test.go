@@ -70,12 +70,12 @@ func TestMapTorPrefixes(t *testing.T) {
 		t.Fatalf("tor prefixes = %d: %v", len(tor), tor)
 	}
 	p24 := tor[netip.MustParsePrefix("78.46.1.0/24")]
-	if p24 == nil || p24.Guards != 2 || p24.GuardExitRelays() != 2 || p24.Middles != 1 {
+	if p24 == nil || p24.Guards != 2 || p24.guardExit != 2 || p24.Middles != 1 {
 		t.Fatalf("78.46.1.0/24 = %+v", p24)
 	}
 	// b1 (78.47.0.1) falls into the /15, not the /24.
 	p15 := tor[netip.MustParsePrefix("78.46.0.0/15")]
-	if p15 == nil || p15.Guards != 1 || p15.Exits != 1 || p15.GuardExitRelays() != 1 {
+	if p15 == nil || p15.Guards != 1 || p15.Exits != 1 || p15.guardExit != 1 {
 		t.Fatalf("78.46.0.0/15 = %+v", p15)
 	}
 	if tor[netip.MustParsePrefix("93.115.0.0/16")].Exits != 1 {
@@ -190,6 +190,12 @@ func craftStream(updates []bgpsim.UpdateEvent) *bgpsim.Stream {
 	}
 }
 
+// pathChangeCounts is session si's per-prefix path-change count under
+// filter, as PathChangeRatios computes it.
+func pathChangeCounts(st *bgpsim.Stream, si int, filter ResetFilter) map[netip.Prefix]int {
+	return pathChanges(st, si, dropTransfers(st, si, sessionUpdates(st)[si], filter))
+}
+
 func TestCountPathChangesDefinition(t *testing.T) {
 	st := craftStream([]bgpsim.UpdateEvent{
 		// Same AS set, different order: NOT a change.
@@ -207,7 +213,7 @@ func TestCountPathChangesDefinition(t *testing.T) {
 		// Same length, one AS fewer (a repeat where 24940 was): change 3.
 		{Time: t0churn.Add(7 * time.Hour), Session: 0, Prefix: torPfx, Path: []bgp.ASN{3320, 3320, 1299, 1299}},
 	})
-	counts := CountPathChanges(st, 0, FilterNone)
+	counts := pathChangeCounts(st, 0, FilterNone)
 	if counts[torPfx] != 3 {
 		t.Fatalf("changes = %d, want 3", counts[torPfx])
 	}
@@ -222,10 +228,10 @@ func TestCountPathChangesGroundTruthFilter(t *testing.T) {
 		// A transfer announcement with a different path must be ignored.
 		{Time: t0churn.Add(2 * time.Hour), Session: 0, Prefix: torPfx, Path: []bgp.ASN{3320, 6939, 24940}, Transfer: true},
 	})
-	if got := CountPathChanges(st, 0, FilterGroundTruth)[torPfx]; got != 1 {
+	if got := pathChangeCounts(st, 0, FilterGroundTruth)[torPfx]; got != 1 {
 		t.Fatalf("ground-truth filtered changes = %d, want 1", got)
 	}
-	if got := CountPathChanges(st, 0, FilterNone)[torPfx]; got != 2 {
+	if got := pathChangeCounts(st, 0, FilterNone)[torPfx]; got != 2 {
 		t.Fatalf("unfiltered changes = %d, want 2", got)
 	}
 }
@@ -241,7 +247,7 @@ func TestTransferHeuristicDetectsBurst(t *testing.T) {
 		// An isolated genuine change hours later.
 		{Time: base.Add(5 * time.Hour), Session: 0, Prefix: torPfx, Path: []bgp.ASN{3320, 1299, 24940}},
 	})
-	counts := CountPathChanges(st, 0, FilterHeuristic)
+	counts := pathChangeCounts(st, 0, FilterHeuristic)
 	// The burst is filtered; the later isolated update is compared
 	// against the *initial* path {3320,1299,24940} — same set, so no
 	// change at all.
@@ -249,7 +255,7 @@ func TestTransferHeuristicDetectsBurst(t *testing.T) {
 		t.Fatalf("heuristic-filtered changes = %d, want 0", counts[torPfx])
 	}
 	// Without filtering the burst counts as changes.
-	unfiltered := CountPathChanges(st, 0, FilterNone)
+	unfiltered := pathChangeCounts(st, 0, FilterNone)
 	if unfiltered[torPfx] != 2 {
 		t.Fatalf("unfiltered = %d, want 2", unfiltered[torPfx])
 	}
@@ -269,7 +275,7 @@ func TestTransferHeuristicBurstGap(t *testing.T) {
 			{Time: base.Add(tc.spacing), Session: 0, Prefix: bgPfx, Path: []bgp.ASN{3320, 6939, 100}},
 			{Time: base.Add(2 * tc.spacing), Session: 0, Prefix: bgPfx2, Path: []bgp.ASN{3320, 6939, 200}},
 		})
-		if got := CountPathChanges(st, 0, FilterHeuristic)[torPfx]; got != tc.changes {
+		if got := pathChangeCounts(st, 0, FilterHeuristic)[torPfx]; got != tc.changes {
 			t.Errorf("updates %v apart: %d changes, want %d", tc.spacing, got, tc.changes)
 		}
 	}
@@ -281,7 +287,7 @@ func TestTransferHeuristicIgnoresSmallBursts(t *testing.T) {
 	st := craftStream([]bgpsim.UpdateEvent{
 		{Time: base, Session: 0, Prefix: torPfx, Path: []bgp.ASN{3320, 6939, 24940}},
 	})
-	counts := CountPathChanges(st, 0, FilterHeuristic)
+	counts := pathChangeCounts(st, 0, FilterHeuristic)
 	if counts[torPfx] != 1 {
 		t.Fatalf("small burst was filtered: %v", counts)
 	}

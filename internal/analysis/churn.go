@@ -130,17 +130,11 @@ func sameASSet(a, b []bgp.ASN, buf *[]bgp.ASN) bool {
 	return slices.Equal(slices.Compact(sa), slices.Compact(sb))
 }
 
-// CountPathChanges counts, for every prefix on session si, the paper's
-// path changes: transitions between subsequently announced AS paths whose
-// AS *sets* differ. Withdrawals do not count by themselves; the next
-// announcement is compared against the last announced path. Transfer
-// updates are excluded per the filter.
-func CountPathChanges(st *bgpsim.Stream, si int, filter ResetFilter) map[netip.Prefix]int {
-	return pathChanges(st, si, dropTransfers(st, si, sessionUpdates(st)[si], filter))
-}
-
-// pathChanges is CountPathChanges over session si's ascending update
-// indices, transfers already removed.
+// pathChanges counts, for every prefix on session si, the paper's path
+// changes over the session's ascending update indices idxs (transfers
+// already removed): transitions between subsequently announced AS paths
+// whose AS *sets* differ. Withdrawals do not count by themselves; the
+// next announcement is compared against the last announced path.
 func pathChanges(st *bgpsim.Stream, si int, idxs []int32) map[netip.Prefix]int {
 	counts := make(map[netip.Prefix]int)
 	last := make(map[netip.Prefix][]bgp.ASN) // the last announced path
@@ -172,12 +166,7 @@ func sortedPrefixes(set map[netip.Prefix]bool) []netip.Prefix {
 	for p := range set {
 		out = append(out, p)
 	}
-	slices.SortFunc(out, func(a, b netip.Prefix) int {
-		if c := a.Addr().Compare(b.Addr()); c != 0 {
-			return c
-		}
-		return a.Bits() - b.Bits()
-	})
+	slices.SortFunc(out, bgp.ComparePrefix)
 	return out
 }
 

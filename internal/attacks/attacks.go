@@ -274,68 +274,6 @@ func Surveillance(cons *torconsensus.Consensus, observed func(r *torconsensus.Re
 	return s
 }
 
-// ISPAdversaryResult quantifies §3.2's observation that an AS already
-// carrying the client's traffic (its ISP chain) sees the entry segment
-// for free and only needs to intercept the exit→destination side.
-type ISPAdversaryResult struct {
-	// EntryASes are the ASes on the client's paths to its guards — all
-	// of them see the entry segment without mounting any attack.
-	EntryASes []bgp.ASN
-	// ExitCaptured reports, for the strongest entry AS acting as the
-	// interceptor of the destination prefix, whether the exit→destination
-	// traffic was also captured (completing the correlation pair).
-	ExitCaptured bool
-	// Interceptor is the entry AS used for the exit-side interception.
-	Interceptor bgp.ASN
-	// CaptureFraction is the interceptor's capture of the destination
-	// prefix announcement.
-	CaptureFraction float64
-}
-
-// ISPAdversary simulates the ISP-adversary variant: the ASes between
-// client and guard observe the entry segment passively; the one nearest
-// the client (its direct provider chain) then launches an interception
-// against the destination's prefix and we check whether the exit's
-// traffic toward the destination now crosses it.
-func ISPAdversary(g *topology.Graph, client, guardAS, exitAS, destAS bgp.ASN) (*ISPAdversaryResult, error) {
-	toGuard, err := g.Routes(nil, topology.Origin{ASN: guardAS})
-	if err != nil {
-		return nil, err
-	}
-	entryPath, ok := toGuard.PathFrom(client)
-	if !ok {
-		return nil, fmt.Errorf("attacks: client %v has no route to guard AS %v", client, guardAS)
-	}
-	res := &ISPAdversaryResult{}
-	for _, a := range entryPath {
-		if a != client && a != guardAS {
-			res.EntryASes = append(res.EntryASes, a)
-		}
-	}
-	if len(res.EntryASes) == 0 {
-		return nil, fmt.Errorf("attacks: client %v is directly adjacent to guard AS %v", client, guardAS)
-	}
-	// The client's first upstream acts as the interceptor of the
-	// destination prefix.
-	res.Interceptor = res.EntryASes[0]
-	if res.Interceptor == destAS || res.Interceptor == exitAS {
-		// Trivially sees the exit segment already.
-		res.ExitCaptured = true
-		res.CaptureFraction = 1
-		return res, nil
-	}
-	ir, err := Intercept(g, destAS, res.Interceptor)
-	if err != nil {
-		return nil, err
-	}
-	res.CaptureFraction = ir.CaptureFraction
-	if ir.Success {
-		capSet := ir.CapturedSet()
-		res.ExitCaptured = capSet[exitAS]
-	}
-	return res, nil
-}
-
 // AsymmetricConfig parameterises the end-to-end deanonymization
 // experiment: the adversary has intercepted the guard's prefix (so it
 // sees the client→guard ACK stream of every captured client) and watches
@@ -346,11 +284,6 @@ type AsymmetricConfig struct {
 	Decoys   int           // number of decoy clients also using the guard
 	FileSize int           // bytes of the target download
 	Bin      time.Duration // correlation bin width
-}
-
-// DefaultAsymmetricConfig uses a 8 MB transfer against 9 decoys.
-func DefaultAsymmetricConfig() AsymmetricConfig {
-	return AsymmetricConfig{Seed: 1, Decoys: 9, FileSize: 8 << 20, Bin: 250 * time.Millisecond}
 }
 
 // AsymmetricResult reports one deanonymization trial.

@@ -269,46 +269,13 @@ func TestHijackWithROV(t *testing.T) {
 	}
 }
 
-func TestISPAdversary(t *testing.T) {
-	g := genTopology(t)
-	t3 := g.TierASNs(3)
-	client, guardAS, exitAS, destAS := t3[1], t3[50], t3[100], t3[150]
-	res, err := ISPAdversary(g, client, guardAS, exitAS, destAS)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.EntryASes) == 0 {
-		t.Fatal("no entry ASes")
-	}
-	// The interceptor must be on the entry path and not the endpoints.
-	if res.Interceptor == client || res.Interceptor == guardAS {
-		t.Fatalf("interceptor = %v", res.Interceptor)
-	}
-	if res.CaptureFraction < 0 || res.CaptureFraction > 1 {
-		t.Fatalf("capture fraction = %v", res.CaptureFraction)
-	}
-	// Across many circuits, at least one configuration must complete
-	// the pair (entry seen passively + exit captured).
-	completed := 0
-	for i := 0; i < 30; i++ {
-		r, err := ISPAdversary(g, t3[(i*3+1)%len(t3)], t3[(i*7+11)%len(t3)],
-			t3[(i*13+29)%len(t3)], t3[(i*17+41)%len(t3)])
-		if err != nil {
-			continue
-		}
-		if r.ExitCaptured {
-			completed++
-		}
-	}
-	if completed == 0 {
-		t.Fatal("ISP adversary never completed the correlation pair")
-	}
+// asymConfig is a 2 MB transfer against 5 decoys.
+func asymConfig() AsymmetricConfig {
+	return AsymmetricConfig{Seed: 1, Decoys: 5, FileSize: 2 << 20, Bin: 250 * time.Millisecond}
 }
 
 func TestAsymmetricDeanonymization(t *testing.T) {
-	cfg := DefaultAsymmetricConfig()
-	cfg.FileSize = 2 << 20
-	cfg.Decoys = 5
+	cfg := asymConfig()
 	res, err := AsymmetricDeanonymization(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -323,12 +290,12 @@ func TestAsymmetricDeanonymization(t *testing.T) {
 }
 
 func TestAsymmetricValidation(t *testing.T) {
-	cfg := DefaultAsymmetricConfig()
+	cfg := asymConfig()
 	cfg.Decoys = 0
 	if _, err := AsymmetricDeanonymization(cfg); err == nil {
 		t.Fatal("zero decoys accepted")
 	}
-	cfg = DefaultAsymmetricConfig()
+	cfg = asymConfig()
 	cfg.Bin = 0
 	if _, err := AsymmetricDeanonymization(cfg); err == nil {
 		t.Fatal("zero bin accepted")

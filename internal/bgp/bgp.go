@@ -13,6 +13,7 @@
 package bgp
 
 import (
+	"cmp"
 	"fmt"
 	"net/netip"
 	"strings"
@@ -220,6 +221,15 @@ type Update struct {
 	Withdrawn []netip.Prefix
 	Attrs     PathAttributes
 	NLRI      []netip.Prefix
+}
+
+// ComparePrefix orders prefixes by address, then by length: the order
+// every sorted prefix list in the repository is kept in.
+func ComparePrefix(a, b netip.Prefix) int {
+	if c := a.Addr().Compare(b.Addr()); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Bits(), b.Bits())
 }
 
 // Notification is a BGP NOTIFICATION message (RFC 4271 §4.5).

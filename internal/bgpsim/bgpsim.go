@@ -17,7 +17,6 @@
 package bgpsim
 
 import (
-	"cmp"
 	"fmt"
 	"net/netip"
 	"slices"
@@ -53,27 +52,14 @@ func NewSession(collector string, peer bgp.ASN, visible []netip.Prefix) Session 
 // Sees reports whether the session learns prefix p.
 func (s *Session) Sees(p netip.Prefix) bool { return s.visible[p] }
 
-// VisibleCount returns how many prefixes the session learns.
-func (s *Session) VisibleCount() int { return len(s.visible) }
-
 // VisiblePrefixes returns the session's learned prefixes in address order.
 func (s *Session) VisiblePrefixes() []netip.Prefix {
 	out := make([]netip.Prefix, 0, len(s.visible))
 	for p := range s.visible {
 		out = append(out, p)
 	}
-	sortPrefixes(out)
+	slices.SortFunc(out, bgp.ComparePrefix)
 	return out
-}
-
-func sortPrefixes(ps []netip.Prefix) { slices.SortFunc(ps, comparePrefix) }
-
-// comparePrefix orders prefixes by address, then by length.
-func comparePrefix(a, b netip.Prefix) int {
-	if c := a.Addr().Compare(b.Addr()); c != 0 {
-		return c
-	}
-	return cmp.Compare(a.Bits(), b.Bits())
 }
 
 // UpdateEvent is one BGP UPDATE observed on a session: an announcement of
@@ -162,7 +148,7 @@ func New(g *topology.Graph, origins map[netip.Prefix]bgp.ASN) (*Sim, error) {
 		s.prefixes = append(s.prefixes, p)
 		s.asns = append(s.asns, asn)
 	}
-	sortPrefixes(s.prefixes)
+	slices.SortFunc(s.prefixes, bgp.ComparePrefix)
 	slices.Sort(s.asns)
 	s.asns = slices.Compact(s.asns)
 	s.idsOf = make([][]int32, len(s.asns))

@@ -193,9 +193,9 @@ func TestResetsProduceTransfers(t *testing.T) {
 	}
 	// The transfer should cover a large share of the session's visible,
 	// routed prefixes.
-	if count < st.Sessions[r.Session].VisibleCount()/2 {
+	if count < len(st.Sessions[r.Session].visible)/2 {
 		t.Fatalf("transfer announced only %d of %d visible prefixes",
-			count, st.Sessions[r.Session].VisibleCount())
+			count, len(st.Sessions[r.Session].visible))
 	}
 }
 
@@ -309,8 +309,8 @@ func TestSessionHelpers(t *testing.T) {
 	st := runStream(t)
 	s := &st.Sessions[0]
 	ps := s.VisiblePrefixes()
-	if len(ps) != s.VisibleCount() {
-		t.Fatalf("VisiblePrefixes len %d != count %d", len(ps), s.VisibleCount())
+	if len(ps) != len(s.visible) {
+		t.Fatalf("VisiblePrefixes len %d != count %d", len(ps), len(s.visible))
 	}
 	for _, p := range ps {
 		if !s.Sees(p) {

@@ -765,7 +765,7 @@ func (s *Sim) schedule(cfg Config, rng *rand.Rand, st *Stream) []event {
 					targets = append(targets, p)
 				}
 			}
-			sortPrefixes(targets)
+			slices.SortFunc(targets, bgp.ComparePrefix)
 		}
 		dur := cfg.HijackDuration
 		if dur <= 0 {
@@ -786,7 +786,7 @@ func (s *Sim) schedule(cfg Config, rng *rand.Rand, st *Stream) []event {
 			if d <= 0 {
 				continue
 			}
-			pid, found := slices.BinarySearchFunc(s.prefixes, p, comparePrefix)
+			pid, found := slices.BinarySearchFunc(s.prefixes, p, bgp.ComparePrefix)
 			if !found {
 				pid = -1
 			}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/netip"
+	"slices"
 	"sort"
 	"time"
 
@@ -59,7 +60,7 @@ func (st *Stream) ExportRIB(w io.Writer, collector string) error {
 	for p := range prefixSet {
 		prefixes = append(prefixes, p)
 	}
-	sortPrefixes(prefixes)
+	slices.SortFunc(prefixes, bgp.ComparePrefix)
 
 	for seq, p := range prefixes {
 		rec := &mrt.RIBIPv4Unicast{Sequence: uint32(seq), Prefix: p}

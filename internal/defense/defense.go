@@ -43,11 +43,6 @@ type StaticOracle struct {
 	cache *topology.RouteCache
 }
 
-// NewStaticOracle returns a StaticOracle over g with a private cache.
-func NewStaticOracle(g *topology.Graph) *StaticOracle {
-	return &StaticOracle{cache: topology.NewRouteCache(g)}
-}
-
 // NewSharedStaticOracle returns a StaticOracle backed by an existing
 // route cache, sharing its per-destination tables with other consumers.
 func NewSharedStaticOracle(rc *topology.RouteCache) *StaticOracle {

@@ -22,6 +22,11 @@ type world struct {
 	rib     iptrie.Trie[bgp.ASN]
 }
 
+// staticOracle is a StaticOracle over w's graph with a private cache.
+func (w *world) staticOracle() *StaticOracle {
+	return NewSharedStaticOracle(topology.NewRouteCache(w.g))
+}
+
 func (w *world) relayAS(addr netip.Addr) (bgp.ASN, bool) {
 	_, asn, ok := w.rib.LongestMatch(addr)
 	return asn, ok
@@ -66,7 +71,7 @@ func TestStaticOracleBothDirections(t *testing.T) {
 	w := buildWorld(t)
 	asns := w.g.TierASNs(3)
 	a, b := asns[5], asns[50]
-	set, err := NewStaticOracle(w.g).SegmentASes(a, b)
+	set, err := w.staticOracle().SegmentASes(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +96,7 @@ func TestDynamicsOracleAddsExtras(t *testing.T) {
 	w := buildWorld(t)
 	asns := w.g.TierASNs(3)
 	a, b := asns[5], asns[50]
-	static := NewStaticOracle(w.g)
+	static := w.staticOracle()
 	base, err := static.SegmentASes(a, b)
 	if err != nil {
 		t.Fatal(err)
@@ -119,7 +124,7 @@ func TestASAwareSelectorProducesDisjointSegments(t *testing.T) {
 	destAS := w.g.TierASNs(3)[199]
 	aware := &ASAwareSelector{
 		Selector: sel,
-		Oracle:   NewStaticOracle(w.g),
+		Oracle:   w.staticOracle(),
 		RelayAS:  w.relayAS,
 	}
 	c, err := aware.BuildCircuit(gs, 443, clientAS, destAS)
@@ -146,7 +151,7 @@ func TestASAwareReducesUnsafeCircuits(t *testing.T) {
 	}
 	t3 := w.g.TierASNs(3)
 	clientAS, destAS := t3[150], t3[199]
-	aware := &ASAwareSelector{Selector: sel, Oracle: NewStaticOracle(w.g), RelayAS: w.relayAS}
+	aware := &ASAwareSelector{Selector: sel, Oracle: w.staticOracle(), RelayAS: w.relayAS}
 
 	unsafeVanilla := 0
 	const trials = 60
@@ -182,7 +187,7 @@ func TestASAwareReducesUnsafeCircuits(t *testing.T) {
 func TestPickGuardsPreferShort(t *testing.T) {
 	w := buildWorld(t)
 	sel := torpath.NewSelector(w.cons, 9)
-	oracle := NewStaticOracle(w.g)
+	oracle := w.staticOracle()
 	clientAS := w.g.TierASNs(3)[150]
 	gs, err := PickGuardsPreferShort(sel, oracle, w.relayAS, clientAS, 3, 3, dNow)
 	if err != nil {

@@ -528,7 +528,12 @@ func TestAnomaliesEndpoint(t *testing.T) {
 			if !reflect.DeepEqual(got, want) {
 				t.Errorf("/anomalies = %v\nwant %v", got, want)
 			}
-			snap, err := obs.ScrapeTarget(base + "/metrics")
+			resp, err = http.Get(base + "/metrics")
+			if err != nil {
+				t.Fatal(err)
+			}
+			snap, err := obs.ParseExposition(resp.Body)
+			resp.Body.Close()
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -85,7 +85,7 @@ func TestConcurrentScrapeUnderLoad(t *testing.T) {
 	}
 
 	// Quiescent final scrape: exact totals.
-	snap, err := obs.ScrapeTarget(srv.URL + "/metrics")
+	snap, err := obs.ParseExposition(strings.NewReader(scrape(t, srv.URL+"/metrics")))
 	if err != nil {
 		t.Fatal(err)
 	}

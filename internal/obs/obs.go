@@ -1,8 +1,8 @@
 // Package obs is the repository's observability substrate: a stdlib-only
 // metrics registry with Prometheus text-format exposition and a strict
 // parser for it, structured logging on log/slog with a shared
-// component/run-ID convention, and lightweight nestable span tracing
-// (JSONL trace files plus an in-memory per-phase wall-time summary).
+// component/run-ID convention, and lightweight span tracing (JSONL
+// trace files plus an in-memory per-phase wall-time summary).
 //
 // Each piece is used where it is read. The paper's §5 countermeasure is
 // a monitor an operator watches, so the registry backs the daemon's

@@ -5,30 +5,14 @@ import (
 	"math"
 )
 
-// Quantile estimates the q-th quantile (q in [0, 1]) of the observed
-// distribution, interpolating linearly within the owning bucket the way
-// Prometheus's histogram_quantile does. Samples in the +Inf bucket clamp
-// the estimate to the largest finite bound. Returns NaN on a nil
-// receiver, an empty histogram, or q outside [0, 1].
-func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil {
-		return math.NaN()
-	}
-	cum := make([]uint64, len(h.counts))
-	var run uint64
-	for i := range h.counts {
-		run += h.counts[i].Load()
-		cum[i] = run
-	}
-	return QuantileFromCumulative(h.bounds, cum, q)
-}
-
 // QuantileFromCumulative estimates quantile q from cumulative bucket
-// counts. bounds holds the finite upper bounds in increasing order; cum
-// must have len(bounds)+1 entries, the last being the total including
-// the implicit +Inf bucket — the shape a scraped histogram series
-// already has. Returns NaN when the total is zero or q is outside
-// [0, 1].
+// counts, interpolating linearly within the owning bucket the way
+// Prometheus's histogram_quantile does; samples in the +Inf bucket clamp
+// the estimate to the largest finite bound. bounds holds the finite
+// upper bounds in increasing order; cum must have len(bounds)+1 entries,
+// the last being the total including the implicit +Inf bucket — the
+// shape a scraped histogram series already has. Returns NaN when the
+// total is zero or q is outside [0, 1].
 func QuantileFromCumulative(bounds []float64, cum []uint64, q float64) float64 {
 	if len(cum) != len(bounds)+1 {
 		panic(fmt.Sprintf("obs: QuantileFromCumulative wants %d cumulative counts, got %d",

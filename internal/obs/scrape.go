@@ -10,11 +10,9 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"net/http"
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 	"unicode/utf8"
 )
 
@@ -404,18 +402,4 @@ func unescapeHelp(s string) string {
 		b.WriteByte(c)
 	}
 	return b.String()
-}
-
-// ScrapeTarget fetches and parses one /metrics endpoint.
-func ScrapeTarget(url string) (*Snapshot, error) {
-	client := &http.Client{Timeout: 10 * time.Second}
-	resp, err := client.Get(url)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("obs: scrape %s: status %s", url, resp.Status)
-	}
-	return ParseExposition(resp.Body)
 }

@@ -11,7 +11,7 @@ import (
 	"time"
 )
 
-// Tracer records nestable spans. Ended spans are written as one JSON
+// Tracer records spans. Ended spans are written as one JSON
 // line each (when the tracer has a writer) and folded into an in-memory
 // per-name summary of wall time, so a run can both ship a full trace
 // file and print a compact per-phase breakdown.
@@ -42,9 +42,6 @@ func Int(k string, v int) Attr { return Attr{k, v} }
 
 // Int64 builds a 64-bit integer attribute.
 func Int64(k string, v int64) Attr { return Attr{k, v} }
-
-// Float builds a float attribute.
-func Float(k string, v float64) Attr { return Attr{k, v} }
 
 // NewTracer returns a tracer writing span records to w as JSONL; w may
 // be nil for a summary-only tracer. attrs are stamped on every record.
@@ -78,51 +75,29 @@ func OpenTrace(path string, summary io.Writer, attrs ...Attr) (t *Tracer, done f
 
 // Span is one in-flight span. End it exactly once.
 type Span struct {
-	t      *Tracer
-	id     uint64
-	parent uint64
-	name   string
-	start  time.Time
-	attrs  []Attr
-	ended  atomic.Bool
+	t     *Tracer
+	id    uint64
+	name  string
+	start time.Time
+	attrs []Attr
+	ended atomic.Bool
 }
 
-// Start opens a root span. Returns nil on a nil tracer.
+// Start opens a span. Returns nil on a nil tracer.
 func (t *Tracer) Start(name string, attrs ...Attr) *Span {
-	return t.start(0, name, attrs)
-}
-
-func (t *Tracer) start(parent uint64, name string, attrs []Attr) *Span {
 	if t == nil {
 		return nil
 	}
-	return &Span{t: t, id: t.nextID.Add(1), parent: parent,
-		name: name, start: time.Now(), attrs: attrs}
-}
-
-// Child opens a nested span. Returns nil on a nil span.
-func (s *Span) Child(name string, attrs ...Attr) *Span {
-	if s == nil {
-		return nil
-	}
-	return s.t.start(s.id, name, attrs)
-}
-
-// Annotate appends attributes to the span before it ends.
-func (s *Span) Annotate(attrs ...Attr) {
-	if s != nil {
-		s.attrs = append(s.attrs, attrs...)
-	}
+	return &Span{t: t, id: t.nextID.Add(1), name: name, start: time.Now(), attrs: attrs}
 }
 
 // record is the JSONL wire shape of one ended span.
 type record struct {
-	Span   uint64         `json:"span"`
-	Parent uint64         `json:"parent,omitempty"`
-	Name   string         `json:"name"`
-	Start  time.Time      `json:"start"`
-	DurUS  int64          `json:"dur_us"`
-	Attrs  map[string]any `json:"attrs,omitempty"`
+	Span  uint64         `json:"span"`
+	Name  string         `json:"name"`
+	Start time.Time      `json:"start"`
+	DurUS int64          `json:"dur_us"`
+	Attrs map[string]any `json:"attrs,omitempty"`
 }
 
 // End closes the span, emitting its trace record and folding its wall
@@ -148,8 +123,7 @@ func (s *Span) End() {
 		st.Max = dur
 	}
 	if t.w != nil {
-		rec := record{Span: s.id, Parent: s.parent, Name: s.name,
-			Start: s.start.UTC(), DurUS: dur.Microseconds()}
+		rec := record{Span: s.id, Name: s.name, Start: s.start.UTC(), DurUS: dur.Microseconds()}
 		if n := len(t.attrs) + len(s.attrs); n > 0 {
 			rec.Attrs = make(map[string]any, n)
 			for _, a := range t.attrs {

@@ -14,8 +14,7 @@ func TestTracerJSONLAndSummary(t *testing.T) {
 	var buf strings.Builder
 	tr := NewTracer(&buf, String("run", "abcd1234"))
 	root := tr.Start("experiment", String("experiment", "hijack"))
-	child := root.Child("trial", Int("trial", 0))
-	child.Annotate(Float("p_hijack", 0.25))
+	child := tr.Start("trial", Int("trial", 0), Int64("captured", 25))
 	child.End()
 	child.End() // double End must no-op
 	root.End()
@@ -31,11 +30,11 @@ func TestTracerJSONLAndSummary(t *testing.T) {
 	if first["name"] != "trial" {
 		t.Errorf("first ended span = %v, want trial", first["name"])
 	}
-	if first["parent"] != float64(1) {
-		t.Errorf("trial parent = %v, want 1", first["parent"])
+	if first["span"] != float64(2) {
+		t.Errorf("trial span id = %v, want 2", first["span"])
 	}
 	attrs, _ := first["attrs"].(map[string]any)
-	if attrs["run"] != "abcd1234" || attrs["trial"] != float64(0) || attrs["p_hijack"] != 0.25 {
+	if attrs["run"] != "abcd1234" || attrs["trial"] != float64(0) || attrs["captured"] != float64(25) {
 		t.Errorf("trial attrs = %v", attrs)
 	}
 	if err := tr.Err(); err != nil {
@@ -46,7 +45,7 @@ func TestTracerJSONLAndSummary(t *testing.T) {
 	if len(stats) != 2 {
 		t.Fatalf("summary has %d phases, want 2", len(stats))
 	}
-	// The root span encloses the child, so it sorts first by total.
+	// The first span encloses the second, so it sorts first by total.
 	if stats[0].Name != "experiment" || stats[1].Name != "trial" {
 		t.Errorf("summary order = %s, %s", stats[0].Name, stats[1].Name)
 	}
@@ -68,12 +67,6 @@ func TestTracerNilSafety(t *testing.T) {
 	if s != nil {
 		t.Fatal("nil tracer returned a span")
 	}
-	s.Annotate(String("k", "v"))
-	c := s.Child("y")
-	if c != nil {
-		t.Fatal("nil span returned a child")
-	}
-	c.End()
 	s.End()
 	if tr.Err() != nil || tr.Summary() != nil {
 		t.Fatal("nil tracer has state")

@@ -7,7 +7,7 @@ import (
 
 func FuzzParseTCPPacket(f *testing.F) {
 	tcp := &TCPHeader{SrcPort: 443, DstPort: 50000, Seq: 7, Ack: 9, Flags: FlagACK}
-	raw, err := TCPPacket(srcIP, dstIP, tcp, []byte("payload"))
+	raw, err := tcpPacket(tcp, []byte("payload"))
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func FuzzHeaderCapture(f *testing.F) {
 		size := int(n) % 9001
 		keep := max(HeadersLen, int(snap)%1601)
 		tcp := &TCPHeader{SrcPort: sport, DstPort: dport, Seq: seq, Ack: ack, Flags: flags, Window: window, Urgent: urgent}
-		full, err := TCPPacket(srcIP, dstIP, tcp, make([]byte, size))
+		full, err := tcpPacket(tcp, make([]byte, size))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -8,7 +8,7 @@ import (
 
 func TestParseTCPPacketLooseFullPacket(t *testing.T) {
 	tcp := &TCPHeader{SrcPort: 443, DstPort: 50000, Seq: 77, Ack: 88, Flags: FlagACK}
-	raw, err := TCPPacket(srcIP, dstIP, tcp, []byte("hello"))
+	raw, err := tcpPacket(tcp, []byte("hello"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +29,7 @@ func TestParseTCPPacketLooseFullPacket(t *testing.T) {
 
 func TestParseTCPPacketLooseTruncated(t *testing.T) {
 	tcp := &TCPHeader{SrcPort: 80, DstPort: 40000, Seq: 1000, Flags: FlagACK}
-	raw, err := TCPPacket(srcIP, dstIP, tcp, make([]byte, 1400))
+	raw, err := tcpPacket(tcp, make([]byte, 1400))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestParseTCPPacketLooseErrors(t *testing.T) {
 		t.Fatalf("short ip: %v", err)
 	}
 	tcp := &TCPHeader{Flags: FlagACK}
-	raw, _ := TCPPacket(srcIP, dstIP, tcp, nil)
+	raw, _ := tcpPacket(tcp, nil)
 	bad := append([]byte(nil), raw...)
 	bad[0] = 6 << 4
 	if _, _, err := ParseTCPPacketLoose(bad); !errors.Is(err, ErrBadVersion) {

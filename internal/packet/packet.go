@@ -60,7 +60,7 @@ const ipv4HeaderLen = 20
 const tcpHeaderLen = 20
 
 // HeadersLen is the length of the option-less IPv4 and TCP headers that
-// open every packet TCPPacket and AppendTCPHeaders write.
+// open every packet AppendTCPHeaders writes.
 const HeadersLen = ipv4HeaderLen + tcpHeaderLen
 
 // checksum computes the Internet checksum (RFC 1071) over data.
@@ -244,22 +244,11 @@ func ParseTCP(src, dst netip.Addr, seg []byte) (*TCPHeader, []byte, error) {
 	return h, seg[off:], nil
 }
 
-// TCPPacket builds a complete IPv4+TCP packet.
-func TCPPacket(src, dst netip.Addr, tcp *TCPHeader, payload []byte) ([]byte, error) {
-	if err := checkTCPPacket(src, dst, len(payload)); err != nil {
-		return nil, err
-	}
-	buf := make([]byte, HeadersLen+len(payload))
-	copy(buf[HeadersLen:], payload)
-	putHeaders(buf, src, dst, tcp, len(payload), checksum(0, payload))
-	return buf, nil
-}
-
 // AppendTCPHeaders appends to b the first min(snap, HeadersLen+n) bytes of
-// TCPPacket(src, dst, tcp, make([]byte, n)) — what a capture with snap
-// length snap records of it, checksums included — without building the
-// packet: the payload's zeros are written only where the snap reaches them.
-// snap must be at least HeadersLen.
+// the IPv4+TCP packet src→dst carrying tcp and n zero payload bytes — what
+// a capture with snap length snap records of it, checksums included —
+// without building the packet: the payload's zeros are written only where
+// the snap reaches them. snap must be at least HeadersLen.
 func AppendTCPHeaders(b []byte, src, dst netip.Addr, tcp *TCPHeader, n, snap int) ([]byte, error) {
 	if snap < HeadersLen {
 		return nil, fmt.Errorf("packet: snap length %d too small for IPv4+TCP headers", snap)
@@ -267,34 +256,19 @@ func AppendTCPHeaders(b []byte, src, dst netip.Addr, tcp *TCPHeader, n, snap int
 	if n < 0 {
 		return nil, fmt.Errorf("packet: negative payload length %d", n)
 	}
-	if err := checkTCPPacket(src, dst, n); err != nil {
-		return nil, err
+	if !src.Is4() || !dst.Is4() {
+		return nil, fmt.Errorf("packet: TCP packet needs IPv4 addresses, got %v -> %v", src, dst)
+	}
+	if HeadersLen+n > 0xFFFF {
+		return nil, fmt.Errorf("packet: payload %d bytes too large", n)
 	}
 	keep := min(snap, HeadersLen+n)
 	at := len(b)
 	b = append(b, make([]byte, keep)...)
-	putHeaders(b[at:], src, dst, tcp, n, 0)
-	return b, nil
-}
-
-func checkTCPPacket(src, dst netip.Addr, n int) error {
-	if !src.Is4() || !dst.Is4() {
-		return fmt.Errorf("packet: TCP packet needs IPv4 addresses, got %v -> %v", src, dst)
-	}
-	if HeadersLen+n > 0xFFFF {
-		return fmt.Errorf("packet: payload %d bytes too large", n)
-	}
-	return nil
-}
-
-// putHeaders writes the IPv4 and TCP headers of the packet src→dst
-// carrying tcp and n payload bytes of unfolded RFC 1071 sum paySum into
-// b[:HeadersLen]: the one header layout TCPPacket and AppendTCPHeaders
-// share.
-func putHeaders(b []byte, src, dst netip.Addr, tcp *TCPHeader, n int, paySum uint32) {
 	ip := IPv4Header{TTL: 64, Protocol: ProtoTCP, DontFrag: true, Src: src, Dst: dst}
-	ip.put(b, HeadersLen+n)
-	tcp.put(b[ipv4HeaderLen:], src, dst, n, paySum)
+	ip.put(b[at:], HeadersLen+n)
+	tcp.put(b[at+ipv4HeaderLen:], src, dst, n, 0)
+	return b, nil
 }
 
 // ParseTCPPacketLoose decodes the IPv4 and TCP headers of a possibly

@@ -147,10 +147,6 @@ func (m *Matrix) R(client, guard bgp.ASN) (float64, bool) {
 	return m.res[gi][id], true
 }
 
-// RAt returns the resilience of the client interned at id toward the
-// gi-th configured guard; both indices must be in range.
-func (m *Matrix) RAt(id int32, gi int) float64 { return m.res[gi][id] }
-
 // errorBound95 is the conservative 95% half-width for a mean of m
 // Bernoulli samples drawn without replacement from a population of
 // size pop: 1.96·sqrt(0.25/m)·sqrt((pop-m)/(pop-1)).

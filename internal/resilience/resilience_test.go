@@ -109,9 +109,12 @@ func TestSampledWithinBound(t *testing.T) {
 	}
 
 	within, total := 0, 0
-	for gi := range guards {
-		for id := int32(0); id < int32(n); id++ {
-			if math.Abs(sampled.RAt(id, gi)-exact.RAt(id, gi)) <= sampled.ErrorBound95() {
+	clients := g.ASNs()
+	for _, guard := range guards {
+		for _, client := range clients {
+			rs, _ := sampled.R(client, guard)
+			re, _ := exact.R(client, guard)
+			if math.Abs(rs-re) <= sampled.ErrorBound95() {
 				within++
 			}
 			total++
@@ -130,7 +133,7 @@ func TestWorkerInvariance(t *testing.T) {
 		t.Fatal(err)
 	}
 	guards := pickGuards(g, 5)
-	n := g.Compiled().Len()
+	clients := g.ASNs()
 	for _, cfg := range []resilience.Config{
 		{Guards: guards},
 		{Guards: guards, Attackers: 25, Seed: 3},
@@ -145,11 +148,12 @@ func TestWorkerInvariance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for gi := range guards {
-			for id := int32(0); id < int32(n); id++ {
-				if a.RAt(id, gi) != b.RAt(id, gi) {
-					t.Fatalf("exact=%v: R differs at (id %d, guard %d): %v vs %v",
-						a.Exact(), id, gi, a.RAt(id, gi), b.RAt(id, gi))
+		for _, guard := range guards {
+			for _, client := range clients {
+				ra, _ := a.R(client, guard)
+				rb, _ := b.R(client, guard)
+				if ra != rb {
+					t.Fatalf("exact=%v: R(%v, %v) differs: %v vs %v", a.Exact(), client, guard, ra, rb)
 				}
 			}
 		}

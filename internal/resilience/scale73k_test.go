@@ -60,9 +60,12 @@ func TestResil73KEstimatorAgreement(t *testing.T) {
 	combined := a.ErrorBound95() + b.ErrorBound95()
 	within, total := 0, 0
 	var maxDev float64
-	for gi := range guards {
-		for id := int32(0); id < int32(g.Len()); id++ {
-			d := math.Abs(a.RAt(id, gi) - b.RAt(id, gi))
+	clients := g.ASNs()
+	for _, guard := range guards {
+		for _, client := range clients {
+			ra, _ := a.R(client, guard)
+			rb, _ := b.R(client, guard)
+			d := math.Abs(ra - rb)
 			if d <= combined {
 				within++
 			}

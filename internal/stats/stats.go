@@ -108,29 +108,6 @@ func Max(xs []float64) (float64, error) {
 	return m, nil
 }
 
-// Variance returns the population variance of xs, or ErrEmpty.
-func Variance(xs []float64) (float64, error) {
-	mean, err := Mean(xs)
-	if err != nil {
-		return 0, err
-	}
-	sum := 0.0
-	for _, x := range xs {
-		d := x - mean
-		sum += d * d
-	}
-	return sum / float64(len(xs)), nil
-}
-
-// StdDev returns the population standard deviation of xs, or ErrEmpty.
-func StdDev(xs []float64) (float64, error) {
-	v, err := Variance(xs)
-	if err != nil {
-		return 0, err
-	}
-	return math.Sqrt(v), nil
-}
-
 // Pearson returns the Pearson product-moment correlation coefficient of the
 // paired samples xs and ys. It returns an error when the slices differ in
 // length, are empty, or when either sample has zero variance (the

@@ -107,21 +107,6 @@ func TestMeanSumMinMax(t *testing.T) {
 	}
 }
 
-func TestVarianceStdDev(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	v, err := Variance(xs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(v, 4, 1e-12) {
-		t.Fatalf("Variance = %v, want 4", v)
-	}
-	sd, _ := StdDev(xs)
-	if !almostEqual(sd, 2, 1e-12) {
-		t.Fatalf("StdDev = %v, want 2", sd)
-	}
-}
-
 func TestPearsonPerfect(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5}
 	ys := []float64{2, 4, 6, 8, 10}

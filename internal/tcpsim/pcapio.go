@@ -31,20 +31,3 @@ func WritePcap(w io.Writer, recs []Record, snapLen int) error {
 	}
 	return nil
 }
-
-// ReadPcap loads a capture previously written by WritePcap (or any raw-IP
-// pcap) back into Records, ready for the correlation analyses.
-func ReadPcap(r io.Reader) ([]Record, error) {
-	pkts, linkType, err := pcap.ReadAll(r)
-	if err != nil {
-		return nil, err
-	}
-	if linkType != pcap.LinkTypeRaw {
-		return nil, fmt.Errorf("tcpsim: pcap link type %d, want %d (raw IP)", linkType, pcap.LinkTypeRaw)
-	}
-	out := make([]Record, len(pkts))
-	for i, p := range pkts {
-		out[i] = Record{Time: p.Time, Data: p.Data}
-	}
-	return out, nil
-}

@@ -161,7 +161,7 @@ func TestLPMAgainstLinearOracle(t *testing.T) {
 			t.Fatalf("seed %d: %d Tor prefixes, %d unmapped relays; want both", seed, len(tor), len(unmapped))
 		}
 
-		type counts struct{ guards, exits, middles, guardExit int }
+		type counts struct{ guards, exits, middles int }
 		want := make(map[netip.Prefix]*counts)
 		var wantUnmapped []netip.Addr
 		for i := range cons.Relays {
@@ -188,9 +188,7 @@ func TestLPMAgainstLinearOracle(t *testing.T) {
 			if e {
 				c.exits++
 			}
-			if g || e {
-				c.guardExit++
-			} else {
+			if !g && !e {
 				c.middles++
 			}
 		}
@@ -199,7 +197,7 @@ func TestLPMAgainstLinearOracle(t *testing.T) {
 		}
 		for p, c := range want {
 			tp := tor[p]
-			if c.guardExit == 0 {
+			if c.guards+c.exits == 0 {
 				if tp != nil {
 					t.Errorf("seed %d: middle-only %v kept as a Tor prefix", seed, p)
 				}
@@ -209,13 +207,13 @@ func TestLPMAgainstLinearOracle(t *testing.T) {
 				t.Errorf("seed %d: Tor prefix %v missing", seed, p)
 				continue
 			}
-			got := counts{tp.Guards, tp.Exits, tp.Middles, tp.GuardExitRelays()}
+			got := counts{tp.Guards, tp.Exits, tp.Middles}
 			if tp.Prefix != p || tp.Origin != origins[p] || got != *c {
 				t.Errorf("seed %d: %v = %v/%v %+v, oracle %v %+v", seed, p, tp.Prefix, tp.Origin, got, origins[p], *c)
 			}
 		}
 		for p := range tor {
-			if c := want[p]; c == nil || c.guardExit == 0 {
+			if c := want[p]; c == nil || c.guards+c.exits == 0 {
 				t.Errorf("seed %d: %v is no relay's most specific guard/exit prefix", seed, p)
 			}
 		}

@@ -76,7 +76,7 @@ func TestLintPromViolations(t *testing.T) {
 }
 
 // FuzzPromParse fuzzes the one exposition parser, obs.ParseExposition
-// (ScrapeTarget and bench/ feed it outside input): it never panics, nor
+// (the daemon tests and bench/ feed it scraped input): it never panics, nor
 // does the linter on what it accepts, Family finds every family it
 // lists, and every sample points at a line of the text.
 func FuzzPromParse(f *testing.F) {

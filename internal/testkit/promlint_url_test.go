@@ -62,7 +62,12 @@ func TestLintPromURLAggregated(t *testing.T) {
 	if errs := LintPromURL(srv.URL + "/metrics"); len(errs) != 0 {
 		t.Fatalf("aggregated registry fails lint: %v", errs)
 	}
-	sn, err := obs.ScrapeTarget(srv.URL + "/metrics")
+	resp, err := http.Get(srv.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	sn, err := obs.ParseExposition(resp.Body)
 	if err != nil {
 		t.Fatal(err)
 	}

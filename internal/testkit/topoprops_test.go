@@ -1,7 +1,8 @@
 package testkit
 
 import (
-	"bytes"
+	"fmt"
+	"strings"
 	"testing"
 
 	"quicksand/internal/topology"
@@ -107,7 +108,7 @@ func TestCheckTierInvariantsCatchesViolations(t *testing.T) {
 // TestPowerLawDeterministicAtScale pins byte-identical generator output
 // for a fixed seed across worker counts at property-suite scale.
 func TestPowerLawDeterministicAtScale(t *testing.T) {
-	var want []byte
+	var want string
 	for _, workers := range []int{1, 4} {
 		cfg := topology.DefaultPowerLawConfig(16000)
 		cfg.Seed = 21
@@ -116,11 +117,16 @@ func TestPowerLawDeterministicAtScale(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		enc := g.AppendCanonical(nil)
-		if want == nil {
-			want = enc
-		} else if !bytes.Equal(enc, want) {
-			t.Fatalf("workers=%d: canonical encoding differs", workers)
+		// Per AS in ASN order: tier and the three adjacency lists.
+		var enc strings.Builder
+		for _, asn := range g.ASNs() {
+			a := g.AS(asn)
+			fmt.Fprintln(&enc, asn, a.Tier, a.Customers(), a.Peers(), a.Providers())
+		}
+		if want == "" {
+			want = enc.String()
+		} else if enc.String() != want {
+			t.Fatalf("workers=%d: graphs differ", workers)
 		}
 	}
 }

@@ -351,17 +351,6 @@ func (r *CompiledRoutes) PathFrom(src bgp.ASN) (path []bgp.ASN, ok bool) {
 	return path, true
 }
 
-// ASPathFrom is PathFrom rendered as a bgp.ASPath (src first, origin
-// last), matching what src's BGP neighbors upstream would see minus their
-// own prepending.
-func (r *CompiledRoutes) ASPathFrom(src bgp.ASN) (bgp.ASPath, bool) {
-	p, ok := r.PathFrom(src)
-	if !ok {
-		return bgp.ASPath{}, false
-	}
-	return bgp.Sequence(p...), true
-}
-
 // Table converts to the map representation (unrouted ASes absent).
 func (r *CompiledRoutes) Table() RouteTable {
 	rt := make(RouteTable, len(r.keys))

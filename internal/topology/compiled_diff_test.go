@@ -217,9 +217,6 @@ func TestCompiledRoutesAccessors(t *testing.T) {
 		if !ok || !slices.Equal(got, want) {
 			t.Fatalf("PathFrom(%v) = %v,%v, want %v", src, got, ok, want)
 		}
-		if ap, _ := cr.ASPathFrom(src); ap.String() != bgp.Sequence(want...).String() {
-			t.Fatalf("ASPathFrom(%v) = %v, want %v", src, ap, want)
-		}
 	}
 	if _, ok := cr.Route(bgp.ASN(424242)); ok {
 		t.Fatal("Route() of an unknown ASN reported ok")

@@ -148,9 +148,6 @@ func TestPathFromDefendsAgainstBadTables(t *testing.T) {
 	if _, ok := cyclic.PathFrom(1); ok {
 		t.Error("path through a routing cycle")
 	}
-	if _, ok := cyclic.ASPathFrom(1); ok {
-		t.Error("AS path through a routing cycle")
-	}
 	// A path length far beyond the table must not size the path buffer.
 	if p, ok := bad(routeKey(RouteProvider, maxKeyIDs, 1, 0), routeKey(RouteOrigin, 0, 0, 0)).PathFrom(1); !ok || len(p) != 2 || cap(p) > 3 {
 		t.Errorf("path = %v (cap %d), ok=%v; want [AS1 AS2] in a small buffer", p, cap(p), ok)

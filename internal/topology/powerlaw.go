@@ -1,7 +1,6 @@
 package topology
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
@@ -54,7 +53,8 @@ type PowerLawConfig struct {
 }
 
 // DefaultPowerLawConfig returns the CAIDA-shaped defaults for n ASes;
-// Config73K() is the full-Internet instance.
+// n = 73000 is the full-Internet instance, the scale at which single-box
+// Gao-Rexford studies over the real CAIDA topology operate.
 func DefaultPowerLawConfig(n int) PowerLawConfig {
 	t1 := 16
 	switch {
@@ -73,11 +73,6 @@ func DefaultPowerLawConfig(n int) PowerLawConfig {
 		Seed:         1,
 	}
 }
-
-// Config73K returns the full-Internet-scale configuration: 73,000 ASes,
-// the scale at which single-box Gao-Rexford studies over the real CAIDA
-// topology operate.
-func Config73K() PowerLawConfig { return DefaultPowerLawConfig(73000) }
 
 func (c PowerLawConfig) validate() error {
 	if c.Tier1 < 1 {
@@ -301,31 +296,4 @@ func (g *Graph) Links() int {
 		d += a.Degree()
 	}
 	return d / 2
-}
-
-// AppendCanonical appends a canonical binary encoding of the graph to b
-// and returns the result: AS count, then per AS in ascending ASN order
-// its ASN, tier, and the three sorted adjacency lists. Two graphs are
-// structurally identical iff their canonical encodings are equal — the
-// determinism property tests compare generator output across worker
-// counts with it.
-func (g *Graph) AppendCanonical(b []byte) []byte {
-	asns := g.ASNs()
-	b = binary.AppendUvarint(b, uint64(len(asns)))
-	appendRow := func(b []byte, row []bgp.ASN) []byte {
-		b = binary.AppendUvarint(b, uint64(len(row)))
-		for _, n := range row {
-			b = binary.AppendUvarint(b, uint64(n))
-		}
-		return b
-	}
-	for _, asn := range asns {
-		a := g.ases[asn]
-		b = binary.AppendUvarint(b, uint64(asn))
-		b = binary.AppendUvarint(b, uint64(uint(a.Tier)))
-		b = appendRow(b, a.customers)
-		b = appendRow(b, a.peers)
-		b = appendRow(b, a.providers)
-	}
-	return b
 }

@@ -1,8 +1,9 @@
 package topology
 
 import (
-	"bytes"
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -51,34 +52,43 @@ func TestDefaultPowerLawConfigScalesTier1(t *testing.T) {
 	if got := DefaultPowerLawConfig(5000).Tier1; got != 16 {
 		t.Errorf("n=5000: Tier1 = %d, want 16", got)
 	}
-	if got := Config73K().N; got != 73000 {
-		t.Errorf("Config73K().N = %d, want 73000", got)
+}
+
+// canonical renders g per AS in ascending ASN order: its ASN, tier and
+// three adjacency lists. Two graphs are structurally identical iff their
+// renderings are equal.
+func canonical(g *Graph) string {
+	var b strings.Builder
+	for _, asn := range g.ASNs() {
+		a := g.AS(asn)
+		fmt.Fprintln(&b, asn, a.Tier, a.Customers(), a.Peers(), a.Providers())
 	}
+	return b.String()
 }
 
 func TestPowerLawDeterministicAcrossWorkers(t *testing.T) {
 	cfg := DefaultPowerLawConfig(3000)
 	cfg.Seed = 99
-	var want []byte
+	var want string
 	for _, workers := range []int{1, 3, 8} {
 		cfg.Workers = workers
 		g := mustPowerLaw(t, cfg)
 		if g.Len() != cfg.N {
 			t.Fatalf("workers=%d: Len = %d, want %d", workers, g.Len(), cfg.N)
 		}
-		enc := g.AppendCanonical(nil)
-		if want == nil {
+		enc := canonical(g)
+		if want == "" {
 			want = enc
 			continue
 		}
-		if !bytes.Equal(enc, want) {
+		if enc != want {
 			t.Fatalf("workers=%d: canonical encoding differs from workers=1", workers)
 		}
 	}
 
 	// A different seed must give a different graph.
 	cfg.Seed = 100
-	if bytes.Equal(mustPowerLaw(t, cfg).AppendCanonical(nil), want) {
+	if canonical(mustPowerLaw(t, cfg)) == want {
 		t.Fatal("seed change did not change the graph")
 	}
 }

@@ -35,7 +35,7 @@ func graph73K(t *testing.T) *Graph {
 		t.Skip("skipping 73K-scale test under -race")
 	}
 	topo73k.once.Do(func() {
-		topo73k.g, topo73k.err = GeneratePowerLaw(Config73K())
+		topo73k.g, topo73k.err = GeneratePowerLaw(DefaultPowerLawConfig(73000))
 	})
 	if topo73k.err != nil {
 		t.Fatalf("generating 73K topology: %v", topo73k.err)

@@ -296,21 +296,6 @@ func TestPathFromNoRoute(t *testing.T) {
 	}
 }
 
-func TestASPathFrom(t *testing.T) {
-	g := diamond(t)
-	cr := mustRoutes(t, g, Origin{ASN: 4})
-	p, ok := cr.ASPathFrom(1)
-	if !ok {
-		t.Fatal("no path")
-	}
-	if p.String() != "1 2 4" {
-		t.Fatalf("ASPath = %q", p.String())
-	}
-	if o, _ := p.Origin(); o != 4 {
-		t.Fatalf("origin = %v", o)
-	}
-}
-
 func TestValleyFreeChecker(t *testing.T) {
 	g := diamond(t)
 	if !g.ValleyFree([]bgp.ASN{2, 1, 3, 4}) {

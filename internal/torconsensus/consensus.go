@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"io"
 	"net/netip"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -172,17 +171,6 @@ func (c *Consensus) filter(pred func(*Relay) bool) []*Relay {
 	return out
 }
 
-// ByAddr returns the relay with the given address, or nil. Addresses are
-// unique in generated consensuses.
-func (c *Consensus) ByAddr(a netip.Addr) *Relay {
-	for i := range c.Relays {
-		if c.Relays[i].Addr == a {
-			return &c.Relays[i]
-		}
-	}
-	return nil
-}
-
 const timeLayout = "2006-01-02 15:04:05"
 
 // WriteTo serialises the consensus in dir-spec text form.
@@ -320,16 +308,4 @@ func Parse(rd io.Reader) (*Consensus, error) {
 // Fingerprint renders a synthetic base64 identity for seeded generation.
 func Fingerprint(b []byte) string {
 	return base64.RawStdEncoding.EncodeToString(b)
-}
-
-// SortByBandwidth sorts relays descending by consensus weight (stable,
-// with identity as the tiebreak), which analysis and selection code rely
-// on for determinism.
-func SortByBandwidth(rs []*Relay) {
-	sort.SliceStable(rs, func(i, j int) bool {
-		if rs[i].Bandwidth != rs[j].Bandwidth {
-			return rs[i].Bandwidth > rs[j].Bandwidth
-		}
-		return rs[i].Identity < rs[j].Identity
-	})
 }

@@ -163,25 +163,6 @@ func TestAllowsPort(t *testing.T) {
 	}
 }
 
-func TestByAddr(t *testing.T) {
-	c := sampleConsensus()
-	if r := c.ByAddr(netip.MustParseAddr("93.115.2.3")); r == nil || r.Nickname != "beta" {
-		t.Fatalf("ByAddr = %v", r)
-	}
-	if r := c.ByAddr(netip.MustParseAddr("1.1.1.1")); r != nil {
-		t.Fatal("ByAddr found nonexistent relay")
-	}
-}
-
-func TestSortByBandwidth(t *testing.T) {
-	c := sampleConsensus()
-	rs := c.Running()
-	SortByBandwidth(rs)
-	if rs[0].Nickname != "alpha" || rs[2].Nickname != "gamma" {
-		t.Fatalf("order: %v %v %v", rs[0].Nickname, rs[1].Nickname, rs[2].Nickname)
-	}
-}
-
 // --- generator tests ---
 
 func hostPool(n int) []bgp.ASN {

@@ -5,7 +5,10 @@ import (
 	"math"
 	"math/rand"
 	"net/netip"
+	"slices"
 	"time"
+
+	"quicksand/internal/bgp"
 )
 
 // EvolveConfig parameterises one epoch of relay churn: the Tor network's
@@ -95,7 +98,7 @@ func Evolve(cur *Consensus, host *Hosting, cfg EvolveConfig, validAfter time.Tim
 	for p := range host.Prefixes {
 		prefixes = append(prefixes, p)
 	}
-	sortPrefixesInPlace(prefixes)
+	slices.SortFunc(prefixes, bgp.ComparePrefix)
 	used := make(map[netip.Addr]bool, len(host.RelayPrefix))
 	for a := range host.RelayPrefix {
 		used[a] = true
@@ -153,16 +156,4 @@ func nextFreeAddr(p netip.Prefix, used map[netip.Addr]bool) (netip.Addr, bool) {
 		}
 	}
 	return netip.Addr{}, false
-}
-
-func sortPrefixesInPlace(ps []netip.Prefix) {
-	for i := 1; i < len(ps); i++ {
-		for j := i; j > 0; j-- {
-			a, b := ps[j-1], ps[j]
-			if a.Addr().Less(b.Addr()) || (a.Addr() == b.Addr() && a.Bits() <= b.Bits()) {
-				break
-			}
-			ps[j-1], ps[j] = ps[j], ps[j-1]
-		}
-	}
 }

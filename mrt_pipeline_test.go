@@ -12,12 +12,11 @@ import (
 // TestAnalysisFromMRTArchives proves the archive-grade path end to end:
 // the simulated stream is exported to MRT files (one RIB snapshot and one
 // update archive per collector, exactly what RIPE RIS publishes), read
-// back, and the churn analysis — with the burst reset heuristic, since
-// the ground-truth Transfer flags do not survive the format — produces
-// the same per-prefix change counts as the same heuristic applied to the
-// in-memory stream.
+// back, and the Figure 3 (left) analysis — with the burst reset
+// heuristic, since the ground-truth Transfer flags do not survive the
+// format — produces the same per-prefix change counts and ratios as the
+// same heuristic applied to the in-memory stream.
 func TestAnalysisFromMRTArchives(t *testing.T) {
-	w := smallWorld(t)
 	st := smallStream(t)
 
 	collector := st.Sessions[0].Collector
@@ -48,56 +47,49 @@ func TestAnalysisFromMRTArchives(t *testing.T) {
 		t.Fatalf("session count mismatch: %d vs %d", len(origIdx), len(imported.Sessions))
 	}
 
-	for local, si := range origIdx {
-		want := analysis.CountPathChanges(st, si, analysis.FilterHeuristic)
-		got := analysis.CountPathChanges(imported, local, analysis.FilterHeuristic)
-		// Compare over the prefixes present in the original count map.
-		diffs := 0
-		for p, n := range want {
-			if got[p] != n {
-				diffs++
-				if diffs <= 3 {
-					t.Logf("session %d prefix %v: archive count %d, in-memory %d",
-						si, p, got[p], n)
-				}
-			}
-		}
-		if diffs > 0 {
-			t.Fatalf("session %d: %d/%d prefixes disagree between archive and memory",
-				si, diffs, len(want))
+	// Every prefix's change count and ratio, Tor or background, survive
+	// the archive round trip for this collector's sessions.
+	all := make(map[netip.Prefix]bool)
+	for _, paths := range st.Initial {
+		for p := range paths {
+			all[p] = true
 		}
 	}
-
-	// The Figure 3 (left) headline statistic survives the archive round
-	// trip for this collector's sessions.
-	tor := w.TorPrefixSet()
-	ratiosMem, err := analysis.PathChangeRatios(st, tor, analysis.FilterHeuristic)
+	for _, u := range st.Updates {
+		all[u.Prefix] = true
+	}
+	ratiosMem, err := analysis.PathChangeRatios(st, all, analysis.FilterHeuristic)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ratiosArc, err := analysis.PathChangeRatios(imported, tor, analysis.FilterHeuristic)
+	ratiosArc, err := analysis.PathChangeRatios(imported, all, analysis.FilterHeuristic)
 	if err != nil {
 		t.Fatal(err)
 	}
-	memBySession := make(map[int]map[netip.Prefix]float64)
+	type sample struct {
+		session int
+		prefix  netip.Prefix
+	}
+	mem := make(map[sample]analysis.ChangeRatio)
 	for _, r := range ratiosMem {
-		if memBySession[r.Session] == nil {
-			memBySession[r.Session] = make(map[netip.Prefix]float64)
+		if st.Sessions[r.Session].Collector == collector {
+			mem[sample{r.Session, r.Prefix}] = r
 		}
-		memBySession[r.Session][r.Prefix] = r.Ratio
 	}
 	checked := 0
 	for _, r := range ratiosArc {
 		si := origIdx[r.Session]
-		if wantRatio, ok := memBySession[si][r.Prefix]; ok {
-			checked++
-			if wantRatio != r.Ratio {
-				t.Fatalf("ratio mismatch for %v on session %d: %.3f vs %.3f",
-					r.Prefix, si, r.Ratio, wantRatio)
-			}
+		want, ok := mem[sample{si, r.Prefix}]
+		if !ok || want.Changes != r.Changes || want.Ratio != r.Ratio {
+			t.Fatalf("session %d prefix %v: archive %d changes (ratio %.3f), in-memory %+v",
+				si, r.Prefix, r.Changes, r.Ratio, want)
 		}
+		checked++
+	}
+	if checked != len(mem) {
+		t.Fatalf("archive has %d samples, memory %d", checked, len(mem))
 	}
 	if checked == 0 {
-		t.Fatal("no comparable ratio samples")
+		t.Fatal("no comparable samples")
 	}
 }

@@ -1,13 +1,16 @@
 package quicksand
 
 import (
+	"net/netip"
 	"reflect"
 	"testing"
 	"time"
 
 	"quicksand/internal/analysis"
+	"quicksand/internal/bgp"
 	"quicksand/internal/bgpsim"
 	"quicksand/internal/tcpsim"
+	"quicksand/internal/torconsensus"
 )
 
 // cachedWorld/cachedStream cache the small world and its simulated month
@@ -168,6 +171,27 @@ func TestTorPrefixViews(t *testing.T) {
 		prev := list[i-1]
 		if c := prev.Addr().Compare(p.Addr()); c > 0 || c == 0 && prev.Bits() >= p.Bits() {
 			t.Errorf("sorted list has %v before %v", prev, p)
+		}
+	}
+}
+
+// TestGuardPrefixesTieBreak pins the order of guard prefixes with equal
+// bandwidth that share an address: by length, as bgp.ComparePrefix
+// orders them, whatever order the bandwidth map yields them in.
+func TestGuardPrefixesTieBreak(t *testing.T) {
+	wide, narrow := netip.MustParsePrefix("10.0.0.0/16"), netip.MustParsePrefix("10.0.0.0/24")
+	rib, err := analysis.BuildRIB(map[netip.Prefix]bgp.ASN{wide: 1, narrow: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	guard := torconsensus.FlagGuard | torconsensus.FlagRunning | torconsensus.FlagValid
+	w := &World{RIB: rib, Consensus: &torconsensus.Consensus{Relays: []torconsensus.Relay{
+		{Addr: netip.MustParseAddr("10.0.0.1"), Flags: guard, Bandwidth: 100}, // in narrow
+		{Addr: netip.MustParseAddr("10.0.5.1"), Flags: guard, Bandwidth: 100}, // in wide only
+	}}}
+	for range 20 {
+		if got := w.guardPrefixesByBandwidth(); !reflect.DeepEqual(got, []netip.Prefix{wide, narrow}) {
+			t.Fatalf("order %v, want %v before %v", got, wide, narrow)
 		}
 	}
 }

@@ -34,7 +34,8 @@
 #      metrics, with the resilience subcommand, with the bit trie, with
 #      the worker pools par's one fan-out replaced, with the churn
 #      analyses' per-call stream scanners, with the route kernel's rank
-#      array and phase-1 candidate arrays, or as duplicates of a
+#      array and phase-1 candidate arrays, as exports no product code
+#      used or copies of the one prefix order, or as duplicates of a
 #      bench/ metric or of a test the kill matrix keeps are named nowhere
 #      outside the history files (Go comments and scripts here;
 #      TestDocsCiteOnlyWhatExists checks the Markdown's paths and test
@@ -150,6 +151,14 @@ retired="$retired|Selector[)] (Rotate)|[.](Rotate)[(]"
 # key per AS, phase 3 takes minimums over it and phase 1 needs no
 # per-AS candidate state.
 retired="$retired|rank(Transit|IDBits)|cand(Seen|Next)"
+# So are the exported names no product code used (TestExportsHaveProductCallers
+# now fails on any new one), the helpers only they needed, and the four
+# hand-written copies of the prefix order bgp.ComparePrefix replaced.
+retired="$retired|Count(PathChanges)[(]|GuardExit(Relays)|ISP(Adversary)|DefaultAsymmetric(Config)"
+retired="$retired|Visible(Count)|New(StaticOracle)|Final(Frac)|[.](RAt)[(]|(^|[^A-Za-z])(Variance|Std(Dev))[(]"
+retired="$retired|Read(Pcap)|AS(PathFrom)|Config(73K)|Append(Canonical)|[.](ByAddr)[(]|SortBy(Bandwidth)"
+retired="$retired|Scrape(Target)|[.](Child|Annotate)[(]|obs[.](Float)|(^|[^A-Za-z])TCP(Packet)[(]"
+retired="$retired|put(Headers)|check(TCPPacket)|Histogram[)] (Quantile)|compare(Prefix)|sort(Prefixes)"
 if stale=$(git grep -nE "$retired" -- . ':!PAPER.md' \
     ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!bench'); then
     echo "FAIL: retired names still referenced:" >&2

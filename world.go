@@ -180,12 +180,7 @@ func (w *World) SortedTorPrefixes() []netip.Prefix {
 	for p := range w.TorPrefixes {
 		out = append(out, p)
 	}
-	slices.SortFunc(out, func(a, b netip.Prefix) int {
-		if c := a.Addr().Compare(b.Addr()); c != 0 {
-			return c
-		}
-		return a.Bits() - b.Bits()
-	})
+	slices.SortFunc(out, bgp.ComparePrefix)
 	return out
 }
 
