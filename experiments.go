@@ -342,14 +342,14 @@ func (w *World) RunHijackStudy(cfg HijackStudyConfig) (*HijackStudyResult, error
 		cfg.TopPrefixes = len(prefixes)
 	}
 	all := w.Topology.ASNs()
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := par.NewRand(cfg.Seed)
 	clients := sampleDistinctASNs(rng, all, cfg.ClientASes)
 
 	type trial struct{ capture, anonFrac float64 }
 	nTrials := cfg.TopPrefixes * cfg.Attackers
 	outs, err := par.Map(cfg.Workers, nTrials, func(i int) (trial, error) {
 		victim := w.Origins[prefixes[i/cfg.Attackers]]
-		trng := rand.New(rand.NewSource(par.TrialSeed(cfg.Seed, i)))
+		trng := par.NewRand(par.TrialSeed(cfg.Seed, i))
 		attacker, err := sampleAttacker(trng, all, victim)
 		if err != nil {
 			return trial{}, err
@@ -380,7 +380,7 @@ func (w *World) RunHijackStudy(cfg HijackStudyConfig) (*HijackStudyResult, error
 	// One more-specific hijack for the comparison row; its attacker draw
 	// gets the trial stream one past the hijack trials.
 	victim := w.Origins[prefixes[0]]
-	msRng := rand.New(rand.NewSource(par.TrialSeed(cfg.Seed, nTrials)))
+	msRng := par.NewRand(par.TrialSeed(cfg.Seed, nTrials))
 	attacker, err := sampleAttacker(msRng, all, victim)
 	if err != nil {
 		return nil, err
@@ -475,7 +475,7 @@ func (w *World) RunInterceptStudy(cfg InterceptStudyConfig) (*InterceptStudyResu
 	outs, err := par.Map(cfg.Workers, cfg.Trials, func(i int) (trial, error) {
 		victim := w.Origins[prefixes[i%min(len(prefixes), 10)]]
 		tseed := par.TrialSeed(cfg.Seed, i)
-		trng := rand.New(rand.NewSource(tseed))
+		trng := par.NewRand(tseed)
 		attacker, err := sampleAttacker(trng, all, victim)
 		if err != nil {
 			return trial{}, err
@@ -588,7 +588,7 @@ func (w *World) RunDefenseStudy(st *bgpsim.Stream, cfg DefenseStudyConfig) (*Def
 	if cfg.Circuits < 1 {
 		return nil, fmt.Errorf("quicksand: need at least one circuit")
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := par.NewRand(cfg.Seed)
 	res := &DefenseStudyResult{}
 
 	// --- relay selection defenses ---

@@ -64,26 +64,9 @@ type exportDecl struct {
 // that shares its identifier with a used one passes: the check is a
 // lower bound.
 func TestExportsHaveProductCallers(t *testing.T) {
-	fset := token.NewFileSet()
 	var decls []exportDecl
 	used := map[string]bool{}
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if path != "." && (strings.HasPrefix(d.Name(), ".") || path == "bench" || d.Name() == "testdata") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
+	forEachProductFile(t, func(path string, f *ast.File) {
 		declared := declIdents(f)
 		ast.Inspect(f, func(n ast.Node) bool {
 			if id, ok := n.(*ast.Ident); ok && !declared[id] {
@@ -94,11 +77,7 @@ func TestExportsHaveProductCallers(t *testing.T) {
 		if !strings.HasPrefix(path, "cmd/") && !strings.HasPrefix(path, "internal/testkit/") {
 			decls = append(decls, exportedDecls(f, path)...)
 		}
-		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	keys := map[string]bool{}
 	for _, d := range decls {
@@ -125,6 +104,69 @@ func TestExportsHaveProductCallers(t *testing.T) {
 	for _, key := range stale {
 		t.Errorf("exportAllow lists %s, which is not declared", key)
 	}
+}
+
+// forEachProductFile parses every non-test Go file of the module outside
+// bench/ (its own module), testdata and dot directories, and calls fn
+// with its slash path.
+func forEachProductFile(t *testing.T, fn func(path string, f *ast.File)) {
+	t.Helper()
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && (strings.HasPrefix(d.Name(), ".") || path == "bench" || d.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		fn(filepath.ToSlash(path), f)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRandStreamsUseNewRand fails on a call of math/rand's NewSource in
+// a non-test product file outside internal/par: every stream is built by
+// par.NewRand, which draws the same values but seeds in O(1), so a
+// stdlib source would only bring back the seeding cost.
+func TestRandStreamsUseNewRand(t *testing.T) {
+	forEachProductFile(t, func(path string, f *ast.File) {
+		if strings.HasPrefix(path, "internal/par/") {
+			return
+		}
+		names := map[string]bool{}
+		for _, imp := range f.Imports {
+			if imp.Path.Value == `"math/rand"` {
+				name := "rand"
+				if imp.Name != nil {
+					name = imp.Name.Name
+				}
+				names[name] = true
+			}
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			sel, ok := n.(*ast.SelectorExpr)
+			if !ok || sel.Sel.Name != "NewSource" {
+				return true
+			}
+			if x, ok := sel.X.(*ast.Ident); ok && names[x.Name] {
+				t.Errorf("%s: %s.NewSource: build the stream with par.NewRand", path, x.Name)
+			}
+			return true
+		})
+	})
 }
 
 // exportedDecls returns f's exported top-level names.

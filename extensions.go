@@ -12,7 +12,6 @@ package quicksand
 
 import (
 	"fmt"
-	"math/rand"
 	"net/netip"
 	"sort"
 	"time"
@@ -152,7 +151,7 @@ func (w *World) RunRotationStudy(cfg RotationStudyConfig) (*RotationStudyResult,
 	if len(extras) == 0 {
 		extras = []int{0, 1, 1, 2, 2, 3, 5}
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := par.NewRand(cfg.Seed)
 
 	// Malicious AS draw (shared across lifetimes so curves are
 	// comparable).
@@ -230,7 +229,7 @@ func (w *World) RunRotationStudy(cfg RotationStudyConfig) (*RotationStudyResult,
 		lseed := par.TrialSeed(cfg.Seed, lifetime)
 		firstHit, err := par.Map(cfg.Workers, cfg.Clients, func(c int) (int, error) {
 			cseed := par.TrialSeed(lseed, c)
-			crng := rand.New(rand.NewSource(cseed))
+			crng := par.NewRand(cseed)
 			client := stubs[crng.Intn(len(stubs))]
 			var gs *torpath.GuardSet
 			for m := 0; m < cfg.Months; m++ {
@@ -364,7 +363,7 @@ func (w *World) RunROVStudy(cfg ROVStudyConfig) (*ROVStudyResult, error) {
 	if len(cfg.Deployments) == 0 || cfg.Attackers < 1 {
 		return nil, fmt.Errorf("quicksand: ROV study needs deployments and attackers")
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := par.NewRand(cfg.Seed)
 	prefixes := w.guardPrefixesByBandwidth()
 	if len(prefixes) == 0 {
 		return nil, fmt.Errorf("quicksand: no guard prefixes")

@@ -37,7 +37,7 @@ func NewBackoff(base, max, healthyAfter time.Duration, seed int64, key string) *
 		max:          max,
 		healthyAfter: healthyAfter,
 		cur:          base,
-		rng:          rand.New(rand.NewSource(par.TrialSeed(seed, int(h.Sum64()%(1<<31))))),
+		rng:          par.NewRand(par.TrialSeed(seed, int(h.Sum64()%(1<<31)))),
 	}
 }
 

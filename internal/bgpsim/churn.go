@@ -206,7 +206,7 @@ func (s *Sim) Run(cfg Config) (*Stream, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := par.NewRand(cfg.Seed)
 	end := cfg.Start.Add(cfg.Duration)
 
 	st := &Stream{Start: cfg.Start, End: end, Initial: make(map[int]map[netip.Prefix][]bgp.ASN)}

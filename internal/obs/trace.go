@@ -40,9 +40,6 @@ func String(k, v string) Attr { return Attr{k, v} }
 // Int builds an integer attribute.
 func Int(k string, v int) Attr { return Attr{k, v} }
 
-// Int64 builds a 64-bit integer attribute.
-func Int64(k string, v int64) Attr { return Attr{k, v} }
-
 // NewTracer returns a tracer writing span records to w as JSONL; w may
 // be nil for a summary-only tracer. attrs are stamped on every record.
 func NewTracer(w io.Writer, attrs ...Attr) *Tracer {

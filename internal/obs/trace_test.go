@@ -14,7 +14,7 @@ func TestTracerJSONLAndSummary(t *testing.T) {
 	var buf strings.Builder
 	tr := NewTracer(&buf, String("run", "abcd1234"))
 	root := tr.Start("experiment", String("experiment", "hijack"))
-	child := tr.Start("trial", Int("trial", 0), Int64("captured", 25))
+	child := tr.Start("trial", Int("trial", 0), Int("captured", 25))
 	child.End()
 	child.End() // double End must no-op
 	root.End()

@@ -81,25 +81,6 @@ func foldChecksum(sum uint32) uint16 {
 	return ^uint16(sum)
 }
 
-// Marshal encodes the header followed by payload into a full IPv4 packet,
-// computing TotalLen (when zero) and the header checksum.
-func (h *IPv4Header) Marshal(payload []byte) ([]byte, error) {
-	if !h.Src.Is4() || !h.Dst.Is4() {
-		return nil, fmt.Errorf("packet: IPv4 header needs IPv4 addresses, got %v -> %v", h.Src, h.Dst)
-	}
-	totalLen := int(h.TotalLen)
-	if totalLen == 0 {
-		if ipv4HeaderLen+len(payload) > 0xFFFF {
-			return nil, fmt.Errorf("packet: payload %d bytes too large", len(payload))
-		}
-		totalLen = ipv4HeaderLen + len(payload)
-	}
-	buf := make([]byte, ipv4HeaderLen+len(payload))
-	h.put(buf, totalLen)
-	copy(buf[ipv4HeaderLen:], payload)
-	return buf, nil
-}
-
 // put writes the option-less header into b[:20], with TotalLen totalLen
 // and the header checksum. h's addresses must be IPv4.
 func (h *IPv4Header) put(b []byte, totalLen int) {
@@ -184,18 +165,6 @@ func pseudoHeaderSum(src, dst netip.Addr, tcpLen int) uint32 {
 	sum += uint32(ProtoTCP)
 	sum += uint32(tcpLen)
 	return sum
-}
-
-// Marshal encodes the TCP header and payload into a segment, computing the
-// checksum over the pseudo-header for src/dst.
-func (h *TCPHeader) Marshal(src, dst netip.Addr, payload []byte) ([]byte, error) {
-	if !src.Is4() || !dst.Is4() {
-		return nil, fmt.Errorf("packet: TCP pseudo-header needs IPv4 addresses")
-	}
-	seg := make([]byte, tcpHeaderLen+len(payload))
-	copy(seg[tcpHeaderLen:], payload)
-	h.put(seg, src, dst, len(payload), checksum(0, payload))
-	return seg, nil
 }
 
 // put writes the option-less header into b[:20], with the checksum of a

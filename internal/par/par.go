@@ -16,9 +16,21 @@
 //
 //  1. results are collected positionally (trial i writes slot i), so
 //     scheduling order never reorders output;
-//  2. no trial reads a shared RNG — each derives its own rand.Source
-//     from TrialSeed(studySeed, i), so no trial's draws depend on how
-//     many trials ran before it on the same goroutine.
+//  2. no trial reads a shared RNG — each seeds its own stream from
+//     TrialSeed(studySeed, i), so no trial's draws depend on how many
+//     trials ran before it on the same goroutine.
+//
+// Every stream in the program is a NewRand. It draws exactly what
+// rand.New(rand.NewSource(seed)) draws, so no output depends on it, but
+// seeding costs nanoseconds rather than math/rand's 1,841 LCG steps into
+// a 4.9 KB state. It is exact because math/rand's seeding is closed
+// form: state word i is cooked[i] XOR three values of the LCG
+// x' = 48271·x mod (2³¹−1), and the n-th LCG value is x₀·48271ⁿ, one
+// multiplication by a precomputed power. The additive generator's first
+// 273 draws each add two words no earlier draw wrote, so a stream's first
+// draws need only those words; the full state is built once a stream
+// outlives them. cooked is solved once from math/rand's own first 607
+// outputs, not copied, and TestNewRandMatchesStdlib checks the draws.
 //
 // Stdlib only.
 package par

@@ -98,10 +98,6 @@ type Matrix struct {
 // Guards returns the guard ASes, in configuration order. Read-only.
 func (m *Matrix) Guards() []bgp.ASN { return m.guards }
 
-// Clients returns the number of client ASes covered (every AS in the
-// graph snapshot).
-func (m *Matrix) Clients() int { return m.c.Len() }
-
 // Pairs returns the number of (client, guard) resilience values held.
 func (m *Matrix) Pairs() int { return len(m.guards) * m.c.Len() }
 
@@ -213,7 +209,8 @@ func Compute(g *topology.Graph, cfg Config, met *Metrics) (*Matrix, error) {
 	// count, not allocation, bounds the run's working memory.
 	bufs := make([]shardBuf, min(par.Workers(cfg.Workers), len(cfg.Guards)))
 	for i := range bufs {
-		bufs[i] = shardBuf{counts: make([]int32, n), inSample: make([]bool, n), swap: make(map[int]int)}
+		bufs[i] = shardBuf{counts: make([]int32, n), inSample: make([]bool, n), swap: make(map[int]int),
+			rng: par.NewRand(0)}
 	}
 	tableCounts := make([]int, len(cfg.Guards))
 	err := par.ForEachWorker(len(bufs), len(cfg.Guards), func(w, gi int) error {
@@ -230,8 +227,8 @@ func Compute(g *topology.Graph, cfg Config, met *Metrics) (*Matrix, error) {
 				}
 			}
 		} else {
-			rng := rand.New(rand.NewSource(par.TrialSeed(cfg.Seed, gi)))
-			b.attackers = sampleIDs(b.attackers, b.swap, rng, n, gID, budget)
+			b.rng.Seed(par.TrialSeed(cfg.Seed, gi))
+			b.attackers = sampleIDs(b.attackers, b.swap, b.rng, n, gID, budget)
 		}
 		for _, aid := range b.attackers {
 			b.inSample[aid] = true
@@ -286,8 +283,8 @@ func Compute(g *topology.Graph, cfg Config, met *Metrics) (*Matrix, error) {
 }
 
 // shardBuf is one worker's working memory, reused for every guard the
-// worker takes: the route engine's scratch, the table it fills, and the
-// per-guard tallies.
+// worker takes: the route engine's scratch, the table it fills, the
+// per-guard tallies, and the random stream each guard reseeds.
 type shardBuf struct {
 	scratch   topology.Scratch
 	routes    *topology.CompiledRoutes
@@ -295,6 +292,7 @@ type shardBuf struct {
 	inSample  []bool  // client id is one of this guard's attackers
 	attackers []int32
 	swap      map[int]int // sampleIDs' sparse permutation
+	rng       *rand.Rand
 }
 
 // sampleIDs appends m distinct ids drawn uniformly from [0, n) \ {skip}

@@ -173,9 +173,6 @@ func TestMatrixAccessors(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := g.Compiled().Len()
-	if mx.Clients() != n {
-		t.Fatalf("Clients() = %d, want %d", mx.Clients(), n)
-	}
 	if mx.Pairs() != n*len(guards) {
 		t.Fatalf("Pairs() = %d, want %d", mx.Pairs(), n*len(guards))
 	}

@@ -71,15 +71,6 @@ func Mean(xs []float64) (float64, error) {
 	return sum / float64(len(xs)), nil
 }
 
-// Sum returns the sum of xs (0 for an empty slice).
-func Sum(xs []float64) float64 {
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-	}
-	return sum
-}
-
 // Min returns the minimum of xs, or ErrEmpty.
 func Min(xs []float64) (float64, error) {
 	if len(xs) == 0 {
@@ -181,31 +172,6 @@ func CCDFAt(pts []CCDFPoint, v float64) float64 {
 		return 0
 	}
 	return pts[i].Percent
-}
-
-// Histogram counts how many samples fall into each of nbins equal-width
-// bins spanning [lo, hi). Samples outside the range are clamped into the
-// first or last bin. It returns an error when nbins <= 0 or hi <= lo.
-func Histogram(xs []float64, lo, hi float64, nbins int) ([]int, error) {
-	if nbins <= 0 {
-		return nil, fmt.Errorf("stats: nbins must be positive, got %d", nbins)
-	}
-	if hi <= lo {
-		return nil, fmt.Errorf("stats: invalid range [%v, %v)", lo, hi)
-	}
-	counts := make([]int, nbins)
-	width := (hi - lo) / float64(nbins)
-	for _, x := range xs {
-		i := int((x - lo) / width)
-		if i < 0 {
-			i = 0
-		}
-		if i >= nbins {
-			i = nbins - 1
-		}
-		counts[i]++
-	}
-	return counts, nil
 }
 
 // ChiSquare computes Pearson's chi-square goodness-of-fit statistic for

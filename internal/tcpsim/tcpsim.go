@@ -21,11 +21,11 @@ package tcpsim
 
 import (
 	"fmt"
-	"math/rand"
 	"net/netip"
 	"time"
 
 	"quicksand/internal/packet"
+	"quicksand/internal/par"
 )
 
 // Record is one captured packet: a snaplen-truncated raw IPv4 packet plus
@@ -217,13 +217,33 @@ func (h *eventHeap) pop() simEvent {
 	return e
 }
 
+// newTraces returns captures presized for cfg's download, so appending
+// records never regrows them: the server sends ceil(FileSize/MSS)
+// segments plus a few retransmissions, and the exit acknowledges at most
+// once per segment it receives; the guard sends the cell stream (every
+// cellPayload bytes framed into a cellSize cell, the last one padded) in
+// MSS segments, which the client acknowledges every second one and for
+// every segment after the last delivery.
+func newTraces(cfg *Config) *Traces {
+	segs := (cfg.FileSize + cfg.MSS - 1) / cfg.MSS
+	sent := segs + segs/64 + 16
+	cellBytes := (cfg.FileSize + cellPayload - 1) / cellPayload * cellSize
+	cellSegs := (cellBytes+cfg.MSS-1)/cfg.MSS + 1
+	return &Traces{
+		ServerToExit:  make([]Record, 0, sent),
+		ExitToServer:  make([]Record, 0, sent),
+		GuardToClient: make([]Record, 0, cellSegs),
+		ClientToGuard: make([]Record, 0, cellSegs/2+cellSegs/32+16),
+	}
+}
+
 // Run simulates the download and returns the four captures.
 func Run(cfg Config) (*Traces, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	tr := &Traces{}
+	rng := par.NewRand(cfg.Seed)
+	tr := newTraces(&cfg)
 
 	jitter := func() time.Duration {
 		if cfg.Jitter == 0 {
@@ -279,7 +299,7 @@ func Run(cfg Config) (*Traces, error) {
 	// Rate modulation: each RatePeriod gets a persistent random factor,
 	// drawn lazily from a dedicated RNG so the factor sequence depends
 	// only on the seed, not on the packet schedule.
-	rateRng := rand.New(rand.NewSource(cfg.Seed ^ 0x5eed))
+	rateRng := par.NewRand(cfg.Seed ^ 0x5eed)
 	rateFactors := make([]float64, 0, 256)
 	rateFactor := func(at time.Time) float64 {
 		if cfg.RateVariation == 0 {

@@ -263,3 +263,43 @@ func BenchmarkRun2MB(b *testing.B) {
 		}
 	}
 }
+
+// TestCapturesPresized checks that no capture outgrows the capacity
+// newTraces gives it, over the file sizes the experiments use, at the
+// default loss rate.
+func TestCapturesPresized(t *testing.T) {
+	for _, size := range []int{64 << 10, 1 << 20, 2 << 20, 4 << 20} {
+		for seed := int64(1); seed <= 3; seed++ {
+			cfg := DefaultConfig()
+			cfg.FileSize, cfg.Seed = size, seed
+			tr, want := mustRun(t, cfg), newTraces(&cfg)
+			for _, c := range []struct {
+				name     string
+				got, cap []Record
+			}{
+				{"server->exit", tr.ServerToExit, want.ServerToExit},
+				{"exit->server", tr.ExitToServer, want.ExitToServer},
+				{"guard->client", tr.GuardToClient, want.GuardToClient},
+				{"client->guard", tr.ClientToGuard, want.ClientToGuard},
+			} {
+				if cap(c.got) != cap(c.cap) {
+					t.Errorf("size %d seed %d: %s grew to %d records past its %d", size, seed, c.name, len(c.got), cap(c.cap))
+				}
+			}
+		}
+	}
+}
+
+// TestRunAllocs bounds a 2 MB download's allocations: the presized
+// captures, the capture slabs (about four 64 KB chunks), the event heap's
+// growth and the loss bookkeeping. Captures regrowing record by record
+// would add about forty.
+func TestRunAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under -race")
+	}
+	cfg := smallConfig()
+	if a := testing.AllocsPerRun(3, func() { mustRun(t, cfg) }); a > 50 {
+		t.Errorf("Run allocates %.0f times, want at most 50", a)
+	}
+}

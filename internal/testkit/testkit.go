@@ -38,5 +38,5 @@ import (
 // engine so testkit scenarios and experiment trials never correlate by
 // accident.
 func Rand(seed int64, i int) *rand.Rand {
-	return rand.New(rand.NewSource(par.TrialSeed(seed, i)))
+	return par.NewRand(par.TrialSeed(seed, i))
 }

@@ -2,10 +2,10 @@ package topology
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 
 	"quicksand/internal/bgp"
+	"quicksand/internal/par"
 )
 
 // GenConfig parameterises the synthetic Internet generator. The defaults
@@ -71,7 +71,7 @@ func Generate(cfg GenConfig) (*Graph, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := par.NewRand(cfg.Seed)
 	g := NewGraph()
 
 	tier1 := make([]bgp.ASN, cfg.Tier1)

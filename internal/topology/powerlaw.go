@@ -144,7 +144,7 @@ func GeneratePowerLaw(cfg PowerLawConfig) (*Graph, error) {
 	if maxW < 1 {
 		maxW = 1
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := par.NewRand(cfg.Seed)
 	g := NewGraph()
 
 	// Core clique.
@@ -245,14 +245,22 @@ func GeneratePowerLaw(cfg PowerLawConfig) (*Graph, error) {
 
 	// Stub fringe: every remaining AS multihomes into the transit layer
 	// preferentially by weight. The draws fan out over the worker pool —
-	// each stub derives its own RNG from (Seed, index), so the picks
+	// each stub reseeds its worker's RNG from (Seed, index), so the picks
 	// (and therefore the graph) are identical for any worker count —
-	// and are applied sequentially in index order.
+	// and are applied sequentially in index order. Stub i's picks live in
+	// its MaxProviders-wide window of one shared buffer.
 	stubs := cfg.N - cfg.Tier1 - m
-	picks, err := par.Map(cfg.Workers, stubs, func(i int) ([]int32, error) {
-		trng := rand.New(rand.NewSource(par.TrialSeed(cfg.Seed, i)))
+	picks := make([][]int32, stubs)
+	window := make([]int32, stubs*cfg.MaxProviders)
+	rngs := make([]*rand.Rand, par.Workers(cfg.Workers))
+	for w := range rngs {
+		rngs[w] = par.NewRand(0)
+	}
+	par.ForEachWorker(len(rngs), stubs, func(w, i int) error {
+		trng := rngs[w]
+		trng.Seed(par.TrialSeed(cfg.Seed, i))
 		n := 1 + trng.Intn(cfg.MaxProviders)
-		out := make([]int32, 0, n)
+		out := window[i*cfg.MaxProviders : i*cfg.MaxProviders : i*cfg.MaxProviders+n]
 		for k := 0; k < n; k++ {
 			for attempt := 0; ; attempt++ {
 				j := int32(weightedPick(trng, cum))
@@ -272,11 +280,9 @@ func GeneratePowerLaw(cfg PowerLawConfig) (*Graph, error) {
 				}
 			}
 		}
-		return out, nil
+		picks[i] = out
+		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
 	for i, ps := range picks {
 		asn := bgp.ASN(cfg.Tier1 + m + 1 + i)
 		g.AddAS(asn).Tier = 3

@@ -1,6 +1,9 @@
 package topology
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"runtime"
 	"sync"
 	"testing"
@@ -18,9 +21,10 @@ import (
 const budgetBytesPerASTable = 12
 
 var topo73k struct {
-	once sync.Once
-	g    *Graph
-	err  error
+	once   sync.Once
+	g      *Graph
+	err    error
+	digest string // graphDigest of g as generated, before any test churns it
 }
 
 // graph73K returns the shared full-Internet-scale topology, generating
@@ -36,11 +40,46 @@ func graph73K(t *testing.T) *Graph {
 	}
 	topo73k.once.Do(func() {
 		topo73k.g, topo73k.err = GeneratePowerLaw(DefaultPowerLawConfig(73000))
+		if topo73k.err == nil {
+			topo73k.digest = graphDigest(topo73k.g)
+		}
 	})
 	if topo73k.err != nil {
 		t.Fatalf("generating 73K topology: %v", topo73k.err)
 	}
 	return topo73k.g
+}
+
+// graphDigest hashes g per AS in ascending ASN order: its ASN, tier and
+// then its customers, peers and providers, each list length-prefixed
+// and in adjacency order.
+func graphDigest(g *Graph) string {
+	h := sha256.New()
+	var buf []byte
+	for _, asn := range g.ASNs() {
+		a := g.AS(asn)
+		buf = binary.BigEndian.AppendUint32(buf[:0], uint32(asn))
+		buf = binary.BigEndian.AppendUint32(buf, uint32(a.Tier))
+		for _, list := range [][]bgp.ASN{a.Customers(), a.Peers(), a.Providers()} {
+			buf = binary.BigEndian.AppendUint32(buf, uint32(len(list)))
+			for _, n := range list {
+				buf = binary.BigEndian.AppendUint32(buf, uint32(n))
+			}
+		}
+		h.Write(buf)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestPowerLawDigest pins the 73K generator's output bit for bit: the
+// routes-73k benchmark's input is this graph, so any change to the
+// generator's draws (or to the random source under them) shows here.
+func TestPowerLawDigest(t *testing.T) {
+	graph73K(t)
+	const want = "33e52e8ef64f8230ebe20b988a5c8eb630b9f33e452c79c70139091724768258"
+	if topo73k.digest != want {
+		t.Errorf("73K graph digest = %s, want %s", topo73k.digest, want)
+	}
 }
 
 // TestTopo73KSmoke is the 73K correctness gate: the full-Internet

@@ -3,12 +3,12 @@ package torconsensus
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"net/netip"
 	"slices"
 	"time"
 
 	"quicksand/internal/bgp"
+	"quicksand/internal/par"
 )
 
 // EvolveConfig parameterises one epoch of relay churn: the Tor network's
@@ -68,7 +68,7 @@ func Evolve(cur *Consensus, host *Hosting, cfg EvolveConfig, validAfter time.Tim
 	if cur == nil || host == nil {
 		return nil, fmt.Errorf("torconsensus: nil consensus or hosting")
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := par.NewRand(cfg.Seed)
 	next := &Consensus{
 		ValidAfter: validAfter,
 		FreshUntil: validAfter.Add(time.Hour),

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"quicksand/internal/bgp"
+	"quicksand/internal/par"
 )
 
 // Hosting records where generated relays live in address space: which
@@ -133,7 +134,7 @@ func GenerateConsensus(cfg GenConfig) (*Consensus, *Hosting, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, nil, err
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := par.NewRand(cfg.Seed)
 
 	guardExit := cfg.Guards + cfg.Exits - cfg.Both
 	middles := cfg.Total - guardExit

@@ -16,6 +16,7 @@ import (
 	"net/netip"
 	"time"
 
+	"quicksand/internal/par"
 	"quicksand/internal/torconsensus"
 )
 
@@ -27,7 +28,7 @@ type Selector struct {
 
 // NewSelector returns a Selector over cons seeded with seed.
 func NewSelector(cons *torconsensus.Consensus, seed int64) *Selector {
-	return &Selector{cons: cons, rng: rand.New(rand.NewSource(seed))}
+	return &Selector{cons: cons, rng: par.NewRand(seed)}
 }
 
 // Consensus returns the consensus this selector draws from.
@@ -248,11 +249,6 @@ type Circuit struct {
 	Guard  *torconsensus.Relay
 	Middle *torconsensus.Relay
 	Exit   *torconsensus.Relay
-}
-
-// Relays returns the circuit's hops in order.
-func (c Circuit) Relays() []*torconsensus.Relay {
-	return []*torconsensus.Relay{c.Guard, c.Middle, c.Exit}
 }
 
 // BuildCircuit constructs a circuit: a uniformly-chosen guard from the

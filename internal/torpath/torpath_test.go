@@ -100,7 +100,7 @@ func TestBuildCircuitConstraints(t *testing.T) {
 		if !c.Exit.IsExit() || !c.Exit.AllowsPort(443) {
 			t.Fatalf("bad exit %+v", c.Exit)
 		}
-		rs := c.Relays()
+		rs := []*torconsensus.Relay{c.Guard, c.Middle, c.Exit}
 		for i := 0; i < len(rs); i++ {
 			for j := i + 1; j < len(rs); j++ {
 				if rs[i].Identity == rs[j].Identity {

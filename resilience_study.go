@@ -3,7 +3,6 @@ package quicksand
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"quicksand/internal/attacks"
 	"quicksand/internal/bgp"
@@ -137,7 +136,7 @@ func (w *World) RunResilienceStudy(cfg ResilienceStudyConfig) (*ResilienceStudyR
 	}
 
 	all := w.Topology.ASNs()
-	clients := sampleDistinctASNs(rand.New(rand.NewSource(cfg.Seed)), all, cfg.Clients)
+	clients := sampleDistinctASNs(par.NewRand(cfg.Seed), all, cfg.Clients)
 
 	res := &ResilienceStudyResult{
 		GuardASes:         len(guardASes),
@@ -243,7 +242,7 @@ func (w *World) RunResilienceStudy(cfg ResilienceStudyConfig) (*ResilienceStudyR
 				anonFrac float64
 			}
 			trials, err := par.Map(cfg.Workers, cfg.HijackTrials, func(t int) (trial, error) {
-				trng := rand.New(rand.NewSource(par.TrialSeed(cfg.Seed, base+cfg.Clients+t)))
+				trng := par.NewRand(par.TrialSeed(cfg.Seed, base+cfg.Clients+t))
 				ci := trng.Intn(len(clients))
 				gases := picks[ci].guardASp
 				victim := gases[trng.Intn(len(gases))]

@@ -35,11 +35,11 @@
 #      the worker pools par's one fan-out replaced, with the churn
 #      analyses' per-call stream scanners, with the route kernel's rank
 #      array and phase-1 candidate arrays, as exports no product code
-#      used or copies of the one prefix order, or as duplicates of a
-#      bench/ metric or of a test the kill matrix keeps are named nowhere
-#      outside the history files (Go comments and scripts here;
-#      TestDocsCiteOnlyWhatExists checks the Markdown's paths and test
-#      names)
+#      used (two sweeps) or copies of the one prefix order, or as
+#      duplicates of a bench/ metric or of a test the kill matrix keeps
+#      are named nowhere outside the history files (Go comments and
+#      scripts here; TestDocsCiteOnlyWhatExists checks the Markdown's
+#      paths and test names)
 #  10. fuzz smoke: every Fuzz* target for FUZZTIME (default 10s)
 #  11. per-package coverage floors (see floor() below)
 #
@@ -159,6 +159,13 @@ retired="$retired|Visible(Count)|New(StaticOracle)|Final(Frac)|[.](RAt)[(]|(^|[^
 retired="$retired|Read(Pcap)|AS(PathFrom)|Config(73K)|Append(Canonical)|[.](ByAddr)[(]|SortBy(Bandwidth)"
 retired="$retired|Scrape(Target)|[.](Child|Annotate)[(]|obs[.](Float)|(^|[^A-Za-z])TCP(Packet)[(]"
 retired="$retired|put(Headers)|check(TCPPacket)|Histogram[)] (Quantile)|compare(Prefix)|sort(Prefixes)"
+# So are the exports the second sweep found with no product caller:
+# stats' histogram and sum, obs's 64-bit attribute, the circuit's relay
+# list, the matrix's client count and the packet headers' encoders (the
+# packet tests keep their own), with the stats tests only they needed.
+retired="$retired|stats[.](Histogram|Sum)[(]|func (Histogram|Sum)[(]|obs[.](Int64)[(]|func (Int64)[(]"
+retired="$retired|[.](Relays|Clients)[(][)]|[*](TCPHeader|IPv4Header)[)] (Marshal)"
+retired="$retired|Test(Histogram)(Errors)?[(]|TestMean(Sum)MinMax"
 if stale=$(git grep -nE "$retired" -- . ':!PAPER.md' \
     ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!bench'); then
     echo "FAIL: retired names still referenced:" >&2

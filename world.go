@@ -23,7 +23,6 @@ package quicksand
 
 import (
 	"fmt"
-	"math/rand"
 	"net/netip"
 	"slices"
 	"sync"
@@ -31,6 +30,7 @@ import (
 	"quicksand/internal/analysis"
 	"quicksand/internal/bgp"
 	"quicksand/internal/bgpsim"
+	"quicksand/internal/par"
 	"quicksand/internal/resilience"
 	"quicksand/internal/tcpsim"
 	"quicksand/internal/topology"
@@ -198,7 +198,7 @@ func BuildWorld(cfg WorldConfig) (*World, error) {
 	if err != nil {
 		return nil, fmt.Errorf("quicksand: topology: %w", err)
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := par.NewRand(cfg.Seed)
 
 	// Relay hosting ASes come from the stub tier (hosting providers are
 	// edge networks), shuffled deterministically.
