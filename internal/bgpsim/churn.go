@@ -252,6 +252,23 @@ func (s *Sim) Run(cfg Config) (*Stream, error) {
 	workers := par.Workers(monthWorkers)
 	scratches := make([]topology.Scratch, workers)
 	tables := make([]*topology.CompiledRoutes, len(s.asns))
+	// pathFor reads session si's path off rt, a table toward origin oi,
+	// into worker wi's buffer. While that path equals the one last taken
+	// for (oi, si), it returns that one, so an unchanged path costs no
+	// allocation; paths are read-only and shared.
+	last := make([][]bgp.ASN, len(s.asns)*nS)
+	bufs := make([][]bgp.ASN, workers)
+	pathFor := func(wi int, rt *topology.CompiledRoutes, oi int32, si int) []bgp.ASN {
+		var ok bool
+		if bufs[wi], ok = rt.AppendPathFrom(bufs[wi][:0], st.Sessions[si].PeerAS); !ok {
+			return nil
+		}
+		p := &last[int(oi)*nS+si]
+		if !slices.Equal(*p, bufs[wi]) {
+			*p = slices.Clone(bufs[wi])
+		}
+		return *p
+	}
 	// paths[k*nS+si] is session si's path from the table recompute just
 	// made for origin aff[k]: taken once per (origin, session), nil when
 	// the session is down or sees none of the origin's prefixes.
@@ -273,7 +290,7 @@ func (s *Sim) Run(cfg Config) (*Stream, error) {
 			for si := range st.Sessions {
 				var path []bgp.ASN
 				if up(t, si) && slices.ContainsFunc(s.idsOf[oi], func(pid int32) bool { return vis[si][pid] }) {
-					path, _ = rt.PathFrom(st.Sessions[si].PeerAS)
+					path = pathFor(wi, rt, oi, si)
 				}
 				paths[k*nS+si] = path
 			}
@@ -328,7 +345,9 @@ func (s *Sim) Run(cfg Config) (*Stream, error) {
 	}
 
 	// emit announces newPath for prefix pid on session si, read off rt,
-	// when it differs from what the session last announced.
+	// when it differs from what the session last announced. Updates go to
+	// log in emission order; the stream lays them out by time at the end.
+	var log updateLog
 	var nbrs []bgp.ASN
 	emit := func(t time.Time, si int, pid int32, rt *topology.CompiledRoutes, newPath []bgp.ASN) {
 		if slices.Equal(newPath, known[si][pid]) {
@@ -346,14 +365,10 @@ func (s *Sim) Run(cfg Config) (*Stream, error) {
 				if half := int64(cfg.ConvergenceDelay) / 2; half > 0 {
 					dt = time.Duration(rng.Int63n(half))
 				}
-				st.Updates = append(st.Updates, UpdateEvent{
-					Time: t.Add(dt), Session: si, Prefix: p, Path: n,
-				})
+				log.add(UpdateEvent{Time: t.Add(dt), Session: si, Prefix: p, Path: n})
 			}
 		}
-		st.Updates = append(st.Updates, UpdateEvent{
-			Time: t.Add(cfg.ConvergenceDelay), Session: si, Prefix: p, Path: newPath,
-		})
+		log.add(UpdateEvent{Time: t.Add(cfg.ConvergenceDelay), Session: si, Prefix: p, Path: newPath})
 		known[si][pid] = newPath
 	}
 
@@ -361,8 +376,7 @@ func (s *Sim) Run(cfg Config) (*Stream, error) {
 		rt := tableFor(pid)
 		for si := range st.Sessions {
 			if vis[si][pid] && up(t, si) { // a down session does not see the change
-				newPath, _ := rt.PathFrom(st.Sessions[si].PeerAS)
-				emit(t, si, pid, rt, newPath)
+				emit(t, si, pid, rt, pathFor(0, rt, s.originOf[pid], si))
 			}
 		}
 	}
@@ -521,12 +535,10 @@ func (s *Sim) Run(cfg Config) (*Stream, error) {
 			}
 			peer := st.Sessions[ev.si].PeerAS
 			for _, pid := range visIDs[ev.si] {
-				path, _ := tableFor(pid).PathFrom(peer)
+				path := pathFor(0, tableFor(pid), s.originOf[pid], ev.si)
 				known[ev.si][pid] = path
 				if path != nil {
-					st.Updates = append(st.Updates, UpdateEvent{
-						Time: ev.at, Session: ev.si, Prefix: s.prefixes[pid], Path: path, Transfer: true,
-					})
+					log.add(UpdateEvent{Time: ev.at, Session: ev.si, Prefix: s.prefixes[pid], Path: path, Transfer: true})
 				}
 			}
 			if cfg.TransferCheck != nil {
@@ -546,7 +558,7 @@ func (s *Sim) Run(cfg Config) (*Stream, error) {
 		}
 	}
 
-	slices.SortStableFunc(st.Updates, func(a, b UpdateEvent) int { return a.Time.Compare(b.Time) })
+	st.Updates = log.byTime()
 	slices.SortStableFunc(st.Resets, func(a, b ResetEvent) int { return a.Down.Compare(b.Down) })
 	return st, nil
 }

@@ -6,7 +6,6 @@ import (
 	"io"
 	"net/netip"
 	"slices"
-	"sort"
 	"time"
 
 	"quicksand/internal/bgp"
@@ -62,17 +61,22 @@ func (st *Stream) ExportRIB(w io.Writer, collector string) error {
 	}
 	slices.SortFunc(prefixes, bgp.ComparePrefix)
 
+	// One record and one segment per session serve every prefix:
+	// WriteRIB encodes them before the next prefix reuses them.
+	rec := &mrt.RIBIPv4Unicast{}
+	segs := make([]bgp.Segment, len(sessIdx))
 	for seq, p := range prefixes {
-		rec := &mrt.RIBIPv4Unicast{Sequence: uint32(seq), Prefix: p}
+		rec.Sequence, rec.Prefix, rec.Entries = uint32(seq), p, rec.Entries[:0]
 		for local, si := range sessIdx {
 			path, ok := st.Initial[si][p]
 			if !ok {
 				continue
 			}
+			segs[local] = bgp.Segment{Type: bgp.SegmentSequence, ASes: path}
 			rec.Entries = append(rec.Entries, mrt.RIBEntry{
 				PeerIndex:      local,
 				OriginatedTime: st.Start,
-				Attrs:          pathAttrs(path, si),
+				Attrs:          pathAttrs(segs[local:local+1:local+1], si),
 			})
 		}
 		if len(rec.Entries) == 0 {
@@ -85,10 +89,13 @@ func (st *Stream) ExportRIB(w io.Writer, collector string) error {
 	return nil
 }
 
-func pathAttrs(path []bgp.ASN, si int) bgp.PathAttributes {
+// pathAttrs is the attribute set of every exported route: IGP origin, the
+// path as seg (one AS_SEQUENCE segment, borrowed, not copied) and session
+// si's address as next hop.
+func pathAttrs(seg []bgp.Segment, si int) bgp.PathAttributes {
 	return bgp.PathAttributes{
 		HasOrigin: true, Origin: bgp.OriginIGP,
-		HasASPath: true, ASPath: bgp.Sequence(path...),
+		HasASPath: true, ASPath: bgp.ASPath{Segments: seg},
 		NextHop: sessionPeerIP(si),
 	}
 }
@@ -99,63 +106,66 @@ func pathAttrs(path []bgp.ASN, si int) bgp.PathAttributes {
 // Transfer flag is intentionally not representable — real archives don't
 // carry it either, which is what makes reset filtering a heuristic.
 func (st *Stream) ExportUpdates(w io.Writer, collector string) error {
-	mw := mrt.NewWriter(w)
-	type item struct {
-		at      time.Time
-		update  *UpdateEvent
-		reset   *ResetEvent
-		resetUp bool
-	}
-	var items []item
+	// The records in time order, ties in the order they are listed here:
+	// updates, then resets with each reset's down before its up. A key's
+	// index is the update's, or nU + 2*reset (+1 for the up).
+	nU, n := len(st.Updates), 0
 	for i := range st.Updates {
-		u := &st.Updates[i]
-		if st.Sessions[u.Session].Collector == collector {
-			items = append(items, item{at: u.Time, update: u})
+		if st.Sessions[st.Updates[i].Session].Collector == collector {
+			n++
+		}
+	}
+	keys := make([]timeKey, 0, n)
+	for i := range st.Updates {
+		if u := &st.Updates[i]; st.Sessions[u.Session].Collector == collector {
+			keys = append(keys, keyOf(u.Time, i))
 		}
 	}
 	for i := range st.Resets {
-		r := &st.Resets[i]
-		if st.Sessions[r.Session].Collector == collector {
-			items = append(items, item{at: r.Down, reset: r})
-			items = append(items, item{at: r.Up, reset: r, resetUp: true})
+		if r := &st.Resets[i]; st.Sessions[r.Session].Collector == collector {
+			keys = append(keys, keyOf(r.Down, nU+2*i), keyOf(r.Up, nU+2*i+1))
 		}
 	}
-	sort.SliceStable(items, func(i, j int) bool { return items[i].at.Before(items[j].at) })
+	slices.SortFunc(keys, compareKeys)
 
-	for _, it := range items {
-		if it.reset != nil {
-			si := it.reset.Session
+	// One UPDATE, one segment and one record, reused for every update.
+	mw := mrt.NewWriter(w)
+	var msg bgp.Update
+	var pfx [1]netip.Prefix
+	seg := []bgp.Segment{{Type: bgp.SegmentSequence}}
+	rec := mrt.BGP4MPMessage{LocalAS: collectorAS, LocalIP: collectorIP, AS4: true}
+	for _, k := range keys {
+		i := k.index()
+		if i >= nU {
+			r := &st.Resets[(i-nU)/2]
 			sc := &mrt.BGP4MPStateChange{
-				PeerAS: st.Sessions[si].PeerAS, LocalAS: collectorAS,
-				PeerIP: sessionPeerIP(si), LocalIP: collectorIP, AS4: true,
+				PeerAS: st.Sessions[r.Session].PeerAS, LocalAS: collectorAS,
+				PeerIP: sessionPeerIP(r.Session), LocalIP: collectorIP, AS4: true,
 				OldState: mrt.StateEstablished, NewState: mrt.StateIdle,
 			}
-			if it.resetUp {
-				sc.OldState, sc.NewState = mrt.StateOpenConfirm, mrt.StateEstablished
+			at := r.Down
+			if (i-nU)%2 == 1 {
+				sc.OldState, sc.NewState, at = mrt.StateOpenConfirm, mrt.StateEstablished, r.Up
 			}
-			if err := mw.WriteStateChange(it.at, sc); err != nil {
+			if err := mw.WriteStateChange(at, sc); err != nil {
 				return err
 			}
 			continue
 		}
-		u := it.update
-		var msg bgp.Update
+		u := &st.Updates[i]
+		pfx[0] = u.Prefix
 		if u.Withdraw() {
-			msg.Withdrawn = []netip.Prefix{u.Prefix}
+			msg.Withdrawn, msg.NLRI, msg.Attrs = pfx[:], nil, bgp.PathAttributes{}
 		} else {
-			msg.NLRI = []netip.Prefix{u.Prefix}
-			msg.Attrs = pathAttrs(u.Path, u.Session)
+			seg[0].ASes = u.Path
+			msg.Withdrawn, msg.NLRI, msg.Attrs = nil, pfx[:], pathAttrs(seg, u.Session)
 		}
-		raw, err := msg.Marshal(true)
+		raw, err := msg.AppendMessage(rec.Data[:0], true)
 		if err != nil {
 			return err
 		}
-		rec := &mrt.BGP4MPMessage{
-			PeerAS: st.Sessions[u.Session].PeerAS, LocalAS: collectorAS,
-			PeerIP: sessionPeerIP(u.Session), LocalIP: collectorIP, AS4: true,
-			Data: raw,
-		}
-		if err := mw.WriteMessage(u.Time, rec); err != nil {
+		rec.PeerAS, rec.PeerIP, rec.Data = st.Sessions[u.Session].PeerAS, sessionPeerIP(u.Session), raw
+		if err := mw.WriteMessage(u.Time, &rec); err != nil {
 			return err
 		}
 	}
@@ -174,6 +184,7 @@ const collectorAS bgp.ASN = 12654
 // intended remedy.
 func ImportMRT(rib, updates io.Reader, collector string) (*Stream, error) {
 	st := &Stream{Initial: make(map[int]map[netip.Prefix][]bgp.ASN)}
+	var slab pathSlab
 
 	rr := mrt.NewReader(rib)
 	var peers []mrt.Peer
@@ -209,8 +220,7 @@ func ImportMRT(rib, updates io.Reader, collector string) (*Stream, error) {
 				if !e.Attrs.HasASPath {
 					continue
 				}
-				path := bgp.FlattenPath(nil, e.Attrs.ASPath)
-				st.Initial[e.PeerIndex][rec.RIB.Prefix] = path
+				st.Initial[e.PeerIndex][rec.RIB.Prefix] = slab.flatten(e.Attrs.ASPath)
 				st.Sessions[e.PeerIndex].visible[rec.RIB.Prefix] = true
 			}
 		}
@@ -221,10 +231,13 @@ func ImportMRT(rib, updates io.Reader, collector string) (*Stream, error) {
 
 	ur := mrt.NewReader(updates)
 	resetDown := make(map[int]time.Time)
+	var log updateLog
+	var u bgp.Update // each message decodes into the one UPDATE
 	for {
 		rec, err := ur.Next()
 		if err == io.EOF {
-			break
+			st.Updates = log.inOrder()
+			return st, nil
 		}
 		if errors.Is(err, mrt.ErrUnsupported) {
 			continue
@@ -238,22 +251,17 @@ func ImportMRT(rib, updates io.Reader, collector string) (*Stream, error) {
 			if !ok {
 				return nil, fmt.Errorf("bgpsim: update from unknown peer %v", rec.Message.PeerIP)
 			}
-			u, err := rec.Message.Update()
-			if err != nil {
+			if err := bgp.ParseUpdateInto(rec.Message.Data, rec.Message.AS4, &u); err != nil {
 				return nil, err
 			}
 			for _, p := range u.Withdrawn {
-				st.Updates = append(st.Updates, UpdateEvent{
-					Time: rec.Header.Timestamp, Session: si, Prefix: p,
-				})
+				log.add(UpdateEvent{Time: rec.Header.Timestamp, Session: si, Prefix: p})
 				st.Sessions[si].visible[p] = true
 			}
 			if len(u.NLRI) > 0 && u.Attrs.HasASPath {
-				path := bgp.FlattenPath(nil, u.Attrs.ASPath)
+				path := slab.flatten(u.Attrs.ASPath)
 				for _, p := range u.NLRI {
-					st.Updates = append(st.Updates, UpdateEvent{
-						Time: rec.Header.Timestamp, Session: si, Prefix: p, Path: path,
-					})
+					log.add(UpdateEvent{Time: rec.Header.Timestamp, Session: si, Prefix: p, Path: path})
 					st.Sessions[si].visible[p] = true
 				}
 			}
@@ -277,5 +285,4 @@ func ImportMRT(rib, updates io.Reader, collector string) (*Stream, error) {
 			st.End = rec.Header.Timestamp
 		}
 	}
-	return st, nil
 }

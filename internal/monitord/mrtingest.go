@@ -75,6 +75,7 @@ func ReadMRT(in ingester, r io.Reader, label string) (*MRTStats, error) {
 	}
 	var peers []mrt.Peer  // the peer table later RIB entries index into
 	var scratch []bgp.ASN // each record's flattened path, lent to the sink
+	var u bgp.Update      // each message decodes into the one UPDATE
 	rd := mrt.NewReader(r)
 	for {
 		rec, err := rd.Next()
@@ -92,12 +93,11 @@ func ReadMRT(in ingester, r io.Reader, label string) (*MRTStats, error) {
 		switch {
 		case rec.Message != nil:
 			s := sink(rec.Message.PeerIP, rec.Message.PeerAS)
-			u, err := rec.Message.Update()
-			if err != nil {
+			if err := bgp.ParseUpdateInto(rec.Message.Data, rec.Message.AS4, &u); err != nil {
 				stats.Skipped++
 				continue
 			}
-			stats.NoASPath += bgpd.PrefixUpdates(u, rec.Header.Timestamp, s, &scratch)
+			stats.NoASPath += bgpd.PrefixUpdates(&u, rec.Header.Timestamp, s, &scratch)
 		case rec.PeerIndex != nil:
 			peers = rec.PeerIndex.Peers
 		case rec.RIB != nil:

@@ -9,12 +9,12 @@
 package mrt
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"net/netip"
+	"slices"
 	"time"
 
 	"quicksand/internal/bgp"
@@ -66,15 +66,11 @@ type BGP4MPMessage struct {
 	Interface uint16
 	PeerIP    netip.Addr
 	LocalIP   netip.Addr
-	AS4       bool   // record used 4-octet ASN framing (MESSAGE_AS4)
-	Data      []byte // raw BGP message, header included
-}
-
-// Update decodes the embedded BGP message as an UPDATE. The AS_PATH
-// encoding width follows the record's AS4 flag, matching how RIS archives
-// BGP4MP_MESSAGE_AS4 records.
-func (m *BGP4MPMessage) Update() (*bgp.Update, error) {
-	return bgp.ParseUpdate(m.Data, m.AS4)
+	// AS4 is set when the record used 4-octet ASN framing (MESSAGE_AS4).
+	// An embedded UPDATE's AS_PATH has the same width, as in RIS archives,
+	// so Data decodes with bgp.ParseUpdateInto(Data, AS4, u).
+	AS4  bool
+	Data []byte // raw BGP message, header included
 }
 
 // BGP4MPStateChange is a BGP4MP_STATE_CHANGE(_AS4) record: an FSM
@@ -131,24 +127,33 @@ type Record struct {
 	RIB         *RIBIPv4Unicast
 }
 
-// Writer serialises MRT records.
+// Writer serialises MRT records. Each record, header and payload, is
+// built in one buffer the Writer reuses and goes out in one Write.
 type Writer struct {
-	w io.Writer
+	w   io.Writer
+	buf []byte // the record being built
+	msg []byte // scratch UPDATE that WriteRIB slices attributes out of
 }
 
 // NewWriter returns a Writer emitting to w.
 func NewWriter(w io.Writer) *Writer { return &Writer{w: w} }
 
-func (w *Writer) writeRecord(ts time.Time, typ, subtype int, payload []byte) error {
-	hdr := make([]byte, 0, 12)
-	hdr = binary.BigEndian.AppendUint32(hdr, uint32(ts.Unix()))
-	hdr = binary.BigEndian.AppendUint16(hdr, uint16(typ))
-	hdr = binary.BigEndian.AppendUint16(hdr, uint16(subtype))
-	hdr = binary.BigEndian.AppendUint32(hdr, uint32(len(payload)))
-	if _, err := w.w.Write(hdr); err != nil {
-		return err
-	}
-	_, err := w.w.Write(payload)
+// begin starts a record in the reused buffer: its header, with the
+// payload length left for write to fill in. The caller appends the
+// payload to the returned slice.
+func (w *Writer) begin(ts time.Time, typ, subtype int) []byte {
+	b := binary.BigEndian.AppendUint32(w.buf[:0], uint32(ts.Unix()))
+	b = binary.BigEndian.AppendUint16(b, uint16(typ))
+	b = binary.BigEndian.AppendUint16(b, uint16(subtype))
+	return append(b, 0, 0, 0, 0)
+}
+
+// write sets the length of the record begin started and b holds, keeps
+// b's storage for the next record and writes b out.
+func (w *Writer) write(b []byte) error {
+	binary.BigEndian.PutUint32(b[8:12], uint32(len(b)-12))
+	w.buf = b
+	_, err := w.w.Write(b)
 	return err
 }
 
@@ -174,31 +179,29 @@ func appendPeerHeader(dst []byte, peerAS, localAS bgp.ASN, ifindex uint16, peerI
 
 // WriteMessage writes a BGP4MP_MESSAGE(_AS4) record at time ts.
 func (w *Writer) WriteMessage(ts time.Time, m *BGP4MPMessage) error {
-	payload, err := appendPeerHeader(nil, m.PeerAS, m.LocalAS, m.Interface, m.PeerIP, m.LocalIP, m.AS4)
-	if err != nil {
-		return err
-	}
-	payload = append(payload, m.Data...)
 	subtype := SubtypeBGP4MPMessage
 	if m.AS4 {
 		subtype = SubtypeBGP4MPMessageAS4
 	}
-	return w.writeRecord(ts, TypeBGP4MP, subtype, payload)
+	b, err := appendPeerHeader(w.begin(ts, TypeBGP4MP, subtype), m.PeerAS, m.LocalAS, m.Interface, m.PeerIP, m.LocalIP, m.AS4)
+	if err != nil {
+		return err
+	}
+	return w.write(append(b, m.Data...))
 }
 
 // WriteStateChange writes a BGP4MP_STATE_CHANGE(_AS4) record at time ts.
 func (w *Writer) WriteStateChange(ts time.Time, s *BGP4MPStateChange) error {
-	payload, err := appendPeerHeader(nil, s.PeerAS, s.LocalAS, s.Interface, s.PeerIP, s.LocalIP, s.AS4)
-	if err != nil {
-		return err
-	}
-	payload = binary.BigEndian.AppendUint16(payload, uint16(s.OldState))
-	payload = binary.BigEndian.AppendUint16(payload, uint16(s.NewState))
 	subtype := SubtypeBGP4MPStateChange
 	if s.AS4 {
 		subtype = SubtypeBGP4MPStateChangeAS4
 	}
-	return w.writeRecord(ts, TypeBGP4MP, subtype, payload)
+	b, err := appendPeerHeader(w.begin(ts, TypeBGP4MP, subtype), s.PeerAS, s.LocalAS, s.Interface, s.PeerIP, s.LocalIP, s.AS4)
+	if err != nil {
+		return err
+	}
+	b = binary.BigEndian.AppendUint16(b, uint16(s.OldState))
+	return w.write(binary.BigEndian.AppendUint16(b, uint16(s.NewState)))
 }
 
 // WritePeerIndexTable writes a TABLE_DUMP_V2 PEER_INDEX_TABLE record.
@@ -208,22 +211,22 @@ func (w *Writer) WritePeerIndexTable(ts time.Time, t *PeerIndexTable) error {
 		return fmt.Errorf("mrt: collector BGP ID %v is not IPv4", t.CollectorBGPID)
 	}
 	id := t.CollectorBGPID.As4()
-	payload := append([]byte(nil), id[:]...)
-	payload = binary.BigEndian.AppendUint16(payload, uint16(len(t.ViewName)))
-	payload = append(payload, t.ViewName...)
-	payload = binary.BigEndian.AppendUint16(payload, uint16(len(t.Peers)))
+	b := append(w.begin(ts, TypeTableDumpV2, SubtypePeerIndexTable), id[:]...)
+	b = binary.BigEndian.AppendUint16(b, uint16(len(t.ViewName)))
+	b = append(b, t.ViewName...)
+	b = binary.BigEndian.AppendUint16(b, uint16(len(t.Peers)))
 	for _, p := range t.Peers {
 		if !p.BGPID.Is4() || !p.IP.Is4() {
 			return fmt.Errorf("mrt: peer %v/%v is not IPv4", p.BGPID, p.IP)
 		}
-		payload = append(payload, 0x02) // IPv4 addr + AS4
-		b := p.BGPID.As4()
-		payload = append(payload, b[:]...)
+		b = append(b, 0x02) // IPv4 addr + AS4
+		id := p.BGPID.As4()
+		b = append(b, id[:]...)
 		ip := p.IP.As4()
-		payload = append(payload, ip[:]...)
-		payload = binary.BigEndian.AppendUint32(payload, uint32(p.AS))
+		b = append(b, ip[:]...)
+		b = binary.BigEndian.AppendUint32(b, uint32(p.AS))
 	}
-	return w.writeRecord(ts, TypeTableDumpV2, SubtypePeerIndexTable, payload)
+	return w.write(b)
 }
 
 // WriteRIB writes a TABLE_DUMP_V2 RIB_IPV4_UNICAST record. Attributes are
@@ -232,47 +235,77 @@ func (w *Writer) WriteRIB(ts time.Time, r *RIBIPv4Unicast) error {
 	if !r.Prefix.IsValid() || !r.Prefix.Addr().Is4() {
 		return fmt.Errorf("mrt: RIB prefix %v is not IPv4", r.Prefix)
 	}
-	payload := binary.BigEndian.AppendUint32(nil, r.Sequence)
+	b := binary.BigEndian.AppendUint32(w.begin(ts, TypeTableDumpV2, SubtypeRIBIPv4Unicast), r.Sequence)
 	p := r.Prefix.Masked()
-	payload = append(payload, byte(p.Bits()))
+	b = append(b, byte(p.Bits()))
 	a4 := p.Addr().As4()
-	payload = append(payload, a4[:(p.Bits()+7)/8]...)
-	payload = binary.BigEndian.AppendUint16(payload, uint16(len(r.Entries)))
+	b = append(b, a4[:(p.Bits()+7)/8]...)
+	b = binary.BigEndian.AppendUint16(b, uint16(len(r.Entries)))
 	for _, e := range r.Entries {
-		// Encode attributes by marshalling a throwaway UPDATE and
-		// slicing its attribute block back out; this reuses the one
-		// battle-tested attribute encoder.
+		// Encode attributes as a scratch UPDATE and slice its
+		// attribute block back out; this reuses the one battle-tested
+		// attribute encoder.
 		u := bgp.Update{Attrs: e.Attrs}
-		raw, err := u.Marshal(true)
+		raw, err := u.AppendMessage(w.msg[:0], true)
 		if err != nil {
 			return fmt.Errorf("mrt: encoding RIB entry attributes: %w", err)
 		}
+		w.msg = raw
 		// Layout: header(19) wlen(2)=0 alen(2) attrs...
 		alen := int(binary.BigEndian.Uint16(raw[bgp.HeaderLen+2 : bgp.HeaderLen+4]))
 		attrs := raw[bgp.HeaderLen+4 : bgp.HeaderLen+4+alen]
-		payload = binary.BigEndian.AppendUint16(payload, uint16(e.PeerIndex))
-		payload = binary.BigEndian.AppendUint32(payload, uint32(e.OriginatedTime.Unix()))
-		payload = binary.BigEndian.AppendUint16(payload, uint16(len(attrs)))
-		payload = append(payload, attrs...)
+		b = binary.BigEndian.AppendUint16(b, uint16(e.PeerIndex))
+		b = binary.BigEndian.AppendUint32(b, uint32(e.OriginatedTime.Unix()))
+		b = binary.BigEndian.AppendUint16(b, uint16(len(attrs)))
+		b = append(b, attrs...)
 	}
-	return w.writeRecord(ts, TypeTableDumpV2, SubtypeRIBIPv4Unicast, payload)
+	return w.write(b)
 }
 
-// Reader iterates MRT records from a stream.
+// Reader iterates MRT records from a stream. It reads each payload into
+// one buffer it reuses; every field of a returned Record is a copy, so a
+// Record stays valid after later calls to Next.
 type Reader struct {
-	r io.Reader
+	r   io.Reader
+	hdr [12]byte // the current record's header
+	buf []byte   // the current record's payload
+	msg []byte   // scratch UPDATE that RIB entries' attributes are parsed from
 }
 
 // NewReader returns a Reader consuming from r.
 func NewReader(r io.Reader) *Reader { return &Reader{r: r} }
+
+// readChunk bounds how far the payload buffer grows ahead of the bytes
+// actually read.
+const readChunk = 64 << 10
+
+// read reads an n-byte payload into the reused buffer. n comes straight
+// off the wire, and a 12-byte header claiming a 4 GB payload must fail on
+// the missing bytes, not on the allocation, so the buffer grows at most
+// readChunk past what has arrived.
+func (r *Reader) read(n int) ([]byte, error) {
+	buf := r.buf[:0]
+	for len(buf) < n {
+		k := min(n-len(buf), readChunk)
+		buf = slices.Grow(buf, k)
+		m, err := io.ReadFull(r.r, buf[len(buf):len(buf)+k])
+		buf = buf[:len(buf)+m]
+		if err != nil {
+			r.buf = buf
+			return nil, err
+		}
+	}
+	r.buf = buf
+	return buf, nil
+}
 
 // Next reads and decodes the next record. It returns io.EOF at a clean end
 // of stream and ErrTruncated when the stream ends mid-record. Records of
 // unsupported types return a Record carrying only the Header together with
 // ErrUnsupported; callers may skip and continue.
 func (r *Reader) Next() (*Record, error) {
-	var hdr [12]byte
-	if _, err := io.ReadFull(r.r, hdr[:]); err != nil {
+	hdr := r.hdr[:]
+	if _, err := io.ReadFull(r.r, hdr); err != nil {
 		if err == io.EOF {
 			return nil, io.EOF
 		}
@@ -284,14 +317,10 @@ func (r *Reader) Next() (*Record, error) {
 		Subtype:   int(binary.BigEndian.Uint16(hdr[6:8])),
 		Length:    int(binary.BigEndian.Uint32(hdr[8:12])),
 	}}
-	// Copy rather than ReadFull into a pre-sized buffer: Length comes
-	// straight off the wire, and a 12-byte header claiming a 4 GB
-	// payload must fail on the missing bytes, not on the allocation.
-	var pbuf bytes.Buffer
-	if _, err := io.CopyN(&pbuf, r.r, int64(rec.Header.Length)); err != nil {
+	payload, err := r.read(rec.Header.Length)
+	if err != nil {
 		return nil, fmt.Errorf("%w: payload: %v", ErrTruncated, err)
 	}
-	payload := pbuf.Bytes()
 	switch {
 	case rec.Header.Type == TypeBGP4MP &&
 		(rec.Header.Subtype == SubtypeBGP4MPMessage || rec.Header.Subtype == SubtypeBGP4MPMessageAS4):
@@ -314,7 +343,7 @@ func (r *Reader) Next() (*Record, error) {
 		}
 		rec.PeerIndex = t
 	case rec.Header.Type == TypeTableDumpV2 && rec.Header.Subtype == SubtypeRIBIPv4Unicast:
-		rib, err := parseRIB(payload)
+		rib, err := r.parseRIB(payload)
 		if err != nil {
 			return nil, err
 		}
@@ -425,11 +454,11 @@ func parsePeerIndexTable(payload []byte) (*PeerIndexTable, error) {
 	return t, nil
 }
 
-func parseRIB(payload []byte) (*RIBIPv4Unicast, error) {
+func (r *Reader) parseRIB(payload []byte) (*RIBIPv4Unicast, error) {
 	if len(payload) < 5 {
 		return nil, fmt.Errorf("%w: RIB record", ErrTruncated)
 	}
-	r := &RIBIPv4Unicast{Sequence: binary.BigEndian.Uint32(payload[0:4])}
+	rib := &RIBIPv4Unicast{Sequence: binary.BigEndian.Uint32(payload[0:4])}
 	bits := int(payload[4])
 	if bits > 32 {
 		return nil, fmt.Errorf("mrt: RIB prefix length %d", bits)
@@ -444,7 +473,7 @@ func parseRIB(payload []byte) (*RIBIPv4Unicast, error) {
 	if err != nil {
 		return nil, err
 	}
-	r.Prefix = p
+	rib.Prefix = p
 	off := 5 + nbytes
 	count := int(binary.BigEndian.Uint16(payload[off : off+2]))
 	off += 2
@@ -461,26 +490,25 @@ func parseRIB(payload []byte) (*RIBIPv4Unicast, error) {
 			return nil, fmt.Errorf("%w: RIB entry %d attributes", ErrTruncated, i)
 		}
 		// Reuse the UPDATE parser by wrapping the attribute block in a
-		// synthetic UPDATE body.
-		attrs := payload[off+8 : off+8+alen]
-		body := make([]byte, 0, 4+alen)
-		body = binary.BigEndian.AppendUint16(body, 0) // no withdrawals
-		body = binary.BigEndian.AppendUint16(body, uint16(alen))
-		body = append(body, attrs...)
-		msg := make([]byte, 0, bgp.HeaderLen+len(body))
+		// synthetic UPDATE in the reader's scratch buffer; the parsed
+		// attributes are copies.
+		msg := r.msg[:0]
 		for j := 0; j < bgp.MarkerLen; j++ {
 			msg = append(msg, 0xFF)
 		}
-		msg = binary.BigEndian.AppendUint16(msg, uint16(bgp.HeaderLen+len(body)))
+		msg = binary.BigEndian.AppendUint16(msg, uint16(bgp.HeaderLen+4+alen))
 		msg = append(msg, bgp.TypeUpdate)
-		msg = append(msg, body...)
+		msg = binary.BigEndian.AppendUint16(msg, 0) // no withdrawals
+		msg = binary.BigEndian.AppendUint16(msg, uint16(alen))
+		msg = append(msg, payload[off+8:off+8+alen]...)
+		r.msg = msg
 		u, err := bgp.ParseUpdate(msg, true)
 		if err != nil {
 			return nil, fmt.Errorf("mrt: RIB entry %d attributes: %w", i, err)
 		}
 		e.Attrs = u.Attrs
-		r.Entries = append(r.Entries, e)
+		rib.Entries = append(rib.Entries, e)
 		off += 8 + alen
 	}
-	return r, nil
+	return rib, nil
 }

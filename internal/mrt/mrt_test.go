@@ -2,10 +2,13 @@ package mrt
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math/rand"
 	"net/netip"
+	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -59,7 +62,7 @@ func TestMessageRoundTrip(t *testing.T) {
 	if !rec.Header.Timestamp.Equal(t0) {
 		t.Fatalf("timestamp = %v", rec.Header.Timestamp)
 	}
-	u, err := got.Update()
+	u, err := bgp.ParseUpdate(got.Data, got.AS4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +106,7 @@ func TestMessage2ByteASSubtype(t *testing.T) {
 	if rec.Header.Subtype != SubtypeBGP4MPMessage {
 		t.Fatalf("subtype = %d", rec.Header.Subtype)
 	}
-	got, err := rec.Message.Update()
+	got, err := bgp.ParseUpdate(rec.Message.Data, rec.Message.AS4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +287,7 @@ func TestUnsupportedRecordSkippable(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
 	// Hand-write an OSPF record (type 11) followed by a valid message.
-	if err := w.writeRecord(t0, 11, 0, []byte{1, 2, 3}); err != nil {
+	if err := w.write(append(w.begin(t0, 11, 0), 1, 2, 3)); err != nil {
 		t.Fatal(err)
 	}
 	msg := &BGP4MPMessage{
@@ -374,7 +377,7 @@ func TestStreamRoundTripProperty(t *testing.T) {
 		if rec.Message.PeerAS != wnt.peerAS || !rec.Header.Timestamp.Equal(wnt.ts) {
 			t.Fatalf("record %d header mismatch", i)
 		}
-		u, err := rec.Message.Update()
+		u, err := bgp.ParseUpdate(rec.Message.Data, rec.Message.AS4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -384,5 +387,149 @@ func TestStreamRoundTripProperty(t *testing.T) {
 	}
 	if _, err := r.Next(); err != io.EOF {
 		t.Fatalf("want EOF, got %v", err)
+	}
+}
+
+// TestHugeLengthFailsOnMissingBytes: a header claiming a 4 GB payload
+// followed by 100 bytes is a truncated record, found without allocating
+// what the header claims.
+func TestHugeLengthFailsOnMissingBytes(t *testing.T) {
+	data := binary.BigEndian.AppendUint32(nil, uint32(t0.Unix()))
+	data = binary.BigEndian.AppendUint16(data, TypeBGP4MP)
+	data = binary.BigEndian.AppendUint16(data, SubtypeBGP4MPMessageAS4)
+	data = binary.BigEndian.AppendUint32(data, 0xFFFFFFF0)
+	data = append(data, make([]byte, 100)...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := NewReader(bytes.NewReader(data)).Next()
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrTruncated) {
+		t.Fatalf("err = %v, want ErrTruncated", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Fatalf("reading the record allocated %d bytes, want < 1 MiB", grew)
+	}
+}
+
+// TestRecordsDoNotAliasReader keeps every record of a mixed archive, the
+// payloads of different sizes, then decodes the archive afresh: a kept
+// record sharing the reader's reused buffer would show a later payload.
+func TestRecordsDoNotAliasReader(t *testing.T) {
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	peerIP, localIP := netip.MustParseAddr("10.0.0.1"), netip.MustParseAddr("10.0.0.2")
+	if err := w.WritePeerIndexTable(t0, &PeerIndexTable{
+		CollectorBGPID: localIP, ViewName: "rrc00",
+		Peers: []Peer{{BGPID: peerIP, IP: peerIP, AS: 64500}, {BGPID: localIP, IP: localIP, AS: 64501}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 40; i++ {
+		path := make([]bgp.ASN, i)
+		for j := range path {
+			path[j] = bgp.ASN(64500 + 7*i + j)
+		}
+		attrs := bgp.PathAttributes{
+			HasOrigin: true, Origin: bgp.OriginIGP,
+			HasASPath: true, ASPath: bgp.Sequence(path...), NextHop: peerIP,
+		}
+		prefix := netip.PrefixFrom(netip.AddrFrom4([4]byte{byte(i), byte(3 * i), 0, 0}), 16)
+		ts := t0.Add(time.Duration(i) * time.Second)
+		if err := w.WriteRIB(ts, &RIBIPv4Unicast{Sequence: uint32(i), Prefix: prefix,
+			Entries: []RIBEntry{{PeerIndex: i % 2, OriginatedTime: ts, Attrs: attrs}}}); err != nil {
+			t.Fatal(err)
+		}
+		u := &bgp.Update{Attrs: attrs, NLRI: []netip.Prefix{prefix}}
+		if i%3 == 0 {
+			u = &bgp.Update{Withdrawn: []netip.Prefix{prefix}}
+		}
+		raw, err := u.Marshal(true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.WriteMessage(ts, &BGP4MPMessage{PeerAS: bgp.ASN(i), LocalAS: 12654,
+			PeerIP: peerIP, LocalIP: localIP, AS4: true, Data: raw}); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.WriteStateChange(ts, &BGP4MPStateChange{PeerAS: bgp.ASN(i), LocalAS: 12654,
+			PeerIP: peerIP, LocalIP: localIP, AS4: true, OldState: i % 7, NewState: StateEstablished}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	archive := buf.Bytes()
+	var kept []*Record
+	r := NewReader(bytes.NewReader(archive))
+	for {
+		rec, err := r.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		kept = append(kept, rec)
+	}
+	fresh := NewReader(bytes.NewReader(archive))
+	for i, want := range kept {
+		got, err := fresh.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("record %d kept as %+v, decodes afresh as %+v", i, want, got)
+		}
+	}
+	if len(kept) != 1+3*40 {
+		t.Fatalf("read %d records, want %d", len(kept), 1+3*40)
+	}
+}
+
+// TestWriteMessageAllocFree: a record is built in the Writer's one buffer
+// and written with one Write.
+func TestWriteMessageAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under -race")
+	}
+	w := NewWriter(io.Discard)
+	msg := &BGP4MPMessage{
+		PeerAS: 64500, LocalAS: 12654, AS4: true,
+		PeerIP:  netip.MustParseAddr("10.1.1.1"),
+		LocalIP: netip.MustParseAddr("10.1.1.2"),
+		Data:    sampleUpdate(t),
+	}
+	if a := testing.AllocsPerRun(100, func() {
+		if err := w.WriteMessage(t0, msg); err != nil {
+			t.Fatal(err)
+		}
+	}); a != 0 {
+		t.Errorf("WriteMessage allocates %.0f times per record, want 0", a)
+	}
+}
+
+// TestNextMessageAllocs bounds decoding one BGP4MP message: the Record,
+// the message and its copied Data, with the header and payload read into
+// the Reader's own storage.
+func TestNextMessageAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under -race")
+	}
+	var buf bytes.Buffer
+	if err := NewWriter(&buf).WriteMessage(t0, &BGP4MPMessage{
+		PeerAS: 64500, LocalAS: 12654, AS4: true,
+		PeerIP:  netip.MustParseAddr("10.1.1.1"),
+		LocalIP: netip.MustParseAddr("10.1.1.2"),
+		Data:    sampleUpdate(t),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	src := bytes.NewReader(buf.Bytes())
+	r := NewReader(src)
+	if a := testing.AllocsPerRun(100, func() {
+		src.Reset(buf.Bytes())
+		if rec, err := r.Next(); err != nil || rec.Message == nil {
+			t.Fatalf("Next = %+v, %v", rec, err)
+		}
+	}); a > 3 {
+		t.Errorf("Next allocates %.0f times per message, want at most 3", a)
 	}
 }

@@ -332,20 +332,31 @@ func (r *CompiledRoutes) Route(asn bgp.ASN) (Route, bool) {
 // is false when src has no route. It follows next-hop ids, so only src
 // is looked up by ASN.
 func (r *CompiledRoutes) PathFrom(src bgp.ASN) (path []bgp.ASN, ok bool) {
+	return r.AppendPathFrom(nil, src)
+}
+
+// AppendPathFrom appends PathFrom(src) to dst and returns the extended
+// slice; when src has no route it returns dst unchanged and false. A
+// caller reusing dst's storage reads a path without allocating.
+func (r *CompiledRoutes) AppendPathFrom(dst []bgp.ASN, src bgp.ASN) ([]bgp.ASN, bool) {
 	id, ok := r.c.idOf[src]
 	if !ok || keyType(r.keys[id]) == RouteNone {
-		return nil, false
+		return dst, false
 	}
 	k := r.keys[id]
-	path = append(make([]bgp.ASN, 0, min(k>>keyLenShift&maxKeyIDs, uint64(len(r.keys)))+1), src)
+	path := dst
+	if n := int(min(k>>keyLenShift&maxKeyIDs, uint64(len(r.keys)))) + 1; cap(path)-len(path) < n {
+		path = append(make([]bgp.ASN, 0, len(dst)+n), dst...)
+	}
+	path = append(path, src)
 	for keyType(k) != RouteOrigin {
 		nid := int(k >> keyHopShift & maxKeyIDs)
-		if nid >= len(r.keys) || len(path) > len(r.keys) {
-			return nil, false // inconsistent table or cycle; should not happen
+		if nid >= len(r.keys) || len(path)-len(dst) > len(r.keys) {
+			return dst, false // inconsistent table or cycle; should not happen
 		}
 		path = append(path, r.c.asns[nid])
 		if k = r.keys[nid]; keyType(k) == RouteNone {
-			return nil, false // dangling next hop; should not happen
+			return dst, false // dangling next hop; should not happen
 		}
 	}
 	return path, true

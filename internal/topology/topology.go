@@ -93,9 +93,14 @@ type Graph struct {
 	compiled *Compiled
 }
 
-// noteMutation records a structural change touching the given ASes.
+// noteMutation records a structural change touching the given ASes. With
+// no snapshot yet, or with the AS set grown, the next compile is a full
+// one that reads no dirty set, so none is kept.
 func (g *Graph) noteMutation(asns ...bgp.ASN) {
 	g.version++
+	if g.compiled == nil || g.asAdded {
+		return
+	}
 	if g.dirty == nil {
 		g.dirty = make(map[bgp.ASN]bool)
 	}

@@ -2,6 +2,8 @@ package quicksand
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"net/netip"
 	"testing"
 
@@ -91,5 +93,32 @@ func TestAnalysisFromMRTArchives(t *testing.T) {
 	}
 	if checked == 0 {
 		t.Fatal("no comparable samples")
+	}
+}
+
+// mrtExportDigest is the sha256 of ExportRIB then ExportUpdates for each
+// collector of the small seed-1 month, in session order, pinned before
+// the writer reused its buffers: a byte the archive format moves shows
+// here.
+const mrtExportDigest = "62fadb5487ecf8c49ca79019adfcc680c39f0f78f1913514edb887e4982c4d7d"
+
+func TestMRTExportDigest(t *testing.T) {
+	st := smallStream(t)
+	h := sha256.New()
+	done := make(map[string]bool)
+	for _, s := range st.Sessions {
+		if done[s.Collector] {
+			continue
+		}
+		done[s.Collector] = true
+		if err := st.ExportRIB(h, s.Collector); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.ExportUpdates(h, s.Collector); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != mrtExportDigest {
+		t.Fatalf("MRT export digest = %s, want %s", got, mrtExportDigest)
 	}
 }

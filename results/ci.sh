@@ -34,8 +34,9 @@
 #      metrics, with the resilience subcommand, with the bit trie, with
 #      the worker pools par's one fan-out replaced, with the churn
 #      analyses' per-call stream scanners, with the route kernel's rank
-#      array and phase-1 candidate arrays, as exports no product code
-#      used (two sweeps) or copies of the one prefix order, or as
+#      array and phase-1 candidate arrays, with the MRT record's own
+#      UPDATE decoder and two-write record helper, as exports no product
+#      code used (two sweeps) or copies of the one prefix order, or as
 #      duplicates of a bench/ metric or of a test the kill matrix keeps
 #      are named nowhere outside the history files (Go comments and
 #      scripts here; TestDocsCiteOnlyWhatExists checks the Markdown's
@@ -166,6 +167,9 @@ retired="$retired|put(Headers)|check(TCPPacket)|Histogram[)] (Quantile)|compare(
 retired="$retired|stats[.](Histogram|Sum)[(]|func (Histogram|Sum)[(]|obs[.](Int64)[(]|func (Int64)[(]"
 retired="$retired|[.](Relays|Clients)[(][)]|[*](TCPHeader|IPv4Header)[)] (Marshal)"
 retired="$retired|Test(Histogram)(Errors)?[(]|TestMean(Sum)MinMax"
+# So are the MRT message's own UPDATE decoder (callers decode Data into a
+# reused bgp.Update) and the writer's two-write record helper.
+retired="$retired|Message[.](Update)[(]|write(Record)[(]"
 if stale=$(git grep -nE "$retired" -- . ':!PAPER.md' \
     ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!bench'); then
     echo "FAIL: retired names still referenced:" >&2

@@ -7,7 +7,11 @@
 #   1. git apply the patch (a patch that no longer applies fails the run);
 #   2. go test -count=1 -json every package whose tests can reach the
 #      mutated package (a test that cannot import the mutated code
-#      cannot kill it, only flake);
+#      cannot kill it, only flake). A panic on a goroutine other than a
+#      test's own ends the package's test binary with no result for the
+#      test that was running and none for the tests after it: that test
+#      counts as failed, and the package's unstarted tests run again
+#      under the mutant until every test has run;
 #   3. re-run each failing top-level test alone under the same mutant:
 #      a failure that does not reproduce is a flake, not a kill;
 #   4. revert the patch.
@@ -36,6 +40,54 @@ fi
 deps="$work/.deps"
 (cd "$work" && go list -test -f '{{.ImportPath}} {{join .Deps " "}}' ./...) >"$deps"
 
+# outcomes <json> prints "package test elapsed" for each top-level test
+# of a go test -json stream that failed or was running when its test
+# binary died (the binary's elapsed time stands in for that test's);
+# outcomes -started <json> prints "package test" for every top-level test
+# that started, and outcomes -crashed <json> each package whose binary
+# died.
+outcomes() {
+    mode=failed
+    case $1 in -started | -crashed) mode=${1#-}; shift ;; esac
+    awk -v mode="$mode" '
+    function field(name, num) {
+        if (!match($0, "\"" name "\":" (num ? "[0-9.]+" : "\"[^\"]*\""))) return ""
+        return substr($0, RSTART + length(name) + 3 + !num, RLENGTH - length(name) - 3 - 2 * !num)
+    }
+    {
+        act = field("Action"); pkg = field("Package"); test = field("Test")
+        if (act !~ /^(run|pass|fail|skip)$/ || test ~ /[/]/) next
+        if (test == "") { if (act == "fail") died[pkg] = field("Elapsed", 1); next }
+        k = pkg " " test
+        if (!(k in state)) order[++n] = k
+        state[k] = act; elapsed[k] = field("Elapsed", 1)
+    }
+    END {
+        for (i = 1; i <= n; i++) {
+            k = order[i]; split(k, a, " ")
+            if (mode == "started") print k
+            else if (mode == "crashed") { if (state[k] == "run" && !seen[a[1]]++) print a[1] }
+            else if (state[k] == "fail") print k, elapsed[k]
+            else if (state[k] == "run") print k, died[a[1]]
+        }
+    }' "$1"
+}
+
+# settle <pkg> <names> appends to $work/.settled the outcomes of running
+# pkg's top-level tests named in the |-list names under the mutant, again
+# and again until each has started.
+settle() {
+    names=$2
+    while [ -n "$names" ]; do
+        (cd "$work" && go test -count=1 -json -run "^($names)\$" "$1") >"$work/.settle" 2>&1 || true
+        outcomes "$work/.settle" >>"$work/.settled"
+        outcomes -started "$work/.settle" | cut -d' ' -f2 >"$work/.settle-started"
+        left=$(echo "$names" | tr '|' '\n' | grep -vxF -f "$work/.settle-started" | paste -sd'|' -) || true
+        [ "$left" = "$names" ] && break # nothing started: a build failure
+        names=$left
+    done
+}
+
 kills="$work/.kills"
 : >"$kills"
 bad=0
@@ -58,18 +110,22 @@ for id in "$@"; do
         echo "FAIL: $id: mutant does not build" >&2
         bad=1
     fi
-    # Failing top-level tests as "package test" pairs.
-    sed -n 's/.*"Action":"fail","Package":"\([^"]*\)","Test":"\([^"/]*\)".*/\1 \2/p' \
-        "$work/.run" | sort -u >"$work/.failed"
+    # Failing top-level tests as "package test" pairs. A package whose
+    # test binary died runs its unstarted tests again.
+    outcomes "$work/.run" >"$work/.settled"
+    for pkg in $(outcomes -crashed "$work/.run"); do
+        outcomes -started "$work/.run" | awk -v p="$pkg" '$1 == p { print $2 }' >"$work/.started"
+        settle "$pkg" "$( (cd "$work" && go test -list . "$pkg") | grep -E '^(Test|Example|Fuzz)' |
+            grep -vxF -f "$work/.started" | paste -sd'|' -)"
+    done
+    cut -d' ' -f1,2 "$work/.settled" | sort -u >"$work/.failed"
 
     # Confirm per package, keeping each kill's elapsed seconds.
-    : >"$work/.confirmed"
+    : >"$work/.settled"
     for pkg in $(cut -d' ' -f1 "$work/.failed" | uniq); do
-        names=$(awk -v p="$pkg" '$1 == p { printf "%s%s", sep, $2; sep = "|" }' "$work/.failed")
-        (cd "$work" && go test -count=1 -json -run "^($names)\$" "$pkg") 2>&1 |
-            sed -n 's/.*"Action":"fail","Package":"\([^"]*\)","Test":"\([^"/]*\)","Elapsed":\([0-9.]*\).*/\1 \2 \3/p' \
-                >>"$work/.confirmed" || true
+        settle "$pkg" "$(awk -v p="$pkg" '$1 == p { printf "%s%s", sep, $2; sep = "|" }' "$work/.failed")"
     done
+    sort -u "$work/.settled" >"$work/.confirmed"
     (cd "$work" && git apply -R "$patch")
     secs=$(($(date +%s) - start))
 
