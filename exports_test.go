@@ -1,41 +1,56 @@
 package quicksand
 
 import (
+	"bufio"
+	"bytes"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
+	"io"
 	"io/fs"
+	"os"
+	"os/exec"
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
-// exportAllow lists the exported names that may lack a product caller,
-// keyed as package.Name or package.Type.Method, each with its reason.
+// exportAllow lists the names that may lack a product use, keyed as
+// package.Name, package.Type.Method or package.Type.field (a main
+// package is named by its directory), each with its reason.
 var exportAllow = map[string]string{
 	// Benchmark API: bench/ is its own module and the only caller.
-	"bgpd.Replay":                    "benchmark API: bench/replay.go replays the labelled month into the daemon",
-	"bgpd.Session.RecvUpdateBatch":   "benchmark API: bench/probes.go's bgpd loopback probe reads through it",
-	"bgpd.Session.SendRaw":           "benchmark API: bench/load.go's feed writes pre-encoded UPDATEs",
-	"bgpsim.ImportMRT":               "benchmark API: bench/replay.go reads the month back from MRT (ROADMAP item 9 gives it a product caller)",
-	"obs.Snapshot.Quantile":          "benchmark API: bench/load.go reads histogram quantiles off /metrics",
-	"topology.DefaultPowerLawConfig": "benchmark API: bench/batch.go sizes the routes-73k graph",
-	"topology.GeneratePowerLaw":      "benchmark API: bench/batch.go builds the routes-73k graph",
-	"topology.Graph.Links":           "benchmark API: bench/batch.go reports the routes-73k graph's size",
-	"topology.NewRouteSet":           "benchmark API: bench/batch.go's routes-73k (ROADMAP item 1 gives RouteSet a product caller)",
-	"topology.RouteSet.Apply":        "benchmark API: bench/batch.go's routes-73k link flaps",
-	"topology.RouteSet.Dests":        "benchmark API: bench/batch.go's routes-73k",
-	"topology.RouteSet.RecomputeAll": "benchmark API: bench/batch.go's routes-73k full recompute",
-	"topology.RouteSet.TableAt":      "benchmark API: bench/batch.go's routes-73k",
+	"bgpd.Replay":                         "benchmark API: bench/replay.go replays the labelled month into the daemon",
+	"bgpd.Session.AS4":                    "benchmark API: bench/child.go checks that the feed session negotiated 4-octet ASNs",
+	"bgpd.Session.RecvUpdateBatch":        "benchmark API: bench/probes.go's bgpd loopback probe reads through it",
+	"bgpd.Session.SendRaw":                "benchmark API: bench/load.go's feed writes pre-encoded UPDATEs",
+	"bgpsim.ImportMRT":                    "benchmark API: bench/replay.go reads the month back from MRT (ROADMAP item 9 gives it a product caller)",
+	"obs.Snapshot.Quantile":               "benchmark API: bench/load.go reads histogram quantiles off /metrics",
+	"obs.Snapshot.Sum":                    "benchmark API: bench/load.go sums counter families off /metrics",
+	"topology.CompiledRoutes.MemoryBytes": "benchmark API: bench/batch.go's topology.bytes_per_as_table",
+	"topology.DefaultPowerLawConfig":      "benchmark API: bench/batch.go sizes the routes-73k graph",
+	"topology.GeneratePowerLaw":           "benchmark API: bench/batch.go builds the routes-73k graph",
+	"topology.Graph.Links":                "benchmark API: bench/batch.go reports the routes-73k graph's size",
+	"topology.NewRouteSet":                "benchmark API: bench/batch.go's routes-73k (ROADMAP item 1 gives RouteSet a product caller)",
+	"topology.RouteSet.Apply":             "benchmark API: bench/batch.go's routes-73k link flaps",
+	"topology.RouteSet.Dests":             "benchmark API: bench/batch.go's routes-73k",
+	"topology.RouteSet.RecomputeAll":      "benchmark API: bench/batch.go's routes-73k full recompute",
+	"topology.RouteSet.TableAt":           "benchmark API: bench/batch.go's routes-73k",
 
 	// Test oracle: the reference the tests compare the product against.
 	"packet.ParseTCPPacket": "test oracle: the strict parser (both checksums verified) AppendTCPHeaders' captures are checked with",
+	"bgpd.Session.HoldTime": "test oracle: the negotiated hold time the bgpd tests and serve's -hold-time test check",
 
 	// Fixtures that many tests share.
-	"bgpsim.NewSession":        "test fixture: the hand-written streams of the analysis, defense and monitord tests",
-	"bgpd.Session.SendUpdates": "test fixture: the UPDATE sender of the bgpd, monitord and fleet tests",
-	"monitord.HTTPAlerts":      "test fixture: the /alerts client the monitord, fleet and serve tests poll through",
+	"bgpsim.NewSession":               "test fixture: the hand-written streams of the analysis, defense and monitord tests",
+	"bgpd.Session.SendUpdates":        "test fixture: the UPDATE sender of the bgpd, monitord and fleet tests",
+	"bgpd.Session.RecvUpdate":         "test fixture: the one-UPDATE reader of the bgpd tests",
+	"bgp.Update.AnnouncesOrWithdraws": "test fixture: the End-of-RIB check of the bgpd replay and testkit stream tests",
+	"monitord.HTTPAlerts":             "test fixture: the /alerts client the monitord, fleet and serve tests poll through",
 
 	// ROADMAP item 6 wires these into its detection-coverage matrix or
 	// deletes them.
@@ -47,63 +62,412 @@ var exportAllow = map[string]string{
 	"defense.ProbePath":            "ROADMAP item 6: the traceroute defense",
 }
 
-// exportDecl is one exported top-level name; group holds every member of
-// its const (…) enumeration, which counts as used when any member is.
-type exportDecl struct {
-	key, file string
-	group     []string
+// TestExportsHaveProductCallers type-checks every non-test package of
+// the module outside bench/ (its own module) and fails on a top-level
+// func, type, var or const, a method or an unexported struct field,
+// declared in a non-test file outside internal/testkit (test
+// infrastructure), that no non-test file uses; bench/ is not the
+// product. deadNames says what counts as a use. exportAllow exempts a
+// name, and the test also fails on an exportAllow line whose name is not
+// declared or has gained a use.
+func TestExportsHaveProductCallers(t *testing.T) {
+	mod, std := moduleList(t)
+	for i := range mod {
+		mod[i].cover = mod[i].path != "quicksand/internal/testkit"
+	}
+	declared, dead, err := deadNames(token.NewFileSet(), mod, std)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range sortedKeys(dead) {
+		if _, ok := exportAllow[key]; !ok {
+			t.Errorf("%s (%s) has no product use: delete it, or add an exportAllow line with the reason", key, dead[key])
+		}
+	}
+	for _, key := range sortedKeys(exportAllow) {
+		switch _, isDead := dead[key]; {
+		case !declared[key]:
+			t.Errorf("exportAllow lists %s, which is not declared", key)
+		case !isDead:
+			t.Errorf("exportAllow lists %s, which now has a product use: delete its line", key)
+		}
+	}
 }
 
-// TestExportsHaveProductCallers fails on an exported top-level name,
-// declared in a non-test file outside cmd/, bench/ and internal/testkit
-// (test infrastructure), whose identifier appears in no non-test file of
-// the product other than as a top-level declaration's name or in a
-// method receiver; bench/ is not the product. exportAllow exempts a
-// name, and the test also fails on an exportAllow line whose name is not
-// declared or has gained a caller. Matching is by identifier, so a name
-// that shares its identifier with a used one passes: the check is a
-// lower bound.
-func TestExportsHaveProductCallers(t *testing.T) {
-	var decls []exportDecl
-	used := map[string]bool{}
-	forEachProductFile(t, func(path string, f *ast.File) {
-		declared := declIdents(f)
-		ast.Inspect(f, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok && !declared[id] {
-				used[id.Name] = true
-			}
-			return true
-		})
-		if !strings.HasPrefix(path, "cmd/") && !strings.HasPrefix(path, "internal/testkit/") {
-			decls = append(decls, exportedDecls(f, path)...)
+// TestDeadNamesFixture runs the scan over testdata/deadcode, which
+// declares one name of each kind the scan must flag or pass.
+func TestDeadNamesFixture(t *testing.T) {
+	_, std := moduleList(t)
+	files, err := filepath.Glob("testdata/deadcode/*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkg := scanPackage{path: "testdata/deadcode", dir: "testdata/deadcode", cover: true}
+	for _, f := range files {
+		if !strings.HasSuffix(f, "_test.go") {
+			pkg.files = append(pkg.files, filepath.Base(f))
 		}
-	})
+	}
+	_, dead, err := deadNames(token.NewFileSet(), []scanPackage{pkg}, std)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := strings.Join(sortedKeys(dead), " ")
+	want := "testdata/deadcode.countdown testdata/deadcode.receiverOnly testdata/deadcode.square.label " +
+		"testdata/deadcode.square.reset testdata/deadcode.unused"
+	if got != want {
+		t.Errorf("dead names:\n got %s\nwant %s", got, want)
+	}
+}
 
-	keys := map[string]bool{}
-	for _, d := range decls {
-		keys[d.key] = true
-		called := false
-		for _, name := range d.group {
-			called = called || used[name]
+// scanPackage is one package to type-check: its import path, directory
+// and non-test files, and whether its own names are checked (cover) or
+// only its uses counted.
+type scanPackage struct {
+	path, dir string
+	files     []string
+	cover     bool
+}
+
+var moduleListOnce struct {
+	sync.Once
+	mod []scanPackage
+	std types.Importer
+	err error
+}
+
+// moduleList returns the module's packages in import order and an
+// importer of the standard library's export data, both from one go list
+// call.
+func moduleList(t *testing.T) ([]scanPackage, types.Importer) {
+	t.Helper()
+	m := &moduleListOnce
+	m.Do(func() {
+		out, err := exec.Command("go", "list", "-export", "-deps", "-f",
+			`{{if .Standard}}{{.ImportPath}}={{.Export}}{{else}}{{.ImportPath}} {{.Dir}} {{join .GoFiles " "}}{{end}}`,
+			"./...").Output()
+		if err != nil {
+			m.err = err
+			return
 		}
-		_, allowed := exportAllow[d.key]
-		switch {
-		case !called && !allowed:
-			t.Errorf("%s (%s) has no product caller: delete it, or add an exportAllow line with the reason", d.key, d.file)
-		case called && allowed:
-			t.Errorf("exportAllow lists %s, which now has a product caller: delete its line", d.key)
+		wd, err := os.Getwd()
+		if err != nil {
+			m.err = err
+			return
+		}
+		exports := map[string]string{}
+		sc := bufio.NewScanner(bytes.NewReader(out))
+		for sc.Scan() {
+			if path, export, ok := strings.Cut(sc.Text(), "="); ok && !strings.Contains(path, " ") {
+				exports[path] = export
+			} else if f := strings.Fields(sc.Text()); len(f) >= 2 {
+				dir, err := filepath.Rel(wd, f[1])
+				if err != nil {
+					m.err = err
+					return
+				}
+				m.mod = append(m.mod, scanPackage{path: f[0], dir: dir, files: f[2:]})
+			}
+		}
+		m.std = importer.ForCompiler(token.NewFileSet(), "gc", func(path string) (io.ReadCloser, error) {
+			return os.Open(exports[path])
+		})
+	})
+	if m.err != nil {
+		t.Fatal(m.err)
+	}
+	return append([]scanPackage(nil), m.mod...), m.std
+}
+
+// deadNames type-checks pkgs, which are in import order and import
+// nothing outside themselves but the standard library, and returns the
+// key of every name the covered packages declare and, with its position,
+// each one no file of pkgs uses. A name is a top-level func (not main
+// or init), type, var or const, a method, or an unexported, non-embedded
+// field of a top-level struct type. A use is an identifier that
+// resolves to the name, outside the name's own declaration (so neither a
+// recursive call nor a method's receiver counts); a field's use must
+// read it, not assign it or key a composite literal. A method is also
+// used when its type, or a pointer to it, implements an interface with
+// a method of that name that a package in scope declares or that pkgs
+// mention, and a const (…) group is used when any member is.
+func deadNames(fset *token.FileSet, pkgs []scanPackage, std types.Importer) (declared map[string]bool, dead map[string]string, err error) {
+	checked := map[string]*types.Package{}
+	imp := importerFunc(func(path string) (*types.Package, error) {
+		if p, ok := checked[path]; ok {
+			return p, nil
+		}
+		return std.Import(path)
+	})
+	type decl struct {
+		key        string
+		start, end token.Pos
+		group      []types.Object // a const (…) group's members
+	}
+	decls := map[types.Object]*decl{}
+	recvs, writes := map[*ast.Ident]bool{}, map[*ast.Ident]bool{}
+	used := map[types.Object]bool{}
+	var infos []*types.Info
+	for _, p := range pkgs {
+		var files []*ast.File
+		for _, name := range p.files {
+			f, err := parser.ParseFile(fset, filepath.Join(p.dir, name), nil, parser.SkipObjectResolution)
+			if err != nil {
+				return nil, nil, err
+			}
+			files = append(files, f)
+		}
+		info := &types.Info{
+			Types: map[ast.Expr]types.TypeAndValue{},
+			Defs:  map[*ast.Ident]types.Object{},
+			Uses:  map[*ast.Ident]types.Object{},
+		}
+		pkg, err := (&types.Config{Importer: imp}).Check(p.path, fset, files, info)
+		if err != nil {
+			return nil, nil, err
+		}
+		checked[p.path] = pkg
+		infos = append(infos, info)
+		for _, f := range files {
+			markNonUses(f, recvs, writes)
+		}
+		if !p.cover {
+			continue
+		}
+		prefix := pkg.Name()
+		if prefix == "main" {
+			prefix = strings.TrimPrefix(p.path, "quicksand/")
+		}
+		add := func(id *ast.Ident, key string, node ast.Node) {
+			if id.Name != "_" {
+				decls[info.Defs[id]] = &decl{key: prefix + "." + key, start: node.Pos(), end: node.End()}
+			}
+		}
+		for _, f := range files {
+			for _, dl := range f.Decls {
+				switch dl := dl.(type) {
+				case *ast.FuncDecl:
+					switch {
+					case dl.Recv != nil:
+						add(dl.Name, recvName(dl.Recv.List[0].Type)+"."+dl.Name.Name, dl)
+					case dl.Name.Name == "init" || dl.Name.Name == "main" && pkg.Name() == "main":
+					default:
+						add(dl.Name, dl.Name.Name, dl)
+					}
+				case *ast.GenDecl:
+					var group []types.Object
+					for _, spec := range dl.Specs {
+						switch spec := spec.(type) {
+						case *ast.TypeSpec:
+							add(spec.Name, spec.Name.Name, spec)
+							st, ok := spec.Type.(*ast.StructType)
+							if !ok {
+								continue
+							}
+							for _, fld := range st.Fields.List {
+								for _, id := range fld.Names {
+									if !id.IsExported() {
+										add(id, spec.Name.Name+"."+id.Name, id)
+									}
+								}
+							}
+						case *ast.ValueSpec:
+							for _, id := range spec.Names {
+								add(id, id.Name, spec)
+								if dl.Tok == token.CONST && dl.Lparen.IsValid() && id.Name != "_" {
+									group = append(group, info.Defs[id])
+								}
+							}
+						}
+					}
+					for _, obj := range group {
+						decls[obj].group = group
+					}
+				}
+			}
 		}
 	}
-	var stale []string
-	for key := range exportAllow {
-		if !keys[key] {
-			stale = append(stale, key)
+	delete(decls, nil)
+
+	for _, info := range infos {
+		for id, obj := range info.Uses {
+			obj = origin(obj)
+			d := decls[obj]
+			if d == nil || recvs[id] || id.Pos() >= d.start && id.Pos() < d.end {
+				continue
+			}
+			if v, ok := obj.(*types.Var); ok && v.IsField() && writes[id] {
+				continue
+			}
+			used[obj] = true
 		}
 	}
-	sort.Strings(stale)
-	for _, key := range stale {
-		t.Errorf("exportAllow lists %s, which is not declared", key)
+	byMethod := interfacesByMethod(checked, infos)
+	declared, dead = map[string]bool{}, map[string]string{}
+	for obj, d := range decls {
+		declared[d.key] = true
+		if used[obj] || methodViaInterface(obj, byMethod) {
+			continue
+		}
+		groupUsed := false
+		for _, m := range d.group {
+			groupUsed = groupUsed || used[m]
+		}
+		if !groupUsed {
+			dead[d.key] = fset.Position(obj.Pos()).String()
+		}
 	}
+	return declared, dead, nil
+}
+
+// markNonUses adds to recvs the identifiers in f's method receivers and
+// to writes those that only write what they name: the selector of an
+// assignment's or an increment's target, and a composite literal's key.
+func markNonUses(f *ast.File, recvs, writes map[*ast.Ident]bool) {
+	written := func(e ast.Expr) {
+		if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+			writes[sel.Sel] = true
+		}
+	}
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.FuncDecl:
+			if n.Recv != nil {
+				ast.Inspect(n.Recv, func(n ast.Node) bool {
+					if id, ok := n.(*ast.Ident); ok {
+						recvs[id] = true
+					}
+					return true
+				})
+			}
+		case *ast.AssignStmt:
+			for _, e := range n.Lhs {
+				written(e)
+			}
+		case *ast.IncDecStmt:
+			written(n.X)
+		case *ast.KeyValueExpr:
+			if id, ok := n.Key.(*ast.Ident); ok {
+				writes[id] = true
+			}
+		}
+		return true
+	})
+}
+
+// interfacesByMethod indexes by method name every interface that a
+// package of checked or one they import declares at top level, that
+// infos record as an expression's type, and the predeclared error.
+func interfacesByMethod(checked map[string]*types.Package, infos []*types.Info) map[string][]*types.Interface {
+	byMethod := map[string][]*types.Interface{}
+	seen := map[types.Type]bool{}
+	addType := func(t types.Type) {
+		iface, ok := t.Underlying().(*types.Interface)
+		if !ok || seen[iface] {
+			return
+		}
+		if named, ok := t.(*types.Named); ok && named.TypeParams().Len() > 0 {
+			return
+		}
+		seen[iface] = true
+		for i := 0; i < iface.NumMethods(); i++ {
+			name := iface.Method(i).Name()
+			byMethod[name] = append(byMethod[name], iface)
+		}
+	}
+	addType(types.Universe.Lookup("error").Type())
+	visited := map[*types.Package]bool{}
+	var visit func(p *types.Package)
+	visit = func(p *types.Package) {
+		if visited[p] {
+			return
+		}
+		visited[p] = true
+		for _, name := range p.Scope().Names() {
+			if tn, ok := p.Scope().Lookup(name).(*types.TypeName); ok {
+				addType(tn.Type())
+			}
+		}
+		for _, q := range p.Imports() {
+			visit(q)
+		}
+	}
+	for _, p := range checked {
+		visit(p)
+	}
+	for _, info := range infos {
+		for _, tv := range info.Types {
+			if tv.Type != nil {
+				addType(tv.Type)
+			}
+		}
+	}
+	return byMethod
+}
+
+// methodViaInterface reports whether obj is a method whose receiver type,
+// or a pointer to it, implements an interface of byMethod[obj.Name()].
+func methodViaInterface(obj types.Object, byMethod map[string][]*types.Interface) bool {
+	fn, ok := obj.(*types.Func)
+	if !ok {
+		return false
+	}
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return false
+	}
+	t := recv.Type()
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	for _, iface := range byMethod[fn.Name()] {
+		if types.Implements(t, iface) || types.Implements(types.NewPointer(t), iface) {
+			return true
+		}
+	}
+	return false
+}
+
+// origin maps an instantiated generic method or field to its declaration.
+func origin(obj types.Object) types.Object {
+	switch o := obj.(type) {
+	case *types.Func:
+		return o.Origin()
+	case *types.Var:
+		return o.Origin()
+	}
+	return obj
+}
+
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// recvName returns the name of a method receiver's type.
+func recvName(expr ast.Expr) string {
+	for {
+		switch e := expr.(type) {
+		case *ast.StarExpr:
+			expr = e.X
+		case *ast.IndexExpr:
+			expr = e.X
+		case *ast.IndexListExpr:
+			expr = e.X
+		case *ast.Ident:
+			return e.Name
+		default:
+			return ""
+		}
+	}
+}
+
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 // forEachProductFile parses every non-test Go file of the module outside
@@ -167,99 +531,4 @@ func TestRandStreamsUseNewRand(t *testing.T) {
 			return true
 		})
 	})
-}
-
-// exportedDecls returns f's exported top-level names.
-func exportedDecls(f *ast.File, path string) []exportDecl {
-	pkg := f.Name.Name
-	var out []exportDecl
-	add := func(key string, group ...string) {
-		out = append(out, exportDecl{key: key, file: path, group: group})
-	}
-	for _, decl := range f.Decls {
-		switch decl := decl.(type) {
-		case *ast.FuncDecl:
-			if !decl.Name.IsExported() {
-				continue
-			}
-			if decl.Recv == nil {
-				add(pkg+"."+decl.Name.Name, decl.Name.Name)
-			} else if recv := recvType(decl.Recv.List[0].Type); ast.IsExported(recv) {
-				add(pkg+"."+recv+"."+decl.Name.Name, decl.Name.Name)
-			}
-		case *ast.GenDecl:
-			var names []string
-			for _, spec := range decl.Specs {
-				switch spec := spec.(type) {
-				case *ast.TypeSpec:
-					names = append(names, spec.Name.Name)
-				case *ast.ValueSpec:
-					for _, id := range spec.Names {
-						names = append(names, id.Name)
-					}
-				}
-			}
-			enum := decl.Tok == token.CONST && decl.Lparen.IsValid()
-			for _, name := range names {
-				switch {
-				case !ast.IsExported(name):
-				case enum:
-					add(pkg+"."+name, names...)
-				default:
-					add(pkg+"."+name, name)
-				}
-			}
-		}
-	}
-	return out
-}
-
-// declIdents returns the identifiers of f that name a top-level
-// declaration or sit in a method's receiver: neither is a use.
-func declIdents(f *ast.File) map[*ast.Ident]bool {
-	m := map[*ast.Ident]bool{}
-	for _, decl := range f.Decls {
-		switch decl := decl.(type) {
-		case *ast.FuncDecl:
-			m[decl.Name] = true
-			if decl.Recv != nil {
-				ast.Inspect(decl.Recv, func(n ast.Node) bool {
-					if id, ok := n.(*ast.Ident); ok {
-						m[id] = true
-					}
-					return true
-				})
-			}
-		case *ast.GenDecl:
-			for _, spec := range decl.Specs {
-				switch spec := spec.(type) {
-				case *ast.TypeSpec:
-					m[spec.Name] = true
-				case *ast.ValueSpec:
-					for _, id := range spec.Names {
-						m[id] = true
-					}
-				}
-			}
-		}
-	}
-	return m
-}
-
-// recvType returns the name of a method receiver's type.
-func recvType(expr ast.Expr) string {
-	for {
-		switch e := expr.(type) {
-		case *ast.StarExpr:
-			expr = e.X
-		case *ast.IndexExpr:
-			expr = e.X
-		case *ast.IndexListExpr:
-			expr = e.X
-		case *ast.Ident:
-			return e.Name
-		default:
-			return ""
-		}
-	}
 }

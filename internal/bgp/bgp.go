@@ -104,36 +104,6 @@ func Sequence(ases ...ASN) ASPath {
 	return ASPath{Segments: []Segment{{Type: SegmentSequence, ASes: append([]ASN(nil), ases...)}}}
 }
 
-// Origin returns the origin AS (the last AS of the last segment) and true,
-// or 0 and false for an empty path.
-func (p ASPath) Origin() (ASN, bool) {
-	for i := len(p.Segments) - 1; i >= 0; i-- {
-		if n := len(p.Segments[i].ASes); n > 0 {
-			return p.Segments[i].ASes[n-1], true
-		}
-	}
-	return 0, false
-}
-
-// Equal reports whether two paths are identical segment by segment.
-func (p ASPath) Equal(q ASPath) bool {
-	if len(p.Segments) != len(q.Segments) {
-		return false
-	}
-	for i := range p.Segments {
-		a, b := p.Segments[i], q.Segments[i]
-		if a.Type != b.Type || len(a.ASes) != len(b.ASes) {
-			return false
-		}
-		for j := range a.ASes {
-			if a.ASes[j] != b.ASes[j] {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // emptyPath marks an announcement with a present-but-empty AS_PATH.
 var emptyPath = []ASN{}
 

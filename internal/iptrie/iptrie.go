@@ -63,14 +63,6 @@ func (t *Trie[V]) Insert(p netip.Prefix, val V) (added bool, err error) {
 	return !had, nil
 }
 
-// Get returns the value stored at exactly prefix p.
-func (t *Trie[V]) Get(p netip.Prefix) (val V, ok bool) {
-	if k, ok := Key(p); ok {
-		return t.GetKey(k)
-	}
-	return val, false
-}
-
 // GetKey returns the value stored at exactly the prefix whose Key is k.
 func (t *Trie[V]) GetKey(k uint64) (val V, ok bool) {
 	if t.lens[k>>32]>>(k&0xff)&1 != 0 {
@@ -140,6 +132,3 @@ func (t *Trie[V]) Walk(fn func(netip.Prefix, V) bool) {
 		}
 	}
 }
-
-// Len returns the number of stored prefixes.
-func (t *Trie[V]) Len() int { return len(t.m) }

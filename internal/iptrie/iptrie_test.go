@@ -17,6 +17,15 @@ func mustPrefix(t *testing.T, s string) netip.Prefix {
 	return p
 }
 
+func mustKey(t *testing.T, s string) uint64 {
+	t.Helper()
+	k, ok := Key(mustPrefix(t, s))
+	if !ok {
+		t.Fatalf("Key(%s) refused", s)
+	}
+	return k
+}
+
 func mustAddr(t *testing.T, s string) netip.Addr {
 	t.Helper()
 	a, err := netip.ParseAddr(s)
@@ -32,12 +41,12 @@ func TestInsertGet(t *testing.T) {
 	if err != nil || !added {
 		t.Fatalf("Insert: added=%v err=%v", added, err)
 	}
-	v, ok := tr.Get(mustPrefix(t, "10.0.0.0/8"))
+	v, ok := tr.GetKey(mustKey(t, "10.0.0.0/8"))
 	if !ok || v != "ten" {
-		t.Fatalf("Get = %q, %v", v, ok)
+		t.Fatalf("GetKey = %q, %v", v, ok)
 	}
-	if tr.Len() != 1 {
-		t.Fatalf("Len = %d", tr.Len())
+	if len(tr.m) != 1 {
+		t.Fatalf("Len = %d", len(tr.m))
 	}
 }
 
@@ -51,21 +60,21 @@ func TestInsertReplaces(t *testing.T) {
 	if added {
 		t.Fatal("re-insert reported added=true")
 	}
-	v, _ := tr.Get(mustPrefix(t, "10.0.0.0/8"))
+	v, _ := tr.GetKey(mustKey(t, "10.0.0.0/8"))
 	if v != 2 {
 		t.Fatalf("value = %d, want 2", v)
 	}
-	if tr.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", tr.Len())
+	if len(tr.m) != 1 {
+		t.Fatalf("Len = %d, want 1", len(tr.m))
 	}
 }
 
 func TestInsertCanonicalizes(t *testing.T) {
 	var tr Trie[int]
 	tr.Insert(mustPrefix(t, "10.1.2.3/8"), 7)
-	v, ok := tr.Get(mustPrefix(t, "10.0.0.0/8"))
+	v, ok := tr.GetKey(mustKey(t, "10.0.0.0/8"))
 	if !ok || v != 7 {
-		t.Fatalf("canonicalized Get = %d, %v", v, ok)
+		t.Fatalf("canonicalized GetKey = %d, %v", v, ok)
 	}
 }
 
@@ -222,30 +231,27 @@ func TestLongestMatchAgainstReference(t *testing.T) {
 		if _, err := tr.Insert(p, 2); err == nil {
 			t.Errorf("Insert(%v) accepted", p)
 		}
-		if _, ok := tr.Get(p); ok {
-			t.Errorf("Get(%v) matched", p)
+		if _, ok := Key(p); ok {
+			t.Errorf("Key(%v) accepted", p)
 		}
 		if q, _, ok := tr.LongestMatch(p.Addr()); ok {
 			t.Errorf("LongestMatch(%v) = %v", p.Addr(), q)
 		}
 	}
-	if tr.Len() != 1 {
-		t.Errorf("Len = %d after rejected inserts, want 1", tr.Len())
+	if len(tr.m) != 1 {
+		t.Errorf("Len = %d after rejected inserts, want 1", len(tr.m))
 	}
 }
 
 // checkTrieOracle compares tr with the oracle's masked prefix -> value
 // map by a linear scan per probe.
 func checkTrieOracle(tr *Trie[int], oracle map[netip.Prefix]int, probes []netip.Prefix) error {
-	if tr.Len() != len(oracle) {
-		return fmt.Errorf("Len = %d, oracle %d", tr.Len(), len(oracle))
+	if len(tr.m) != len(oracle) {
+		return fmt.Errorf("Len = %d, oracle %d", len(tr.m), len(oracle))
 	}
 	for _, q := range probes {
 		k, _ := Key(q)
 		want, wantOK := oracle[q.Masked()]
-		if v, ok := tr.Get(q); v != want || ok != wantOK {
-			return fmt.Errorf("Get(%v) = %d, %v; oracle %d, %v", q, v, ok, want, wantOK)
-		}
 		if v, ok := tr.GetKey(k); v != want || ok != wantOK {
 			return fmt.Errorf("GetKey(%v) = %d, %v; oracle %d, %v", q, v, ok, want, wantOK)
 		}

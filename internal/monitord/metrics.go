@@ -138,13 +138,6 @@ func (m *metrics) registerCollectors(d *Daemon) {
 		})
 }
 
-func (m *metrics) alertCount(k defense.AlertKind) uint64 {
-	if int(k) < 0 || int(k) >= len(m.alerts) {
-		return 0
-	}
-	return m.alerts[k].Value()
-}
-
 // updatesPerSec returns the ingest rate over the window since the last
 // call, falling back to the lifetime mean for sub-10ms windows (repeated
 // scrapes would otherwise divide by ~zero).

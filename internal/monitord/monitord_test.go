@@ -96,7 +96,7 @@ func TestDaemonIngestDetectsHijacks(t *testing.T) {
 	if got := d.met.updates.Value(); got != 4 {
 		t.Errorf("updates counter = %d, want 4", got)
 	}
-	if got := d.met.alertCount(defense.AlertOriginChange); got != 1 {
+	if got := d.met.alerts[defense.AlertOriginChange].Value(); got != 1 {
 		t.Errorf("origin-change counter = %d, want 1", got)
 	}
 }

@@ -57,7 +57,7 @@ func BenchmarkVecWith(b *testing.B) {
 func BenchmarkWritePrometheus(b *testing.B) {
 	reg := NewRegistry()
 	reg.Counter("bench_updates_total", "x").Add(12345)
-	reg.Gauge("bench_depth", "x").Set(3)
+	reg.Gauge("bench_depth", "x").Add(3)
 	h := reg.Histogram("bench_seconds", "x", nil)
 	h.Observe(0.01)
 	h.Observe(3)

@@ -15,7 +15,7 @@ func TestExpositionPassesLint(t *testing.T) {
 	reg := obs.NewRegistry()
 	reg.Counter("obs_demo_events_total", "Events.").Add(3)
 	reg.CounterVec("obs_demo_msgs_total", "Messages.", "type", "dir").With("open", "in").Inc()
-	reg.Gauge("obs_demo_depth", "Depth.").Set(1.5)
+	reg.Gauge("obs_demo_depth", "Depth.").Add(1.5)
 	h := reg.Histogram("obs_demo_latency_seconds", "Latency.", nil)
 	for _, v := range []float64{0.0001, 0.05, 2, 100} {
 		h.Observe(v)

@@ -221,13 +221,6 @@ func (cv *CounterVec) With(labelValues ...string) *Counter {
 // Gauge is a float64 that can go up and down.
 type Gauge struct{ bits atomic.Uint64 }
 
-// Set stores v. No-op on a nil receiver.
-func (g *Gauge) Set(v float64) {
-	if g != nil {
-		g.bits.Store(math.Float64bits(v))
-	}
-}
-
 // Add adds delta (CAS loop). No-op on a nil receiver.
 func (g *Gauge) Add(delta float64) {
 	if g == nil {
@@ -287,14 +280,6 @@ func (h *Histogram) Observe(v float64) {
 			return
 		}
 	}
-}
-
-// Count returns the number of observations (0 on nil).
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.n.Load()
 }
 
 // Sum returns the sum of observations (0 on nil).

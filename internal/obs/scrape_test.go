@@ -13,8 +13,8 @@ import (
 func buildRegistry() *obs.Registry {
 	reg := obs.NewRegistry()
 	reg.Counter("quicksand_scrape_updates_total", "Updates.").Add(100)
-	reg.GaugeVec("quicksand_scrape_depth", "Depth.", "shard").With("0").Set(3)
-	reg.GaugeVec("quicksand_scrape_depth", "Depth.", "shard").With("1").Set(5)
+	reg.GaugeVec("quicksand_scrape_depth", "Depth.", "shard").With("0").Add(3)
+	reg.GaugeVec("quicksand_scrape_depth", "Depth.", "shard").With("1").Add(5)
 	h := reg.HistogramVec("quicksand_scrape_seconds", "Latency.",
 		[]float64{0.001, 0.01, 0.1, 1}, "stage")
 	for i := 0; i < 50; i++ {

@@ -38,7 +38,6 @@ import (
 	"math/rand"
 	"slices"
 	"strings"
-	"time"
 
 	"quicksand/internal/bgp"
 	"quicksand/internal/par"
@@ -85,18 +84,14 @@ func (cfg Config) key(n int) string {
 // c in the graph and every configured guard AS g. It is immutable and
 // safe for concurrent use.
 type Matrix struct {
-	c       *topology.Compiled
-	version uint64
-	guards  []bgp.ASN
-	gidx    map[bgp.ASN]int
-	res     [][]float64 // res[guard index][client id]
-	tables  int         // hijack tables computed
-	budget  int         // attackers per guard (population size when exact)
-	bound   float64     // 95% half-width of the sampling error; 0 when exact
+	c      *topology.Compiled
+	guards []bgp.ASN
+	gidx   map[bgp.ASN]int
+	res    [][]float64 // res[guard index][client id]
+	tables int         // hijack tables computed
+	budget int         // attackers per guard (population size when exact)
+	bound  float64     // 95% half-width of the sampling error; 0 when exact
 }
-
-// Guards returns the guard ASes, in configuration order. Read-only.
-func (m *Matrix) Guards() []bgp.ASN { return m.guards }
 
 // Pairs returns the number of (client, guard) resilience values held.
 func (m *Matrix) Pairs() int { return len(m.guards) * m.c.Len() }
@@ -116,18 +111,6 @@ func (m *Matrix) Exact() bool { return m.bound == 0 }
 // mean of Bernoulli draws, with the finite-population correction for
 // sampling attackers without replacement.
 func (m *Matrix) ErrorBound95() float64 { return m.bound }
-
-// Version returns the graph mutation version the matrix was built at.
-func (m *Matrix) Version() uint64 { return m.version }
-
-// MemoryBytes returns the measured footprint of the resilience values.
-func (m *Matrix) MemoryBytes() int {
-	n := 0
-	for _, r := range m.res {
-		n += cap(r) * 8
-	}
-	return n
-}
 
 // R returns the resilience of client toward guard; ok is false when
 // client is not in the graph or guard is not a configured destination.
@@ -159,10 +142,9 @@ func errorBound95(m, pop int) float64 {
 // shard computes one two-origin hijack table per attacker in its
 // worker's scratch and accumulates per-client capture counts, so the
 // whole run allocates a bounded number of table buffers no matter how
-// many pairs it produces. met may be nil.
+// many pairs it produces. met carries nothing (see Metrics): pass nil.
 func Compute(g *topology.Graph, cfg Config, met *Metrics) (*Matrix, error) {
 	c := g.Compiled()
-	version := g.Version()
 	n := c.Len()
 	if n < 3 {
 		return nil, fmt.Errorf("resilience: need at least 3 ASes, have %d", n)
@@ -191,12 +173,11 @@ func Compute(g *topology.Graph, cfg Config, met *Metrics) (*Matrix, error) {
 	}
 
 	m := &Matrix{
-		c:       c,
-		version: version,
-		guards:  append([]bgp.ASN(nil), cfg.Guards...),
-		gidx:    make(map[bgp.ASN]int, len(cfg.Guards)),
-		res:     make([][]float64, len(cfg.Guards)),
-		budget:  budget,
+		c:      c,
+		guards: append([]bgp.ASN(nil), cfg.Guards...),
+		gidx:   make(map[bgp.ASN]int, len(cfg.Guards)),
+		res:    make([][]float64, len(cfg.Guards)),
+		budget: budget,
 	}
 	for i, asn := range m.guards {
 		m.gidx[asn] = i
@@ -215,7 +196,6 @@ func Compute(g *topology.Graph, cfg Config, met *Metrics) (*Matrix, error) {
 	tableCounts := make([]int, len(cfg.Guards))
 	err := par.ForEachWorker(len(bufs), len(cfg.Guards), func(w, gi int) error {
 		b := &bufs[w]
-		start := time.Now()
 		gID, gASN := guardIDs[gi], m.guards[gi]
 		clear(b.counts)
 		clear(b.inSample)
@@ -270,7 +250,6 @@ func Compute(g *topology.Graph, cfg Config, met *Metrics) (*Matrix, error) {
 		}
 		m.res[gi] = r
 		tableCounts[gi] = len(b.attackers)
-		met.observeShard(time.Since(start), len(b.attackers), n)
 		return nil
 	})
 	if err != nil {
@@ -336,9 +315,6 @@ type Engine struct {
 func NewEngine(g *topology.Graph) *Engine {
 	return &Engine{memo: topology.NewVersionMemo[string, *Matrix](g)}
 }
-
-// Graph returns the graph the engine computes over.
-func (e *Engine) Graph() *topology.Graph { return e.memo.Graph() }
 
 // Matrix returns the cached matrix for cfg, computing it on first use
 // per graph version.

@@ -1,13 +1,11 @@
 package resilience_test
 
 import (
-	"bytes"
 	"math"
 	"strings"
 	"testing"
 
 	"quicksand/internal/bgp"
-	"quicksand/internal/obs"
 	"quicksand/internal/resilience"
 	"quicksand/internal/testkit"
 	"quicksand/internal/topology"
@@ -179,12 +177,6 @@ func TestMatrixAccessors(t *testing.T) {
 	if mx.Tables() != len(guards)*(n-1) {
 		t.Fatalf("Tables() = %d, want %d", mx.Tables(), len(guards)*(n-1))
 	}
-	if mx.Version() != g.Version() {
-		t.Fatalf("Version() = %d, graph at %d", mx.Version(), g.Version())
-	}
-	if got := mx.MemoryBytes(); got < n*len(guards)*8 {
-		t.Fatalf("MemoryBytes() = %d, want >= %d", got, n*len(guards)*8)
-	}
 	for _, guard := range guards {
 		for _, client := range g.ASNs() {
 			r, ok := mx.R(client, guard)
@@ -268,47 +260,7 @@ func TestEngineCacheVersioning(t *testing.T) {
 	if c == a {
 		t.Fatal("stale matrix served after graph mutation")
 	}
-	if c.Version() == a.Version() {
-		t.Fatal("recomputed matrix kept the old version")
-	}
 	if matrix(cfg) != c {
 		t.Fatal("the recomputed matrix was not cached")
-	}
-}
-
-// TestMetricsExposition runs an instrumented computation and lints the
-// Prometheus exposition; the counters must agree with the matrix's own
-// bookkeeping.
-func TestMetricsExposition(t *testing.T) {
-	g := tinyGraph(t, 5)
-	reg := obs.NewRegistry()
-	met := resilience.NewMetrics(reg)
-	guards := pickGuards(g, 3)
-	mx, err := resilience.Compute(g, resilience.Config{Guards: guards}, met)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := met.Tables.Value(); got != uint64(mx.Tables()) {
-		t.Fatalf("resilience_tables_total = %d, matrix says %d", got, mx.Tables())
-	}
-	if got := met.Pairs.Value(); got != uint64(mx.Pairs()) {
-		t.Fatalf("resilience_pairs_total = %d, matrix says %d", got, mx.Pairs())
-	}
-	if got := met.ShardSeconds.Count(); got != uint64(len(guards)) {
-		t.Fatalf("resilience_shard_seconds count = %d, want %d shards", got, len(guards))
-	}
-	var b bytes.Buffer
-	if err := reg.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	if errs := testkit.LintProm(b.String()); len(errs) != 0 {
-		t.Fatalf("exposition lint: %v", errs)
-	}
-	for _, fam := range []string{
-		"resilience_pairs_total", "resilience_tables_total", "resilience_shard_seconds",
-	} {
-		if !strings.Contains(b.String(), fam) {
-			t.Fatalf("exposition missing %s", fam)
-		}
 	}
 }

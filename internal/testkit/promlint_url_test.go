@@ -51,7 +51,7 @@ func TestLintPromURLErrors(t *testing.T) {
 func TestLintPromURLAggregated(t *testing.T) {
 	reg := obs.NewRegistry()
 	reg.Counter("fleet_updates_total", "Updates ingested.").Add(600)
-	reg.GaugeVec("monitord_depth", "Queue depth per shard.", "shard").With("0").Set(2)
+	reg.GaugeVec("monitord_depth", "Queue depth per shard.", "shard").With("0").Add(2)
 	h := reg.HistogramVec("monitord_latency_seconds", "Latency.", obs.ExpBuckets(0.001, 10, 4), "stage")
 	h.With("read").Observe(0.005)
 	h.With("apply").Observe(0.5)

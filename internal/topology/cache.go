@@ -66,9 +66,6 @@ func NewRouteCache(g *Graph) *RouteCache {
 	return &RouteCache{memo: NewVersionMemo[bgp.ASN, *CompiledRoutes](g)}
 }
 
-// Graph returns the graph the cache serves.
-func (rc *RouteCache) Graph() *Graph { return rc.memo.Graph() }
-
 // Routes returns the cached (or freshly computed) unfiltered
 // single-origin table toward dst.
 func (rc *RouteCache) Routes(dst bgp.ASN) (*CompiledRoutes, error) {

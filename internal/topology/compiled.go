@@ -32,12 +32,6 @@ func (c *Compiled) Len() int { return len(c.asns) }
 // ASN returns the ASN interned at id i.
 func (c *Compiled) ASN(i int) bgp.ASN { return c.asns[i] }
 
-// ASNs returns the interned ASNs in id (= ascending ASN) order. The
-// slice is the snapshot's own storage: callers must treat it as
-// read-only. Bulk consumers (the resilience matrix, differential
-// harnesses) iterate it instead of re-sorting Graph.ASNs per call.
-func (c *Compiled) ASNs() []bgp.ASN { return c.asns }
-
 // ID returns the dense id of asn, with ok=false when absent.
 func (c *Compiled) ID(asn bgp.ASN) (int32, bool) {
 	id, ok := c.idOf[asn]

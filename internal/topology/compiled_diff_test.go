@@ -237,9 +237,6 @@ func TestRouteCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	rc := topology.NewRouteCache(g)
-	if rc.Graph() != g {
-		t.Fatal("Graph() accessor broken")
-	}
 	dst := g.TierASNs(3)[1]
 	cr1, err := rc.Routes(dst)
 	if err != nil {

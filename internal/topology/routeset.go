@@ -8,29 +8,6 @@ import (
 	"quicksand/internal/par"
 )
 
-// SizeBytes returns the heap footprint of the scratch's retained
-// buffers. With one scratch per worker this makes the working memory of
-// a sharded computation an explicit, measurable budget.
-func (s *Scratch) SizeBytes() int {
-	b := (cap(s.origIDs) + cap(s.frontier) + cap(s.next)) * 4
-	for i := range s.buckets {
-		b += cap(s.buckets[i]) * 4
-	}
-	return b
-}
-
-// MemoryBytes estimates the snapshot's heap footprint: the interning
-// table, the id map (conservatively costed at 32 bytes/entry for
-// bucket overhead), the three CSR adjacency structures and the two id
-// lists.
-func (c *Compiled) MemoryBytes() int {
-	b := len(c.asns) * 4
-	b += len(c.idOf) * 32
-	b += (len(c.custOff) + len(c.peerOff) + len(c.provOff)) * 4
-	b += (len(c.cust) + len(c.peer) + len(c.prov) + len(c.transit) + len(c.peered)) * 4
-	return b
-}
-
 // MemoryBytes returns the heap footprint of the route key array.
 func (r *CompiledRoutes) MemoryBytes() int { return cap(r.keys) * int(unsafe.Sizeof(r.keys[0])) }
 
@@ -119,21 +96,6 @@ func NewRouteSet(g *Graph, dests []bgp.ASN, workers int) (*RouteSet, error) {
 // Dests returns the tracked destinations in construction order.
 func (rs *RouteSet) Dests() []bgp.ASN { return rs.dests }
 
-// Graph returns the underlying graph.
-func (rs *RouteSet) Graph() *Graph { return rs.g }
-
-// Table returns the current route table toward dst, with ok=false for
-// an untracked destination. It scans the destinations: callers on a hot
-// path index with TableAt, and no profile has shown this one.
-func (rs *RouteSet) Table(dst bgp.ASN) (*CompiledRoutes, bool) {
-	for i, d := range rs.dests {
-		if d == dst {
-			return rs.tables[i], true
-		}
-	}
-	return nil, false
-}
-
 // TableAt returns the i'th destination's table.
 func (rs *RouteSet) TableAt(i int) *CompiledRoutes { return rs.tables[i] }
 
@@ -165,22 +127,6 @@ func (rs *RouteSet) recomputeAll() error {
 // recomputation that Apply's delta path avoids; benchmarks compare the
 // two.
 func (rs *RouteSet) RecomputeAll() error { return rs.recomputeAll() }
-
-// MemoryBytes reports the set's retained footprint: every table, the
-// per-worker scratches, and the compiled snapshot. It must not run
-// concurrently with Apply or RecomputeAll.
-func (rs *RouteSet) MemoryBytes() int {
-	b := rs.g.Compiled().MemoryBytes()
-	for i := range rs.scratch {
-		b += rs.scratch[i].SizeBytes()
-	}
-	for _, t := range rs.tables {
-		if t != nil {
-			b += t.MemoryBytes()
-		}
-	}
-	return b
-}
 
 // adopts reports whether x would take the route y offers across a new
 // x-y adjacency, on which x learns y's route as type t, given the current

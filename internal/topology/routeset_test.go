@@ -15,7 +15,7 @@ import (
 func assertTablesMatchFresh(t testing.TB, rs *RouteSet, tag string) {
 	t.Helper()
 	for i, d := range rs.Dests() {
-		want, err := rs.Graph().Routes(nil, Origin{ASN: d})
+		want, err := rs.g.Routes(nil, Origin{ASN: d})
 		if err != nil {
 			t.Fatalf("%s: fresh compute for dest %v: %v", tag, d, err)
 		}
@@ -52,31 +52,11 @@ func TestRouteSetAccessors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rs.Graph() != g {
-		t.Error("Graph() is not the constructor graph")
-	}
 	if got := rs.Dests(); len(got) != 3 || got[0] != 1 || got[2] != 60 {
 		t.Errorf("Dests() = %v, want %v", got, dests)
 	}
-	tbl, ok := rs.Table(30)
-	if !ok || tbl != rs.TableAt(1) {
-		t.Error("Table(30) did not return the tracked table")
-	}
-	if _, ok := rs.Table(31); ok {
-		t.Error("Table(31) returned a table for an untracked destination")
-	}
-	if r, ok := tbl.Route(30); !ok || r.Type != RouteOrigin {
+	if r, ok := rs.TableAt(1).Route(30); !ok || r.Type != RouteOrigin {
 		t.Errorf("destination's own route = %+v, want origin", r)
-	}
-	if rs.MemoryBytes() < 3*60*keyBytes {
-		t.Errorf("MemoryBytes() = %d, below the bare table footprint", rs.MemoryBytes())
-	}
-	tables := 0
-	for i := range rs.Dests() {
-		tables += rs.TableAt(i).MemoryBytes()
-	}
-	if scratch := rs.MemoryBytes() - tables - g.Compiled().MemoryBytes(); scratch <= 0 {
-		t.Errorf("MemoryBytes() counts %d bytes of worker scratch after computing tables, want > 0", scratch)
 	}
 	assertTablesMatchFresh(t, rs, "fresh route set")
 }

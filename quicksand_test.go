@@ -255,8 +255,8 @@ func TestRunFig2Right(t *testing.T) {
 		}
 	}
 	// Totals agree within cell overhead.
-	se := res.Series.ServerToExit.Total()
-	cg := res.Series.ClientToGuard.Total()
+	se := res.Series.ServerToExit.Cum[len(res.Series.ServerToExit.Cum)-1]
+	cg := res.Series.ClientToGuard.Cum[len(res.Series.ClientToGuard.Cum)-1]
 	if cg < se || cg > se*1.1 {
 		t.Fatalf("totals diverge: server %v client %v", se, cg)
 	}

@@ -12,8 +12,11 @@
 #      test that was running and none for the tests after it: that test
 #      counts as failed, and the package's unstarted tests run again
 #      under the mutant until every test has run;
-#   3. re-run each failing top-level test alone under the same mutant:
-#      a failure that does not reproduce is a flake, not a kill;
+#   3. re-run each failing top-level test alone under the same mutant,
+#      three times over (each pass runs again what a crash left
+#      unstarted): a failure that does not reproduce in every pass is a
+#      flake, not a kill, so a test that fails only when goroutines
+#      happen to collide is rarely recorded;
 #   4. revert the patch.
 #
 # The confirmed kills are written to results/mutants/KILLS.tsv (mutant,
@@ -120,12 +123,16 @@ for id in "$@"; do
     done
     cut -d' ' -f1,2 "$work/.settled" | sort -u >"$work/.failed"
 
-    # Confirm per package, keeping each kill's elapsed seconds.
+    # Confirm per package in three passes; a kill is a test that failed
+    # in all three, at its slowest pass's elapsed seconds.
     : >"$work/.settled"
-    for pkg in $(cut -d' ' -f1 "$work/.failed" | uniq); do
-        settle "$pkg" "$(awk -v p="$pkg" '$1 == p { printf "%s%s", sep, $2; sep = "|" }' "$work/.failed")"
+    for pass in 1 2 3; do
+        for pkg in $(cut -d' ' -f1 "$work/.failed" | uniq); do
+            settle "$pkg" "$(awk -v p="$pkg" '$1 == p { printf "%s%s", sep, $2; sep = "|" }' "$work/.failed")"
+        done
     done
-    sort -u "$work/.settled" >"$work/.confirmed"
+    awk '{ k = $1 " " $2; if (!(k in n) || $3 + 0 > t[k] + 0) t[k] = $3; n[k]++ }
+        END { for (k in n) if (n[k] == 3) print k, t[k] }' "$work/.settled" | sort >"$work/.confirmed"
     (cd "$work" && git apply -R "$patch")
     secs=$(($(date +%s) - start))
 
