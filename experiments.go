@@ -541,24 +541,27 @@ func (w *World) RunInterceptStudy(cfg InterceptStudyConfig) (*InterceptStudyResu
 // DefenseStudyConfig parameterises the defense experiment.
 type DefenseStudyConfig struct {
 	Seed int64
-	// Circuits is the number of vanilla circuits sampled per oracle to
-	// measure the unsafe fraction.
-	Circuits int
-	// MonitorLearnFraction splits the stream into a clean learning
-	// prefix and an observed remainder.
-	MonitorLearnFraction float64
-	// InjectedHijacks is the number of synthetic attack announcements
-	// appended for the detection measurement.
-	InjectedHijacks int
 	// Workers bounds the circuit-judging parallelism; <1 means one
 	// worker per CPU. Results are identical for every worker count.
 	Workers int
 }
 
-// DefaultDefenseStudyConfig samples 80 circuits and injects 10 attacks.
+// DefaultDefenseStudyConfig is the E5 study at seed 1.
 func DefaultDefenseStudyConfig() DefenseStudyConfig {
-	return DefenseStudyConfig{Seed: 1, Circuits: 80, MonitorLearnFraction: 0.5, InjectedHijacks: 10}
+	return DefenseStudyConfig{Seed: 1}
 }
+
+const (
+	// defenseCircuits is the number of vanilla circuits sampled per
+	// oracle to measure the unsafe fraction.
+	defenseCircuits = 80
+	// monitorLearnFraction splits the stream into a clean learning
+	// prefix and an observed remainder.
+	monitorLearnFraction = 0.5
+	// injectedHijacks is the number of synthetic attack announcements
+	// appended for the detection measurement.
+	injectedHijacks = 10
+)
 
 // DefenseStudyResult aggregates E5.
 type DefenseStudyResult struct {
@@ -585,9 +588,6 @@ type DefenseStudyResult struct {
 // RunDefenseStudy evaluates the §5 countermeasures on the world and a
 // simulated stream.
 func (w *World) RunDefenseStudy(st *bgpsim.Stream, cfg DefenseStudyConfig) (*DefenseStudyResult, error) {
-	if cfg.Circuits < 1 {
-		return nil, fmt.Errorf("quicksand: need at least one circuit")
-	}
 	rng := par.NewRand(cfg.Seed)
 	res := &DefenseStudyResult{}
 
@@ -629,7 +629,7 @@ func (w *World) RunDefenseStudy(st *bgpsim.Stream, cfg DefenseStudyConfig) (*Def
 	// oracles are concurrency-safe and their cached route tables are
 	// deterministic regardless of which worker computes them first).
 	type verdict struct{ judged, unsafeStatic, unsafeDyn bool }
-	verdicts, err := par.Map(cfg.Workers, cfg.Circuits, func(i int) (verdict, error) {
+	verdicts, err := par.Map(cfg.Workers, defenseCircuits, func(i int) (verdict, error) {
 		csel := torpath.NewSelector(w.Consensus, par.TrialSeed(cfg.Seed, i))
 		c, err := csel.BuildCircuit(gs, 443)
 		if err != nil {
@@ -707,7 +707,7 @@ func (w *World) RunDefenseStudy(st *bgpsim.Stream, cfg DefenseStudyConfig) (*Def
 	if err != nil {
 		return nil, err
 	}
-	rep, err := defense.RunMonitor(mon, st, cfg.MonitorLearnFraction)
+	rep, err := defense.RunMonitor(mon, st, monitorLearnFraction)
 	if err != nil {
 		return nil, err
 	}
@@ -719,7 +719,7 @@ func (w *World) RunDefenseStudy(st *bgpsim.Stream, cfg DefenseStudyConfig) (*Def
 	// require 100% detection — §5 tolerates false positives, never false
 	// negatives.
 	torList := w.SortedTorPrefixes()
-	for i := 0; i < cfg.InjectedHijacks && i < len(torList); i++ {
+	for i := 0; i < injectedHijacks && i < len(torList); i++ {
 		victim := torList[i]
 		attacker := bgp.ASN(990000 + i)
 		res.HijacksInjected++

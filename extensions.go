@@ -324,9 +324,6 @@ type ROVStudyConfig struct {
 	Deployments []float64
 	// Attackers is the number of attacker samples per deployment level.
 	Attackers int
-	// TopDown deploys at the highest-degree ASes first (how RPKI is
-	// actually rolling out); false deploys uniformly at random.
-	TopDown bool
 	// Workers bounds the trial-level parallelism; <1 means one worker
 	// per CPU. Results are identical for every worker count.
 	Workers int
@@ -338,7 +335,6 @@ func DefaultROVStudyConfig() ROVStudyConfig {
 		Seed:        1,
 		Deployments: []float64{0, 0.1, 0.25, 0.5, 0.75, 1.0},
 		Attackers:   15,
-		TopDown:     true,
 	}
 }
 
@@ -357,8 +353,8 @@ type ROVStudyResult struct {
 // RunROVStudy measures how partial ROV deployment shrinks exact-prefix
 // hijacks against the top guard prefix — quantifying the conclusion's
 // "improvements in BGP security can go a long way". Validators are the
-// highest-degree ASes first (TopDown) because filtering at well-connected
-// networks shields their whole customer cones.
+// highest-degree ASes first (how RPKI is actually rolling out) because
+// filtering at well-connected networks shields their whole customer cones.
 func (w *World) RunROVStudy(cfg ROVStudyConfig) (*ROVStudyResult, error) {
 	if len(cfg.Deployments) == 0 || cfg.Attackers < 1 {
 		return nil, fmt.Errorf("quicksand: ROV study needs deployments and attackers")
@@ -370,20 +366,16 @@ func (w *World) RunROVStudy(cfg ROVStudyConfig) (*ROVStudyResult, error) {
 	}
 	victim := w.Origins[prefixes[0]]
 
-	// Deployment order: by degree (descending) or shuffled.
+	// Deployment order: by degree, descending.
 	order := w.Topology.ASNs()
-	if cfg.TopDown {
-		sort.Slice(order, func(i, j int) bool {
-			di := w.Topology.AS(order[i]).Degree()
-			dj := w.Topology.AS(order[j]).Degree()
-			if di != dj {
-				return di > dj
-			}
-			return order[i] < order[j]
-		})
-	} else {
-		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-	}
+	sort.Slice(order, func(i, j int) bool {
+		di := w.Topology.AS(order[i]).Degree()
+		dj := w.Topology.AS(order[j]).Degree()
+		if di != dj {
+			return di > dj
+		}
+		return order[i] < order[j]
+	})
 
 	// Fixed attacker sample across deployment levels for comparability.
 	attackers := make([]bgp.ASN, 0, cfg.Attackers)
@@ -448,8 +440,6 @@ type LiveDetectionConfig struct {
 	Seed int64
 	// Attacks is the number of hijacks injected into the churn stream.
 	Attacks int
-	// AttackDuration is the mean hijack duration.
-	AttackDuration time.Duration
 	// Stream overrides for the short detection run.
 	Month bgpsim.Config
 }
@@ -460,8 +450,11 @@ func DefaultLiveDetectionConfig() LiveDetectionConfig {
 	m := SmallMonthConfig()
 	m.Duration = m.Duration / 2
 	m.ResetsPerSessionMean = 0.5
-	return LiveDetectionConfig{Seed: 1, Attacks: 12, AttackDuration: 20 * time.Minute, Month: m}
+	return LiveDetectionConfig{Seed: 1, Attacks: 12, Month: m}
 }
+
+// liveAttackDuration is the mean duration of E9's injected hijacks.
+const liveAttackDuration = 20 * time.Minute
 
 // LiveDetectionResult reports detector performance against in-stream
 // ground truth.
@@ -491,7 +484,7 @@ func (w *World) RunLiveDetection(cfg LiveDetectionConfig) (*LiveDetectionResult,
 	m.Seed = cfg.Seed
 	m.InjectHijacks = cfg.Attacks
 	m.HijackTargets = w.SortedTorPrefixes()
-	m.HijackDuration = cfg.AttackDuration
+	m.HijackDuration = liveAttackDuration
 	st, err := w.SimulateMonth(m)
 	if err != nil {
 		return nil, err

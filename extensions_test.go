@@ -89,7 +89,7 @@ func TestRunLiveDetection(t *testing.T) {
 		t.Fatalf("detected %d of %d visible attacks", res.Detected, res.Visible)
 	}
 	// Detection should happen within the attack window plus convergence.
-	if res.MeanLatency < 0 || res.MeanLatency > cfg.AttackDuration+5*time.Minute {
+	if res.MeanLatency < 0 || res.MeanLatency > liveAttackDuration+5*time.Minute {
 		t.Fatalf("mean latency %v implausible", res.MeanLatency)
 	}
 	if res.ObservedUpdates == 0 {

@@ -82,11 +82,6 @@ func (c Community) String() string {
 	return fmt.Sprintf("%d:%d", uint32(c)>>16, uint32(c)&0xFFFF)
 }
 
-// MakeCommunity builds a community from its conventional high:low halves.
-func MakeCommunity(high, low uint16) Community {
-	return Community(uint32(high)<<16 | uint32(low))
-}
-
 // Segment is one AS_PATH segment.
 type Segment struct {
 	Type int // SegmentSet or SegmentSequence

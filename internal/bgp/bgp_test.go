@@ -2,6 +2,7 @@ package bgp
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"net/netip"
 	"reflect"
@@ -34,7 +35,7 @@ func TestASNString(t *testing.T) {
 }
 
 func TestCommunityString(t *testing.T) {
-	if got := MakeCommunity(64500, 120).String(); got != "64500:120" {
+	if got := Community(64500<<16 | 120).String(); got != "64500:120" {
 		t.Fatalf("got %q", got)
 	}
 	if got := CommunityNoExport.String(); got != "no-export" {
@@ -92,7 +93,7 @@ func TestUpdateRoundTrip(t *testing.T) {
 			LocalPref: 120, HasLocalPref: true,
 			AtomicAggregate: true,
 			Aggregator:      &Aggregator{ASN: 64500, Addr: addr(t, "192.0.2.9")},
-			Communities:     []Community{MakeCommunity(64500, 1), CommunityNoExport},
+			Communities:     []Community{64500<<16 | 1, CommunityNoExport},
 		},
 		NLRI: []netip.Prefix{pfx(t, "203.0.113.0/24"), pfx(t, "10.0.0.0/8")},
 	}
@@ -398,11 +399,12 @@ func TestUpdateRoundTripProperty(t *testing.T) {
 	}
 }
 
-// Property (testing/quick): community high:low split round-trips.
+// Property (testing/quick): a community renders as its high:low halves,
+// unless it is one of the well-known values (all with high 0xFFFF).
 func TestCommunityRoundTripQuick(t *testing.T) {
 	f := func(high, low uint16) bool {
-		c := MakeCommunity(high, low)
-		return uint32(c)>>16 == uint32(high) && uint32(c)&0xFFFF == uint32(low)
+		c := Community(uint32(high)<<16 | uint32(low))
+		return c.String() == fmt.Sprintf("%d:%d", high, low) || high == 0xFFFF
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -15,7 +15,7 @@ func FuzzParseUpdate(f *testing.F) {
 			HasOrigin: true, Origin: OriginIGP,
 			HasASPath: true, ASPath: Sequence(64500, 3320),
 			NextHop:     netip.MustParseAddr("192.0.2.1"),
-			Communities: []Community{MakeCommunity(64500, 1)},
+			Communities: []Community{64500<<16 | 1},
 		},
 		NLRI: []netip.Prefix{netip.MustParsePrefix("203.0.113.0/24")},
 	}

@@ -46,27 +46,32 @@ type UpdateSink interface {
 	Flush(start time.Time, n int)
 }
 
-// ServerConfig parameterises a Server. NewServer fills a zero
-// EstablishTimeout, ReadBatch, DialBackoff*, DialHealthyAfter or Seed
-// with its default, so the fronts built on it share one knob table.
+// The session front's fixed timings: every OPEN/KEEPALIVE handshake runs
+// under establishTimeout, and Collect's redial schedule (see Backoff)
+// doubles up to dialBackoffMax and resets after a session that lived
+// dialHealthyAfter.
+const (
+	establishTimeout = 10 * time.Second
+	dialBackoffMax   = 30 * time.Second
+	dialHealthyAfter = 30 * time.Second
+)
+
+// ServerConfig parameterises a Server. NewServer fills a zero ReadBatch,
+// DialBackoffBase or Seed with its default, so the fronts built on it
+// share one set of defaults.
 type ServerConfig struct {
 	// Name prefixes log lines ("monitord", "fleet").
 	Name    string
 	Speaker Config
 	// Listen is the TCP address accepting inbound sessions ("" disables).
 	Listen string
-	// EstablishTimeout bounds every OPEN/KEEPALIVE handshake (default 10s).
-	EstablishTimeout time.Duration
 	// ReadBatch bounds the UPDATEs decoded per RecvUpdateBatchStamped
 	// (default 64).
 	ReadBatch int
-	// DialBackoffBase, DialBackoffMax, DialHealthyAfter and Seed
-	// parameterise Collect's redial schedule (see Backoff; defaults
-	// 500ms, 30s, 30s and 1).
-	DialBackoffBase  time.Duration
-	DialBackoffMax   time.Duration
-	DialHealthyAfter time.Duration
-	Seed             int64
+	// DialBackoffBase and Seed parameterise Collect's redial schedule
+	// (see Backoff; defaults 500ms and 1).
+	DialBackoffBase time.Duration
+	Seed            int64
 	// Logf receives progress lines (required).
 	Logf func(format string, args ...any)
 
@@ -86,7 +91,7 @@ type ServerConfig struct {
 
 // Server is the session front of a long-running BGP consumer: it
 // accepts inbound connections and dials outbound ones, runs every
-// handshake under EstablishTimeout, keeps the peer registry, turns each
+// handshake under establishTimeout, keeps the peer registry, turns each
 // session's UPDATEs into prefix-level updates for the owner's sink, and
 // shuts all of it down in order. Create with NewServer, begin accepting
 // with Start, stop with Shutdown.
@@ -104,20 +109,11 @@ type Server struct {
 
 // NewServer binds cfg.Listen (when set). Nothing runs until Start.
 func NewServer(cfg ServerConfig) (*Server, error) {
-	if cfg.EstablishTimeout <= 0 {
-		cfg.EstablishTimeout = 10 * time.Second
-	}
 	if cfg.ReadBatch <= 0 {
 		cfg.ReadBatch = 64
 	}
 	if cfg.DialBackoffBase <= 0 {
 		cfg.DialBackoffBase = 500 * time.Millisecond
-	}
-	if cfg.DialBackoffMax <= 0 {
-		cfg.DialBackoffMax = 30 * time.Second
-	}
-	if cfg.DialHealthyAfter <= 0 {
-		cfg.DialHealthyAfter = 30 * time.Second
 	}
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
@@ -169,7 +165,7 @@ func (s *Server) Start() {
 	}()
 }
 
-// establish runs the OPEN handshake on conn under EstablishTimeout. The
+// establish runs the OPEN handshake on conn under establishTimeout. The
 // conn is tracked meanwhile so Shutdown can unblock the handshake; on
 // any failure it is closed.
 func (s *Server) establish(conn net.Conn) (*Session, error) {
@@ -182,7 +178,7 @@ func (s *Server) establish(conn net.Conn) (*Session, error) {
 	s.rawConns[conn] = struct{}{}
 	s.mu.Unlock()
 
-	conn.SetDeadline(time.Now().Add(s.cfg.EstablishTimeout))
+	conn.SetDeadline(time.Now().Add(establishTimeout))
 	sess, err := Establish(conn, s.cfg.Speaker)
 
 	s.mu.Lock()
@@ -299,15 +295,15 @@ func PrefixUpdates(u *bgp.Update, t time.Time, sink UpdateSink, scratch *[]bgp.A
 // on its own goroutine: dial, handshake, feed the session's updates to
 // the sink exactly like an inbound peer's until it drops, then redial on
 // the jittered exponential Backoff schedule until Shutdown. A session
-// that delivered an update or survived DialHealthyAfter resets the
+// that delivered an update or survived dialHealthyAfter resets the
 // schedule; a collector that handshakes and hangs up keeps backing off.
 // failures counts every failed attempt.
 func (s *Server) Collect(addr string, failures *obs.Counter) {
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
-		bo := NewBackoff(s.cfg.DialBackoffBase, s.cfg.DialBackoffMax, s.cfg.DialHealthyAfter, s.cfg.Seed, addr)
-		dialer := &net.Dialer{Timeout: s.cfg.EstablishTimeout}
+		bo := NewBackoff(s.cfg.DialBackoffBase, dialBackoffMax, dialHealthyAfter, s.cfg.Seed, addr)
+		dialer := &net.Dialer{Timeout: establishTimeout}
 		for s.ctx.Err() == nil {
 			var sess *Session
 			conn, err := dialer.DialContext(s.ctx, "tcp", addr)

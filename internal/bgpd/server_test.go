@@ -63,11 +63,8 @@ func newServerFixture(t *testing.T, mutate func(*ServerConfig)) *serverFixture {
 		Name:             "test",
 		Speaker:          Config{ASN: 64500, BGPID: netip.MustParseAddr("198.51.100.1"), HoldTime: 3 * time.Second},
 		Listen:           "127.0.0.1:0",
-		EstablishTimeout: 5 * time.Second,
 		ReadBatch:        1, // one UPDATE per batch: Flush placement is deterministic
 		DialBackoffBase:  10 * time.Millisecond,
-		DialBackoffMax:   40 * time.Millisecond,
-		DialHealthyAfter: time.Minute,
 		Seed:             1,
 		Logf:             t.Logf,
 		SessionsAccepted: f.accepted,
@@ -227,7 +224,7 @@ func TestServerRegisterOrder(t *testing.T) {
 	}
 }
 
-// TestServerDefaults pins the one knob table both fronts run on: what
+// TestServerDefaults pins the defaults both fronts run on: what
 // NewServer fills in for the fields its owner left zero.
 func TestServerDefaults(t *testing.T) {
 	srv, err := NewServer(ServerConfig{Name: "test", Logf: t.Logf})
@@ -236,9 +233,7 @@ func TestServerDefaults(t *testing.T) {
 	}
 	defer srv.Shutdown()
 	want := ServerConfig{
-		Name: "test", EstablishTimeout: 10 * time.Second, ReadBatch: 64,
-		DialBackoffBase: 500 * time.Millisecond, DialBackoffMax: 30 * time.Second,
-		DialHealthyAfter: 30 * time.Second, Seed: 1,
+		Name: "test", ReadBatch: 64, DialBackoffBase: 500 * time.Millisecond, Seed: 1,
 	}
 	got := srv.cfg
 	got.Logf = nil
@@ -248,10 +243,10 @@ func TestServerDefaults(t *testing.T) {
 }
 
 // TestServerShutdownUnblocksHandshake parks a connection that never
-// sends its OPEN: Shutdown must not wait out EstablishTimeout for it,
-// and a connection arriving afterwards is refused.
+// sends its OPEN: Shutdown must not wait out establishTimeout (10 s) for
+// it, and a connection arriving afterwards is refused.
 func TestServerShutdownUnblocksHandshake(t *testing.T) {
-	f := newServerFixture(t, func(cfg *ServerConfig) { cfg.EstablishTimeout = time.Minute })
+	f := newServerFixture(t, nil)
 	f.srv.Start()
 	conn, err := net.Dial("tcp", f.srv.Addr())
 	if err != nil {

@@ -18,9 +18,10 @@ import (
 // TestFleetMetricsGolden pins the fleet's /metrics exposition — the
 // fleet_* families and the daemon's monitord_* families on one registry
 // — against a golden file, like monitord's TestMetricsGolden.
-// Latency observations are off (bucket placement depends on elapsed
-// time) and the time-dependent gauges are normalised to X; everything
-// else is exact, so a diff here means a fleet dashboard breaks.
+// The time-dependent gauges and the latency histograms' buckets and sums
+// (placement depends on elapsed time) are normalised to X; everything
+// else, the latency counts included, is exact, so a diff here means a
+// fleet dashboard breaks.
 func TestFleetMetricsGolden(t *testing.T) {
 	r, err := fleet.New(fleet.Config{
 		Watched: map[netip.Prefix]bgp.ASN{
@@ -29,9 +30,8 @@ func TestFleetMetricsGolden(t *testing.T) {
 			netip.MustParsePrefix("10.20.0.0/16"): 65020,
 			netip.MustParsePrefix("10.25.0.0/16"): 65025,
 		},
-		Shards:                2,
-		DisableLatencyMetrics: true,
-		ListenHTTP:            "127.0.0.1:0",
+		Shards:     2,
+		ListenHTTP: "127.0.0.1:0",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -75,9 +75,11 @@ func TestFleetMetricsGolden(t *testing.T) {
 	}
 	var b strings.Builder
 	for _, line := range strings.Split(string(body), "\n") {
-		for _, dyn := range []string{"fleet_uptime_seconds ", "monitord_uptime_seconds ", "monitord_updates_per_second "} {
+		for _, dyn := range []string{"fleet_uptime_seconds ", "monitord_uptime_seconds ", "monitord_updates_per_second ",
+			"monitord_detection_seconds_bucket{", "monitord_detection_seconds_sum ",
+			"monitord_stage_seconds_bucket{", "monitord_stage_seconds_sum{"} {
 			if strings.HasPrefix(line, dyn) {
-				line = dyn + "X"
+				line = line[:strings.LastIndexByte(line, ' ')] + " X"
 			}
 		}
 		b.WriteString(line)

@@ -21,7 +21,7 @@ import (
 // latencyDaemon starts a daemon with BGP+HTTP listeners and the given
 // latency/batch knobs, plus an established client session dialed into
 // it.
-func latencyDaemon(t *testing.T, readBatch, alertBuffer int, disable bool) (*monitord.Daemon, *bgpd.Session) {
+func latencyDaemon(t *testing.T, readBatch, alertBuffer int) (*monitord.Daemon, *bgpd.Session) {
 	t.Helper()
 	d, err := monitord.New(monitord.Config{
 		Watched: map[netip.Prefix]bgp.ASN{
@@ -30,12 +30,11 @@ func latencyDaemon(t *testing.T, readBatch, alertBuffer int, disable bool) (*mon
 		Speaker: bgpd.Config{
 			ASN: 64500, BGPID: netip.MustParseAddr("198.51.100.1"),
 		},
-		ListenBGP:             "127.0.0.1:0",
-		ListenHTTP:            "127.0.0.1:0",
-		Shards:                4,
-		ReadBatch:             readBatch,
-		AlertBuffer:           alertBuffer,
-		DisableLatencyMetrics: disable,
+		ListenBGP:   "127.0.0.1:0",
+		ListenHTTP:  "127.0.0.1:0",
+		Shards:      4,
+		ReadBatch:   readBatch,
+		AlertBuffer: alertBuffer,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -146,7 +145,7 @@ func waitProcessed(t *testing.T, d *monitord.Daemon, n int) {
 // end-to-end detection histogram records the alert, and the whole
 // exposition stays lint-clean.
 func TestStageLatencyMetricsOverTCP(t *testing.T) {
-	d, sess := latencyDaemon(t, 64, 0, false)
+	d, sess := latencyDaemon(t, 64, 0)
 	updates := []*bgp.Update{
 		announce("10.0.0.0/16", 64501, 64500, 64496), // benign watched route
 		announce("192.0.2.0/24", 64501, 64510),       // background
@@ -176,36 +175,6 @@ func TestStageLatencyMetricsOverTCP(t *testing.T) {
 	}
 }
 
-// TestLatencyMetricsDisabled pins the opt-out: the same flow with
-// DisableLatencyMetrics leaves every latency family rendered but empty —
-// the disabled hot path takes no clock readings at all.
-func TestLatencyMetricsDisabled(t *testing.T) {
-	d, sess := latencyDaemon(t, 64, 0, true)
-	if err := sess.SendUpdates([]*bgp.Update{
-		announce("10.0.0.0/16", 64501, 64500, 64496),
-		announce("10.0.0.0/16", 64501, 666),
-	}); err != nil {
-		t.Fatal(err)
-	}
-	waitAlerts(t, d, 1)
-	if !d.WaitQuiesce(5 * time.Second) {
-		t.Fatal("pipeline did not quiesce")
-	}
-	fams := scrapeFams(t, d)
-	for _, sample := range []string{
-		"monitord_detection_seconds_count", "monitord_read_batch_size_count",
-	} {
-		if got := sampleValue(fams, sample, nil); got != 0 {
-			t.Errorf("%s = %v with latency metrics disabled, want 0", sample, got)
-		}
-	}
-	for _, stage := range []string{"read", "dispatch", "apply", "monitor"} {
-		if got := sampleValue(fams, "monitord_stage_seconds_count", map[string]string{"stage": stage}); got != 0 {
-			t.Errorf("stage %q count = %v with latency metrics disabled, want 0", stage, got)
-		}
-	}
-}
-
 // TestReadBatchSizeSkewBound is the ReadBatch 1 vs 256 regression: with
 // ReadBatch 1 every batch must be exactly one update (the batch-size
 // histogram's le="1" bucket equals its count, so stage stamps are exact
@@ -220,7 +189,7 @@ func TestReadBatchSizeSkewBound(t *testing.T) {
 	}
 
 	t.Run("batch1", func(t *testing.T) {
-		d, sess := latencyDaemon(t, 1, 0, false)
+		d, sess := latencyDaemon(t, 1, 0)
 		if err := sess.SendUpdates(updates); err != nil {
 			t.Fatal(err)
 		}
@@ -240,7 +209,7 @@ func TestReadBatchSizeSkewBound(t *testing.T) {
 	})
 
 	t.Run("batch256", func(t *testing.T) {
-		d, sess := latencyDaemon(t, 256, 0, false)
+		d, sess := latencyDaemon(t, 256, 0)
 		// One burst per iteration until the receiver demonstrably
 		// coalesced: a single 256-update burst lands in the socket buffer
 		// faster than 256 wakeups can drain it, so this converges on the
@@ -272,7 +241,7 @@ func TestReadBatchSizeSkewBound(t *testing.T) {
 // reading from the beginning.
 func TestAlertRingOverflowCounter(t *testing.T) {
 	const capacity, hijacks = 8, 20
-	d, sess := latencyDaemon(t, 64, capacity, false)
+	d, sess := latencyDaemon(t, 64, capacity)
 	us := make([]*bgp.Update, hijacks)
 	for i := range us {
 		// Alternate bogus origins; every wrong-origin announcement of the

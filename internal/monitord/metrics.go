@@ -41,10 +41,9 @@ type metrics struct {
 	sessionsActive   *obs.Gauge
 	dialRetries      *obs.Counter
 
-	// Pipeline latency instrumentation (observations gated by
-	// Daemon.stageOn): per-stage histograms pre-resolved by stage label,
-	// the end-to-end detection histogram, and the read batch-size
-	// histogram that bounds per-update stamp skew.
+	// Pipeline latency instrumentation: per-stage histograms pre-resolved
+	// by stage label, the end-to-end detection histogram, and the read
+	// batch-size histogram that bounds per-update stamp skew.
 	stageRead     *obs.Histogram
 	stageDispatch *obs.Histogram
 	stageApply    *obs.Histogram

@@ -26,11 +26,6 @@ func scrapeMetrics(t *testing.T) string {
 		},
 		Shards:     4,
 		ListenHTTP: "127.0.0.1:0",
-		// Latency observations off: bucket placement depends on real
-		// elapsed time, which a golden can't pin. The families still
-		// render (at zero), so the exposition shape stays covered;
-		// latency_test.go asserts the populated behaviour.
-		DisableLatencyMetrics: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -70,16 +65,21 @@ func TestMetricsLint(t *testing.T) {
 
 // TestMetricsGolden pins the full exposition — family set, metric and
 // label names, label order, sample formatting — against a golden file.
-// Time-dependent sample values are normalised to X; everything else is
-// exact. The metric names and label sets are monitord's stable external
-// interface: a diff here means dashboards break.
+// Time-dependent sample values are normalised to X: the rate gauges, and
+// the latency histograms' buckets and sums (placement depends on real
+// elapsed time), whose counts stay pinned; latency_test.go asserts the
+// populated values. Everything else is exact. The metric names and label
+// sets are monitord's stable external interface: a diff here means
+// dashboards break.
 func TestMetricsGolden(t *testing.T) {
 	text := scrapeMetrics(t)
 	var b strings.Builder
 	for _, line := range strings.Split(text, "\n") {
-		for _, dyn := range []string{"monitord_uptime_seconds ", "monitord_updates_per_second "} {
+		for _, dyn := range []string{"monitord_uptime_seconds ", "monitord_updates_per_second ",
+			"monitord_detection_seconds_bucket{", "monitord_detection_seconds_sum ",
+			"monitord_stage_seconds_bucket{", "monitord_stage_seconds_sum{"} {
 			if strings.HasPrefix(line, dyn) {
-				line = dyn + "X"
+				line = line[:strings.LastIndexByte(line, ' ')] + " X"
 			}
 		}
 		b.WriteString(line)

@@ -87,17 +87,8 @@ type Config struct {
 	AlertBuffer int
 	// ReadBatch bounds how many UPDATEs a session reader decodes per
 	// RecvUpdateBatch call before handing them to the dispatcher (zero:
-	// the session front's default). 1 degenerates to the old per-message
-	// path.
+	// the session front's default).
 	ReadBatch int
-
-	// DisableLatencyMetrics turns off the pipeline's latency
-	// instrumentation (monitord_stage_seconds, monitord_detection_seconds,
-	// monitord_read_batch_size observations): the families still appear in
-	// /metrics at zero, but the hot path takes no extra monotonic clock
-	// readings — the knob that keeps the disabled-observability overhead
-	// bound where PR 4 pinned it.
-	DisableLatencyMetrics bool
 
 	// LearnUpdates treats (approximately) the first N ingested updates
 	// as a clean learning window for new-upstream alarms: they train the
@@ -111,7 +102,7 @@ type Config struct {
 
 	// DialBackoffBase is where the reconnect backoff for outbound
 	// collector sessions starts (zero: the session front's default). The
-	// rest of the schedule is bgpd.ServerConfig's.
+	// rest of the schedule is fixed in bgpd.
 	DialBackoffBase time.Duration
 	// Seed derives the backoff jitter (zero: the session front's
 	// default); fixed so tests are reproducible.
@@ -185,8 +176,7 @@ type item struct {
 	// carries a monotonic clock reading. Stage and detection latencies are
 	// measured with time.Since against rt; the semantic timestamp t is
 	// caller-supplied on the Ingest/MRT paths and has no monotonic
-	// reading, so it must never feed a latency histogram. Zero when
-	// latency metrics are disabled.
+	// reading, so it must never feed a latency histogram.
 	rt  time.Time
 	run *run
 
@@ -248,10 +238,6 @@ type Daemon struct {
 	anomMu sync.Mutex
 	anoms  []defense.Anomaly // the anomalyBuffer most recent
 
-	// stageOn gates every latency observation (and the clock reads that
-	// feed them) so the disabled path costs nothing.
-	stageOn bool
-
 	shards  []shardQueue // shards[i] feeds the worker that owns rib.shards[i]
 	shardWG sync.WaitGroup
 
@@ -287,12 +273,11 @@ func New(cfg Config) (*Daemon, error) {
 	met := newMetrics(cfg.Registry)
 	d := &Daemon{
 		cfg: cfg, mon: mon,
-		rib:     newLiveRIB(cfg.Shards),
-		rng:     newAlertLog(cfg.AlertBuffer, met.alertsDropped),
-		met:     met,
-		det:     defense.NewAnomalyDetector(defense.AnomalyConfig{}),
-		stageOn: !cfg.DisableLatencyMetrics,
-		shards:  make([]shardQueue, cfg.Shards),
+		rib:    newLiveRIB(cfg.Shards),
+		rng:    newAlertLog(cfg.AlertBuffer, met.alertsDropped),
+		met:    met,
+		det:    defense.NewAnomalyDetector(defense.AnomalyConfig{}),
+		shards: make([]shardQueue, cfg.Shards),
 	}
 	d.srv, err = bgpd.NewServer(bgpd.ServerConfig{
 		Name: "monitord", Speaker: cfg.Speaker, Listen: cfg.ListenBGP,
@@ -466,10 +451,7 @@ func (s *sessionSink) take() *run {
 }
 
 func (s *sessionSink) Flush(start time.Time, n int) {
-	it := item{si: s.si, t: start}
-	if s.d.stageOn {
-		it.rt = start
-	}
+	it := item{si: s.si, t: start, rt: start}
 	taken := 0
 	for shard, r := range s.open {
 		if r == nil {
@@ -485,10 +467,8 @@ func (s *sessionSink) Flush(start time.Time, n int) {
 	// Counted on the reader, before the session can end, so Collect sees
 	// that it delivered.
 	s.si.Updates.Add(uint64(taken))
-	if s.d.stageOn {
-		s.d.met.readBatchSize.Observe(float64(n))
-		s.d.met.stageRead.Observe(time.Since(start).Seconds())
-	}
+	s.d.met.readBatchSize.Observe(float64(n))
+	s.d.met.stageRead.Observe(time.Since(start).Seconds())
 }
 
 // worker is one dispatcher shard: it owns the RIB shard of the same index
@@ -525,17 +505,14 @@ func (d *Daemon) worker(shard int) {
 // receive stamp.
 func (d *Daemon) process(shard int, it *item, upds []upd, arena []bgp.ASN) {
 	si, t, rt := it.si, it.t, it.rt
-	observe := d.stageOn && !rt.IsZero()
-	if observe {
-		d.met.stageDispatch.Observe(time.Since(rt).Seconds())
-	}
+	d.met.stageDispatch.Observe(time.Since(rt).Seconds())
 	last := len(upds) - 1
 	var t0 time.Time
 	withdrawals := 0
 	sh := &d.rib.shards[shard]
 	sh.mu.Lock()
 	for i := range upds {
-		if observe && i == last {
+		if i == last {
 			t0 = time.Now()
 		}
 		path := upds[i].path(arena)
@@ -545,9 +522,7 @@ func (d *Daemon) process(shard int, it *item, upds []upd, arena []bgp.ASN) {
 		sh.apply(t, si.ID, upds[i].key, path)
 	}
 	sh.mu.Unlock()
-	if observe {
-		d.met.stageApply.Observe(time.Since(t0).Seconds())
-	}
+	d.met.stageApply.Observe(time.Since(t0).Seconds())
 	n := uint64(len(upds))
 	d.met.updates.Add(n)
 	d.met.withdrawals.Add(uint64(withdrawals))
@@ -565,7 +540,7 @@ func (d *Daemon) process(shard int, it *item, upds []upd, arena []bgp.ASN) {
 				continue
 			}
 		}
-		timed := observe && i == last
+		timed := i == last
 		if timed {
 			t0 = time.Now()
 		}
@@ -575,9 +550,7 @@ func (d *Daemon) process(shard int, it *item, upds []upd, arena []bgp.ASN) {
 		}
 		for _, a := range alerts {
 			d.rng.Append(a)
-			if observe {
-				d.met.detection.Observe(time.Since(rt).Seconds())
-			}
+			d.met.detection.Observe(time.Since(rt).Seconds())
 			if int(a.Kind) >= 0 && int(a.Kind) < len(d.met.alerts) {
 				d.met.alerts[a.Kind].Add(1)
 			}
@@ -609,10 +582,7 @@ func (d *Daemon) Ingest(session int, t time.Time, prefix netip.Prefix, path []bg
 		d.met.droppedNonIPv4.Add(1)
 		return nil
 	}
-	it := item{si: si, t: t, key: k, path: path}
-	if d.stageOn {
-		it.rt = time.Now()
-	}
+	it := item{si: si, t: t, rt: time.Now(), key: k, path: path}
 	q := &d.shards[d.rib.shardOf(k)]
 	q.enqueued.Add(1)
 	si.Updates.Add(1)

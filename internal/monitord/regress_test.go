@@ -63,7 +63,7 @@ func TestFlappingCollectorBoundedDials(t *testing.T) {
 		Collectors:      []string{ln.Addr().String()},
 		Shards:          2,
 		DialBackoffBase: 20 * time.Millisecond,
-		// DialHealthyAfter default (30s) is far beyond the window, so no
+		// bgpd's healthy-after span (30s) is far beyond the window, so no
 		// flapping session ever counts as healthy.
 	})
 	_ = d

@@ -25,9 +25,9 @@
 // bound. The cost of a matrix is the route engine's: about four
 // fifths of it is ComputeRoutesInto (82–84 % of the paper-scale matrix's
 // CPU on two vCPUs, with one 8-byte key per AS), the rest the
-// per-client tally, which reads each key's origin index. Engine caches
-// finished matrices keyed by the graph's mutation version
-// (topology.VersionMemo). The brute-force reference the matrix is
+// per-client tally, which reads each key's origin index. A matrix is
+// computed once per call and not cached: its one product caller, E10,
+// asks for one matrix per world. The brute-force reference the matrix is
 // proven against is testkit.CheckResilienceExact, on the testkit route
 // oracle.
 package resilience
@@ -37,7 +37,6 @@ import (
 	"math"
 	"math/rand"
 	"slices"
-	"strings"
 
 	"quicksand/internal/bgp"
 	"quicksand/internal/par"
@@ -65,21 +64,6 @@ func (cfg Config) exact(n int) bool {
 	return cfg.Attackers <= 0 || cfg.Attackers >= n-1
 }
 
-// key is the cache identity of a config: the guard set, the budget, and
-// the sample seed. Workers never changes results, so it is excluded.
-func (cfg Config) key(n int) string {
-	var b strings.Builder
-	if cfg.exact(n) {
-		b.WriteString("exact")
-	} else {
-		fmt.Fprintf(&b, "m%d:s%d", cfg.Attackers, cfg.Seed)
-	}
-	for _, g := range cfg.Guards {
-		fmt.Fprintf(&b, ":%d", uint32(g))
-	}
-	return b.String()
-}
-
 // Matrix is an all-pairs resilience table: R(c, g) for every client AS
 // c in the graph and every configured guard AS g. It is immutable and
 // safe for concurrent use.
@@ -103,11 +87,8 @@ func (m *Matrix) Tables() int { return m.tables }
 // or the full population size minus one when exact.
 func (m *Matrix) Attackers() int { return m.budget }
 
-// Exact reports whether every attacker was enumerated.
-func (m *Matrix) Exact() bool { return m.bound == 0 }
-
 // ErrorBound95 returns the 95% confidence half-width of each sampled
-// R value (0 for an exact matrix): a conservative normal bound for the
+// R value (0 exactly when every attacker was enumerated): a conservative normal bound for the
 // mean of Bernoulli draws, with the finite-population correction for
 // sampling attackers without replacement.
 func (m *Matrix) ErrorBound95() float64 { return m.bound }
@@ -300,27 +281,4 @@ func sampleIDs(dst []int32, swap map[int]int, rng *rand.Rand, n int, skip int32,
 	}
 	slices.Sort(dst)
 	return dst
-}
-
-// Engine caches resilience matrices behind the graph's mutation
-// version in a topology.VersionMemo, as topology.RouteCache does route
-// tables: concurrent callers asking for the same configuration share one
-// computation, and any graph mutation invalidates every cached matrix.
-// Safe for concurrent use.
-type Engine struct {
-	memo *topology.VersionMemo[string, *Matrix]
-}
-
-// NewEngine returns an empty engine over g.
-func NewEngine(g *topology.Graph) *Engine {
-	return &Engine{memo: topology.NewVersionMemo[string, *Matrix](g)}
-}
-
-// Matrix returns the cached matrix for cfg, computing it on first use
-// per graph version.
-func (e *Engine) Matrix(cfg Config) (*Matrix, error) {
-	g := e.memo.Graph()
-	return e.memo.Get(cfg.key(g.Compiled().Len()), func() (*Matrix, error) {
-		return Compute(g, cfg, nil)
-	})
 }

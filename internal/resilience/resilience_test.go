@@ -80,7 +80,7 @@ func TestSampledWithinBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !exact.Exact() || exact.ErrorBound95() != 0 {
+	if exact.ErrorBound95() != 0 {
 		t.Fatalf("full enumeration not marked exact (bound %v)", exact.ErrorBound95())
 	}
 
@@ -93,7 +93,7 @@ func TestSampledWithinBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sampled.Exact() {
+	if sampled.ErrorBound95() == 0 {
 		t.Fatal("sampled matrix claims exactness")
 	}
 	pop := n - 1
@@ -151,7 +151,7 @@ func TestWorkerInvariance(t *testing.T) {
 				ra, _ := a.R(client, guard)
 				rb, _ := b.R(client, guard)
 				if ra != rb {
-					t.Fatalf("exact=%v: R(%v, %v) differs: %v vs %v", a.Exact(), client, guard, ra, rb)
+					t.Fatalf("exact=%v: R(%v, %v) differs: %v vs %v", a.ErrorBound95() == 0, client, guard, ra, rb)
 				}
 			}
 		}
@@ -217,50 +217,5 @@ func TestConfigValidation(t *testing.T) {
 	tiny.AddAS(2)
 	if _, err := resilience.Compute(tiny, resilience.Config{Guards: []bgp.ASN{1}}, nil); err == nil {
 		t.Error("2-AS graph accepted")
-	}
-}
-
-// TestEngineCacheVersioning checks the RouteCache-style semantics: a
-// hit returns the cached *Matrix itself, a different config is a
-// different entry, and any mutation flushes every cached matrix.
-func TestEngineCacheVersioning(t *testing.T) {
-	g := tinyGraph(t, 4)
-	guards := pickGuards(g, 2)
-	eng := resilience.NewEngine(g)
-	cfg := resilience.Config{Guards: guards}
-	matrix := func(cfg resilience.Config) *resilience.Matrix {
-		t.Helper()
-		m, err := eng.Matrix(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return m
-	}
-
-	a := matrix(cfg)
-	if matrix(cfg) != a {
-		t.Fatal("second lookup did not return the cached matrix")
-	}
-	// A different config is a different entry, and leaves the first cached.
-	if other := matrix(resilience.Config{Guards: guards[:1]}); other == a {
-		t.Fatal("a different config was served the first config's matrix")
-	}
-	if matrix(cfg) != a {
-		t.Fatal("a second config evicted the first")
-	}
-
-	// Mutating the graph must invalidate the whole cache.
-	asns := g.ASNs()
-	if !g.RemoveLink(asns[0], asns[len(asns)-1]) {
-		if err := g.AddLink(asns[0], asns[len(asns)-1]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	c := matrix(cfg)
-	if c == a {
-		t.Fatal("stale matrix served after graph mutation")
-	}
-	if matrix(cfg) != c {
-		t.Fatal("the recomputed matrix was not cached")
 	}
 }

@@ -201,7 +201,7 @@ func RandomPathAttributes(rng *rand.Rand, as4 bool) bgp.PathAttributes {
 	}
 	for i := rng.Intn(3); i > 0; i-- {
 		a.Communities = append(a.Communities,
-			bgp.MakeCommunity(uint16(rng.Intn(1<<16)), uint16(rng.Intn(1<<16))))
+			bgp.Community(uint32(rng.Intn(1<<16))<<16|uint32(rng.Intn(1<<16))))
 	}
 	return a
 }

@@ -26,7 +26,7 @@ func CheckResilienceExact(g *topology.Graph, guards []bgp.ASN, clients []bgp.ASN
 	if err != nil {
 		return fmt.Errorf("testkit: resilience engine: %w", err)
 	}
-	if !mx.Exact() {
+	if mx.ErrorBound95() != 0 {
 		return fmt.Errorf("testkit: matrix with %d attackers not exact", mx.Attackers())
 	}
 	if clients == nil {

@@ -125,12 +125,12 @@ func (w *World) RunResilienceStudy(cfg ResilienceStudyConfig) (*ResilienceStudyR
 	if len(guardASes) == 0 {
 		return nil, fmt.Errorf("quicksand: no guard-hosting ASes")
 	}
-	mx, err := w.ResilienceEngine().Matrix(resilience.Config{
+	mx, err := resilience.Compute(w.Topology, resilience.Config{
 		Guards:    guardASes,
 		Attackers: cfg.AttackerBudget,
 		Seed:      cfg.Seed,
 		Workers:   cfg.Workers,
-	})
+	}, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -35,7 +35,9 @@
 #      the worker pools par's one fan-out replaced, with the churn
 #      analyses' per-call stream scanners, with the route kernel's rank
 #      array and phase-1 candidate arrays, with the MRT record's own
-#      UPDATE decoder and two-write record helper, as exports no product
+#      UPDATE decoder and two-write record helper, with the resilience
+#      matrix cache, the latency opt-out and the one-valued study and
+#      session-front options, as exports no product
 #      code used (two sweeps) or copies of the one prefix order, or as
 #      duplicates of a bench/ metric or of a test the kill matrix keeps
 #      are named nowhere outside the history files (Go comments and
@@ -187,6 +189,16 @@ retired="$retired|Engine[)] (Graph)[(]|Compiled[)] (ASNs|MemoryBytes)[(]|RouteCa
 retired="$retired|RouteSet[)] (Graph|Table|MemoryBytes)[(]|Size(Bytes)[(]|Max(Attempts)"
 retired="$retired|resilience[.](NewMetrics)|shard(Buckets)|observe(Shard)|Shard(Seconds)|resilience_(pairs|tables|shard)_"
 retired="$retired|TestASPath(Origin|Equal)|TestCollect(StopsAtMax|PropagatesReceiveError)|TestMetrics(Exposition)"
+# So are the memo and the options only one way of running used: the
+# resilience matrix cache and the generic memo under it, the daemon's
+# latency opt-out, the ROV study's random deployment order, the study
+# and session-front fields no caller set off their default (now
+# lower-case constants), the helpers only tests used, and their tests.
+retired="$retired|Resilience(Engine)|resilience[.](Engine|NewEngine)|func (NewEngine)[(]|Version(Memo)"
+retired="$retired|DisableLatency(Metrics)|stage(On)|Top(Down)|TestEngine(CacheVersioning)|TestLatencyMetrics(Disabled)"
+retired="$retired|[.](Circuits)([^A-Za-z]|\$)|(Circuits): [0-9]|(^|[^A-Za-z])(Monitor)LearnFraction"
+retired="$retired|(^|[^A-Za-z])Injected(Hijacks)([^A-Za-z]|\$)|(^|[^A-Za-z])Attack(Duration)"
+retired="$retired|Establish(Timeout)|DialBackoff(Max)|Dial(HealthyAfter)|Make(Community)|Matrix[)] (Exact)[(]"
 if stale=$(git grep -nE "$retired" -- . ':!PAPER.md' \
     ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!bench'); then
     echo "FAIL: retired names still referenced:" >&2

@@ -31,7 +31,6 @@ import (
 	"quicksand/internal/bgp"
 	"quicksand/internal/bgpsim"
 	"quicksand/internal/par"
-	"quicksand/internal/resilience"
 	"quicksand/internal/tcpsim"
 	"quicksand/internal/topology"
 	"quicksand/internal/torconsensus"
@@ -111,9 +110,6 @@ type World struct {
 
 	routeCacheOnce sync.Once
 	routeCache     *topology.RouteCache
-
-	resilienceOnce sync.Once
-	resilienceEng  *resilience.Engine
 }
 
 // RouteCache returns the world's shared per-destination route cache,
@@ -125,17 +121,6 @@ func (w *World) RouteCache() *topology.RouteCache {
 		w.routeCache = topology.NewRouteCache(w.Topology)
 	})
 	return w.routeCache
-}
-
-// ResilienceEngine returns the world's shared Counter-RAPTOR resilience
-// engine, created on first use. Like RouteCache, its matrices are
-// cached per topology version, so E10 studies over one world share one
-// all-pairs computation per configuration.
-func (w *World) ResilienceEngine() *resilience.Engine {
-	w.resilienceOnce.Do(func() {
-		w.resilienceEng = resilience.NewEngine(w.Topology)
-	})
-	return w.resilienceEng
 }
 
 // GuardASes returns the distinct ASes hosting Guard-flagged relays,
