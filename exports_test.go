@@ -25,10 +25,10 @@ import (
 // package is named by its directory), each with its reason.
 var exportAllow = map[string]string{
 	// Benchmark API: bench/ is its own module and the only caller.
+	"bgp.Sequence":                        "benchmark API: bench/torfeed.go builds its feed's AS paths",
 	"bgpd.Replay":                         "benchmark API: bench/replay.go replays the labelled month into the daemon",
 	"bgpd.Session.AS4":                    "benchmark API: bench/child.go checks that the feed session negotiated 4-octet ASNs",
 	"bgpd.Session.RecvUpdateBatch":        "benchmark API: bench/probes.go's bgpd loopback probe reads through it",
-	"bgpd.Session.SendRaw":                "benchmark API: bench/load.go's feed writes pre-encoded UPDATEs",
 	"bgpsim.ImportMRT":                    "benchmark API: bench/replay.go reads the month back from MRT (ROADMAP item 9 gives it a product caller)",
 	"obs.ParseExposition":                 "benchmark API: bench/load.go and bench/child.go parse the child's /metrics",
 	"obs.Snapshot.Quantile":               "benchmark API: bench/load.go reads histogram quantiles off /metrics",
@@ -57,6 +57,7 @@ var exportAllow = map[string]string{
 
 	// Fixtures that many tests share.
 	"bgpsim.NewSession":               "test fixture: the hand-written streams of the analysis, defense and monitord tests",
+	"bgpd.Session.SendUpdate":         "test fixture: the one-UPDATE sender of the bgpd, monitord and serve tests",
 	"bgpd.Session.SendUpdates":        "test fixture: the UPDATE sender of the bgpd, monitord and fleet tests",
 	"bgpd.Session.RecvUpdate":         "test fixture: the one-UPDATE reader of the bgpd tests",
 	"bgp.Update.AnnouncesOrWithdraws": "test fixture: the End-of-RIB check of the bgpd replay and testkit stream tests",

@@ -469,9 +469,10 @@ func (s *Session) SendUpdates(us []*bgp.Update) error {
 // SendRaw transmits a pre-encoded burst of n UPDATE messages in one
 // write. raw must hold complete BGP messages produced with the
 // session's negotiated AS_PATH encoding (bgp.Update.AppendMessage with
-// AS4()); n is the message count, for accounting. Load generators
-// encode each burst once and replay it across iterations, keeping the
-// sender cheap enough to saturate the receiver from the same machine.
+// AS4()); n is the message count, for accounting. Replay writes its
+// bursts through it; load generators encode each burst once and replay
+// it across iterations, keeping the sender cheap enough to saturate the
+// receiver from the same machine.
 func (s *Session) SendRaw(raw []byte, n int) error {
 	select {
 	case <-s.closed:

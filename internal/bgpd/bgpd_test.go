@@ -6,6 +6,7 @@ import (
 	"io"
 	"net"
 	"net/netip"
+	"slices"
 	"testing"
 	"time"
 
@@ -261,25 +262,25 @@ func TestReplayCollectOverTCP(t *testing.T) {
 
 	type result struct {
 		got []*bgp.Update
-		err error
+		err error // nil once End-of-RIB ended the transfer
 	}
 	resCh := make(chan result, 1)
 	go func() {
 		conn, err := ln.Accept()
 		if err != nil {
-			resCh <- result{nil, err}
+			resCh <- result{err: err}
 			return
 		}
 		sess, err := Establish(conn, collectorCfg)
 		if err != nil {
-			resCh <- result{nil, err}
+			resCh <- result{err: err}
 			return
 		}
 		defer sess.Close()
 		var got []*bgp.Update
 		for {
 			u, err := sess.RecvUpdate()
-			if err != nil || !u.AnnouncesOrWithdraws() { // End-of-RIB ends the transfer
+			if err != nil || !u.AnnouncesOrWithdraws() {
 				resCh <- result{got, err}
 				return
 			}
@@ -301,31 +302,55 @@ func TestReplayCollectOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The Cease queues behind everything Replay wrote, so a transfer
+	// that lost its End-of-RIB ends the collector's read too.
+	sess.Close()
 	res := <-resCh
 	if res.err != nil {
-		t.Fatal(res.err)
+		t.Fatalf("collector stopped without End-of-RIB after %d updates: %v", len(res.got), res.err)
 	}
-	sess.Close()
-	// Replay's count excludes the End-of-RIB marker, so the collector
-	// sees exactly `sent` routing updates.
-	if len(res.got) != sent {
-		t.Fatalf("collected %d, sent %d", len(res.got), sent)
+
+	// The collector sees session 0's visible initial table, then each of
+	// its updates, in order: announcements with the simulated path,
+	// withdrawals as withdrawals.
+	type route struct {
+		prefix netip.Prefix
+		path   []bgp.ASN
 	}
-	// The replayed view must contain every visible initial prefix as an
-	// announcement with the simulated AS path.
-	seen := make(map[netip.Prefix]bgp.ASPath)
-	for _, u := range res.got {
-		for _, p := range u.NLRI {
-			seen[p] = u.Attrs.ASPath
+	var want []route
+	for _, p := range st.Sessions[0].VisiblePrefixes() {
+		if path, ok := st.Initial[0][p]; ok {
+			want = append(want, route{p, path})
 		}
 	}
-	for p, path := range st.Initial[0] {
-		got, ok := seen[p]
-		if !ok {
-			t.Fatalf("prefix %v never announced", p)
+	withdrawals := 0
+	for _, u := range st.Updates {
+		if u.Session == 0 {
+			want = append(want, route{u.Prefix, u.Path})
+			if u.Withdraw() {
+				withdrawals++
+			}
 		}
-		_ = got
-		_ = path
+	}
+	if withdrawals == 0 || len(want) == withdrawals {
+		t.Fatalf("stream has %d withdrawals among %d updates; want both kinds", withdrawals, len(want))
+	}
+	// Replay's count excludes the End-of-RIB marker.
+	if sent != len(want) || len(res.got) != len(want) {
+		t.Fatalf("sent %d, collected %d, want %d", sent, len(res.got), len(want))
+	}
+	for i, w := range want {
+		u := res.got[i]
+		if len(w.path) == 0 {
+			if len(u.NLRI) != 0 || len(u.Withdrawn) != 1 || u.Withdrawn[0] != w.prefix {
+				t.Fatalf("update %d = %+v, want withdrawal of %v", i, u, w.prefix)
+			}
+			continue
+		}
+		if len(u.Withdrawn) != 0 || len(u.NLRI) != 1 || u.NLRI[0] != w.prefix ||
+			!slices.Equal(bgp.FlattenPath(nil, u.Attrs.ASPath), w.path) {
+			t.Fatalf("update %d = %+v, want %v via %v", i, u, w.prefix, w.path)
+		}
 	}
 	// Out-of-range session index is rejected.
 	if _, err := Replay(sess, st, 99); err == nil {
