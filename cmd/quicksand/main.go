@@ -10,9 +10,9 @@
 // The serve subcommand runs the long-lived monitord daemon instead of a
 // batch experiment: a live BGP listener, MRT ingest, a streaming §5
 // monitor, and an HTTP API (see serve.go and `quicksand serve -h`).
-// With -fleet N the daemon runs N dispatcher shards behind a filter
-// that drops every update no watched prefix covers before the RIB (see
-// internal/fleet).
+// With -fleet N the daemon runs N dispatcher shards and drops every
+// update no watched prefix covers before the RIB (see
+// monitord.Config.DropUnwatched).
 //
 // Experiments:
 //

@@ -20,7 +20,6 @@ import (
 	"quicksand"
 	"quicksand/internal/bgp"
 	"quicksand/internal/bgpd"
-	"quicksand/internal/fleet"
 	"quicksand/internal/monitord"
 	"quicksand/internal/obs"
 )
@@ -189,6 +188,7 @@ func (o *serveOpts) serveConfig(logf func(string, ...any)) (monitord.Config, err
 		Pprof:          o.pprof,
 		Collectors:     splitList(o.collectors),
 		Shards:         o.fleet,
+		DropUnwatched:  o.fleet > 0,
 		LearnUpdates:   o.learn,
 		UpstreamAlarms: o.upstreamAlarms,
 		Seed:           o.seed,
@@ -196,8 +196,8 @@ func (o *serveOpts) serveConfig(logf func(string, ...any)) (monitord.Config, err
 	}, nil
 }
 
-// serveCmd runs the monitord daemon (with -fleet, behind the fleet's
-// filter) until SIGINT/SIGTERM.
+// serveCmd runs the monitord daemon (with -fleet, dropping unwatched
+// updates) until SIGINT/SIGTERM.
 func serveCmd(args []string) error {
 	// The handler goes in before anything else: building the watchlist
 	// world, booting and ingesting archives can take seconds, and a
@@ -224,10 +224,10 @@ tables), maintains a live RIB, and serves alerts and metrics over HTTP
 across restarts: peers resend their tables when their sessions
 re-establish, and -rib-snapshot/-mrt preload the rest.
 
-With -fleet N the same daemon runs N dispatcher shards behind a filter
-that drops every update no watched prefix covers before it reaches the
-RIB, so /rib answers only for watched routes; the alerts, the API and
-every other flag are the same.
+With -fleet N the same daemon runs N dispatcher shards and drops every
+update no watched prefix covers before it reaches the RIB, so /rib
+answers only for watched routes; the alerts, the API and every other
+flag are the same.
 
 `)
 		fs.PrintDefaults()
@@ -257,26 +257,23 @@ every other flag are the same.
 	return svc.Shutdown(ctx)
 }
 
-// boot starts the daemon, behind the fleet's filter with -fleet, then
-// preloads its archives. Its registry also carries the bgpd_* families,
-// so its one /metrics endpoint serves them beside its own.
-func (o *serveOpts) boot(logf func(string, ...any)) (monitord.Front, error) {
+// boot starts the daemon, then preloads its archives. Its registry also
+// carries the bgpd_* families, so its one /metrics endpoint serves them
+// beside its own.
+func (o *serveOpts) boot(logf func(string, ...any)) (*monitord.Daemon, error) {
 	cfg, err := o.serveConfig(logf)
 	if err != nil {
 		return nil, err
 	}
 	cfg.Registry = obs.NewRegistry()
 	cfg.Speaker.Metrics = bgpd.NewMetrics(cfg.Registry)
-	var svc monitord.Front
+	svc, err := monitord.New(cfg)
+	if err != nil {
+		return nil, err
+	}
 	what := "one daemon"
 	if o.fleet > 0 {
 		what = fmt.Sprintf("fleet of %d shards", o.fleet)
-		svc, err = fleet.New(cfg)
-	} else {
-		svc, err = monitord.New(cfg)
-	}
-	if err != nil {
-		return nil, err
 	}
 	logf("serve: %s, watching %d prefixes; BGP %s, HTTP %s",
 		what, len(cfg.Watched), orDisabled(svc.BGPAddr()), orDisabled(svc.HTTPAddr()))
@@ -289,8 +286,14 @@ func (o *serveOpts) boot(logf func(string, ...any)) (monitord.Front, error) {
 	return svc, nil
 }
 
+// archiveLoader is what preloading needs of the daemon.
+type archiveLoader interface {
+	IngestMRT(r io.Reader, label string) (*monitord.MRTStats, error)
+	WaitQuiesce(timeout time.Duration) bool
+}
+
 // preload seeds a fresh service from -rib-snapshot, then -mrt.
-func (o *serveOpts) preload(svc monitord.Front, logf func(string, ...any)) error {
+func (o *serveOpts) preload(svc archiveLoader, logf func(string, ...any)) error {
 	for _, path := range append(splitList(o.ribFile), splitList(o.mrtFiles)...) {
 		if err := ingestFile(svc, path, logf); err != nil {
 			return err
@@ -302,7 +305,7 @@ func (o *serveOpts) preload(svc monitord.Front, logf func(string, ...any)) error
 // ingestFile replays one archive and waits for the pipeline to absorb
 // it: a service that went live before then would answer /rib and /alerts
 // from a partial table.
-func ingestFile(svc monitord.Front, path string, logf func(string, ...any)) error {
+func ingestFile(svc archiveLoader, path string, logf func(string, ...any)) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err

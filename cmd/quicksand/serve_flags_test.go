@@ -274,8 +274,8 @@ func TestServeDefaultWatchlist(t *testing.T) {
 	}
 }
 
-// stalledFront is a front whose pipeline never goes idle.
-type stalledFront struct{ monitord.Front }
+// stalledFront is a daemon whose pipeline never goes idle.
+type stalledFront struct{}
 
 func (stalledFront) IngestMRT(io.Reader, string) (*monitord.MRTStats, error) {
 	return &monitord.MRTStats{Records: 3, Updates: 3, Sessions: 1}, nil

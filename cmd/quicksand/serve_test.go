@@ -18,7 +18,6 @@ import (
 
 	"quicksand/internal/bgp"
 	"quicksand/internal/bgpd"
-	"quicksand/internal/fleet"
 	"quicksand/internal/monitord"
 )
 
@@ -137,8 +136,8 @@ func TestServeRejectsWideASN(t *testing.T) {
 }
 
 // TestServeFleetSmoke exercises the -fleet arm of the serve wiring:
-// flag parsing into the daemon's config and a live fleet answering
-// /healthz with the shard count.
+// flag parsing into the daemon's config (the shard count and the filter)
+// and a live daemon answering /healthz with the shard count.
 func TestServeFleetSmoke(t *testing.T) {
 	watch := filepath.Join(t.TempDir(), "watch.txt")
 	if err := os.WriteFile(watch, []byte("10.0.0.0/16 64496\n10.1.0.0/16 64497\n"), 0o644); err != nil {
@@ -159,12 +158,12 @@ func TestServeFleetSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatalf("serveConfig: %v", err)
 	}
-	if cfg.Shards != 2 || len(cfg.Watched) != 2 {
+	if cfg.Shards != 2 || !cfg.DropUnwatched || len(cfg.Watched) != 2 {
 		t.Fatalf("config = %+v", cfg)
 	}
-	r, err := fleet.New(cfg)
+	r, err := monitord.New(cfg)
 	if err != nil {
-		t.Fatalf("fleet.New: %v", err)
+		t.Fatalf("monitord.New: %v", err)
 	}
 	defer func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)

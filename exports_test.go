@@ -30,6 +30,7 @@ var exportAllow = map[string]string{
 	"bgpd.Session.AS4":                    "benchmark API: bench/child.go checks that the feed session negotiated 4-octet ASNs",
 	"bgpd.Session.RecvUpdateBatch":        "benchmark API: bench/probes.go's bgpd loopback probe reads through it",
 	"bgpsim.ImportMRT":                    "benchmark API: bench/replay.go reads the month back from MRT (ROADMAP item 9 gives it a product caller)",
+	"fleet.New":                           "benchmark API: bench/probes.go's fleet probe boots it (ROADMAP item 3 deletes it with the fleet workloads)",
 	"obs.ParseExposition":                 "benchmark API: bench/load.go and bench/child.go parse the child's /metrics",
 	"obs.Snapshot.Quantile":               "benchmark API: bench/load.go reads histogram quantiles off /metrics",
 	"obs.Snapshot.Sum":                    "benchmark API: bench/load.go sums counter families off /metrics",
@@ -62,6 +63,7 @@ var exportAllow = map[string]string{
 	"bgpd.Session.RecvUpdate":         "test fixture: the one-UPDATE reader of the bgpd tests",
 	"bgp.Update.AnnouncesOrWithdraws": "test fixture: the End-of-RIB check of the bgpd replay and testkit stream tests",
 	"monitord.HTTPAlerts":             "test fixture: the /alerts client the monitord, fleet and serve tests poll through",
+	"monitord.HTTPAlerts.Alerts":      "test fixture: the poll of the /alerts client above",
 
 	// ROADMAP item 6 wires these into its detection-coverage matrix or
 	// deletes them.

@@ -370,17 +370,13 @@ func (s *Session) RecvUpdateBatch(dst []bgp.Update) (int, error) {
 	return n, err
 }
 
-// RecvUpdateBatchStamped is RecvUpdateBatch plus a batch-start
-// timestamp: time.Now() taken the moment the first UPDATE of the batch
-// came off the socket, before any of the batch was decoded. Latency
-// measured from this stamp (it carries a monotonic reading) never
-// under-reports: every update in the batch arrived at or after it, so
-// per-update skew is bounded by the batch decode time rather than by
-// the whole batch's socket dwell. The stamp is zero when n == 0.
-func (s *Session) RecvUpdateBatchStamped(dst []bgp.Update) (int, time.Time, error) {
-	return s.recvUpdateBatch(dst)
-}
-
+// recvUpdateBatch is RecvUpdateBatch plus a batch-start timestamp:
+// time.Now() taken the moment the first UPDATE of the batch came off the
+// socket, before any of the batch was decoded. Latency measured from this
+// stamp (it carries a monotonic reading) never under-reports: every
+// update in the batch arrived at or after it, so per-update skew is
+// bounded by the batch decode time rather than by the whole batch's
+// socket dwell. The stamp is zero when n == 0.
 func (s *Session) recvUpdateBatch(dst []bgp.Update) (int, time.Time, error) {
 	var start time.Time
 	if len(dst) == 0 {

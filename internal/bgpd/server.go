@@ -57,16 +57,14 @@ const (
 )
 
 // ServerConfig parameterises a Server. NewServer fills a zero ReadBatch,
-// DialBackoffBase or Seed with its default, so the fronts built on it
-// share one set of defaults.
+// DialBackoffBase or Seed with its default.
 type ServerConfig struct {
-	// Name prefixes log lines ("monitord", "fleet").
+	// Name prefixes log lines ("monitord").
 	Name    string
 	Speaker Config
 	// Listen is the TCP address accepting inbound sessions ("" disables).
 	Listen string
-	// ReadBatch bounds the UPDATEs decoded per RecvUpdateBatchStamped
-	// (default 64).
+	// ReadBatch bounds the UPDATEs decoded per read batch (default 64).
 	ReadBatch int
 	// DialBackoffBase and Seed parameterise Collect's redial schedule
 	// (see Backoff; defaults 500ms and 1).
@@ -81,10 +79,6 @@ type ServerConfig struct {
 	SessionsActive   *obs.Gauge
 	DroppedNoASPath  *obs.Counter
 
-	// OnRegister, when set, runs for every new peer while the registry
-	// lock is held, so whatever it mirrors the peer into sees peers in
-	// id order.
-	OnRegister func(*Peer)
 	// NewSink returns the sink for one established session's updates.
 	NewSink func(*Peer) UpdateSink
 }
@@ -202,9 +196,6 @@ func (s *Server) register(sess *Session, remote, source string, peerAS bgp.ASN) 
 	s.mu.Lock()
 	p := &Peer{ID: len(s.peers), PeerAS: peerAS, Remote: remote, Source: source, sess: sess}
 	s.peers = append(s.peers, p)
-	if s.cfg.OnRegister != nil {
-		s.cfg.OnRegister(p)
-	}
 	s.mu.Unlock()
 	s.cfg.SessionsAccepted.Inc()
 	s.cfg.SessionsActive.Add(1)
@@ -249,7 +240,7 @@ func (s *Server) serve(sess *Session, remote, source string) *Peer {
 	batch := make([]bgp.Update, s.cfg.ReadBatch)
 	var scratch []bgp.ASN // every UPDATE's flattened path, lent to the sink
 	for {
-		n, start, err := sess.RecvUpdateBatchStamped(batch)
+		n, start, err := sess.recvUpdateBatch(batch)
 		if n > 0 {
 			for i := range batch[:n] {
 				if dropped := PrefixUpdates(&batch[i], start, sink, &scratch); dropped > 0 {

@@ -21,7 +21,7 @@ func TestRecvUpdateBatchStamped(t *testing.T) {
 	var last time.Time
 	for {
 		dst := make([]bgp.Update, 3)
-		n, start, err := s.RecvUpdateBatchStamped(dst)
+		n, start, err := s.recvUpdateBatch(dst)
 		if n > 0 {
 			if start.IsZero() {
 				t.Fatal("non-empty batch with zero stamp")

@@ -324,7 +324,9 @@ func TestMonitorRelevant(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if got := m.Relevant(tc.prefix); got != tc.want {
+		// A non-IPv4 or invalid prefix has no key, so it is relevant nowhere.
+		k, ok := iptrie.Key(tc.prefix)
+		if got := ok && m.Relevant(k); got != tc.want {
 			t.Errorf("%s: Relevant(%v) = %v, want %v", tc.name, tc.prefix, got, tc.want)
 		}
 		u := bgpsim.UpdateEvent{Time: mt0, Prefix: tc.prefix, Path: []bgp.ASN{3320, 666}}

@@ -95,27 +95,31 @@ func NewMonitor(watched map[netip.Prefix]bgp.ASN) (*Monitor, error) {
 	return m, nil
 }
 
-// Relevant reports whether an announcement of p can raise an alert: p is
-// watched, or strictly more specific than a watched prefix. Covering,
-// unrelated and non-IPv4 prefixes alert nowhere, whatever their path.
-// This is the one statement of that rule: Observe applies it first, and a
-// front may drop what it rejects before the update reaches a RIB.
-func (m *Monitor) Relevant(p netip.Prefix) bool {
-	_, _, _, ok := m.match(p)
+// Relevant reports whether an announcement of the IPv4 prefix whose
+// iptrie.Key is k can raise an alert: the prefix is watched, or strictly
+// more specific than a watched prefix. Covering, unrelated and non-IPv4
+// prefixes alert nowhere, whatever their path. This is the one statement
+// of that rule: Observe applies it first, and a daemon may drop what it
+// rejects before the update reaches a RIB.
+func (m *Monitor) Relevant(k uint64) bool {
+	_, _, ok := m.matchKey(k)
 	return ok
 }
 
-// match applies Relevant's rule, also returning p's key and whether p is
-// itself watched and, if so, its expected origin.
+// match applies Relevant's rule to p, also returning p's key and whether
+// p is itself watched and, if so, its expected origin.
 func (m *Monitor) match(p netip.Prefix) (k uint64, expected bgp.ASN, exact, ok bool) {
-	k, ok = iptrie.Key(p)
-	if !ok {
-		return 0, 0, false, false
+	if k, ok = iptrie.Key(p); ok {
+		expected, exact, ok = m.matchKey(k)
 	}
+	return k, expected, exact, ok
+}
+
+func (m *Monitor) matchKey(k uint64) (expected bgp.ASN, exact, ok bool) {
 	if expected, ok := m.watched.GetKey(k); ok {
-		return k, expected, true, true
+		return expected, true, true
 	}
-	return k, 0, false, m.watched.CoversKey(k)
+	return 0, false, m.watched.CoversKey(k)
 }
 
 // Learn records the upstream (penultimate AS) of a benign update for a

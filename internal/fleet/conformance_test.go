@@ -32,10 +32,10 @@ var conformanceWatched = map[netip.Prefix]bgp.ASN{
 // is observable.
 const conformanceAlerts = monitord.MaxAlertsPerRequest + 1
 
-// bootFront starts the named front — "daemon", or "router" (the fleet)
-// over two shards — on loopback listeners, dialing the given collectors.
-// The conformance tables drive both through monitord.Front.
-func bootFront(t *testing.T, name string, collectors ...string) monitord.Front {
+// bootFront starts the named front — "daemon", or "router" (the daemon
+// of fleet.New, which drops unwatched updates, over two shards) — on
+// loopback listeners, dialing the given collectors.
+func bootFront(t *testing.T, name string, collectors ...string) *monitord.Daemon {
 	t.Helper()
 	speaker := bgpd.Config{ASN: 64500, BGPID: netip.MustParseAddr("198.51.100.1"), AS4: true}
 	cfg := monitord.Config{
@@ -43,7 +43,7 @@ func bootFront(t *testing.T, name string, collectors ...string) monitord.Front {
 		ListenBGP: "127.0.0.1:0", ListenHTTP: "127.0.0.1:0", Collectors: collectors,
 		AlertBuffer: 2 * conformanceAlerts,
 	}
-	var svc monitord.Front
+	var svc *monitord.Daemon
 	var err error
 	if name == "daemon" {
 		svc, err = monitord.New(cfg)
@@ -65,9 +65,9 @@ func bootFront(t *testing.T, name string, collectors ...string) monitord.Front {
 
 var fronts = []string{"daemon", "router"}
 
-func bootServices(t *testing.T) map[string]monitord.Front {
+func bootServices(t *testing.T) map[string]*monitord.Daemon {
 	t.Helper()
-	services := make(map[string]monitord.Front)
+	services := make(map[string]*monitord.Daemon)
 	hijacked := netip.MustParsePrefix("10.10.0.0/16")
 	for _, name := range fronts {
 		s := bootFront(t, name)
@@ -280,7 +280,7 @@ func ingestArchive(t *testing.T, tableDump bool) *bytes.Reader {
 type lentRoute struct {
 	prefix  netip.Prefix
 	path    []bgp.ASN // the latest announced, which /rib must serve
-	watched bool      // a more-specific of a watched prefix: alarms, and the router forwards it
+	watched bool      // a more-specific of a watched prefix: alarms, and the filter passes it
 }
 
 // lentStream builds the row that catches a layer keeping a path it was
@@ -322,13 +322,13 @@ func lentStream() (first, second []*bgp.Update, final []lentRoute, alerts map[st
 
 // TestIngestConformance delivers one labelled stream by every input a
 // front has — an inbound session, a dialed collector, a BGP4MP archive, a
-// TABLE_DUMP_V2 seed — to a daemon and to a router: every cell must raise
-// exactly the labelled alerts, count the path-less announcement as
-// dropped and an archive's records on monitord_mrt_records_total, keep
-// the archive's timestamps as the alerts' semantic time, and keep them
-// out of the latency histograms. The lent-path row sends
-// its own stream (lentStream) over an inbound session and also reads
-// every prefix back from /rib.
+// TABLE_DUMP_V2 seed — to a daemon with and without the filter: every
+// cell must raise exactly the labelled alerts, count the path-less
+// announcement as dropped and an archive's records on
+// monitord_mrt_records_total, keep the archive's timestamps as the
+// alerts' semantic time, and keep them out of the latency histograms.
+// The lent-path row sends its own stream (lentStream) over an inbound
+// session and also reads every prefix back from /rib.
 func TestIngestConformance(t *testing.T) {
 	peer := bgpd.Config{ASN: ingestPeerAS, BGPID: netip.MustParseAddr("203.0.113.9"), AS4: true}
 	establish := func(t *testing.T, conn net.Conn, err error) *bgpd.Session {
@@ -343,8 +343,8 @@ func TestIngestConformance(t *testing.T) {
 		}
 		return sess
 	}
-	fromArchive := func(tableDump bool) func(*testing.T, string) monitord.Front {
-		return func(t *testing.T, front string) monitord.Front {
+	fromArchive := func(tableDump bool) func(*testing.T, string) *monitord.Daemon {
+		return func(t *testing.T, front string) *monitord.Daemon {
 			svc := bootFront(t, front)
 			if _, err := svc.IngestMRT(ingestArchive(t, tableDump), "conformance.mrt"); err != nil {
 				t.Fatal(err)
@@ -362,20 +362,20 @@ func TestIngestConformance(t *testing.T) {
 	paths := []struct {
 		name    string
 		archive bool // alerts carry archiveTime, not the receive time
-		deliver func(t *testing.T, front string) monitord.Front
+		deliver func(t *testing.T, front string) *monitord.Daemon
 		sent    int            // prefix updates the delivered stream carries
 		want    map[string]int // the alerts the delivered stream must raise
 		noPath  int            // announcements it carries without an AS_PATH
 		records int            // MRT records it carries
 		rib     []lentRoute    // what /rib must serve afterwards, when the row checks it
 	}{
-		{name: "inbound", deliver: func(t *testing.T, front string) monitord.Front {
+		{name: "inbound", deliver: func(t *testing.T, front string) *monitord.Daemon {
 			svc := bootFront(t, front)
 			conn, err := net.Dial("tcp", svc.BGPAddr())
 			sendStream(t, establish(t, conn, err))
 			return svc
 		}, sent: len(ingestStream), want: streamAlerts, noPath: 1},
-		{name: "collector", deliver: func(t *testing.T, front string) monitord.Front {
+		{name: "collector", deliver: func(t *testing.T, front string) *monitord.Daemon {
 			ln, err := net.Listen("tcp", "127.0.0.1:0")
 			if err != nil {
 				t.Fatal(err)
@@ -390,7 +390,7 @@ func TestIngestConformance(t *testing.T) {
 			records: len(ingestStream)},
 		{name: "table-dump", archive: true, deliver: fromArchive(true), sent: len(ingestStream), want: streamAlerts, noPath: 1,
 			records: len(ingestStream) + 1}, // and the peer index table
-		{name: "lent-paths", deliver: func(t *testing.T, front string) monitord.Front {
+		{name: "lent-paths", deliver: func(t *testing.T, front string) *monitord.Daemon {
 			svc := bootFront(t, front)
 			conn, err := net.Dial("tcp", svc.BGPAddr())
 			sess := establish(t, conn, err)
@@ -400,7 +400,7 @@ func TestIngestConformance(t *testing.T) {
 			}
 			// Let the first phase settle, so the second reuses whatever
 			// storage the first travelled in.
-			fleet.Settle(t, svc, len(lentFirst))
+			settle(t, svc, len(lentFirst))
 			if err := sess.SendUpdates(lentSecond); err != nil {
 				t.Fatal(err)
 			}
@@ -412,7 +412,7 @@ func TestIngestConformance(t *testing.T) {
 		for _, front := range fronts {
 			t.Run(path.name+"/"+front, func(t *testing.T) {
 				svc := path.deliver(t, front)
-				fleet.Settle(t, svc, path.sent)
+				settle(t, svc, path.sent)
 				alerts, _, _ := svc.Alerts(0, 0)
 				got := map[string]int{}
 				for _, a := range alerts {
@@ -434,10 +434,8 @@ func TestIngestConformance(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				dropped, _ := snap.Sum("monitord_updates_dropped_total", map[string]string{"reason": "no-as-path"})
-				routerDropped, _ := snap.Sum("fleet_updates_dropped_total", map[string]string{"reason": "no-as-path"})
-				if int(dropped+routerDropped) != path.noPath {
-					t.Errorf("no-as-path drops = %v (daemon) + %v (router), want %d in all", dropped, routerDropped, path.noPath)
+				if dropped, _ := snap.Sum("monitord_updates_dropped_total", map[string]string{"reason": "no-as-path"}); int(dropped) != path.noPath {
+					t.Errorf("no-as-path drops = %v, want %d", dropped, path.noPath)
 				}
 				if records, _ := snap.Sum("monitord_mrt_records_total", nil); int(records) != path.records {
 					t.Errorf("monitord_mrt_records_total = %v, want %d", records, path.records)
@@ -463,9 +461,9 @@ func TestIngestConformance(t *testing.T) {
 					err = json.NewDecoder(resp.Body).Decode(&entry)
 					resp.Body.Close()
 					if front == "router" && !r.watched {
-						// The router rejected it; nothing may have kept it.
+						// The filter dropped it; nothing may have kept it.
 						if resp.StatusCode != http.StatusNotFound {
-							t.Errorf("GET %s: status %d, want 404 for a prefix the router never forwarded", url, resp.StatusCode)
+							t.Errorf("GET %s: status %d, want 404 for a prefix the filter dropped", url, resp.StatusCode)
 						}
 						continue
 					}
@@ -548,8 +546,8 @@ func TestAnomaliesEndpoint(t *testing.T) {
 // count: a collector that delivers one watched update per session and
 // hangs up is redialed at the base rate, because a session that
 // delivered resets the backoff (the doubling schedule would need over
-// 6 s for eight sessions), and once it stops answering /healthz counts
-// none of its sessions as active.
+// 6 s for eight sessions), and once it stops answering neither /healthz
+// nor monitord_sessions_active counts any of its sessions as active.
 func TestCollectorRedials(t *testing.T) {
 	for _, front := range fronts {
 		t.Run(front, func(t *testing.T) {
@@ -581,7 +579,7 @@ func TestCollectorRedials(t *testing.T) {
 				ListenHTTP: "127.0.0.1:0", Collectors: []string{ln.Addr().String()},
 				Shards: 2, DialBackoffBase: 50 * time.Millisecond,
 			}
-			var svc monitord.Front
+			var svc *monitord.Daemon
 			if front == "daemon" {
 				svc, err = monitord.New(cfg)
 			} else {
@@ -613,11 +611,21 @@ func TestCollectorRedials(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if h.SessionsActive == 0 {
+				if resp, err = http.Get("http://" + svc.HTTPAddr() + "/metrics"); err != nil {
+					t.Fatal(err)
+				}
+				snap, err := obs.ParseExposition(resp.Body)
+				resp.Body.Close()
+				if err != nil {
+					t.Fatal(err)
+				}
+				gauge, _ := snap.Sum("monitord_sessions_active", nil)
+				if h.SessionsActive == 0 && gauge == 0 {
 					break
 				}
 				if time.Since(start) > 5*time.Second {
-					t.Fatalf("/healthz sessions_active = %d after the collector went away, want 0", h.SessionsActive)
+					t.Fatalf("after the collector went away: /healthz sessions_active = %d, monitord_sessions_active = %v; want 0 and 0",
+						h.SessionsActive, gauge)
 				}
 			}
 		})

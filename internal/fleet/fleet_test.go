@@ -1,4 +1,4 @@
-package fleet
+package fleet_test
 
 import (
 	"context"
@@ -14,6 +14,7 @@ import (
 	"quicksand/internal/bgp"
 	"quicksand/internal/bgpd"
 	"quicksand/internal/defense"
+	"quicksand/internal/fleet"
 	"quicksand/internal/monitord"
 	"quicksand/internal/obs"
 )
@@ -56,12 +57,11 @@ func httpPost(url string) (httpResult, error) {
 	return httpResult{status: resp.StatusCode, body: string(body)}, nil
 }
 
-// Settle waits until svc has accounted for the first n prefix updates
-// delivered to it — each ingested by the daemon, rejected as unwatched or
-// dropped — and its pipeline is idle. What it serves then is final, so a
-// missing alert fails at once rather than at a deadline. (Exported for
-// the conformance tables in package fleet_test.)
-func Settle(t *testing.T, svc monitord.Front, n int) {
+// settle waits until svc has accounted for the first n prefix updates
+// delivered to it — each ingested, rejected as unwatched or dropped — and
+// its pipeline is idle. What it serves then is final, so a missing alert
+// fails at once rather than at a deadline.
+func settle(t *testing.T, svc *monitord.Daemon, n int) {
 	t.Helper()
 	for deadline := time.Now().Add(5 * time.Second); accounted(t, svc) < n; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
@@ -73,7 +73,7 @@ func Settle(t *testing.T, svc monitord.Front, n int) {
 	}
 }
 
-func accounted(t *testing.T, svc monitord.Front) int {
+func accounted(t *testing.T, svc *monitord.Daemon) int {
 	t.Helper()
 	resp, err := http.Get("http://" + svc.HTTPAddr() + "/metrics")
 	if err != nil {
@@ -86,7 +86,7 @@ func accounted(t *testing.T, svc monitord.Front) int {
 	}
 	n := 0.0
 	for _, family := range []string{"monitord_updates_ingested_total", "monitord_updates_dropped_total",
-		"fleet_updates_unwatched_total", "fleet_updates_dropped_total"} {
+		"fleet_updates_unwatched_total"} {
 		v, _ := snap.Sum(family, nil)
 		n += v
 	}
@@ -99,10 +99,12 @@ func alertKey(a defense.Alert) string {
 }
 
 func TestRouterInprocAlerts(t *testing.T) {
-	r, err := New(Config{
-		Watched: fleetWatched,
-		Shards:  4,
-		Logf:    t.Logf,
+	reg := obs.NewRegistry()
+	r, err := fleet.New(fleet.Config{
+		Watched:  fleetWatched,
+		Shards:   4,
+		Logf:     t.Logf,
+		Registry: reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -131,7 +133,7 @@ func TestRouterInprocAlerts(t *testing.T) {
 	if err := r.Ingest(src0, now, moreSpec, []bgp.ASN{64601, 667}); err != nil {
 		t.Fatal(err)
 	}
-	// Background churn: rejected at the router, never reaches the daemon.
+	// Background churn: dropped before the RIB.
 	if err := r.Ingest(src0, now, netip.MustParsePrefix("198.18.0.0/15"), []bgp.ASN{64601, 1}); err != nil {
 		t.Fatal(err)
 	}
@@ -150,8 +152,7 @@ func TestRouterInprocAlerts(t *testing.T) {
 	for _, a := range alerts {
 		got[alertKey(a.Alert)] = true
 	}
-	// Session ids in fleet alerts match the router's source ids — the
-	// mirror under the registry lock at work.
+	// Session ids in the alerts are the registered sources' ids.
 	wantHijack := fmt.Sprintf("%d|%v|%v|%v", src1, hijacked, defense.AlertOriginChange, bgp.ASN(666))
 	wantMoreSpec := fmt.Sprintf("%d|%v|%v|%v", src0, moreSpec, defense.AlertMoreSpecific, bgp.ASN(667))
 	if !got[wantHijack] || !got[wantMoreSpec] {
@@ -160,15 +161,15 @@ func TestRouterInprocAlerts(t *testing.T) {
 	if next != 2 {
 		t.Fatalf("next = %d, want 2", next)
 	}
-	if v := r.met.unwatched.Value(); v != 1 {
+	if v := reg.Counter("fleet_updates_unwatched_total", "").Value(); v != 1 {
 		t.Fatalf("unwatched counter = %v, want 1", v)
 	}
 	// The anomaly detectors see every alert, no more and no less.
-	if _, observed, _ := r.d.Anomalies(); observed != 2 {
+	if _, observed, _ := r.Anomalies(); observed != 2 {
 		t.Fatalf("detectors observed %d alerts, want the 2 raised", observed)
 	}
 	// The background announcement never reached the RIB.
-	if n := r.d.RIB().Size(); n != len(fleetWatched)+1 {
+	if n := r.RIB().Size(); n != len(fleetWatched)+1 {
 		t.Fatalf("RIB holds %d prefixes, want the %d watched and the more-specific", n, len(fleetWatched)+1)
 	}
 
@@ -184,47 +185,13 @@ func TestRouterInprocAlerts(t *testing.T) {
 	if err := r.Ingest(99, now, hijacked, []bgp.ASN{64601, 666}); err == nil {
 		t.Fatal("unknown session must be rejected")
 	}
-	if _, err := New(Config{Watched: map[netip.Prefix]bgp.ASN{netip.MustParsePrefix("2001:db8::/32"): 65001}}); err == nil {
+	if _, err := fleet.New(fleet.Config{Watched: map[netip.Prefix]bgp.ASN{netip.MustParsePrefix("2001:db8::/32"): 65001}}); err == nil {
 		t.Fatal("IPv6 watched prefix must be rejected")
 	}
 }
 
-// TestRejectPathAllocFree pins the router's fast path as the session
-// front drives it — bgpd.PrefixUpdates flattening a multi-segment AS_PATH
-// into the reader's scratch, then the sink: an UPDATE matching no watched
-// prefix is counted and dropped without allocating, flattening included
-// (the path used to be allocated per UPDATE, one frame above the sink,
-// before the router rejected it).
-func TestRejectPathAllocFree(t *testing.T) {
-	r, err := New(Config{Watched: fleetWatched, Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Shutdown(context.Background())
-	p, _ := r.srv.Peer(r.RegisterSource("feed", 64601))
-	sink := r.sink(p)
-	now := time.Now()
-	u := &bgp.Update{
-		Withdrawn: []netip.Prefix{netip.MustParsePrefix("10.99.0.0/16")}, // shares a first octet: reaches the index
-		NLRI:      []netip.Prefix{netip.MustParsePrefix("198.18.0.0/15")},
-		Attrs: bgp.PathAttributes{HasASPath: true, ASPath: bgp.ASPath{Segments: []bgp.Segment{
-			{Type: bgp.SegmentSequence, ASes: []bgp.ASN{64601, 64700}},
-			{Type: bgp.SegmentSet, ASes: []bgp.ASN{64701, 64702}},
-		}}},
-	}
-	var scratch []bgp.ASN // the session reader's, grown by AllocsPerRun's warm-up call
-	if n := testing.AllocsPerRun(100, func() {
-		bgpd.PrefixUpdates(u, now, sink, &scratch)
-	}); n != 0 {
-		t.Errorf("reject path allocates %v times per UPDATE", n)
-	}
-	if got := r.met.unwatched.Value(); got < 200 {
-		t.Errorf("unwatched counter = %d, want every rejected update counted", got)
-	}
-}
-
 func TestRouterBGPAndHTTP(t *testing.T) {
-	r, err := New(Config{
+	r, err := fleet.New(fleet.Config{
 		Watched: fleetWatched,
 		Shards:  2,
 		Speaker: bgpd.Config{
@@ -270,14 +237,14 @@ func TestRouterBGPAndHTTP(t *testing.T) {
 	send(watched, 64601, 65010)                                // legit
 	send(watched, 64601, 666)                                  // same-prefix hijack
 	send(netip.MustParsePrefix("10.40.7.0/24"), 64601, 667)    // more-specific hijack
-	send(netip.MustParsePrefix("198.18.0.0/15"), 64601, 64700) // background, router-rejected
+	send(netip.MustParsePrefix("198.18.0.0/15"), 64601, 64700) // background, dropped unwatched
 	if err := sess.SendUpdate(&bgp.Update{Withdrawn: []netip.Prefix{netip.MustParsePrefix("198.19.0.0/16")}}); err != nil {
 		t.Fatal(err)
 	}
 
 	base := "http://" + r.HTTPAddr()
 	poller := &monitord.HTTPAlerts{Base: base}
-	Settle(t, r, 5)
+	settle(t, r, 5)
 	alerts, _, _ := poller.Alerts(0, 0)
 	kinds := map[defense.AlertKind]int{}
 	for _, a := range alerts {
@@ -300,9 +267,9 @@ func TestRouterBGPAndHTTP(t *testing.T) {
 		t.Fatalf("/healthz = %d %q", code, body)
 	}
 	if code, body := get("/metrics"); code != 200 ||
-		!strings.Contains(body, "fleet_updates_forwarded_total") ||
-		!strings.Contains(body, "fleet_shards 2") ||
-		!strings.Contains(body, "monitord_updates_ingested_total") {
+		!strings.Contains(body, `fleet_updates_forwarded_total{shard="1"}`) ||
+		!strings.Contains(body, "fleet_updates_unwatched_total 2") ||
+		!strings.Contains(body, "monitord_updates_ingested_total 3") {
 		t.Fatalf("/metrics = %d, missing fleet or daemon families:\n%s", code, body)
 	}
 	if code, body := get("/rib?prefix=10.10.0.0/16"); code != 200 || !strings.Contains(body, `"routes"`) {

@@ -15,9 +15,9 @@ import (
 	"quicksand/internal/testkit"
 )
 
-// TestFleetMetricsGolden pins the fleet's /metrics exposition — the
-// fleet_* families and the daemon's monitord_* families on one registry
-// — against a golden file, like monitord's TestMetricsGolden.
+// TestFleetMetricsGolden pins the /metrics exposition of a daemon under
+// DropUnwatched — the monitord_* families and the filter's two fleet_*
+// families — against a golden file, like monitord's TestMetricsGolden.
 // The time-dependent gauges and the latency histograms' buckets and sums
 // (placement depends on elapsed time) are normalised to X; everything
 // else, the latency counts included, is exact, so a diff here means a
@@ -50,7 +50,7 @@ func TestFleetMetricsGolden(t *testing.T) {
 		{"10.10.0.0/16", []bgp.ASN{64601, 65010}},  // legitimate
 		{"10.10.0.0/16", []bgp.ASN{64601, 666}},    // same-prefix hijack
 		{"10.25.7.0/24", []bgp.ASN{64601, 667}},    // more-specific hijack
-		{"198.18.0.0/15", []bgp.ASN{64601, 64700}}, // unwatched: rejected at the router
+		{"198.18.0.0/15", []bgp.ASN{64601, 64700}}, // unwatched: dropped, counted
 		{"10.20.0.0/16", nil},                      // withdrawal
 		{"2001:db8::/32", []bgp.ASN{64601, 64700}}, // non-IPv4: dropped, counted
 	} {
@@ -75,7 +75,7 @@ func TestFleetMetricsGolden(t *testing.T) {
 	}
 	var b strings.Builder
 	for _, line := range strings.Split(string(body), "\n") {
-		for _, dyn := range []string{"fleet_uptime_seconds ", "monitord_uptime_seconds ", "monitord_updates_per_second ",
+		for _, dyn := range []string{"monitord_uptime_seconds ", "monitord_updates_per_second ",
 			"monitord_detection_seconds_bucket{", "monitord_detection_seconds_sum ",
 			"monitord_stage_seconds_bucket{", "monitord_stage_seconds_sum{"} {
 			if strings.HasPrefix(line, dyn) {

@@ -163,6 +163,43 @@ func TestSessionPathSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestRejectPathAllocFree pins the DropUnwatched reject path as the
+// session front drives it — bgpd.PrefixUpdates flattening a
+// multi-segment AS_PATH into the reader's scratch, then the session's
+// sink: an UPDATE matching no watched prefix is counted and dropped
+// without allocating, flattening included.
+func TestRejectPathAllocFree(t *testing.T) {
+	d, err := New(Config{
+		Watched:       map[netip.Prefix]bgp.ASN{netip.MustParsePrefix("10.10.0.0/16"): 65010},
+		Shards:        2,
+		DropUnwatched: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Shutdown(context.Background())
+	p, _ := d.srv.Peer(d.RegisterSource("feed", 64601))
+	sink := d.newSink(p)
+	now := time.Now()
+	u := &bgp.Update{
+		Withdrawn: []netip.Prefix{netip.MustParsePrefix("10.99.0.0/16")}, // shares a first octet: reaches the index
+		NLRI:      []netip.Prefix{netip.MustParsePrefix("198.18.0.0/15")},
+		Attrs: bgp.PathAttributes{HasASPath: true, ASPath: bgp.ASPath{Segments: []bgp.Segment{
+			{Type: bgp.SegmentSequence, ASes: []bgp.ASN{64601, 64700}},
+			{Type: bgp.SegmentSet, ASes: []bgp.ASN{64701, 64702}},
+		}}},
+	}
+	var scratch []bgp.ASN // the session reader's, grown by AllocsPerRun's warm-up call
+	if n := testing.AllocsPerRun(100, func() {
+		bgpd.PrefixUpdates(u, now, sink, &scratch)
+	}); n != 0 {
+		t.Errorf("reject path allocates %v times per UPDATE", n)
+	}
+	if got := d.met.unwatched.Value(); got != 2*101 {
+		t.Errorf("unwatched counter = %d, want all %d rejected updates counted", got, 2*101)
+	}
+}
+
 // BenchmarkMonitordIngestTCP measures the same pipeline fed through a
 // real loopback BGP session — wire encode, TCP, decode, dispatch, RIB,
 // monitor — i.e. the full session path of the serve subcommand.

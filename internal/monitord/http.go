@@ -16,8 +16,8 @@ import (
 	"quicksand/internal/defense"
 )
 
-// This file is the daemon's HTTP surface, with or without a fleet in
-// front of it: the /alerts wire format (encode here, decode in
+// This file is the daemon's HTTP surface, with or without
+// Config.DropUnwatched: the /alerts wire format (encode here, decode in
 // HTTPAlerts), the handlers, the read-only and JSON helpers, and the
 // listen/serve/drain lifecycle.
 
@@ -140,13 +140,6 @@ func writeJSON(w http.ResponseWriter, v any) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.Write(append(buf, '\n'))
-}
-
-// AlertSource is anything that serves the alert-cursor contract of
-// Daemon.Alerts (notably the ahead-cursor resync): a daemon, the fleet in
-// front of one, or either one's /alerts endpoint through HTTPAlerts.
-type AlertSource interface {
-	Alerts(cursor uint64, max int) (alerts []SeqAlert, next uint64, dropped uint64)
 }
 
 // handleAlerts serves GET /alerts?since=N&max=M: 400 on a malformed
@@ -278,7 +271,7 @@ func (d *Daemon) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Status:         "ok",
 		UptimeSeconds:  time.Since(d.met.start).Seconds(),
 		Shards:         len(d.shards),
-		SessionsActive: int64(d.sessions.Load().Value()),
+		SessionsActive: int64(d.met.sessionsActive.Value()),
 		Updates:        d.met.updates.Value(),
 		RIBPrefixes:    d.rib.Size(),
 		Alerts:         d.rng.Total(),

@@ -8,12 +8,12 @@ import (
 	"time"
 )
 
-// HTTPAlerts adapts an /alerts endpoint (a daemon's or a fleet
-// router's — the wire shape is identical) to AlertSource: the one client
-// of the /alerts wire struct, polling over the same path a real client
-// takes. Poll failures return no alerts with the cursor unchanged — the
-// poller simply retries — and are tallied in Errs: an alerts API that is
-// down shows up as a stalled cursor plus a non-zero error count.
+// HTTPAlerts is the one client of the /alerts wire struct: it serves a
+// daemon's /alerts endpoint with the cursor contract of Daemon.Alerts,
+// polling over the same path a real client takes. Poll failures return
+// no alerts with the cursor unchanged — the poller simply retries — and
+// are tallied in Errs: an alerts API that is down shows up as a stalled
+// cursor plus a non-zero error count.
 type HTTPAlerts struct {
 	// Base is the instance's HTTP root, e.g. "http://127.0.0.1:8179".
 	Base string
@@ -23,7 +23,7 @@ type HTTPAlerts struct {
 	Errs atomic.Uint64
 }
 
-// Alerts implements AlertSource over GET /alerts?since=N&max=M.
+// Alerts is Daemon.Alerts over GET /alerts?since=N&max=M.
 func (h *HTTPAlerts) Alerts(cursor uint64, max int) ([]SeqAlert, uint64, uint64) {
 	client := h.Client
 	if client == nil {

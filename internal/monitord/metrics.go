@@ -30,6 +30,8 @@ type metrics struct {
 	// every exposition — silent drops were invisible before.
 	droppedNoASPath *obs.Counter
 	droppedNonIPv4  *obs.Counter
+	// unwatched counts what Config.DropUnwatched drops (nil without it).
+	unwatched *obs.Counter
 
 	alerts [3]*obs.Counter // pre-resolved by defense.AlertKind
 	// alertsDropped counts real ring evictions, bumped by the ring itself
@@ -65,10 +67,11 @@ type metrics struct {
 // multi-second detection outlier still lands in a finite bucket.
 var latencyBuckets = obs.ExpBucketsRange(1e-6, 10, 22)
 
-// newMetrics registers the daemon's metric families on reg; a nil reg
-// gets a private registry so a standalone daemon still serves /metrics.
-// One daemon per registry: the families are registered once.
-func newMetrics(reg *obs.Registry) *metrics {
+// newMetrics registers the daemon's metric families on reg, with the
+// filter's under dropUnwatched; a nil reg gets a private registry so a
+// standalone daemon still serves /metrics. One daemon per registry: the
+// families are registered once.
+func newMetrics(reg *obs.Registry, dropUnwatched bool) *metrics {
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
@@ -80,6 +83,10 @@ func newMetrics(reg *obs.Registry) *metrics {
 	dropped := reg.CounterVec("monitord_updates_dropped_total", "Updates discarded before ingest, by reason.", "reason")
 	m.droppedNoASPath = dropped.With("no-as-path")
 	m.droppedNonIPv4 = dropped.With("non-ipv4")
+	if dropUnwatched {
+		m.unwatched = reg.Counter("fleet_updates_unwatched_total",
+			"Updates dropped at the router because no watched prefix matches or covers them — the fleet's fast-reject path.")
+	}
 	alerts := reg.CounterVec("monitord_alerts_total", "Monitor alerts raised, by kind.", "kind")
 	for k := defense.AlertOriginChange; k <= defense.AlertNewUpstream; k++ {
 		m.alerts[k] = alerts.With(k.String())
@@ -135,6 +142,14 @@ func (m *metrics) registerCollectors(d *Daemon) {
 					float64(p.Updates.Load()))
 			}
 		})
+	if d.cfg.DropUnwatched {
+		m.reg.Collect("fleet_updates_forwarded_total", "Updates forwarded to each shard by the watchlist router.",
+			obs.KindCounter, []string{"shard"}, func(emit obs.Emit) {
+				for i := range d.shards {
+					emit([]string{strconv.Itoa(i)}, float64(d.shards[i].enqueued.Load()))
+				}
+			})
+	}
 }
 
 // updatesPerSec returns the ingest rate over the window since the last

@@ -17,11 +17,11 @@
 //
 // Concurrency model:
 //
-//   - the session front (bgpd.Server; with -fleet, the fleet's own in
-//     front of the daemon) runs one reader goroutine per BGP session; the
-//     daemon's sink hashes each prefix to its shard once and stages the
-//     update in that shard's run, so each prefix's updates are processed
-//     in arrival order;
+//   - the session front (bgpd.Server) runs one reader goroutine per BGP
+//     session; the daemon's sink hashes each prefix to its shard once
+//     (with Config.DropUnwatched, after dropping what no watched prefix
+//     covers) and stages the update in that shard's run, so each
+//     prefix's updates are processed in arrival order;
 //   - a run is one session's updates for one shard out of one read batch,
 //     their lent paths copied into its arena (the live RIB copies again
 //     into storage it owns). Runs come from a fixed per-session budget
@@ -42,7 +42,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net/netip"
 	"slices"
 	"sync"
@@ -83,6 +82,11 @@ type Config struct {
 
 	// Shards is the dispatcher width (default 8).
 	Shards int
+	// DropUnwatched drops, before the RIB, every update that
+	// defense.Monitor.Relevant rejects — one no watched prefix matches or
+	// covers, which can raise no alert — on every input (serve -fleet).
+	// /rib then answers only for watched routes and their more-specifics.
+	DropUnwatched bool
 	// AlertBuffer is the alert ring capacity (default 4096).
 	AlertBuffer int
 	// ReadBatch bounds how many UPDATEs a session reader decodes per
@@ -143,26 +147,6 @@ func (c *Config) withDefaults() Config {
 		out.Logf = func(string, ...any) {}
 	}
 	return out
-}
-
-// Front is the surface a daemon and the fleet in front of one share,
-// named once: sessions arrive by themselves (inbound on BGPAddr, outbound
-// to the configured collectors); in-process sources and MRT archives enter
-// through RegisterSource, Ingest and IngestMRT; WaitQuiesce reports when
-// what entered has been absorbed; alerts leave through Alerts and the
-// HTTP API; Shutdown stops it all. serve, the differential checkers and
-// the conformance tables drive either front through it.
-type Front interface {
-	AlertSource
-	RegisterSource(name string, peer bgp.ASN) int
-	// Ingest queues: path is handed over, and the caller must not modify
-	// it afterwards (copy a buffer that will be reused).
-	Ingest(session int, t time.Time, prefix netip.Prefix, path []bgp.ASN) error
-	IngestMRT(r io.Reader, label string) (*MRTStats, error)
-	WaitQuiesce(timeout time.Duration) bool
-	BGPAddr() string
-	HTTPAddr() string
-	Shutdown(ctx context.Context) error
 }
 
 // item is one dispatcher channel element: a read batch's run of one
@@ -243,9 +227,6 @@ type Daemon struct {
 
 	srv *bgpd.Server // session front: listener, collectors, peer registry
 	api *httpServer
-	// sessions is what /healthz reports as sessions_active (see
-	// ReportSessions).
-	sessions atomic.Pointer[obs.Gauge]
 
 	learnSeen atomic.Uint64
 
@@ -270,7 +251,7 @@ func New(cfg Config) (*Daemon, error) {
 	}
 	// Metrics before the ring: eviction accounting needs the real
 	// monitord_alerts_dropped_total counter at ring construction.
-	met := newMetrics(cfg.Registry)
+	met := newMetrics(cfg.Registry, cfg.DropUnwatched)
 	d := &Daemon{
 		cfg: cfg, mon: mon,
 		rib:    newLiveRIB(cfg.Shards),
@@ -290,7 +271,6 @@ func New(cfg Config) (*Daemon, error) {
 	if err != nil {
 		return nil, fmt.Errorf("monitord: BGP listener: %w", err)
 	}
-	d.sessions.Store(met.sessionsActive)
 	if d.api, err = listenHTTP(cfg.ListenHTTP); err != nil {
 		d.srv.Shutdown()
 		return nil, fmt.Errorf("monitord: HTTP listener: %w", err)
@@ -342,26 +322,6 @@ func (d *Daemon) Alerts(cursor uint64, max int) (alerts []SeqAlert, next uint64,
 	return d.rng.Since(cursor, max)
 }
 
-// ReportSessions makes /healthz report sessions_active from active, the
-// gauge of a front that runs the daemon's sessions itself: there a
-// closed session is subtracted, while the daemon's row of it stays open.
-func (d *Daemon) ReportSessions(active *obs.Gauge) { d.sessions.Store(active) }
-
-// Relevant reports whether an update for prefix can raise an alert here
-// (defense.Monitor.Relevant): a front may drop every other update before
-// it reaches the RIB.
-func (d *Daemon) Relevant(prefix netip.Prefix) bool { return d.mon.Relevant(prefix) }
-
-// Intake returns how many updates each dispatcher shard has been handed,
-// indexed by shard.
-func (d *Daemon) Intake() []uint64 {
-	out := make([]uint64, len(d.shards))
-	for i := range d.shards {
-		out[i] = d.shards[i].enqueued.Load()
-	}
-	return out
-}
-
 // Anomalies returns the recent escalated anomalies (newest last) plus
 // the detectors' lifetime totals.
 func (d *Daemon) Anomalies() (recent []defense.Anomaly, observed uint64, escalated map[defense.AnomalyKind]uint64) {
@@ -388,14 +348,6 @@ func (d *Daemon) escalate(a defense.Alert) {
 	}
 }
 
-// Sink returns the run path of a registered session: what the daemon's
-// own session front feeds a BGP session's updates into, for a front that
-// reads the sessions itself. Its paths are lent, as bgpd.UpdateSink says.
-func (d *Daemon) Sink(session int) bgpd.UpdateSink {
-	si, _ := d.srv.Peer(session)
-	return d.newSink(si)
-}
-
 func (d *Daemon) newSink(si *bgpd.Peer) bgpd.UpdateSink {
 	return &sessionSink{
 		d: d, si: si, open: make([]*run, len(d.shards)),
@@ -418,11 +370,11 @@ type sessionSink struct {
 	made int       // runs allocated so far, at most cap(free)
 }
 
-// Update copies the lent path into its shard's open run (non-IPv4: dropped, counted).
+// Update copies the lent path into its shard's open run (non-IPv4, and
+// unwatched under DropUnwatched: dropped, counted).
 func (s *sessionSink) Update(t time.Time, prefix netip.Prefix, path []bgp.ASN) {
-	k, ok := iptrie.Key(prefix)
+	k, ok := s.d.admit(prefix)
 	if !ok {
-		s.d.met.droppedNonIPv4.Add(1)
 		return
 	}
 	shard := s.d.rib.shardOf(k)
@@ -577,9 +529,8 @@ func (d *Daemon) Ingest(session int, t time.Time, prefix netip.Prefix, path []bg
 	if !ok {
 		return fmt.Errorf("monitord: unknown session %d", session)
 	}
-	k, ok := iptrie.Key(prefix)
+	k, ok := d.admit(prefix)
 	if !ok {
-		d.met.droppedNonIPv4.Add(1)
 		return nil
 	}
 	it := item{si: si, t: t, rt: time.Now(), key: k, path: path}
@@ -588,6 +539,22 @@ func (d *Daemon) Ingest(session int, t time.Time, prefix netip.Prefix, path []bg
 	si.Updates.Add(1)
 	q.ch <- it
 	return nil
+}
+
+// admit returns prefix's iptrie.Key and whether its update goes on to a
+// shard: a non-IPv4 prefix is dropped, and under DropUnwatched so is one
+// the monitor calls irrelevant, each counted. It allocates nothing.
+func (d *Daemon) admit(prefix netip.Prefix) (uint64, bool) {
+	k, ok := iptrie.Key(prefix)
+	switch {
+	case !ok:
+		d.met.droppedNonIPv4.Add(1)
+	case d.cfg.DropUnwatched && !d.mon.Relevant(k):
+		d.met.unwatched.Add(1)
+	default:
+		return k, true
+	}
+	return 0, false
 }
 
 // WaitQuiesce blocks until every enqueued item has been processed, or

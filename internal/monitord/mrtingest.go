@@ -22,56 +22,48 @@ type MRTStats struct {
 	NoASPath int // announced prefixes dropped because they carried no AS_PATH
 }
 
-// ingester is the part of Front an archive reader drives.
-type ingester interface {
-	RegisterSource(name string, peer bgp.ASN) int
-	Ingest(session int, t time.Time, prefix netip.Prefix, path []bgp.ASN) error
-}
-
-// ingestSink feeds one archived peer's prefix-level updates into a front
-// under its source session, counting what was enqueued. Archive
+// ingestSink feeds one archived peer's prefix-level updates into the
+// daemon under its source session, counting what was enqueued. Archive
 // timestamps are months old, so they go in through Ingest — which takes
 // its own receive stamp for the latency histograms — never through a
 // session sink, whose stamp is the latency origin. Ingest queues the path
-// it is given and ReadMRT only lends one, so Update copies it.
+// it is given and readMRT only lends one, so Update copies it.
 type ingestSink struct {
-	in      ingester
+	d       *Daemon
 	session int
 	stats   *MRTStats
 }
 
 func (s ingestSink) Update(t time.Time, prefix netip.Prefix, path []bgp.ASN) {
-	if err := s.in.Ingest(s.session, t, prefix, slices.Clone(path)); err == nil {
+	if err := s.d.Ingest(s.session, t, prefix, slices.Clone(path)); err == nil {
 		s.stats.Updates++
 	}
 }
 
 func (ingestSink) Flush(time.Time, int) {} // archives have no read batches
 
-// ReadMRT replays an MRT archive into in — a daemon, or a front that
-// filters for one — as if each peer in the archive were a connected
-// session. One source session is registered per distinct peer address
-// (named after label), every BGP4MP update is enqueued with its record
-// timestamp, and every TABLE_DUMP_V2 RIB entry becomes an announcement
-// at the dump's timestamp — the monitor observes both like live
-// updates, so a poisoned table alarms too. Unsupported records are
-// skipped, and announcements without an AS_PATH are dropped and
-// counted, as on a live session.
+// readMRT replays an MRT archive into d as if each peer in the archive
+// were a connected session. One source session is registered per
+// distinct peer address (named after label), every BGP4MP update is
+// enqueued with its record timestamp, and every TABLE_DUMP_V2 RIB entry
+// becomes an announcement at the dump's timestamp — the monitor observes
+// both like live updates, so a poisoned table alarms too. Unsupported
+// records are skipped, and announcements without an AS_PATH are dropped
+// and counted, as on a live session.
 //
 // The call returns once everything is enqueued; the stats are valid even
-// alongside an error. IngestMRT and the fleet's twin book the records and
-// the path-less announcements on their counters.
-func ReadMRT(in ingester, r io.Reader, label string) (*MRTStats, error) {
+// alongside an error.
+func readMRT(d *Daemon, r io.Reader, label string) (*MRTStats, error) {
 	stats := &MRTStats{}
 	sessions := make(map[netip.Addr]int) // peer address -> source session
 	sink := func(ip netip.Addr, as bgp.ASN) ingestSink {
 		si, ok := sessions[ip]
 		if !ok {
-			si = in.RegisterSource(fmt.Sprintf("%s peer %v", label, ip), as)
+			si = d.RegisterSource(fmt.Sprintf("%s peer %v", label, ip), as)
 			sessions[ip] = si
 			stats.Sessions++
 		}
-		return ingestSink{in, si, stats}
+		return ingestSink{d, si, stats}
 	}
 	var peers []mrt.Peer  // the peer table later RIB entries index into
 	var scratch []bgp.ASN // each record's flattened path, lent to the sink
@@ -121,14 +113,11 @@ func ReadMRT(in ingester, r io.Reader, label string) (*MRTStats, error) {
 }
 
 // IngestMRT replays an archive through the daemon's pipeline (see
-// ReadMRT); use WaitQuiesce to wait for the pipeline to absorb it.
+// readMRT) and books its records and path-less announcements; use
+// WaitQuiesce to wait for the pipeline to absorb it.
 func (d *Daemon) IngestMRT(r io.Reader, label string) (*MRTStats, error) {
-	stats, err := ReadMRT(d, r, label)
-	d.CountMRTRecords(stats.Records)
+	stats, err := readMRT(d, r, label)
+	d.met.mrtRecords.Add(uint64(stats.Records))
 	d.met.droppedNoASPath.Add(uint64(stats.NoASPath))
 	return stats, err
 }
-
-// CountMRTRecords adds n archive records to monitord_mrt_records_total,
-// for a front that reads archives into the daemon (see ReadMRT).
-func (d *Daemon) CountMRTRecords(n int) { d.met.mrtRecords.Add(uint64(n)) }

@@ -271,7 +271,8 @@ func TestExactMatchAgainstLinearOracle(t *testing.T) {
 			}
 			exact = exact && q.Addr().Is4()
 			inside = inside && q.Addr().Is4()
-			if got := mon.Relevant(q); got != (exact || inside) {
+			k, ok := iptrie.Key(q)
+			if got := ok && mon.Relevant(k); got != (exact || inside) {
 				t.Fatalf("seed %d: Relevant(%v) = %v; oracle exact %v, more specific %v (watching %v)", seed, q, got, exact, inside, watched)
 			}
 			u := bgpsim.UpdateEvent{Time: t0, Prefix: q, Path: asns(3320, 666)}

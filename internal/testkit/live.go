@@ -9,7 +9,6 @@ import (
 	"quicksand/internal/bgp"
 	"quicksand/internal/bgpsim"
 	"quicksand/internal/defense"
-	"quicksand/internal/fleet"
 	"quicksand/internal/monitord"
 )
 
@@ -28,15 +27,15 @@ func alertBuffer(st *bgpsim.Stream, rep *defense.MonitorReport) int {
 	return len(st.Updates) + len(rep.Alerts) + 16
 }
 
-// checkLiveAlerts feeds the stream through live — a daemon or a fleet
-// router, one checker for both — and requires its alert multiset to equal
+// checkLiveAlerts feeds the stream through live — a daemon with or
+// without Config.DropUnwatched, one checker for both — and requires its alert multiset to equal
 // the batch report's exactly, session ids and semantic timestamps
 // included.
 //
 // With learnFraction 0 the monitor's learned state stays empty, so
 // Observe is pure and alert generation is order-independent — which is
 // what makes the comparison sound despite the live side's concurrency.
-func checkLiveAlerts(live monitord.Front, st *bgpsim.Stream, rep *defense.MonitorReport) error {
+func checkLiveAlerts(live *monitord.Daemon, st *bgpsim.Stream, rep *defense.MonitorReport) error {
 	for si := range st.Sessions {
 		s := &st.Sessions[si]
 		if id := live.RegisterSource(s.Collector, s.PeerAS); id != si {
@@ -106,30 +105,31 @@ func CheckMonitordEquivalence(st *bgpsim.Stream, watched map[netip.Prefix]bgp.AS
 	return checkRIBFold(d, st)
 }
 
-// CheckFleetEquivalence is the same differential check through a fleet
-// of n dispatcher shards: dropping every update defense.Monitor.Relevant
-// rejects before the daemon loses no alert the batch monitor raises, and
-// invents none. Those updates raise nothing in the batch run either, by
-// the rule's definition; the rest take the daemon's own path. Session ids
-// match because the router mirrors every source into the daemon under
-// its registry lock, and timestamps because in-process ingest keeps the
-// caller's timestamp.
+// CheckFleetEquivalence is the same differential check through a daemon
+// of n dispatcher shards under Config.DropUnwatched (serve -fleet):
+// dropping every update defense.Monitor.Relevant rejects before the RIB
+// loses no alert the batch monitor raises, and invents none. Those
+// updates raise nothing in the batch run either, by the rule's
+// definition; the rest take the daemon's own path. Session ids match
+// because the daemon registers the stream's sessions in order, and
+// timestamps because in-process ingest keeps the caller's timestamp.
 func CheckFleetEquivalence(st *bgpsim.Stream, watched map[netip.Prefix]bgp.ASN, n int) error {
 	rep, err := batchAlerts(st, watched)
 	if err != nil {
 		return err
 	}
-	r, err := fleet.New(fleet.Config{
+	d, err := monitord.New(monitord.Config{
 		Watched:        watched,
 		Shards:         n,
+		DropUnwatched:  true,
 		UpstreamAlarms: true, // matches RunMonitor's EnableUpstream at split 0
 		AlertBuffer:    alertBuffer(st, rep),
 	})
 	if err != nil {
 		return err
 	}
-	defer r.Shutdown(context.Background())
-	return checkLiveAlerts(r, st, rep)
+	defer d.Shutdown(context.Background())
+	return checkLiveAlerts(d, st, rep)
 }
 
 // checkRIBFold requires the daemon's live RIB to equal the last-write

@@ -12,7 +12,7 @@ import (
 
 // Prometheus text-exposition (version 0.0.4) linter, on top of the
 // repository's one parser, obs.ParseExposition. Every /metrics endpoint
-// in the repository — monitord's, the fleet's and the shared
+// in the repository — monitord's, with and without -fleet, and the shared
 // internal/obs handler — is checked against these rules in tests, so an
 // exposition that a real Prometheus server would reject (or silently
 // misread) fails CI instead of a scrape.

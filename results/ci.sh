@@ -7,7 +7,8 @@
 #   2. go build ./...                 (tier-1)
 #   3. go vet ./...
 #   4. go test ./... with coverage    (tier-1: differentials, goldens,
-#      metrics lint, serve/fleet smokes, and the paper-scale and 73K
+#      metrics lint, serve smokes with and without -fleet, and the
+#      paper-scale and 73K
 #      gates — every AS routed, <= 12 B per AS-table entry
 #      (internal/topology), E10 capture margin > 0 on the paper-scale
 #      config (root package), sampled-estimator agreement >= 0.9
@@ -21,7 +22,8 @@
 #      confirmed killer takes 1 s or more, and rewrites
 #      results/mutants/KILLS.tsv (a diff there is a changed matrix)
 #   7. bench module: bench/ is its own Go module (root ./... does not
-#      cover it) compiled against monitord, fleet, bgpd, obs and iptrie
+#      cover it) compiled against monitord, bgpd, obs, iptrie and the
+#      fleet package's constructor
 #   8. every Benchmark* for one iteration with -benchmem, so none can
 #      rot unrun (an allocation creeping back into the update path is
 #      failed by TestSessionPathSteadyStateAllocs, TestRejectPathAllocFree
@@ -37,7 +39,8 @@
 #      array and phase-1 candidate arrays, with the MRT record's own
 #      UPDATE decoder and two-write record helper, with the resilience
 #      matrix cache, the latency opt-out and the one-valued study and
-#      session-front options, as exports no product
+#      session-front options, with the fleet's second session front, peer
+#      mirror and duplicate metric families, as exports no product
 #      code used (two sweeps) or copies of the one prefix order, or as
 #      duplicates of a bench/ metric or of a test the kill matrix keeps
 #      are named nowhere outside the history files (Go comments and
@@ -83,7 +86,8 @@ sh results/mutants/run.sh
 
 echo "== bench module (own go.mod; root ./... does not cover it) =="
 # bench/ compiles against monitord.SeqAlert, MaxAlertsPerRequest,
-# monitord.New, fleet.New, obs.ParseExposition and iptrie.Trie (its zero
+# monitord.New, fleet.New (the daemon with DropUnwatched set, until the
+# fleet workloads go), obs.ParseExposition and iptrie.Trie (its zero
 # value, Insert and LongestMatch: why the one prefix index keeps that
 # name): vet and smoke-test it so an internals change cannot break the
 # benchmark unnoticed.
@@ -199,6 +203,16 @@ retired="$retired|DisableLatency(Metrics)|stage(On)|Top(Down)|TestEngine(CacheVe
 retired="$retired|[.](Circuits)([^A-Za-z]|\$)|(Circuits): [0-9]|(^|[^A-Za-z])(Monitor)LearnFraction"
 retired="$retired|(^|[^A-Za-z])Injected(Hijacks)([^A-Za-z]|\$)|(^|[^A-Za-z])Attack(Duration)"
 retired="$retired|Establish(Timeout)|DialBackoff(Max)|Dial(HealthyAfter)|Make(Community)|Matrix[)] (Exact)[(]"
+# So is the fleet's second session front: its router with the bgpd.Server,
+# the peer mirror and registration hook, the filter sink, the daemon's
+# hooks only it called, the interfaces only it shared with the daemon,
+# the exported stamped read, and the fleet_* families that repeated a
+# monitord_* family or a /healthz field. serve -fleet is the daemon with
+# Config.DropUnwatched.
+retired="$retired|fleet[.](Rout)er|Rout(er)[)]|[.](mirror)[(]|On(Register)|filter(Sink)"
+retired="$retired|Report(Sessions)|CountMRT(Records)|Daemon[)] (Sink|Relevant|Intake)[(]|[.](Intake)[(]|monitord[.](Front|ReadMRT)([^A-Za-z]|\$)"
+retired="$retired|Alert(Source)|[.]RecvUpdateBatch(Stamped)|[)] RecvUpdateBatch(Stamped)"
+retired="$retired|fleet_(redials|sessions_accepted|sessions_active|uptime|shards|watched_prefixes)|fleet_updates_(dropped)"
 if stale=$(git grep -nE "$retired" -- . ':!PAPER.md' \
     ':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!bench'); then
     echo "FAIL: retired names still referenced:" >&2
@@ -228,7 +242,7 @@ function floor(pkg) {
     if (pkg == "quicksand/cmd/bgpgen") return 50       # main() wiring untested
     if (pkg == "quicksand/cmd/torgen") return 50       # main() wiring untested
     if (pkg == "quicksand/internal/monitord") return 80 # daemon floor (required)
-    if (pkg == "quicksand/internal/fleet") return 85    # fleet router floor (required)
+    if (pkg == "quicksand/internal/fleet") return 85    # fleet constructor floor (required)
     if (pkg == "quicksand/internal/obs") return 80      # observability floor (required)
     if (pkg == "quicksand/internal/topology") return 90 # route-engine floor (required)
     if (pkg == "quicksand/internal/resilience") return 85 # resilience engine floor (required)
